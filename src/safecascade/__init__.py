@@ -2,11 +2,11 @@
 
 The pieces, bottom to top: a dense projection QP solver with active-set
 reporting (qp_solver); norm-augmented safety constraints with a closed-form
-feasibility witness and Lipschitz selection (qcqp_safety); positive-basis
-reshaping that restores Lipschitz regularity to the filtered control law
-(reshaping); segment/disc safety certificates (certificates); the recursive
-cascade controller and its gain audits (cascade); closed-loop simulation
-(sim); and a config-driven CLI (cli).
+Lipschitz selection (qcqp_safety); positive-basis reshaping that restores
+Lipschitz regularity to the filtered control law (reshaping); segment/disc
+safety certificates (certificates); the recursive cascade controller and its
+gain audits (cascade); closed-loop simulation (sim); and a config-driven CLI
+(cli).
 """
 from .cascade import (
     CascadeController,
@@ -26,7 +26,6 @@ from .certificates import (
     disjointness_audit,
     eval_disc,
     eval_segment,
-    mu_exponential_alpha_bar,
 )
 from .qcqp_safety import (
     ConstraintSet,
@@ -35,7 +34,6 @@ from .qcqp_safety import (
     build_constraint_set,
     disc_constraint_set,
     dissipation_audit,
-    feasibility_witness,
     lipschitz_selection,
 )
 from .qp_solver import (

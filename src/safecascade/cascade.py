@@ -28,8 +28,7 @@ class CascadeGains:
     constant of the outer safety law; tau > 1 and theta > 0 are the
     small-gain and decay tuning constants; gamma_12_slope is the linear gain
     from velocity tracking error to certificate value and gamma_x2v_slope
-    the linear bound of the safety law by the certificate value; rho0_bound
-    caps the nominal input norm.
+    the linear bound of the safety law by the certificate value.
     """
 
     tracking_slopes: tuple[float, ...]
@@ -39,7 +38,6 @@ class CascadeGains:
     k_alpha: float = 1.0
     gamma_12_slope: float = 4.0
     gamma_x2v_slope: float = 0.25
-    rho0_bound: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "tracking_slopes", tuple(float(k) for k in self.tracking_slopes))
@@ -138,25 +136,21 @@ class LevelMargin:
 def k_selection_audit(gains: CascadeGains) -> list[LevelMargin]:
     """Margins K_i - RHS of the integrator-chain gain-selection inequality.
 
-    RHS slope at level i: theta + tau + kbar(1,i-1) tau
-    + kbar(1,i-1) * gamma_x2v(gamma_12^-1(tau s))/s
-    + sum_j (kbar(j,i-1) K_j + kbar(j-1,i-1)) tau + k_{i-1}.
+    RHS slope at level i, from the gain_ledger slopes:
+    theta + tau + tau * alpha_rho0 + alpha_cert * tau / gamma_12
+    + tau * sum(alpha_mid) + alpha_self.
     The self term at level 2 uses the estimated k1 (no K_1 exists); its
     margin is reported without any pass expectation. Never raises: negative
     margins are data, and deliberately unsafe gain sets are simulated too.
     """
     out = []
-    composed = gains.gamma_x2v_slope * (gains.tau / gains.gamma_12_slope)
-    for i in range(2, gains.m + 1):
-        rhs = gains.theta + gains.tau
-        rhs += gains.kbar(1, i - 1) * gains.tau
-        rhs += gains.kbar(1, i - 1) * composed
-        for j in range(2, i):
-            rhs += (gains.kbar(j, i - 1) * gains.tracking_slope(j)
-                    + gains.kbar(j - 1, i - 1)) * gains.tau
-        rhs += gains.lipschitz_entry(i - 1)
-        k_i = gains.tracking_slope(i)
-        out.append(LevelMargin(level=i, k_tracking=k_i, rhs_slope=rhs, margin=k_i - rhs))
+    tau = gains.tau
+    for lvl in gain_ledger(gains).levels:
+        rhs = (gains.theta + tau + tau * lvl.alpha_rho0_slope
+               + lvl.alpha_cert_slope * tau / gains.gamma_12_slope
+               + tau * sum(lvl.alpha_mid_slopes) + lvl.alpha_self_slope)
+        k_i = gains.tracking_slope(lvl.level)
+        out.append(LevelMargin(level=lvl.level, k_tracking=k_i, rhs_slope=rhs, margin=k_i - rhs))
     return out
 
 

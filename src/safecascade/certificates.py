@@ -2,11 +2,11 @@
 
 A certificate is a positive scalar field V whose superlevel set {V >= level}
 covers an inflated obstacle. For segments the clearance h is the exact
-point-to-segment distance minus the safe distance (interior distances go
-through the triangle-area route: twice the area over the base length, with
-the area from Heron's formula), and V = exp(-h), so {V >= 1} is exactly
-{h <= 0}. Disc obstacles use the quadratic clearance |x - o|^2 - R^2 that
-single-integrator gap-crossing scenarios are built on.
+point-to-segment distance minus the safe distance (the distance to the
+clamped projection of the point onto the segment), and V = exp(-h), so
+{V >= 1} is exactly {h <= 0}. Disc obstacles use the quadratic clearance
+|x - o|^2 - R^2 that single-integrator gap-crossing scenarios are built on.
+Both geometries evaluate to one CertificateEval.
 """
 from __future__ import annotations
 
@@ -95,93 +95,50 @@ class CertificateEval:
     v: float
     grad_v: np.ndarray
 
-
-@dataclass(frozen=True)
-class DiscConstraint:
-    """Constraint-row data for a disc obstacle under direct velocity control."""
-
-    direction: np.ndarray   # unit row, points from x away from the safe side
-    bound: float            # h / (2 |x - center|)
-    h: float                # |x - center|^2 - radius^2
-    grad_h: np.ndarray      # 2 (x - center)
+    @classmethod
+    def from_clearance(cls, h: float, grad_h: np.ndarray) -> "CertificateEval":
+        """Apply the barrier transform V = exp(-h), dV/dx = -V dh/dx."""
+        v = math.exp(-h)
+        return cls(h=h, grad_h=grad_h, v=v, grad_v=-v * grad_h)
 
 
 def eval_segment(cert: CertificateSpec, x: np.ndarray, spine_tol: float = 1e-9) -> CertificateEval:
     """Clearance and gradient for a segment certificate at point x.
 
-    Three branches: beyond either endpoint the clearance is the endpoint
-    distance minus the safe distance; between the endpoints it is twice the
-    triangle area (Heron) over the base length, minus the safe distance.
-    Exactly on the spine the gradient direction is undefined and
-    ZeroGradientError is raised. Ties on the branch tests go to the interior
-    branch; the gradients agree there so the choice is unobservable.
+    The nearest segment point is the projection of x onto the spine line,
+    clamped to the endpoints: t = clip((x - o1).b / |b|^2, 0, 1). The
+    clearance is the distance to it minus the safe distance, and the
+    gradient is the unit vector from it to x. Exactly on the spine that
+    direction is undefined and ZeroGradientError is raised.
     """
     seg = cert.geometry
     if not isinstance(seg, Segment):
         raise TypeError("eval_segment needs a Segment certificate")
     x = np.asarray(x, dtype=float).ravel()
-    o1, o2 = seg.o1, seg.o2
-    base = o2 - o1
-    base_len = float(np.linalg.norm(base))
-    if base_len <= 1e-12:
+    base = seg.o2 - seg.o1
+    base_sq = float(base @ base)
+    if base_sq <= 1e-24:
         raise DegenerateGeometryError("segment endpoints coincide")
-    if float((x - o1) @ base) < 0.0:
-        dist = float(np.linalg.norm(x - o1))
-        if dist <= spine_tol:
-            raise ZeroGradientError("query point on segment endpoint")
-        grad = (x - o1) / dist
-    elif float((x - o2) @ (o1 - o2)) < 0.0:
-        dist = float(np.linalg.norm(x - o2))
-        if dist <= spine_tol:
-            raise ZeroGradientError("query point on segment endpoint")
-        grad = (x - o2) / dist
-    else:
-        d1 = float(np.linalg.norm(x - o1))
-        d2 = float(np.linalg.norm(x - o2))
-        half = 0.5 * (d1 + d2 + base_len)
-        area_sq = half * (half - d1) * (half - d2) * (half - base_len)
-        area = math.sqrt(max(area_sq, 0.0))
-        dist = 2.0 * area / base_len
-        if dist <= spine_tol:
-            raise ZeroGradientError("query point on segment spine")
-        grad = (base_len / (4.0 * area)) * (2.0 * x - o1 - o2) \
-            + ((d1 * d1 - d2 * d2) / (4.0 * area * base_len)) * (o1 - o2)
-    h = dist - cert.safe_distance
-    v = math.exp(-h)
-    return CertificateEval(h=h, grad_h=grad, v=v, grad_v=-v * grad)
+    rel = x - seg.o1
+    t = min(max(float(rel @ base) / base_sq, 0.0), 1.0)
+    delta = rel - t * base
+    dist = math.sqrt(float(delta @ delta))
+    if dist <= spine_tol:
+        raise ZeroGradientError("query point on segment spine")
+    return CertificateEval.from_clearance(dist - cert.safe_distance, delta / dist)
 
 
-def eval_disc(cert: CertificateSpec, x: np.ndarray, tol: float = 1e-12) -> DiscConstraint:
-    """Quadratic-clearance constraint row for a disc obstacle.
-
-    With h(x) = |x - o|^2 - R^2, keeping h nonincreasing toward the disc is
-    the row direction -(x - o)/|x - o| with offset h / (2 |x - o|).
-    """
+def eval_disc(cert: CertificateSpec, x: np.ndarray, tol: float = 1e-12) -> CertificateEval:
+    """Quadratic clearance h(x) = |x - o|^2 - R^2 for a disc certificate."""
     disc = cert.geometry
     if not isinstance(disc, Disc):
         raise TypeError("eval_disc needs a Disc certificate")
     x = np.asarray(x, dtype=float).ravel()
     delta = x - disc.center
-    r = float(np.linalg.norm(delta))
+    r = math.sqrt(float(delta @ delta))
     if r <= tol:
         raise AtCenterError("query point at disc center")
-    h = r * r - disc.radius**2
-    return DiscConstraint(
-        direction=-delta / r,
-        bound=h / (2.0 * r),
-        h=h,
-        grad_h=2.0 * delta,
-    )
-
-
-def mu_exponential_alpha_bar():
-    """Distance-to-offset envelope for the exponential transform at level 1.
-
-    Returns (alpha_bar, alpha_bar_inverse) with alpha_bar(s) = e^s - 1; it
-    converts signed distance to the level set into the certificate offset
-    V - level and back, exactly, for unit-gradient clearances.
-    """
-    return (lambda s: math.expm1(s)), (lambda s: math.log1p(s))
+    return CertificateEval.from_clearance(r * r - disc.radius**2, 2.0 * delta)
 
 
 def exp_alpha_bar_for_level(level: float):
@@ -247,13 +204,9 @@ def cbf_to_certificate(
     return v_fn, alpha_prime
 
 
-def certificate_value(cert: CertificateSpec, x: np.ndarray) -> tuple[float, float]:
-    """(h, V) for either geometry kind; V = exp(-h)."""
-    if isinstance(cert.geometry, Segment):
-        ev = eval_segment(cert, x)
-        return ev.h, ev.v
-    row = eval_disc(cert, x)
-    return row.h, math.exp(-row.h)
+def certificate_value(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
+    """Evaluate a certificate of either geometry kind at x."""
+    return (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
 
 
 @dataclass(frozen=True)
@@ -295,18 +248,13 @@ def disjointness_audit(
         above = []
         for j, cert in enumerate(certs):
             try:
-                if isinstance(cert.geometry, Segment):
-                    ev = eval_segment(cert, x)
-                    v, grad = ev.v, ev.grad_h
-                else:
-                    row = eval_disc(cert, x)
-                    v, grad = math.exp(-row.h), row.grad_h
+                ev = certificate_value(cert, x)
             except ZeroGradientError:
                 continue
-            if v >= cert.level:
+            if ev.v >= cert.level:
                 above.append(j)
                 superlevel += 1
-                min_grad = min(min_grad, float(np.linalg.norm(grad)))
+                min_grad = min(min_grad, float(np.linalg.norm(ev.grad_h)))
         if len(above) >= 2:
             joint += 1
             if first is None:

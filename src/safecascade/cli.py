@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import k_selection_audit, small_gain_audit
+from .cascade import gain_ledger, k_selection_audit, small_gain_audit
 from .certificates import CertificateSpec, Disc, disjointness_audit
 from .errors import ConfigError, InfeasibleError, SafecascadeError
 from .output import (
@@ -358,8 +358,9 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
     if scenario.gains is not None:
         g = scenario.gains
         print(f"gain ledger (k1 = {g.k1:g}{' estimated' if scenario.k1_estimated else ''}):")
+        kbar = gain_ledger(g).kbar_table
         for i in range(1, g.m + 1):
-            row = "  ".join(f"kbar({p},{i})={g.kbar(p, i):.6g}" for p in range(1, i + 1))
+            row = "  ".join(f"kbar({p},{i})={kbar[p, i]:.6g}" for p in range(1, i + 1))
             print(f"  level {i}: {row}")
         print("gain-selection margins:")
         for lm in k_selection_audit(g):

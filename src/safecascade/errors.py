@@ -26,16 +26,10 @@ class ZeroGradientError(SafecascadeError):
     """Certificate gradient vanished where a nonzero gradient is assumed."""
 
 
-class WitnessInfeasibleError(SafecascadeError):
-    """Closed-form feasibility witness violated a constraint row.
-
-    Signals that the certificate geometry is not disjoint or the decay rate
-    does not satisfy the negative-side growth condition.
-    """
-
-
 class SelectionConditionError(SafecascadeError):
-    """Pairwise offset condition for the Lipschitz selection failed."""
+    """Pairwise offset condition for the Lipschitz selection failed, or the
+    selection violated a row (geometry not disjoint, or a decay rate without
+    the negative-side growth condition)."""
 
     def __init__(self, msg, pair=None):
         super().__init__(msg)

@@ -4,9 +4,9 @@ The feasible input set at state x is {u : A u + c * |u| <= b} with one row
 per certificate: the row direction is the normalized certificate gradient
 pushed through the input matrix, the offset is the decay-rate value at the
 current certificate level, and the norm coefficient c = delta_upper/g_lower
-absorbs input-matrix uncertainty. The module also provides the closed-form
-feasibility witness, the Lipschitz selection used as the reshaping anchor,
-and the decrease-margin audit.
+absorbs input-matrix uncertainty. The module also provides the Lipschitz
+selection, a closed-form point of the set used as the reshaping anchor, and
+the decrease-margin audit.
 """
 from __future__ import annotations
 
@@ -16,11 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certificates import CertificateSpec, Disc, Segment, eval_disc, eval_segment
+from .certificates import CertificateSpec, Segment, eval_disc, eval_segment
 from .errors import (
     NotInFeasibleSetError,
     SelectionConditionError,
-    WitnessInfeasibleError,
     ZeroGradientError,
 )
 
@@ -103,9 +102,9 @@ class RateSpec:
     The base rate has slope base_slope on s >= 0. On s < 0 it is steepened
     by negative_ratio; choosing negative_ratio >= (g_lower + delta_upper) /
     (g_lower - delta_upper) makes the base satisfy
-    base(s) + ratio * base(-s) <= 0 for s <= 0, which is what the closed-form
-    feasibility witness needs. A plain linear rate (negative_ratio = 1) has
-    that property only when delta_upper = 0.
+    base(s) + ratio * base(-s) <= 0 for s <= 0, which is what the Lipschitz
+    selection needs to land inside the set. A plain linear rate
+    (negative_ratio = 1) has that property only when delta_upper = 0.
     """
 
     base_slope: float
@@ -144,7 +143,7 @@ def rate_for_bounds(
 def check_base_rate(rate: RateSpec, bounds: PlantBounds, samples: int = 200) -> float:
     """Worst value of base(s) + ratio * base(-s) over sampled s <= 0.
 
-    Nonpositive means the witness guarantee applies with these bounds.
+    Nonpositive means the selection guarantee applies with these bounds.
     """
     ratio = bounds.gain_ratio
     ss = np.linspace(-10.0, 0.0, samples)
@@ -175,21 +174,14 @@ def build_constraint_set(
         raise ValueError("need one RateSpec per certificate")
     rows, offsets = [], []
     for j, (cert, rate) in enumerate(zip(certs, rates)):
-        if isinstance(cert.geometry, Segment):
-            ev = eval_segment(cert, x)
-            grad_v, v = ev.grad_v, ev.v
-        elif isinstance(cert.geometry, Disc):
-            dc = eval_disc(cert, x)
-            v = math.exp(-dc.h)
-            grad_v = -v * dc.grad_h
-        else:
-            raise TypeError(f"unsupported geometry {type(cert.geometry)!r}")
-        direction = grad_v @ g
+        # Called through this module's names, which benchmark tracing rebinds.
+        ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
+        direction = ev.grad_v @ g
         nrm = float(np.linalg.norm(direction))
         if nrm <= grad_tol:
             raise ZeroGradientError(f"certificate {j}: gradient vanishes through g")
         rows.append(direction / nrm)
-        offsets.append(-rate.rate(v - cert.level))
+        offsets.append(-rate.rate(ev.v - cert.level))
     c = np.full(len(certs), bounds.norm_coefficient)
     return ConstraintSet(np.asarray(rows), np.asarray(offsets), c)
 
@@ -197,39 +189,17 @@ def build_constraint_set(
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
     """Quadratic-clearance rows for disc obstacles under velocity control.
 
-    Row j is -(x - o_j)/|x - o_j| with offset h_j / (2 |x - o_j|) and zero
-    norm coefficient; the standard gap-crossing setup.
+    Row j is -grad h_j / |grad h_j| = -(x - o_j)/|x - o_j| with offset
+    h_j / |grad h_j| = h_j / (2 |x - o_j|) and zero norm coefficient; the
+    standard gap-crossing setup.
     """
     rows, offsets = [], []
     for cert in discs:
-        dc = eval_disc(cert, x)
-        rows.append(dc.direction)
-        offsets.append(dc.bound)
+        ev = eval_disc(cert, x)
+        nrm = float(np.linalg.norm(ev.grad_h))
+        rows.append(-ev.grad_h / nrm)
+        offsets.append(ev.h / nrm)
     return ConstraintSet(np.asarray(rows), np.asarray(offsets), np.zeros(len(discs)))
-
-
-def feasibility_witness(cs: ConstraintSet, tol: float = 1e-9) -> np.ndarray:
-    """Closed-form point of the constraint set.
-
-    Zero when every offset is nonnegative; otherwise the most-violated row's
-    direction scaled by its offset over (1 - c). The returned point is
-    verified against every row; a violation means the certificates are not
-    disjoint or the rate lacks the negative-side steepening, and raises
-    WitnessInfeasibleError.
-    """
-    if cs.n_rows == 0:
-        return np.zeros(cs.n_u)
-    j = int(np.argmin(cs.b))     # ties resolve to the smallest index
-    if cs.b[j] >= 0.0:
-        return np.zeros(cs.n_u)
-    u = cs.a[j] * (cs.b[j] / (1.0 - cs.c[j]))
-    worst = float(np.max(cs.violations(u)))
-    if worst > tol:
-        raise WitnessInfeasibleError(
-            f"witness violates a row by {worst:.3e}; disjointness or the "
-            "rate condition does not hold"
-        )
-    return u
 
 
 def lipschitz_selection(cs: ConstraintSet, tol: float = 1e-9) -> np.ndarray:
@@ -238,7 +208,10 @@ def lipschitz_selection(cs: ConstraintSet, tol: float = 1e-9) -> np.ndarray:
     Requires the pairwise offset condition
     b_j/(1 + sgn(b_j) c_j) + b_k/(1 + sgn(b_k) c_k) >= 0 for j != k, which
     guarantees at most one negative offset. Returns zero when all offsets
-    are nonnegative, else the negative row's direction times b/(1 - c).
+    are nonnegative, else the negative row's direction times b/(1 - c). The
+    point is verified against every row; a violation means the certificates
+    are not disjoint or the rate lacks the negative-side steepening. Both
+    failures raise SelectionConditionError.
     """
     if cs.n_rows == 0:
         return np.zeros(cs.n_u)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .cascade import CascadeController, CascadeGains, build_cascade_controller, estimate_lipschitz, safety_virtual_law
 from .certificates import CertificateSpec, Disc, Segment, eval_segment, exp_alpha_bar_for_level
-from .errors import ConfigError
+from .errors import ConfigError, SafecascadeError
 from .qcqp_safety import PlantBounds, RateSpec
 from .reshaping import PositiveBasis, make_positive_basis
 from .sim import IDENTIFIED_T2, IDENTIFIED_T3, IDENTIFIED_T4, IntegratorChain, PlantModel, VelocityLoop, VtolNonlinear
@@ -152,20 +152,22 @@ def parse_config_text(text: str) -> ScenarioConfig:
             index, sub = int(obstacle.group(1)), obstacle.group(2)
             if sub not in _OBSTACLE_KEYS:
                 raise ConfigError(f"line {lineno}: unknown obstacle key {sub!r}")
+            entry = obstacles.setdefault(index, {})
+            if sub in entry:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             kind = _OBSTACLE_KEYS[sub]
-            if kind is str:
-                parsed = value
-            elif kind is float:
-                try:
+            try:
+                if kind is str:
+                    parsed = value
+                elif kind is float:
                     parsed = float(value)
-                except ValueError as exc:
-                    raise ConfigError(f"line {lineno}: cannot parse {value!r}") from exc
-            else:
-                parts = [p.strip() for p in value.split(",") if p.strip()]
-                if len(parts) != kind:
-                    raise ConfigError(f"line {lineno}: expected {kind} numbers")
-                parsed = tuple(float(p) for p in parts)
-            obstacles.setdefault(index, {})[sub] = parsed
+                else:
+                    parsed = tuple(float(p) for p in value.split(",") if p.strip())
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: cannot parse {value!r}") from exc
+            if isinstance(kind, int) and len(parsed) != kind:
+                raise ConfigError(f"line {lineno}: expected {kind} numbers")
+            entry[sub] = parsed
             continue
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -311,7 +313,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             k_alpha=cfg.get("rate.k_alpha", 1.0),
             gamma_12_slope=cfg.get("cascade.gamma_12_slope", 4.0),
             gamma_x2v_slope=cfg.get("cascade.gamma_x2v_slope", 0.25),
-            rho0_bound=float(np.linalg.norm(nominal)),
         )
     else:
         gains = None
@@ -359,8 +360,9 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 def estimate_safety_law_lipschitz(law, certs, workspace, grid: int = 200) -> float:
     """Grid Lipschitz lower bound of the outer safety law over the workspace.
 
-    Points inside an inflated obstacle (or where the law is undefined) are
-    masked out; only adjacent safe-region points contribute slopes.
+    Points inside an inflated obstacle (or where the law raises a package
+    error) are masked out; only adjacent safe-region points contribute
+    slopes. Any other exception is a fault and propagates.
     """
     def masked(x):
         try:
@@ -368,6 +370,6 @@ def estimate_safety_law_lipschitz(law, certs, workspace, grid: int = 200) -> flo
                 if isinstance(cert.geometry, Segment) and eval_segment(cert, x).h < 0:
                     return np.array([math.nan, math.nan])
             return law(x)
-        except Exception:
+        except SafecascadeError:
             return np.array([math.nan, math.nan])
     return estimate_lipschitz(masked, workspace, grid=grid)

@@ -301,8 +301,8 @@ def run_closed_loop(
         x1 = _controller_blocks(plant, state, 1)[0]
         states[k] = state
         for j, cert in enumerate(certs):
-            h, v = certificate_value(cert, x1)
-            margins_h[k, j], margins_v[k, j] = h, v
+            ev = certificate_value(cert, x1)
+            margins_h[k, j], margins_v[k, j] = ev.h, ev.v
         try:
             ev = controller.evaluate(_controller_blocks(plant, state, m))
         except SafecascadeError as exc:

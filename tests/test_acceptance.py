@@ -30,7 +30,6 @@ from safecascade.qcqp_safety import (
     RateSpec,
     build_constraint_set,
     disc_constraint_set,
-    feasibility_witness,
     lipschitz_selection,
 )
 from safecascade.qp_solver import Polyhedron, solve_projection_qp
@@ -110,7 +109,7 @@ def test_criterion_2_witness_feasibility_property():
                 radii.append(r)
         if rng.uniform() < 0.5:
             # Half the draws start inside an unsafe region so the nonzero
-            # branch of the witness is exercised, not just the origin case.
+            # branch of the selection is exercised, not just the origin case.
             pick = int(rng.integers(0, n_c))
             angle = rng.uniform(0.0, 2.0 * math.pi)
             x = centers[pick] + radii[pick] * float(rng.uniform(0.0, 0.98)) \
@@ -122,7 +121,7 @@ def test_criterion_2_witness_feasibility_property():
         rows = rng.normal(size=(n_c, 2))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         cs = ConstraintSet(rows, b, np.full(n_c, ratio))
-        w = feasibility_witness(cs, tol=1e-9)
+        w = lipschitz_selection(cs, tol=1e-9)
         if b.min() < 0.0:
             active += 1
             assert float(np.linalg.norm(w)) > 0.0
@@ -130,7 +129,7 @@ def test_criterion_2_witness_feasibility_property():
             violations += 1
     assert violations == 0
     assert active > 4000
-    report(2, "witness feasibility over 10^4 disjoint draws",
+    report(2, "selection feasibility over 10^4 disjoint draws",
            f"0 violations, {active} active draws")
 
 

@@ -16,6 +16,7 @@ from safecascade.cascade import (
     tracking_law,
 )
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
+from safecascade.errors import ZeroGradientError
 from safecascade.qcqp_safety import PlantBounds, RateSpec, disc_constraint_set
 from safecascade.qp_solver import Polyhedron, solve_projection_qp
 from safecascade.reshaping import make_positive_basis
@@ -300,3 +301,17 @@ def test_wall_law_lipschitz_regression():
     assert est == pytest.approx(FROZEN_K1_GRID_ESTIMATE, rel=1e-3)
     # Same scale as the design value 3.49 used by the stock gain ledger.
     assert 0.5 <= est / 3.49 <= 2.0
+
+
+def test_k1_estimate_masks_only_package_errors():
+    box = ((-3.0, 6.0), (-0.5, 12.0))
+
+    def undefined(x):
+        raise ZeroGradientError("law undefined here")
+
+    def broken(x):
+        raise TypeError("a fault in the law")
+
+    assert estimate_safety_law_lipschitz(undefined, WALLS, box, grid=5) == 0.0
+    with pytest.raises(TypeError):
+        estimate_safety_law_lipschitz(broken, WALLS, box, grid=5)

@@ -14,7 +14,6 @@ from safecascade.certificates import (
     eval_disc,
     eval_segment,
     exp_alpha_bar_for_level,
-    mu_exponential_alpha_bar,
 )
 from safecascade.errors import (
     AtCenterError,
@@ -22,11 +21,20 @@ from safecascade.errors import (
     DegenerateGeometryError,
     ZeroGradientError,
 )
+from safecascade.qcqp_safety import disc_constraint_set
 
 from oracles import segment_distance_by_sampling, signed_level_distance
 
 WALL_LOW = CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)
 WALL_HIGH = CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35)
+
+
+def near_spine_points(cert, offsets=(1e-5, 1e-6, 1e-7)):
+    """Points at the given distances off the spine, above its midpoint."""
+    seg = cert.geometry
+    base = seg.o2 - seg.o1
+    normal = np.array([-base[1], base[0]]) / np.linalg.norm(base)
+    return [seg.o1 + 0.5 * base + off * normal for off in offsets]
 
 
 def test_interior_branch_perpendicular_distance():
@@ -56,12 +64,16 @@ def test_distance_matches_dense_sampling_oracle():
             continue
         brute = segment_distance_by_sampling(x, seg.geometry.o1, seg.geometry.o2)
         assert ev.h + seg.safe_distance == pytest.approx(brute, abs=1e-4)
+    # Near the spine the distance keeps its relative accuracy. WALL_LOW's
+    # spine is the line y = 0.5, so the exact offset is x[1] - 0.5.
+    for x in near_spine_points(WALL_LOW):
+        ev = eval_segment(WALL_LOW, x)
+        assert ev.h + WALL_LOW.safe_distance == pytest.approx(x[1] - 0.5, rel=1e-9)
 
 
 def test_gradient_is_unit_norm_everywhere():
     rng = np.random.default_rng(6)
-    for _ in range(200):
-        x = rng.uniform(-4, 4, size=2)
+    for x in list(rng.uniform(-4, 4, size=(200, 2))) + near_spine_points(WALL_HIGH):
         try:
             ev = eval_segment(WALL_HIGH, x)
         except ZeroGradientError:
@@ -71,7 +83,7 @@ def test_gradient_is_unit_norm_everywhere():
 
 def test_gradient_matches_finite_differences():
     # Step size balances central-difference truncation against the roundoff
-    # of the triangle-area distance (~1e-13 absolute).
+    # of the clamped-projection distance (a few ulps of the coordinates).
     rng = np.random.default_rng(7)
     eps = 1e-5
     checked = 0
@@ -130,17 +142,18 @@ def test_spine_and_endpoint_raise_zero_gradient():
 
 def test_disc_boundary_bound_is_zero():
     cert = CertificateSpec(Disc([0.0, 1.0], 1.0))
-    row = eval_disc(cert, np.array([0.0, 0.0]))
-    assert row.h == pytest.approx(0.0)
-    assert row.bound == pytest.approx(0.0)
-    np.testing.assert_allclose(row.direction, [0.0, 1.0], atol=1e-12)
+    x = np.array([0.0, 0.0])
+    assert eval_disc(cert, x).h == pytest.approx(0.0)
+    row = disc_constraint_set([cert], x)
+    assert row.b[0] == pytest.approx(0.0)
+    np.testing.assert_allclose(row.a[0], [0.0, 1.0], atol=1e-12)
 
 
 def test_disc_far_away_bound_grows_like_half_distance():
     cert = CertificateSpec(Disc([0.0, 0.0], 1.0))
     x = np.array([100.0, 0.0])
-    row = eval_disc(cert, x)
-    assert row.bound == pytest.approx(50.0, rel=1e-2)
+    row = disc_constraint_set([cert], x)
+    assert row.b[0] == pytest.approx(50.0, rel=1e-2)
 
 
 def test_disc_center_rejected():
@@ -150,7 +163,7 @@ def test_disc_center_rejected():
 
 
 def test_alpha_bar_exponential_values():
-    abar, abar_inv = mu_exponential_alpha_bar()
+    abar, abar_inv = exp_alpha_bar_for_level(1.0)
     assert abar(0.0) == 0.0
     assert abar_inv(0.0) == 0.0
     assert abar(1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
@@ -195,9 +208,8 @@ def test_disjointness_audit_clean_for_wall_pair():
     report = disjointness_audit([WALL_HIGH, WALL_LOW], ((-3.0, 3.0), (-0.5, 3.0)),
                                 samples=3000, seed=1)
     assert report.joint_violations == 0
-    # Unit clearance gradients: the robustness floor is one (up to the
-    # roundoff of the area formula in thin triangles near the spine).
-    assert report.min_gradient_norm == pytest.approx(1.0, abs=1e-6)
+    # Unit clearance gradients: the robustness floor is one.
+    assert report.min_gradient_norm == pytest.approx(1.0, abs=1e-12)
     assert report.superlevel_samples > 0
 
 
@@ -226,7 +238,7 @@ def test_level_set_consistency_for_unit_level():
 def test_signed_distance_surrogate_matches_alpha_bar():
     # alpha_bar(D) = V - level for the exponential transform on segments,
     # with D the signed distance to {V = level} measured by bisection.
-    abar, _ = mu_exponential_alpha_bar()
+    abar, _ = exp_alpha_bar_for_level(1.0)
     cert = WALL_LOW
     value_fn = lambda x: eval_segment(cert, x).v
     for x in [np.array([0.0, 1.4]), np.array([0.3, 0.95]), np.array([-1.0, 0.78])]:

@@ -49,7 +49,7 @@ def test_unknown_keys_rejected():
         parse_config_text("obstacle.1.sharpness = 4\n")
 
 
-def test_malformed_lines_rejected():
+def test_malformed_lines_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError):
         parse_config_text("plant.kind integrator_chain\n")
     with pytest.raises(ConfigError):
@@ -58,6 +58,22 @@ def test_malformed_lines_rejected():
         parse_config_text("sim.dt_s = 1e-3\nsim.dt_s = 1e-3\n")
     with pytest.raises(ConfigError):
         parse_config_text("obstacle.1.kind = segment\nobstacle.1.p1_m = 0, 0\n")
+    # Obstacle keys: a repeated key and a non-numeric vector name their line
+    # and make the run exit with the config code.
+    stock = bundled_config("vtol_safe").read_text()
+    n_lines = len(stock.splitlines())
+    cases = {
+        "duplicate": (stock + "obstacle.1.safe_distance_m = 0.5\n", n_lines + 1),
+        "non_numeric": (stock.replace("obstacle.2.p1_m = -2.5, 0.5",
+                                      "obstacle.2.p1_m = -2.5, abc"), 14),
+    }
+    for name, (text, lineno) in cases.items():
+        with pytest.raises(ConfigError, match=f"line {lineno}:"):
+            parse_config_text(text)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_CONFIG
+        assert f"config error: line {lineno}:" in capsys.readouterr().err
 
 
 def test_run_rejects_bad_config_without_outputs(tmp_path):

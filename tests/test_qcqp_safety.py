@@ -9,7 +9,6 @@ from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_b
 from safecascade.errors import (
     NotInFeasibleSetError,
     SelectionConditionError,
-    WitnessInfeasibleError,
     ZeroGradientError,
 )
 from safecascade.qcqp_safety import (
@@ -20,7 +19,6 @@ from safecascade.qcqp_safety import (
     check_base_rate,
     disc_constraint_set,
     dissipation_audit,
-    feasibility_witness,
     lipschitz_selection,
     rate_condition_audit,
     rate_for_bounds,
@@ -47,7 +45,7 @@ def draw_disjoint_disc_offsets(rng, n_c, rate: RateSpec):
     """Offsets b from signed distances to pairwise-disjoint disc unsafe sets.
 
     Distances satisfy the disjointness inequality max + min <= 0 for every
-    pair by construction, which is all the witness guarantee needs.
+    pair by construction, which is all the selection guarantee needs.
     """
     centers = []
     radii = []
@@ -112,15 +110,16 @@ def test_uncertain_bounds_fill_norm_coefficient():
 
 
 # ---------------------------------------------------------------- witness
+# The Lipschitz selection is the closed-form witness that the set is nonempty.
 
 def test_witness_zero_when_all_offsets_nonnegative():
     cs = cs_of(random_unit_rows(np.random.default_rng(0), 2), [0.5, 0.2])
-    np.testing.assert_array_equal(feasibility_witness(cs), [0.0, 0.0])
+    np.testing.assert_array_equal(lipschitz_selection(cs), [0.0, 0.0])
 
 
 def test_witness_hand_substitution():
     cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [-1.0, 2.0])
-    w = feasibility_witness(cs)
+    w = lipschitz_selection(cs)
     np.testing.assert_allclose(w, [-1.0, 0.0], atol=1e-12)
     # Row checks by direct substitution into the norm-augmented system.
     assert norm_constrained_membership(cs.a, cs.b, cs.c, w)
@@ -135,7 +134,7 @@ def test_witness_monte_carlo_disjoint_configurations():
         rate = rate_for_bounds(float(rng.uniform(0.3, 3.0)), bounds)
         b = draw_disjoint_disc_offsets(rng, n_c, rate)
         cs = cs_of(random_unit_rows(rng, n_c), b, np.full(n_c, delta_ratio))
-        w = feasibility_witness(cs, tol=1e-9)
+        w = lipschitz_selection(cs, tol=1e-9)
         assert norm_constrained_membership(cs.a, cs.b, cs.c, w, tol=1e-9)
 
 
@@ -145,22 +144,21 @@ def test_witness_and_selection_homogeneity_in_offsets():
     # Offsets satisfy the pairwise condition: -0.7/0.8 + 1.2/1.2 >= 0.
     b = np.array([-0.7, 1.2, 1.4])
     c = np.full(3, 0.2)
-    base_w = feasibility_witness(cs_of(a, b, c))
     base_s = lipschitz_selection(cs_of(a, b, c))
     for lam in [0.5, 2.0, 7.5]:
         scaled = cs_of(a, lam * b, c)
-        np.testing.assert_allclose(feasibility_witness(scaled), lam * base_w, atol=1e-12)
         np.testing.assert_allclose(lipschitz_selection(scaled), lam * base_s, atol=1e-12)
 
 
 def test_witness_infeasible_without_rate_steepening():
     # Plain linear rate with nonzero uncertainty and tight geometry: the
-    # closed form lands outside the set and the failure is reported.
+    # closed form would land outside the set, the pairwise offset condition
+    # fails, and the failure is reported.
     ratio = 0.5
     b = np.array([-1.0, 1.0])      # from signed distances +1 / -1, slope 1
     cs = cs_of([[1.0, 0.0], [-1.0, 0.0]], b, np.full(2, ratio))
-    with pytest.raises(WitnessInfeasibleError):
-        feasibility_witness(cs)
+    with pytest.raises(SelectionConditionError):
+        lipschitz_selection(cs)
 
 
 def test_base_rate_negative_side_condition():
@@ -244,7 +242,7 @@ def test_selection_membership_property(scale, seed):
 
 def test_dissipation_margin_equals_rate_at_witness():
     cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [-0.8, 1.1])
-    w = feasibility_witness(cs)
+    w = lipschitz_selection(cs)
     margins = dissipation_audit(cs, w, UNIT_BOUNDS)
     np.testing.assert_allclose(margins, [0.8, -1.1], atol=1e-12)
 
@@ -271,7 +269,7 @@ def test_dissipation_margin_dominates_theta_v_with_designed_caps():
     for v in np.linspace(2.0, 10.0, 41):
         b = -rate.rate(v - level)
         cs = cs_of([[1.0, 0.0]], [b])
-        u = feasibility_witness(cs)
+        u = lipschitz_selection(cs)
         margins = dissipation_audit(cs, u, UNIT_BOUNDS, disturbance_caps=(0.0, v / 4.0))
         assert margins[0] >= theta * v
 
