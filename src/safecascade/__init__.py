@@ -41,6 +41,7 @@ from .qp_solver import (
     QpSolution,
     hager_lipschitz_bound,
     nonredundant_active_rows,
+    project_polygon_2d,
     solve_projection_qp,
 )
 from .reshaping import (

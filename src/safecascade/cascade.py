@@ -16,7 +16,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .certificates import CertificateSpec
-from .qcqp_safety import PlantBounds, RateSpec, build_constraint_set, lipschitz_selection
+# lipschitz_selection is unused here but stays importable: the benchmark's
+# trace hooks (benchmarks/workloads.py) rebind cascade.lipschitz_selection.
+from .qcqp_safety import PlantBounds, RateSpec, build_constraint_set, lipschitz_selection  # noqa: F401
 from .reshaping import PositiveBasis, reshaped_filter
 
 
@@ -267,16 +269,25 @@ def safety_virtual_law(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Outer-loop law: reshaped projection of the nominal input.
 
-    With no certificates the law is the nominal itself.
+    The law maps one state (2,) to one input (2,), or N states (N, 2) to
+    (N, 2) inputs through the same array code. nominal receives the same
+    array and may return a single (2,) input, which is broadcast. A state
+    where the law is undefined (on a segment spine, a gradient vanishing
+    through g, a failed selection condition) raises the package error for a
+    single state and gives a NaN row in a batch. With no certificates the
+    law is the nominal itself.
     """
+    g_mat = np.eye(2) if g is None else g     # certificates live in the plane
+
     def law(x1: np.ndarray) -> np.ndarray:
+        x1 = np.asarray(x1, dtype=float)
         nom = np.asarray(nominal(x1), dtype=float)
+        if nom.shape != x1.shape:
+            nom = np.broadcast_to(nom, x1.shape)
         if not certs:
             return nom
-        g_mat = np.eye(nom.shape[0]) if g is None else g
         cs = build_constraint_set(x1, certs, g_mat, bounds, rates)
-        selection = lipschitz_selection(cs)
-        return reshaped_filter(nom, cs, basis, k_phi, selection)
+        return reshaped_filter(nom, cs, basis, k_phi)
     return law
 
 
@@ -314,27 +325,24 @@ def estimate_lipschitz(
 ) -> float:
     """Grid lower bound on the Lipschitz constant of a planar map.
 
-    Evaluates fn on a uniform grid and returns the largest slope between
-    axis-adjacent valid points; non-finite values mask a cell out, so maps
-    defined on a subregion can be fed directly.
+    fn maps an (ny, 2) array of states to an (ny, d) array of values; it is
+    called once per grid row x, with the states (x, y) for every grid y.
+    The result is the largest slope between axis-adjacent valid points;
+    non-finite values mask a cell out, so maps defined on a subregion can be
+    fed directly.
     """
     (x_lo, x_hi), (y_lo, y_hi) = box
     xs = np.linspace(x_lo, x_hi, grid) if x_hi > x_lo else np.array([x_lo])
     ys = np.linspace(y_lo, y_hi, grid) if y_hi > y_lo else np.array([y_lo])
-    probe = np.asarray(fn(np.array([xs[0], ys[0]])), dtype=float).ravel()
-    values = np.full((xs.shape[0], ys.shape[0], probe.shape[0]), np.nan)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            values[i, j] = np.asarray(fn(np.array([x, y])), dtype=float).ravel()
+    values = np.stack([
+        np.asarray(fn(np.column_stack([np.full_like(ys, x), ys])), dtype=float).reshape(ys.shape[0], -1)
+        for x in xs
+    ])
     best = 0.0
-    if xs.shape[0] > 1:
-        diff_x = np.linalg.norm(values[1:, :, :] - values[:-1, :, :], axis=2) / (xs[1] - xs[0])
-        finite = diff_x[np.isfinite(diff_x)]
-        if finite.size:
-            best = max(best, float(np.max(finite)))
-    if ys.shape[0] > 1:
-        diff_y = np.linalg.norm(values[:, 1:, :] - values[:, :-1, :], axis=2) / (ys[1] - ys[0])
-        finite = diff_y[np.isfinite(diff_y)]
-        if finite.size:
-            best = max(best, float(np.max(finite)))
+    for axis, ticks in enumerate((xs, ys)):
+        if ticks.shape[0] > 1:
+            slopes = np.linalg.norm(np.diff(values, axis=axis), axis=2) / (ticks[1] - ticks[0])
+            finite = slopes[np.isfinite(slopes)]
+            if finite.size:
+                best = max(best, float(np.max(finite)))
     return best

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -34,6 +35,16 @@ class Segment:
     def __post_init__(self):
         object.__setattr__(self, "o1", np.asarray(self.o1, dtype=float).ravel())
         object.__setattr__(self, "o2", np.asarray(self.o2, dtype=float).ravel())
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """Spine vector o2 - o1."""
+        return self.o2 - self.o1
+
+    @cached_property
+    def base_sq(self) -> float:
+        """Squared spine length."""
+        return float(self.base @ self.base)
 
 
 @dataclass(frozen=True)
@@ -88,68 +99,92 @@ class CertificateSpec:
 
 @dataclass(frozen=True)
 class CertificateEval:
-    """Clearance h, its gradient, and the transformed pair (V, dV/dx)."""
+    """Clearance h, its gradient, and the transformed pair (V, dV/dx).
 
-    h: float
+    Evaluated at one point, h and v are scalars and the gradients (2,)
+    vectors; at an (..., 2) array of points every field gains the same
+    leading axes.
+    """
+
+    h: float | np.ndarray
     grad_h: np.ndarray
-    v: float
-    grad_v: np.ndarray
+    v: float | np.ndarray
 
     @classmethod
-    def from_clearance(cls, h: float, grad_h: np.ndarray) -> "CertificateEval":
-        """Apply the barrier transform V = exp(-h), dV/dx = -V dh/dx."""
-        v = math.exp(-h)
-        return cls(h=h, grad_h=grad_h, v=v, grad_v=-v * grad_h)
+    def from_clearance(cls, h, grad_h: np.ndarray) -> "CertificateEval":
+        """Apply the barrier transform V = exp(-h)."""
+        return cls(h=h, grad_h=grad_h, v=np.exp(-h))
+
+    @property
+    def grad_v(self) -> np.ndarray:
+        """dV/dx = -V dh/dx."""
+        return -np.asarray(self.v)[..., None] * self.grad_h
+
+
+def _undefined_where(bad, x: np.ndarray, error: type, message: str, values: np.ndarray) -> np.ndarray:
+    """values with NaN where bad; a single point (x of shape (2,)) raises error."""
+    if not bad.any():
+        return values
+    if x.ndim == 1:
+        raise error(message)
+    return np.where(bad, np.nan, values)
 
 
 def eval_segment(cert: CertificateSpec, x: np.ndarray, spine_tol: float = 1e-9) -> CertificateEval:
-    """Clearance and gradient for a segment certificate at point x.
+    """Clearance and gradient for a segment certificate at x of shape (..., 2).
 
     The nearest segment point is the projection of x onto the spine line,
     clamped to the endpoints: t = clip((x - o1).b / |b|^2, 0, 1). The
     clearance is the distance to it minus the safe distance, and the
     gradient is the unit vector from it to x. Exactly on the spine that
-    direction is undefined and ZeroGradientError is raised.
+    direction is undefined: a single point raises ZeroGradientError, and in
+    an array of points such a point evaluates to NaN.
     """
     seg = cert.geometry
     if not isinstance(seg, Segment):
         raise TypeError("eval_segment needs a Segment certificate")
-    x = np.asarray(x, dtype=float).ravel()
-    base = seg.o2 - seg.o1
-    base_sq = float(base @ base)
+    x = np.asarray(x, dtype=float)
+    base, base_sq = seg.base, seg.base_sq
     if base_sq <= 1e-24:
         raise DegenerateGeometryError("segment endpoints coincide")
     rel = x - seg.o1
-    t = min(max(float(rel @ base) / base_sq, 0.0), 1.0)
-    delta = rel - t * base
-    dist = math.sqrt(float(delta @ delta))
-    if dist <= spine_tol:
-        raise ZeroGradientError("query point on segment spine")
-    return CertificateEval.from_clearance(dist - cert.safe_distance, delta / dist)
+    t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
+    delta = rel - np.multiply.outer(t, base)
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    dist = _undefined_where(dist <= spine_tol, x, ZeroGradientError, "query point on segment spine", dist)
+    return CertificateEval.from_clearance(dist - cert.safe_distance, delta / dist[..., None])
 
 
 def eval_disc(cert: CertificateSpec, x: np.ndarray, tol: float = 1e-12) -> CertificateEval:
-    """Quadratic clearance h(x) = |x - o|^2 - R^2 for a disc certificate."""
+    """Quadratic clearance h(x) = |x - o|^2 - R^2 for a disc certificate.
+
+    x has shape (..., 2); at the center a single point raises AtCenterError
+    and an array of points evaluates to NaN there.
+    """
     disc = cert.geometry
     if not isinstance(disc, Disc):
         raise TypeError("eval_disc needs a Disc certificate")
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
     delta = x - disc.center
-    r = math.sqrt(float(delta @ delta))
-    if r <= tol:
-        raise AtCenterError("query point at disc center")
-    return CertificateEval.from_clearance(r * r - disc.radius**2, 2.0 * delta)
+    r = np.hypot(delta[..., 0], delta[..., 1])
+    r = _undefined_where(r <= tol, x, AtCenterError, "query point at disc center", r)
+    grad_h = np.where(np.isnan(r)[..., None], np.nan, 2.0 * delta)
+    return CertificateEval.from_clearance(r * r - disc.radius**2, grad_h)
 
 
 def exp_alpha_bar_for_level(level: float):
     """Envelope pair for exp(-h) certificates at an arbitrary level v.
 
     V - v = v * (e^s - 1) at signed distance s from {V = v}, so the inverse
-    is log1p((V - v)/v).
+    is log1p((V - v)/v). Far from the obstacle V drops below the resolution
+    of V - v (V < eps v, about 36 units of clearance), the offset rounds to
+    -v and the inverse would be -inf; it is clamped there to log(eps), which
+    only tightens the constraint. Both act elementwise on arrays.
     """
     if level <= 0:
         raise ValueError("level must be positive")
-    return (lambda s: level * math.expm1(s)), (lambda s: math.log1p(s / level))
+    floor = -1.0 + np.finfo(float).eps
+    return (lambda s: level * np.expm1(s)), (lambda s: np.log1p(np.maximum(s / level, floor)))
 
 
 def cbf_to_certificate(
@@ -240,25 +275,17 @@ def disjointness_audit(
         rng.uniform(x_lo, x_hi, size=samples),
         rng.uniform(y_lo, y_hi, size=samples),
     ])
-    joint = 0
-    first = None
+    above = np.zeros((samples, len(certs)), dtype=bool)
     min_grad = math.inf
-    superlevel = 0
-    for x in pts:
-        above = []
-        for j, cert in enumerate(certs):
-            try:
-                ev = certificate_value(cert, x)
-            except ZeroGradientError:
-                continue
-            if ev.v >= cert.level:
-                above.append(j)
-                superlevel += 1
-                min_grad = min(min_grad, float(np.linalg.norm(ev.grad_h)))
-        if len(above) >= 2:
-            joint += 1
-            if first is None:
-                first = x.copy()
+    for j, cert in enumerate(certs):
+        ev = certificate_value(cert, pts)      # NaN on a spine: never above
+        hit = ev.v >= cert.level
+        above[:, j] = hit
+        if hit.any():
+            min_grad = min(min_grad, float(np.hypot(*ev.grad_h[hit].T).min()))
+    joint = np.count_nonzero(above, axis=1) >= 2
+    first = pts[np.argmax(joint)].copy() if joint.any() else None
+    joint, superlevel = int(joint.sum()), int(above.sum())
     return DisjointnessReport(
         samples=samples,
         joint_violations=joint,

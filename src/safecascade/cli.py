@@ -27,7 +27,7 @@ from .output import (
 from .qcqp_safety import disc_constraint_set, lipschitz_selection, rate_condition_audit
 from .qp_solver import Polyhedron, solve_projection_qp
 from .reshaping import make_positive_basis, reshaped_filter, sample_polytope_2d, reshape_b_l, validate_positive_basis
-from .scenario import Scenario, build_scenario, load_scenario
+from .scenario import Scenario, build_scenario, check_time_grid, load_scenario
 from .sim import IntegratorChain, run_closed_loop, trajectory_metrics
 
 EXIT_OK = 0
@@ -301,13 +301,14 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
     try:
         cfg = load_scenario(config_path)
         scenario = build_scenario(cfg)
+        if dt is not None:
+            scenario.dt = dt
+        if horizon is not None:
+            scenario.horizon = horizon
+        check_time_grid(scenario.dt, scenario.horizon)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if dt is not None:
-        scenario.dt = dt
-    if horizon is not None:
-        scenario.horizon = horizon
     if seed is not None:
         scenario.seed = seed
     try:

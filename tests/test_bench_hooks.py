@@ -15,9 +15,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from tracing import Tracer  # noqa: E402
 from workloads import install_trace  # noqa: E402
 
-from safecascade import qcqp_safety, sim  # noqa: E402
-from safecascade.certificates import CertificateSpec, Disc, Segment  # noqa: E402
+from safecascade import qcqp_safety, scenario, sim  # noqa: E402
+from safecascade.cascade import CascadeGains, build_cascade_controller  # noqa: E402
+from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level  # noqa: E402
 from safecascade.qcqp_safety import PlantBounds, RateSpec  # noqa: E402
+from safecascade.reshaping import make_positive_basis  # noqa: E402
 
 
 def test_trace_hooks_install_record_and_restore():
@@ -39,3 +41,33 @@ def test_trace_hooks_install_record_and_restore():
     assert {"certificates.eval_segment", "certificates.eval_disc",
             "certificates.certificate_value"} <= called
     assert (sim.certificate_value, qcqp_safety.eval_segment, qcqp_safety.eval_disc) == originals
+
+
+def test_traced_batched_law_and_single_evaluate():
+    # The k1 estimate hands the law a whole grid row, and the hooks wrap
+    # names the law calls (cascade.build_constraint_set, ...) or must not
+    # see a batch (the selection counter reads one state's selection). A
+    # traced 5 x 5 estimate and one traced controller step must run.
+    _, abar_inv = exp_alpha_bar_for_level(1.0)
+    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
+    basis = make_positive_basis(2, 11)
+    walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
+             CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
+    gains = CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49)
+    tracer = Tracer()
+    install_trace(tracer)
+    try:
+        controller = build_cascade_controller(
+            walls, lambda x: np.array([0.6, 1.0]), basis, gains,
+            bounds=PlantBounds(1.0, 1.0), rates=rate, k_phi=2.0)
+        k1 = scenario.estimate_safety_law_lipschitz(
+            controller.rho1, walls, ((-3.0, 6.0), (-0.5, 12.0)), grid=5)
+        ev = controller.evaluate([np.array([-2.0, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2)])
+    finally:
+        tracer.restore()
+    assert k1 > 0.0
+    assert np.all(np.isfinite(ev.u))
+    called = {tracer.names[i] for i in tracer.arrays()["name_id"]}
+    assert {"certificates.eval_segment", "qcqp_safety.build_constraint_set",
+            "reshaping.reshaped_filter", "cascade.CascadeController.evaluate",
+            "scenario.estimate_safety_law_lipschitz"} <= called

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from safecascade.cascade import (
     tracking_law,
 )
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
-from safecascade.errors import ZeroGradientError
+from safecascade.errors import SafecascadeError, ZeroGradientError
 from safecascade.qcqp_safety import PlantBounds, RateSpec, disc_constraint_set
 from safecascade.qp_solver import Polyhedron, solve_projection_qp
 from safecascade.reshaping import make_positive_basis
@@ -287,7 +288,8 @@ def test_estimate_lipschitz_gap_blowup():
         return solve_projection_qp(np.array([1.0, 0.0]), Polyhedron(cs.a, cs.b)).point
 
     edge = radius - 1.0
-    est = estimate_lipschitz(raw, ((edge - 1e-5, edge), (0.0, 0.0)), grid=200)
+    rows = lambda states: np.array([raw(x) for x in states])
+    est = estimate_lipschitz(rows, ((edge - 1e-5, edge), (0.0, 0.0)), grid=200)
     assert est >= 99.0 * (1.0 - 1e-3)
 
 
@@ -301,6 +303,77 @@ def test_wall_law_lipschitz_regression():
     assert est == pytest.approx(FROZEN_K1_GRID_ESTIMATE, rel=1e-3)
     # Same scale as the design value 3.49 used by the stock gain ledger.
     assert 0.5 <= est / 3.49 <= 2.0
+
+
+def test_estimate_lipschitz_calls_fn_once_per_grid_row():
+    shapes = []
+
+    def fn(states):
+        shapes.append(states.shape)
+        return 3.0 * states
+
+    est = estimate_lipschitz(fn, ((-1.0, 1.0), (0.0, 2.0)), grid=17)
+    assert shapes == [(17, 2)] * 17
+    assert est == pytest.approx(3.0, rel=1e-9)
+
+
+def _single_or_nan(law, x):
+    try:
+        return law(x)
+    except SafecascadeError:
+        return np.full(2, np.nan)
+
+
+def test_batched_law_matches_single_state_law():
+    # One array call over many states against one call per state: NaN rows
+    # exactly where the single state raises a package error, and the same
+    # inputs elsewhere. Covers the spine (exactly on it and 1e-6 m off it),
+    # the inflated bands, the far field, a disc center, an overlapping disc
+    # pair (selection-condition failures) and an input matrix that hides
+    # the vertical gradient.
+    rng = np.random.default_rng(8675309)
+    _, abar_inv = exp_alpha_bar_for_level(1.0)
+    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
+    basis = make_positive_basis(2, 11)
+    nominal = lambda x: np.array([0.6, 1.0])
+    discs = [CertificateSpec(Disc([0.0, 6.0], 1.0)), CertificateSpec(Disc([0.8, 6.0], 1.0))]
+    laws = {
+        "walls": safety_virtual_law(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0),
+        "discs": safety_virtual_law(discs, nominal, basis, UNIT_BOUNDS, rate, k_phi=1.0),
+        "hidden": safety_virtual_law(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0,
+                                     g=np.array([[1.0, 0.0], [0.0, 0.0]])),
+    }
+    xs, ys = np.meshgrid(np.linspace(-3.0, 6.0, 31), np.linspace(-0.5, 12.0, 31))
+    grid = np.column_stack([xs.ravel(), ys.ravel()])
+    spine_t = rng.uniform(0.0, 1.0, size=(40, 1))
+    spines = []
+    for cert in WALLS:
+        seg = cert.geometry
+        normal = np.array([-seg.base[1], seg.base[0]]) / np.linalg.norm(seg.base)
+        on = seg.o1 + spine_t * seg.base
+        spines += [on, on + 1e-6 * normal, on - 1e-6 * normal,
+                   on + rng.uniform(-0.35, 0.35, size=(40, 1)) * normal]
+    states = np.vstack([
+        grid, *spines,
+        rng.uniform([-3.0, -0.5], [6.0, 12.0], size=(300, 2)),
+        rng.uniform([-1.2, 4.8], [2.0, 7.2], size=(300, 2)),
+        [[0.0, 25.0], [0.0, 100.0], [-60.0, 40.0], [0.0, 6.0], [0.8, 6.0], [0.4, 6.0]],
+    ])
+    for name, law in laws.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = law(states)
+            single = np.array([_single_or_nan(law, x) for x in states])
+        assert batch.shape == states.shape
+        undefined = np.isnan(single).any(axis=1)
+        assert undefined.any(), name
+        np.testing.assert_array_equal(np.isnan(batch).any(axis=1), undefined, err_msg=name)
+        np.testing.assert_allclose(batch[~undefined], single[~undefined], rtol=0.0, atol=1e-12,
+                                   err_msg=name)
+    # The far field passes the nominal through (the gradient test is
+    # relative to |grad h|, not absolute on grad V = -V grad h).
+    np.testing.assert_array_equal(laws["walls"](np.array([[0.0, 25.0], [0.0, 100.0]])),
+                                  [[0.6, 1.0], [0.6, 1.0]])
 
 
 def test_k1_estimate_masks_only_package_errors():

@@ -76,6 +76,49 @@ def test_malformed_lines_rejected(tmp_path, capsys):
         assert f"config error: line {lineno}:" in capsys.readouterr().err
 
 
+def _with_key(text: str, key: str, value: str) -> str:
+    kept = [line for line in text.splitlines() if not line.startswith(f"{key} ")]
+    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("key, value, flags", [
+    ("reshape.directions", "10", []),
+    ("plant.levels", "0", []),
+    ("reshape.k_phi", "-1", []),
+    ("reshape.c_a", "1.5", []),
+    ("sim.dt_s", "nan", []),
+    ("sim.dt_s", "inf", []),
+    ("sim.horizon_s", "0.0004", []),
+    (None, None, ["--dt", "-1"]),
+    (None, None, ["--horizon", "0"]),
+    (None, None, ["--dt", "nan"]),
+])
+def test_run_boundaries_exit_config(tmp_path, capsys, key, value, flags):
+    text = bundled_config("vtol_safe").read_text()
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(_with_key(text, key, value) if key else text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)] + flags) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_that_leaves_the_workspace_names_that_cause(tmp_path):
+    # The nonlinear VTOL diverges at the stock gains and is far outside the
+    # workspace at step 2; the workspace check comes before the controller,
+    # so the run ends there with zero input in its last row.
+    cfg = tmp_path / "vtol.cfg"
+    cfg.write_text(_with_key(bundled_config("vtol_safe").read_text(), "plant.kind", "vtol_nonlinear"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["trajectory"]["termination"] == "left_workspace"
+    header, data = read_trajectory_csv(out / "trajectory.csv")
+    assert data.shape[0] == 3
+    assert abs(data[-1, header.index("x1_0")]) > 1e5
+    np.testing.assert_array_equal(data[-1, [header.index("u_0"), header.index("u_1")]], [0.0, 0.0])
+
+
 def test_run_rejects_bad_config_without_outputs(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("plant.kind = integrator_chain\nnonsense = 1\n")

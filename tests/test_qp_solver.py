@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from safecascade.qp_solver import (
     Polyhedron,
     hager_lipschitz_bound,
     nonredundant_active_rows,
+    project_polygon_2d,
     solve_projection_qp,
 )
 
@@ -57,6 +60,40 @@ def test_matches_face_enumeration_oracle():
             np.testing.assert_allclose(sol.point, expected, atol=1e-8)
             checked += 1
     assert checked > 100
+
+
+def test_polygon_projection_batch_matches_oracle_rowwise():
+    # One shared row matrix with a duplicated row, a redundant parallel row
+    # and an antiparallel pair, against the face-enumeration oracle per
+    # batch row: feasible rows agree, infeasible rows (and a NaN row) are
+    # NaN in the batch, and a single infeasible problem raises.
+    rng = np.random.default_rng(6021023)
+    a = rng.normal(size=(5, 2))
+    a = np.vstack([a, a[0], 2.0 * a[1], -a[2]])
+    anchors = rng.normal(size=(400, 2))
+    b = anchors @ a.T + np.abs(rng.normal(size=(400, a.shape[0])))
+    b[::7] = rng.normal(size=(b[::7].shape[0], a.shape[0]))     # some empty sets
+    b[3] = np.nan
+    u0 = rng.normal(scale=3.0, size=(400, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = project_polygon_2d(u0, a, b)
+    assert got.shape == (400, 2)
+    assert np.isnan(got[3]).all()
+    empty = 0
+    for k in range(400):
+        if k == 3:
+            continue
+        expected = project_by_face_enumeration(u0[k], a, b[k])
+        if expected is INFEASIBLE:
+            empty += 1
+            assert np.isnan(got[k]).all()
+            with pytest.raises(InfeasibleError):
+                project_polygon_2d(u0[k], a, b[k])
+        else:
+            np.testing.assert_allclose(got[k], expected, atol=1e-8)
+            np.testing.assert_allclose(project_polygon_2d(u0[k], a, b[k]), got[k], rtol=0, atol=1e-12)
+    assert 0 < empty < 100
 
 
 def test_idempotence():

@@ -107,6 +107,17 @@ def test_scenario_k1_estimate_path():
     assert math.isfinite(scenario.gains.k1)
 
 
+def test_outer_law_passes_nominal_far_from_every_obstacle():
+    # |grad V . g| = V |grad h . g| falls below any absolute threshold once
+    # the clearance passes about 20 m; the gradient test is relative to
+    # |grad h|, so the law stays defined there.
+    from safecascade.cli import bundled_config
+    from safecascade.scenario import load_scenario
+    controller = build_scenario(load_scenario(bundled_config("vtol_safe"))).controller
+    for x in ([0.0, 21.5], [0.0, 25.0], [0.0, 100.0]):
+        np.testing.assert_array_equal(controller.rho1(np.array(x)), [0.6, 1.0])
+
+
 def test_scenario_rejects_wrong_gain_count():
     text = (
         "plant.kind = integrator_chain\n"
