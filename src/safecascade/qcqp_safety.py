@@ -114,10 +114,14 @@ class RateSpec:
     base(s) + ratio * base(-s) <= 0 for s <= 0, which is what the Lipschitz
     selection needs to land inside the set. A plain linear rate
     (negative_ratio = 1) has that property only when delta_upper = 0.
+
+    alpha_bar_inverse must act elementwise on arrays (numpy ufuncs, not
+    math functions or branches on one float): build_constraint_set passes
+    it every certificate's offsets at once, for one state as for a batch.
     """
 
     base_slope: float
-    alpha_bar_inverse: Callable[[float], float] = lambda s: s
+    alpha_bar_inverse: Callable[[np.ndarray], np.ndarray] = lambda s: s
     negative_ratio: float = 1.0
 
     def __post_init__(self):
@@ -138,9 +142,10 @@ class RateSpec:
 def rate_for_bounds(
     base_slope: float,
     bounds: PlantBounds,
-    alpha_bar_inverse: Callable[[float], float] = lambda s: s,
+    alpha_bar_inverse: Callable[[np.ndarray], np.ndarray] = lambda s: s,
 ) -> RateSpec:
-    """RateSpec whose negative-side slope matches the uncertainty ratio."""
+    """RateSpec whose negative-side slope matches the uncertainty ratio;
+    alpha_bar_inverse acts elementwise on arrays, as in RateSpec."""
     return RateSpec(
         base_slope=base_slope,
         alpha_bar_inverse=alpha_bar_inverse,

@@ -146,16 +146,16 @@ def solve_projection_qp(u0: np.ndarray, poly: Polyhedron, tol: float = DEFAULT_T
     raise MaxIterationsError(f"projection did not settle within {budget} iterations")
 
 
-def pair_vertices_2d(a: np.ndarray, b: np.ndarray, det_tol: float = 1e-12) -> np.ndarray:
+def pair_vertices_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection points of every independent pair of rows of a u = b in 2-D.
 
     a is (n, 2) and b is (..., n); the result is (..., pairs, 2), with one
-    entry per row pair i < j whose determinant exceeds det_tol, by Cramer's
+    entry per row pair i < j whose determinant exceeds 1e-12, by Cramer's
     rule. Feasibility is left to the caller.
     """
     i, j = np.triu_indices(a.shape[0], 1)
     det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
-    keep = np.abs(det) > det_tol
+    keep = np.abs(det) > 1e-12
     i, j, det = i[keep], j[keep], det[keep]
     b_i, b_j = b[..., i], b[..., j]
     return np.stack([(a[j, 1] * b_i - a[i, 1] * b_j) / det,

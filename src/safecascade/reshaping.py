@@ -267,8 +267,6 @@ def reshaped_filter(
     b_l = reshape_b_l(selection, cs, basis, k_phi, tol=tol).b_l
     if basis.n_u == 2:
         return project_polygon_2d(nominal, basis.a_l, b_l, tol=tol)
-    if cs.batched:
-        raise UnsupportedDimensionError("batched reshaped projection needs n_u = 2")
     return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l), tol=tol).point
 
 

@@ -103,6 +103,24 @@ def test_run_boundaries_exit_config(tmp_path, capsys, key, value, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, flags", [
+    ("sim.horizon_s", "0.0004", ["--dt", "1e-4"]),
+    ("sim.dt_s", "nan", ["--dt", "1e-3", "--horizon", "0.004"]),
+    ("sim.horizon_s", "0", ["--horizon", "0.004"]),
+])
+def test_run_override_rescues_invalid_config_time_grid(tmp_path, key, value, flags):
+    # Only the step size and horizon a run uses are checked, after the
+    # command-line overrides.
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(_with_key(bundled_config("vtol_safe").read_text(), key, value))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)] + flags) == EXIT_OK
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["trajectory"]["termination"] == "completed"
+    _, data = read_trajectory_csv(out / "trajectory.csv")
+    assert len(data) == 5
+
+
 def test_run_that_leaves_the_workspace_names_that_cause(tmp_path):
     # The nonlinear VTOL diverges at the stock gains and is far outside the
     # workspace at step 2; the workspace check comes before the controller,
