@@ -10,6 +10,7 @@ gain-selection inequality and the small-gain contraction checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -213,20 +214,27 @@ def tracking_law(
     e = np.asarray(x_tilde, dtype=float).ravel()
     g_i = np.atleast_2d(np.asarray(g_i, dtype=float))
     gte = g_i.T @ e
-    nrm = float(np.linalg.norm(gte))
+    nrm = math.sqrt(gte.dot(gte))      # np.linalg.norm's own formula for a vector
     if nrm <= 1e-15:
         return np.zeros(g_i.shape[1])
     scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
-    return -(gte / nrm) * scale * kappa_slope * float(np.linalg.norm(e))
+    return -(gte / nrm) * scale * kappa_slope * math.sqrt(e.dot(e))
 
 
 @dataclass(frozen=True)
 class ControllerEval:
-    """One controller evaluation: input, virtual controls, tracking errors."""
+    """One controller evaluation: input, virtual controls, tracking errors.
+
+    h and v are the outer law's certificate clearances and values at x_1,
+    one entry per certificate, as the law computed them; both are None when
+    rho1 is a plain callable rather than a SafetyLaw.
+    """
 
     u: np.ndarray
     x_stars: tuple[np.ndarray, ...]    # x2*, ..., x_{m+1}* (= u)
     x_tildes: tuple[np.ndarray, ...]   # x_i - x_i* for i = 2..m
+    h: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 @dataclass
@@ -241,21 +249,68 @@ class CascadeController:
     def m(self) -> int:
         return 1 + len(self.tracking_laws)
 
+    @property
+    def certificates(self) -> tuple[CertificateSpec, ...] | None:
+        """The outer law's certificates; None when rho1 is a plain callable."""
+        return self.rho1.certs if isinstance(self.rho1, SafetyLaw) else None
+
     def evaluate(self, blocks: Sequence[np.ndarray]) -> ControllerEval:
         """Evaluate on the state blocks [x_1, ..., x_m]."""
         if len(blocks) != self.m:
             raise ValueError(f"expected {self.m} state blocks, got {len(blocks)}")
-        x_star = np.asarray(self.rho1(np.asarray(blocks[0], dtype=float)), dtype=float)
-        stars = [x_star]
+        x1 = np.asarray(blocks[0], dtype=float)
+        if isinstance(self.rho1, SafetyLaw):
+            x_star, h, v = self.rho1.evaluate(x1)
+        else:
+            x_star, h, v = self.rho1(x1), None, None
+        stars = [np.asarray(x_star, dtype=float)]
         tildes = []
         for i, law in enumerate(self.tracking_laws):
             tilde = np.asarray(blocks[i + 1], dtype=float) - stars[-1]
             tildes.append(tilde)
             stars.append(np.asarray(law(tilde), dtype=float))
-        return ControllerEval(u=stars[-1], x_stars=tuple(stars), x_tildes=tuple(tildes))
+        return ControllerEval(u=stars[-1], x_stars=tuple(stars), x_tildes=tuple(tildes), h=h, v=v)
 
     def __call__(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         return self.evaluate(blocks).u
+
+
+@dataclass(frozen=True, eq=False)
+class SafetyLaw:
+    """Outer-loop law: reshaped projection of the nominal input.
+
+    Calling the law maps one state (2,) to one input (2,), or N states
+    (N, 2) to (N, 2) inputs through the same array code. nominal receives
+    the same array and may return a single (2,) input, which is broadcast.
+    A state where the law is undefined (on a segment spine, a gradient
+    vanishing through g, a failed selection condition) raises the package
+    error for a single state and gives a NaN row in a batch. With no
+    certificates the law is the nominal itself.
+    """
+
+    certs: tuple[CertificateSpec, ...]
+    nominal: Callable[[np.ndarray], np.ndarray]
+    basis: PositiveBasis | None
+    bounds: PlantBounds
+    rates: RateSpec | Sequence[RateSpec]
+    k_phi: float
+    g: np.ndarray      # input matrix of the outer level; certificates live in the plane
+
+    def evaluate(self, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The input at x1, with each certificate's clearance h and value V
+        there, as the constraint set evaluated them (shape (..., n_certs))."""
+        x1 = np.asarray(x1, dtype=float)
+        nom = np.asarray(self.nominal(x1), dtype=float)
+        if nom.shape != x1.shape:
+            nom = np.broadcast_to(nom, x1.shape)
+        if not self.certs:
+            empty = np.zeros(x1.shape[:-1] + (0,))
+            return nom, empty, empty
+        cs = build_constraint_set(x1, self.certs, self.g, self.bounds, self.rates)
+        return reshaped_filter(nom, cs, self.basis, self.k_phi), cs.h, cs.v
+
+    def __call__(self, x1: np.ndarray) -> np.ndarray:
+        return self.evaluate(x1)[0]
 
 
 def safety_virtual_law(
@@ -266,29 +321,10 @@ def safety_virtual_law(
     rates: RateSpec | Sequence[RateSpec],
     k_phi: float = 0.0,
     g: np.ndarray | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Outer-loop law: reshaped projection of the nominal input.
-
-    The law maps one state (2,) to one input (2,), or N states (N, 2) to
-    (N, 2) inputs through the same array code. nominal receives the same
-    array and may return a single (2,) input, which is broadcast. A state
-    where the law is undefined (on a segment spine, a gradient vanishing
-    through g, a failed selection condition) raises the package error for a
-    single state and gives a NaN row in a batch. With no certificates the
-    law is the nominal itself.
-    """
-    g_mat = np.eye(2) if g is None else g     # certificates live in the plane
-
-    def law(x1: np.ndarray) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        nom = np.asarray(nominal(x1), dtype=float)
-        if nom.shape != x1.shape:
-            nom = np.broadcast_to(nom, x1.shape)
-        if not certs:
-            return nom
-        cs = build_constraint_set(x1, certs, g_mat, bounds, rates)
-        return reshaped_filter(nom, cs, basis, k_phi)
-    return law
+) -> SafetyLaw:
+    """The outer safety law over certs; g defaults to the planar identity."""
+    return SafetyLaw(tuple(certs), nominal, basis, bounds, rates, k_phi,
+                     np.eye(2) if g is None else g)
 
 
 def build_cascade_controller(
@@ -303,18 +339,21 @@ def build_cascade_controller(
     """Assemble the full controller for an integrator-chain plant.
 
     Audits are advisory and never block construction: deliberately failing
-    parameter sets are legitimate simulation subjects. g_i is the identity
-    at every level, matching the integrator chain.
+    parameter sets are legitimate simulation subjects. g_i is the planar
+    identity at every level, matching the integrator chain, and is built
+    once here. Each tracking law calls tracking_law through this module's
+    name, which the benchmark's trace hooks rebind.
     """
     if bounds is None:
         bounds = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
     if rates is None:
         rates = RateSpec(base_slope=gains.k_alpha)
     rho1 = safety_virtual_law(certs, nominal, basis, bounds, rates, k_phi=k_phi)
+    g_i = np.eye(2)
     laws = []
     for level in range(2, gains.m + 1):
         slope = gains.tracking_slope(level)
-        laws.append(lambda e, s=slope, b=bounds: tracking_law(e, np.eye(np.asarray(e).shape[0]), b, s))
+        laws.append(lambda e, s=slope, b=bounds: tracking_law(e, g_i, b, s))
     return CascadeController(rho1=rho1, tracking_laws=tuple(laws), gains=gains)
 
 

@@ -31,12 +31,16 @@ class ConstraintSet:
     One state's set has a of shape (n_rows, n_u) and b of shape (n_rows,);
     a batch of states adds leading axes to both: (..., n_rows, n_u) and
     (..., n_rows). The norm coefficients c, shape (n_rows,), are shared. A
-    batch row whose state has no set carries NaN.
+    batch row whose state has no set carries NaN. A set built from
+    certificates also carries each certificate's clearance h and value V
+    at the state, shaped like b; otherwise both are None.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    h: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -48,7 +52,7 @@ class ConstraintSet:
             # NaN rows (states without a set) compare False and pass.
             if (np.abs(np.sqrt((a * a).sum(axis=-1)) - 1.0) > 1e-9).any():
                 raise ValueError("constraint rows must be unit vectors")
-            if not all(0.0 <= ci < 1.0 for ci in c.tolist()):
+            if not ((c >= 0.0) & (c < 1.0)).all():
                 raise ValueError("norm coefficients must lie in [0, 1)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -176,21 +180,25 @@ def build_constraint_set(
     Row j is the unit vector along dV_j/dx @ g, which is -dh_j/dx @ g
     normalised (V = exp(-h) only scales it), the offset is
     -alpha_j(V_j - level_j), and every norm coefficient is
-    delta_upper / g_lower. A clearance gradient that vanishes through g
-    (|dh/dx @ g| <= grad_tol |dh/dx|) breaks the nonzero-gradient standing
-    assumption: a single state raises ZeroGradientError, a batch gives NaN
-    rows there, as it does where a certificate is undefined.
+    delta_upper / g_lower. The set keeps each certificate's h and V, so a
+    caller that needs them evaluates nothing again. A clearance gradient
+    that vanishes through g (|dh/dx @ g| <= grad_tol |dh/dx|) breaks the
+    nonzero-gradient standing assumption: a single state raises
+    ZeroGradientError, a batch gives NaN rows there, as it does where a
+    certificate is undefined.
     """
     x = np.asarray(x, dtype=float)
     g = np.atleast_2d(np.asarray(g, dtype=float))
     if not isinstance(rates, RateSpec) and len(rates) != len(certs):
         raise ValueError("need one RateSpec per certificate")
     grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
-    v = np.empty(x.shape[:-1] + (len(certs),))
+    h = np.empty(x.shape[:-1] + (len(certs),))
+    v = np.empty_like(h)
     for j, cert in enumerate(certs):
         # Called through this module's names, which benchmark tracing rebinds.
         ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
         grad_h[..., j, :] = ev.grad_h
+        h[..., j] = ev.h
         v[..., j] = ev.v
     direction = grad_h @ g
     nrm2 = (direction * direction).sum(axis=-1)
@@ -206,7 +214,7 @@ def build_constraint_set(
     else:
         b = -np.stack([rate.rate(offset[..., j]) for j, rate in enumerate(rates)], axis=-1)
     return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], b,
-                         np.full(len(certs), bounds.norm_coefficient))
+                         np.full(len(certs), bounds.norm_coefficient), h=h, v=v)
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:

@@ -6,7 +6,7 @@ Key reference (suffixes document units: _m meters, _s seconds, _mps2 m/s^2):
 
     plant.kind                integrator_chain | velocity_loop | vtol_nonlinear
     plant.levels              chain length m (integrator_chain, default 4)
-    plant.block_dim           states per block (default 2)
+    plant.block_dim           states per block (2: the outer law is planar)
     plant.gravity_mps2        vtol_nonlinear gravity (default 9.81)
     plant.t2 / .t3 / .t4      velocity_loop diagonal pairs (defaults: identified)
     obstacle.<n>.kind         segment | disc
@@ -53,7 +53,7 @@ import numpy as np
 
 from .cascade import CascadeController, CascadeGains, build_cascade_controller, estimate_lipschitz, safety_virtual_law
 from .certificates import CertificateSpec, Disc, Segment, eval_segment, exp_alpha_bar_for_level
-from .errors import ConfigError, SafecascadeError
+from .errors import ConfigError, DegenerateGeometryError, SafecascadeError
 from .qcqp_safety import PlantBounds, RateSpec
 from .reshaping import PositiveBasis, make_positive_basis
 from .sim import IDENTIFIED_T2, IDENTIFIED_T3, IDENTIFIED_T4, IntegratorChain, PlantModel, VelocityLoop, VtolNonlinear
@@ -218,21 +218,36 @@ class Scenario:
     k1_estimated: bool
 
 
+def _finite_positive(cfg: ScenarioConfig, key: str, default: float) -> float:
+    """The value of a numeric key; ConfigError unless finite and positive."""
+    value = cfg.get(key, default)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} must be finite and positive, got {value}")
+    return value
+
+
 def build_certificates(cfg: ScenarioConfig) -> list[CertificateSpec]:
-    level = cfg.get("certificate.level", 1.0)
+    """One certificate per obstacle; a malformed obstacle is a ConfigError."""
+    level = _finite_positive(cfg, "certificate.level", 1.0)
     certs = []
-    for obs in cfg.obstacles:
-        if obs["kind"] == "segment":
-            certs.append(CertificateSpec(
-                geometry=Segment(np.array(obs["p1_m"]), np.array(obs["p2_m"])),
-                safe_distance=obs["safe_distance_m"],
-                level=level,
-            ))
-        else:
-            certs.append(CertificateSpec(
-                geometry=Disc(np.array(obs["center_m"]), obs["radius_m"]),
-                level=level,
-            ))
+    for i, obs in enumerate(cfg.obstacles, start=1):
+        numbers = np.hstack([v for k, v in obs.items() if k != "kind"])
+        if not np.all(np.isfinite(numbers)):
+            raise ConfigError(f"obstacle {i}: values must be finite")
+        try:
+            if obs["kind"] == "segment":
+                certs.append(CertificateSpec(
+                    geometry=Segment(np.array(obs["p1_m"]), np.array(obs["p2_m"])),
+                    safe_distance=obs["safe_distance_m"],
+                    level=level,
+                ))
+            else:
+                certs.append(CertificateSpec(
+                    geometry=Disc(np.array(obs["center_m"]), obs["radius_m"]),
+                    level=level,
+                ))
+        except DegenerateGeometryError as exc:
+            raise ConfigError(f"obstacle {i}: {exc}") from exc
     return certs
 
 
@@ -254,7 +269,11 @@ def check_time_grid(dt: float, horizon: float) -> None:
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     kind = cfg.get("plant.kind", "integrator_chain")
     block_dim = cfg.get("plant.block_dim", 2)
+    if block_dim != 2:
+        raise ConfigError(f"plant.block_dim must be 2 (the outer law is planar), got {block_dim}")
     k_tracking = cfg.get("cascade.k_tracking", ())
+    if not all(math.isfinite(k) and k > 0.0 for k in k_tracking):
+        raise ConfigError(f"cascade.k_tracking entries must be finite and positive, got {k_tracking}")
     if kind == "integrator_chain":
         levels = cfg.get("plant.levels", 4)
         if levels < 1:
@@ -283,9 +302,17 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     certs = build_certificates(cfg)
     level = cfg.get("certificate.level", 1.0)
     threshold = cfg.get("certificate.threshold", 1.4)
+    if not (math.isfinite(threshold) and threshold > level):
+        raise ConfigError(f"certificate.threshold must be finite and above the level {level}, "
+                          f"got {threshold}")
+    k_alpha = _finite_positive(cfg, "rate.k_alpha", 1.0)
+    tau = _finite_positive(cfg, "cascade.tau", 1.001)
+    theta = _finite_positive(cfg, "cascade.theta", 0.001)
+    gamma_12 = _finite_positive(cfg, "cascade.gamma_12_slope", 4.0)
+    gamma_x2v = _finite_positive(cfg, "cascade.gamma_x2v_slope", 0.25)
     bounds = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
     _, abar_inv = exp_alpha_bar_for_level(level)
-    rate = RateSpec(base_slope=cfg.get("rate.k_alpha", 1.0), alpha_bar_inverse=abar_inv)
+    rate = RateSpec(base_slope=k_alpha, alpha_bar_inverse=abar_inv)
 
     if cfg.get("nominal.preset") == "zero":
         nominal = np.zeros(2)
@@ -294,6 +321,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         if value is None:
             raise ConfigError("need nominal.value or nominal.preset")
         nominal = np.asarray(value, dtype=float)
+        if not np.all(np.isfinite(nominal)):
+            raise ConfigError(f"nominal.value must be finite, got {value}")
 
     n_l = cfg.get("reshape.directions", 11)
     k_phi = cfg.get("reshape.k_phi", 2.0)
@@ -309,6 +338,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     workspace_flat = cfg.get("sim.workspace_m", (-5.0, 5.0, -5.0, 5.0))
     workspace = ((workspace_flat[0], workspace_flat[1]), (workspace_flat[2], workspace_flat[3]))
     x1_0 = np.asarray(cfg.get("sim.x1_0_m", (0.0, 0.0)), dtype=float)
+    if not np.all(np.isfinite(x1_0)):
+        raise ConfigError(f"sim.x1_0_m must be finite, got {tuple(x1_0)}")
     dt = cfg.get("sim.dt_s", 1e-3)
     horizon = cfg.get("sim.horizon_s", 10.0)
 
@@ -327,14 +358,16 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                 k1 = float(k1_text)
             except ValueError as exc:
                 raise ConfigError("cascade.k1 must be a number or 'estimate'") from exc
+            if not (math.isfinite(k1) and k1 > 0.0):
+                raise ConfigError(f"cascade.k1 must be finite and positive, got {k1}")
         gains = CascadeGains(
             tracking_slopes=tuple(k_tracking),
             k1=k1,
-            tau=cfg.get("cascade.tau", 1.001),
-            theta=cfg.get("cascade.theta", 0.001),
-            k_alpha=cfg.get("rate.k_alpha", 1.0),
-            gamma_12_slope=cfg.get("cascade.gamma_12_slope", 4.0),
-            gamma_x2v_slope=cfg.get("cascade.gamma_x2v_slope", 0.25),
+            tau=tau,
+            theta=theta,
+            k_alpha=k_alpha,
+            gamma_12_slope=gamma_12,
+            gamma_x2v_slope=gamma_x2v,
         )
     else:
         gains = None

@@ -9,6 +9,13 @@ sampled proportional loops are far outside any explicit integrator's
 stability region at millisecond steps, while the exact flow is stable for
 every step size and reproduces the continuous-time behavior the design
 analysis is about.
+
+The recorded certificate margins come from the controller whenever the run's
+certificates are the controller's own (the same objects): the outer law
+evaluates every certificate at x_1 to build its constraint set and hands h
+and V back, so each certificate is evaluated once per step. The simulator
+evaluates them itself only for other certificates, and on a final row where
+the controller was not evaluated or raised.
 """
 from __future__ import annotations
 
@@ -210,7 +217,9 @@ class Trajectory:
     """Uniform-grid record of a closed-loop run.
 
     margins_h[k, j] is the clearance of certificate j at step k, margins_v
-    the certificate value; virtual_controls stacks x2*..x_{m+1}* per step.
+    the certificate value, both as the controller's outer law evaluated
+    them when the certificates are its own, else from certificate_value;
+    virtual_controls stacks x2*..x_{m+1}* per step.
     termination is "completed" or the reason the run stopped early. When
     the output block leaves the workspace the controller is not evaluated
     there, and on a controller error the law had no value: in both cases
@@ -250,7 +259,8 @@ def run_closed_loop(
     certs: Sequence[CertificateSpec] = (),
     workspace: tuple[tuple[float, float], tuple[float, float]] | None = None,
 ) -> Trajectory:
-    """Simulate the closed loop on a uniform grid, recording margins.
+    """Simulate the closed loop on a uniform grid, recording margins
+    (see the module docstring for where they come from).
 
     Stops early with a descriptive termination flag on thrust singularity,
     non-finite state, the output block leaving the workspace box (checked
@@ -282,13 +292,11 @@ def run_closed_loop(
     if isinstance(plant, IntegratorChain) and controller.gains is not None \
             and 1 + len(controller.gains.tracking_slopes) == plant.m:
         e_mat, f_vec = exact_cascade_step_matrices(controller.gains.tracking_slopes, dt)
-        axes = [np.arange(ax, plant.state_dim, plant.block_dim) for ax in range(plant.block_dim)]
+        f_col = f_vec[:, None]
 
         def exact_step(s, x2_star):
-            out = s.copy()
-            for ax, idx in enumerate(axes):
-                out[idx] = e_mat @ s[idx] + f_vec * x2_star[ax]
-            return _check_finite(out)
+            # Row i of s.reshape(m, d) is block x_{i+1}; column ax is one axis.
+            return _check_finite((e_mat @ s.reshape(m, block_dim) + f_col * x2_star).ravel())
 
     times = np.arange(n_steps + 1) * dt
     states = np.zeros((n_steps + 1, state.shape[0]))
@@ -298,23 +306,30 @@ def run_closed_loop(
     margins_v = np.zeros((n_steps + 1, len(certs)))
     termination = "completed"
     recorded = 0
+    own = controller.certificates
+    reuse = own is not None and len(own) == len(certs) and all(a is b for a, b in zip(own, certs))
 
     for k in range(n_steps + 1):
-        x1 = _controller_blocks(plant, state, 1)[0]
+        blocks = _controller_blocks(plant, state, m)
+        x1 = blocks[0]
         states[k] = state
-        for j, cert in enumerate(certs):
-            ev = certificate_value(cert, x1)
-            margins_h[k, j], margins_v[k, j] = ev.h, ev.v
         recorded = k + 1
-        if workspace is not None:
-            (wx_lo, wx_hi), (wy_lo, wy_hi) = workspace
-            if not (wx_lo <= x1[0] <= wx_hi and wy_lo <= x1[1] <= wy_hi):
-                termination = "left_workspace"
-                break
-        try:
-            ev = controller.evaluate(_controller_blocks(plant, state, m))
-        except SafecascadeError as exc:
-            termination = f"controller_error: {type(exc).__name__}"
+        ev = None
+        if workspace is not None and not (workspace[0][0] <= x1[0] <= workspace[0][1]
+                                          and workspace[1][0] <= x1[1] <= workspace[1][1]):
+            termination = "left_workspace"
+        else:
+            try:
+                ev = controller.evaluate(blocks)
+            except SafecascadeError as exc:
+                termination = f"controller_error: {type(exc).__name__}"
+        if reuse and ev is not None:
+            margins_h[k], margins_v[k] = ev.h, ev.v
+        else:
+            for j, cert in enumerate(certs):
+                cev = certificate_value(cert, x1)
+                margins_h[k, j], margins_v[k, j] = cev.h, cev.v
+        if ev is None:
             break
         inputs[k] = ev.u
         stars[k] = np.concatenate(ev.x_stars)

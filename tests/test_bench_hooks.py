@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from tracing import Tracer  # noqa: E402
 from workloads import install_trace  # noqa: E402
 
-from safecascade import qcqp_safety, scenario, sim  # noqa: E402
+from safecascade import cascade, qcqp_safety, scenario, sim  # noqa: E402
 from safecascade.cascade import CascadeGains, build_cascade_controller  # noqa: E402
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level  # noqa: E402
 from safecascade.qcqp_safety import PlantBounds, RateSpec  # noqa: E402
@@ -71,3 +71,35 @@ def test_traced_batched_law_and_single_evaluate():
     assert {"certificates.eval_segment", "qcqp_safety.build_constraint_set",
             "reshaping.reshaped_filter", "cascade.CascadeController.evaluate",
             "scenario.estimate_safety_law_lipschitz"} <= called
+
+
+def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
+    # The simulator records its margins from the controller's evaluation,
+    # so a traced run shows one certificate span per certificate and step,
+    # plus at most one final row that the simulator evaluates itself.
+    _, abar_inv = exp_alpha_bar_for_level(1.0)
+    walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
+             CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
+    controller = build_cascade_controller(
+        walls, lambda x: np.array([0.6, 1.0]), make_positive_basis(2, 11),
+        CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49), bounds=PlantBounds(1.0, 1.0),
+        rates=RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
+    x0 = np.zeros(8)
+    x0[:2] = [-2.0, 1.0]
+    tracer = Tracer()
+    install_trace(tracer)
+    try:
+        traj = sim.run_closed_loop(sim.IntegratorChain(m=4), controller, x0, horizon=0.05,
+                                   dt=1e-3, certs=walls, workspace=((-3.0, 6.0), (-0.5, 12.0)))
+    finally:
+        tracer.restore()
+    rows = traj.times.shape[0]
+    names = [tracer.names[i] for i in tracer.arrays()["name_id"]]
+    cert_spans = sum(name.startswith("certificates.") for name in names)
+    assert traj.termination == "completed" and rows == 51
+    assert rows * len(walls) <= cert_spans <= (rows + 1) * len(walls)
+    assert names.count("cascade.tracking_law") == 3 * rows
+    # The names the hooks rebind still exist.
+    for owner, attr in ((sim, "certificate_value"), (cascade, "tracking_law"),
+                        (cascade, "build_constraint_set"), (cascade, "reshaped_filter")):
+        assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"

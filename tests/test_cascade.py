@@ -95,6 +95,41 @@ def test_tracking_law_positive_homogeneity():
             tracking_law(lam * e, np.eye(2), UNIT_BOUNDS, 2.0), lam * base, atol=1e-12)
 
 
+def test_tracking_law_norms_match_linalg_norm_bit_for_bit():
+    # The law's norms are sqrt(v . v), which is np.linalg.norm's formula for
+    # a vector: the same law written with np.linalg.norm gives the same bits.
+    bounds = PlantBounds(g_lower=1.0, g_upper=1.5, delta_upper=0.2)
+    g = np.array([[1.0, 0.3], [-0.2, 0.9]])
+    rng = np.random.default_rng(11)
+    for e in rng.normal(scale=10.0 ** rng.integers(-6, 6, size=(200, 1)), size=(200, 2)):
+        gte = g.T @ e
+        scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
+        ref = -(gte / float(np.linalg.norm(gte))) * scale * 7.0 * float(np.linalg.norm(e))
+        np.testing.assert_array_equal(tracking_law(e, g, bounds, 7.0), ref)
+
+
+def test_built_tracking_laws_equal_tracking_law_with_identity(monkeypatch):
+    # build_cascade_controller builds g_i once; each level's law must still
+    # be tracking_law(e, I, bounds, K_i), called through the cascade
+    # module's name (the benchmark's trace hooks rebind it).
+    from safecascade import cascade
+    bounds = PlantBounds(g_lower=1.0, g_upper=1.5, delta_upper=0.2)
+    controller = build_cascade_controller(
+        WALLS, lambda x: np.array([0.6, 1.0]), make_positive_basis(2, 11), STOCK_GAINS,
+        bounds=bounds)
+    rng = np.random.default_rng(5)
+    errors = rng.normal(size=(50, 2)) * 10.0 ** rng.integers(-8, 3, size=(50, 1))
+    for law, slope in zip(controller.tracking_laws, STOCK_GAINS.tracking_slopes):
+        for e in errors:
+            np.testing.assert_array_equal(law(e), tracking_law(e, np.eye(2), bounds, slope))
+        np.testing.assert_array_equal(law(np.zeros(2)), np.zeros(2))
+    seen = []
+    monkeypatch.setattr(cascade, "tracking_law", lambda e, g, b, k: seen.append(k) or np.zeros(2))
+    for law in controller.tracking_laws:
+        law(np.ones(2))
+    assert seen == list(STOCK_GAINS.tracking_slopes)
+
+
 # ----------------------------------------------------------------- ledger
 
 def test_ledger_stock_values():
@@ -241,6 +276,21 @@ def test_full_controller_finite_at_start():
     assert np.all(np.isfinite(ev.u))
     assert len(ev.x_stars) == 4
     assert len(ev.x_tildes) == 3
+
+
+def test_controller_eval_carries_the_outer_laws_certificate_values():
+    from safecascade.certificates import certificate_value
+    controller = build_wall_controller(STOCK_GAINS)
+    x1 = np.array([-2.0, 1.0])
+    ev = controller.evaluate([x1, np.zeros(2), np.zeros(2), np.zeros(2)])
+    assert controller.certificates == tuple(WALLS)
+    for j, cert in enumerate(WALLS):
+        cev = certificate_value(cert, x1)
+        assert (ev.h[j], ev.v[j]) == (cev.h, cev.v)
+    plain = CascadeController(rho1=lambda x: np.array([0.6, 1.0]), tracking_laws=())
+    assert plain.certificates is None
+    ev = plain.evaluate([x1])
+    assert ev.h is None and ev.v is None
 
 
 def test_zero_state_composition_sign_pattern():

@@ -103,6 +103,36 @@ def test_run_boundaries_exit_config(tmp_path, capsys, key, value, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("plant.block_dim", "0"),
+    ("plant.block_dim", "3"),
+    ("certificate.level", "-1"),
+    ("cascade.tau", "0"),
+    ("cascade.k_tracking", "8, -1, 8"),
+    ("rate.k_alpha", "0"),
+    ("obstacle.1.safe_distance_m", "0"),
+    ("certificate.threshold", "0.5"),
+    ("cascade.theta", "nan"),
+    ("nominal.value", "nan, 1"),
+    ("cascade.gamma_12_slope", "0"),
+    ("cascade.gamma_x2v_slope", "nan"),
+    ("cascade.k1", "-1"),
+    ("cascade.k1", "nan"),
+    ("sim.x1_0_m", "nan, 1"),
+])
+def test_run_rejects_invalid_key_values(tmp_path, capsys, key, value):
+    # Each value is out of range; the short horizon keeps a run that
+    # wrongly accepts one fast.
+    text = _with_key(bundled_config("vtol_safe").read_text(), "sim.horizon_s", "0.01")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with_key(text, key, value))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, flags", [
     ("sim.horizon_s", "0.0004", ["--dt", "1e-4"]),
     ("sim.dt_s", "nan", ["--dt", "1e-3", "--horizon", "0.004"]),

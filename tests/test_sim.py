@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from safecascade.cascade import CascadeController, CascadeGains, build_cascade_controller
-from safecascade.certificates import CertificateSpec, Segment, exp_alpha_bar_for_level
+from safecascade.certificates import CertificateSpec, Segment, certificate_value, exp_alpha_bar_for_level
 from safecascade.errors import ThrustSingularityError
 from safecascade.qcqp_safety import PlantBounds, RateSpec
 from safecascade.reshaping import make_positive_basis
@@ -245,6 +245,29 @@ def test_exact_cascade_step_matches_rk4_when_stable():
     np.testing.assert_allclose(state, state_rk, atol=5e-4)
 
 
+def test_closed_loop_exact_step_matches_per_axis_reference():
+    # run_closed_loop applies the exact flow to all axes as one
+    # (m x m) @ (m x d) product; the reference is the per-axis product
+    # E x_axis + F x2*_axis. Only the summation order may differ, so the
+    # match is to a few ulps of each entry's magnitude.
+    plant = IntegratorChain(m=4, block_dim=2)
+    slopes = (8.0, 320.0, 4.0e5)
+    controller = wall_controller(slopes)
+    e_mat, f_vec = exact_cascade_step_matrices(slopes, 1e-3)
+    x0 = np.random.default_rng(3).normal(scale=0.1, size=8)
+    x0[:2] = [-2.0, 1.0]
+    traj = run_closed_loop(plant, controller, x0, horizon=0.005, dt=1e-3, certs=WALLS)
+    for k in range(traj.n_steps):
+        state, x2_star = traj.states[k], traj.virtual_controls[k, :2]
+        ref = np.empty(8)
+        scale = np.empty(8)
+        for axis in range(2):
+            idx = np.arange(axis, 8, 2)
+            ref[idx] = e_mat @ state[idx] + f_vec * x2_star[axis]
+            scale[idx] = np.abs(e_mat) @ np.abs(state[idx]) + np.abs(f_vec * x2_star[axis])
+        assert np.all(np.abs(traj.states[k + 1] - ref) <= 8 * np.finfo(float).eps * scale), k
+
+
 # ------------------------------------------------------------- closed loop
 
 def test_zero_obstacles_drift_along_nominal():
@@ -325,3 +348,90 @@ def test_single_integrator_decay_outside_threshold():
     first_below = below[0]
     increases = np.diff(v_low[: first_below + 1])
     assert np.max(increases, initial=0.0) <= 10.0 * (1e-3) ** 2
+
+
+# ------------------------------------------------------------ margin reuse
+
+def _counting_certificate_value(monkeypatch):
+    from safecascade import sim
+    calls = []
+    original = sim.certificate_value
+
+    def counted(cert, x):
+        calls.append(cert)
+        return original(cert, x)
+    monkeypatch.setattr(sim, "certificate_value", counted)
+    return calls
+
+
+def _assert_margins_are_certificate_values(traj, certs):
+    for k, state in enumerate(traj.states):
+        for j, cert in enumerate(certs):
+            ev = certificate_value(cert, state[:2])
+            assert traj.margins_h[k, j] == ev.h and traj.margins_v[k, j] == ev.v, (k, j)
+
+
+def test_margins_reuse_the_controllers_certificate_values(monkeypatch):
+    # The run's certificates are the controller's own objects: margins come
+    # from the controller's evaluation, bit for bit what certificate_value
+    # gives at x_1, and the simulator evaluates nothing itself.
+    calls = _counting_certificate_value(monkeypatch)
+    plant = IntegratorChain(m=4, block_dim=2)
+    x0 = np.zeros(8)
+    x0[:2] = [-2.0, 1.0]
+    controller = wall_controller((8.0, 320.0, 4.0e5))
+    traj = run_closed_loop(plant, controller, x0, horizon=0.2, dt=1e-3, certs=WALLS)
+    assert traj.termination == "completed" and traj.times.shape[0] == 201
+    assert calls == []
+    _assert_margins_are_certificate_values(traj, WALLS)
+
+
+def test_margins_on_a_left_workspace_final_row(monkeypatch):
+    calls = _counting_certificate_value(monkeypatch)
+    plant = IntegratorChain(m=4, block_dim=2)
+    x0 = np.zeros(8)
+    x0[:2] = [-2.0, 1.0]
+    traj = run_closed_loop(plant, wall_controller((8.0, 320.0, 4.0e5)), x0, horizon=2.0,
+                           dt=1e-3, certs=WALLS, workspace=((-3.0, 6.0), (-0.5, 1.02)))
+    assert traj.termination == "left_workspace"
+    assert traj.states[-1][1] > 1.02 and traj.states.shape[0] > 2
+    # Only the final row, where the controller was not evaluated.
+    assert calls == list(WALLS)
+    np.testing.assert_array_equal(traj.inputs[-1], 0.0)
+    _assert_margins_are_certificate_values(traj, WALLS)
+
+
+def test_margins_on_a_controller_error_final_row(monkeypatch):
+    from safecascade.errors import InfeasibleError
+
+    def nominal(x):
+        if x[1] > 1.02:
+            raise InfeasibleError("nominal undefined above 1.02 m")
+        return np.array([0.6, 1.0])
+
+    calls = _counting_certificate_value(monkeypatch)
+    _, abar_inv = exp_alpha_bar_for_level(1.0)
+    controller = build_cascade_controller(
+        WALLS, nominal, make_positive_basis(2, 11), CascadeGains((8.0, 320.0, 4.0e5), k1=3.49),
+        bounds=UNIT_BOUNDS, rates=RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
+    x0 = np.zeros(8)
+    x0[:2] = [-2.0, 1.0]
+    traj = run_closed_loop(IntegratorChain(m=4, block_dim=2), controller, x0, horizon=2.0,
+                           dt=1e-3, certs=WALLS)
+    assert traj.termination == "controller_error: InfeasibleError"
+    assert calls == list(WALLS)
+    _assert_margins_are_certificate_values(traj, WALLS)
+
+
+def test_margins_of_other_certificates_are_evaluated_by_the_simulator(monkeypatch):
+    # Equal geometry, different objects: the controller's values are not
+    # assumed to describe them, so every row evaluates every certificate.
+    calls = _counting_certificate_value(monkeypatch)
+    others = [CertificateSpec(c.geometry, safe_distance=0.5) for c in WALLS]
+    x0 = np.zeros(8)
+    x0[:2] = [-2.0, 1.0]
+    traj = run_closed_loop(IntegratorChain(m=4, block_dim=2), wall_controller((8.0, 320.0, 4.0e5)),
+                           x0, horizon=0.05, dt=1e-3, certs=others)
+    assert len(calls) == traj.times.shape[0] * len(others)
+    # The controller's own clearances would be 0.15 m larger.
+    _assert_margins_are_certificate_values(traj, others)
