@@ -430,6 +430,14 @@ def bundled_config(name: str) -> Path:
     return Path(str(resources.files("safecascade.configs").joinpath(f"{name}.cfg")))
 
 
+def _seed(text: str) -> int:
+    """A nonnegative integer seed, for argparse (numpy rejects negatives)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="safecascade",
                                      description="safety-filtered cascade control simulator")
@@ -440,7 +448,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--dt", type=float, default=None, help="override sim.dt_s")
     p_run.add_argument("--horizon", type=float, default=None, help="override sim.horizon_s")
-    p_run.add_argument("--seed", type=int, default=None, help="override sampling seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override sampling seed")
 
     p_e1 = sub.add_parser("example1", help="raw gap-crossing filter sweep")
     p_e1.add_argument("--out", default="out/example1")
@@ -451,11 +459,11 @@ def main(argv=None) -> int:
     p_e2.add_argument("--out", default="out/example2")
     p_e2.add_argument("--radius", type=float, default=0.99)
     p_e2.add_argument("--grid", type=int, default=101)
-    p_e2.add_argument("--seed", type=int, default=0)
+    p_e2.add_argument("--seed", type=_seed, default=0)
 
     p_audit = sub.add_parser("audit", help="print design audits for a config")
     p_audit.add_argument("--config", required=True)
-    p_audit.add_argument("--seed", type=int, default=None)
+    p_audit.add_argument("--seed", type=_seed, default=None)
 
     p_basis = sub.add_parser("basis-check", help="construct and validate a positive basis")
     p_basis.add_argument("--n-u", type=int, default=2)

@@ -7,6 +7,12 @@ current certificate level, and the norm coefficient c = delta_upper/g_lower
 absorbs input-matrix uncertainty. The module also provides the Lipschitz
 selection, a closed-form point of the set used as the reshaping anchor, and
 the decrease-margin audit.
+
+What does not depend on the state (certificate levels, norm coefficients,
+the input matrix as a float array) is a SetConstants, which a caller that
+evaluates the same set at many states keeps; a SafetyLaw does. The
+selection also returns the slack it verified (selection_with_slack), so
+the reshaping does not evaluate the set at it a second time.
 """
 from __future__ import annotations
 
@@ -43,9 +49,13 @@ class ConstraintSet:
     v: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        a = np.asarray(self.a, dtype=float)
+        if a.ndim < 2:
+            a = np.atleast_2d(a)
         b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float).ravel()
+        c = np.asarray(self.c, dtype=float)
+        if c.ndim != 1:
+            c = c.ravel()
         if not (a.shape[:-1] == b.shape and a.shape[-2] == c.shape[0]):
             raise ValueError("row count mismatch between a, b, c")
         if c.shape[0]:
@@ -167,6 +177,38 @@ def check_base_rate(rate: RateSpec, bounds: PlantBounds, samples: int = 200) -> 
     return max(rate.base(float(s)) + ratio * rate.base(float(-s)) for s in ss)
 
 
+@dataclass(frozen=True, eq=False)
+class SetConstants:
+    """The state-independent part of build_constraint_set's arguments:
+    the certificate levels (n,), the shared norm coefficients c (n,) and
+    the input matrix g as a float array. set_constants builds them; a
+    caller that keeps them (SafetyLaw) hands them to build_constraint_set,
+    which otherwise builds them on every call. The arrays are read-only,
+    because every set built from them shares them.
+    """
+
+    levels: np.ndarray
+    c: np.ndarray
+    g: np.ndarray
+
+
+def set_constants(
+    certs: Sequence[CertificateSpec],
+    g: np.ndarray,
+    bounds: PlantBounds,
+    rates: RateSpec | Sequence[RateSpec],
+) -> SetConstants:
+    """The SetConstants of build_constraint_set(x, certs, g, bounds, rates)."""
+    if not isinstance(rates, RateSpec) and len(rates) != len(certs):
+        raise ValueError("need one RateSpec per certificate")
+    levels = np.array([cert.level for cert in certs], dtype=float)
+    c = np.full(len(certs), bounds.norm_coefficient)
+    g = np.array(np.atleast_2d(np.asarray(g, dtype=float)))
+    for arr in (levels, c, g):
+        arr.flags.writeable = False
+    return SetConstants(levels=levels, c=c, g=g)
+
+
 def build_constraint_set(
     x: np.ndarray,
     certs: Sequence[CertificateSpec],
@@ -174,6 +216,7 @@ def build_constraint_set(
     bounds: PlantBounds,
     rates: RateSpec | Sequence[RateSpec],
     grad_tol: float = 1e-9,
+    constants: SetConstants | None = None,
 ) -> ConstraintSet:
     """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
 
@@ -185,22 +228,22 @@ def build_constraint_set(
     that vanishes through g (|dh/dx @ g| <= grad_tol |dh/dx|) breaks the
     nonzero-gradient standing assumption: a single state raises
     ZeroGradientError, a batch gives NaN rows there, as it does where a
-    certificate is undefined.
+    certificate is undefined. constants, when given, must be
+    set_constants(certs, g, bounds, rates).
     """
+    if constants is None:
+        constants = set_constants(certs, g, bounds, rates)
     x = np.asarray(x, dtype=float)
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    if not isinstance(rates, RateSpec) and len(rates) != len(certs):
-        raise ValueError("need one RateSpec per certificate")
     grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
     h = np.empty(x.shape[:-1] + (len(certs),))
-    v = np.empty_like(h)
+    v = np.empty(h.shape)
     for j, cert in enumerate(certs):
         # Called through this module's names, which benchmark tracing rebinds.
         ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
         grad_h[..., j, :] = ev.grad_h
         h[..., j] = ev.h
         v[..., j] = ev.v
-    direction = grad_h @ g
+    direction = grad_h @ constants.g
     nrm2 = (direction * direction).sum(axis=-1)
     vanished = nrm2 <= (grad_tol * np.hypot(grad_h[..., 0], grad_h[..., 1])) ** 2
     if vanished.any():
@@ -208,13 +251,12 @@ def build_constraint_set(
             raise ZeroGradientError(
                 f"certificate {int(np.argmax(vanished))}: gradient vanishes through g")
         nrm2 = np.where(vanished, np.nan, nrm2)
-    offset = v - np.array([cert.level for cert in certs])
+    offset = v - constants.levels
     if isinstance(rates, RateSpec):
         b = -rates.rate(offset)
     else:
         b = -np.stack([rate.rate(offset[..., j]) for j, rate in enumerate(rates)], axis=-1)
-    return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], b,
-                         np.full(len(certs), bounds.norm_coefficient), h=h, v=v)
+    return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], b, constants.c, h=h, v=v)
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
@@ -247,13 +289,21 @@ def lipschitz_selection(cs: ConstraintSet, tol: float = 1e-9) -> np.ndarray:
     SelectionConditionError; a batch gives NaN rows there and where the set
     itself is NaN.
     """
+    return selection_with_slack(cs, tol)[0]
+
+
+def selection_with_slack(cs: ConstraintSet, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """lipschitz_selection and the slack b - a u - c|u| of every row at it,
+    shape (..., n_rows), from the one evaluation of the set that verifies
+    the point; NaN rows where the selection is undefined."""
     a, b, c = cs.a, cs.b, cs.c
     if cs.n_rows == 0:
-        return np.zeros(b.shape[:-1] + (cs.n_u,))
+        return np.zeros(b.shape[:-1] + (cs.n_u,)), np.zeros(b.shape)
     scaled = b / (1.0 + np.sign(b) * c)
     failed = False
     if cs.n_rows >= 2:
-        two = np.partition(scaled, 1, axis=-1)[..., :2]
+        # The two smallest; with two rows that is both (their sum commutes).
+        two = scaled if cs.n_rows == 2 else np.partition(scaled, 1, axis=-1)[..., :2]
         failed = two.sum(axis=-1) < -tol
         if not cs.batched and failed:
             lo, second = (int(k) for k in np.argsort(scaled, kind="stable")[:2])
@@ -263,13 +313,14 @@ def lipschitz_selection(cs: ConstraintSet, tol: float = 1e-9) -> np.ndarray:
                 pair=(lo, second),
             )
     u = ((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a).sum(axis=-2)
-    worst = cs.violations(u).max(axis=-1)
+    viol = cs.violations(u)
+    worst = viol.max(axis=-1)
     if not cs.batched:
         if worst > tol:
             raise SelectionConditionError(f"selection violates a row by {worst:.3e}", pair=None)
-        return u
-    undefined = failed | ~(worst <= tol)
-    return np.where(undefined[..., None], np.nan, u)
+        return u, -viol
+    undefined = (failed | ~(worst <= tol))[..., None]
+    return np.where(undefined, np.nan, u), np.where(undefined, np.nan, -viol)
 
 
 def dissipation_audit(

@@ -8,11 +8,14 @@ dropping rows whose multiplier would go negative. Lowest-index selection on
 both the add and drop side keeps the iteration from cycling on degenerate
 instances. For two variables the projection also has an exact closed form
 over candidate points, which project_polygon_2d evaluates for a whole batch
-of problems sharing one row matrix.
+of problems sharing one row matrix. The row matrix's fixed structure
+(transpose, row norms, pair-vertex table) lives on a PolygonRows, which a
+caller with a fixed matrix builds once and projects through.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,20 +149,108 @@ def solve_projection_qp(u0: np.ndarray, poly: Polyhedron, tol: float = DEFAULT_T
     raise MaxIterationsError(f"projection did not settle within {budget} iterations")
 
 
-def pair_vertices_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection points of every independent pair of rows of a u = b in 2-D.
-
-    a is (n, 2) and b is (..., n); the result is (..., pairs, 2), with one
-    entry per row pair i < j whose determinant exceeds 1e-12, by Cramer's
-    rule. Feasibility is left to the caller.
+class PolygonRows:
+    """A shared 2-D row matrix a (n, 2) with nonzero rows, and its fixed
+    structure: the transpose and the row norms and their squares, built
+    with it, and the table of independent row pairs i < j (determinant
+    above 1e-12) with the entries Cramer's rule reads, built on first use
+    and kept. vertices and project then do only the per-problem work;
+    project_polygon_2d builds the structure on every call, a PositiveBasis
+    keeps it.
     """
-    i, j = np.triu_indices(a.shape[0], 1)
-    det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
-    keep = np.abs(det) > 1e-12
-    i, j, det = i[keep], j[keep], det[keep]
-    b_i, b_j = b[..., i], b[..., j]
-    return np.stack([(a[j, 1] * b_i - a[i, 1] * b_j) / det,
-                     (a[i, 0] * b_j - a[j, 0] * b_i) / det], axis=-1)
+
+    def __init__(self, a: np.ndarray):
+        a = np.asarray(a, dtype=float)
+        self.a, self.a_t = a, a.T
+        self.nrm = np.hypot(a[:, 0], a[:, 1])
+        self.nrm_sq = self.nrm ** 2
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, ...]:
+        """(i, j, det, a[j, 1], a[i, 1], a[i, 0], a[j, 0]) over the pairs."""
+        a = self.a
+        i, j = np.triu_indices(a.shape[0], 1)
+        det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
+        keep = np.abs(det) > 1e-12
+        i, j, det = i[keep], j[keep], det[keep]
+        return i, j, det, a[j, 1], a[i, 1], a[i, 0], a[j, 0]
+
+    def vertices(self, b: np.ndarray) -> np.ndarray:
+        """Intersection points of every independent row pair of a u = b.
+
+        b is (..., n); the result is (..., pairs, 2) by Cramer's rule.
+        Feasibility is left to the caller.
+        """
+        i, j, det, aj1, ai1, ai0, aj0 = self.pairs
+        b_i, b_j = b[..., i], b[..., j]
+        return np.stack([(aj1 * b_i - ai1 * b_j) / det,
+                         (ai0 * b_j - aj0 * b_i) / det], axis=-1)
+
+    def project(self, u0: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Exact Euclidean projection of u0 onto {u : a u <= b} in 2-D.
+
+        u0 is (..., 2) and b is (..., n), broadcast together. In the plane
+        the projection is piecewise affine. It is u0 when u0 is feasible.
+        Otherwise it lies at least as far from u0 as every violated row's
+        line, so only the farthest line's projection can be the answer, and
+        it is whenever it is feasible. Otherwise the answer is the nearest
+        feasible vertex over all row pairs (redundant rows break any
+        adjacency shortcut); only batch rows that no edge resolves reach
+        this stage. Feasibility is checked to within tol. Where no candidate
+        is feasible a single problem raises InfeasibleError and a batch row
+        is NaN, as it is where u0 or b is NaN. A single problem, u0 (2,)
+        and b (n,), runs as a batch of one without the batch bookkeeping.
+        """
+        a, a_t = self.a, self.a_t
+        u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
+        single = u0.ndim == 1 and b.ndim == 1
+        if single:
+            u0, b = u0[None], b[None]
+        else:
+            batch = u0.shape[:-1]
+            if batch != b.shape[:-1]:
+                batch = np.broadcast_shapes(batch, b.shape[:-1])
+                u0 = np.broadcast_to(u0, batch + (2,))
+                b = np.broadcast_to(b, batch + (a.shape[0],))
+            u0 = u0.reshape(-1, 2)
+            b = b.reshape(-1, a.shape[0])
+        viol = u0 @ a_t - b
+        over = viol > tol
+        if over.any():
+            # Edge stage: the projection onto the farthest violated line.
+            far = (viol / self.nrm).argmax(axis=1)
+            rows = 0 if single else np.arange(far.size)
+            edge = u0 - (viol[rows, far] / self.nrm_sq[far])[:, None] * a[far]
+            edge_ok = (edge @ a_t <= b + tol).all(axis=1)
+            if single:
+                # The one problem moved; its edge settles it when feasible.
+                # A feasible edge also rules out NaN in viol: a NaN offset
+                # fails its own row, and a non-finite u0 gives a non-finite
+                # edge, which fails every row.
+                if edge_ok[0]:
+                    return edge[0]
+                out, rest = u0.copy(), np.zeros(1, dtype=int)
+            else:
+                moved = over.any(axis=1)
+                on_edge = moved & edge_ok
+                out = np.where(on_edge[:, None], edge, u0)
+                rest = np.flatnonzero(moved & ~on_edge)
+            if rest.size:
+                # Vertex stage: the nearest feasible intersection of two rows.
+                verts = self.vertices(b[rest])
+                ok = (verts @ a_t <= b[rest][:, None, :] + tol).all(axis=2)
+                found = ok.any(axis=1)
+                if single and not found[0]:
+                    raise InfeasibleError("no point satisfies every row: empty feasible set")
+                out[rest] = np.nan
+                if found.any():
+                    d2 = np.where(ok, ((verts - u0[rest][:, None, :]) ** 2).sum(axis=2), np.inf)
+                    out[rest[found]] = verts[found, d2[found].argmin(axis=1)]
+        else:
+            out = u0.copy()
+        if np.isnan(viol).any():
+            out = np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
+        return out[0] if single else out.reshape(batch + (2,))
 
 
 def project_polygon_2d(u0: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -167,53 +258,10 @@ def project_polygon_2d(u0: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Exact Euclidean projection of u0 onto {u : a u <= b} in 2-D.
 
     a is (n, 2) with nonzero rows, shared; u0 is (..., 2) and b is (..., n),
-    broadcast together. In the plane the projection is piecewise affine. It
-    is u0 when u0 is feasible. Otherwise it lies at least as far from u0 as
-    every violated row's line, so only the farthest line's projection can be
-    the answer, and it is whenever it is feasible. Otherwise the answer is
-    the nearest feasible vertex over all row pairs (redundant rows break
-    any adjacency shortcut); only batch rows that no edge resolves reach
-    this stage. Feasibility is checked to within tol. Where no candidate is
-    feasible a single problem raises InfeasibleError and a batch row is
-    NaN, as it is where u0 or b is NaN.
+    broadcast together. See PolygonRows.project, which this calls after
+    building a's fixed structure.
     """
-    a = np.asarray(a, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    b = np.asarray(b, dtype=float)
-    single = u0.ndim == 1 and b.ndim == 1
-    batch = u0.shape[:-1]
-    if batch != b.shape[:-1]:
-        batch = np.broadcast_shapes(batch, b.shape[:-1])
-        u0 = np.broadcast_to(u0, batch + (2,))
-        b = np.broadcast_to(b, batch + (a.shape[0],))
-    u0 = u0.reshape(-1, 2)
-    b = b.reshape(-1, a.shape[0])
-    viol = u0 @ a.T - b
-    over = viol > tol
-    out = u0.copy()
-    if over.any():
-        # Edge stage: the projection onto the farthest violated line.
-        nrm = np.hypot(a[:, 0], a[:, 1])
-        far = (viol / nrm).argmax(axis=1)
-        edge = u0 - (viol[np.arange(far.size), far] / nrm[far] ** 2)[:, None] * a[far]
-        moved = over.any(axis=1)
-        on_edge = moved & (edge @ a.T <= b + tol).all(axis=1)
-        out = np.where(on_edge[:, None], edge, u0)
-        rest = np.flatnonzero(moved & ~on_edge)
-        if rest.size:
-            # Vertex stage: the nearest feasible intersection of two rows.
-            verts = pair_vertices_2d(a, b[rest])
-            ok = (verts @ a.T <= b[rest][:, None, :] + tol).all(axis=2)
-            found = ok.any(axis=1)
-            if single and not found[0]:
-                raise InfeasibleError("no point satisfies every row: empty feasible set")
-            out[rest] = np.nan
-            if found.any():
-                d2 = np.where(ok, ((verts - u0[rest][:, None, :]) ** 2).sum(axis=2), np.inf)
-                out[rest[found]] = verts[found, d2[found].argmin(axis=1)]
-    if np.isnan(viol).any():
-        out = np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
-    return out[0] if single else out.reshape(batch + (2,))
+    return PolygonRows(a).project(u0, b, tol)
 
 
 def nonredundant_active_rows(sol: QpSolution, poly: Polyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:

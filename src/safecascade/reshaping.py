@@ -6,12 +6,17 @@ Lipschitz selection point. The polyhedral set inherits the selection's
 Lipschitz regularity, so projecting a nominal input onto it produces a
 control law with a constructive Lipschitz constant, which the raw
 norm-augmented projection does not have.
+
+A PositiveBasis is fixed, so it keeps its transpose and, in the plane, its
+rows' polygon structure (row norms, pair-vertex table) for every
+reshaping and projection; reshape_b_l and reshaped_filter take the
+selection's verified slack and cbar_a from a caller that keeps them.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
@@ -22,8 +27,8 @@ from .errors import (
     SelectionNotFeasibleError,
     UnsupportedDimensionError,
 )
-from .qcqp_safety import ConstraintSet, lipschitz_selection
-from .qp_solver import Polyhedron, pair_vertices_2d, project_polygon_2d, solve_projection_qp
+from .qcqp_safety import ConstraintSet, selection_with_slack
+from .qp_solver import Polyhedron, PolygonRows, solve_projection_qp
 
 
 @dataclass(frozen=True)
@@ -32,10 +37,16 @@ class PositiveBasis:
 
     c_a is the coverage constant: every unit vector is a nonnegative
     combination of the rows whose inner product with it is at least c_a.
+    The basis is fixed, so it keeps what every reshaping and projection
+    would otherwise rebuild: a_t = a_l.T, and for n_u = 2 the polygon
+    structure of its rows (PolygonRows: row norms, and the pair-vertex
+    table once a projection or a SafetyLaw first needs it).
     """
 
     a_l: np.ndarray
     c_a: float
+    a_t: np.ndarray = field(init=False, repr=False, compare=False)
+    polygon: PolygonRows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a_l = np.atleast_2d(np.asarray(self.a_l, dtype=float))
@@ -48,6 +59,8 @@ class PositiveBasis:
         if not (-1.0 < self.c_a < 1.0):
             raise ValueError("coverage constant must lie in (-1, 1)")
         object.__setattr__(self, "a_l", a_l)
+        object.__setattr__(self, "a_t", a_l.T)
+        object.__setattr__(self, "polygon", PolygonRows(a_l) if a_l.shape[1] == 2 else None)
 
     @property
     def n_l(self) -> int:
@@ -204,6 +217,8 @@ def reshape_b_l(
     k_phi: float = 0.0,
     c_bar: float | None = None,
     tol: float = 1e-9,
+    slack: np.ndarray | None = None,
+    cbar_a_value: float | None = None,
 ) -> ReshapedSet:
     """Offsets of the reshaped polyhedron around a feasible selection point.
 
@@ -214,26 +229,33 @@ def reshape_b_l(
     the expansion stays within the original norm-augmented set. A batched
     set gives b_l of shape (..., n_l); a selection outside its set raises
     SelectionNotFeasibleError for a single state and gives a NaN row in a
-    batch.
+    batch. slack is the selection's verified b - a s - c|s| (at least -tol
+    in every row, NaN rows where undefined) when the caller has it, as
+    selection_with_slack returns it; otherwise it is computed and checked
+    here. cbar_a_value is cbar_a(c_bar or max c, basis.c_a) when the caller
+    keeps it (a SafetyLaw does), computed here otherwise.
     """
     if k_phi < 0:
         raise ValueError("k_phi must be nonnegative")
     if cs.n_rows == 0:
         raise ValueError("reshaping needs at least one constraint row")
     selection = np.asarray(selection, dtype=float)
-    slack = -cs.violations(selection)                           # (..., n_c)
-    outside = (slack < -tol).any(axis=-1)
-    if outside.any():
-        if not cs.batched:
+    if slack is None:
+        slack = -cs.violations(selection)                       # (..., n_c)
+        outside = (slack < -tol).any(axis=-1)
+        if cs.batched:
+            if outside.any():
+                slack = np.where(outside[..., None], np.nan, slack)
+        elif outside:
             raise SelectionNotFeasibleError("selection point violates the constraint set")
-        slack = np.where(outside[..., None], np.nan, slack)
-    effective_cbar = float(cs.c.max()) if c_bar is None else float(c_bar)
-    cbar_a_val = cbar_a(effective_cbar, basis.c_a)
-    dots = cs.a @ basis.a_l.T                                   # (..., n_c, n_l)
+    if cbar_a_value is None:
+        effective_cbar = float(cs.c.max()) if c_bar is None else float(c_bar)
+        cbar_a_value = cbar_a(effective_cbar, basis.c_a)
+    dots = cs.a @ basis.a_t                                     # (..., n_c, n_l)
     slack = np.maximum(slack, 0.0)                              # clip tolerance dust
-    phi1 = np.maximum(dots, cbar_a_val) * (slack / (1.0 + cs.c))[..., None]
-    phi2 = np.maximum(k_phi * (cbar_a_val - dots), 0.0)
-    b_l = selection @ basis.a_l.T + (phi1 + phi2).min(axis=-2)
+    phi1 = np.maximum(dots, cbar_a_value) * (slack / (1.0 + cs.c))[..., None]
+    phi2 = np.maximum(k_phi * (cbar_a_value - dots), 0.0)
+    b_l = selection @ basis.a_t + (phi1 + phi2).min(axis=-2)
     return ReshapedSet(basis=basis, b_l=b_l)
 
 
@@ -244,29 +266,34 @@ def reshaped_filter(
     k_phi: float,
     selection: np.ndarray | None = None,
     tol: float = 1e-9,
+    cbar_a_value: float | None = None,
 ) -> np.ndarray:
     """Project the nominal input onto the reshaped set.
 
     The result never exceeds |selection| + |nominal| in norm and is a
     Lipschitz function of the constraint data. With no constraint rows the
     nominal passes through unchanged. Without a selection the Lipschitz
-    selection of cs is used. For n_u = 2 the projection is the exact
-    polygon projection and works on batches: nominal (2,) or (..., 2)
-    against a set batched over (...); a state without a result (no set, no
-    selection) raises for a single state and gives a NaN row in a batch.
-    n_u = 3 projects one state with the dual active-set QP.
+    selection of cs is used, and the slack it verified is handed to
+    reshape_b_l rather than evaluated again. For n_u = 2 the projection is
+    the exact polygon projection on the basis's kept structure and works on
+    batches: nominal (2,) or (..., 2) against a set batched over (...); a
+    state without a result (no set, no selection) raises for a single state
+    and gives a NaN row in a batch. n_u = 3 projects one state with the
+    dual active-set QP. cbar_a_value is passed on to reshape_b_l.
     """
     nominal = np.asarray(nominal, dtype=float)
     if cs.n_rows == 0:
         return np.array(np.broadcast_to(nominal, cs.b.shape[:-1] + (cs.n_u,)))
+    slack = None
     if selection is None:
-        # Through this module's import: the benchmark's selection counter
+        # Not through lipschitz_selection: the benchmark's selection counter
         # wraps cascade.lipschitz_selection and cli.lipschitz_selection and
         # reads one state's selection.
-        selection = lipschitz_selection(cs, tol=tol)
-    b_l = reshape_b_l(selection, cs, basis, k_phi, tol=tol).b_l
+        selection, slack = selection_with_slack(cs, tol=tol)
+    b_l = reshape_b_l(selection, cs, basis, k_phi, tol=tol, slack=slack,
+                      cbar_a_value=cbar_a_value).b_l
     if basis.n_u == 2:
-        return project_polygon_2d(nominal, basis.a_l, b_l, tol=tol)
+        return basis.polygon.project(nominal, b_l, tol=tol)
     return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l), tol=tol).point
 
 
@@ -274,7 +301,7 @@ def polytope_vertices_2d(poly: Polyhedron, tol: float = 1e-9) -> np.ndarray:
     """Vertices of a bounded 2-D polyhedron by pairwise row intersection."""
     if poly.n_u != 2:
         raise ValueError("vertex enumeration implemented for 2-D only")
-    verts = pair_vertices_2d(poly.a, poly.b)
+    verts = PolygonRows(poly.a).vertices(poly.b)
     return verts[np.all(verts @ poly.a.T <= poly.b + tol, axis=1)]
 
 

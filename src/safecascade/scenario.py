@@ -7,8 +7,9 @@ Key reference (suffixes document units: _m meters, _s seconds, _mps2 m/s^2):
     plant.kind                integrator_chain | velocity_loop | vtol_nonlinear
     plant.levels              chain length m (integrator_chain, default 4)
     plant.block_dim           states per block (2: the outer law is planar)
-    plant.gravity_mps2        vtol_nonlinear gravity (default 9.81)
-    plant.t2 / .t3 / .t4      velocity_loop diagonal pairs (defaults: identified)
+    plant.gravity_mps2        vtol_nonlinear gravity (default 9.81; finite, > 0)
+    plant.t2 / .t3 / .t4      velocity_loop diagonal pairs (defaults: identified;
+                              entries finite, > 0)
     obstacle.<n>.kind         segment | disc
     obstacle.<n>.p1_m         segment endpoint "x, y"
     obstacle.<n>.p2_m         segment endpoint "x, y"
@@ -19,25 +20,28 @@ Key reference (suffixes document units: _m meters, _s seconds, _mps2 m/s^2):
     certificate.threshold     decay threshold c > v (default 1.4)
     rate.k_alpha              decay-rate slope (default 1.0)
     nominal.value             constant nominal input "x, y"
-    nominal.preset            zero (alternative to nominal.value)
+    nominal.preset            zero (the only preset; alternative to nominal.value)
     reshape.directions        positive-basis count n_l (odd, default 11)
     reshape.k_phi             expansion weight (default 2.0)
-    reshape.c_a               coverage-constant override (default cos(2*pi/n_l))
+    reshape.c_a               coverage-constant override (default cos(2*pi/n_l);
+                              must pass the coverage condition cbar_a checks)
     cascade.k_tracking        "K_2, ..., K_m" (empty for m = 1)
     cascade.tau               small-gain constant > 1 (default 1.001)
     cascade.theta             decay constant > 0 (default 0.001)
     cascade.gamma_12_slope    error-to-certificate gain slope (default 4.0)
     cascade.gamma_x2v_slope   safety-law-by-certificate slope (default 0.25)
     cascade.k1                outer-law Lipschitz constant, or "estimate"
-    cascade.k1_grid           grid for the estimate (default 200)
+    cascade.k1_grid           grid for the estimate (default 200, at least 2)
     sim.dt_s                  step size (default 1e-3)
     sim.horizon_s             duration (default 10.0)
     sim.x1_0_m                initial output block "x, y"
-    sim.workspace_m           "xmin, xmax, ymin, ymax" termination box
-    audit.samples             disjointness audit sample count (default 2000)
-    audit.grid                rate-condition audit grid (default 200)
+    sim.workspace_m           "xmin, xmax, ymin, ymax" termination box (finite,
+                              xmin < xmax, ymin < ymax)
+    audit.samples             disjointness audit sample count (default 2000,
+                              at least 1000)
+    audit.grid                rate-condition audit grid (default 200, at least 2)
     output.csv / .svg / .metrics   output file names
-    seed                      sampling seed (default 0)
+    seed                      sampling seed (default 0, nonnegative)
 
 Unknown keys are rejected. Lines are "key = value"; '#' starts a comment.
 """
@@ -55,7 +59,7 @@ from .cascade import CascadeController, CascadeGains, build_cascade_controller, 
 from .certificates import CertificateSpec, Disc, Segment, eval_segment, exp_alpha_bar_for_level
 from .errors import ConfigError, DegenerateGeometryError, SafecascadeError
 from .qcqp_safety import PlantBounds, RateSpec
-from .reshaping import PositiveBasis, make_positive_basis
+from .reshaping import PositiveBasis, cbar_a, make_positive_basis
 from .sim import IDENTIFIED_T2, IDENTIFIED_T3, IDENTIFIED_T4, IntegratorChain, PlantModel, VelocityLoop, VtolNonlinear
 
 _SCALAR_KEYS = {
@@ -226,6 +230,23 @@ def _finite_positive(cfg: ScenarioConfig, key: str, default: float) -> float:
     return value
 
 
+def _at_least(cfg: ScenarioConfig, key: str, default: int, least: int) -> int:
+    """The value of an integer key; ConfigError below least."""
+    value = cfg.get(key, default)
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
+def _finite_positive_entries(cfg: ScenarioConfig, key: str, default: tuple) -> tuple:
+    """The value of a vector key; ConfigError unless every entry is finite
+    and positive."""
+    value = tuple(cfg.get(key, default))
+    if not all(math.isfinite(v) and v > 0.0 for v in value):
+        raise ConfigError(f"{key} entries must be finite and positive, got {value}")
+    return value
+
+
 def build_certificates(cfg: ScenarioConfig) -> list[CertificateSpec]:
     """One certificate per obstacle; a malformed obstacle is a ConfigError."""
     level = _finite_positive(cfg, "certificate.level", 1.0)
@@ -274,6 +295,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     k_tracking = cfg.get("cascade.k_tracking", ())
     if not all(math.isfinite(k) and k > 0.0 for k in k_tracking):
         raise ConfigError(f"cascade.k_tracking entries must be finite and positive, got {k_tracking}")
+    # Plant constants are checked whichever plant reads them.
+    gravity = _finite_positive(cfg, "plant.gravity_mps2", 9.81)
+    t2 = _finite_positive_entries(cfg, "plant.t2", IDENTIFIED_T2)
+    t3 = _finite_positive_entries(cfg, "plant.t3", IDENTIFIED_T3)
+    t4 = _finite_positive_entries(cfg, "plant.t4", IDENTIFIED_T4)
     if kind == "integrator_chain":
         levels = cfg.get("plant.levels", 4)
         if levels < 1:
@@ -281,14 +307,10 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         plant: PlantModel = IntegratorChain(m=levels, block_dim=block_dim)
         controller_levels = levels
     elif kind == "velocity_loop":
-        plant = VelocityLoop(
-            t2=tuple(cfg.get("plant.t2", IDENTIFIED_T2)),
-            t3=tuple(cfg.get("plant.t3", IDENTIFIED_T3)),
-            t4=tuple(cfg.get("plant.t4", IDENTIFIED_T4)),
-        )
+        plant = VelocityLoop(t2=t2, t3=t3, t4=t4)
         controller_levels = 1
     elif kind == "vtol_nonlinear":
-        plant = VtolNonlinear(gravity=cfg.get("plant.gravity_mps2", 9.81))
+        plant = VtolNonlinear(gravity=gravity)
         controller_levels = 4
     else:
         raise ConfigError(f"unknown plant.kind {kind!r}")
@@ -314,7 +336,10 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     _, abar_inv = exp_alpha_bar_for_level(level)
     rate = RateSpec(base_slope=k_alpha, alpha_bar_inverse=abar_inv)
 
-    if cfg.get("nominal.preset") == "zero":
+    preset = cfg.get("nominal.preset")
+    if preset not in (None, "zero"):
+        raise ConfigError(f"nominal.preset must be 'zero', got {preset!r}")
+    if preset == "zero":
         nominal = np.zeros(2)
     else:
         value = cfg.get("nominal.value")
@@ -332,11 +357,23 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         basis = make_positive_basis(2, n_l) if certs else None
         if basis is not None and cfg.get("reshape.c_a") is not None:
             basis = PositiveBasis(basis.a_l, cfg.get("reshape.c_a"))
+        if basis is not None:
+            # The coverage condition every reshaping checks; a constant that
+            # fails it would stop every run at its first step.
+            cbar_a(bounds.norm_coefficient, basis.c_a)
     except (SafecascadeError, ValueError) as exc:
         raise ConfigError(f"reshape: {exc}") from exc
 
-    workspace_flat = cfg.get("sim.workspace_m", (-5.0, 5.0, -5.0, 5.0))
-    workspace = ((workspace_flat[0], workspace_flat[1]), (workspace_flat[2], workspace_flat[3]))
+    box = cfg.get("sim.workspace_m", (-5.0, 5.0, -5.0, 5.0))
+    x_lo, x_hi, y_lo, y_hi = box
+    if not (all(math.isfinite(v) for v in box) and x_lo < x_hi and y_lo < y_hi):
+        raise ConfigError("sim.workspace_m must be finite 'xmin, xmax, ymin, ymax' with "
+                          f"xmin < xmax and ymin < ymax, got {box}")
+    workspace = ((x_lo, x_hi), (y_lo, y_hi))
+    # The audits' own minimum sample count, and both ends of the audited
+    # interval of certificate values.
+    _at_least(cfg, "audit.samples", 2000, 1000)
+    _at_least(cfg, "audit.grid", 200, 2)
     x1_0 = np.asarray(cfg.get("sim.x1_0_m", (0.0, 0.0)), dtype=float)
     if not np.all(np.isfinite(x1_0)):
         raise ConfigError(f"sim.x1_0_m must be finite, got {tuple(x1_0)}")
@@ -344,6 +381,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     horizon = cfg.get("sim.horizon_s", 10.0)
 
     nominal_fn = lambda x: nominal
+    # A grid of one point per axis has no slope to estimate.
+    k1_grid = _at_least(cfg, "cascade.k1_grid", 200, 2)
     k1_text = cfg.get("cascade.k1", "estimate")
     k1_estimated = False
     if controller_levels > 1 or k_tracking:
@@ -351,7 +390,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             law = safety_virtual_law(certs, nominal_fn, basis, bounds, rate, k_phi=k_phi) \
                 if certs else (lambda x: nominal)
             k1 = estimate_safety_law_lipschitz(
-                law, certs, workspace, grid=cfg.get("cascade.k1_grid", 200))
+                law, certs, workspace, grid=k1_grid)
             k1_estimated = True
         else:
             try:
@@ -389,7 +428,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     else:
         x0 = np.zeros(8)
         x0[:2] = x1_0
-        x0[6] = cfg.get("plant.gravity_mps2", 9.81)   # start at hover thrust
+        x0[6] = gravity   # start at hover thrust
 
     return Scenario(
         config=cfg,
@@ -407,7 +446,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         workspace=workspace,
         k_phi=k_phi,
         threshold=threshold,
-        seed=cfg.get("seed", 0),
+        seed=_at_least(cfg, "seed", 0, 0),
         k1_estimated=k1_estimated,
     )
 

@@ -75,8 +75,10 @@ def test_traced_batched_law_and_single_evaluate():
 
 def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     # The simulator records its margins from the controller's evaluation,
-    # so a traced run shows one certificate span per certificate and step,
-    # plus at most one final row that the simulator evaluates itself.
+    # so a traced run that completes shows one certificate span per
+    # certificate and step. The law keeps its constants but still builds
+    # its set and filters through the traced names, once per step, even
+    # though the controller was built before the hooks were installed.
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
@@ -97,8 +99,10 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     names = [tracer.names[i] for i in tracer.arrays()["name_id"]]
     cert_spans = sum(name.startswith("certificates.") for name in names)
     assert traj.termination == "completed" and rows == 51
-    assert rows * len(walls) <= cert_spans <= (rows + 1) * len(walls)
+    assert cert_spans == rows * len(walls)
     assert names.count("cascade.tracking_law") == 3 * rows
+    assert names.count("qcqp_safety.build_constraint_set") == rows
+    assert names.count("reshaping.reshaped_filter") == rows
     # The names the hooks rebind still exist.
     for owner, attr in ((sim, "certificate_value"), (cascade, "tracking_law"),
                         (cascade, "build_constraint_set"), (cascade, "reshaped_filter")):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,10 +18,22 @@ from safecascade.cascade import (
     tracking_law,
 )
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
-from safecascade.errors import SafecascadeError, ZeroGradientError
-from safecascade.qcqp_safety import PlantBounds, RateSpec, disc_constraint_set
-from safecascade.qp_solver import Polyhedron, solve_projection_qp
-from safecascade.reshaping import make_positive_basis
+from safecascade.errors import (
+    CoverageConditionError,
+    SafecascadeError,
+    SelectionConditionError,
+    ZeroGradientError,
+)
+from safecascade.qcqp_safety import (
+    PlantBounds,
+    RateSpec,
+    build_constraint_set,
+    disc_constraint_set,
+    lipschitz_selection,
+    rate_for_bounds,
+)
+from safecascade.qp_solver import Polyhedron, project_polygon_2d, solve_projection_qp
+from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
 from safecascade.scenario import estimate_safety_law_lipschitz
 from safecascade.cascade import safety_virtual_law
 
@@ -374,25 +387,33 @@ def _single_or_nan(law, x):
         return np.full(2, np.nan)
 
 
-def test_batched_law_matches_single_state_law():
-    # One array call over many states against one call per state: NaN rows
-    # exactly where the single state raises a package error, and the same
-    # inputs elsewhere. Covers the spine (exactly on it and 1e-6 m off it),
-    # the inflated bands, the far field, a disc center, an overlapping disc
-    # pair (selection-condition failures) and an input matrix that hides
-    # the vertical gradient.
-    rng = np.random.default_rng(8675309)
+def _outer_laws():
+    """Outer laws over walls, overlapping discs, an input matrix that hides
+    the vertical gradient, and uncertain bounds (c > 0) with one rate per
+    certificate."""
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
     nominal = lambda x: np.array([0.6, 1.0])
     discs = [CertificateSpec(Disc([0.0, 6.0], 1.0)), CertificateSpec(Disc([0.8, 6.0], 1.0))]
-    laws = {
+    uncertain = PlantBounds(g_lower=1.0, g_upper=1.2, delta_upper=0.1)
+    return {
         "walls": safety_virtual_law(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0),
         "discs": safety_virtual_law(discs, nominal, basis, UNIT_BOUNDS, rate, k_phi=1.0),
         "hidden": safety_virtual_law(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0,
                                      g=np.array([[1.0, 0.0], [0.0, 0.0]])),
+        "uncertain": safety_virtual_law(
+            WALLS, nominal, basis, uncertain,
+            [rate_for_bounds(1.0, uncertain, abar_inv), rate_for_bounds(2.0, uncertain, abar_inv)],
+            k_phi=2.0),
     }
+
+
+def _outer_law_states(seed):
+    """Seeded states on the spines (exactly and 1e-6 m off), in the
+    inflated bands, in the far field, at a disc center and between the
+    overlapping discs, plus a grid over the workspace."""
+    rng = np.random.default_rng(seed)
     xs, ys = np.meshgrid(np.linspace(-3.0, 6.0, 31), np.linspace(-0.5, 12.0, 31))
     grid = np.column_stack([xs.ravel(), ys.ravel()])
     spine_t = rng.uniform(0.0, 1.0, size=(40, 1))
@@ -403,12 +424,23 @@ def test_batched_law_matches_single_state_law():
         on = seg.o1 + spine_t * seg.base
         spines += [on, on + 1e-6 * normal, on - 1e-6 * normal,
                    on + rng.uniform(-0.35, 0.35, size=(40, 1)) * normal]
-    states = np.vstack([
+    return np.vstack([
         grid, *spines,
         rng.uniform([-3.0, -0.5], [6.0, 12.0], size=(300, 2)),
         rng.uniform([-1.2, 4.8], [2.0, 7.2], size=(300, 2)),
         [[0.0, 25.0], [0.0, 100.0], [-60.0, 40.0], [0.0, 6.0], [0.8, 6.0], [0.4, 6.0]],
     ])
+
+
+def test_batched_law_matches_single_state_law():
+    # One array call over many states against one call per state: NaN rows
+    # exactly where the single state raises a package error, and the same
+    # inputs elsewhere. Covers the spine (exactly on it and 1e-6 m off it),
+    # the inflated bands, the far field, a disc center, an overlapping disc
+    # pair (selection-condition failures) and an input matrix that hides
+    # the vertical gradient.
+    laws = _outer_laws()
+    states = _outer_law_states(8675309)
     for name, law in laws.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -424,6 +456,61 @@ def test_batched_law_matches_single_state_law():
     # relative to |grad h|, not absolute on grad V = -V grad h).
     np.testing.assert_array_equal(laws["walls"](np.array([[0.0, 25.0], [0.0, 100.0]])),
                                   [[0.6, 1.0], [0.6, 1.0]])
+
+
+def _composed(law, x):
+    """The law rebuilt from the public functions, which derive every
+    constant the law keeps on each call."""
+    nominal = np.broadcast_to(np.asarray(law.nominal(x), dtype=float), np.shape(x))
+    cs = build_constraint_set(x, law.certs, law.g, law.bounds, law.rates)
+    b_l = reshape_b_l(lipschitz_selection(cs), cs, law.basis, law.k_phi).b_l
+    return project_polygon_2d(nominal, law.basis.a_l, b_l), cs.h, cs.v
+
+
+def _assert_same_bits(got, want, msg):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, msg
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan, err_msg=msg)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64), err_msg=msg)
+
+
+def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
+    # SafetyLaw keeps its constants (levels, c, g, cbar_a, the basis's
+    # polygon structure) and hands the selection's slack to the reshaping;
+    # build_constraint_set -> lipschitz_selection -> reshape_b_l ->
+    # project_polygon_2d derives all of it on every call. Both must give
+    # the same bits, with the same exception for a single state and the
+    # same NaN rows in a batch.
+    # "narrow" has a coverage constant below the norm coefficient, so its
+    # reshaping fails at every state, single or batched, after any failure
+    # the set or the selection raises first.
+    states = _outer_law_states(20240607)
+    laws = _outer_laws()
+    walls = laws["uncertain"]
+    laws["narrow"] = safety_virtual_law(
+        WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.05), walls.bounds, walls.rates,
+        k_phi=2.0)
+    raised = set()
+    for name, law in laws.items():
+        for x in [*states[::3], states]:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    want = _composed(law, x)
+            except SafecascadeError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    law.evaluate(x)
+                raised.add((name, type(exc)))
+                continue
+            assert name != "narrow"
+            got = law.evaluate(x)
+            if x is states:
+                assert np.isnan(want[0]).any(), name
+            for g, w in zip(got, want):
+                _assert_same_bits(g, w, f"{name} at {x}")
+    assert ("walls", ZeroGradientError) in raised and ("discs", SelectionConditionError) in raised
+    assert ("narrow", CoverageConditionError) in raised
 
 
 def test_k1_estimate_masks_only_package_errors():

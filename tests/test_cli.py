@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safecascade.cli import (
     EXIT_CONFIG,
@@ -17,7 +19,7 @@ from safecascade.cli import (
 )
 from safecascade.errors import ConfigError
 from safecascade.output import read_trajectory_csv, validate_metrics
-from safecascade.scenario import load_scenario, parse_config_text
+from safecascade.scenario import build_scenario, load_scenario, parse_config_text
 
 
 def test_bundled_configs_parse_with_stock_values():
@@ -119,6 +121,18 @@ def test_run_boundaries_exit_config(tmp_path, capsys, key, value, flags):
     ("cascade.k1", "-1"),
     ("cascade.k1", "nan"),
     ("sim.x1_0_m", "nan, 1"),
+    ("cascade.k1_grid", "1"),
+    ("sim.workspace_m", "6, -3, -0.5, 12"),
+    ("sim.workspace_m", "-3, 6, -0.5, inf"),
+    ("audit.samples", "0"),
+    ("audit.grid", "0"),
+    ("plant.gravity_mps2", "nan"),
+    ("plant.t2", "0.2928, -1"),
+    ("plant.t3", "nan, 29.7555"),
+    ("plant.t4", "0, 113.3872"),
+    ("seed", "-1"),
+    ("nominal.preset", "abc"),
+    ("reshape.c_a", "0.0"),
 ])
 def test_run_rejects_invalid_key_values(tmp_path, capsys, key, value):
     # Each value is out of range; the short horizon keeps a run that
@@ -131,6 +145,87 @@ def test_run_rejects_invalid_key_values(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("audit.samples", "0"),
+    ("audit.grid", "0"),
+    ("cascade.k1_grid", "1"),
+])
+def test_audit_rejects_invalid_key_values(tmp_path, capsys, key, value):
+    # audit.samples = 0 ended in a traceback, audit.grid = 0 printed a pass
+    # resting on no sample, and a one-point k1 grid estimated k1 = 0.
+    text = _with_key(bundled_config("vtol_safe").read_text(), "cascade.k1", "estimate")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with_key(text, key, value))
+    assert main(["audit", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "Traceback" not in captured.err
+    assert "holds" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--config", "CFG", "--out", "OUT"],
+    ["audit", "--config", "CFG"],
+    ["example2", "--out", "OUT", "--grid", "3"],
+])
+def test_negative_seed_override_is_a_usage_error(tmp_path, capsys, command):
+    # numpy rejects negative seeds; audit and example2 ended in a traceback.
+    argv = [str(bundled_config("vtol_safe")) if a == "CFG" else str(tmp_path / "out") if a == "OUT"
+            else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "seed must be nonnegative" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# Replacement values for the config fuzz: every kind of token a key can
+# meet, none large enough to make build_scenario allocate or loop much.
+_FUZZ_TOKENS = ["", "0", "1", "-1", "2", "3", "0.5", "1e-3", "nan", "inf", "-inf", "1e300",
+                "abc", "1, 2", "1, 2, 3, 4", "segment", "disc", "estimate", "zero",
+                "integrator_chain", "velocity_loop", "vtol_nonlinear", "=", "#"]
+_FUZZ_KEYS = ["plant.kind", "plant.levels", "plant.block_dim", "plant.gravity_mps2", "plant.t2",
+              "plant.t3", "plant.t4", "obstacle.1.kind", "obstacle.2.radius_m",
+              "obstacle.3.center_m", "obstacle.3.kind", "certificate.level", "nominal.preset",
+              "reshape.directions", "reshape.c_a", "cascade.k_tracking", "cascade.k1_grid",
+              "sim.workspace_m", "audit.samples", "audit.grid", "seed", "unknown.key"]
+
+
+@st.composite
+def _mutated_config(draw):
+    lines = bundled_config(draw(st.sampled_from(["vtol_safe", "vtol_unsafe"]))).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["value", "key", "drop", "duplicate", "truncate"]))
+        line = lines[k]
+        if op == "value" and "=" in line:
+            lines[k] = line.split("=", 1)[0] + "= " + draw(st.sampled_from(_FUZZ_TOKENS))
+        elif op == "key":
+            lines[k] = draw(st.sampled_from(_FUZZ_KEYS)) + " = " + draw(st.sampled_from(_FUZZ_TOKENS))
+        elif op == "drop":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, line)
+        else:
+            lines[k] = line[:draw(st.integers(0, len(line)))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mutated_config())
+def test_mutated_configs_raise_only_config_errors(text):
+    # A mutated config either builds or raises ConfigError; anything else
+    # would reach the user as a traceback. k1 is numeric, so no example
+    # runs the grid estimate.
+    try:
+        cfg = parse_config_text(text)
+        if cfg.get("cascade.k1", "estimate") == "estimate":
+            cfg.raw["cascade.k1"] = "3.49"
+        build_scenario(cfg)
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("key, value, flags", [

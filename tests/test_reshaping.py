@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from safecascade.certificates import CertificateSpec, Disc
+from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
 from safecascade.errors import (
     BadCountError,
     CoverageConditionError,
     SelectionNotFeasibleError,
     UnsupportedDimensionError,
 )
-from safecascade.qcqp_safety import ConstraintSet, disc_constraint_set, lipschitz_selection
+from safecascade.qcqp_safety import (
+    ConstraintSet,
+    PlantBounds,
+    RateSpec,
+    build_constraint_set,
+    disc_constraint_set,
+    lipschitz_selection,
+)
 from safecascade.qp_solver import Polyhedron, solve_projection_qp
 from safecascade.reshaping import (
     PositiveBasis,
@@ -180,6 +187,30 @@ def test_filter_returns_nominal_when_feasible():
     cs = cs_of([[0.0, 1.0]], [5.0])
     out = reshaped_filter(np.array([0.2, 0.1]), cs, basis, 2.0, np.zeros(2))
     np.testing.assert_allclose(out, [0.2, 0.1], atol=1e-9)
+
+
+def test_single_state_filter_evaluates_its_set_once(monkeypatch):
+    # The selection's own check evaluates the set at the selection; the
+    # reshaping takes that slack instead of evaluating it again. Covers a
+    # zero selection and a nonzero one (a state inside the lower wall's
+    # band, where one offset is negative).
+    walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
+             CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
+    _, abar_inv = exp_alpha_bar_for_level(1.0)
+    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
+    basis = make_positive_basis(2, 11)
+    calls = []
+    violations = ConstraintSet.violations
+    monkeypatch.setattr(ConstraintSet, "violations",
+                        lambda self, u: calls.append(u) or violations(self, u))
+    for x in ([-2.0, 1.0], [0.0, 0.75]):
+        cs = build_constraint_set(np.array(x), walls, np.eye(2), PlantBounds(1.0, 1.0), rate)
+        calls.clear()
+        out = reshaped_filter(np.array([0.6, 1.0]), cs, basis, 2.0)
+        assert len(calls) == 1, x
+        np.testing.assert_array_equal(calls[0], lipschitz_selection(cs))
+        assert np.all(np.isfinite(out))
+    assert np.any(calls[-1] != 0.0)
 
 
 def test_filter_matches_gap_axis_closed_form():

@@ -7,6 +7,7 @@ from safecascade.cascade import CascadeController, CascadeGains, build_cascade_c
 from safecascade.certificates import CertificateSpec, Segment, certificate_value, exp_alpha_bar_for_level
 from safecascade.errors import ThrustSingularityError
 from safecascade.qcqp_safety import PlantBounds, RateSpec
+from safecascade.qp_solver import PolygonRows
 from safecascade.reshaping import make_positive_basis
 from safecascade.sim import (
     IntegratorChain,
@@ -435,3 +436,25 @@ def test_margins_of_other_certificates_are_evaluated_by_the_simulator(monkeypatc
     assert len(calls) == traj.times.shape[0] * len(others)
     # The controller's own clearances would be 0.15 m larger.
     _assert_margins_are_certificate_values(traj, others)
+
+
+def test_closed_loop_builds_the_basis_pair_table_at_most_once(monkeypatch):
+    # From (1.25, 1.9) toward the stock nominal every step reaches the
+    # projection's vertex stage, which intersects the basis rows pairwise.
+    # The basis keeps that pair table, built with the law: a 50-step loop
+    # builds it at most once in all and never during the loop.
+    tables, vertex_stages = [], []
+    triu_indices = np.triu_indices
+    monkeypatch.setattr(np, "triu_indices", lambda *a, **k: tables.append(a) or triu_indices(*a, **k))
+    vertices = PolygonRows.vertices
+    monkeypatch.setattr(PolygonRows, "vertices",
+                        lambda self, b: vertex_stages.append(b) or vertices(self, b))
+    controller = wall_controller((8.0, 320.0, 4.0e5))
+    built = len(tables)
+    x0 = np.zeros(8)
+    x0[:2] = [1.25, 1.9]
+    traj = run_closed_loop(IntegratorChain(m=4), controller, x0, horizon=0.05, dt=1e-3,
+                           certs=WALLS, workspace=((-3.0, 6.0), (-0.5, 12.0)))
+    assert traj.termination == "completed" and traj.times.shape[0] == 51
+    assert len(vertex_stages) == 51
+    assert built <= 1 and len(tables) == built
