@@ -8,32 +8,22 @@ which for integrator chains is plain proportional feedback -K_i e. The
 ledger utilities compute the Lipschitz products that appear in the
 gain-selection inequality and the small-gain contraction checks.
 
-The outer law (SafetyLaw) keeps what does not depend on the state: the
-constraint set's SetConstants and cbar_a, and the basis's pair-vertex
-table, so each step does only per-state work.
+The outer law (SafetyLaw) keeps its input matrix as a 2-D float array and
+builds its basis's pair-vertex table once, so no step rebuilds either.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .certificates import CertificateSpec
-from .errors import CoverageConditionError
 # lipschitz_selection is unused here but stays importable: the benchmark's
 # trace hooks (benchmarks/workloads.py) rebind cascade.lipschitz_selection.
-from .qcqp_safety import (  # noqa: F401
-    PlantBounds,
-    RateSpec,
-    SetConstants,
-    build_constraint_set,
-    lipschitz_selection,
-    set_constants,
-)
-from .reshaping import PositiveBasis, cbar_a, reshaped_filter
+from .qcqp_safety import PlantBounds, RateSpec, build_constraint_set, lipschitz_selection  # noqa: F401
+from .reshaping import PositiveBasis, reshaped_filter
 
 
 @dataclass(frozen=True)
@@ -300,14 +290,9 @@ class SafetyLaw:
     error for a single state and gives a NaN row in a batch. With no
     certificates the law is the nominal itself.
 
-    Everything that does not depend on the state is built once and kept.
-    The basis keeps its own constants; its pair-vertex table is built with
-    the law, so no step pays for it. The constraint set's levels, norm
-    coefficients and input matrix (SetConstants) and cbar_a(max c, c_a)
-    are built on the first evaluation, because building them can fail and
-    such a failure belongs to evaluating the law. A step then calls
-    build_constraint_set and reshaped_filter, through this module's names,
-    with these constants.
+    The law keeps g as a 2-D float array, and its basis's pair-vertex
+    table is built with the law, so no step rebuilds either. A step calls
+    build_constraint_set and reshaped_filter through this module's names.
     """
 
     certs: tuple[CertificateSpec, ...]
@@ -319,22 +304,9 @@ class SafetyLaw:
     g: np.ndarray      # input matrix of the outer level; certificates live in the plane
 
     def __post_init__(self):
+        object.__setattr__(self, "g", np.atleast_2d(np.asarray(self.g, dtype=float)))
         if self.basis is not None and self.basis.polygon is not None:
             _ = self.basis.polygon.pairs      # builds and keeps the pair-vertex table
-
-    @cached_property
-    def constants(self) -> SetConstants:
-        """The constraint set's state-independent constants."""
-        return set_constants(self.certs, self.g, self.bounds, self.rates)
-
-    @cached_property
-    def cbar_a_value(self) -> float | None:
-        """cbar_a(max c, c_a), or None when the coverage condition fails:
-        reshape_b_l then raises CoverageConditionError where it always has."""
-        try:
-            return cbar_a(float(self.constants.c.max()), self.basis.c_a)
-        except CoverageConditionError:
-            return None
 
     def evaluate(self, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The input at x1, with each certificate's clearance h and value V
@@ -346,10 +318,8 @@ class SafetyLaw:
         if not self.certs:
             empty = np.zeros(x1.shape[:-1] + (0,))
             return nom, empty, empty
-        cs = build_constraint_set(x1, self.certs, self.g, self.bounds, self.rates,
-                                  constants=self.constants)
-        return (reshaped_filter(nom, cs, self.basis, self.k_phi, cbar_a_value=self.cbar_a_value),
-                cs.h, cs.v)
+        cs = build_constraint_set(x1, self.certs, self.g, self.bounds, self.rates)
+        return reshaped_filter(nom, cs, self.basis, self.k_phi), cs.h, cs.v
 
     def __call__(self, x1: np.ndarray) -> np.ndarray:
         return self.evaluate(x1)[0]

@@ -255,6 +255,9 @@ class DisjointnessReport:
     superlevel_samples: int
 
 
+MIN_AUDIT_SAMPLES = 1000     # fewer samples make disjointness_audit's report meaningless
+
+
 def disjointness_audit(
     certs: list[CertificateSpec],
     domain_box: tuple[tuple[float, float], tuple[float, float]],
@@ -267,8 +270,8 @@ def disjointness_audit(
     sampled unsafe points, which is the robustness floor the decay-rate
     guarantee leans on. Report-only; never raises for violations.
     """
-    if samples < 1000:
-        raise ValueError("use at least 1000 samples for a meaningful audit")
+    if samples < MIN_AUDIT_SAMPLES:
+        raise ValueError(f"use at least {MIN_AUDIT_SAMPLES} samples for a meaningful audit")
     rng = np.random.default_rng(seed)
     (x_lo, x_hi), (y_lo, y_hi) = domain_box
     pts = np.column_stack([

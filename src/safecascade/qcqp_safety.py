@@ -8,11 +8,8 @@ absorbs input-matrix uncertainty. The module also provides the Lipschitz
 selection, a closed-form point of the set used as the reshaping anchor, and
 the decrease-margin audit.
 
-What does not depend on the state (certificate levels, norm coefficients,
-the input matrix as a float array) is a SetConstants, which a caller that
-evaluates the same set at many states keeps; a SafetyLaw does. The
-selection also returns the slack it verified (selection_with_slack), so
-the reshaping does not evaluate the set at it a second time.
+The selection also returns the slack it verified (selection_with_slack),
+so the reshaping does not evaluate the set at it a second time.
 """
 from __future__ import annotations
 
@@ -177,38 +174,6 @@ def check_base_rate(rate: RateSpec, bounds: PlantBounds, samples: int = 200) -> 
     return max(rate.base(float(s)) + ratio * rate.base(float(-s)) for s in ss)
 
 
-@dataclass(frozen=True, eq=False)
-class SetConstants:
-    """The state-independent part of build_constraint_set's arguments:
-    the certificate levels (n,), the shared norm coefficients c (n,) and
-    the input matrix g as a float array. set_constants builds them; a
-    caller that keeps them (SafetyLaw) hands them to build_constraint_set,
-    which otherwise builds them on every call. The arrays are read-only,
-    because every set built from them shares them.
-    """
-
-    levels: np.ndarray
-    c: np.ndarray
-    g: np.ndarray
-
-
-def set_constants(
-    certs: Sequence[CertificateSpec],
-    g: np.ndarray,
-    bounds: PlantBounds,
-    rates: RateSpec | Sequence[RateSpec],
-) -> SetConstants:
-    """The SetConstants of build_constraint_set(x, certs, g, bounds, rates)."""
-    if not isinstance(rates, RateSpec) and len(rates) != len(certs):
-        raise ValueError("need one RateSpec per certificate")
-    levels = np.array([cert.level for cert in certs], dtype=float)
-    c = np.full(len(certs), bounds.norm_coefficient)
-    g = np.array(np.atleast_2d(np.asarray(g, dtype=float)))
-    for arr in (levels, c, g):
-        arr.flags.writeable = False
-    return SetConstants(levels=levels, c=c, g=g)
-
-
 def build_constraint_set(
     x: np.ndarray,
     certs: Sequence[CertificateSpec],
@@ -216,7 +181,6 @@ def build_constraint_set(
     bounds: PlantBounds,
     rates: RateSpec | Sequence[RateSpec],
     grad_tol: float = 1e-9,
-    constants: SetConstants | None = None,
 ) -> ConstraintSet:
     """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
 
@@ -228,12 +192,12 @@ def build_constraint_set(
     that vanishes through g (|dh/dx @ g| <= grad_tol |dh/dx|) breaks the
     nonzero-gradient standing assumption: a single state raises
     ZeroGradientError, a batch gives NaN rows there, as it does where a
-    certificate is undefined. constants, when given, must be
-    set_constants(certs, g, bounds, rates).
+    certificate is undefined.
     """
-    if constants is None:
-        constants = set_constants(certs, g, bounds, rates)
     x = np.asarray(x, dtype=float)
+    g = np.atleast_2d(np.asarray(g, dtype=float))
+    if not isinstance(rates, RateSpec) and len(rates) != len(certs):
+        raise ValueError("need one RateSpec per certificate")
     grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
     h = np.empty(x.shape[:-1] + (len(certs),))
     v = np.empty(h.shape)
@@ -243,7 +207,7 @@ def build_constraint_set(
         grad_h[..., j, :] = ev.grad_h
         h[..., j] = ev.h
         v[..., j] = ev.v
-    direction = grad_h @ constants.g
+    direction = grad_h @ g
     nrm2 = (direction * direction).sum(axis=-1)
     vanished = nrm2 <= (grad_tol * np.hypot(grad_h[..., 0], grad_h[..., 1])) ** 2
     if vanished.any():
@@ -251,12 +215,13 @@ def build_constraint_set(
             raise ZeroGradientError(
                 f"certificate {int(np.argmax(vanished))}: gradient vanishes through g")
         nrm2 = np.where(vanished, np.nan, nrm2)
-    offset = v - constants.levels
+    offset = v - np.array([cert.level for cert in certs])
     if isinstance(rates, RateSpec):
         b = -rates.rate(offset)
     else:
         b = -np.stack([rate.rate(offset[..., j]) for j, rate in enumerate(rates)], axis=-1)
-    return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], b, constants.c, h=h, v=v)
+    return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], b,
+                         np.full(len(certs), bounds.norm_coefficient), h=h, v=v)
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:

@@ -7,13 +7,15 @@ Lipschitz regularity, so projecting a nominal input onto it produces a
 control law with a constructive Lipschitz constant, which the raw
 norm-augmented projection does not have.
 
-A PositiveBasis is fixed, so it keeps its transpose and, in the plane, its
-rows' polygon structure (row norms, pair-vertex table) for every
-reshaping and projection; reshape_b_l and reshaped_filter take the
-selection's verified slack and cbar_a from a caller that keeps them.
+A PositiveBasis is fixed (its rows are read-only), so in the plane it
+keeps its rows' polygon structure (row norms, pair-vertex table) for every
+projection. cbar_a is cached per (c_bar, c_a), and reshaped_filter hands
+the selection's verified slack to reshape_b_l instead of evaluating the
+set at it a second time.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,19 +39,18 @@ class PositiveBasis:
 
     c_a is the coverage constant: every unit vector is a nonnegative
     combination of the rows whose inner product with it is at least c_a.
-    The basis is fixed, so it keeps what every reshaping and projection
-    would otherwise rebuild: a_t = a_l.T, and for n_u = 2 the polygon
-    structure of its rows (PolygonRows: row norms, and the pair-vertex
-    table once a projection or a SafetyLaw first needs it).
+    The basis is fixed: a_l is a read-only copy of the rows, and for
+    n_u = 2 the basis keeps their polygon structure (PolygonRows: row
+    norms, and the pair-vertex table once a projection or a SafetyLaw
+    first needs it), which every projection would otherwise rebuild.
     """
 
     a_l: np.ndarray
     c_a: float
-    a_t: np.ndarray = field(init=False, repr=False, compare=False)
     polygon: PolygonRows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a_l = np.atleast_2d(np.asarray(self.a_l, dtype=float))
+        a_l = np.array(self.a_l, dtype=float, ndmin=2)
         norms = np.linalg.norm(a_l, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("basis rows must be unit vectors")
@@ -58,8 +59,8 @@ class PositiveBasis:
         # constant through its own cone-width condition.
         if not (-1.0 < self.c_a < 1.0):
             raise ValueError("coverage constant must lie in (-1, 1)")
+        a_l.flags.writeable = False     # the kept polygon structure reads these rows
         object.__setattr__(self, "a_l", a_l)
-        object.__setattr__(self, "a_t", a_l.T)
         object.__setattr__(self, "polygon", PolygonRows(a_l) if a_l.shape[1] == 2 else None)
 
     @property
@@ -193,12 +194,15 @@ def validate_positive_basis(basis: PositiveBasis, samples: int = 500) -> BasisRe
     )
 
 
+@functools.lru_cache(maxsize=64)
 def cbar_a(c_bar: float, c_a: float) -> float:
     """Effective coverage constant after absorbing the norm coefficient.
 
     Requires c_a > cos(pi/2 - acos(sqrt(1 - c_bar^2))), i.e. the coverage
     cone must stay wider than the uncertainty cone; returns
-    cos(acos(sqrt(1 - c_bar^2)) + acos(c_a)).
+    cos(acos(sqrt(1 - c_bar^2)) + acos(c_a)). Results are cached, since a
+    law reshapes with the same pair at every step; a failed condition is
+    not cached and raises on every call.
     """
     if not (0.0 <= c_bar < 1.0):
         raise ValueError("c_bar must lie in [0, 1)")
@@ -218,7 +222,6 @@ def reshape_b_l(
     c_bar: float | None = None,
     tol: float = 1e-9,
     slack: np.ndarray | None = None,
-    cbar_a_value: float | None = None,
 ) -> ReshapedSet:
     """Offsets of the reshaped polyhedron around a feasible selection point.
 
@@ -229,11 +232,10 @@ def reshape_b_l(
     the expansion stays within the original norm-augmented set. A batched
     set gives b_l of shape (..., n_l); a selection outside its set raises
     SelectionNotFeasibleError for a single state and gives a NaN row in a
-    batch. slack is the selection's verified b - a s - c|s| (at least -tol
-    in every row, NaN rows where undefined) when the caller has it, as
-    selection_with_slack returns it; otherwise it is computed and checked
-    here. cbar_a_value is cbar_a(c_bar or max c, basis.c_a) when the caller
-    keeps it (a SafetyLaw does), computed here otherwise.
+    batch. slack, when given, must be b - a s - c|s| at the selection (NaN
+    rows where it is undefined), as selection_with_slack returns it, and
+    saves evaluating the set again; given or computed, it is checked
+    against -tol the same way.
     """
     if k_phi < 0:
         raise ValueError("k_phi must be nonnegative")
@@ -242,20 +244,19 @@ def reshape_b_l(
     selection = np.asarray(selection, dtype=float)
     if slack is None:
         slack = -cs.violations(selection)                       # (..., n_c)
-        outside = (slack < -tol).any(axis=-1)
-        if cs.batched:
-            if outside.any():
-                slack = np.where(outside[..., None], np.nan, slack)
-        elif outside:
+    outside = (slack < -tol).any(axis=-1)
+    if outside.any():
+        if not cs.batched:
             raise SelectionNotFeasibleError("selection point violates the constraint set")
-    if cbar_a_value is None:
-        effective_cbar = float(cs.c.max()) if c_bar is None else float(c_bar)
-        cbar_a_value = cbar_a(effective_cbar, basis.c_a)
-    dots = cs.a @ basis.a_t                                     # (..., n_c, n_l)
+        slack = np.where(outside[..., None], np.nan, slack)
+    effective_cbar = float(cs.c.max()) if c_bar is None else float(c_bar)
+    cbar_a_val = cbar_a(effective_cbar, basis.c_a)
+    a_t = basis.a_l.T
+    dots = cs.a @ a_t                                           # (..., n_c, n_l)
     slack = np.maximum(slack, 0.0)                              # clip tolerance dust
-    phi1 = np.maximum(dots, cbar_a_value) * (slack / (1.0 + cs.c))[..., None]
-    phi2 = np.maximum(k_phi * (cbar_a_value - dots), 0.0)
-    b_l = selection @ basis.a_t + (phi1 + phi2).min(axis=-2)
+    phi1 = np.maximum(dots, cbar_a_val) * (slack / (1.0 + cs.c))[..., None]
+    phi2 = np.maximum(k_phi * (cbar_a_val - dots), 0.0)
+    b_l = selection @ a_t + (phi1 + phi2).min(axis=-2)
     return ReshapedSet(basis=basis, b_l=b_l)
 
 
@@ -266,7 +267,6 @@ def reshaped_filter(
     k_phi: float,
     selection: np.ndarray | None = None,
     tol: float = 1e-9,
-    cbar_a_value: float | None = None,
 ) -> np.ndarray:
     """Project the nominal input onto the reshaped set.
 
@@ -279,7 +279,7 @@ def reshaped_filter(
     batches: nominal (2,) or (..., 2) against a set batched over (...); a
     state without a result (no set, no selection) raises for a single state
     and gives a NaN row in a batch. n_u = 3 projects one state with the
-    dual active-set QP. cbar_a_value is passed on to reshape_b_l.
+    dual active-set QP.
     """
     nominal = np.asarray(nominal, dtype=float)
     if cs.n_rows == 0:
@@ -290,8 +290,7 @@ def reshaped_filter(
         # wraps cascade.lipschitz_selection and cli.lipschitz_selection and
         # reads one state's selection.
         selection, slack = selection_with_slack(cs, tol=tol)
-    b_l = reshape_b_l(selection, cs, basis, k_phi, tol=tol, slack=slack,
-                      cbar_a_value=cbar_a_value).b_l
+    b_l = reshape_b_l(selection, cs, basis, k_phi, tol=tol, slack=slack).b_l
     if basis.n_u == 2:
         return basis.polygon.project(nominal, b_l, tol=tol)
     return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l), tol=tol).point

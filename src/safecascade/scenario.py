@@ -56,7 +56,14 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import CascadeController, CascadeGains, build_cascade_controller, estimate_lipschitz, safety_virtual_law
-from .certificates import CertificateSpec, Disc, Segment, eval_segment, exp_alpha_bar_for_level
+from .certificates import (
+    MIN_AUDIT_SAMPLES,
+    CertificateSpec,
+    Disc,
+    Segment,
+    eval_segment,
+    exp_alpha_bar_for_level,
+)
 from .errors import ConfigError, DegenerateGeometryError, SafecascadeError
 from .qcqp_safety import PlantBounds, RateSpec
 from .reshaping import PositiveBasis, cbar_a, make_positive_basis
@@ -372,7 +379,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     workspace = ((x_lo, x_hi), (y_lo, y_hi))
     # The audits' own minimum sample count, and both ends of the audited
     # interval of certificate values.
-    _at_least(cfg, "audit.samples", 2000, 1000)
+    _at_least(cfg, "audit.samples", 2000, MIN_AUDIT_SAMPLES)
     _at_least(cfg, "audit.grid", 200, 2)
     x1_0 = np.asarray(cfg.get("sim.x1_0_m", (0.0, 0.0)), dtype=float)
     if not np.all(np.isfinite(x1_0)):

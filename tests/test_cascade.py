@@ -476,10 +476,11 @@ def _assert_same_bits(got, want, msg):
 
 
 def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
-    # SafetyLaw keeps its constants (levels, c, g, cbar_a, the basis's
-    # polygon structure) and hands the selection's slack to the reshaping;
+    # SafetyLaw keeps its g and its basis's polygon structure, and the
+    # filter hands the selection's slack to the reshaping;
     # build_constraint_set -> lipschitz_selection -> reshape_b_l ->
-    # project_polygon_2d derives all of it on every call. Both must give
+    # project_polygon_2d evaluates the set at the selection again and
+    # rebuilds the polygon structure on every call. Both must give
     # the same bits, with the same exception for a single state and the
     # same NaN rows in a batch.
     # "narrow" has a coverage constant below the norm coefficient, so its

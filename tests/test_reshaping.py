@@ -124,6 +124,22 @@ def test_cbar_a_condition_guard():
         # The minimal three-direction basis has a negative constant and is
         # therefore not usable for reshaping, only for spanning.
         cbar_a(0.0, math.cos(2.0 * math.pi / 3.0))
+    # The cache keeps results only: a failed condition raises every time.
+    with pytest.raises(CoverageConditionError):
+        cbar_a(0.5, 0.4)
+
+
+def test_basis_rows_are_a_read_only_copy():
+    # The basis keeps its rows' polygon structure, so its rows must not
+    # change under it; the caller's own array stays writeable.
+    rows = np.array([[1.0, 0.0], [-0.5, math.sqrt(3.0) / 2.0], [-0.5, -math.sqrt(3.0) / 2.0]])
+    basis = PositiveBasis(rows, -0.5)
+    assert rows.flags.writeable
+    assert not basis.a_l.flags.writeable
+    with pytest.raises(ValueError):
+        basis.a_l[0, 0] = 2.0
+    rows[0, 0] = 2.0
+    assert basis.a_l[0, 0] == 1.0
 
 
 # ------------------------------------------------------------------ reshape
@@ -211,6 +227,22 @@ def test_single_state_filter_evaluates_its_set_once(monkeypatch):
         np.testing.assert_array_equal(calls[0], lipschitz_selection(cs))
         assert np.all(np.isfinite(out))
     assert np.any(calls[-1] != 0.0)
+
+
+def test_supplied_slack_below_tolerance_is_rejected():
+    # A supplied slack is checked like a computed one: a selection outside
+    # the set raises for one state and gives a NaN row in a batch.
+    basis = make_positive_basis(2, 11)
+    cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(SelectionNotFeasibleError):
+        reshape_b_l(np.zeros(2), cs, basis, 1.0, slack=np.array([1.0, -1e-3]))
+    ok = reshape_b_l(np.zeros(2), cs, basis, 1.0, slack=np.array([1.0, 1.0])).b_l
+    np.testing.assert_array_equal(ok, reshape_b_l(np.zeros(2), cs, basis, 1.0).b_l)
+    batch = ConstraintSet(np.broadcast_to(cs.a, (2, 2, 2)), np.ones((2, 2)), cs.c)
+    out = reshape_b_l(np.zeros((2, 2)), batch, basis, 1.0,
+                      slack=np.array([[1.0, 1.0], [1.0, -1e-3]])).b_l
+    np.testing.assert_array_equal(out[0], ok)
+    assert np.all(np.isnan(out[1]))
 
 
 def test_filter_matches_gap_axis_closed_form():
