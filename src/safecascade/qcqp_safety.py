@@ -195,7 +195,9 @@ def build_constraint_set(
     certificate is undefined.
     """
     x = np.asarray(x, dtype=float)
-    g = np.atleast_2d(np.asarray(g, dtype=float))
+    g = np.asarray(g, dtype=float)
+    if g.ndim < 2:
+        g = np.atleast_2d(g)
     if not isinstance(rates, RateSpec) and len(rates) != len(certs):
         raise ValueError("need one RateSpec per certificate")
     grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))

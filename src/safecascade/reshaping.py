@@ -244,11 +244,11 @@ def reshape_b_l(
     selection = np.asarray(selection, dtype=float)
     if slack is None:
         slack = -cs.violations(selection)                       # (..., n_c)
-    outside = (slack < -tol).any(axis=-1)
-    if outside.any():
+    below = slack < -tol
+    if below.any():
         if not cs.batched:
             raise SelectionNotFeasibleError("selection point violates the constraint set")
-        slack = np.where(outside[..., None], np.nan, slack)
+        slack = np.where(below.any(axis=-1)[..., None], np.nan, slack)
     effective_cbar = float(cs.c.max()) if c_bar is None else float(c_bar)
     cbar_a_val = cbar_a(effective_cbar, basis.c_a)
     a_t = basis.a_l.T
