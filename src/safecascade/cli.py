@@ -28,7 +28,7 @@ from .qcqp_safety import disc_constraint_set, lipschitz_selection, rate_conditio
 from .qp_solver import Polyhedron, solve_projection_qp
 from .reshaping import make_positive_basis, reshaped_filter, sample_polytope_2d, reshape_b_l, validate_positive_basis
 from .scenario import Scenario, build_scenario, check_time_grid, load_scenario
-from .sim import IntegratorChain, run_closed_loop, trajectory_metrics
+from .sim import run_closed_loop, trajectory_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -281,7 +281,7 @@ def _scenario_audits(scenario: Scenario) -> tuple[list | None, dict | None, dict
         }
     basis_summary = None
     if scenario.basis is not None:
-        report = validate_positive_basis(scenario.basis, samples=500)
+        report = scenario.basis.report
         basis_summary = {
             "directions": scenario.basis.n_l,
             "coverage_constant": scenario.basis.c_a,
@@ -330,11 +330,10 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
         basis_validation=basis_summary,
         metrics=mets,
     )
-    block_dim = scenario.plant.block_dim if isinstance(scenario.plant, IntegratorChain) else 2
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(out / cfg.get("output.csv", "trajectory.csv"), traj, block_dim)
+        write_trajectory_csv(out / cfg.get("output.csv", "trajectory.csv"), traj)
         write_scene_svg(out / cfg.get("output.svg", "path.svg"), traj,
                         scenario.certificates, scenario.workspace)
         write_metrics_json(out / cfg.get("output.metrics", "metrics.json"), doc)
@@ -376,7 +375,7 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
     else:
         print("no cascade gains configured (single-level law)")
     if scenario.basis is not None:
-        rep = validate_positive_basis(scenario.basis, samples=500)
+        rep = scenario.basis.report
         print(f"basis: n_l={scenario.basis.n_l} c_a={scenario.basis.c_a:.6g} "
               f"unit-norm dev {rep.max_unit_norm_deviation:.2e}, "
               f"min subset sigma {rep.min_subset_sigma:.4f}, "

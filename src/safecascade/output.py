@@ -37,8 +37,10 @@ def trajectory_csv_header(state_blocks: int, block_dim: int, n_certs: int) -> st
     return ",".join(cols)
 
 
-def write_trajectory_csv(path: str | Path, traj: Trajectory, block_dim: int) -> None:
-    """Write t, state blocks, input, clearances, certificate values, x2*."""
+def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
+    """Write t, state blocks, input, clearances, certificate values, x2*;
+    a block is as wide as the input."""
+    block_dim = traj.inputs.shape[1]
     n = traj.states.shape[1]
     if n % block_dim:
         raise ValueError("state size not a multiple of the block dimension")

@@ -42,7 +42,8 @@ class PositiveBasis:
     The basis is fixed: a_l is a read-only copy of the rows, and for
     n_u = 2 the basis keeps their polygon structure (PolygonRows: row
     norms, and the pair-vertex table once a projection or a SafetyLaw
-    first needs it), which every projection would otherwise rebuild.
+    first needs it), which every projection would otherwise rebuild, and
+    its 500-probe validation report once first read.
     """
 
     a_l: np.ndarray
@@ -66,6 +67,12 @@ class PositiveBasis:
     @property
     def n_l(self) -> int:
         return self.a_l.shape[0]
+
+    @functools.cached_property
+    def report(self) -> BasisReport:
+        """validate_positive_basis at 500 probes, computed on first use
+        and kept: the basis cannot change."""
+        return validate_positive_basis(self)
 
     @property
     def n_u(self) -> int:
@@ -108,7 +115,7 @@ def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
         basis = None
         while c_a > 1e-3:
             candidate = PositiveBasis(rows, c_a)
-            if validate_positive_basis(candidate, samples=500).coverage_failures == 0:
+            if candidate.report.coverage_failures == 0:
                 basis = candidate
                 break
             c_a *= 0.98
@@ -116,7 +123,7 @@ def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
             raise CoverageConditionError("no workable coverage constant found")
     else:
         raise UnsupportedDimensionError(f"positive bases implemented for n_u in (2, 3), got {n_u}")
-    report = validate_positive_basis(basis, samples=500)
+    report = basis.report
     if report.coverage_failures or report.min_subset_sigma <= 1e-8:
         raise CoverageConditionError(f"constructed basis failed validation: {report}")
     return basis

@@ -311,16 +311,14 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         levels = cfg.get("plant.levels", 4)
         if levels < 1:
             raise ConfigError(f"plant.levels must be at least 1, got {levels}")
-        plant: PlantModel = IntegratorChain(m=levels, block_dim=block_dim)
-        controller_levels = levels
+        plant: PlantModel = IntegratorChain(m=levels)
     elif kind == "velocity_loop":
         plant = VelocityLoop(t2=t2, t3=t3, t4=t4)
-        controller_levels = 1
     elif kind == "vtol_nonlinear":
         plant = VtolNonlinear(gravity=gravity)
-        controller_levels = 4
     else:
         raise ConfigError(f"unknown plant.kind {kind!r}")
+    controller_levels = plant.levels
     if controller_levels > 1 and len(k_tracking) != controller_levels - 1:
         raise ConfigError(
             f"cascade.k_tracking needs {controller_levels - 1} entries for {controller_levels} levels"
@@ -426,17 +424,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             if certs else (lambda x: nominal)
         controller = CascadeController(rho1=rho1, tracking_laws=(), gains=gains)
 
-    if isinstance(plant, IntegratorChain):
-        x0 = np.zeros(plant.state_dim)
-        x0[:block_dim] = x1_0
-    elif isinstance(plant, VelocityLoop):
-        x0 = np.zeros(8)
-        x0[:2] = x1_0
-    else:
-        x0 = np.zeros(8)
-        x0[:2] = x1_0
-        x0[6] = gravity   # start at hover thrust
-
     return Scenario(
         config=cfg,
         plant=plant,
@@ -447,7 +434,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         gains=gains,
         controller=controller,
         nominal=nominal,
-        x0=x0,
+        x0=plant.initial_state(x1_0),
         dt=dt,
         horizon=horizon,
         workspace=workspace,

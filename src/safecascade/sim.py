@@ -1,8 +1,20 @@
 """Closed-loop simulation: integrator chains, the planar VTOL with dynamic
 feedback linearization, and the identified velocity-loop plant.
 
-Plant steppers use classical fixed-step RK4 with the input held over the
-step. The closed-loop driver holds the safety-filter output over each step
+Every plant has the same interface, and the closed-loop driver reads a
+plant through it alone:
+
+    levels              how many controller levels the plant takes
+    state_dim           length of its state vector
+    blocks(state)       the planar blocks [x_1, ..., x_levels] the controller
+                        reads; the VTOL's are those of its flat chain state
+    step(state, u, dt)  one classical RK4 step with the input u held over
+                        the step; NonFiniteStateError at the first
+                        non-finite stage
+    initial_state(x1)   at rest with output block x1 (the VTOL at hover
+                        thrust)
+
+The closed-loop driver holds the safety-filter output over each step
 but integrates the inner linear tracking levels of an integrator-chain
 cascade by the exact LTI flow: with tracking gains in the 1e5 range the
 sampled proportional loops are far outside any explicit integrator's
@@ -21,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,149 +47,160 @@ IDENTIFIED_T3 = (1.2231, 29.7555)
 IDENTIFIED_T4 = (4.1709, 113.3872)
 
 
-@dataclass(frozen=True)
-class IntegratorChain:
-    """Chain of m integrator blocks; block_dim states per block."""
-
-    m: int
-    block_dim: int = 2
-
-    @property
-    def state_dim(self) -> int:
-        return self.m * self.block_dim
-
-
-@dataclass(frozen=True)
-class VtolNonlinear:
-    """Planar VTOL with thrust dynamics appended for feedback linearization.
-
-    State layout: [px, py, vx, vy, theta, omega, a1, a1_dot]. The commanded
-    input is the fourth position derivative, mapped to (a1_ddot, a2) through
-    the linearizing feedback; it needs a1 bounded away from zero.
-    """
-
-    gravity: float = 9.81
-    thrust_floor: float = 1e-3
-
-    @property
-    def state_dim(self) -> int:
-        return 8
-
-
-@dataclass(frozen=True)
-class VelocityLoop:
-    """Identified inner velocity loop: three integrators plus a first-order
-    stage dx4 = T4 (T3 (T2 (x2_ref - x2) - x3) - x4), diagonal per axis."""
-
-    t2: tuple[float, float] = IDENTIFIED_T2
-    t3: tuple[float, float] = IDENTIFIED_T3
-    t4: tuple[float, float] = IDENTIFIED_T4
-
-    @property
-    def state_dim(self) -> int:
-        return 8
-
-
-PlantModel = Union[IntegratorChain, VtolNonlinear, VelocityLoop]
-
-
 def _check_finite(state: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(state)):
         raise NonFiniteStateError("state became non-finite")
     return state
 
 
-def _rk4(deriv: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: float) -> np.ndarray:
-    k1 = deriv(state)
-    k2 = deriv(state + 0.5 * dt * k1)
-    k3 = deriv(state + 0.5 * dt * k2)
-    k4 = deriv(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _PlanarPlant:
+    """The plant interface's shared parts; a plant adds levels, state_dim
+    and derivative(state, u)."""
+
+    levels: int
+    state_dim: int
+
+    def blocks(self, state: np.ndarray) -> list[np.ndarray]:
+        """The planar blocks [x_1, ..., x_levels] the controller reads."""
+        return [state[2 * i:2 * i + 2] for i in range(self.levels)]
+
+    def initial_state(self, x1) -> np.ndarray:
+        """At rest with output block x1."""
+        x0 = np.zeros(self.state_dim)
+        x0[:2] = x1
+        return x0
+
+    def step(self, state: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+        """Classical RK4 step with u held constant over the step.
+
+        Overflow inside a stage is not warned about: a stage input that is
+        not finite raises NonFiniteStateError before the derivative reads it.
+        """
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        state = np.asarray(state, dtype=float).ravel()
+        u = np.asarray(u, dtype=float).ravel()
+        deriv = self.derivative
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = deriv(_check_finite(state), u)
+            k2 = deriv(_check_finite(state + 0.5 * dt * k1), u)
+            k3 = deriv(_check_finite(state + 0.5 * dt * k2), u)
+            k4 = deriv(_check_finite(state + dt * k3), u)
+            return _check_finite(state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def step_integrator_chain(plant: IntegratorChain, state: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step of the chain with u held constant over the step."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    state = np.asarray(state, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    d = plant.block_dim
+@dataclass(frozen=True)
+class IntegratorChain(_PlanarPlant):
+    """Chain of m planar integrator blocks; u drives the last block."""
 
-    def deriv(s):
-        out = np.empty_like(s)
-        out[:-d] = s[d:]
-        out[-d:] = u
+    m: int
+
+    @property
+    def levels(self) -> int:
+        return self.m
+
+    @property
+    def state_dim(self) -> int:
+        return 2 * self.m
+
+    def derivative(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(state)
+        out[:-2] = state[2:]
+        out[-2:] = u
         return out
 
-    return _check_finite(_rk4(deriv, state, dt))
+
+@dataclass(frozen=True)
+class VtolNonlinear(_PlanarPlant):
+    """Planar VTOL with thrust dynamics appended for feedback linearization.
+
+    State layout: [px, py, vx, vy, theta, omega, a1, a1_dot]. The commanded
+    input is the fourth position derivative, mapped to (a1_ddot, a2) through
+    the linearizing feedback; it needs a1 bounded away from zero. The
+    controller reads the four blocks of the flat state [p, v, acc, jerk].
+    """
+
+    gravity: float = 9.81
+    thrust_floor: float = 1e-3
+    levels: ClassVar[int] = 4
+    state_dim: ClassVar[int] = 8
+
+    def blocks(self, state: np.ndarray) -> list[np.ndarray]:
+        return super().blocks(self.flat_state(state))
+
+    def initial_state(self, x1) -> np.ndarray:
+        """At rest with output block x1, at hover thrust."""
+        x0 = super().initial_state(x1)
+        x0[6] = self.gravity
+        return x0
+
+    def derivative(self, state: np.ndarray, u_snap: np.ndarray) -> np.ndarray:
+        """Right-hand side of the VTOL with the linearizing feedback applied."""
+        px, py, vx, vy, theta, omega, a1, a1d = state
+        if abs(a1) < self.thrust_floor:
+            raise ThrustSingularityError(f"thrust magnitude {a1:.3e} below floor")
+        r = np.array([-math.sin(theta), math.cos(theta)])
+        rp = np.array([-math.cos(theta), -math.sin(theta)])
+        a2 = -2.0 * omega * a1d / a1 + float(rp @ u_snap) / a1
+        a1dd = omega * omega * a1 + float(r @ u_snap)
+        acc = np.array([0.0, -self.gravity]) + r * a1
+        return np.array([vx, vy, acc[0], acc[1], omega, a2, a1d, a1dd])
+
+    def flat_state(self, state: np.ndarray) -> np.ndarray:
+        """Map the VTOL state to the flat chain state [p, v, acc, jerk]."""
+        px, py, vx, vy, theta, omega, a1, a1d = np.asarray(state, dtype=float).ravel()
+        r = np.array([-math.sin(theta), math.cos(theta)])
+        rp = np.array([-math.cos(theta), -math.sin(theta)])
+        acc = np.array([0.0, -self.gravity]) + r * a1
+        jerk = rp * (omega * a1) + r * a1d
+        return np.concatenate([[px, py], [vx, vy], acc, jerk])
+
+    def state_from_flat(self, flat: np.ndarray) -> np.ndarray:
+        """Invert the flat map; picks the positive-thrust branch."""
+        flat = np.asarray(flat, dtype=float).ravel()
+        p, v, acc, jerk = flat[0:2], flat[2:4], flat[4:6], flat[6:8]
+        w = acc + np.array([0.0, self.gravity])
+        a1 = float(np.linalg.norm(w))
+        if a1 < self.thrust_floor:
+            raise ThrustSingularityError("flat state needs zero thrust")
+        theta = math.atan2(-w[0], w[1])
+        r = w / a1
+        rp = np.array([-math.cos(theta), -math.sin(theta)])
+        a1d = float(r @ jerk)
+        omega = float(rp @ jerk) / a1
+        return np.concatenate([p, v, [theta, omega, a1, a1d]])
 
 
-def vtol_derivative(plant: VtolNonlinear, state: np.ndarray, u_snap: np.ndarray) -> np.ndarray:
-    """Right-hand side of the VTOL with the linearizing feedback applied."""
-    px, py, vx, vy, theta, omega, a1, a1d = state
-    if abs(a1) < plant.thrust_floor:
-        raise ThrustSingularityError(f"thrust magnitude {a1:.3e} below floor")
-    r = np.array([-math.sin(theta), math.cos(theta)])
-    rp = np.array([-math.cos(theta), -math.sin(theta)])
-    a2 = -2.0 * omega * a1d / a1 + float(rp @ u_snap) / a1
-    a1dd = omega * omega * a1 + float(r @ u_snap)
-    acc = np.array([0.0, -plant.gravity]) + r * a1
-    return np.array([vx, vy, acc[0], acc[1], omega, a2, a1d, a1dd])
+@dataclass(frozen=True)
+class VelocityLoop(_PlanarPlant):
+    """Identified inner velocity loop: three integrators plus a first-order
+    stage dx4 = T4 (T3 (T2 (x2_ref - x2) - x3) - x4), diagonal per axis.
+    It takes the outer law only: its input is the reference x2_ref."""
 
+    t2: tuple[float, float] = IDENTIFIED_T2
+    t3: tuple[float, float] = IDENTIFIED_T3
+    t4: tuple[float, float] = IDENTIFIED_T4
+    levels: ClassVar[int] = 1
+    state_dim: ClassVar[int] = 8
 
-def step_vtol_nonlinear(plant: VtolNonlinear, state: np.ndarray, u_snap: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step of the VTOL under a held fourth-derivative command."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    state = np.asarray(state, dtype=float).ravel()
-    u_snap = np.asarray(u_snap, dtype=float).ravel()
-    return _check_finite(_rk4(lambda s: vtol_derivative(plant, s, u_snap), state, dt))
-
-
-def step_velocity_loop(plant: VelocityLoop, state: np.ndarray, x2_ref: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step of the identified velocity-loop cascade under a held reference."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    state = np.asarray(state, dtype=float).ravel()
-    x2_ref = np.asarray(x2_ref, dtype=float).ravel()
-    t2 = np.asarray(plant.t2)
-    t3 = np.asarray(plant.t3)
-    t4 = np.asarray(plant.t4)
-
-    def deriv(s):
-        x2, x3, x4 = s[2:4], s[4:6], s[6:8]
+    def derivative(self, state: np.ndarray, x2_ref: np.ndarray) -> np.ndarray:
+        x2, x3, x4 = state[2:4], state[4:6], state[6:8]
+        t2, t3, t4 = np.array((self.t2, self.t3, self.t4))
         return np.concatenate([
             x2, x3, x4,
             t4 * (t3 * (t2 * (x2_ref - x2) - x3) - x4),
         ])
 
-    return _check_finite(_rk4(deriv, state, dt))
 
+PlantModel = Union[IntegratorChain, VtolNonlinear, VelocityLoop]
 
-def flat_state_from_vtol(plant: VtolNonlinear, state: np.ndarray) -> np.ndarray:
-    """Map the VTOL state to the flat chain state [p, v, acc, jerk]."""
-    px, py, vx, vy, theta, omega, a1, a1d = np.asarray(state, dtype=float).ravel()
-    r = np.array([-math.sin(theta), math.cos(theta)])
-    rp = np.array([-math.cos(theta), -math.sin(theta)])
-    acc = np.array([0.0, -plant.gravity]) + r * a1
-    jerk = rp * (omega * a1) + r * a1d
-    return np.concatenate([[px, py], [vx, vy], acc, jerk])
-
-
-def vtol_state_from_flat(plant: VtolNonlinear, flat: np.ndarray) -> np.ndarray:
-    """Invert the flat map; picks the positive-thrust branch."""
-    flat = np.asarray(flat, dtype=float).ravel()
-    p, v, acc, jerk = flat[0:2], flat[2:4], flat[4:6], flat[6:8]
-    w = acc + np.array([0.0, plant.gravity])
-    a1 = float(np.linalg.norm(w))
-    if a1 < plant.thrust_floor:
-        raise ThrustSingularityError("flat state needs zero thrust")
-    theta = math.atan2(-w[0], w[1])
-    r = w / a1
-    rp = np.array([-math.cos(theta), -math.sin(theta)])
-    a1d = float(r @ jerk)
-    omega = float(rp @ jerk) / a1
-    return np.concatenate([p, v, [theta, omega, a1, a1d]])
+# The plants' methods as free functions that take the plant first.
+step_integrator_chain = IntegratorChain.step
+step_vtol_nonlinear = VtolNonlinear.step
+step_velocity_loop = VelocityLoop.step
+vtol_derivative = VtolNonlinear.derivative
+flat_state_from_vtol = VtolNonlinear.flat_state
+vtol_state_from_flat = VtolNonlinear.state_from_flat
 
 
 def exact_cascade_step_matrices(tracking_slopes: Sequence[float], dt: float):
@@ -239,17 +262,6 @@ class Trajectory:
         return self.times.shape[0] - 1
 
 
-def _controller_blocks(plant: PlantModel, state: np.ndarray, m: int) -> list[np.ndarray]:
-    if isinstance(plant, IntegratorChain):
-        return [state[i * plant.block_dim:(i + 1) * plant.block_dim] for i in range(plant.m)][:m]
-    if isinstance(plant, VelocityLoop):
-        return [state[0:2], state[2:4], state[4:6], state[6:8]][:m]
-    if isinstance(plant, VtolNonlinear):
-        flat = flat_state_from_vtol(plant, state)
-        return [flat[2 * i:2 * i + 2] for i in range(4)][:m]
-    raise TypeError(f"unknown plant {plant!r}")
-
-
 def run_closed_loop(
     plant: PlantModel,
     controller: CascadeController,
@@ -275,33 +287,24 @@ def run_closed_loop(
         raise ValueError(f"x0 has dim {state.shape[0]}, plant needs {plant.state_dim}")
     n_steps = int(round(horizon / dt))
     m = controller.m
-    if isinstance(plant, IntegratorChain):
-        if plant.m != m:
-            raise ValueError("controller levels must match the chain length")
-        block_dim = plant.block_dim
-    elif isinstance(plant, VelocityLoop):
-        if m != 1:
-            raise ValueError("velocity-loop plant takes the outer law only (m = 1)")
-        block_dim = 2
-    else:
-        if m != 4:
-            raise ValueError("the VTOL flat chain has four levels")
-        block_dim = 2
+    if plant.levels != m:
+        raise ValueError(f"{type(plant).__name__} takes {plant.levels} controller level(s), "
+                         f"the controller has {m}")
 
     exact_step = None
     if isinstance(plant, IntegratorChain) and controller.gains is not None \
-            and 1 + len(controller.gains.tracking_slopes) == plant.m:
+            and 1 + len(controller.gains.tracking_slopes) == m:
         e_mat, f_vec = exact_cascade_step_matrices(controller.gains.tracking_slopes, dt)
         f_col = f_vec[:, None]
 
         def exact_step(s, x2_star):
             # Row i of s.reshape(m, d) is block x_{i+1}; column ax is one axis.
-            return _check_finite((e_mat @ s.reshape(m, block_dim) + f_col * x2_star).ravel())
+            return _check_finite((e_mat @ s.reshape(m, 2) + f_col * x2_star).ravel())
 
     times = np.arange(n_steps + 1) * dt
     states = np.zeros((n_steps + 1, state.shape[0]))
-    inputs = np.zeros((n_steps + 1, block_dim))
-    stars = np.zeros((n_steps + 1, m * block_dim))
+    inputs = np.zeros((n_steps + 1, 2))
+    stars = np.zeros((n_steps + 1, 2 * m))
     margins_h = np.zeros((n_steps + 1, len(certs)))
     margins_v = np.zeros((n_steps + 1, len(certs)))
     termination = "completed"
@@ -310,7 +313,7 @@ def run_closed_loop(
     reuse = own is not None and len(own) == len(certs) and all(a is b for a, b in zip(own, certs))
 
     for k in range(n_steps + 1):
-        blocks = _controller_blocks(plant, state, m)
+        blocks = plant.blocks(state)
         x1 = blocks[0]
         states[k] = state
         recorded = k + 1
@@ -338,14 +341,8 @@ def run_closed_loop(
         try:
             if exact_step is not None:
                 state = exact_step(state, ev.x_stars[0])
-            elif isinstance(plant, IntegratorChain):
-                state = step_integrator_chain(plant, state, ev.u, dt)
-            elif isinstance(plant, VelocityLoop):
-                state = step_velocity_loop(plant, state, ev.u, dt)
-            elif isinstance(plant, VtolNonlinear):
-                state = step_vtol_nonlinear(plant, state, ev.u, dt)
             else:
-                raise TypeError(f"unknown plant {plant!r}")
+                state = plant.step(state, ev.u, dt)
         except ThrustSingularityError:
             termination = "thrust_singularity"
             break

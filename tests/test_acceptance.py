@@ -351,7 +351,7 @@ def test_criterion_8_single_level_decay():
     law = safety_virtual_law(WALLS, lambda x: np.array([0.6, 1.0]), basis,
                              UNIT_BOUNDS, rate, k_phi=2.0)
     controller = CascadeController(rho1=law, tracking_laws=(), gains=None)
-    plant = IntegratorChain(m=1, block_dim=2)
+    plant = IntegratorChain(m=1)
     dt = 1e-3
     threshold = 1.4
     x0 = np.array([0.0, 0.51])   # inside the low wall's inflated band

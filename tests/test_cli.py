@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safecascade import cli, reshaping
 from safecascade.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_SIM,
     bundled_config,
     cmd_audit,
     cmd_basis_check,
@@ -228,6 +236,27 @@ def test_mutated_configs_raise_only_config_errors(text):
         pass
 
 
+_K1_LINE = re.compile(r"^cascade\.k1\s*=.*\n?", re.M)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_mutated_config())
+def test_mutated_configs_run_to_a_documented_exit_code(text):
+    # A short run of a mutated config ends in success, a config error or a
+    # simulation error, never in a traceback. k1 is numeric, so no example
+    # runs the grid estimate.
+    text = _K1_LINE.sub("", text) + "cascade.k1 = 3.49\n"
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out"),
+                     "--dt", "1e-3", "--horizon", "0.01"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIM)
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("key, value, flags", [
     ("sim.horizon_s", "0.0004", ["--dt", "1e-4"]),
     ("sim.dt_s", "nan", ["--dt", "1e-3", "--horizon", "0.004"]),
@@ -260,6 +289,44 @@ def test_run_that_leaves_the_workspace_names_that_cause(tmp_path):
     assert data.shape[0] == 3
     assert abs(data[-1, header.index("x1_0")]) > 1e5
     np.testing.assert_array_equal(data[-1, [header.index("u_0"), header.index("u_1")]], [0.0, 0.0])
+
+
+def test_vtol_overflow_ends_the_run_without_a_warning(tmp_path, capsys):
+    # At dt = 1e-5 the stock gains drive the held-snap VTOL to overflow in
+    # the step after its eleventh row; the step reports a non-finite state
+    # instead of numpy warning about the overflow.
+    cfg = tmp_path / "vtol.cfg"
+    cfg.write_text(_with_key(bundled_config("vtol_safe").read_text(), "plant.kind", "vtol_nonlinear"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--dt", "1e-5", "--horizon", "0.01"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["trajectory"]["termination"] == "nonfinite_state"
+    _, data = read_trajectory_csv(out / "trajectory.csv")
+    assert data.shape[0] == 11
+
+
+def test_run_and_audit_validate_the_basis_once(tmp_path, monkeypatch):
+    calls = []
+    validate = reshaping.validate_positive_basis
+
+    def counted(basis, samples=500):
+        calls.append(samples)
+        return validate(basis, samples)
+
+    monkeypatch.setattr(reshaping, "validate_positive_basis", counted)
+    monkeypatch.setattr(cli, "validate_positive_basis", counted)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bundled_config("vtol_unsafe")), "--out", str(out),
+                 "--horizon", "0.01"]) == EXIT_OK
+    assert calls == [500]
+    assert json.loads((out / "metrics.json").read_text())["basis_validation"]["samples"] == 500
+    calls.clear()
+    assert main(["audit", "--config", str(bundled_config("vtol_unsafe"))]) == EXIT_OK
+    assert calls == [500]
 
 
 def test_run_rejects_bad_config_without_outputs(tmp_path):

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from safecascade.cascade import CascadeController, CascadeGains, build_cascade_controller
 from safecascade.certificates import CertificateSpec, Segment, certificate_value, exp_alpha_bar_for_level
-from safecascade.errors import ThrustSingularityError
+from safecascade.errors import NonFiniteStateError, ThrustSingularityError
 from safecascade.qcqp_safety import PlantBounds, RateSpec
 from safecascade.qp_solver import PolygonRows
 from safecascade.reshaping import make_positive_basis
@@ -48,7 +49,7 @@ def free_controller(slopes, nominal=(0.6, 1.0)):
 # ---------------------------------------------------------------- steppers
 
 def test_double_integrator_at_rest_stays_put():
-    plant = IntegratorChain(m=2, block_dim=2)
+    plant = IntegratorChain(m=2)
     state = np.zeros(4)
     for _ in range(100):
         state = step_integrator_chain(plant, state, np.zeros(2), 1e-2)
@@ -58,7 +59,7 @@ def test_double_integrator_at_rest_stays_put():
 def test_chain_matches_polynomial_flow():
     # Constant input on the 4-chain: x1(t) = u t^4 / 24 exactly (the chain
     # is nilpotent, so one RK4 step reproduces the exact flow).
-    plant = IntegratorChain(m=4, block_dim=2)
+    plant = IntegratorChain(m=4)
     u = np.array([0.3, -1.1])
     dt, steps = 1e-3, 1000
     state = np.zeros(8)
@@ -103,6 +104,17 @@ def test_vtol_thrust_singularity_guard():
     state = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-6, 0.0])
     with pytest.raises(ThrustSingularityError):
         step_vtol_nonlinear(plant, state, np.zeros(2), 1e-3)
+
+
+@pytest.mark.parametrize("state", [
+    [0.0, 0.0, 0.0, 0.0, math.inf, 0.0, 9.81, 0.0],    # math.sin(inf) is a domain error
+    [0.0, 0.0, 0.0, 0.0, 0.0, 1e200, 9.81, 1e200],     # omega * omega overflows
+])
+def test_vtol_step_stops_at_a_nonfinite_stage(state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError):
+            step_vtol_nonlinear(VtolNonlinear(gravity=9.81), np.array(state), np.zeros(2), 1e-3)
 
 
 def test_velocity_loop_stage_equilibrium():
@@ -173,7 +185,7 @@ def test_feedback_linearization_consistency_with_chain():
     # flat 4-chain with the same piecewise-constant input from the same flat
     # state; the positions agree to integration accuracy.
     plant = VtolNonlinear(gravity=9.81)
-    chain = IntegratorChain(m=4, block_dim=2)
+    chain = IntegratorChain(m=4)
     dt, steps = 1e-3, 1000
     vtol_state = np.array([0.0, 0.0, 0.3, 0.2, 0.05, -0.1, 9.81, 0.2])
     chain_state = flat_state_from_vtol(plant, vtol_state)
@@ -230,7 +242,7 @@ def test_exact_cascade_step_matches_rk4_when_stable():
     e_mat, f_vec = exact_cascade_step_matrices(slopes, 1e-3)
     gains = CascadeGains(tracking_slopes=slopes, k1=1.0)
     controller = free_controller(slopes, nominal=(0.3, -0.5))
-    plant = IntegratorChain(m=3, block_dim=2)
+    plant = IntegratorChain(m=3)
     state = np.zeros(6)
     state[:2] = [1.0, -1.0]
     state_rk = state.copy()
@@ -251,7 +263,7 @@ def test_closed_loop_exact_step_matches_per_axis_reference():
     # (m x m) @ (m x d) product; the reference is the per-axis product
     # E x_axis + F x2*_axis. Only the summation order may differ, so the
     # match is to a few ulps of each entry's magnitude.
-    plant = IntegratorChain(m=4, block_dim=2)
+    plant = IntegratorChain(m=4)
     slopes = (8.0, 320.0, 4.0e5)
     controller = wall_controller(slopes)
     e_mat, f_vec = exact_cascade_step_matrices(slopes, 1e-3)
@@ -271,9 +283,29 @@ def test_closed_loop_exact_step_matches_per_axis_reference():
 
 # ------------------------------------------------------------- closed loop
 
+@pytest.mark.parametrize("plant", [IntegratorChain(m=4), VtolNonlinear(gravity=9.81), VelocityLoop()],
+                         ids=["chain", "vtol", "velocity_loop"])
+def test_plant_interface(plant):
+    x1 = np.array([-2.0, 1.0])
+    state = plant.initial_state(x1)
+    assert state.shape == (plant.state_dim,)
+    blocks = plant.blocks(state)
+    assert len(blocks) == plant.levels
+    np.testing.assert_array_equal(blocks[0], x1)
+    for block in blocks[1:]:
+        np.testing.assert_array_equal(block, np.zeros(2))
+    if isinstance(plant, VtolNonlinear):
+        assert state[6] == plant.gravity    # hover thrust
+    # At rest: a zero input holds the initial state.
+    np.testing.assert_allclose(plant.step(state, np.zeros(2), 1e-3), state, rtol=0.0, atol=1e-12)
+    # No plant here takes two levels; the mismatch names the plant.
+    with pytest.raises(ValueError, match=f"{type(plant).__name__} takes {plant.levels} "):
+        run_closed_loop(plant, free_controller((8.0,)), state, horizon=0.01, dt=1e-3)
+
+
 def test_zero_obstacles_drift_along_nominal():
     controller = free_controller((8.0, 320.0, 4.0e5))
-    plant = IntegratorChain(m=4, block_dim=2)
+    plant = IntegratorChain(m=4)
     traj = run_closed_loop(plant, controller, np.zeros(8), horizon=3.0, dt=1e-3)
     displacement = traj.states[-1][:2]
     direction = displacement / np.linalg.norm(displacement)
@@ -284,7 +316,7 @@ def test_zero_obstacles_drift_along_nominal():
 
 def test_workspace_exit_terminates_early():
     controller = free_controller((8.0, 320.0, 4.0e5))
-    plant = IntegratorChain(m=4, block_dim=2)
+    plant = IntegratorChain(m=4)
     traj = run_closed_loop(plant, controller, np.zeros(8), horizon=10.0, dt=1e-3,
                            workspace=((-1.0, 1.0), (-1.0, 1.0)))
     assert traj.termination == "left_workspace"
@@ -292,7 +324,7 @@ def test_workspace_exit_terminates_early():
 
 
 def test_wall_scenario_safe_and_unsafe_dichotomy_short():
-    plant = IntegratorChain(m=4, block_dim=2)
+    plant = IntegratorChain(m=4)
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     safe = run_closed_loop(plant, wall_controller((8.0, 320.0, 4.0e5)), x0,
@@ -305,7 +337,7 @@ def test_wall_scenario_safe_and_unsafe_dichotomy_short():
 
 def test_metrics_empty_certificates_use_null_sentinel():
     controller = free_controller((8.0,))
-    plant = IntegratorChain(m=2, block_dim=2)
+    plant = IntegratorChain(m=2)
     traj = run_closed_loop(plant, controller, np.zeros(4), horizon=0.5, dt=1e-3)
     mets = trajectory_metrics(traj, [])
     assert mets.min_clearance is None
@@ -315,7 +347,7 @@ def test_metrics_empty_certificates_use_null_sentinel():
 
 def test_trajectory_grid_is_uniform_and_finite():
     controller = wall_controller((8.0, 320.0, 4.0e5))
-    plant = IntegratorChain(m=4, block_dim=2)
+    plant = IntegratorChain(m=4)
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     traj = run_closed_loop(plant, controller, x0, horizon=0.25, dt=1e-3, certs=WALLS)
@@ -338,7 +370,7 @@ def test_single_integrator_decay_outside_threshold():
     law = safety_virtual_law(WALLS, lambda x: np.array([0.6, 1.0]), basis,
                              UNIT_BOUNDS, rate, k_phi=2.0)
     controller = CascadeController(rho1=law, tracking_laws=(), gains=gains)
-    plant = IntegratorChain(m=1, block_dim=2)
+    plant = IntegratorChain(m=1)
     x0 = np.array([0.0, 0.51])            # 0.01 m above the low wall spine
     threshold = 1.4
     traj = run_closed_loop(plant, controller, x0, horizon=2.0, dt=1e-3, certs=WALLS)
@@ -377,7 +409,7 @@ def test_margins_reuse_the_controllers_certificate_values(monkeypatch):
     # from the controller's evaluation, bit for bit what certificate_value
     # gives at x_1, and the simulator evaluates nothing itself.
     calls = _counting_certificate_value(monkeypatch)
-    plant = IntegratorChain(m=4, block_dim=2)
+    plant = IntegratorChain(m=4)
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     controller = wall_controller((8.0, 320.0, 4.0e5))
@@ -389,7 +421,7 @@ def test_margins_reuse_the_controllers_certificate_values(monkeypatch):
 
 def test_margins_on_a_left_workspace_final_row(monkeypatch):
     calls = _counting_certificate_value(monkeypatch)
-    plant = IntegratorChain(m=4, block_dim=2)
+    plant = IntegratorChain(m=4)
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     traj = run_closed_loop(plant, wall_controller((8.0, 320.0, 4.0e5)), x0, horizon=2.0,
@@ -417,7 +449,7 @@ def test_margins_on_a_controller_error_final_row(monkeypatch):
         bounds=UNIT_BOUNDS, rates=RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
-    traj = run_closed_loop(IntegratorChain(m=4, block_dim=2), controller, x0, horizon=2.0,
+    traj = run_closed_loop(IntegratorChain(m=4), controller, x0, horizon=2.0,
                            dt=1e-3, certs=WALLS)
     assert traj.termination == "controller_error: InfeasibleError"
     assert calls == list(WALLS)
@@ -431,7 +463,7 @@ def test_margins_of_other_certificates_are_evaluated_by_the_simulator(monkeypatc
     others = [CertificateSpec(c.geometry, safe_distance=0.5) for c in WALLS]
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
-    traj = run_closed_loop(IntegratorChain(m=4, block_dim=2), wall_controller((8.0, 320.0, 4.0e5)),
+    traj = run_closed_loop(IntegratorChain(m=4), wall_controller((8.0, 320.0, 4.0e5)),
                            x0, horizon=0.05, dt=1e-3, certs=others)
     assert len(calls) == traj.times.shape[0] * len(others)
     # The controller's own clearances would be 0.15 m larger.
