@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cascade import CascadeController
 from .certificates import CertificateSpec, certificate_value
@@ -203,14 +202,77 @@ flat_state_from_vtol = VtolNonlinear.flat_state
 vtol_state_from_flat = VtolNonlinear.state_from_flat
 
 
+# Pade 13 numerator coefficients and the 1-norm up to which it is accurate
+# to double precision without scaling (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parlett-Reinsch balancing by powers of 2: returns (D^-1 A D, diag D).
+
+    Each pass scales one index so its off-diagonal row and column sums
+    meet; powers of 2 keep the similarity exact in floating point.
+    """
+    a = a.copy()
+    d = np.ones(a.shape[0])
+    done = False
+    while not done:
+        done = True
+        for i in range(a.shape[0]):
+            col = np.abs(a[:, i]).sum() - abs(a[i, i])
+            row = np.abs(a[i, :]).sum() - abs(a[i, i])
+            if col == 0.0 or row == 0.0:
+                continue
+            f = 2.0 ** round(0.5 * math.log2(row / col))
+            if col * f + row / f < 0.95 * (col + row):
+                a[:, i] *= f
+                a[i, :] /= f
+                d[i] *= f
+                done = False
+    return a, d
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: balancing, then Pade 13 with scaling and squaring
+    (Higham 2005, "The scaling and squaring method for the matrix
+    exponential revisited").
+
+    The balancing matters for the cascade step blocks, whose entries span
+    up to ten orders of magnitude: at the stock gains and dt = 1 ms it cuts
+    the 1-norm from 1e6 to about 400, and the squarings, whose rounding the
+    unbalanced form amplifies to 1e-7 of the largest entry, from 18 to 7.
+    """
+    a, d = _balance(np.asarray(a, dtype=float))
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+    a = a / 2.0 ** squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r * d[:, None] / d[None, :]
+
+
 def exact_cascade_step_matrices(tracking_slopes: Sequence[float], dt: float):
     """Exact per-axis discrete map for the inner linear cascade levels.
 
     With the outer virtual control frozen over the step, the chain under the
     proportional tracking laws is LTI per axis: x' = A x + B x2*. Returns
-    (E, F) with x+ = E x + F x2*, computed from one matrix exponential.
-    Stable for any dt because the exact flow of a Hurwitz-plus-integrator
-    system never amplifies.
+    (E, F) with x+ = E x + F x2*, computed from one matrix exponential of
+    the input-augmented block (expm: balanced Pade 13 with scaling and
+    squaring). Stable for any dt because the exact flow of a
+    Hurwitz-plus-integrator system never amplifies.
     """
     m = 1 + len(tracking_slopes)
     coeffs = np.zeros(m)       # coefficient of x_i in u, i = 1..m (index 0 unused)

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safecascade
 from safecascade import cli, reshaping
 from safecascade.cli import (
     EXIT_CONFIG,
@@ -327,6 +332,59 @@ def test_run_and_audit_validate_the_basis_once(tmp_path, monkeypatch):
     calls.clear()
     assert main(["audit", "--config", str(bundled_config("vtol_unsafe"))]) == EXIT_OK
     assert calls == [500]
+
+
+def test_basis_check_validates_the_basis_once(monkeypatch, capsys):
+    calls = []
+    validate = reshaping.validate_positive_basis
+
+    def counted(basis, samples=500):
+        calls.append(samples)
+        return validate(basis, samples)
+
+    monkeypatch.setattr(reshaping, "validate_positive_basis", counted)
+    monkeypatch.setattr(cli, "validate_positive_basis", counted)
+    assert main(["basis-check", "--n-u", "2", "--n-l", "11"]) == EXIT_OK
+    assert calls == [500]
+    assert "coverage failures 0/500" in capsys.readouterr().out
+    calls.clear()
+    assert main(["basis-check", "--n-u", "2", "--n-l", "11", "--samples", "200"]) == EXIT_OK
+    assert calls == [500, 200]
+    assert "coverage failures 0/200" in capsys.readouterr().out
+
+
+_WITHOUT_SCIPY = textwrap.dedent("""
+    import json
+    import sys
+    from importlib.abc import MetaPathFinder
+
+    class RefuseScipy(MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is refused")
+            return None
+
+    sys.meta_path.insert(0, RefuseScipy())
+    from safecascade.cli import bundled_config, main
+
+    codes = [
+        main(["run", "--config", str(bundled_config("vtol_unsafe")), "--out", sys.argv[1],
+              "--horizon", "0.01"]),
+        main(["audit", "--config", str(bundled_config("vtol_safe"))]),
+        main(["basis-check", "--n-u", "3", "--n-l", "14"]),
+    ]
+    print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+""")
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = str(Path(safecascade.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK, EXIT_OK, EXIT_OK], "scipy": []}
 
 
 def test_run_rejects_bad_config_without_outputs(tmp_path):

@@ -18,6 +18,7 @@ from safecascade.qcqp_safety import (
     disc_constraint_set,
     lipschitz_selection,
 )
+from safecascade import reshaping
 from safecascade.qp_solver import Polyhedron, solve_projection_qp
 from safecascade.reshaping import (
     PositiveBasis,
@@ -96,6 +97,47 @@ def test_three_dimensional_basis_constructs_and_validates():
     assert report.coverage_failures == 0
     assert report.min_subset_sigma > 1e-8
     assert 0.0 < basis.c_a < 1.0
+
+
+def _nnls_coverage(basis, samples):
+    """Coverage failures and the first failing probe by nonnegative least
+    squares on the rows within each probe's coverage cone."""
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    failures, first = 0, None
+    for probe in reshaping._unit_probes(basis.n_u, samples):
+        chosen = basis.a_l[basis.a_l @ probe >= basis.c_a - 1e-12]
+        if chosen.shape[0] < basis.n_u or nnls(chosen.T, probe)[1] > 1e-8:
+            failures += 1
+            first = probe if first is None else first
+    return failures, first
+
+
+_CROSS_CHECK_BASES = [(2, 3), (2, 5), (2, 11), (2, 21), (3, 10), (3, 14), (3, 20)]
+
+
+@pytest.mark.parametrize("oversized", [False, True])
+@pytest.mark.parametrize("n_u, n_l", _CROSS_CHECK_BASES)
+def test_cone_coverage_matches_nnls(n_u, n_l, oversized):
+    basis = make_positive_basis(n_u, n_l)
+    if oversized:
+        basis = PositiveBasis(basis.a_l, basis.c_a + 0.25 * (1.0 - basis.c_a))
+    report = validate_positive_basis(basis, samples=500)
+    failures, first = _nnls_coverage(basis, 500)
+    assert report.coverage_failures == failures
+    assert (failures > 0) == oversized
+    if oversized:
+        np.testing.assert_array_equal(report.first_failure, first)
+    else:
+        assert report.first_failure is None
+
+
+def test_cone_coverage_matches_nnls_on_a_duplicated_row():
+    rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.7071067811865476, -0.7071067811865476]])
+    basis = PositiveBasis(rows, 0.3)
+    report = validate_positive_basis(basis, samples=200)
+    failures, first = _nnls_coverage(basis, 200)
+    assert report.coverage_failures == failures > 0
+    np.testing.assert_array_equal(report.first_failure, first)
 
 
 # ------------------------------------------------------------------- cbar_a

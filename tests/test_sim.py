@@ -15,6 +15,7 @@ from safecascade.sim import (
     VelocityLoop,
     VtolNonlinear,
     exact_cascade_step_matrices,
+    expm,
     flat_state_from_vtol,
     run_closed_loop,
     step_integrator_chain,
@@ -279,6 +280,46 @@ def test_closed_loop_exact_step_matches_per_axis_reference():
             ref[idx] = e_mat @ state[idx] + f_vec * x2_star[axis]
             scale[idx] = np.abs(e_mat) @ np.abs(state[idx]) + np.abs(f_vec * x2_star[axis])
         assert np.all(np.abs(traj.states[k + 1] - ref) <= 8 * np.finfo(float).eps * scale), k
+
+
+def _step_block(slopes, dt):
+    """The input-augmented block whose exponential is the exact step:
+    x' = A x + B x2* with the chain under proportional tracking."""
+    m = 1 + len(slopes)
+    block = np.zeros((m + 1, m + 1))
+    block[np.arange(m - 1), np.arange(1, m)] = 1.0
+    coeffs, star = np.zeros(m), 1.0
+    for level, big_k in enumerate(slopes, start=2):
+        coeffs, star = coeffs * big_k, star * big_k
+        coeffs[level - 1] -= big_k
+    block[m - 1, :m] = coeffs
+    block[m - 1, m] = star
+    return block * dt
+
+
+@pytest.mark.parametrize("dt", [1e-5, 1e-3, 1e-2])
+@pytest.mark.parametrize("slopes", [(8.0, 320.0, 4.0e5), (8.0, 8.0, 8.0), (320.0, 4.0e5, 8.0),
+                                    (17.61, 1397.0, 8.793e6)])
+def test_expm_matches_scipy_on_the_step_blocks(slopes, dt):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    block = _step_block(slopes, dt)
+    got, ref = expm(block), scipy_linalg.expm(block)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    m = len(slopes) + 1
+    e_mat, f_vec = exact_cascade_step_matrices(slopes, dt)
+    np.testing.assert_array_equal(e_mat, got[:m, :m])
+    np.testing.assert_array_equal(f_vec, got[:m, m])
+
+
+def test_exact_step_obeys_the_semigroup_law():
+    # Two steps of dt are one step of 2 dt: E(2dt) = E(dt)^2 and
+    # F(2dt) = E(dt) F(dt) + F(dt), each entry to within 1e-12 of the
+    # magnitudes that form it.
+    slopes = (8.0, 320.0, 4.0e5)
+    e1, f1 = exact_cascade_step_matrices(slopes, 1e-3)
+    e2, f2 = exact_cascade_step_matrices(slopes, 2e-3)
+    assert np.all(np.abs(e2 - e1 @ e1) <= 1e-12 * (np.abs(e1) @ np.abs(e1)))
+    assert np.all(np.abs(f2 - (e1 @ f1 + f1)) <= 1e-12 * (np.abs(e1) @ np.abs(f1) + np.abs(f1)))
 
 
 # ------------------------------------------------------------- closed loop
