@@ -2,7 +2,9 @@
 design audits, and basis checks.
 
 Exit codes: 0 success (an unsafe trajectory is still a successful run),
-2 configuration problems, 3 I/O failures, 4 simulation/controller errors.
+2 configuration problems (a config or command-line value out of range, or
+a basis that cannot be built), 3 I/O failures, 4 simulation/controller
+errors.
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from .output import (
 )
 from .qcqp_safety import disc_constraint_set, lipschitz_selection, rate_condition_audit
 from .qp_solver import Polyhedron, solve_projection_qp
-from .reshaping import make_positive_basis, reshaped_filter, sample_polytope_2d, reshape_b_l, validate_positive_basis
+from .reshaping import (MAX_DIRECTIONS, make_positive_basis, reshape_b_l, reshaped_filter,
+                        sample_polytope_2d, validate_positive_basis)
 from .scenario import Scenario, build_scenario, check_time_grid, load_scenario
 from .sim import run_closed_loop, trajectory_metrics
 
@@ -333,10 +336,9 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(out / cfg.get("output.csv", "trajectory.csv"), traj)
-        write_scene_svg(out / cfg.get("output.svg", "path.svg"), traj,
-                        scenario.certificates, scenario.workspace)
-        write_metrics_json(out / cfg.get("output.metrics", "metrics.json"), doc)
+        write_trajectory_csv(out / cfg["output.csv"], traj)
+        write_scene_svg(out / cfg["output.svg"], traj, scenario.certificates, scenario.workspace)
+        write_metrics_json(out / cfg["output.metrics"], doc)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -381,9 +383,8 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
               f"min subset sigma {rep.min_subset_sigma:.4f}, "
               f"coverage failures {rep.coverage_failures}/{rep.samples}")
     if scenario.certificates:
-        (x_rng, y_rng) = scenario.workspace
-        rep = disjointness_audit(scenario.certificates, (x_rng, y_rng),
-                                 samples=cfg.get("audit.samples", 2000), seed=scenario.seed)
+        rep = disjointness_audit(scenario.certificates, scenario.workspace,
+                                 samples=cfg["audit.samples"], seed=scenario.seed)
         grad_floor = "n/a" if math.isinf(rep.min_gradient_norm) else f"{rep.min_gradient_norm:.4f}"
         print(f"disjointness: {rep.joint_violations} joint-superlevel samples out of "
               f"{rep.samples}; gradient floor {grad_floor}")
@@ -395,10 +396,9 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
         try:
             rc = rate_condition_audit(
                 scenario.rate, scenario.certificates[0].level, scenario.threshold,
-                scenario.gains.theta if scenario.gains else 0.001,
-                scenario.gains.gamma_12_slope if scenario.gains else 4.0,
+                cfg["cascade.theta"], cfg["cascade.gamma_12_slope"],
                 scenario.bounds, v_max=max(v_max, scenario.threshold * 1.01),
-                grid=cfg.get("audit.grid", 200),
+                grid=cfg["audit.grid"],
             )
             print(f"rate condition above threshold {rc.threshold:g}: "
                   f"min margin {rc.min_margin:+.6g} at V={rc.argmin_v:.4g} "
@@ -414,7 +414,7 @@ def cmd_basis_check(n_u: int, n_l: int, samples: int = 500) -> int:
         basis = make_positive_basis(n_u, n_l)
     except SafecascadeError as exc:
         print(f"basis construction failed: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CONFIG
     # make_positive_basis has already validated at the default 500 probes.
     rep = basis.report if samples == 500 else validate_positive_basis(basis, samples=samples)
     print(f"basis n_u={n_u} n_l={n_l}: c_a={basis.c_a:.6g}")
@@ -430,12 +430,28 @@ def bundled_config(name: str) -> Path:
     return Path(str(resources.files("safecascade.configs").joinpath(f"{name}.cfg")))
 
 
-def _seed(text: str) -> int:
-    """A nonnegative integer seed, for argparse (numpy rejects negatives)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
-    return value
+def _checked(name: str, parse, ok, rule: str):
+    """An argparse type: text that parse turns into a value ok accepts; a
+    usage error stating rule otherwise."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text!r}")
+        return value
+    return convert
+
+
+# numpy rejects negative seeds; the gap radius must leave a gap between the
+# discs; validate_positive_basis needs 100 probes.
+_seed = _checked("seed", int, lambda v: v >= 0, "nonnegative")
+_radius = _checked("radius", float, lambda v: 0.0 < v < 1.0, "finite, in (0, 1)")
+_grid = _checked("grid", int, lambda v: v >= 2, "at least 2")
+_n_u = _checked("n-u", int, lambda v: v in (2, 3), "2 or 3")
+_n_l = _checked("n-l", int, lambda v: v <= MAX_DIRECTIONS, f"at most {MAX_DIRECTIONS}")
+_samples = _checked("samples", int, lambda v: v >= 100, "at least 100")
 
 
 def main(argv=None) -> int:
@@ -452,13 +468,13 @@ def main(argv=None) -> int:
 
     p_e1 = sub.add_parser("example1", help="raw gap-crossing filter sweep")
     p_e1.add_argument("--out", default="out/example1")
-    p_e1.add_argument("--radius", type=float, default=0.99)
-    p_e1.add_argument("--grid", type=int, default=161)
+    p_e1.add_argument("--radius", type=_radius, default=0.99)
+    p_e1.add_argument("--grid", type=_grid, default=161)
 
     p_e2 = sub.add_parser("example2", help="reshaped gap-crossing filter sweep")
     p_e2.add_argument("--out", default="out/example2")
-    p_e2.add_argument("--radius", type=float, default=0.99)
-    p_e2.add_argument("--grid", type=int, default=101)
+    p_e2.add_argument("--radius", type=_radius, default=0.99)
+    p_e2.add_argument("--grid", type=_grid, default=101)
     p_e2.add_argument("--seed", type=_seed, default=0)
 
     p_audit = sub.add_parser("audit", help="print design audits for a config")
@@ -466,9 +482,9 @@ def main(argv=None) -> int:
     p_audit.add_argument("--seed", type=_seed, default=None)
 
     p_basis = sub.add_parser("basis-check", help="construct and validate a positive basis")
-    p_basis.add_argument("--n-u", type=int, default=2)
-    p_basis.add_argument("--n-l", type=int, default=11)
-    p_basis.add_argument("--samples", type=int, default=500)
+    p_basis.add_argument("--n-u", type=_n_u, default=2)
+    p_basis.add_argument("--n-l", type=_n_l, default=11)
+    p_basis.add_argument("--samples", type=_samples, default=500)
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -32,21 +32,44 @@ from .qcqp_safety import ConstraintSet, selection_with_slack
 from .qp_solver import Polyhedron, PolygonRows, solve_projection_qp
 
 
+# The largest basis the configs and the command line accept: the plane's
+# basis builds in milliseconds there, and a projection's vertex stage holds
+# C(n_l, 2) vertices per state.
+MAX_DIRECTIONS = 101
+
+
+def subset_stack(a_l: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """What coverage tests of the rows a_l at any c_a share, from one batched
+    SVD over all n_u-subsets: the smallest singular value over all subsets,
+    and the row indices (S, n_u) and inverse transposes (S, n_u, n_u) of the
+    S nonsingular subsets (a subset's coefficients for a probe are
+    inv_t @ probe)."""
+    n_l, n_u = a_l.shape
+    subsets = np.array(list(itertools.combinations(range(n_l), n_u)), dtype=np.intp).reshape(-1, n_u)
+    stack = a_l[subsets]                                        # (S, n_u, n_u): each subset's rows
+    sigma = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    nonsingular = sigma > 1e-12
+    return (float(sigma.min(initial=math.inf)), subsets[nonsingular],
+            np.linalg.inv(stack[nonsingular].transpose(0, 2, 1)))
+
+
 @dataclass(frozen=True)
 class PositiveBasis:
     """Unit row directions positively spanning the input space.
 
     c_a is the coverage constant: every unit vector is a nonnegative
     combination of the rows whose inner product with it is at least c_a.
-    The basis is fixed: a_l is a read-only copy of the rows, and for
-    n_u = 2 the basis keeps their polygon structure (PolygonRows: row
-    norms, and the pair-vertex table once a projection or a SafetyLaw
-    first needs it), which every projection would otherwise rebuild, and
-    its 500-probe validation report once first read.
+    The basis is fixed: a_l is a read-only copy of the rows, and the basis
+    keeps their subset stack (built here unless given, and then it must be
+    the stack of these rows), for n_u = 2 their polygon structure
+    (PolygonRows: row norms, and the pair-vertex table once a projection or
+    a SafetyLaw first needs it), which every projection would otherwise
+    rebuild, and its 500-probe validation report once first read.
     """
 
     a_l: np.ndarray
     c_a: float
+    subsets: tuple | None = field(default=None, repr=False, compare=False)
     polygon: PolygonRows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,6 +84,8 @@ class PositiveBasis:
             raise ValueError("coverage constant must lie in (-1, 1)")
         a_l.flags.writeable = False     # the kept polygon structure reads these rows
         object.__setattr__(self, "a_l", a_l)
+        if self.subsets is None:
+            object.__setattr__(self, "subsets", subset_stack(a_l))
         object.__setattr__(self, "polygon", PolygonRows(a_l) if a_l.shape[1] == 2 else None)
 
     @property
@@ -95,7 +120,8 @@ def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
     n_u = 2: regular polygon directions at angles 2*pi*i/n_l with coverage
     cos(2*pi/n_l); n_l must be odd and > 2 so no two rows are collinear.
     n_u = 3: Fibonacci-sphere directions with the coverage constant taken
-    from a sampled worst case and then verified.
+    from a sampled worst case, shrunk by 2 % until the 500 validation
+    probes are covered, and then verified.
     """
     if n_u == 2:
         if n_l <= n_u:
@@ -111,9 +137,12 @@ def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
             raise BadCountError("need more directions than dimensions")
         rows = _fibonacci_sphere(n_l)
         c_a = _sampled_coverage_constant(rows)
+        # Only the chosen rows depend on c_a, so one subset stack serves
+        # every candidate constant.
+        stack = subset_stack(rows)
         basis = None
         while c_a > 1e-3:
-            candidate = PositiveBasis(rows, c_a)
+            candidate = PositiveBasis(rows, c_a, subsets=stack)
             if candidate.report.coverage_failures == 0:
                 basis = candidate
                 break
@@ -166,26 +195,20 @@ class BasisReport:
 def validate_positive_basis(basis: PositiveBasis, samples: int = 500) -> BasisReport:
     """Check the three positive-basis properties by direct computation.
 
-    Unit rows and subset conditioning are exact: one batched SVD over the
-    stack of all n_u-subsets of the rows. Coverage is sampled, and for each
-    probe direction the rows within the coverage cone must positively span
-    it. That is decided exactly by Caratheodory's theorem for conic hulls:
-    the probe lies in the cone of the chosen rows iff some n_u linearly
-    independent chosen rows give it nonnegative coefficients, so the
-    probes are solved against the inverses of the nonsingular subsets whose
-    rows are all chosen. Report-only.
+    Unit rows and subset conditioning are exact, the latter from the
+    basis's subset stack. Coverage is sampled, and for each probe direction
+    the rows within the coverage cone must positively span it. That is
+    decided exactly by Caratheodory's theorem for conic hulls: the probe
+    lies in the cone of the chosen rows iff some n_u linearly independent
+    chosen rows give it nonnegative coefficients, so the probes are solved
+    against the inverses of the nonsingular subsets whose rows are all
+    chosen. Report-only.
     """
     if samples < 100:
         raise ValueError("use at least 100 probe directions")
     a_l = basis.a_l
     max_dev = float(np.max(np.abs(np.linalg.norm(a_l, axis=1) - 1.0)))
-    combos = itertools.combinations(range(basis.n_l), basis.n_u)
-    subsets = np.array(list(combos), dtype=np.intp).reshape(-1, basis.n_u)
-    stack = a_l[subsets]                                        # (S, n_u, n_u): each subset's rows
-    sigma = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    nonsingular = sigma > 1e-12
-    subsets = subsets[nonsingular]
-    inv_t = np.linalg.inv(stack[nonsingular].transpose(0, 2, 1))  # coefficients = inv_t @ probe
+    min_sigma, subsets, inv_t = basis.subsets
     probes = _unit_probes(basis.n_u, samples)
     chosen = probes @ a_l.T >= basis.c_a - 1e-12
     covered = np.zeros(samples, dtype=bool)
@@ -198,7 +221,7 @@ def validate_positive_basis(basis: PositiveBasis, samples: int = 500) -> BasisRe
     return BasisReport(
         samples=samples,
         max_unit_norm_deviation=max_dev,
-        min_subset_sigma=float(sigma.min(initial=math.inf)),
+        min_subset_sigma=min_sigma,
         coverage_failures=int(failures.size),
         first_failure=probes[failures[0]].copy() if failures.size else None,
     )
@@ -229,7 +252,6 @@ def reshape_b_l(
     cs: ConstraintSet,
     basis: PositiveBasis,
     k_phi: float = 0.0,
-    c_bar: float | None = None,
     tol: float = 1e-9,
     slack: np.ndarray | None = None,
 ) -> ReshapedSet:
@@ -259,8 +281,7 @@ def reshape_b_l(
         if not cs.batched:
             raise SelectionNotFeasibleError("selection point violates the constraint set")
         slack = np.where(below.any(axis=-1)[..., None], np.nan, slack)
-    effective_cbar = float(cs.c.max()) if c_bar is None else float(c_bar)
-    cbar_a_val = cbar_a(effective_cbar, basis.c_a)
+    cbar_a_val = cbar_a(float(cs.c.max()), basis.c_a)
     a_t = basis.a_l.T
     dots = cs.a @ a_t                                           # (..., n_c, n_l)
     slack = np.maximum(slack, 0.0)                              # clip tolerance dust

@@ -197,7 +197,6 @@ PlantModel = Union[IntegratorChain, VtolNonlinear, VelocityLoop]
 step_integrator_chain = IntegratorChain.step
 step_vtol_nonlinear = VtolNonlinear.step
 step_velocity_loop = VelocityLoop.step
-vtol_derivative = VtolNonlinear.derivative
 flat_state_from_vtol = VtolNonlinear.flat_state
 vtol_state_from_flat = VtolNonlinear.state_from_flat
 

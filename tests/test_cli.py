@@ -32,7 +32,7 @@ from safecascade.cli import (
 )
 from safecascade.errors import ConfigError
 from safecascade.output import read_trajectory_csv, validate_metrics
-from safecascade.scenario import build_scenario, load_scenario, parse_config_text
+from safecascade.scenario import KEYS, OBSTACLE_KEYS, build_scenario, load_scenario, parse_config_text
 
 
 def test_bundled_configs_parse_with_stock_values():
@@ -178,6 +178,27 @@ def test_audit_rejects_invalid_key_values(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("command", [
+    ["example1", "--out", "OUT", "--radius", "1.0"],
+    ["example1", "--out", "OUT", "--radius", "0"],
+    ["example2", "--out", "OUT", "--radius", "nan"],
+    ["example2", "--out", "OUT", "--radius", "abc"],
+    ["example1", "--out", "OUT", "--grid", "1"],
+    ["basis-check", "--n-u", "4"],
+    ["basis-check", "--n-l", "103"],
+    ["basis-check", "--samples", "50"],
+])
+def test_cli_values_out_of_range_are_usage_errors(tmp_path, capsys, command):
+    # A radius of 1 divided by zero, 0 left no gap, NaN wrote a NaN
+    # report, and 50 samples ended in a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / "out") if a == "OUT" else a for a in command])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{command[-2].lstrip('-')} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
     ["run", "--config", "CFG", "--out", "OUT"],
     ["audit", "--config", "CFG"],
     ["example2", "--out", "OUT", "--grid", "3"],
@@ -199,11 +220,9 @@ def test_negative_seed_override_is_a_usage_error(tmp_path, capsys, command):
 _FUZZ_TOKENS = ["", "0", "1", "-1", "2", "3", "0.5", "1e-3", "nan", "inf", "-inf", "1e300",
                 "abc", "1, 2", "1, 2, 3, 4", "segment", "disc", "estimate", "zero",
                 "integrator_chain", "velocity_loop", "vtol_nonlinear", "=", "#"]
-_FUZZ_KEYS = ["plant.kind", "plant.levels", "plant.block_dim", "plant.gravity_mps2", "plant.t2",
-              "plant.t3", "plant.t4", "obstacle.1.kind", "obstacle.2.radius_m",
-              "obstacle.3.center_m", "obstacle.3.kind", "certificate.level", "nominal.preset",
-              "reshape.directions", "reshape.c_a", "cascade.k_tracking", "cascade.k1_grid",
-              "sim.workspace_m", "audit.samples", "audit.grid", "seed", "unknown.key"]
+# Every key the tables declare, so a new key is fuzzed as soon as it exists.
+_FUZZ_KEYS = [*KEYS, *(f"obstacle.{n}.{sub}" for n in (1, 2) for sub in OBSTACLE_KEYS),
+              "obstacle.3.center_m", "obstacle.3.kind", "unknown.key"]
 
 
 @st.composite
@@ -510,8 +529,11 @@ def test_basis_check_command(capsys):
     assert cmd_basis_check(2, 11) == EXIT_OK
     text = capsys.readouterr().out
     assert "coverage failures 0/" in text
-    assert cmd_basis_check(2, 4) == 1
+    assert cmd_basis_check(2, 4) == EXIT_CONFIG
     assert "failed" in capsys.readouterr().err
+    # A singular row triple fails the basis's validation.
+    assert cmd_basis_check(3, 51) == EXIT_CONFIG
+    assert "failed validation" in capsys.readouterr().err
 
 
 def test_main_dispatch(tmp_path):

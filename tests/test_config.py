@@ -1,0 +1,106 @@
+"""The config key tables: every default in its range, every range enforced
+on its line, every key documented, and a config without obstacles."""
+import re
+
+import pytest
+
+from safecascade import scenario
+from safecascade.cli import EXIT_OK, bundled_config, main
+from safecascade.errors import ConfigError
+from safecascade.scenario import KEYS, OBSTACLE_KEYS, parse_config_text
+
+
+def _entries():
+    yield from KEYS.items()
+    yield from ((f"obstacle.1.{sub}", spec) for sub, spec in OBSTACLE_KEYS.items())
+
+
+# One value outside each declared range.
+_OUT_OF_RANGE = {
+    "plant.kind": "rocket",
+    "plant.levels": "0",
+    "plant.block_dim": "3",
+    "plant.gravity_mps2": "inf",
+    "plant.t2": "0.2928",
+    "plant.t3": "1, 2, 3",
+    "plant.t4": "4.1709, 0",
+    "certificate.level": "0",
+    "certificate.threshold": "nan",
+    "rate.k_alpha": "-1",
+    "nominal.value": "0.6, inf",
+    "nominal.preset": "one",
+    "reshape.directions": "103",
+    "reshape.k_phi": "-0.5",
+    "reshape.c_a": "-1",
+    "cascade.k_tracking": "8, 0, 8",
+    "cascade.tau": "0",
+    "cascade.theta": "-1e-3",
+    "cascade.gamma_12_slope": "nan",
+    "cascade.gamma_x2v_slope": "inf",
+    "cascade.k1": "three",
+    "cascade.k1_grid": "1",
+    "sim.x1_0_m": "1, 2, 3",
+    "sim.workspace_m": "-3, 6, 12, -0.5",
+    "audit.samples": "999",
+    "audit.grid": "1",
+    "output.csv": "../trajectory.csv",
+    "output.svg": "",
+    "output.metrics": "out/metrics.json",
+    "seed": "-1",
+    "obstacle.1.kind": "box",
+    "obstacle.1.p1_m": "1",
+    "obstacle.1.p2_m": "nan, 0",
+    "obstacle.1.safe_distance_m": "0",
+    "obstacle.1.center_m": "0, 0, 0",
+    "obstacle.1.radius_m": "-1",
+}
+
+
+def test_every_default_passes_its_rule():
+    for key, spec in _entries():
+        if spec.default is not None and spec.ok is not None:
+            assert spec.ok(spec.default), key
+
+
+def test_every_ranged_key_has_an_out_of_range_case():
+    assert set(_OUT_OF_RANGE) == {key for key, spec in _entries() if spec.ok is not None}
+
+
+@pytest.mark.parametrize("key", sorted(_OUT_OF_RANGE))
+def test_out_of_range_value_is_rejected_on_its_line(key):
+    # Parsing alone rejects the value: reshape.directions = 103 builds
+    # nothing on the way.
+    stock = bundled_config("vtol_safe").read_text().splitlines()
+    kept = [line for line in stock if not line.startswith(f"{key} ")]
+    text = "\n".join(kept + [f"{key} = {_OUT_OF_RANGE[key]}"]) + "\n"
+    with pytest.raises(ConfigError, match=rf"^line {len(kept) + 1}: {re.escape(key)} must be "):
+        parse_config_text(text)
+
+
+def test_key_reference_names_every_key():
+    documented = set(re.findall(r"^    (\S+)", scenario.__doc__, re.M))
+    assert documented == set(KEYS) | {f"obstacle.<n>.{sub}" for sub in OBSTACLE_KEYS}
+
+
+_NO_OBSTACLES = """\
+plant.kind = integrator_chain
+plant.levels = 4
+nominal.value = 0.6, 1.0
+cascade.k_tracking = 8.0, 320.0, 4.0e5
+cascade.k1 = estimate
+sim.x1_0_m = -2.0, 1.0
+sim.workspace_m = -3.0, 6.0, -0.5, 12.0
+"""
+
+
+def test_config_without_obstacles_estimates_k1_runs_and_audits(tmp_path, capsys):
+    # With no certificates the outer law is the nominal broadcast over the
+    # estimate's grid rows; a bare (2,) nominal ended both commands in a
+    # reshape traceback.
+    cfg = tmp_path / "open.cfg"
+    cfg.write_text(_NO_OBSTACLES)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--horizon", "0.01"]) == EXIT_OK
+    assert "termination=completed" in capsys.readouterr().out
+    assert main(["audit", "--config", str(cfg)]) == EXIT_OK
+    assert "gain ledger (k1 = 0 estimated)" in capsys.readouterr().out

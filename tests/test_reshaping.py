@@ -99,6 +99,21 @@ def test_three_dimensional_basis_constructs_and_validates():
     assert 0.0 < basis.c_a < 1.0
 
 
+@pytest.mark.parametrize("n_l, c_a", [(10, 0.031397423138982576), (14, 0.27617328034031857),
+                                      (20, 0.48535341552379313)])
+def test_three_dimensional_basis_builds_its_subset_stack_once(monkeypatch, n_l, c_a):
+    # Only the chosen rows depend on the coverage constant, so the search
+    # that shrinks it (72 candidates for n_l = 10) shares one subset stack
+    # and finds the same constants.
+    builds = []
+    build = reshaping.subset_stack
+    monkeypatch.setattr(reshaping, "subset_stack", lambda a_l: builds.append(a_l.shape) or build(a_l))
+    basis = make_positive_basis(3, n_l)
+    assert builds == [(n_l, 3)]
+    assert basis.c_a == pytest.approx(c_a, rel=1e-12)
+    assert basis.report.coverage_failures == 0
+
+
 def _nnls_coverage(basis, samples):
     """Coverage failures and the first failing probe by nonnegative least
     squares on the rows within each probe's coverage cone."""
