@@ -212,16 +212,15 @@ def tracking_law(
 
     rho(e) = -(g^T e / |g^T e|) * (g_lower / (g_lower - delta)) * K |e| for
     e != 0, and zero at the origin. The result meets its generating
-    norm-augmented row with equality.
+    norm-augmented row with equality for e = x_tilde, a float (n,) array;
+    g_i is a float (n, p) array.
     """
-    e = np.asarray(x_tilde, dtype=float).ravel()
-    g_i = np.atleast_2d(np.asarray(g_i, dtype=float))
-    gte = g_i.T @ e
+    gte = g_i.T @ x_tilde
     nrm = math.sqrt(gte.dot(gte))      # np.linalg.norm's own formula for a vector
     if nrm <= 1e-15:
         return np.zeros(g_i.shape[1])
     scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
-    return -(gte / nrm) * scale * kappa_slope * math.sqrt(e.dot(e))
+    return -(gte / nrm) * scale * kappa_slope * math.sqrt(x_tilde.dot(x_tilde))
 
 
 @dataclass(frozen=True)

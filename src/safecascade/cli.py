@@ -22,6 +22,7 @@ from .certificates import CertificateSpec, Disc, disjointness_audit
 from .errors import ConfigError, InfeasibleError, SafecascadeError
 from .output import (
     metrics_document,
+    write_csv,
     write_metrics_json,
     write_scene_svg,
     write_trajectory_csv,
@@ -112,11 +113,8 @@ def max_abs_slope(xs: np.ndarray, values: np.ndarray) -> float:
 
 
 def _field_csv(path: Path, xs, ys, norm_grid) -> None:
-    lines = ["x,y,norm"]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lines.append(f"{x:.9g},{y:.9g},{norm_grid[i, j]:.9g}")
-    path.write_text("\n".join(lines) + "\n")
+    """One row (x_i, y_j, norm_grid[i, j]) per grid point, x slowest."""
+    write_csv(path, "x,y,norm", [np.repeat(xs, len(ys)), np.tile(ys, len(xs)), norm_grid.ravel()])
 
 
 def _slice_plot_svg(path: Path, xs, curves: dict[str, np.ndarray]) -> None:
@@ -173,9 +171,7 @@ def cmd_example1(out_dir: str | Path, radius: float = 0.99, field_grid: int = 16
     grid = axis_slice_grid(radius)
     solved = np.array([np.linalg.norm(gap_raw_solution(discs, np.array([x, 0.0]))) for x in grid])
     closed = np.array([gap_raw_closed_form(x, radius) for x in grid])
-    lines = ["x,solution_norm,closed_form"]
-    lines += [f"{x:.9g},{s:.9g},{c:.9g}" for x, s, c in zip(grid, solved, closed)]
-    (out / "slice.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "slice.csv", "x,solution_norm,closed_form", [grid, solved, closed])
     _slice_plot_svg(out / "slice.svg", grid, {"solved": solved, "closed_form": closed})
 
     slope = max_abs_slope(grid, solved)
@@ -221,10 +217,8 @@ def cmd_example2(out_dir: str | Path, radius: float = 0.99, field_grid: int = 10
     solved1 = np.array([np.linalg.norm(gap_reshaped_solution(discs, basis, 1.0, np.array([x, 0.0])))
                         for x in grid])
     closed = np.array([gap_axis_closed_form(x, radius, basis.c_a) for x in grid])
-    lines = ["x,solution_norm_kphi0,solution_norm_kphi1,closed_form"]
-    lines += [f"{x:.9g},{a:.9g},{b:.9g},{c:.9g}"
-              for x, a, b, c in zip(grid, solved0, solved1, closed)]
-    (out / "slice.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "slice.csv", "x,solution_norm_kphi0,solution_norm_kphi1,closed_form",
+              [grid, solved0, solved1, closed])
     _slice_plot_svg(out / "slice.svg", grid,
                     {"kphi0": solved0, "kphi1": solved1, "closed_form": closed})
     slopes["kphi0"] = max_abs_slope(grid, solved0)

@@ -1,9 +1,11 @@
 """Deterministic file outputs: trajectory CSV, scene SVG, metrics JSON.
 
 All numeric formatting is fixed at nine significant digits so identical runs
-produce byte-identical files. The metrics document follows the bundled
-versioned schema (schemas/metrics-v1.json) and is checked against it before
-writing.
+produce byte-identical files. The CSV writers stream: they format and write
+CSV_BLOCK_ROWS rows at a time, so their memory does not grow with the file,
+and the bytes written do not depend on the block size. The metrics document
+follows the bundled versioned schema (schemas/metrics-v1.json) and is
+checked against it before writing.
 """
 from __future__ import annotations
 
@@ -18,23 +20,23 @@ from .certificates import CertificateSpec, Disc, Segment
 from .sim import Trajectory, TrajectoryMetrics
 
 NUM_FORMAT = "{:.9g}"
+CSV_BLOCK_ROWS = 1024
 
 
 def _fmt(value: float) -> str:
-    if value != value:                      # NaN
-        return "nan"
-    return NUM_FORMAT.format(float(value))
+    return NUM_FORMAT.format(float(value))      # NaN prints as nan
 
 
-def trajectory_csv_header(state_blocks: int, block_dim: int, n_certs: int) -> str:
-    cols = ["t"]
-    for blk in range(1, state_blocks + 1):
-        cols += [f"x{blk}_{i}" for i in range(block_dim)]
-    cols += [f"u_{i}" for i in range(block_dim)]
-    cols += [f"h_{j}" for j in range(n_certs)]
-    cols += [f"V_{j}" for j in range(n_certs)]
-    cols += [f"xs2_{i}" for i in range(block_dim)]
-    return ",".join(cols)
+def write_csv(path: str | Path, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write the header, then a line per row of the columns side by side (each
+    1-D, or 2-D for several columns, as long as the first) in NUM_FORMAT."""
+    n_rows = columns[0].shape[0]
+    with open(path, "w") as handle:
+        handle.write(header + "\n")
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, n_rows)
+            block = np.column_stack([c[lo:hi] for c in columns]).tolist()
+            handle.writelines(",".join(map(NUM_FORMAT.format, row)) + "\n" for row in block)
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
@@ -44,15 +46,12 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     n = traj.states.shape[1]
     if n % block_dim:
         raise ValueError("state size not a multiple of the block dimension")
-    blocks = n // block_dim
-    n_certs = traj.margins_h.shape[1]
-    lines = [trajectory_csv_header(blocks, block_dim, n_certs)]
-    for k in range(traj.times.shape[0]):
-        row = [traj.times[k], *traj.states[k], *traj.inputs[k],
-               *traj.margins_h[k], *traj.margins_v[k],
-               *traj.virtual_controls[k][:block_dim]]
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    dims, certs = range(block_dim), range(traj.margins_h.shape[1])
+    cols = ["t", *(f"x{blk}_{i}" for blk in range(1, n // block_dim + 1) for i in dims),
+            *(f"u_{i}" for i in dims), *(f"h_{j}" for j in certs), *(f"V_{j}" for j in certs),
+            *(f"xs2_{i}" for i in dims)]
+    write_csv(path, ",".join(cols), [traj.times, traj.states, traj.inputs, traj.margins_h,
+                                     traj.margins_v, traj.virtual_controls[:, :block_dim]])
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[list[str], np.ndarray]:

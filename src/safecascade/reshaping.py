@@ -37,6 +37,9 @@ from .qp_solver import Polyhedron, PolygonRows, solve_projection_qp
 # C(n_l, 2) vertices per state.
 MAX_DIRECTIONS = 101
 
+# A basis with an n_u-subset of rows this close to singular is refused.
+MIN_SUBSET_SIGMA = 1e-8
+
 
 def subset_stack(a_l: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """What coverage tests of the rows a_l at any c_a share, from one batched
@@ -121,7 +124,8 @@ def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
     cos(2*pi/n_l); n_l must be odd and > 2 so no two rows are collinear.
     n_u = 3: Fibonacci-sphere directions with the coverage constant taken
     from a sampled worst case, shrunk by 2 % until the 500 validation
-    probes are covered, and then verified.
+    probes are covered, and then verified. Rows with a singular n_u-subset
+    fail whatever the constant, so they are refused before the search.
     """
     if n_u == 2:
         if n_l <= n_u:
@@ -140,6 +144,9 @@ def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
         # Only the chosen rows depend on c_a, so one subset stack serves
         # every candidate constant.
         stack = subset_stack(rows)
+        if stack[0] <= MIN_SUBSET_SIGMA:
+            raise CoverageConditionError(
+                f"basis rows failed validation: min subset sigma {stack[0]:.3g} <= {MIN_SUBSET_SIGMA:g}")
         basis = None
         while c_a > 1e-3:
             candidate = PositiveBasis(rows, c_a, subsets=stack)
@@ -152,7 +159,7 @@ def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
     else:
         raise UnsupportedDimensionError(f"positive bases implemented for n_u in (2, 3), got {n_u}")
     report = basis.report
-    if report.coverage_failures or report.min_subset_sigma <= 1e-8:
+    if report.coverage_failures or report.min_subset_sigma <= MIN_SUBSET_SIGMA:
         raise CoverageConditionError(f"constructed basis failed validation: {report}")
     return basis
 

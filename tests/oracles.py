@@ -141,3 +141,38 @@ def ledger_products(k_tracking, k1):
         for i in range(p, m + 1):
             kbreve[(p, i)] = 1.0 + sum(kbar[(j, i)] for j in range(p, i + 1))
     return kbar, kbreve
+
+
+def _fmt9(value):
+    return "nan" if value != value else "{:.9g}".format(float(value))
+
+
+def trajectory_csv_text(traj):
+    """The trajectory CSV as one string, built row by row and joined: the
+    whole-file formula the streaming writer replaced."""
+    block_dim = traj.inputs.shape[1]
+    blocks = traj.states.shape[1] // block_dim
+    n_certs = traj.margins_h.shape[1]
+    cols = ["t"]
+    for blk in range(1, blocks + 1):
+        cols += [f"x{blk}_{i}" for i in range(block_dim)]
+    cols += [f"u_{i}" for i in range(block_dim)]
+    cols += [f"h_{j}" for j in range(n_certs)]
+    cols += [f"V_{j}" for j in range(n_certs)]
+    cols += [f"xs2_{i}" for i in range(block_dim)]
+    lines = [",".join(cols)]
+    for k in range(traj.times.shape[0]):
+        row = [traj.times[k], *traj.states[k], *traj.inputs[k],
+               *traj.margins_h[k], *traj.margins_v[k],
+               *traj.virtual_controls[k][:block_dim]]
+        lines.append(",".join(_fmt9(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def field_csv_text(xs, ys, norm_grid):
+    """The x,y,norm field CSV as one string, a nested loop over the grid."""
+    lines = ["x,y,norm"]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            lines.append(f"{x:.9g},{y:.9g},{norm_grid[i, j]:.9g}")
+    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from tracing import Tracer  # noqa: E402
 from workloads import install_trace  # noqa: E402
 
-from safecascade import cascade, qcqp_safety, scenario, sim  # noqa: E402
+from safecascade import cascade, cli, qcqp_safety, scenario, sim  # noqa: E402
 from safecascade.cascade import CascadeGains, build_cascade_controller  # noqa: E402
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level  # noqa: E402
 from safecascade.qcqp_safety import PlantBounds, RateSpec  # noqa: E402
@@ -107,3 +107,27 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     for owner, attr in ((sim, "certificate_value"), (cascade, "tracking_law"),
                         (cascade, "build_constraint_set"), (cascade, "reshaped_filter")):
         assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
+
+
+def test_output_hooks_receive_the_written_file_as_argument_0(tmp_path, monkeypatch):
+    # The trace hooks count output bytes with Path(args[0]).stat() after each
+    # writer that cli calls through its own names returns: every writer must
+    # take its file path first and have written it by then.
+    seen = {}
+
+    def recorder(attr):
+        write = getattr(cli, attr)
+
+        def recorded(*args, **kwargs):
+            result = write(*args, **kwargs)
+            seen.setdefault(attr, []).append(Path(args[0]).is_file())
+            return result
+        return recorded
+
+    writers = ("write_trajectory_csv", "write_scene_svg", "write_metrics_json", "_field_csv")
+    for attr in writers:
+        monkeypatch.setattr(cli, attr, recorder(attr))
+    assert cli.main(["run", "--config", str(cli.bundled_config("vtol_safe")),
+                     "--out", str(tmp_path / "run"), "--horizon", "0.05"]) == cli.EXIT_OK
+    assert cli.main(["example1", "--out", str(tmp_path / "example1"), "--grid", "5"]) == cli.EXIT_OK
+    assert seen == {attr: [True] for attr in writers}

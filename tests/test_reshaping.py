@@ -114,6 +114,21 @@ def test_three_dimensional_basis_builds_its_subset_stack_once(monkeypatch, n_l, 
     assert basis.report.coverage_failures == 0
 
 
+@pytest.mark.parametrize("n_l", [11, 13, 51])
+def test_singular_three_dimensional_rows_are_refused_before_the_search(monkeypatch, n_l):
+    # These Fibonacci-sphere row sets hold a (numerically) singular triple.
+    # Subset conditioning does not depend on the coverage constant, so no
+    # candidate's validation report is computed before the basis is refused.
+    reports = []
+    validate = reshaping.validate_positive_basis
+    monkeypatch.setattr(reshaping, "validate_positive_basis",
+                        lambda basis, **kw: reports.append(basis.c_a) or validate(basis, **kw))
+    refusal = rf"min subset sigma \S+ <= {reshaping.MIN_SUBSET_SIGMA:g}"
+    with pytest.raises(CoverageConditionError, match=refusal):
+        make_positive_basis(3, n_l)
+    assert reports == []
+
+
 def _nnls_coverage(basis, samples):
     """Coverage failures and the first failing probe by nonnegative least
     squares on the rows within each probe's coverage cone."""
