@@ -298,7 +298,7 @@ class SafetyLaw:
     nominal: Callable[[np.ndarray], np.ndarray]
     basis: PositiveBasis | None
     bounds: PlantBounds
-    rates: RateSpec | Sequence[RateSpec]
+    rates: RateSpec
     k_phi: float
     g: np.ndarray      # input matrix of the outer level; certificates live in the plane
 
@@ -329,7 +329,7 @@ def safety_virtual_law(
     nominal: Callable[[np.ndarray], np.ndarray],
     basis: PositiveBasis,
     bounds: PlantBounds,
-    rates: RateSpec | Sequence[RateSpec],
+    rates: RateSpec,
     k_phi: float = 0.0,
     g: np.ndarray | None = None,
 ) -> SafetyLaw:

@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from .cascade import gain_ledger, k_selection_audit, small_gain_audit
 from .certificates import CertificateSpec, Disc, disjointness_audit
-from .errors import ConfigError, InfeasibleError, SafecascadeError
+from .errors import ConfigError, SafecascadeError
 from .output import (
     metrics_document,
     write_csv,
@@ -54,25 +55,31 @@ GAP_NOMINAL = np.array([1.0, 0.0])
 
 
 def gap_raw_solution(discs, x) -> np.ndarray:
-    """Projection of the nominal onto the raw (unreshaped) constraint rows.
+    """Projection of the nominal onto the raw (unreshaped) constraint rows,
+    for one state (2,) or states (N, 2).
 
-    NaN vector where the rows are inconsistent (deep inside an obstacle).
+    The rows change with the state, so each state is its own dual
+    active-set QP. NaN rows where the rows are inconsistent (deep inside an
+    obstacle) or undefined (at a disc center).
     """
-    try:
-        cs = disc_constraint_set(discs, x)
-        return solve_projection_qp(GAP_NOMINAL, Polyhedron(cs.a, cs.b)).point
-    except (InfeasibleError, SafecascadeError):
-        return np.array([math.nan, math.nan])
+    x = np.asarray(x, dtype=float)
+    cs = disc_constraint_set(discs, x.reshape(-1, 2))    # a batch: NaN rows at a disc center
+    out = np.full((cs.b.shape[0], 2), math.nan)
+    for k in np.flatnonzero(np.isfinite(cs.b).all(axis=1)):
+        try:
+            out[k] = solve_projection_qp(GAP_NOMINAL, Polyhedron(cs.a[k], cs.b[k])).point
+        except SafecascadeError:
+            pass
+    return out.reshape(x.shape)
 
 
 def gap_reshaped_solution(discs, basis, k_phi, x) -> np.ndarray:
-    """Reshaped projection for the same scenario; NaN where undefined."""
+    """Reshaped projection for the same scenario, for one state (2,) or
+    states (N, 2) in one reshaped_filter call; NaN rows where undefined."""
     try:
-        cs = disc_constraint_set(discs, x)
-        selection = lipschitz_selection(cs)
-        return reshaped_filter(GAP_NOMINAL, cs, basis, k_phi, selection)
+        return reshaped_filter(GAP_NOMINAL, disc_constraint_set(discs, x), basis, k_phi)
     except SafecascadeError:
-        return np.array([math.nan, math.nan])
+        return np.full(np.shape(x), math.nan)
 
 
 def gap_axis_closed_form(x1: float, radius: float, c_a: float) -> float:
@@ -145,6 +152,30 @@ def _slice_plot_svg(path: Path, xs, curves: dict[str, np.ndarray]) -> None:
     path.write_text("\n".join(parts) + "\n")
 
 
+def _gap_sweep(out: Path, radius: float, field_grid: int, fields: dict):
+    """What both gap examples sweep. Makes out, then for each field CSV name
+    and its solution function of (N, 2) states makes one call on the field
+    grid, written as that CSV, and one on the axis slice. Returns the slice
+    grid and each function's slice norms, or None when out cannot be made."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return None
+    # Row norms by np.linalg.norm's own formula for a vector (norm(axis=1)
+    # rounds differently), so each value is the norm of that one solution.
+    norms = lambda v: np.sqrt(np.vecdot(v, v))
+    ticks = np.linspace(-2.5, 2.5, field_grid)
+    states = np.column_stack([np.repeat(ticks, field_grid), np.tile(ticks, field_grid)])
+    grid = axis_slice_grid(radius)
+    on_axis = np.column_stack([grid, np.zeros_like(grid)])
+    slices = []
+    for name, solve in fields.items():
+        _field_csv(out / name, ticks, ticks, norms(solve(states)).reshape(field_grid, field_grid))
+        slices.append(norms(solve(on_axis)))
+    return grid, slices
+
+
 # ------------------------------------------------------------------ commands
 
 def cmd_example1(out_dir: str | Path, radius: float = 0.99, field_grid: int = 161) -> int:
@@ -154,22 +185,11 @@ def cmd_example1(out_dir: str | Path, radius: float = 0.99, field_grid: int = 16
     slope approaches radius/(1 - radius).
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
     discs = gap_discs(radius)
-    xs = np.linspace(-2.5, 2.5, field_grid)
-    ys = np.linspace(-2.5, 2.5, field_grid)
-    field = np.empty((field_grid, field_grid))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            field[i, j] = float(np.linalg.norm(gap_raw_solution(discs, np.array([x, y]))))
-    _field_csv(out / "field.csv", xs, ys, field)
-
-    grid = axis_slice_grid(radius)
-    solved = np.array([np.linalg.norm(gap_raw_solution(discs, np.array([x, 0.0]))) for x in grid])
+    swept = _gap_sweep(out, radius, field_grid, {"field.csv": lambda x: gap_raw_solution(discs, x)})
+    if swept is None:
+        return EXIT_IO
+    grid, (solved,) = swept
     closed = np.array([gap_raw_closed_form(x, radius) for x in grid])
     write_csv(out / "slice.csv", "x,solution_norm,closed_form", [grid, solved, closed])
     _slice_plot_svg(out / "slice.svg", grid, {"solved": solved, "closed_form": closed})
@@ -193,36 +213,21 @@ def cmd_example2(out_dir: str | Path, radius: float = 0.99, field_grid: int = 10
     """Reshaped gap-crossing filter: fields for both expansion weights, the
     axis slice against the closed form, slopes, and containment spot checks."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
     discs = gap_discs(radius)
     basis = make_positive_basis(2, directions)
-    xs = np.linspace(-2.5, 2.5, field_grid)
-    ys = np.linspace(-2.5, 2.5, field_grid)
-    slopes = {}
-    for k_phi, name in ((0.0, "field.csv"), (1.0, "field_kphi1.csv")):
-        field = np.empty((field_grid, field_grid))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                field[i, j] = float(np.linalg.norm(
-                    gap_reshaped_solution(discs, basis, k_phi, np.array([x, y]))))
-        _field_csv(out / name, xs, ys, field)
-
-    grid = axis_slice_grid(radius)
-    solved0 = np.array([np.linalg.norm(gap_reshaped_solution(discs, basis, 0.0, np.array([x, 0.0])))
-                        for x in grid])
-    solved1 = np.array([np.linalg.norm(gap_reshaped_solution(discs, basis, 1.0, np.array([x, 0.0])))
-                        for x in grid])
+    swept = _gap_sweep(out, radius, field_grid, {
+        "field.csv": lambda x: gap_reshaped_solution(discs, basis, 0.0, x),
+        "field_kphi1.csv": lambda x: gap_reshaped_solution(discs, basis, 1.0, x),
+    })
+    if swept is None:
+        return EXIT_IO
+    grid, (solved0, solved1) = swept
     closed = np.array([gap_axis_closed_form(x, radius, basis.c_a) for x in grid])
     write_csv(out / "slice.csv", "x,solution_norm_kphi0,solution_norm_kphi1,closed_form",
               [grid, solved0, solved1, closed])
     _slice_plot_svg(out / "slice.svg", grid,
                     {"kphi0": solved0, "kphi1": solved1, "closed_form": closed})
-    slopes["kphi0"] = max_abs_slope(grid, solved0)
-    slopes["kphi1"] = max_abs_slope(grid, solved1)
+    slopes = {"kphi0": max_abs_slope(grid, solved0), "kphi1": max_abs_slope(grid, solved1)}
 
     active = closed < 1.0 - 1e-6
     err0 = float(np.max(np.abs(solved0[active] - closed[active])))
@@ -240,9 +245,7 @@ def cmd_example2(out_dir: str | Path, radius: float = 0.99, field_grid: int = 10
             continue
         checked += 1
         pts = sample_polytope_2d(reshaped.polyhedron(), 200, rng)
-        for u in pts:
-            if not cs.contains(u, tol=1e-9):
-                containment_bad += 1
+        containment_bad += int(np.count_nonzero(~cs.contains(pts, tol=1e-9)))
     report = {
         "radius": radius,
         "directions": directions,
@@ -263,11 +266,7 @@ def _scenario_audits(scenario: Scenario) -> tuple[list | None, dict | None, dict
     gain_rows = None
     small_gain = None
     if scenario.gains is not None:
-        gain_rows = [
-            {"level": lm.level, "k_tracking": lm.k_tracking,
-             "rhs_slope": lm.rhs_slope, "margin": lm.margin}
-            for lm in k_selection_audit(scenario.gains)
-        ]
+        gain_rows = [dataclasses.asdict(lm) for lm in k_selection_audit(scenario.gains)]
         sg = small_gain_audit(scenario.gains)
         small_gain = {
             "tau": sg.tau,
@@ -351,6 +350,7 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
         return EXIT_CONFIG
     if seed is not None:
         scenario.seed = seed
+    gain_rows, sg, basis = _scenario_audits(scenario)
     if scenario.gains is not None:
         g = scenario.gains
         print(f"gain ledger (k1 = {g.k1:g}{' estimated' if scenario.k1_estimated else ''}):")
@@ -359,23 +359,21 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
             row = "  ".join(f"kbar({p},{i})={kbar[p, i]:.6g}" for p in range(1, i + 1))
             print(f"  level {i}: {row}")
         print("gain-selection margins:")
-        for lm in k_selection_audit(g):
-            note = "" if lm.level > 2 else "  (level 2 uses the estimated outer constant)"
-            print(f"  level {lm.level}: K={lm.k_tracking:g} rhs={lm.rhs_slope:.6g} "
-                  f"margin={lm.margin:+.6g}{note}")
-        sg = small_gain_audit(g)
-        print(f"small gain: tracking slope {sg.tracking_slope:.6g} "
-              f"({'contractive' if sg.tracking_contractive else 'NOT contractive'}), "
-              f"safety loop slope {sg.safety_loop_slope:.6g} "
-              f"({'contractive' if sg.safety_loop_contractive else 'NOT contractive'})")
+        for lvl in gain_rows:
+            note = "" if lvl["level"] > 2 else "  (level 2 uses the estimated outer constant)"
+            print(f"  level {lvl['level']}: K={lvl['k_tracking']:g} rhs={lvl['rhs_slope']:.6g} "
+                  f"margin={lvl['margin']:+.6g}{note}")
+        print(f"small gain: tracking slope {sg['tracking_slope']:.6g} "
+              f"({'contractive' if sg['tracking_contractive'] else 'NOT contractive'}), "
+              f"safety loop slope {sg['safety_loop_slope']:.6g} "
+              f"({'contractive' if sg['safety_loop_contractive'] else 'NOT contractive'})")
     else:
         print("no cascade gains configured (single-level law)")
-    if scenario.basis is not None:
-        rep = scenario.basis.report
-        print(f"basis: n_l={scenario.basis.n_l} c_a={scenario.basis.c_a:.6g} "
-              f"unit-norm dev {rep.max_unit_norm_deviation:.2e}, "
-              f"min subset sigma {rep.min_subset_sigma:.4f}, "
-              f"coverage failures {rep.coverage_failures}/{rep.samples}")
+    if basis is not None:
+        print(f"basis: n_l={basis['directions']} c_a={basis['coverage_constant']:.6g} "
+              f"unit-norm dev {basis['max_unit_norm_deviation']:.2e}, "
+              f"min subset sigma {basis['min_subset_sigma']:.4f}, "
+              f"coverage failures {basis['coverage_failures']}/{basis['samples']}")
     if scenario.certificates:
         rep = disjointness_audit(scenario.certificates, scenario.workspace,
                                  samples=cfg["audit.samples"], seed=scenario.seed)

@@ -179,7 +179,7 @@ def build_constraint_set(
     certs: Sequence[CertificateSpec],
     g: np.ndarray,
     bounds: PlantBounds,
-    rates: RateSpec | Sequence[RateSpec],
+    rates: RateSpec,
     grad_tol: float = 1e-9,
 ) -> ConstraintSet:
     """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
@@ -198,8 +198,6 @@ def build_constraint_set(
     g = np.asarray(g, dtype=float)
     if g.ndim < 2:
         g = np.atleast_2d(g)
-    if not isinstance(rates, RateSpec) and len(rates) != len(certs):
-        raise ValueError("need one RateSpec per certificate")
     grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
     h = np.empty(x.shape[:-1] + (len(certs),))
     v = np.empty(h.shape)
@@ -218,11 +216,7 @@ def build_constraint_set(
                 f"certificate {int(np.argmax(vanished))}: gradient vanishes through g")
         nrm2 = np.where(vanished, np.nan, nrm2)
     offset = v - np.array([cert.level for cert in certs])
-    if isinstance(rates, RateSpec):
-        b = -rates.rate(offset)
-    else:
-        b = -np.stack([rate.rate(offset[..., j]) for j, rate in enumerate(rates)], axis=-1)
-    return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], b,
+    return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], -rates.rate(offset),
                          np.full(len(certs), bounds.norm_coefficient), h=h, v=v)
 
 

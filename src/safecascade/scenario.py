@@ -290,9 +290,14 @@ def build_certificates(cfg: ScenarioConfig) -> list[CertificateSpec]:
     return certs
 
 
+# The most steps a run takes: its trajectory arrays hold one row per step
+# (the bundled runs take 10,000 and 25,000).
+MAX_STEPS = 10**7
+
+
 def check_time_grid(dt: float, horizon: float) -> None:
     """Raise ConfigError unless dt and horizon are finite and positive and
-    the horizon holds at least one step.
+    the horizon holds at least one step and at most MAX_STEPS.
 
     build_scenario leaves the grid unchecked: a run checks the values it
     uses, after any command-line override.
@@ -301,7 +306,11 @@ def check_time_grid(dt: float, horizon: float) -> None:
         raise ConfigError(f"step size must be finite and positive, got {dt}")
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ConfigError(f"horizon must be finite and positive, got {horizon}")
-    if round(horizon / dt) < 1:
+    steps = horizon / dt                # inf for a subnormal dt
+    if steps > MAX_STEPS:
+        raise ConfigError(f"horizon {horizon} s holds {steps:.3g} steps of {dt} s, "
+                          f"more than {MAX_STEPS:.0e}")
+    if round(steps) < 1:
         raise ConfigError(f"horizon {horizon} s holds no step of {dt} s")
 
 

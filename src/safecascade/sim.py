@@ -271,28 +271,25 @@ def exact_cascade_step_matrices(tracking_slopes: Sequence[float], dt: float):
     (E, F) with x+ = E x + F x2*, computed from one matrix exponential of
     the input-augmented block (expm: balanced Pade 13 with scaling and
     squaring). Stable for any dt because the exact flow of a
-    Hurwitz-plus-integrator system never amplifies.
+    Hurwitz-plus-integrator system never amplifies. Gains whose products
+    overflow give a non-finite block, which raises NonFiniteStateError.
     """
     m = 1 + len(tracking_slopes)
-    coeffs = np.zeros(m)       # coefficient of x_i in u, i = 1..m (index 0 unused)
-    star = 1.0                 # coefficient of the frozen x2*
-    for level, big_k in enumerate(tracking_slopes, start=2):
-        coeffs *= big_k
-        star *= big_k
-        coeffs[level - 1] -= big_k
-    a = np.zeros((m, m))
-    for i in range(m - 1):
-        a[i, i + 1] = 1.0
-    a[m - 1, :] = coeffs
-    b = np.zeros(m)
-    b[m - 1] = star
     if m == 1:
         # Single integrator: x+ = x + dt * x2*.
         return np.ones((1, 1)), np.array([dt])
-    block = np.zeros((m + 1, m + 1))
-    block[:m, :m] = a
-    block[:m, m] = b
-    e_full = expm(block * dt)
+    block = np.zeros((m + 1, m + 1))   # [[A, B], [0, 0]]; row m-1 is u in x_1..x_m and x2*
+    for i in range(m - 1):
+        block[i, i + 1] = 1.0
+    block[m - 1, m] = 1.0              # coefficient of the frozen x2*
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level, big_k in enumerate(tracking_slopes, start=2):
+            block[m - 1, :m + 1] *= big_k
+            block[m - 1, level - 1] -= big_k
+        block *= dt
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteStateError(f"cascade step block is not finite for gains {tuple(tracking_slopes)}")
+    e_full = expm(block)
     return e_full[:m, :m], e_full[:m, m]
 
 

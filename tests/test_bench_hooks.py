@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from tracing import Tracer  # noqa: E402
 from workloads import install_trace  # noqa: E402
 
-from safecascade import cascade, cli, qcqp_safety, scenario, sim  # noqa: E402
+from safecascade import cascade, cli, qcqp_safety, reshaping, scenario, sim  # noqa: E402
 from safecascade.cascade import CascadeGains, build_cascade_controller  # noqa: E402
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level  # noqa: E402
 from safecascade.qcqp_safety import PlantBounds, RateSpec  # noqa: E402
@@ -131,3 +131,29 @@ def test_output_hooks_receive_the_written_file_as_argument_0(tmp_path, monkeypat
                      "--out", str(tmp_path / "run"), "--horizon", "0.05"]) == cli.EXIT_OK
     assert cli.main(["example1", "--out", str(tmp_path / "example1"), "--grid", "5"]) == cli.EXIT_OK
     assert seen == {attr: [True] for attr in writers}
+
+
+def test_traced_gap_examples_complete_and_restore_every_name(tmp_path):
+    # The traced gap_fields run installs these hooks around both examples:
+    # the sweeps call the gap solutions once per field and slice with (N, 2)
+    # states, while the selection counter on cli.lipschitz_selection reads
+    # one state's selection and so must only see the containment check.
+    modules = (cascade, cascade.CascadeController, cli, qcqp_safety, reshaping, scenario, sim)
+    before = [dict(vars(owner)) for owner in modules]
+    tracer = Tracer()
+    install_trace(tracer)
+    try:
+        for example in ("example1", "example2"):
+            argv = [example, "--out", str(tmp_path / example), "--grid", "5"]
+            assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.restore()
+    names = [tracer.names[i] for i in tracer.arrays()["name_id"]]
+    assert names.count("cli.gap_raw_solution") == 2
+    assert names.count("cli.gap_reshaped_solution") == 4
+    assert names.count("reshaping.reshaped_filter") == 4
+    assert names.count("qcqp_safety.lipschitz_selection") >= 50
+    for owner, was in zip(modules, before):
+        now = vars(owner)
+        assert now.keys() == was.keys()
+        assert all(now[attr] is value for attr, value in was.items()), owner

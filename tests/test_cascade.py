@@ -389,8 +389,8 @@ def _single_or_nan(law, x):
 
 def _outer_laws():
     """Outer laws over walls, overlapping discs, an input matrix that hides
-    the vertical gradient, and uncertain bounds (c > 0) with one rate per
-    certificate."""
+    the vertical gradient, and uncertain bounds (c > 0) with the rate
+    steepened for them."""
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
@@ -403,9 +403,7 @@ def _outer_laws():
         "hidden": safety_virtual_law(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0,
                                      g=np.array([[1.0, 0.0], [0.0, 0.0]])),
         "uncertain": safety_virtual_law(
-            WALLS, nominal, basis, uncertain,
-            [rate_for_bounds(1.0, uncertain, abar_inv), rate_for_bounds(2.0, uncertain, abar_inv)],
-            k_phi=2.0),
+            WALLS, nominal, basis, uncertain, rate_for_bounds(1.0, uncertain, abar_inv), k_phi=2.0),
     }
 
 

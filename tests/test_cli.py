@@ -32,7 +32,8 @@ from safecascade.cli import (
 )
 from safecascade.errors import ConfigError
 from safecascade.output import read_trajectory_csv, validate_metrics
-from safecascade.scenario import KEYS, OBSTACLE_KEYS, build_scenario, load_scenario, parse_config_text
+from safecascade.scenario import (KEYS, MAX_STEPS, OBSTACLE_KEYS, build_scenario, check_time_grid,
+                                  load_scenario, parse_config_text)
 
 
 def test_bundled_configs_parse_with_stock_values():
@@ -107,6 +108,11 @@ def _with_key(text: str, key: str, value: str) -> str:
     (None, None, ["--dt", "-1"]),
     (None, None, ["--horizon", "0"]),
     (None, None, ["--dt", "nan"]),
+    # 1e13 steps: the run asked numpy for its trajectory arrays and ended in
+    # a MemoryError traceback; the step count is refused before any is made.
+    ("sim.dt_s", "1e-12", []),
+    (None, None, ["--dt", "1e-12"]),
+    (None, None, ["--dt", "5e-324"]),
 ])
 def test_run_boundaries_exit_config(tmp_path, capsys, key, value, flags):
     text = bundled_config("vtol_safe").read_text()
@@ -279,6 +285,52 @@ def test_mutated_configs_run_to_a_documented_exit_code(text):
                      "--dt", "1e-3", "--horizon", "0.01"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIM)
     assert "Traceback" not in err.getvalue()
+
+
+def test_time_grid_holds_at_most_max_steps():
+    check_time_grid(1.0, float(MAX_STEPS))
+    with pytest.raises(ConfigError, match="more than"):
+        check_time_grid(1.0, float(MAX_STEPS + 1))
+
+
+def test_overflowing_tracking_gains_are_a_simulation_error(tmp_path, capsys):
+    # Each K is inside its range, but K2 K3 K4 overflows the exact step's
+    # block; the run ended in a "math domain error" traceback.
+    text = _with_key(bundled_config("vtol_unsafe").read_text(), "sim.horizon_s", "0.01")
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(_with_key(text, "cascade.k_tracking", "1e103, 1e103, 1e103"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SIM
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: cascade step block is not finite")
+    assert "Traceback" not in err
+
+
+def test_gap_solutions_of_a_batch_equal_the_per_state_solutions():
+    # One (N, 2) call gives each state's own solution: NaN rows on the same
+    # states (disc centers, deep inside an obstacle) and the same values to
+    # rounding (the batched reshaped law differs by at most a few ulp).
+    discs = cli.gap_discs(0.99)
+    basis = reshaping.make_positive_basis(2, 5)
+    grid = cli.axis_slice_grid(0.99)[::10]
+    states = np.vstack([np.random.default_rng(3).uniform(-2.5, 2.5, size=(300, 2)),
+                        [[0.0, 1.0], [0.0, -1.0], [0.0, 0.5], [-0.3, 0.9]],
+                        np.column_stack([grid, np.zeros_like(grid)])])
+    for solve in (lambda x: cli.gap_raw_solution(discs, x),
+                  lambda x: cli.gap_reshaped_solution(discs, basis, 0.0, x),
+                  lambda x: cli.gap_reshaped_solution(discs, basis, 1.0, x)):
+        batch = solve(states)
+        single = np.array([solve(x) for x in states])
+        assert batch.shape == states.shape
+        undefined = np.isnan(batch).any(axis=1)
+        np.testing.assert_array_equal(np.isnan(batch), np.isnan(single))
+        assert undefined[300:302].all() and not undefined.all()
+        np.testing.assert_allclose(batch[~undefined], single[~undefined], rtol=1e-12, atol=1e-12)
+        # One state where the solution is undefined is a NaN vector, not an error.
+        for x in ([0.0, 1.0], np.array([0.0, 0.5])):
+            lone = solve(np.asarray(x))
+            assert lone.shape == (2,) and np.isnan(lone).all()
 
 
 @pytest.mark.parametrize("key, value, flags", [
