@@ -59,9 +59,6 @@ from .sim import (
     VelocityLoop,
     VtolNonlinear,
     run_closed_loop,
-    step_integrator_chain,
-    step_velocity_loop,
-    step_vtol_nonlinear,
     trajectory_metrics,
 )
 

@@ -25,6 +25,10 @@ from .certificates import CertificateSpec
 from .qcqp_safety import PlantBounds, RateSpec, build_constraint_set, lipschitz_selection  # noqa: F401
 from .reshaping import PositiveBasis, reshaped_filter
 
+# States per call of estimate_lipschitz's map: whole grid rows up to this
+# many, where the batched outer law's per-state cost has levelled off.
+ESTIMATE_BLOCK_STATES = 2048
+
 
 @dataclass(frozen=True)
 class CascadeGains:
@@ -78,10 +82,6 @@ class CascadeGains:
             prod *= self.lipschitz_entry(j)
         return prod
 
-    def kbreve(self, p: int, i: int) -> float:
-        """1 + sum of kbar(j, i) for j = p..i."""
-        return 1.0 + sum(self.kbar(j, i) for j in range(p, i + 1))
-
 
 @dataclass(frozen=True)
 class LevelGains:
@@ -98,7 +98,6 @@ class LevelGains:
 class GainLedger:
     levels: tuple[LevelGains, ...]
     kbar_table: dict
-    kbreve_table: dict
 
 
 def gain_ledger(gains: CascadeGains) -> GainLedger:
@@ -124,9 +123,7 @@ def gain_ledger(gains: CascadeGains) -> GainLedger:
         ))
     kbar_table = {(p, i): gains.kbar(p, i)
                   for i in range(1, gains.m + 1) for p in range(1, i + 1)}
-    kbreve_table = {(p, i): gains.kbreve(p, i)
-                    for i in range(1, gains.m + 1) for p in range(1, i + 1)}
-    return GainLedger(levels=tuple(levels), kbar_table=kbar_table, kbreve_table=kbreve_table)
+    return GainLedger(levels=tuple(levels), kbar_table=kbar_table)
 
 
 @dataclass(frozen=True)
@@ -375,19 +372,22 @@ def estimate_lipschitz(
 ) -> float:
     """Grid lower bound on the Lipschitz constant of a planar map.
 
-    fn maps an (ny, 2) array of states to an (ny, d) array of values; it is
-    called once per grid row x, with the states (x, y) for every grid y.
-    The result is the largest slope between axis-adjacent valid points;
-    non-finite values mask a cell out, so maps defined on a subregion can be
-    fed directly.
+    fn maps an (n, 2) array of states to an (n, d) array of values. It is
+    called on blocks of whole grid rows, each row x holding the states
+    (x, y) for every grid y: as many rows as fit in ESTIMATE_BLOCK_STATES,
+    and one row when a row alone exceeds it. Every grid state is evaluated
+    once, rows in order. The result is the largest slope between
+    axis-adjacent valid points; non-finite values mask a cell out, so maps
+    defined on a subregion can be fed directly.
     """
     (x_lo, x_hi), (y_lo, y_hi) = box
     xs = np.linspace(x_lo, x_hi, grid) if x_hi > x_lo else np.array([x_lo])
     ys = np.linspace(y_lo, y_hi, grid) if y_hi > y_lo else np.array([y_lo])
-    values = np.stack([
-        np.asarray(fn(np.column_stack([np.full_like(ys, x), ys])), dtype=float).reshape(ys.shape[0], -1)
-        for x in xs
-    ])
+    nx, ny = xs.shape[0], ys.shape[0]
+    states = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
+    block = max(1, ESTIMATE_BLOCK_STATES // ny) * ny
+    values = np.concatenate([np.asarray(fn(states[lo:lo + block]), dtype=float)
+                             for lo in range(0, nx * ny, block)]).reshape(nx, ny, -1)
     best = 0.0
     for axis, ticks in enumerate((xs, ys)):
         if ticks.shape[0] > 1:

@@ -288,13 +288,24 @@ def reshape_b_l(
         if not cs.batched:
             raise SelectionNotFeasibleError("selection point violates the constraint set")
         slack = np.where(below.any(axis=-1)[..., None], np.nan, slack)
-    cbar_a_val = cbar_a(float(cs.c.max()), basis.c_a)
+    cbar_a_val = cbar_a(max(cs.c.tolist()), basis.c_a)     # a numpy reduction costs more for few rows
     a_t = basis.a_l.T
-    dots = cs.a @ a_t                                           # (..., n_c, n_l)
-    slack = np.maximum(slack, 0.0)                              # clip tolerance dust
-    phi1 = np.maximum(dots, cbar_a_val) * (slack / (1.0 + cs.c))[..., None]
+    scaled = np.maximum(slack, 0.0) / (1.0 + cs.c)              # clip tolerance dust
+    if cs.batched:
+        # Constraint rows lead, (n_c, ..., n_l), so the min runs along the
+        # first axis. numpy rounds a one-row product (vector path) unlike a
+        # matrix product: one state or one row keeps the per-state product.
+        n_c, n_u = cs.a.shape[-2:]
+        a = cs.a.reshape(-1, n_c, n_u)
+        if a.shape[0] > 1 and n_c > 1:
+            a = a.transpose(1, 0, 2)
+        dots = (a @ a_t).reshape((n_c,) + cs.b.shape[:-1] + (basis.n_l,))
+        scaled = np.moveaxis(scaled, -1, 0)
+    else:
+        dots = cs.a @ a_t                                       # (n_c, n_l)
+    phi1 = np.maximum(dots, cbar_a_val) * scaled[..., None]
     phi2 = np.maximum(k_phi * (cbar_a_val - dots), 0.0)
-    b_l = selection @ a_t + (phi1 + phi2).min(axis=-2)
+    b_l = selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
     return ReshapedSet(basis=basis, b_l=b_l)
 
 

@@ -62,7 +62,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cascade import CascadeController, CascadeGains, build_cascade_controller, estimate_lipschitz, safety_virtual_law
+from .cascade import (CascadeController, CascadeGains, SafetyLaw, build_cascade_controller,
+                      estimate_lipschitz, safety_virtual_law)
+# eval_segment masks a plain-callable law and stays importable here: the
+# benchmark's trace hooks (benchmarks/workloads.py) rebind scenario.eval_segment.
 from .certificates import (
     MIN_AUDIT_SAMPLES,
     CertificateSpec,
@@ -407,19 +410,26 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 def estimate_safety_law_lipschitz(law, certs, workspace, grid: int) -> float:
     """Grid Lipschitz lower bound of the outer safety law over the workspace.
 
-    The law is evaluated on one grid row of states per call. States inside
-    an inflated segment obstacle, and states where the law is undefined
-    (NaN rows, or the whole row when the law raises a package error), are
-    masked out; only adjacent safe-region points contribute slopes. Any
-    other exception is a fault and propagates.
+    The law is evaluated on blocks of whole grid rows (estimate_lipschitz).
+    States inside an inflated segment obstacle, and states where the law is
+    undefined (NaN rows, or the whole block when the law raises a package
+    error), are masked out; only adjacent safe-region points contribute
+    slopes. A SafetyLaw over these certificates masks with the clearances
+    its own evaluation computed, so each certificate is evaluated once per
+    state; any other law is masked by evaluating the segments. Any other
+    exception is a fault and propagates.
     """
+    own = isinstance(law, SafetyLaw) and list(map(id, law.certs)) == list(map(id, certs))
+
     def masked(x):
         try:
-            values = np.array(law(x), dtype=float)
+            values, h, _ = law.evaluate(x) if own else (law(x), None, None)
         except SafecascadeError:
             return np.full(x.shape, math.nan)
-        for cert in certs:
+        values = np.array(values, dtype=float)
+        for j, cert in enumerate(certs):
             if isinstance(cert.geometry, Segment):
-                values[eval_segment(cert, x).h < 0] = math.nan
+                clearance = h[..., j] if own else eval_segment(cert, x).h
+                values[clearance < 0] = math.nan
         return values
     return estimate_lipschitz(masked, workspace, grid=grid)

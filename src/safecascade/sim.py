@@ -193,13 +193,6 @@ class VelocityLoop(_PlanarPlant):
 
 PlantModel = Union[IntegratorChain, VtolNonlinear, VelocityLoop]
 
-# The plants' methods as free functions that take the plant first.
-step_integrator_chain = IntegratorChain.step
-step_vtol_nonlinear = VtolNonlinear.step
-step_velocity_loop = VelocityLoop.step
-flat_state_from_vtol = VtolNonlinear.flat_state
-vtol_state_from_flat = VtolNonlinear.state_from_flat
-
 
 # Pade 13 numerator coefficients and the 1-norm up to which it is accurate
 # to double precision without scaling (Higham 2005).
@@ -272,7 +265,8 @@ def exact_cascade_step_matrices(tracking_slopes: Sequence[float], dt: float):
     the input-augmented block (expm: balanced Pade 13 with scaling and
     squaring). Stable for any dt because the exact flow of a
     Hurwitz-plus-integrator system never amplifies. Gains whose products
-    overflow give a non-finite block, which raises NonFiniteStateError.
+    overflow give a non-finite block, and gains too large for the squarings
+    give non-finite matrices: both raise NonFiniteStateError.
     """
     m = 1 + len(tracking_slopes)
     if m == 1:
@@ -289,7 +283,10 @@ def exact_cascade_step_matrices(tracking_slopes: Sequence[float], dt: float):
         block *= dt
     if not np.all(np.isfinite(block)):
         raise NonFiniteStateError(f"cascade step block is not finite for gains {tuple(tracking_slopes)}")
-    e_full = expm(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_full = expm(block)
+    if not np.all(np.isfinite(e_full)):
+        raise NonFiniteStateError(f"cascade step matrices are not finite for gains {tuple(tracking_slopes)}")
     return e_full[:m, :m], e_full[:m, m]
 
 

@@ -116,7 +116,7 @@ def signed_level_distance(value_fn, x, level, direction, span=5.0, iters=80):
 
 
 def ledger_products(k_tracking, k1):
-    """Plain-loop gain products kbar[(p, i)] and kbreve[(p, i)].
+    """Plain-loop gain products kbar[(p, i)].
 
     k_tracking maps level -> K_level for levels 2..m; entries for level 1 use
     the supplied k1. Products over an empty index range are zero by
@@ -136,11 +136,7 @@ def ledger_products(k_tracking, k1):
                 for j in range(p, i + 1):
                     prod *= lip[j]
                 kbar[(p, i)] = prod
-    kbreve = {}
-    for p in range(1, m + 1):
-        for i in range(p, m + 1):
-            kbreve[(p, i)] = 1.0 + sum(kbar[(j, i)] for j in range(p, i + 1))
-    return kbar, kbreve
+    return kbar
 
 
 def _fmt9(value):

@@ -315,7 +315,7 @@ def test_criterion_7_numerical_hygiene(tmp_path):
     assert checked > 150
 
     # Integration order on the smooth nonlinear plant.
-    from safecascade.sim import VtolNonlinear, step_vtol_nonlinear
+    from safecascade.sim import VtolNonlinear
     plant = VtolNonlinear(gravity=9.81)
     x0 = np.array([0.0, 0.0, 0.2, -0.1, 0.05, 0.02, 9.0, 0.3])
     u = np.array([1.3, -0.8])
@@ -323,7 +323,7 @@ def test_criterion_7_numerical_hygiene(tmp_path):
     def endpoint(dt):
         state = x0.copy()
         for _ in range(int(round(0.5 / dt))):
-            state = step_vtol_nonlinear(plant, state, u, dt)
+            state = plant.step(state, u, dt)
         return state
 
     ref = endpoint(0.0025)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safecascade import cascade
 from safecascade.cascade import (
+    ESTIMATE_BLOCK_STATES,
     CascadeController,
     CascadeGains,
     build_cascade_controller,
@@ -34,7 +36,7 @@ from safecascade.qcqp_safety import (
 )
 from safecascade.qp_solver import Polyhedron, project_polygon_2d, solve_projection_qp
 from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
-from safecascade.scenario import estimate_safety_law_lipschitz
+from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
 from safecascade.cascade import safety_virtual_law
 
 from oracles import ledger_products
@@ -125,7 +127,6 @@ def test_built_tracking_laws_equal_tracking_law_with_identity(monkeypatch):
     # build_cascade_controller builds g_i once; each level's law must still
     # be tracking_law(e, I, bounds, K_i), called through the cascade
     # module's name (the benchmark's trace hooks rebind it).
-    from safecascade import cascade
     bounds = PlantBounds(g_lower=1.0, g_upper=1.5, delta_upper=0.2)
     controller = build_cascade_controller(
         WALLS, lambda x: np.array([0.6, 1.0]), make_positive_basis(2, 11), STOCK_GAINS,
@@ -149,12 +150,10 @@ def test_ledger_stock_values():
     gains = CascadeGains(tracking_slopes=(8.0, 320.0), k1=3.49)
     assert gains.kbar(2, 2) == pytest.approx(16.0)
     assert gains.kbar(1, 2) == pytest.approx(55.84)
-    kbar, kbreve = ledger_products({2: 8.0, 3: 320.0}, 3.49)
+    kbar = ledger_products({2: 8.0, 3: 320.0}, 3.49)
     ledger = gain_ledger(gains)
     for key, value in ledger.kbar_table.items():
         assert value == pytest.approx(kbar[key], rel=1e-12)
-    for key, value in ledger.kbreve_table.items():
-        assert value == pytest.approx(kbreve[key], rel=1e-12)
 
 
 def test_ledger_empty_product_conventions():
@@ -368,16 +367,63 @@ def test_wall_law_lipschitz_regression():
     assert 0.5 <= est / 3.49 <= 2.0
 
 
-def test_estimate_lipschitz_calls_fn_once_per_grid_row():
-    shapes = []
+GRID_BOX = ((-1.0, 1.0), (0.0, 2.0))
+
+
+def _grid_calls(grid):
+    """The estimate of a linear map of slope 3 on GRID_BOX, with the states
+    of each call."""
+    calls = []
 
     def fn(states):
-        shapes.append(states.shape)
+        calls.append(states.copy())
         return 3.0 * states
 
-    est = estimate_lipschitz(fn, ((-1.0, 1.0), (0.0, 2.0)), grid=17)
-    assert shapes == [(17, 2)] * 17
+    return estimate_lipschitz(fn, GRID_BOX, grid=grid), calls
+
+
+def _assert_whole_rows_in_order(calls, grid):
+    xs, ys = np.linspace(*GRID_BOX[0], grid), np.linspace(*GRID_BOX[1], grid)
+    every = np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
+    np.testing.assert_array_equal(np.concatenate(calls), every)
+    for states in calls:
+        assert states.shape[0] % grid == 0
+
+
+@pytest.mark.parametrize("grid, shapes", [
+    (17, [(289, 2)]),
+    (200, [(2000, 2)] * 20),
+    (130, [(1950, 2)] * 8 + [(1300, 2)]),      # 15 rows a block; 130 = 8 * 15 + 10
+], ids=["grid17", "grid200", "grid130_uneven"])
+def test_estimate_lipschitz_calls_fn_on_blocks_of_whole_grid_rows(grid, shapes):
+    # Every grid state once, rows whole and in order, at most
+    # ESTIMATE_BLOCK_STATES states a call.
+    assert ESTIMATE_BLOCK_STATES == 2048
+    est, calls = _grid_calls(grid)
+    assert [states.shape for states in calls] == shapes
+    _assert_whole_rows_in_order(calls, grid)
     assert est == pytest.approx(3.0, rel=1e-9)
+
+
+def test_estimate_lipschitz_keeps_one_row_a_call_when_a_row_exceeds_the_budget(monkeypatch):
+    monkeypatch.setattr(cascade, "ESTIMATE_BLOCK_STATES", 10)
+    est, calls = _grid_calls(17)
+    assert [states.shape for states in calls] == [(17, 2)] * 17
+    _assert_whole_rows_in_order(calls, 17)
+    assert est == pytest.approx(3.0, rel=1e-9)
+
+
+def test_blocked_estimate_equals_the_row_by_row_estimate_on_the_safe_scenario(monkeypatch):
+    # The reference is the estimate as it was: one grid row a call, and a
+    # plain callable, so the segments are evaluated again for the mask.
+    from safecascade.cli import bundled_config
+    built = build_scenario(load_scenario(bundled_config("vtol_safe")))     # k1 = 3.49, no estimate
+    law, certs, workspace = built.controller.rho1, built.certificates, built.workspace
+    blocked = estimate_safety_law_lipschitz(law, certs, workspace, grid=200)
+    monkeypatch.setattr(cascade, "ESTIMATE_BLOCK_STATES", 1)
+    rows = estimate_safety_law_lipschitz(lambda x: law(x), certs, workspace, grid=200)
+    assert blocked == rows
+    assert blocked == pytest.approx(FROZEN_K1_GRID_ESTIMATE, rel=1e-3)
 
 
 def _single_or_nan(law, x):

@@ -307,6 +307,22 @@ def test_overflowing_tracking_gains_are_a_simulation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("gain", ["1e50", "1e80"])
+def test_gains_too_large_for_the_step_matrices_are_a_simulation_error(tmp_path, capsys, gain):
+    # The block is finite, but the matrix exponential's squarings overflow:
+    # the run warned from numpy and ended as nonfinite_state with exit 0.
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(_with_key(bundled_config("vtol_unsafe").read_text(),
+                             "cascade.k_tracking", f"{gain}, {gain}, {gain}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--horizon", "0.01"]) == EXIT_SIM
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: cascade step matrices are not finite")
+    assert err.count("\n") == 1      # the error line alone, no numpy warning
+
+
 def test_gap_solutions_of_a_batch_equal_the_per_state_solutions():
     # One (N, 2) call gives each state's own solution: NaN rows on the same
     # states (disc centers, deep inside an obstacle) and the same values to

@@ -416,3 +416,73 @@ def test_polytope_sampler_respects_constraints():
     pts = sample_polytope_2d(poly, 500, rng)
     assert pts.shape == (500, 2)
     assert np.all(poly.a @ pts.T <= poly.b[:, None] + 1e-9)
+
+
+def _dyadic_sets(shape, n_c, n_u, seed):
+    """Constraint sets batched over shape, each with a feasible selection.
+
+    The selection entries are zero or signed powers of two, so each product
+    with a basis entry is exact and numpy's vector product (one state) and
+    matrix product (a batch) round selection @ A_L^T alike; with other
+    selections the two may differ in the last bit, whatever the reshaping
+    does. The filter's nominal is dyadic for the same reason: the
+    projection takes nominal @ A_L^T.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape + (n_c, n_u))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    c = np.linspace(0.0, 0.1, n_c)
+    selection = rng.choice([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0], size=shape + (n_u,))
+    b = ((a @ selection[..., None])[..., 0] + c * np.linalg.norm(selection, axis=-1)[..., None]
+         + rng.uniform(0.0, 1.0, size=shape + (n_c,)))
+    return a, b, c, selection
+
+
+def _assert_batch_equals_states(call, a, b, c, selection):
+    """call(selection, cs) on the batch against each state's own call; a
+    state whose call raises SelectionNotFeasibleError must be a NaN row."""
+    batch = call(selection, ConstraintSet(a, b, c))
+    for idx in np.ndindex(b.shape[:-1]):
+        try:
+            want = call(selection[idx], ConstraintSet(a[idx], b[idx], c))
+        except SelectionNotFeasibleError:
+            want = np.full(batch.shape[-1], np.nan)
+        got = batch[idx]
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=str(idx))
+        np.testing.assert_array_equal(got.view(np.int64)[~np.isnan(want)],
+                                      want.view(np.int64)[~np.isnan(want)], err_msg=str(idx))
+
+
+BATCH_CASES = {
+    # A square (3, 3) batch with three rows: moving the row axis to the
+    # front by a plain swap would mix the batch axes.
+    "square": ((3, 3), 3, 2),
+    "nan rows": ((40,), 2, 2),
+    "one row": ((40,), 1, 2),
+    "one state": ((1,), 3, 2),
+    "n_u = 3": ((40,), 3, 3),
+}
+
+
+def _batch_case(name):
+    shape, n_c, n_u = BATCH_CASES[name]
+    a, b, c, selection = _dyadic_sets(shape, n_c, n_u, seed=list(BATCH_CASES).index(name))
+    if name == "nan rows":
+        a[[3, 17]] = np.nan           # states without a set
+        b[[3, 17]] = np.nan
+        b[[5, 29], 0] -= 10.0         # selections outside their set
+    return make_positive_basis(n_u, 11 if n_u == 2 else 14), a, b, c, selection
+
+
+@pytest.mark.parametrize("name", list(BATCH_CASES))
+def test_reshape_of_a_batch_equals_the_per_state_reshapes_bit_for_bit(name):
+    basis, a, b, c, selection = _batch_case(name)
+    _assert_batch_equals_states(lambda s, cs: reshape_b_l(s, cs, basis, 2.0).b_l, a, b, c, selection)
+
+
+@pytest.mark.parametrize("name", [n for n, (_, _, n_u) in BATCH_CASES.items() if n_u == 2])
+def test_filter_of_a_batch_equals_the_per_state_filters_bit_for_bit(name):
+    basis, a, b, c, selection = _batch_case(name)
+    nominal = np.array([0.5, 1.0])
+    _assert_batch_equals_states(lambda s, cs: reshaped_filter(nominal, cs, basis, 2.0, selection=s),
+                                a, b, c, selection)

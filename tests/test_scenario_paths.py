@@ -20,7 +20,6 @@ from safecascade.sim import (
     VtolNonlinear,
     run_closed_loop,
     trajectory_metrics,
-    vtol_state_from_flat,
 )
 
 WALLS = [
@@ -64,7 +63,7 @@ def test_vtol_nonlinear_closed_loop_mild_gains():
     plant = VtolNonlinear(gravity=9.81)
     flat = np.zeros(8)
     flat[:2] = [-2.0, 1.0]
-    x0 = vtol_state_from_flat(plant, flat)
+    x0 = plant.state_from_flat(flat)
     traj = run_closed_loop(plant, controller, x0, horizon=0.5, dt=1e-3,
                            certs=WALLS, workspace=((-3.0, 6.0), (-0.5, 12.0)))
     assert traj.termination == "completed"
@@ -82,7 +81,7 @@ def test_vtol_thrust_singularity_flagged():
     plant = VtolNonlinear(gravity=9.81, thrust_floor=1e-2)
     flat = np.zeros(8)
     flat[5] = -9.7    # accelerate downward: thrust must pass near zero
-    x0 = vtol_state_from_flat(plant, flat)
+    x0 = plant.state_from_flat(flat)
     traj = run_closed_loop(plant, controller, x0, horizon=5.0, dt=1e-3)
     assert traj.termination in ("thrust_singularity", "nonfinite_state")
 

@@ -16,13 +16,8 @@ from safecascade.sim import (
     VtolNonlinear,
     exact_cascade_step_matrices,
     expm,
-    flat_state_from_vtol,
     run_closed_loop,
-    step_integrator_chain,
-    step_velocity_loop,
-    step_vtol_nonlinear,
     trajectory_metrics,
-    vtol_state_from_flat,
 )
 
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
@@ -53,7 +48,7 @@ def test_double_integrator_at_rest_stays_put():
     plant = IntegratorChain(m=2)
     state = np.zeros(4)
     for _ in range(100):
-        state = step_integrator_chain(plant, state, np.zeros(2), 1e-2)
+        state = plant.step(state, np.zeros(2), 1e-2)
     np.testing.assert_allclose(state, np.zeros(4), atol=1e-15)
 
 
@@ -65,7 +60,7 @@ def test_chain_matches_polynomial_flow():
     dt, steps = 1e-3, 1000
     state = np.zeros(8)
     for _ in range(steps):
-        state = step_integrator_chain(plant, state, u, dt)
+        state = plant.step(state, u, dt)
     t = dt * steps
     np.testing.assert_allclose(state[:2], u * t**4 / 24.0, atol=1e-10)
     np.testing.assert_allclose(state[2:4], u * t**3 / 6.0, atol=1e-10)
@@ -77,7 +72,7 @@ def test_vtol_hover_is_equilibrium():
     hover = np.array([0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 9.81, 0.0])
     state = hover.copy()
     for _ in range(200):
-        state = step_vtol_nonlinear(plant, state, np.zeros(2), 1e-3)
+        state = plant.step(state, np.zeros(2), 1e-3)
     np.testing.assert_allclose(state, hover, atol=1e-12)
 
 
@@ -91,7 +86,7 @@ def test_vtol_fourth_derivative_tracks_command():
     sample_every = 100                      # 0.01 s
     positions = [state[:2].copy()]
     for step in range(1, 4 * sample_every + 1):
-        state = step_vtol_nonlinear(plant, state, u, dt)
+        state = plant.step(state, u, dt)
         if step % sample_every == 0:
             positions.append(state[:2].copy())
     h = dt * sample_every
@@ -104,7 +99,7 @@ def test_vtol_thrust_singularity_guard():
     plant = VtolNonlinear(gravity=9.81)
     state = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-6, 0.0])
     with pytest.raises(ThrustSingularityError):
-        step_vtol_nonlinear(plant, state, np.zeros(2), 1e-3)
+        plant.step(state, np.zeros(2), 1e-3)
 
 
 @pytest.mark.parametrize("state", [
@@ -115,7 +110,7 @@ def test_vtol_step_stops_at_a_nonfinite_stage(state):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteStateError):
-            step_vtol_nonlinear(VtolNonlinear(gravity=9.81), np.array(state), np.zeros(2), 1e-3)
+            VtolNonlinear(gravity=9.81).step(np.array(state), np.zeros(2), 1e-3)
 
 
 def test_velocity_loop_stage_equilibrium():
@@ -125,7 +120,7 @@ def test_velocity_loop_stage_equilibrium():
     ref = np.array([0.4, -0.2])
     state = np.concatenate([[0.0, 0.0], ref, np.zeros(4)])
     for _ in range(500):
-        state = step_velocity_loop(plant, state, ref, 1e-3)
+        state = plant.step(state, ref, 1e-3)
     np.testing.assert_allclose(state[2:4], ref, atol=1e-12)
     np.testing.assert_allclose(state[4:], np.zeros(4), atol=1e-12)
     np.testing.assert_allclose(state[:2], ref * 0.5, atol=1e-9)
@@ -136,7 +131,7 @@ def test_velocity_loop_unit_dc_gain():
     ref = np.array([1.0, 1.0])
     state = np.zeros(8)
     for _ in range(60_000):
-        state = step_velocity_loop(plant, state, ref, 1e-3)
+        state = plant.step(state, ref, 1e-3)
     np.testing.assert_allclose(state[2:4], ref, atol=1e-4)
 
 
@@ -163,7 +158,7 @@ def test_rk4_convergence_order_on_vtol():
     def endpoint(dt):
         state = x0.copy()
         for _ in range(int(round(0.5 / dt))):
-            state = step_vtol_nonlinear(plant, state, u, dt)
+            state = plant.step(state, u, dt)
         return state
 
     ref = endpoint(0.02 / 8)
@@ -176,8 +171,8 @@ def test_rk4_convergence_order_on_vtol():
 def test_flat_map_roundtrip():
     plant = VtolNonlinear(gravity=9.81)
     state = np.array([0.3, 1.2, -0.4, 0.6, 0.12, -0.2, 8.7, 0.5])
-    flat = flat_state_from_vtol(plant, state)
-    back = vtol_state_from_flat(plant, flat)
+    flat = plant.flat_state(state)
+    back = plant.state_from_flat(flat)
     np.testing.assert_allclose(back, state, atol=1e-12)
 
 
@@ -189,12 +184,12 @@ def test_feedback_linearization_consistency_with_chain():
     chain = IntegratorChain(m=4)
     dt, steps = 1e-3, 1000
     vtol_state = np.array([0.0, 0.0, 0.3, 0.2, 0.05, -0.1, 9.81, 0.2])
-    chain_state = flat_state_from_vtol(plant, vtol_state)
+    chain_state = plant.flat_state(vtol_state)
     worst = 0.0
     for k in range(steps):
         u = np.array([math.sin(0.7 * k * dt), 0.5 * math.cos(1.3 * k * dt)])
-        vtol_state = step_vtol_nonlinear(plant, vtol_state, u, dt)
-        chain_state = step_integrator_chain(chain, chain_state, u, dt)
+        vtol_state = plant.step(vtol_state, u, dt)
+        chain_state = chain.step(chain_state, u, dt)
         worst = max(worst, float(np.linalg.norm(vtol_state[:2] - chain_state[:2])))
     assert worst <= 1e-8
 
@@ -255,7 +250,7 @@ def test_exact_cascade_step_matches_rk4_when_stable():
             fresh[idx] = e_mat @ state[idx] + f_vec * ev.x_stars[0][axis]
         state = fresh
         ev_rk = controller.evaluate([state_rk[0:2], state_rk[2:4], state_rk[4:6]])
-        state_rk = step_integrator_chain(plant, state_rk, ev_rk.u, 1e-3)
+        state_rk = plant.step(state_rk, ev_rk.u, 1e-3)
     np.testing.assert_allclose(state, state_rk, atol=5e-4)
 
 
