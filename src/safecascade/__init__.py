@@ -1,12 +1,15 @@
 """Safety filters and cascade controllers on reshaped quadratic programs.
 
 The pieces, bottom to top: a dense projection QP solver with active-set
-reporting (qp_solver); norm-augmented safety constraints with a closed-form
-Lipschitz selection (qcqp_safety); positive-basis reshaping that restores
-Lipschitz regularity to the filtered control law (reshaping); segment/disc
-safety certificates (certificates); the recursive cascade controller and its
-gain audits (cascade); closed-loop simulation (sim); and a config-driven CLI
-(cli).
+reporting and the exact batched 2-D polygon projection (qp_solver);
+segment/disc safety certificates V = exp(-h) (certificates);
+norm-augmented safety constraints with a closed-form Lipschitz selection
+and the rate-condition audit (qcqp_safety); positive-basis reshaping that
+restores Lipschitz regularity to the filtered control law (reshaping); the
+recursive cascade controller and its gain audits (cascade); closed-loop
+simulation (sim); and a config-driven CLI (cli). Every top-level
+definition in these modules is used elsewhere in the package
+(tests/test_reachability.py checks it).
 """
 from .cascade import (
     CascadeController,
@@ -22,7 +25,6 @@ from .certificates import (
     CertificateSpec,
     Disc,
     Segment,
-    cbf_to_certificate,
     disjointness_audit,
     eval_disc,
     eval_segment,
@@ -33,15 +35,11 @@ from .qcqp_safety import (
     RateSpec,
     build_constraint_set,
     disc_constraint_set,
-    dissipation_audit,
     lipschitz_selection,
 )
 from .qp_solver import (
     Polyhedron,
     QpSolution,
-    hager_lipschitz_bound,
-    nonredundant_active_rows,
-    project_polygon_2d,
     solve_projection_qp,
 )
 from .reshaping import (

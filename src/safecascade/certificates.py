@@ -1,28 +1,25 @@
 """Safety certificate functions for segment and disc obstacles.
 
 A certificate is a positive scalar field V whose superlevel set {V >= level}
-covers an inflated obstacle. For segments the clearance h is the exact
-point-to-segment distance minus the safe distance (the distance to the
-clamped projection of the point onto the segment), and V = exp(-h), so
-{V >= 1} is exactly {h <= 0}. Disc obstacles use the quadratic clearance
-|x - o|^2 - R^2 that single-integrator gap-crossing scenarios are built on.
-Both geometries evaluate to one CertificateEval.
+covers an inflated obstacle. Every certificate has the one form V = exp(-h)
+of its clearance h. For segments h is the exact point-to-segment distance
+minus the safe distance (the distance to the clamped projection of the
+point onto the segment), so {V >= 1} is exactly {h <= 0}. Disc obstacles
+use the quadratic clearance |x - o|^2 - R^2 that single-integrator
+gap-crossing scenarios are built on. Both geometries evaluate to one
+CertificateEval, at one point or an array of points. disjointness_audit
+samples a box for points inside two unsafe sets at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import (
-    AtCenterError,
-    BadTransformError,
-    DegenerateGeometryError,
-    ZeroGradientError,
-)
+from .errors import AtCenterError, DegenerateGeometryError, ZeroGradientError
 
 
 @dataclass(frozen=True)
@@ -61,29 +58,12 @@ class Disc:
 
 
 @dataclass(frozen=True)
-class MuTransform:
-    """Barrier transform mu plus derivative and inverse, for audits."""
-
-    mu: Callable[[float], float]
-    mu_prime: Callable[[float], float]
-    mu_inverse: Callable[[float], float]
-
-
-EXP_TRANSFORM = MuTransform(
-    mu=lambda s: math.exp(-s),
-    mu_prime=lambda s: -math.exp(-s),
-    mu_inverse=lambda y: -math.log(y),
-)
-
-
-@dataclass(frozen=True)
 class CertificateSpec:
-    """One safety certificate: geometry, inflation, level and transform tag."""
+    """One safety certificate: geometry, inflation and level."""
 
     geometry: Union[Segment, Disc]
     safe_distance: float = 0.0
     level: float = 1.0
-    mu: str = "exp"
 
     def __post_init__(self):
         if isinstance(self.geometry, Segment):
@@ -93,8 +73,6 @@ class CertificateSpec:
                 raise DegenerateGeometryError("segment certificates need safe_distance > 0")
         if self.level <= 0:
             raise ValueError("certificate level must be positive")
-        if self.mu != "exp":
-            raise ValueError(f"unknown barrier transform tag {self.mu!r}")
 
 
 @dataclass(frozen=True)
@@ -185,58 +163,6 @@ def exp_alpha_bar_for_level(level: float):
         raise ValueError("level must be positive")
     floor = -1.0 + np.finfo(float).eps
     return (lambda s: level * np.expm1(s)), (lambda s: np.log1p(np.maximum(s / level, floor)))
-
-
-def cbf_to_certificate(
-    h_fn: Callable[[np.ndarray], float],
-    alpha: Callable[[float], float],
-    mu: MuTransform = EXP_TRANSFORM,
-    check_span: tuple[float, float] = (0.0, 10.0),
-    check_points: int = 400,
-):
-    """Convert a zeroing-barrier pair (h, alpha) into certificate form.
-
-    Returns (V, alpha_prime) with V = mu(h) and
-    alpha_prime(s) = -alpha_mu(s + mu(0)) * alpha(mu_inverse(s + mu(0))),
-    where alpha_mu(y) = -mu'(mu_inverse(y)) for y > 0 and 0 otherwise. The
-    transform must be strictly decreasing and strictly convex with limit 0;
-    both that and the monotonicity of alpha_prime are audited by sampling
-    over check_span (the side where the rate matters for safety), raising
-    BadTransformError on failure.
-    """
-    mu0 = mu.mu(0.0)
-    probe = np.linspace(-3.0, 8.0, 200)
-    vals = np.array([mu.mu(s) for s in probe])
-    if not np.all(np.diff(vals) < 0):
-        raise BadTransformError("mu is not strictly decreasing on the sampled range")
-    if not np.all(np.diff(vals, 2) > -1e-12):
-        raise BadTransformError("mu is not convex on the sampled range")
-    if mu.mu(40.0) > 1e-6 * mu0:
-        raise BadTransformError("mu does not decay toward zero")
-
-    def alpha_mu(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        return -mu.mu_prime(mu.mu_inverse(y))
-
-    def alpha_prime(s: float) -> float:
-        y = s + mu0
-        if y <= 0.0:
-            return -math.inf
-        return -alpha_mu(y) * alpha(mu.mu_inverse(y))
-
-    lo, hi = check_span
-    grid = np.linspace(lo, hi, check_points)
-    seq = np.array([alpha_prime(s) for s in grid])
-    if abs(alpha_prime(0.0)) > 1e-12:
-        raise BadTransformError("alpha_prime(0) must be zero")
-    if not np.all(np.diff(seq) > 0):
-        raise BadTransformError("alpha_prime not strictly increasing on the checked span")
-
-    def v_fn(x: np.ndarray) -> float:
-        return mu.mu(h_fn(x))
-
-    return v_fn, alpha_prime
 
 
 def certificate_value(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:

@@ -290,8 +290,7 @@ def _scenario_audits(scenario: Scenario) -> tuple[list | None, dict | None, dict
 
 
 def cmd_run(config_path: str | Path, out_dir: str | Path,
-            dt: float | None = None, horizon: float | None = None,
-            seed: int | None = None) -> int:
+            dt: float | None = None, horizon: float | None = None) -> int:
     """Audit + simulate a scenario and write trajectory.csv/path.svg/metrics.json."""
     started = time.perf_counter()
     try:
@@ -305,8 +304,6 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if seed is not None:
-        scenario.seed = seed
     try:
         gain_rows, small_gain, basis_summary = _scenario_audits(scenario)
         traj = run_closed_loop(
@@ -353,6 +350,7 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
     gain_rows, sg, basis = _scenario_audits(scenario)
     if scenario.gains is not None:
         g = scenario.gains
+        k1_source = "estimated" if scenario.k1_estimated else "configured"
         print(f"gain ledger (k1 = {g.k1:g}{' estimated' if scenario.k1_estimated else ''}):")
         kbar = gain_ledger(g).kbar_table
         for i in range(1, g.m + 1):
@@ -360,7 +358,7 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
             print(f"  level {i}: {row}")
         print("gain-selection margins:")
         for lvl in gain_rows:
-            note = "" if lvl["level"] > 2 else "  (level 2 uses the estimated outer constant)"
+            note = "" if lvl["level"] > 2 else f"  (level 2 uses the {k1_source} outer constant)"
             print(f"  level {lvl['level']}: K={lvl['k_tracking']:g} rhs={lvl['rhs_slope']:.6g} "
                   f"margin={lvl['margin']:+.6g}{note}")
         print(f"small gain: tracking slope {sg['tracking_slope']:.6g} "
@@ -380,23 +378,19 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
         grad_floor = "n/a" if math.isinf(rep.min_gradient_norm) else f"{rep.min_gradient_norm:.4f}"
         print(f"disjointness: {rep.joint_violations} joint-superlevel samples out of "
               f"{rep.samples}; gradient floor {grad_floor}")
-        # For exp(-h) certificates over segments the value is capped at
-        # level * e^{safe distance} (h >= -safe distance).
-        v_caps = [c.level * math.exp(c.safe_distance)
-                  for c in scenario.certificates if not isinstance(c.geometry, Disc)]
-        v_max = max(v_caps) if v_caps else 4.0 * scenario.threshold
-        try:
-            rc = rate_condition_audit(
-                scenario.rate, scenario.certificates[0].level, scenario.threshold,
-                cfg["cascade.theta"], cfg["cascade.gamma_12_slope"],
-                scenario.bounds, v_max=max(v_max, scenario.threshold * 1.01),
-                grid=cfg["audit.grid"],
-            )
-            print(f"rate condition above threshold {rc.threshold:g}: "
-                  f"min margin {rc.min_margin:+.6g} at V={rc.argmin_v:.4g} "
-                  f"({'holds' if rc.holds else 'does NOT hold'})")
-        except ValueError as exc:
-            print(f"rate condition audit skipped: {exc}")
+        # V = exp(-h) is largest where h is least: h >= -safe distance for
+        # a segment, h >= -R^2 for a disc.
+        v_max = max(math.exp(c.geometry.radius ** 2 if isinstance(c.geometry, Disc) else c.safe_distance)
+                    for c in scenario.certificates)
+        rc = rate_condition_audit(
+            scenario.rate, scenario.certificates[0].level, scenario.threshold,
+            cfg["cascade.theta"], cfg["cascade.gamma_12_slope"],
+            scenario.bounds, v_max=max(v_max, scenario.threshold * 1.01),
+            grid=cfg["audit.grid"],
+        )
+        print(f"rate condition above threshold {rc.threshold:g}: "
+              f"min margin {rc.min_margin:+.6g} at V={rc.argmin_v:.4g} "
+              f"({'holds' if rc.holds else 'does NOT hold'})")
     return EXIT_OK
 
 
@@ -414,12 +408,6 @@ def cmd_basis_check(n_u: int, n_l: int, samples: int = 500) -> int:
     print(f"  min subset singular value {rep.min_subset_sigma:.6f}")
     print(f"  coverage failures {rep.coverage_failures}/{rep.samples}")
     return EXIT_OK
-
-
-def bundled_config(name: str) -> Path:
-    """Path of a bundled scenario config (vtol_safe or vtol_unsafe)."""
-    from importlib import resources
-    return Path(str(resources.files("safecascade.configs").joinpath(f"{name}.cfg")))
 
 
 def _checked(name: str, parse, ok, rule: str):
@@ -456,7 +444,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--dt", type=float, default=None, help="override sim.dt_s")
     p_run.add_argument("--horizon", type=float, default=None, help="override sim.horizon_s")
-    p_run.add_argument("--seed", type=_seed, default=None, help="override sampling seed")
 
     p_e1 = sub.add_parser("example1", help="raw gap-crossing filter sweep")
     p_e1.add_argument("--out", default="out/example1")
@@ -480,7 +467,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.config, args.out, dt=args.dt, horizon=args.horizon, seed=args.seed)
+        return cmd_run(args.config, args.out, dt=args.dt, horizon=args.horizon)
     if args.command == "example1":
         return cmd_example1(args.out, radius=args.radius, field_grid=args.grid)
     if args.command == "example2":

@@ -18,10 +18,6 @@ class MaxIterationsError(SafecascadeError):
     """Iteration budget exhausted before convergence."""
 
 
-class RankDeficientError(SafecascadeError):
-    """A matrix that must have full row rank does not."""
-
-
 class ZeroGradientError(SafecascadeError):
     """Certificate gradient vanished where a nonzero gradient is assumed."""
 
@@ -34,10 +30,6 @@ class SelectionConditionError(SafecascadeError):
     def __init__(self, msg, pair=None):
         super().__init__(msg)
         self.pair = pair
-
-
-class NotInFeasibleSetError(SafecascadeError):
-    """Control input lies outside the constraint set it was audited against."""
 
 
 class UnsupportedDimensionError(SafecascadeError):
@@ -62,10 +54,6 @@ class DegenerateGeometryError(SafecascadeError):
 
 class AtCenterError(SafecascadeError):
     """Query point coincides with a disc center; no direction defined."""
-
-
-class BadTransformError(SafecascadeError):
-    """Barrier transform failed its monotonicity / convexity sampling audit."""
 
 
 class NonFiniteStateError(SafecascadeError):

@@ -54,13 +54,6 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
                                      traj.margins_v, traj.virtual_controls[:, :block_dim]])
 
 
-def read_trajectory_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    return header, data
-
-
 def scene_svg(
     traj: Trajectory,
     certs: Sequence[CertificateSpec],

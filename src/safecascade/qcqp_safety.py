@@ -6,7 +6,7 @@ pushed through the input matrix, the offset is the decay-rate value at the
 current certificate level, and the norm coefficient c = delta_upper/g_lower
 absorbs input-matrix uncertainty. The module also provides the Lipschitz
 selection, a closed-form point of the set used as the reshaping anchor, and
-the decrease-margin audit.
+the sampled audit of the decay-rate condition above the threshold.
 
 The selection also returns the slack it verified (selection_with_slack),
 so the reshaping does not evaluate the set at it a second time.
@@ -20,11 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .certificates import CertificateSpec, Segment, eval_disc, eval_segment
-from .errors import (
-    NotInFeasibleSetError,
-    SelectionConditionError,
-    ZeroGradientError,
-)
+from .errors import SelectionConditionError, ZeroGradientError
 
 
 @dataclass(frozen=True)
@@ -150,30 +146,6 @@ class RateSpec:
         return self.base(self.alpha_bar_inverse(offset))
 
 
-def rate_for_bounds(
-    base_slope: float,
-    bounds: PlantBounds,
-    alpha_bar_inverse: Callable[[np.ndarray], np.ndarray] = lambda s: s,
-) -> RateSpec:
-    """RateSpec whose negative-side slope matches the uncertainty ratio;
-    alpha_bar_inverse acts elementwise on arrays, as in RateSpec."""
-    return RateSpec(
-        base_slope=base_slope,
-        alpha_bar_inverse=alpha_bar_inverse,
-        negative_ratio=bounds.gain_ratio,
-    )
-
-
-def check_base_rate(rate: RateSpec, bounds: PlantBounds, samples: int = 200) -> float:
-    """Worst value of base(s) + ratio * base(-s) over sampled s <= 0.
-
-    Nonpositive means the selection guarantee applies with these bounds.
-    """
-    ratio = bounds.gain_ratio
-    ss = np.linspace(-10.0, 0.0, samples)
-    return max(rate.base(float(s)) + ratio * rate.base(float(-s)) for s in ss)
-
-
 def build_constraint_set(
     x: np.ndarray,
     certs: Sequence[CertificateSpec],
@@ -282,31 +254,6 @@ def selection_with_slack(cs: ConstraintSet, tol: float = 1e-9) -> tuple[np.ndarr
         return u, -viol
     undefined = (failed | ~(worst <= tol))[..., None]
     return np.where(undefined, np.nan, u), np.where(undefined, np.nan, -viol)
-
-
-def dissipation_audit(
-    cs: ConstraintSet,
-    u: np.ndarray,
-    bounds: PlantBounds,
-    disturbance_caps: tuple[float, float] = (0.0, 0.0),
-    x_norm: float = 0.0,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Guaranteed decay margin per certificate for any u in the set.
-
-    margin_j = alpha_j(V_j - level_j) - f_z(z_cap)/g_lower
-               - f_x(x_norm)/g_lower - (1 + delta/g_lower) * w_cap,
-    where alpha_j(V_j - level_j) is exactly -b_j. A nonnegative margin
-    certifies that V_j decreases at the current state under disturbances up
-    to the caps. Raises NotInFeasibleSetError when u is outside the set.
-    """
-    if not cs.contains(u, tol=tol):
-        raise NotInFeasibleSetError("audited input lies outside the constraint set")
-    z_cap, w_cap = disturbance_caps
-    f_z = bounds.f_z(z_cap) if bounds.f_z is not None else 0.0
-    f_x = bounds.f_x(x_norm) if bounds.f_x is not None else 0.0
-    return (-cs.b) - f_z / bounds.g_lower - f_x / bounds.g_lower \
-        - (1.0 + bounds.norm_coefficient) * w_cap
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ and drive its multiplier up while keeping previously added rows tight,
 dropping rows whose multiplier would go negative. Lowest-index selection on
 both the add and drop side keeps the iteration from cycling on degenerate
 instances. For two variables the projection also has an exact closed form
-over candidate points, which project_polygon_2d evaluates for a whole batch
-of problems sharing one row matrix. The row matrix's fixed structure
-(transpose, row norms, pair-vertex table) lives on a PolygonRows, which a
-caller with a fixed matrix builds once and projects through.
+over candidate points, which PolygonRows.project evaluates for a whole
+batch of problems sharing one row matrix. The PolygonRows keeps the
+matrix's fixed structure (transpose, row norms, pair-vertex table), so a
+caller with a fixed matrix builds it once and projects through it.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleError, MaxIterationsError, RankDeficientError
+from .errors import InfeasibleError, MaxIterationsError
 
 DEFAULT_TOL = 1e-9
 
@@ -154,9 +154,8 @@ class PolygonRows:
     structure: the transpose and the row norms and their squares, built
     with it, and the table of independent row pairs i < j (determinant
     above 1e-12) with the entries Cramer's rule reads, built on first use
-    and kept. vertices and project then do only the per-problem work;
-    project_polygon_2d builds the structure on every call, a PositiveBasis
-    keeps it.
+    and kept. vertices and project then do only the per-problem work; a
+    PositiveBasis keeps its PolygonRows.
     """
 
     def __init__(self, a: np.ndarray):
@@ -251,56 +250,3 @@ class PolygonRows:
         if np.isnan(viol).any():
             out = np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
         return out[0] if single else out.reshape(batch + (2,))
-
-
-def project_polygon_2d(u0: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Exact Euclidean projection of u0 onto {u : a u <= b} in 2-D.
-
-    a is (n, 2) with nonzero rows, shared; u0 is (..., 2) and b is (..., n),
-    broadcast together. See PolygonRows.project, which this calls after
-    building a's fixed structure.
-    """
-    return PolygonRows(a).project(u0, b, tol)
-
-
-def nonredundant_active_rows(sol: QpSolution, poly: Polyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Maximal linearly independent subset of rows tight at the solution.
-
-    Rows are scanned in index order and kept when they increase the rank of
-    the collected set, so duplicated or dependent tight rows resolve to the
-    earliest representative.
-    """
-    u = sol.point
-    tight = np.flatnonzero(np.abs(poly.a @ u - poly.b) <= tol)
-    kept: list[int] = []
-    for i in tight:
-        candidate = poly.a[kept + [int(i)]]
-        smin = np.linalg.svd(candidate, compute_uv=False)[-1]
-        if smin > 1e-10 * max(1.0, np.max(np.abs(candidate))):
-            kept.append(int(i))
-        if len(kept) == poly.n_u:
-            break
-    return np.asarray(kept, dtype=int)
-
-
-def hager_lipschitz_bound(active_rows: np.ndarray, tol: float = 1e-12) -> float:
-    """Lipschitz constant of the projection w.r.t. (u0, b) perturbations.
-
-    For a full-row-rank active matrix M the projection map is Lipschitz with
-    constant L = 1 + 2/s_min * (1 + 2*s_max*max(1/s_min, 1)), where s_max
-    bounds |M^T| and s_min is the smallest singular value of M. An empty
-    active set leaves the projection equal to u0, which is 1-Lipschitz.
-    """
-    m = np.atleast_2d(np.asarray(active_rows, dtype=float))
-    if m.size == 0:
-        return 1.0
-    if m.shape[0] > m.shape[1]:
-        raise RankDeficientError(
-            f"{m.shape[0]} active rows in dimension {m.shape[1]} cannot be independent"
-        )
-    sing = np.linalg.svd(m, compute_uv=False)
-    s_max, s_min = float(sing[0]), float(sing[-1])
-    if s_min <= tol:
-        raise RankDeficientError(f"smallest singular value {s_min:.3e} below {tol:.1e}")
-    return 1.0 + (2.0 / s_min) * (1.0 + 2.0 * s_max * max(1.0 / s_min, 1.0))

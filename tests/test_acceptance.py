@@ -15,7 +15,6 @@ from safecascade.cascade import CascadeController, CascadeGains, k_selection_aud
 from safecascade.certificates import CertificateSpec, Segment, exp_alpha_bar_for_level
 from safecascade.cli import (
     axis_slice_grid,
-    bundled_config,
     cmd_run,
     gap_axis_closed_form,
     gap_discs,
@@ -32,10 +31,11 @@ from safecascade.qcqp_safety import (
     disc_constraint_set,
     lipschitz_selection,
 )
-from safecascade.qp_solver import Polyhedron, project_polygon_2d, solve_projection_qp
+from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 from safecascade.reshaping import make_positive_basis, reshape_b_l, sample_polytope_2d
 from safecascade.sim import IntegratorChain, run_closed_loop, trajectory_metrics
 
+from helpers import bundled_config
 from oracles import INFEASIBLE, project_by_face_enumeration
 
 WALLS = [
@@ -78,12 +78,12 @@ def test_criterion_1_qp_oracle_equivalence():
             with pytest.raises(InfeasibleError):
                 solve_projection_qp(u0, poly)
             with pytest.raises(InfeasibleError):
-                project_polygon_2d(u0, a, b)
+                PolygonRows(a).project(u0, b)
             infeasible += 1
         else:
             got = solve_projection_qp(u0, poly).point
             assert np.max(np.abs(got - expected)) <= 1e-8
-            exact = project_polygon_2d(u0, a, b)
+            exact = PolygonRows(a).project(u0, b)
             assert np.max(np.abs(exact - expected)) <= 1e-8
             solved += 1
     elapsed = time.perf_counter() - started
@@ -332,10 +332,10 @@ def test_criterion_7_numerical_hygiene(tmp_path):
     order = math.log2(e1 / e2)
     assert 3.5 <= order <= 4.5
 
-    # Determinism: identical seeds, bit-identical CSV bytes.
+    # Determinism: identical inputs, bit-identical CSV bytes.
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
-    assert cmd_run(bundled_config("vtol_safe"), out1, horizon=0.5, seed=3) == 0
-    assert cmd_run(bundled_config("vtol_safe"), out2, horizon=0.5, seed=3) == 0
+    assert cmd_run(bundled_config("vtol_safe"), out1, horizon=0.5) == 0
+    assert cmd_run(bundled_config("vtol_safe"), out2, horizon=0.5) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     report(7, "numerical hygiene",
            f"{checked} gradient checks, order {order:.2f}, deterministic csv")

@@ -21,6 +21,8 @@ from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_b
 from safecascade.qcqp_safety import PlantBounds, RateSpec  # noqa: E402
 from safecascade.reshaping import make_positive_basis  # noqa: E402
 
+from helpers import bundled_config  # noqa: E402
+
 
 def test_trace_hooks_install_record_and_restore():
     originals = (sim.certificate_value, qcqp_safety.eval_segment, qcqp_safety.eval_disc)
@@ -127,7 +129,7 @@ def test_output_hooks_receive_the_written_file_as_argument_0(tmp_path, monkeypat
     writers = ("write_trajectory_csv", "write_scene_svg", "write_metrics_json", "_field_csv")
     for attr in writers:
         monkeypatch.setattr(cli, attr, recorder(attr))
-    assert cli.main(["run", "--config", str(cli.bundled_config("vtol_safe")),
+    assert cli.main(["run", "--config", str(bundled_config("vtol_safe")),
                      "--out", str(tmp_path / "run"), "--horizon", "0.05"]) == cli.EXIT_OK
     assert cli.main(["example1", "--out", str(tmp_path / "example1"), "--grid", "5"]) == cli.EXIT_OK
     assert seen == {attr: [True] for attr in writers}

@@ -32,13 +32,13 @@ from safecascade.qcqp_safety import (
     build_constraint_set,
     disc_constraint_set,
     lipschitz_selection,
-    rate_for_bounds,
 )
-from safecascade.qp_solver import Polyhedron, project_polygon_2d, solve_projection_qp
+from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
 from safecascade.cascade import safety_virtual_law
 
+from helpers import bundled_config
 from oracles import ledger_products
 
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
@@ -416,7 +416,6 @@ def test_estimate_lipschitz_keeps_one_row_a_call_when_a_row_exceeds_the_budget(m
 def test_blocked_estimate_equals_the_row_by_row_estimate_on_the_safe_scenario(monkeypatch):
     # The reference is the estimate as it was: one grid row a call, and a
     # plain callable, so the segments are evaluated again for the mask.
-    from safecascade.cli import bundled_config
     built = build_scenario(load_scenario(bundled_config("vtol_safe")))     # k1 = 3.49, no estimate
     law, certs, workspace = built.controller.rho1, built.certificates, built.workspace
     blocked = estimate_safety_law_lipschitz(law, certs, workspace, grid=200)
@@ -449,7 +448,7 @@ def _outer_laws():
         "hidden": safety_virtual_law(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0,
                                      g=np.array([[1.0, 0.0], [0.0, 0.0]])),
         "uncertain": safety_virtual_law(
-            WALLS, nominal, basis, uncertain, rate_for_bounds(1.0, uncertain, abar_inv), k_phi=2.0),
+            WALLS, nominal, basis, uncertain, RateSpec(1.0, abar_inv, negative_ratio=uncertain.gain_ratio), k_phi=2.0),
     }
 
 
@@ -508,7 +507,7 @@ def _composed(law, x):
     nominal = np.broadcast_to(np.asarray(law.nominal(x), dtype=float), np.shape(x))
     cs = build_constraint_set(x, law.certs, law.g, law.bounds, law.rates)
     b_l = reshape_b_l(lipschitz_selection(cs), cs, law.basis, law.k_phi).b_l
-    return project_polygon_2d(nominal, law.basis.a_l, b_l), cs.h, cs.v
+    return PolygonRows(law.basis.a_l).project(nominal, b_l), cs.h, cs.v
 
 
 def _assert_same_bits(got, want, msg):
@@ -523,7 +522,7 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
     # SafetyLaw keeps its g and its basis's polygon structure, and the
     # filter hands the selection's slack to the reshaping;
     # build_constraint_set -> lipschitz_selection -> reshape_b_l ->
-    # project_polygon_2d evaluates the set at the selection again and
+    # PolygonRows(a_l).project evaluates the set at the selection again and
     # rebuilds the polygon structure on every call. Both must give
     # the same bits, with the same exception for a single state and the
     # same NaN rows in a batch.

@@ -4,23 +4,15 @@ import numpy as np
 import pytest
 
 from safecascade.certificates import (
-    EXP_TRANSFORM,
     CertificateSpec,
     Disc,
-    MuTransform,
     Segment,
-    cbf_to_certificate,
     disjointness_audit,
     eval_disc,
     eval_segment,
     exp_alpha_bar_for_level,
 )
-from safecascade.errors import (
-    AtCenterError,
-    BadTransformError,
-    DegenerateGeometryError,
-    ZeroGradientError,
-)
+from safecascade.errors import AtCenterError, DegenerateGeometryError, ZeroGradientError
 from safecascade.qcqp_safety import disc_constraint_set
 
 from oracles import segment_distance_by_sampling, signed_level_distance
@@ -125,9 +117,7 @@ def test_degenerate_segment_rejected():
         CertificateSpec(Segment([1.0, 1.0], [1.0, 1.0]), safe_distance=0.3)
 
 
-def test_unknown_transform_tag_rejected():
-    with pytest.raises(ValueError):
-        CertificateSpec(Segment([0.0, 0.0], [1.0, 0.0]), safe_distance=0.2, mu="log")
+def test_nonpositive_level_rejected():
     with pytest.raises(ValueError):
         CertificateSpec(Disc([0.0, 0.0], 1.0), level=0.0)
 
@@ -175,33 +165,6 @@ def test_alpha_bar_general_level_roundtrip():
     abar, abar_inv = exp_alpha_bar_for_level(2.5)
     for s in np.linspace(-0.5, 3.0, 50):
         assert abar_inv(abar(s)) == pytest.approx(s, abs=1e-12)
-
-
-def test_cbf_transform_matches_hand_derivation():
-    # For mu = exp(-s) and alpha(s) = k s, the transformed rate is
-    # k (s + 1) ln(s + 1).
-    k = 0.7
-    v_fn, alpha_prime = cbf_to_certificate(lambda x: float(x[0]), lambda s: k * s)
-    for s in np.linspace(0.0, 6.0, 97):
-        assert alpha_prime(s) == pytest.approx(k * (s + 1.0) * math.log1p(s), abs=1e-12)
-    assert alpha_prime(0.0) == 0.0
-    for s in np.linspace(0.1, 6.0, 40):
-        assert alpha_prime(s) > 0.0
-
-
-def test_cbf_transform_preserves_safe_set():
-    h_fn = lambda x: float(x[0] ** 2 + x[1] - 1.0)
-    v_fn, _ = cbf_to_certificate(h_fn, lambda s: s)
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        x = rng.uniform(-2, 2, size=2)
-        assert (v_fn(x) <= EXP_TRANSFORM.mu(0.0)) == (h_fn(x) >= 0.0)
-
-
-def test_cbf_transform_rejects_increasing_mu():
-    bad = MuTransform(mu=math.exp, mu_prime=math.exp, mu_inverse=math.log)
-    with pytest.raises(BadTransformError):
-        cbf_to_certificate(lambda x: float(x[0]), lambda s: s, mu=bad)
 
 
 def test_disjointness_audit_clean_for_wall_pair():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -22,7 +23,6 @@ from safecascade.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SIM,
-    bundled_config,
     cmd_audit,
     cmd_basis_check,
     cmd_example1,
@@ -31,9 +31,11 @@ from safecascade.cli import (
     main,
 )
 from safecascade.errors import ConfigError
-from safecascade.output import read_trajectory_csv, validate_metrics
+from safecascade.output import validate_metrics
 from safecascade.scenario import (KEYS, MAX_STEPS, OBSTACLE_KEYS, build_scenario, check_time_grid,
                                   load_scenario, parse_config_text)
+
+from helpers import bundled_config, read_trajectory_csv
 
 
 def test_bundled_configs_parse_with_stock_values():
@@ -205,7 +207,6 @@ def test_cli_values_out_of_range_are_usage_errors(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [
-    ["run", "--config", "CFG", "--out", "OUT"],
     ["audit", "--config", "CFG"],
     ["example2", "--out", "OUT", "--grid", "3"],
 ])
@@ -452,12 +453,12 @@ _WITHOUT_SCIPY = textwrap.dedent("""
             return None
 
     sys.meta_path.insert(0, RefuseScipy())
-    from safecascade.cli import bundled_config, main
+    from safecascade.cli import main
 
+    out, unsafe, safe = sys.argv[1:]
     codes = [
-        main(["run", "--config", str(bundled_config("vtol_unsafe")), "--out", sys.argv[1],
-              "--horizon", "0.01"]),
-        main(["audit", "--config", str(bundled_config("vtol_safe"))]),
+        main(["run", "--config", unsafe, "--out", out, "--horizon", "0.01"]),
+        main(["audit", "--config", safe]),
         main(["basis-check", "--n-u", "3", "--n-l", "14"]),
     ]
     print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
@@ -467,7 +468,8 @@ _WITHOUT_SCIPY = textwrap.dedent("""
 def test_cli_runs_without_scipy(tmp_path):
     src = str(Path(safecascade.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out")],
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out"),
+                           str(bundled_config("vtol_unsafe")), str(bundled_config("vtol_safe"))],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
@@ -514,8 +516,8 @@ def test_run_produces_valid_outputs(tmp_path):
 
 def test_run_outputs_are_bit_identical_across_runs(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cmd_run(bundled_config("vtol_safe"), out1, horizon=0.5, seed=7) == EXIT_OK
-    assert cmd_run(bundled_config("vtol_safe"), out2, horizon=0.5, seed=7) == EXIT_OK
+    assert cmd_run(bundled_config("vtol_safe"), out1, horizon=0.5) == EXIT_OK
+    assert cmd_run(bundled_config("vtol_safe"), out2, horizon=0.5) == EXIT_OK
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     assert (out1 / "path.svg").read_bytes() == (out2 / "path.svg").read_bytes()
 
@@ -542,6 +544,64 @@ def test_audit_command_prints_margins(capsys):
     assert cmd_audit(bundled_config("vtol_unsafe")) == EXIT_OK
     text = capsys.readouterr().out
     assert "margin=-252.415" in text
+
+
+@pytest.mark.parametrize("name, k1, source", [
+    ("vtol_safe", None, "configured"),
+    ("vtol_unsafe", None, "configured"),
+    ("vtol_safe", "estimate", "estimated"),
+])
+def test_audit_level_2_note_names_the_k1_source(tmp_path, capsys, name, k1, source):
+    text = bundled_config(name).read_text()
+    if k1 is not None:
+        text = _with_key(_with_key(text, "cascade.k1", k1), "cascade.k1_grid", "20")
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(text)
+    assert cmd_audit(cfg) == EXIT_OK
+    level_2 = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  level 2: K=")]
+    assert len(level_2) == 1 and level_2[0].endswith(f"(level 2 uses the {source} outer constant)")
+
+
+_ONE_DISC = (
+    "plant.kind = integrator_chain\n"
+    "plant.levels = 1\n"
+    "obstacle.1.kind = disc\n"
+    "obstacle.1.center_m = 0.0, 3.0\n"
+    "obstacle.1.radius_m = 1.5\n"
+    "nominal.value = 0.0, 1.0\n"
+    "sim.workspace_m = -3.0, 3.0, -1.0, 6.0\n"
+)
+
+
+@pytest.mark.parametrize("text, v_max", [
+    (_ONE_DISC, math.exp(1.5 ** 2)),
+    (_with_key(bundled_config("vtol_safe").read_text(), "certificate.level", "0.5"), math.exp(0.35)),
+], ids=["disc", "segment_level_0.5"])
+def test_audit_rate_condition_spans_the_reachable_certificate_values(tmp_path, monkeypatch, text, v_max):
+    # V = exp(-h) is largest at the least clearance, -R^2 for a disc and
+    # -safe distance for a segment, whatever the level.
+    seen = []
+    audit = cli.rate_condition_audit
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["v_max"])
+        return audit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rate_condition_audit", recorded)
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(text)
+    assert cmd_audit(cfg) == EXIT_OK
+    assert seen == [v_max]
+
+
+def test_run_takes_no_seed(tmp_path, capsys):
+    # The sampling seed is read by audit and example2 only.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(bundled_config("vtol_safe")), "--out", str(tmp_path / "out"),
+              "--seed", "3"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_flags_overlapping_obstacles(tmp_path, capsys):

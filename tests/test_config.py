@@ -5,9 +5,11 @@ import re
 import pytest
 
 from safecascade import scenario
-from safecascade.cli import EXIT_OK, bundled_config, main
+from safecascade.cli import EXIT_OK, main
 from safecascade.errors import ConfigError
 from safecascade.scenario import KEYS, OBSTACLE_KEYS, parse_config_text
+
+from helpers import bundled_config
 
 
 def _entries():

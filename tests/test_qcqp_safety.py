@@ -6,22 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
-from safecascade.errors import (
-    NotInFeasibleSetError,
-    SelectionConditionError,
-    ZeroGradientError,
-)
+from safecascade.errors import SelectionConditionError, ZeroGradientError
 from safecascade.qcqp_safety import (
     ConstraintSet,
     PlantBounds,
     RateSpec,
     build_constraint_set,
-    check_base_rate,
     disc_constraint_set,
-    dissipation_audit,
     lipschitz_selection,
     rate_condition_audit,
-    rate_for_bounds,
 )
 
 from oracles import norm_constrained_membership
@@ -105,7 +98,7 @@ def test_uncertain_bounds_fill_norm_coefficient():
     bounds = PlantBounds(g_lower=2.0, g_upper=3.0, delta_upper=0.5)
     cert = CertificateSpec(Disc([0.0, 2.0], 1.0))
     cs = build_constraint_set(np.array([0.0, 0.0]), [cert], np.eye(2), bounds,
-                              rate_for_bounds(1.0, bounds))
+                              RateSpec(1.0, negative_ratio=bounds.gain_ratio))
     np.testing.assert_allclose(cs.c, [0.25])
 
 
@@ -131,7 +124,7 @@ def test_witness_monte_carlo_disjoint_configurations():
         n_c = int(rng.integers(2, 4))
         delta_ratio = float(rng.uniform(0.0, 0.8))
         bounds = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=delta_ratio)
-        rate = rate_for_bounds(float(rng.uniform(0.3, 3.0)), bounds)
+        rate = RateSpec(float(rng.uniform(0.3, 3.0)), negative_ratio=bounds.gain_ratio)
         b = draw_disjoint_disc_offsets(rng, n_c, rate)
         cs = cs_of(random_unit_rows(rng, n_c), b, np.full(n_c, delta_ratio))
         w = lipschitz_selection(cs, tol=1e-9)
@@ -162,12 +155,15 @@ def test_witness_infeasible_without_rate_steepening():
 
 
 def test_base_rate_negative_side_condition():
+    # The selection needs base(s) + ratio * base(-s) <= 0 for every s <= 0.
+    s = np.linspace(-10.0, 0.0, 200)
+    worst = lambda rate, bounds: np.max(rate.base(s) + bounds.gain_ratio * rate.base(-s))
     bounds = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.4)
     plain = RateSpec(base_slope=1.0)
-    steep = rate_for_bounds(1.0, bounds)
-    assert check_base_rate(plain, UNIT_BOUNDS) <= 1e-12        # delta = 0: fine
-    assert check_base_rate(plain, bounds) > 0.0                # delta > 0: fails
-    assert check_base_rate(steep, bounds) <= 1e-12             # steepened: fine
+    steep = RateSpec(1.0, negative_ratio=bounds.gain_ratio)
+    assert worst(plain, UNIT_BOUNDS) <= 1e-12        # delta = 0: fine
+    assert worst(plain, bounds) > 0.0                # delta > 0: fails
+    assert worst(steep, bounds) <= 1e-12             # steepened: fine
 
 
 # -------------------------------------------------------------- selection
@@ -238,41 +234,7 @@ def test_selection_membership_property(scale, seed):
     assert norm_constrained_membership(cs.a, cs.b, cs.c, sel, tol=1e-9)
 
 
-# ------------------------------------------------------------- dissipation
-
-def test_dissipation_margin_equals_rate_at_witness():
-    cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [-0.8, 1.1])
-    w = lipschitz_selection(cs)
-    margins = dissipation_audit(cs, w, UNIT_BOUNDS)
-    np.testing.assert_allclose(margins, [0.8, -1.1], atol=1e-12)
-
-
-def test_dissipation_zero_at_level():
-    cs = cs_of([[0.0, 1.0]], [0.0])
-    margins = dissipation_audit(cs, np.zeros(2), UNIT_BOUNDS)
-    assert margins[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dissipation_respects_feasibility():
-    cs = cs_of([[1.0, 0.0]], [-1.0])
-    with pytest.raises(NotInFeasibleSetError):
-        dissipation_audit(cs, np.array([5.0, 0.0]), UNIT_BOUNDS)
-
-
-def test_dissipation_margin_dominates_theta_v_with_designed_caps():
-    # Linear rate through the identity envelope: offset b = -k (V - level).
-    # With level 1, threshold 2, theta = 1e-3 and disturbance gain slope 4,
-    # the threshold condition holds for every V >= 2, so the margin at caps
-    # w = V/4 must beat theta * V.
-    theta, level = 1e-3, 1.0
-    rate = RateSpec(base_slope=1.0)
-    for v in np.linspace(2.0, 10.0, 41):
-        b = -rate.rate(v - level)
-        cs = cs_of([[1.0, 0.0]], [b])
-        u = lipschitz_selection(cs)
-        margins = dissipation_audit(cs, u, UNIT_BOUNDS, disturbance_caps=(0.0, v / 4.0))
-        assert margins[0] >= theta * v
-
+# --------------------------------------------------------- rate condition
 
 def test_rate_condition_audit_reports_margin():
     _, abar_inv = exp_alpha_bar_for_level(1.0)

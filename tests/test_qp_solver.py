@@ -3,14 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from safecascade.errors import InfeasibleError, RankDeficientError
-from safecascade.qp_solver import (
-    Polyhedron,
-    hager_lipschitz_bound,
-    nonredundant_active_rows,
-    project_polygon_2d,
-    solve_projection_qp,
-)
+from safecascade.errors import InfeasibleError
+from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 
 from oracles import INFEASIBLE, project_by_face_enumeration
 
@@ -77,7 +71,7 @@ def test_polygon_projection_batch_matches_oracle_rowwise():
     u0 = rng.normal(scale=3.0, size=(400, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = project_polygon_2d(u0, a, b)
+        got = PolygonRows(a).project(u0, b)
     assert got.shape == (400, 2)
     assert np.isnan(got[3]).all()
     empty = 0
@@ -89,10 +83,10 @@ def test_polygon_projection_batch_matches_oracle_rowwise():
             empty += 1
             assert np.isnan(got[k]).all()
             with pytest.raises(InfeasibleError):
-                project_polygon_2d(u0[k], a, b[k])
+                PolygonRows(a).project(u0[k], b[k])
         else:
             np.testing.assert_allclose(got[k], expected, atol=1e-8)
-            np.testing.assert_allclose(project_polygon_2d(u0[k], a, b[k]), got[k], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(PolygonRows(a).project(u0[k], b[k]), got[k], rtol=0, atol=1e-12)
     assert 0 < empty < 100
 
 
@@ -137,49 +131,6 @@ def test_kkt_stationarity_and_feasibility():
         resid = (sol.point - u0) + sol.multipliers @ poly.a[sol.active_indices] \
             if sol.active_indices.size else sol.point - u0
         assert np.linalg.norm(resid) <= 1e-9
-
-
-def test_nonredundant_rows_interior_solution():
-    poly = Polyhedron([[1.0, 0.0], [0.0, 1.0]], [5.0, 5.0])
-    sol = solve_projection_qp([0.0, 0.0], poly)
-    assert nonredundant_active_rows(sol, poly).size == 0
-
-
-def test_nonredundant_rows_duplicates_collapse():
-    poly = Polyhedron([[1.0, 0.0], [1.0, 0.0]], [0.0, 0.0])
-    sol = solve_projection_qp([1.0, 0.5], poly)
-    kept = nonredundant_active_rows(sol, poly)
-    np.testing.assert_array_equal(kept, [0])
-
-
-def test_nonredundant_rows_vertex_with_three_tight():
-    # Cone vertex at the origin with three rows tight there.
-    poly = Polyhedron([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 0.0])
-    sol = solve_projection_qp([1.0, 1.0], poly)
-    np.testing.assert_allclose(sol.point, [0.0, 0.0], atol=1e-10)
-    kept = nonredundant_active_rows(sol, poly)
-    assert kept.size == 2
-    assert np.linalg.matrix_rank(poly.a[kept]) == 2
-
-
-def test_hager_bound_identity():
-    assert hager_lipschitz_bound(np.eye(2)) == pytest.approx(7.0)
-
-
-def test_hager_bound_empty_set_convention():
-    assert hager_lipschitz_bound(np.zeros((0, 2))) == 1.0
-
-
-def test_hager_bound_blows_up_as_rows_align():
-    previous = 0.0
-    for theta in [0.5, 0.2, 0.1, 0.05, 0.01]:
-        rows = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
-        value = hager_lipschitz_bound(rows)
-        assert value > previous
-        previous = value
-    assert previous > 100.0
-    with pytest.raises(RankDeficientError):
-        hager_lipschitz_bound(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 def test_solution_lipschitz_in_data():

@@ -6,10 +6,8 @@ import pytest
 from safecascade.cascade import CascadeController, CascadeGains, gain_ledger
 from safecascade.certificates import CertificateSpec, Segment, exp_alpha_bar_for_level
 from safecascade.qcqp_safety import (
-    ConstraintSet,
     PlantBounds,
     RateSpec,
-    dissipation_audit,
     rate_condition_audit,
 )
 from safecascade.reshaping import make_positive_basis
@@ -21,6 +19,8 @@ from safecascade.sim import (
     run_closed_loop,
     trajectory_metrics,
 )
+
+from helpers import bundled_config
 
 WALLS = [
     CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
@@ -110,7 +110,6 @@ def test_outer_law_passes_nominal_far_from_every_obstacle():
     # |grad V . g| = V |grad h . g| falls below any absolute threshold once
     # the clearance passes about 20 m; the gradient test is relative to
     # |grad h|, so the law stays defined there.
-    from safecascade.cli import bundled_config
     from safecascade.scenario import load_scenario
     controller = build_scenario(load_scenario(bundled_config("vtol_safe"))).controller
     for x in ([0.0, 21.5], [0.0, 25.0], [0.0, 100.0]):
@@ -127,16 +126,6 @@ def test_scenario_rejects_wrong_gain_count():
     from safecascade.errors import ConfigError
     with pytest.raises(ConfigError):
         build_scenario(parse_config_text(text))
-
-
-def test_dissipation_audit_with_drift_envelopes():
-    bounds = PlantBounds(g_lower=2.0, g_upper=2.0, delta_upper=0.5,
-                         f_z=lambda s: 0.3 * s, f_x=lambda s: 0.1 * s)
-    cs = ConstraintSet(np.array([[1.0, 0.0]]), np.array([-1.2]), np.array([0.25]))
-    u = np.array([-1.6, 0.0])
-    margins = dissipation_audit(cs, u, bounds, disturbance_caps=(2.0, 0.5), x_norm=3.0)
-    expected = 1.2 - (0.3 * 2.0) / 2.0 - (0.1 * 3.0) / 2.0 - (1.0 + 0.25) * 0.5
-    assert margins[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_rate_condition_with_drift_envelopes():
