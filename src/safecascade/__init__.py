@@ -8,8 +8,10 @@ and the rate-condition audit (qcqp_safety); positive-basis reshaping that
 restores Lipschitz regularity to the filtered control law (reshaping); the
 recursive cascade controller and its gain audits (cascade); closed-loop
 simulation (sim); and a config-driven CLI (cli). Every top-level
-definition in these modules is used elsewhere in the package
-(tests/test_reachability.py checks it).
+definition in these modules is used elsewhere in the package, and every
+parameter or dataclass field with a default is set by some call in it,
+apart from two exemptions that state their reasons
+(tests/test_reachability.py checks both).
 """
 from .cascade import (
     CascadeController,
@@ -44,7 +46,6 @@ from .qp_solver import (
 )
 from .reshaping import (
     PositiveBasis,
-    ReshapedSet,
     cbar_a,
     make_positive_basis,
     reshape_b_l,

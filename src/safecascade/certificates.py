@@ -21,6 +21,10 @@ import numpy as np
 
 from .errors import AtCenterError, DegenerateGeometryError, ZeroGradientError
 
+# How near a segment's spine or a disc's center the gradient is undefined.
+SPINE_TOL = 1e-9
+CENTER_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -108,15 +112,16 @@ def _undefined_where(bad, x: np.ndarray, error: type, message: str, values: np.n
     return np.where(bad, np.nan, values)
 
 
-def eval_segment(cert: CertificateSpec, x: np.ndarray, spine_tol: float = 1e-9) -> CertificateEval:
+def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     """Clearance and gradient for a segment certificate at x of shape (..., 2).
 
     The nearest segment point is the projection of x onto the spine line,
     clamped to the endpoints: t = clip((x - o1).b / |b|^2, 0, 1). The
     clearance is the distance to it minus the safe distance, and the
-    gradient is the unit vector from it to x. Exactly on the spine that
-    direction is undefined: a single point raises ZeroGradientError, and in
-    an array of points such a point evaluates to NaN.
+    gradient is the unit vector from it to x. On the spine (within
+    SPINE_TOL) that direction is undefined: a single point raises
+    ZeroGradientError, and in an array of points such a point evaluates to
+    NaN.
     """
     seg = cert.geometry
     if not isinstance(seg, Segment):
@@ -129,15 +134,15 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray, spine_tol: float = 1e-9) 
     t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
     delta = rel - np.multiply.outer(t, base)
     dist = np.hypot(delta[..., 0], delta[..., 1])
-    dist = _undefined_where(dist <= spine_tol, x, ZeroGradientError, "query point on segment spine", dist)
+    dist = _undefined_where(dist <= SPINE_TOL, x, ZeroGradientError, "query point on segment spine", dist)
     return CertificateEval.from_clearance(dist - cert.safe_distance, delta / dist[..., None])
 
 
-def eval_disc(cert: CertificateSpec, x: np.ndarray, tol: float = 1e-12) -> CertificateEval:
+def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     """Quadratic clearance h(x) = |x - o|^2 - R^2 for a disc certificate.
 
-    x has shape (..., 2); at the center a single point raises AtCenterError
-    and an array of points evaluates to NaN there.
+    x has shape (..., 2); at the center (within CENTER_TOL) a single point
+    raises AtCenterError and an array of points evaluates to NaN there.
     """
     disc = cert.geometry
     if not isinstance(disc, Disc):
@@ -145,7 +150,7 @@ def eval_disc(cert: CertificateSpec, x: np.ndarray, tol: float = 1e-12) -> Certi
     x = np.asarray(x, dtype=float)
     delta = x - disc.center
     r = np.hypot(delta[..., 0], delta[..., 1])
-    r = _undefined_where(r <= tol, x, AtCenterError, "query point at disc center", r)
+    r = _undefined_where(r <= CENTER_TOL, x, AtCenterError, "query point at disc center", r)
     grad_h = np.where(np.isnan(r)[..., None], np.nan, 2.0 * delta)
     return CertificateEval.from_clearance(r * r - disc.radius**2, grad_h)
 

@@ -21,6 +21,7 @@ from .sim import Trajectory, TrajectoryMetrics
 
 NUM_FORMAT = "{:.9g}"
 CSV_BLOCK_ROWS = 1024
+SCENE_STRIDE = 10       # the scene plots every SCENE_STRIDE-th state, and the last
 
 
 def _fmt(value: float) -> str:
@@ -58,7 +59,6 @@ def scene_svg(
     traj: Trajectory,
     certs: Sequence[CertificateSpec],
     workspace: tuple[tuple[float, float], tuple[float, float]],
-    stride: int = 10,
 ) -> str:
     """Static SVG: inflated obstacle bands, spines, and the output trajectory.
 
@@ -94,8 +94,8 @@ def scene_svg(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(geom.radius)}" '
                 'fill="#f4b6b6" stroke="#c0392b" stroke-width="0.02"/>'
             )
-    pts = traj.states[::stride, :2]
-    if traj.states.shape[0] and (traj.states.shape[0] - 1) % stride:
+    pts = traj.states[::SCENE_STRIDE, :2]
+    if traj.states.shape[0] and (traj.states.shape[0] - 1) % SCENE_STRIDE:
         pts = np.vstack([pts, traj.states[-1, :2]])
     if pts.shape[0] >= 2:
         coords = " ".join(f"{_fmt(p[0])},{_fmt(-p[1])}" for p in pts)
@@ -110,25 +110,21 @@ def scene_svg(
     return "\n".join(parts) + "\n"
 
 
-def write_scene_svg(path, traj, certs, workspace, stride: int = 10) -> None:
-    Path(path).write_text(scene_svg(traj, certs, workspace, stride=stride))
+def write_scene_svg(path, traj, certs, workspace) -> None:
+    Path(path).write_text(scene_svg(traj, certs, workspace))
 
 
-def load_metrics_schema() -> dict:
-    with resources.files("safecascade.schemas").joinpath("metrics-v1.json").open() as handle:
-        return json.load(handle)
-
-
-def validate_metrics(doc: dict, schema: dict | None = None, path: str = "$") -> list[str]:
-    """Structural check against the bundled schema; returns problem strings.
+def validate_metrics(doc: dict) -> list[str]:
+    """Structural check against the bundled schema; returns problem strings,
+    each starting with the path of its node from the root "$".
 
     Supports the subset the schema uses: object/number/integer/string/
     boolean/array types, required keys, nullable, items, and closed objects.
     """
-    if schema is None:
-        schema = load_metrics_schema()
+    with resources.files("safecascade.schemas").joinpath("metrics-v1.json").open() as handle:
+        schema = json.load(handle)
     problems: list[str] = []
-    _validate_node(doc, schema, path, problems)
+    _validate_node(doc, schema, "$", problems)
     return problems
 
 

@@ -21,6 +21,10 @@ import numpy as np
 
 from .certificates import CertificateSpec, Segment, eval_disc, eval_segment
 from .errors import SelectionConditionError, ZeroGradientError
+from .qp_solver import DEFAULT_TOL
+
+# A clearance gradient vanishes through g where |dh/dx @ g| <= GRAD_TOL |dh/dx|.
+GRAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,25 +83,20 @@ class ConstraintSet:
         au = (self.a @ u[..., None])[..., 0]
         return au + self.c * np.sqrt((u * u).sum(axis=-1))[..., None] - self.b
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9):
-        """Whether u meets every row within tol; one flag per batch row."""
-        return (self.violations(u) <= tol).all(axis=-1)
+    def contains(self, u: np.ndarray):
+        """Whether u meets every row within DEFAULT_TOL; one flag per batch row."""
+        return (self.violations(u) <= DEFAULT_TOL).all(axis=-1)
 
 
 @dataclass(frozen=True)
 class PlantBounds:
-    """Envelope constants of the plant: gain floor/ceiling, uncertainty cap,
-    and class-K bounds on the drift from the disturbance and state channels."""
+    """Envelope constants of the plant: the input-gain floor and the cap on
+    its uncertainty."""
 
     g_lower: float
-    g_upper: float
     delta_upper: float = 0.0
-    f_z: Callable[[float], float] | None = None
-    f_x: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        if not (self.g_upper >= self.g_lower > 0.0):
-            raise ValueError("need g_upper >= g_lower > 0")
         if not (self.g_lower > self.delta_upper >= 0.0):
             raise ValueError("need g_lower > delta_upper >= 0")
 
@@ -152,7 +151,6 @@ def build_constraint_set(
     g: np.ndarray,
     bounds: PlantBounds,
     rates: RateSpec,
-    grad_tol: float = 1e-9,
 ) -> ConstraintSet:
     """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
 
@@ -161,7 +159,7 @@ def build_constraint_set(
     -alpha_j(V_j - level_j), and every norm coefficient is
     delta_upper / g_lower. The set keeps each certificate's h and V, so a
     caller that needs them evaluates nothing again. A clearance gradient
-    that vanishes through g (|dh/dx @ g| <= grad_tol |dh/dx|) breaks the
+    that vanishes through g (|dh/dx @ g| <= GRAD_TOL |dh/dx|) breaks the
     nonzero-gradient standing assumption: a single state raises
     ZeroGradientError, a batch gives NaN rows there, as it does where a
     certificate is undefined.
@@ -181,7 +179,7 @@ def build_constraint_set(
         v[..., j] = ev.v
     direction = grad_h @ g
     nrm2 = (direction * direction).sum(axis=-1)
-    vanished = nrm2 <= (grad_tol * np.hypot(grad_h[..., 0], grad_h[..., 1])) ** 2
+    vanished = nrm2 <= (GRAD_TOL * np.hypot(grad_h[..., 0], grad_h[..., 1])) ** 2
     if vanished.any():
         if x.ndim == 1:
             raise ZeroGradientError(
@@ -208,24 +206,24 @@ def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> Cons
     return ConstraintSet(np.stack(rows, axis=-2), np.stack(offsets, axis=-1), np.zeros(len(discs)))
 
 
-def lipschitz_selection(cs: ConstraintSet, tol: float = 1e-9) -> np.ndarray:
+def lipschitz_selection(cs: ConstraintSet) -> np.ndarray:
     """Lipschitz anchor point of the constraint set, (n_u,) or (..., n_u).
 
     Requires the pairwise offset condition
     b_j/(1 + sgn(b_j) c_j) + b_k/(1 + sgn(b_k) c_k) >= 0 for j != k, which
-    guarantees at most one offset below -tol. Returns zero when all offsets
-    are nonnegative, else the negative row's direction times b/(1 - c),
-    summed over negative rows (a second one can only lie within tol of
-    zero). The point is verified against every row; a violation means the
-    certificates are not disjoint or the rate lacks the negative-side
-    steepening. For a single state both failures raise
+    guarantees at most one offset below -DEFAULT_TOL. Returns zero when all
+    offsets are nonnegative, else the negative row's direction times
+    b/(1 - c), summed over negative rows (a second one can only lie within
+    DEFAULT_TOL of zero). The point is verified against every row; a
+    violation means the certificates are not disjoint or the rate lacks the
+    negative-side steepening. For a single state both failures raise
     SelectionConditionError; a batch gives NaN rows there and where the set
     itself is NaN.
     """
-    return selection_with_slack(cs, tol)[0]
+    return selection_with_slack(cs)[0]
 
 
-def selection_with_slack(cs: ConstraintSet, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """lipschitz_selection and the slack b - a u - c|u| of every row at it,
     shape (..., n_rows), from the one evaluation of the set that verifies
     the point; NaN rows where the selection is undefined."""
@@ -237,7 +235,7 @@ def selection_with_slack(cs: ConstraintSet, tol: float = 1e-9) -> tuple[np.ndarr
     if cs.n_rows >= 2:
         # The two smallest; with two rows that is both (their sum commutes).
         two = scaled if cs.n_rows == 2 else np.partition(scaled, 1, axis=-1)[..., :2]
-        failed = two.sum(axis=-1) < -tol
+        failed = two.sum(axis=-1) < -DEFAULT_TOL
         if not cs.batched and failed:
             lo, second = (int(k) for k in np.argsort(scaled, kind="stable")[:2])
             raise SelectionConditionError(
@@ -249,10 +247,10 @@ def selection_with_slack(cs: ConstraintSet, tol: float = 1e-9) -> tuple[np.ndarr
     viol = cs.violations(u)
     worst = viol.max(axis=-1)
     if not cs.batched:
-        if worst > tol:
+        if worst > DEFAULT_TOL:
             raise SelectionConditionError(f"selection violates a row by {worst:.3e}", pair=None)
         return u, -viol
-    undefined = (failed | ~(worst <= tol))[..., None]
+    undefined = (failed | ~(worst <= DEFAULT_TOL))[..., None]
     return np.where(undefined, np.nan, u), np.where(undefined, np.nan, -viol)
 
 
@@ -275,12 +273,10 @@ def rate_condition_audit(
     gamma_w_slope: float,
     bounds: PlantBounds,
     v_max: float,
-    gamma_z_inverse: Callable[[float], float] | None = None,
-    x_norm: float = 0.0,
     grid: int = 200,
 ) -> RateConditionReport:
-    """Check alpha_j((c-v)/c * V) >= theta V + f_z(gz^-1(V))/g + (1+d/g) V/gw
-    + f_x(|x|)/g over sampled V in [threshold, v_max]. Report-only."""
+    """Check alpha_j((c-v)/c * V) >= theta V + (1 + d/g) V/gw over sampled V
+    in [threshold, v_max]. Report-only."""
     if threshold <= level:
         raise ValueError("threshold must exceed the certificate level")
     vs = np.linspace(threshold, max(v_max, threshold), grid)
@@ -288,12 +284,7 @@ def rate_condition_audit(
     min_margin, argmin_v = math.inf, threshold
     for v in vs:
         lhs = rate.rate(frac * v)
-        rhs = theta * v + (1.0 + bounds.norm_coefficient) * (v / gamma_w_slope)
-        if bounds.f_z is not None and gamma_z_inverse is not None:
-            rhs += bounds.f_z(gamma_z_inverse(v)) / bounds.g_lower
-        if bounds.f_x is not None:
-            rhs += bounds.f_x(x_norm) / bounds.g_lower
-        margin = lhs - rhs
+        margin = lhs - (theta * v + (1.0 + bounds.norm_coefficient) * (v / gamma_w_slope))
         if margin < min_margin:
             min_margin, argmin_v = margin, float(v)
     return RateConditionReport(

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InfeasibleError, MaxIterationsError
 
+# The one feasibility tolerance of every projection and membership check.
 DEFAULT_TOL = 1e-9
 
 
@@ -65,16 +66,14 @@ class QpSolution:
     iterations: int
 
 
-def solve_projection_qp(u0: np.ndarray, poly: Polyhedron, tol: float = DEFAULT_TOL) -> QpSolution:
+def solve_projection_qp(u0: np.ndarray, poly: Polyhedron) -> QpSolution:
     """Euclidean projection of u0 onto {u : A u <= b}.
 
     Raises InfeasibleError when the constraints have empty intersection and
     MaxIterationsError when the anti-cycling budget (100 * (n_rows + 1)) runs
-    out. On success the KKT conditions hold to within tol:
-    A u <= b + tol, multipliers >= 0, and u = u0 - A_active^T lambda.
+    out. On success the KKT conditions hold to within DEFAULT_TOL:
+    A u <= b + DEFAULT_TOL, multipliers >= 0, and u = u0 - A_active^T lambda.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.shape[0] != poly.n_u:
         raise ValueError(f"u0 has dim {u0.shape[0]}, polyhedron has {poly.n_u}")
@@ -88,7 +87,7 @@ def solve_projection_qp(u0: np.ndarray, poly: Polyhedron, tol: float = DEFAULT_T
     while iterations < budget:
         iterations += 1
         viol = a @ u - b
-        over = np.flatnonzero(viol > tol)
+        over = np.flatnonzero(viol > DEFAULT_TOL)
         if over.size == 0:
             return QpSolution(
                 point=u,
@@ -113,7 +112,7 @@ def solve_projection_qp(u0: np.ndarray, poly: Polyhedron, tol: float = DEFAULT_T
             # working set and only a dual adjustment is possible.
             znorm2 = float(n_p @ -z)
             viol_p = float(n_p @ u - b[p])
-            if viol_p <= tol:
+            if viol_p <= DEFAULT_TOL:
                 # Driven tight by earlier partial steps.
                 if lam_p > 0.0:
                     work.append(p)
@@ -185,7 +184,7 @@ class PolygonRows:
         return np.stack([(aj1 * b_i - ai1 * b_j) / det,
                          (ai0 * b_j - aj0 * b_i) / det], axis=-1)
 
-    def project(self, u0: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def project(self, u0: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact Euclidean projection of u0 onto {u : a u <= b} in 2-D.
 
         u0 is (..., 2) and b is (..., n), broadcast together. In the plane
@@ -195,9 +194,9 @@ class PolygonRows:
         it is whenever it is feasible. Otherwise the answer is the nearest
         feasible vertex over all row pairs (redundant rows break any
         adjacency shortcut); only batch rows that no edge resolves reach
-        this stage. Feasibility is checked to within tol. Where no candidate
-        is feasible a single problem raises InfeasibleError and a batch row
-        is NaN, as it is where u0 or b is NaN. A single problem, u0 (2,)
+        this stage. Feasibility is checked to within DEFAULT_TOL. Where no
+        candidate is feasible a single problem raises InfeasibleError and a
+        batch row is NaN, as it is where u0 or b is NaN. A single problem, u0 (2,)
         and b (n,), runs as a batch of one without the batch bookkeeping.
         """
         a, a_t = self.a, self.a_t
@@ -214,13 +213,13 @@ class PolygonRows:
             u0 = u0.reshape(-1, 2)
             b = b.reshape(-1, a.shape[0])
         viol = u0 @ a_t - b
-        over = viol > tol
+        over = viol > DEFAULT_TOL
         if over.any():
             # Edge stage: the projection onto the farthest violated line.
             far = (viol / self.nrm).argmax(axis=1)
             rows = 0 if single else np.arange(far.size)
             edge = u0 - (viol[rows, far] / self.nrm_sq[far])[:, None] * a[far]
-            edge_ok = (edge @ a_t <= b + tol).all(axis=1)
+            edge_ok = (edge @ a_t <= b + DEFAULT_TOL).all(axis=1)
             if single:
                 # The one problem moved; its edge settles it when feasible.
                 # A feasible edge also rules out NaN in viol: a NaN offset
@@ -237,7 +236,7 @@ class PolygonRows:
             if rest.size:
                 # Vertex stage: the nearest feasible intersection of two rows.
                 verts = self.vertices(b[rest])
-                ok = (verts @ a_t <= b[rest][:, None, :] + tol).all(axis=2)
+                ok = (verts @ a_t <= b[rest][:, None, :] + DEFAULT_TOL).all(axis=2)
                 found = ok.any(axis=1)
                 if single and not found[0]:
                     raise InfeasibleError("no point satisfies every row: empty feasible set")

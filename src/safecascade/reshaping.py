@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .qcqp_safety import ConstraintSet, selection_with_slack
-from .qp_solver import Polyhedron, PolygonRows, solve_projection_qp
+from .qp_solver import DEFAULT_TOL, Polyhedron, PolygonRows, solve_projection_qp
 
 
 # The largest basis the configs and the command line accept: the plane's
@@ -39,6 +39,9 @@ MAX_DIRECTIONS = 101
 
 # A basis with an n_u-subset of rows this close to singular is refused.
 MIN_SUBSET_SIGMA = 1e-8
+
+# Probe directions of the sampled worst case that seeds a 3-D coverage constant.
+COVERAGE_PROBES = 2000
 
 
 def subset_stack(a_l: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -106,17 +109,6 @@ class PositiveBasis:
         return self.a_l.shape[1]
 
 
-@dataclass(frozen=True)
-class ReshapedSet:
-    """Polyhedral inner approximation {A_L u <= b_l} of a constraint set."""
-
-    basis: PositiveBasis
-    b_l: np.ndarray
-
-    def polyhedron(self) -> Polyhedron:
-        return Polyhedron(self.basis.a_l, self.b_l)
-
-
 def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
     """Deterministic positive basis for 2- or 3-dimensional inputs.
 
@@ -173,10 +165,10 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta])
 
 
-def _sampled_coverage_constant(rows: np.ndarray, probes: int = 2000) -> float:
+def _sampled_coverage_constant(rows: np.ndarray) -> float:
     """Largest threshold that keeps >= n_u candidate rows for every probe."""
     n_u = rows.shape[1]
-    dirs = _fibonacci_sphere(probes)
+    dirs = _fibonacci_sphere(COVERAGE_PROBES)
     kth_best = np.sort(dirs @ rows.T, axis=1)[:, -n_u]
     return float(np.min(kth_best)) * (1.0 - 1e-9)
 
@@ -259,10 +251,10 @@ def reshape_b_l(
     cs: ConstraintSet,
     basis: PositiveBasis,
     k_phi: float = 0.0,
-    tol: float = 1e-9,
     slack: np.ndarray | None = None,
-) -> ReshapedSet:
-    """Offsets of the reshaped polyhedron around a feasible selection point.
+) -> np.ndarray:
+    """Offsets b_l of the reshaped polyhedron {A_L u <= b_l}, the inner
+    approximation of cs around a feasible selection point.
 
     b_l = A_L s + rowwise-min over constraints of (phi1 + phi2) with
     phi1 = max(A_L a^T, cbar_a) * (b - a s - c|s|)/(1 + c)  (columnwise)
@@ -274,7 +266,7 @@ def reshape_b_l(
     batch. slack, when given, must be b - a s - c|s| at the selection (NaN
     rows where it is undefined), as selection_with_slack returns it, and
     saves evaluating the set again; given or computed, it is checked
-    against -tol the same way.
+    against -DEFAULT_TOL the same way.
     """
     if k_phi < 0:
         raise ValueError("k_phi must be nonnegative")
@@ -283,7 +275,7 @@ def reshape_b_l(
     selection = np.asarray(selection, dtype=float)
     if slack is None:
         slack = -cs.violations(selection)                       # (..., n_c)
-    below = slack < -tol
+    below = slack < -DEFAULT_TOL
     if below.any():
         if not cs.batched:
             raise SelectionNotFeasibleError("selection point violates the constraint set")
@@ -305,8 +297,7 @@ def reshape_b_l(
         dots = cs.a @ a_t                                       # (n_c, n_l)
     phi1 = np.maximum(dots, cbar_a_val) * scaled[..., None]
     phi2 = np.maximum(k_phi * (cbar_a_val - dots), 0.0)
-    b_l = selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
-    return ReshapedSet(basis=basis, b_l=b_l)
+    return selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
 
 
 def reshaped_filter(
@@ -314,15 +305,13 @@ def reshaped_filter(
     cs: ConstraintSet,
     basis: PositiveBasis,
     k_phi: float,
-    selection: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Project the nominal input onto the reshaped set.
 
     The result never exceeds |selection| + |nominal| in norm and is a
     Lipschitz function of the constraint data. With no constraint rows the
-    nominal passes through unchanged. Without a selection the Lipschitz
-    selection of cs is used, and the slack it verified is handed to
+    nominal passes through unchanged. The reshaping is anchored at the
+    Lipschitz selection of cs, and the slack it verified is handed to
     reshape_b_l rather than evaluated again. For n_u = 2 the projection is
     the exact polygon projection on the basis's kept structure and works on
     batches: nominal (2,) or (..., 2) against a set batched over (...); a
@@ -333,24 +322,22 @@ def reshaped_filter(
     nominal = np.asarray(nominal, dtype=float)
     if cs.n_rows == 0:
         return np.array(np.broadcast_to(nominal, cs.b.shape[:-1] + (cs.n_u,)))
-    slack = None
-    if selection is None:
-        # Not through lipschitz_selection: the benchmark's selection counter
-        # wraps cascade.lipschitz_selection and cli.lipschitz_selection and
-        # reads one state's selection.
-        selection, slack = selection_with_slack(cs, tol=tol)
-    b_l = reshape_b_l(selection, cs, basis, k_phi, tol=tol, slack=slack).b_l
+    # Not through lipschitz_selection: the benchmark's selection counter
+    # wraps cascade.lipschitz_selection and cli.lipschitz_selection and
+    # reads one state's selection.
+    selection, slack = selection_with_slack(cs)
+    b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
     if basis.n_u == 2:
-        return basis.polygon.project(nominal, b_l, tol=tol)
-    return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l), tol=tol).point
+        return basis.polygon.project(nominal, b_l)
+    return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l)).point
 
 
-def polytope_vertices_2d(poly: Polyhedron, tol: float = 1e-9) -> np.ndarray:
+def polytope_vertices_2d(poly: Polyhedron) -> np.ndarray:
     """Vertices of a bounded 2-D polyhedron by pairwise row intersection."""
     if poly.n_u != 2:
         raise ValueError("vertex enumeration implemented for 2-D only")
     verts = PolygonRows(poly.a).vertices(poly.b)
-    return verts[np.all(verts @ poly.a.T <= poly.b + tol, axis=1)]
+    return verts[np.all(verts @ poly.a.T <= poly.b + DEFAULT_TOL, axis=1)]
 
 
 def sample_polytope_2d(poly: Polyhedron, count: int, rng: np.random.Generator) -> np.ndarray:

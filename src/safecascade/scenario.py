@@ -339,9 +339,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     if threshold <= level:
         raise ConfigError(f"certificate.threshold must be above certificate.level {level}, "
                           f"got {threshold}")
-    bounds = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
+    bounds = PlantBounds(g_lower=1.0, delta_upper=0.0)
     _, abar_inv = exp_alpha_bar_for_level(level)
-    rate = RateSpec(base_slope=cfg["rate.k_alpha"], alpha_bar_inverse=abar_inv)
+    # The Lipschitz selection needs this negative-side steepening (RateSpec).
+    rate = RateSpec(base_slope=cfg["rate.k_alpha"], alpha_bar_inverse=abar_inv,
+                    negative_ratio=bounds.gain_ratio)
 
     if cfg["nominal.preset"] == "zero":
         nominal = np.zeros(2)
@@ -378,7 +380,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             k1=k1,
             tau=cfg["cascade.tau"],
             theta=cfg["cascade.theta"],
-            k_alpha=cfg["rate.k_alpha"],
             gamma_12_slope=cfg["cascade.gamma_12_slope"],
             gamma_x2v_slope=cfg["cascade.gamma_x2v_slope"],
         )

@@ -120,7 +120,7 @@ class VtolNonlinear(_PlanarPlant):
     """
 
     gravity: float = 9.81
-    thrust_floor: float = 1e-3
+    thrust_floor: ClassVar[float] = 1e-3
     levels: ClassVar[int] = 4
     state_dim: ClassVar[int] = 8
 

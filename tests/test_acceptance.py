@@ -42,7 +42,7 @@ WALLS = [
     CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
     CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35),
 ]
-UNIT_BOUNDS = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
+UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 
 # Criterion 4 frozen slope bounds for the reshaped axis slice, measured once
 # at the stock grids and stable under refinement.
@@ -128,7 +128,7 @@ def test_criterion_2_witness_feasibility_property():
         rows = rng.normal(size=(n_c, 2))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         cs = ConstraintSet(rows, b, np.full(n_c, ratio))
-        w = lipschitz_selection(cs, tol=1e-9)
+        w = lipschitz_selection(cs)
         if b.min() < 0.0:
             active += 1
             assert float(np.linalg.norm(w)) > 0.0
@@ -158,8 +158,7 @@ def test_criterion_3_reshaping_sandwich():
         cs = disc_constraint_set(discs, np.asarray(x_state))
         sel = lipschitz_selection(cs)
         for k_phi in (0.0, 1.0):
-            reshaped = reshape_b_l(sel, cs, basis5, k_phi)
-            poly = reshaped.polyhedron()
+            poly = Polyhedron(basis5.a_l, reshape_b_l(sel, cs, basis5, k_phi))
             assert np.all(poly.a @ sel <= poly.b + 1e-9)
             pts = sample_polytope_2d(poly, 10_000, rng)
             outside += _batch_membership(cs, pts)
@@ -172,8 +171,7 @@ def test_criterion_3_reshaping_sandwich():
     for x in ([-2.0, 1.0], [0.0, 1.2], [1.0, 1.1], [2.0, 2.6], [0.0, 0.45]):
         cs = build_constraint_set(np.asarray(x), WALLS, np.eye(2), UNIT_BOUNDS, rate)
         sel = lipschitz_selection(cs)
-        reshaped = reshape_b_l(sel, cs, basis11, 2.0)
-        poly = reshaped.polyhedron()
+        poly = Polyhedron(basis11.a_l, reshape_b_l(sel, cs, basis11, 2.0))
         assert np.all(poly.a @ sel <= poly.b + 1e-9)
         pts = sample_polytope_2d(poly, 10_000, rng)
         outside += _batch_membership(cs, pts)

@@ -35,7 +35,7 @@ def test_trace_hooks_install_record_and_restore():
         # The constraint set evaluates its certificates through the rebound
         # module names, so both geometries show up as certificate spans.
         qcqp_safety.build_constraint_set(
-            x, [wall, disc], np.eye(2), PlantBounds(1.0, 1.0), RateSpec(base_slope=1.0))
+            x, [wall, disc], np.eye(2), PlantBounds(1.0), RateSpec(base_slope=1.0))
         sim.certificate_value(wall, x)
     finally:
         tracer.restore()
@@ -61,7 +61,7 @@ def test_traced_batched_law_and_single_evaluate():
     try:
         controller = build_cascade_controller(
             walls, lambda x: np.array([0.6, 1.0]), basis, gains,
-            bounds=PlantBounds(1.0, 1.0), rates=rate, k_phi=2.0)
+            bounds=PlantBounds(1.0), rates=rate, k_phi=2.0)
         k1 = scenario.estimate_safety_law_lipschitz(
             controller.rho1, walls, ((-3.0, 6.0), (-0.5, 12.0)), grid=5)
         ev = controller.evaluate([np.array([-2.0, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2)])
@@ -86,7 +86,7 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
     controller = build_cascade_controller(
         walls, lambda x: np.array([0.6, 1.0]), make_positive_basis(2, 11),
-        CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49), bounds=PlantBounds(1.0, 1.0),
+        CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49), bounds=PlantBounds(1.0),
         rates=RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]

@@ -490,7 +490,7 @@ def test_run_reports_io_failures(tmp_path):
     code = cmd_run(bundled_config("vtol_safe"), blocker / "out", horizon=0.01)
     assert code == EXIT_IO
     assert cmd_example1(blocker / "ex1", field_grid=5) == EXIT_IO
-    assert cmd_example2(blocker / "ex2", field_grid=5, containment_checks=1) == EXIT_IO
+    assert cmd_example2(blocker / "ex2", field_grid=5) == EXIT_IO
 
 
 def test_run_produces_valid_outputs(tmp_path):
@@ -643,7 +643,7 @@ def test_example1_outputs(tmp_path):
 
 def test_example2_outputs(tmp_path):
     out = tmp_path / "ex2"
-    assert cmd_example2(out, field_grid=31, containment_checks=10) == EXIT_OK
+    assert cmd_example2(out, field_grid=31) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["closed_form_max_error_kphi0"] < 1e-6
     assert report["containment_points_outside"] == 0

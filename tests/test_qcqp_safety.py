@@ -19,7 +19,7 @@ from safecascade.qcqp_safety import (
 
 from oracles import norm_constrained_membership
 
-UNIT_BOUNDS = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
+UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 
 
 def cs_of(a, b, c=None):
@@ -95,7 +95,7 @@ def test_gradient_through_g_can_vanish():
 
 
 def test_uncertain_bounds_fill_norm_coefficient():
-    bounds = PlantBounds(g_lower=2.0, g_upper=3.0, delta_upper=0.5)
+    bounds = PlantBounds(g_lower=2.0, delta_upper=0.5)
     cert = CertificateSpec(Disc([0.0, 2.0], 1.0))
     cs = build_constraint_set(np.array([0.0, 0.0]), [cert], np.eye(2), bounds,
                               RateSpec(1.0, negative_ratio=bounds.gain_ratio))
@@ -123,11 +123,11 @@ def test_witness_monte_carlo_disjoint_configurations():
     for _ in range(2000):
         n_c = int(rng.integers(2, 4))
         delta_ratio = float(rng.uniform(0.0, 0.8))
-        bounds = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=delta_ratio)
+        bounds = PlantBounds(g_lower=1.0, delta_upper=delta_ratio)
         rate = RateSpec(float(rng.uniform(0.3, 3.0)), negative_ratio=bounds.gain_ratio)
         b = draw_disjoint_disc_offsets(rng, n_c, rate)
         cs = cs_of(random_unit_rows(rng, n_c), b, np.full(n_c, delta_ratio))
-        w = lipschitz_selection(cs, tol=1e-9)
+        w = lipschitz_selection(cs)
         assert norm_constrained_membership(cs.a, cs.b, cs.c, w, tol=1e-9)
 
 
@@ -158,7 +158,7 @@ def test_base_rate_negative_side_condition():
     # The selection needs base(s) + ratio * base(-s) <= 0 for every s <= 0.
     s = np.linspace(-10.0, 0.0, 200)
     worst = lambda rate, bounds: np.max(rate.base(s) + bounds.gain_ratio * rate.base(-s))
-    bounds = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.4)
+    bounds = PlantBounds(g_lower=1.0, delta_upper=0.4)
     plain = RateSpec(base_slope=1.0)
     steep = RateSpec(1.0, negative_ratio=bounds.gain_ratio)
     assert worst(plain, UNIT_BOUNDS) <= 1e-12        # delta = 0: fine

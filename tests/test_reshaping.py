@@ -219,9 +219,9 @@ def test_basis_rows_are_a_read_only_copy():
 def test_reshape_single_constraint_hand_value():
     basis = make_positive_basis(2, 5)
     cs = cs_of([[1.0, 0.0]], [1.0])
-    reshaped = reshape_b_l(np.zeros(2), cs, basis, k_phi=0.0)
+    b_l = reshape_b_l(np.zeros(2), cs, basis, k_phi=0.0)
     expected = np.maximum(basis.a_l @ np.array([1.0, 0.0]), basis.c_a)
-    np.testing.assert_allclose(reshaped.b_l, expected, atol=1e-12)
+    np.testing.assert_allclose(b_l, expected, atol=1e-12)
 
 
 def test_reshape_zero_slack_collapses_to_selection():
@@ -230,9 +230,9 @@ def test_reshape_zero_slack_collapses_to_selection():
     direction = selection / np.linalg.norm(selection)
     b = np.array([float(direction @ selection)])    # selection exactly tight
     cs = cs_of([direction], b)
-    reshaped = reshape_b_l(selection, cs, basis, k_phi=0.0)
-    np.testing.assert_allclose(reshaped.b_l, basis.a_l @ selection, atol=1e-12)
-    verts = polytope_vertices_2d(reshaped.polyhedron())
+    b_l = reshape_b_l(selection, cs, basis, k_phi=0.0)
+    np.testing.assert_allclose(b_l, basis.a_l @ selection, atol=1e-12)
+    verts = polytope_vertices_2d(Polyhedron(basis.a_l, b_l))
     assert verts.shape[0] >= 1
     np.testing.assert_allclose(verts, np.tile(selection, (verts.shape[0], 1)), atol=1e-9)
 
@@ -246,13 +246,12 @@ def test_reshape_rejects_infeasible_selection():
 
 def sandwich_check(cs, basis, k_phi, rng, samples=400):
     selection = lipschitz_selection(cs)
-    reshaped = reshape_b_l(selection, cs, basis, k_phi)
-    poly = reshaped.polyhedron()
+    poly = Polyhedron(basis.a_l, reshape_b_l(selection, cs, basis, k_phi))
     assert np.all(poly.a @ selection <= poly.b + 1e-9)
     pts = sample_polytope_2d(poly, samples, rng)
     violations = 0
     for u in pts:
-        if not cs.contains(u, tol=1e-9):
+        if not cs.contains(u):
             violations += 1
     return violations
 
@@ -273,7 +272,7 @@ def test_sandwich_containment_gap_scenario():
 def test_filter_returns_nominal_when_feasible():
     basis = make_positive_basis(2, 11)
     cs = cs_of([[0.0, 1.0]], [5.0])
-    out = reshaped_filter(np.array([0.2, 0.1]), cs, basis, 2.0, np.zeros(2))
+    out = reshaped_filter(np.array([0.2, 0.1]), cs, basis, 2.0)
     np.testing.assert_allclose(out, [0.2, 0.1], atol=1e-9)
 
 
@@ -292,7 +291,7 @@ def test_single_state_filter_evaluates_its_set_once(monkeypatch):
     monkeypatch.setattr(ConstraintSet, "violations",
                         lambda self, u: calls.append(u) or violations(self, u))
     for x in ([-2.0, 1.0], [0.0, 0.75]):
-        cs = build_constraint_set(np.array(x), walls, np.eye(2), PlantBounds(1.0, 1.0), rate)
+        cs = build_constraint_set(np.array(x), walls, np.eye(2), PlantBounds(1.0), rate)
         calls.clear()
         out = reshaped_filter(np.array([0.6, 1.0]), cs, basis, 2.0)
         assert len(calls) == 1, x
@@ -308,11 +307,11 @@ def test_supplied_slack_below_tolerance_is_rejected():
     cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     with pytest.raises(SelectionNotFeasibleError):
         reshape_b_l(np.zeros(2), cs, basis, 1.0, slack=np.array([1.0, -1e-3]))
-    ok = reshape_b_l(np.zeros(2), cs, basis, 1.0, slack=np.array([1.0, 1.0])).b_l
-    np.testing.assert_array_equal(ok, reshape_b_l(np.zeros(2), cs, basis, 1.0).b_l)
+    ok = reshape_b_l(np.zeros(2), cs, basis, 1.0, slack=np.array([1.0, 1.0]))
+    np.testing.assert_array_equal(ok, reshape_b_l(np.zeros(2), cs, basis, 1.0))
     batch = ConstraintSet(np.broadcast_to(cs.a, (2, 2, 2)), np.ones((2, 2)), cs.c)
     out = reshape_b_l(np.zeros((2, 2)), batch, basis, 1.0,
-                      slack=np.array([[1.0, 1.0], [1.0, -1e-3]])).b_l
+                      slack=np.array([[1.0, 1.0], [1.0, -1e-3]]))
     np.testing.assert_array_equal(out[0], ok)
     assert np.all(np.isnan(out[1]))
 
@@ -322,8 +321,7 @@ def test_filter_matches_gap_axis_closed_form():
     radius = 0.99
     for x1 in np.linspace(-1.9, -0.05, 77):
         cs = disc_constraint_set(GAP_DISCS, np.array([x1, 0.0]))
-        sel = lipschitz_selection(cs)
-        out = reshaped_filter(NOMINAL, cs, basis, 0.0, sel)
+        out = reshaped_filter(NOMINAL, cs, basis, 0.0)
         cap = max(-x1 / math.sqrt(1 + x1 * x1), basis.c_a) \
             * (1 + x1 * x1 - radius * radius) / (2 * math.sqrt(1 + x1 * x1))
         if cap < 1.0 - 1e-9:
@@ -350,7 +348,7 @@ def test_filter_norm_bound():
         cs = disc_constraint_set(GAP_DISCS, x)
         sel = lipschitz_selection(cs)
         nominal = rng.normal(scale=1.5, size=2)
-        out = reshaped_filter(nominal, cs, basis, 1.0, sel)
+        out = reshaped_filter(nominal, cs, basis, 1.0)
         assert np.linalg.norm(out) <= np.linalg.norm(sel) + np.linalg.norm(nominal) + 1e-9
 
 
@@ -380,8 +378,7 @@ def test_sandwich_containment_with_norm_coefficients():
         except Exception:
             continue
         for k_phi in (0.0, 2.0):
-            reshaped = reshape_b_l(sel, cs, basis, k_phi)
-            poly = reshaped.polyhedron()
+            poly = Polyhedron(basis.a_l, reshape_b_l(sel, cs, basis, k_phi))
             assert np.all(poly.a @ sel <= poly.b + 1e-9)
             pts = sample_polytope_2d(poly, 300, rng)
             lhs = pts @ cs.a.T + np.linalg.norm(pts, axis=1, keepdims=True) * cs.c[None, :]
@@ -399,8 +396,7 @@ def test_reshaped_solution_against_polar_scan_oracle():
     basis = make_positive_basis(2, 5)
     for x1 in (-1.2, -0.6):
         cs = disc_constraint_set(GAP_DISCS, np.array([x1, 0.0]))
-        sel = lipschitz_selection(cs)
-        out = reshaped_filter(NOMINAL, cs, basis, 0.0, sel)
+        out = reshaped_filter(NOMINAL, cs, basis, 0.0)
         assert norm_constrained_membership(cs.a, cs.b, cs.c, out, tol=1e-9)
         best = qcqp_polar_scan(NOMINAL, cs.a, cs.b, cs.c,
                                radii=np.linspace(0.0, 2.0, 161), angles=180)
@@ -477,12 +473,13 @@ def _batch_case(name):
 @pytest.mark.parametrize("name", list(BATCH_CASES))
 def test_reshape_of_a_batch_equals_the_per_state_reshapes_bit_for_bit(name):
     basis, a, b, c, selection = _batch_case(name)
-    _assert_batch_equals_states(lambda s, cs: reshape_b_l(s, cs, basis, 2.0).b_l, a, b, c, selection)
+    _assert_batch_equals_states(lambda s, cs: reshape_b_l(s, cs, basis, 2.0), a, b, c, selection)
 
 
 @pytest.mark.parametrize("name", [n for n, (_, _, n_u) in BATCH_CASES.items() if n_u == 2])
 def test_filter_of_a_batch_equals_the_per_state_filters_bit_for_bit(name):
     basis, a, b, c, selection = _batch_case(name)
     nominal = np.array([0.5, 1.0])
-    _assert_batch_equals_states(lambda s, cs: reshaped_filter(nominal, cs, basis, 2.0, selection=s),
-                                a, b, c, selection)
+    # Anchored at the given selections: reshape, then project onto the basis.
+    _assert_batch_equals_states(
+        lambda s, cs: basis.polygon.project(nominal, reshape_b_l(s, cs, basis, 2.0)), a, b, c, selection)

@@ -26,7 +26,7 @@ WALLS = [
     CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
     CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35),
 ]
-UNIT_BOUNDS = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
+UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 
 
 def outer_law():
@@ -78,7 +78,7 @@ def test_vtol_thrust_singularity_flagged():
     gains = CascadeGains(tracking_slopes=(1.0, 1.0, 1.0), k1=1.0)
     controller = build_cascade_controller([], lambda x: np.array([0.0, -30.0]),
                                           None, gains, bounds=UNIT_BOUNDS)
-    plant = VtolNonlinear(gravity=9.81, thrust_floor=1e-2)
+    plant = VtolNonlinear(gravity=9.81)
     flat = np.zeros(8)
     flat[5] = -9.7    # accelerate downward: thrust must pass near zero
     x0 = plant.state_from_flat(flat)
@@ -129,17 +129,19 @@ def test_scenario_rejects_wrong_gain_count():
 
 
 def test_rate_condition_with_drift_envelopes():
-    bounds = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0,
-                         f_z=lambda s: 0.5 * s, f_x=lambda s: 0.2 * s)
+    # margin(V) = rate(frac V) - (theta V + (1 + c) V / gamma_w) with
+    # frac = (2 - 1)/2, so lhs = 3 V/2. The drift envelope (1 + c) V/0.8 is
+    # 1.25 V at unit bounds (c = 0), where the condition holds, and 1.75 V
+    # at c = delta/g = 0.4, where it fails: the (1 + c) factor decides it.
     rate = RateSpec(base_slope=3.0)
-    report = rate_condition_audit(rate, level=1.0, threshold=2.0, theta=1e-3,
-                                  gamma_w_slope=4.0, bounds=bounds, v_max=6.0,
-                                  gamma_z_inverse=lambda s: s / 2.0, x_norm=1.0)
-    # At V: lhs = 3 * (V/2); rhs = 1e-3 V + V/4 + 0.5*(V/2) + 0.2*1.
     vs = np.linspace(2.0, 6.0, 200)
-    margins = 1.5 * vs - (1e-3 * vs + vs / 4.0 + 0.25 * vs + 0.2)
-    assert report.min_margin == pytest.approx(float(np.min(margins)), abs=1e-9)
-    assert report.holds
+    for delta, holds in ((0.0, True), (0.4, False)):
+        report = rate_condition_audit(rate, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
+                                      bounds=PlantBounds(g_lower=1.0, delta_upper=delta), v_max=6.0)
+        margins = 1.5 * vs - (1e-3 * vs + (1.0 + delta) * vs / 0.8)
+        assert report.min_margin == pytest.approx(float(np.min(margins)), abs=1e-9)
+        assert report.argmin_v == float(vs[np.argmin(margins)])
+        assert report.holds is holds
 
 
 def test_gain_ledger_slope_table_matches_hand_loops():

@@ -20,7 +20,7 @@ from safecascade.sim import (
     trajectory_metrics,
 )
 
-UNIT_BOUNDS = PlantBounds(g_lower=1.0, g_upper=1.0, delta_upper=0.0)
+UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 WALLS = [
     CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
     CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35),
