@@ -205,7 +205,9 @@ def tracking_law(
     if nrm <= 1e-15:
         return np.zeros(g_i.shape[1])
     scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
-    return -(gte / nrm) * scale * kappa_slope * math.sqrt(x_tilde.dot(x_tilde))
+    norm_e = math.sqrt(x_tilde.dot(x_tilde))
+    # The vector formula -(gte / nrm) * scale * K * |e| on floats, in its order.
+    return np.array([-(g / nrm) * scale * kappa_slope * norm_e for g in gte.tolist()])
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,12 @@ class CertificateEval:
 
 def _undefined_where(bad, x: np.ndarray, error: type, message: str, values: np.ndarray) -> np.ndarray:
     """values with NaN where bad; a single point (x of shape (2,)) raises error."""
+    if x.ndim == 1:
+        if bad:
+            raise error(message)
+        return values
     if not bad.any():
         return values
-    if x.ndim == 1:
-        raise error(message)
     return np.where(bad, np.nan, values)
 
 
@@ -131,8 +133,13 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     if base_sq <= 1e-24:
         raise DegenerateGeometryError("segment endpoints coincide")
     rel = x - seg.o1
-    t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
-    delta = rel - np.multiply.outer(t, base)
+    if x.ndim == 1:
+        # One point clamps a float; the same values as the ufuncs, -0.0 and NaN included.
+        t = float(rel @ base) / base_sq
+        delta = rel - (0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t) * base
+    else:
+        t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
+        delta = rel - np.multiply.outer(t, base)
     dist = np.hypot(delta[..., 0], delta[..., 1])
     dist = _undefined_where(dist <= SPINE_TOL, x, ZeroGradientError, "query point on segment spine", dist)
     return CertificateEval.from_clearance(dist - cert.safe_distance, delta / dist[..., None])

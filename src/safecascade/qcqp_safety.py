@@ -29,19 +29,21 @@ GRAD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Rows (a, b, c) of the system a @ u + c * |u| <= b with unit rows a.
+    """Rows (a, b) and the norm coefficient c of the system
+    a @ u + c * |u| <= b with unit rows a.
 
     One state's set has a of shape (n_rows, n_u) and b of shape (n_rows,);
     a batch of states adds leading axes to both: (..., n_rows, n_u) and
-    (..., n_rows). The norm coefficients c, shape (n_rows,), are shared. A
-    batch row whose state has no set carries NaN. A set built from
-    certificates also carries each certificate's clearance h and value V
-    at the state, shaped like b; otherwise both are None.
+    (..., n_rows). Every row of every state shares the one norm coefficient
+    c, a float in [0, 1): the plant's delta_upper / g_lower, or 0.0 for the
+    disc rows. A batch row whose state has no set carries NaN. A set built
+    from certificates also carries each certificate's clearance h and value
+    V at the state, shaped like b; otherwise both are None.
     """
 
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
+    c: float
     h: np.ndarray | None = None
     v: np.ndarray | None = None
 
@@ -50,17 +52,16 @@ class ConstraintSet:
         if a.ndim < 2:
             a = np.atleast_2d(a)
         b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 1:
-            c = c.ravel()
-        if not (a.shape[:-1] == b.shape and a.shape[-2] == c.shape[0]):
-            raise ValueError("row count mismatch between a, b, c")
-        if c.shape[0]:
-            # NaN rows (states without a set) compare False and pass.
-            if (np.abs(np.sqrt((a * a).sum(axis=-1)) - 1.0) > 1e-9).any():
-                raise ValueError("constraint rows must be unit vectors")
-            if not ((c >= 0.0) & (c < 1.0)).all():
-                raise ValueError("norm coefficients must lie in [0, 1)")
+        if a.shape[:-1] != b.shape:
+            raise ValueError("row count mismatch between a and b")
+        if not isinstance(self.c, (float, int, np.floating, np.integer)):
+            raise ValueError("the norm coefficient must be one real number")
+        c = float(self.c)
+        if not 0.0 <= c < 1.0:
+            raise ValueError("the norm coefficient must lie in [0, 1)")
+        # NaN rows (states without a set) compare False and pass.
+        if (np.abs(np.sqrt(np.add.reduce(a * a, axis=-1)) - 1.0) > 1e-9).any():
+            raise ValueError("constraint rows must be unit vectors")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -81,7 +82,7 @@ class ConstraintSet:
         """a u + c |u| - b per row, for u of shape (..., n_u)."""
         u = np.asarray(u, dtype=float)
         au = (self.a @ u[..., None])[..., 0]
-        return au + self.c * np.sqrt((u * u).sum(axis=-1))[..., None] - self.b
+        return au + self.c * np.sqrt(np.add.reduce(u * u, axis=-1))[..., None] - self.b
 
     def contains(self, u: np.ndarray):
         """Whether u meets every row within DEFAULT_TOL; one flag per batch row."""
@@ -156,7 +157,7 @@ def build_constraint_set(
 
     Row j is the unit vector along dV_j/dx @ g, which is -dh_j/dx @ g
     normalised (V = exp(-h) only scales it), the offset is
-    -alpha_j(V_j - level_j), and every norm coefficient is
+    -alpha_j(V_j - level_j), and the one norm coefficient is
     delta_upper / g_lower. The set keeps each certificate's h and V, so a
     caller that needs them evaluates nothing again. A clearance gradient
     that vanishes through g (|dh/dx @ g| <= GRAD_TOL |dh/dx|) breaks the
@@ -178,7 +179,7 @@ def build_constraint_set(
         h[..., j] = ev.h
         v[..., j] = ev.v
     direction = grad_h @ g
-    nrm2 = (direction * direction).sum(axis=-1)
+    nrm2 = np.add.reduce(direction * direction, axis=-1)
     vanished = nrm2 <= (GRAD_TOL * np.hypot(grad_h[..., 0], grad_h[..., 1])) ** 2
     if vanished.any():
         if x.ndim == 1:
@@ -187,7 +188,7 @@ def build_constraint_set(
         nrm2 = np.where(vanished, np.nan, nrm2)
     offset = v - np.array([cert.level for cert in certs])
     return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], -rates.rate(offset),
-                         np.full(len(certs), bounds.norm_coefficient), h=h, v=v)
+                         bounds.norm_coefficient, h=h, v=v)
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
@@ -203,18 +204,18 @@ def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> Cons
         nrm = np.sqrt(np.sum(ev.grad_h * ev.grad_h, axis=-1))
         rows.append(-ev.grad_h / nrm[..., None])
         offsets.append(ev.h / nrm)
-    return ConstraintSet(np.stack(rows, axis=-2), np.stack(offsets, axis=-1), np.zeros(len(discs)))
+    return ConstraintSet(np.stack(rows, axis=-2), np.stack(offsets, axis=-1), 0.0)
 
 
 def lipschitz_selection(cs: ConstraintSet) -> np.ndarray:
     """Lipschitz anchor point of the constraint set, (n_u,) or (..., n_u).
 
-    Requires the pairwise offset condition
-    b_j/(1 + sgn(b_j) c_j) + b_k/(1 + sgn(b_k) c_k) >= 0 for j != k, which
-    guarantees at most one offset below -DEFAULT_TOL. Returns zero when all
-    offsets are nonnegative, else the negative row's direction times
-    b/(1 - c), summed over negative rows (a second one can only lie within
-    DEFAULT_TOL of zero). The point is verified against every row; a
+    With the set's one norm coefficient c, requires the pairwise offset
+    condition b_j/(1 + sgn(b_j) c) + b_k/(1 + sgn(b_k) c) >= 0 for j != k,
+    which guarantees at most one offset below -DEFAULT_TOL. Returns zero
+    when all offsets are nonnegative, else the negative row's direction
+    times b/(1 - c), summed over negative rows (a second one can only lie
+    within DEFAULT_TOL of zero). The point is verified against every row; a
     violation means the certificates are not disjoint or the rate lacks the
     negative-side steepening. For a single state both failures raise
     SelectionConditionError; a batch gives NaN rows there and where the set
@@ -235,7 +236,7 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     if cs.n_rows >= 2:
         # The two smallest; with two rows that is both (their sum commutes).
         two = scaled if cs.n_rows == 2 else np.partition(scaled, 1, axis=-1)[..., :2]
-        failed = two.sum(axis=-1) < -DEFAULT_TOL
+        failed = np.add.reduce(two, axis=-1) < -DEFAULT_TOL
         if not cs.batched and failed:
             lo, second = (int(k) for k in np.argsort(scaled, kind="stable")[:2])
             raise SelectionConditionError(
@@ -243,9 +244,9 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
                 f"{scaled[lo]:.6g} + {scaled[second]:.6g} < 0",
                 pair=(lo, second),
             )
-    u = ((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a).sum(axis=-2)
+    u = np.add.reduce((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a, axis=-2)
     viol = cs.violations(u)
-    worst = viol.max(axis=-1)
+    worst = np.maximum.reduce(viol, axis=-1)
     if not cs.batched:
         if worst > DEFAULT_TOL:
             raise SelectionConditionError(f"selection violates a row by {worst:.3e}", pair=None)

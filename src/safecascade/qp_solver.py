@@ -196,13 +196,23 @@ class PolygonRows:
         adjacency shortcut); only batch rows that no edge resolves reach
         this stage. Feasibility is checked to within DEFAULT_TOL. Where no
         candidate is feasible a single problem raises InfeasibleError and a
-        batch row is NaN, as it is where u0 or b is NaN. A single problem, u0 (2,)
-        and b (n,), runs as a batch of one without the batch bookkeeping.
+        batch row is NaN, as it is where u0 or b is NaN. A single problem, u0
+        (2,) and b (n,), settles its feasible u0 or edge on the 1-D arrays and
+        runs as a batch of one only when it needs the vertex stage or has a
+        NaN.
         """
         a, a_t = self.a, self.a_t
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
         single = u0.ndim == 1 and b.ndim == 1
         if single:
+            # The batch code's arithmetic on one row; a NaN fails every test.
+            viol = u0 @ a_t - b
+            if (viol <= DEFAULT_TOL).all():
+                return u0.copy()
+            far = (viol / self.nrm).argmax()
+            edge = u0 - viol[far] / self.nrm_sq[far] * a[far]
+            if (edge @ a_t <= b + DEFAULT_TOL).all():
+                return edge
             u0, b = u0[None], b[None]
         else:
             batch = u0.shape[:-1]
@@ -217,22 +227,12 @@ class PolygonRows:
         if over.any():
             # Edge stage: the projection onto the farthest violated line.
             far = (viol / self.nrm).argmax(axis=1)
-            rows = 0 if single else np.arange(far.size)
-            edge = u0 - (viol[rows, far] / self.nrm_sq[far])[:, None] * a[far]
+            edge = u0 - (viol[np.arange(far.size), far] / self.nrm_sq[far])[:, None] * a[far]
             edge_ok = (edge @ a_t <= b + DEFAULT_TOL).all(axis=1)
-            if single:
-                # The one problem moved; its edge settles it when feasible.
-                # A feasible edge also rules out NaN in viol: a NaN offset
-                # fails its own row, and a non-finite u0 gives a non-finite
-                # edge, which fails every row.
-                if edge_ok[0]:
-                    return edge[0]
-                out, rest = u0.copy(), np.zeros(1, dtype=int)
-            else:
-                moved = over.any(axis=1)
-                on_edge = moved & edge_ok
-                out = np.where(on_edge[:, None], edge, u0)
-                rest = np.flatnonzero(moved & ~on_edge)
+            moved = over.any(axis=1)
+            on_edge = moved & edge_ok
+            out = np.where(on_edge[:, None], edge, u0)
+            rest = np.flatnonzero(moved & ~on_edge)
             if rest.size:
                 # Vertex stage: the nearest feasible intersection of two rows.
                 verts = self.vertices(b[rest])

@@ -258,7 +258,8 @@ def reshape_b_l(
 
     b_l = A_L s + rowwise-min over constraints of (phi1 + phi2) with
     phi1 = max(A_L a^T, cbar_a) * (b - a s - c|s|)/(1 + c)  (columnwise)
-    phi2 = max(k_phi (cbar_a - A_L a^T), 0).
+    phi2 = max(k_phi (cbar_a - A_L a^T), 0),
+    where c is the set's norm coefficient and cbar_a = cbar_a(c, c_a).
     Both terms are nonnegative, so the selection always remains inside, and
     the expansion stays within the original norm-augmented set. A batched
     set gives b_l of shape (..., n_l); a selection outside its set raises
@@ -280,7 +281,7 @@ def reshape_b_l(
         if not cs.batched:
             raise SelectionNotFeasibleError("selection point violates the constraint set")
         slack = np.where(below.any(axis=-1)[..., None], np.nan, slack)
-    cbar_a_val = cbar_a(max(cs.c.tolist()), basis.c_a)     # a numpy reduction costs more for few rows
+    cbar_a_val = cbar_a(cs.c, basis.c_a)
     a_t = basis.a_l.T
     scaled = np.maximum(slack, 0.0) / (1.0 + cs.c)              # clip tolerance dust
     if cs.batched:

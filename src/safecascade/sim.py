@@ -47,7 +47,7 @@ IDENTIFIED_T4 = (4.1709, 113.3872)
 
 
 def _check_finite(state: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise NonFiniteStateError("state became non-finite")
     return state
 

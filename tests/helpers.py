@@ -1,5 +1,5 @@
-"""Small test helpers that read the package's files: bundled configs and
-the trajectory CSV a run writes."""
+"""Small test helpers: the package's bundled configs, the trajectory CSV a
+run writes, and a bit-for-bit array comparison."""
 from importlib import resources
 from pathlib import Path
 
@@ -16,3 +16,11 @@ def read_trajectory_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     header = text[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
     return header, data
+
+
+def assert_same_bits(got, want) -> None:
+    """Equal arrays down to the sign of zero, NaN where the other is NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()

@@ -127,7 +127,7 @@ def test_criterion_2_witness_feasibility_property():
         b = np.array([-rate(float(s)) for s in signed])
         rows = rng.normal(size=(n_c, 2))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        cs = ConstraintSet(rows, b, np.full(n_c, ratio))
+        cs = ConstraintSet(rows, b, ratio)
         w = lipschitz_selection(cs)
         if b.min() < 0.0:
             active += 1
@@ -141,7 +141,7 @@ def test_criterion_2_witness_feasibility_property():
 
 
 def _batch_membership(cs, points, tol=1e-9):
-    lhs = points @ cs.a.T + np.linalg.norm(points, axis=1, keepdims=True) * cs.c[None, :]
+    lhs = points @ cs.a.T + np.linalg.norm(points, axis=1, keepdims=True) * cs.c
     return int(np.count_nonzero(np.any(lhs > cs.b[None, :] + tol, axis=1)))
 
 

@@ -39,7 +39,7 @@ from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
 from safecascade.cascade import safety_virtual_law
 
-from helpers import bundled_config
+from helpers import assert_same_bits, bundled_config
 from oracles import ledger_products
 
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
@@ -112,15 +112,18 @@ def test_tracking_law_positive_homogeneity():
 
 def test_tracking_law_norms_match_linalg_norm_bit_for_bit():
     # The law's norms are sqrt(v . v), which is np.linalg.norm's formula for
-    # a vector: the same law written with np.linalg.norm gives the same bits.
+    # a vector, and it applies the vector formula entry by entry on floats:
+    # the vector formula written with np.linalg.norm gives the same bits,
+    # for a general g and for the cascade's identity at the stock gains.
     bounds = PlantBounds(g_lower=1.0, delta_upper=0.2)
-    g = np.array([[1.0, 0.3], [-0.2, 0.9]])
     rng = np.random.default_rng(11)
-    for e in rng.normal(scale=10.0 ** rng.integers(-6, 6, size=(200, 1)), size=(200, 2)):
-        gte = g.T @ e
-        scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
-        ref = -(gte / float(np.linalg.norm(gte))) * scale * 7.0 * float(np.linalg.norm(e))
-        np.testing.assert_array_equal(tracking_law(e, g, bounds, 7.0), ref)
+    for g, slope in ((np.array([[1.0, 0.3], [-0.2, 0.9]]), 7.0),
+                     (np.eye(2), 8.0), (np.eye(2), 320.0), (np.eye(2), 4.0e5)):
+        for e in rng.normal(scale=10.0 ** rng.integers(-6, 6, size=(200, 1)), size=(200, 2)):
+            gte = g.T @ e
+            scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
+            ref = -(gte / float(np.linalg.norm(gte))) * scale * slope * float(np.linalg.norm(e))
+            assert_same_bits(tracking_law(e, g, bounds, slope), ref)
 
 
 def test_built_tracking_laws_equal_tracking_law_with_identity(monkeypatch):

@@ -15,6 +15,7 @@ from safecascade.certificates import (
 from safecascade.errors import AtCenterError, DegenerateGeometryError, ZeroGradientError
 from safecascade.qcqp_safety import disc_constraint_set
 
+from helpers import assert_same_bits
 from oracles import segment_distance_by_sampling, signed_level_distance
 
 WALL_LOW = CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)
@@ -128,6 +129,30 @@ def test_spine_and_endpoint_raise_zero_gradient():
         eval_segment(seg, np.array([1.0, 0.0]))     # on the spine
     with pytest.raises(ZeroGradientError):
         eval_segment(seg, np.array([0.0, 0.0]))     # on an endpoint
+
+
+def test_single_point_segment_equals_a_batch_of_one_bit_for_bit():
+    # One point clamps its projection parameter t with floats, a batch with
+    # ufuncs: before the segment (t < 0), beyond it (t > 1) and along it, a
+    # point gives its batch of one's bits. On the spine a point raises and
+    # its batch of one is NaN.
+    rng = np.random.default_rng(1018)
+    certs = [WALL_LOW, WALL_HIGH, CertificateSpec(Segment([0.0, 0.0], [0.0, 2.0]), safe_distance=0.3)]
+    sides = {"before": 0, "beyond": 0, "along": 0}
+    for cert in certs:
+        seg = cert.geometry
+        normal = np.array([-seg.base[1], seg.base[0]]) / math.sqrt(seg.base_sq)
+        for t in rng.uniform(-1.0, 2.0, size=300):
+            x = seg.o1 + t * seg.base + rng.normal(scale=0.5) * normal
+            sides["before" if t < 0.0 else "beyond" if t > 1.0 else "along"] += 1
+            ev, batch = eval_segment(cert, x), eval_segment(cert, x[None])
+            for field in ("h", "grad_h", "v"):
+                assert_same_bits(getattr(ev, field), getattr(batch, field)[0])
+    assert min(sides.values()) > 200
+    on_spine = WALL_LOW.geometry.o1 + 0.3 * WALL_LOW.geometry.base
+    with pytest.raises(ZeroGradientError):
+        eval_segment(WALL_LOW, on_spine)
+    assert np.isnan(eval_segment(WALL_LOW, on_spine[None]).h).all()
 
 
 def test_disc_boundary_bound_is_zero():

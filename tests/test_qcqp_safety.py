@@ -22,11 +22,9 @@ from oracles import norm_constrained_membership
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 
 
-def cs_of(a, b, c=None):
+def cs_of(a, b, c=0.0):
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    c = np.zeros(a.shape[0]) if c is None else np.asarray(c, dtype=float)
-    return ConstraintSet(a, b, c)
+    return ConstraintSet(a, np.asarray(b, dtype=float), c)
 
 
 def random_unit_rows(rng, n, dim=2):
@@ -67,7 +65,7 @@ def test_zero_uncertainty_gives_zero_norm_coefficients():
     cert = CertificateSpec(Segment([-1.0, 0.0], [1.0, 0.0]), safe_distance=0.2)
     cs = build_constraint_set(np.array([0.0, 1.0]), [cert], np.eye(2), UNIT_BOUNDS,
                               RateSpec(base_slope=2.0))
-    np.testing.assert_array_equal(cs.c, [0.0])
+    assert cs.c == 0.0
 
 
 def test_wall_scenario_offsets_are_slope_times_clearance():
@@ -99,7 +97,7 @@ def test_uncertain_bounds_fill_norm_coefficient():
     cert = CertificateSpec(Disc([0.0, 2.0], 1.0))
     cs = build_constraint_set(np.array([0.0, 0.0]), [cert], np.eye(2), bounds,
                               RateSpec(1.0, negative_ratio=bounds.gain_ratio))
-    np.testing.assert_allclose(cs.c, [0.25])
+    np.testing.assert_allclose(cs.c, 0.25)
 
 
 # ---------------------------------------------------------------- witness
@@ -126,7 +124,7 @@ def test_witness_monte_carlo_disjoint_configurations():
         bounds = PlantBounds(g_lower=1.0, delta_upper=delta_ratio)
         rate = RateSpec(float(rng.uniform(0.3, 3.0)), negative_ratio=bounds.gain_ratio)
         b = draw_disjoint_disc_offsets(rng, n_c, rate)
-        cs = cs_of(random_unit_rows(rng, n_c), b, np.full(n_c, delta_ratio))
+        cs = cs_of(random_unit_rows(rng, n_c), b, delta_ratio)
         w = lipschitz_selection(cs)
         assert norm_constrained_membership(cs.a, cs.b, cs.c, w, tol=1e-9)
 
@@ -136,7 +134,7 @@ def test_witness_and_selection_homogeneity_in_offsets():
     a = random_unit_rows(rng, 3)
     # Offsets satisfy the pairwise condition: -0.7/0.8 + 1.2/1.2 >= 0.
     b = np.array([-0.7, 1.2, 1.4])
-    c = np.full(3, 0.2)
+    c = 0.2
     base_s = lipschitz_selection(cs_of(a, b, c))
     for lam in [0.5, 2.0, 7.5]:
         scaled = cs_of(a, lam * b, c)
@@ -149,7 +147,7 @@ def test_witness_infeasible_without_rate_steepening():
     # fails, and the failure is reported.
     ratio = 0.5
     b = np.array([-1.0, 1.0])      # from signed distances +1 / -1, slope 1
-    cs = cs_of([[1.0, 0.0], [-1.0, 0.0]], b, np.full(2, ratio))
+    cs = cs_of([[1.0, 0.0], [-1.0, 0.0]], b, ratio)
     with pytest.raises(SelectionConditionError):
         lipschitz_selection(cs)
 
@@ -174,14 +172,14 @@ def test_selection_zero_case():
 
 
 def test_selection_single_negative_row():
-    cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [-0.4, 0.6], [0.2, 0.2])
+    cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [-0.4, 0.6], 0.2)
     sel = lipschitz_selection(cs)
     np.testing.assert_allclose(sel, [-0.5, 0.0], atol=1e-12)
     assert norm_constrained_membership(cs.a, cs.b, cs.c, sel)
 
 
 def test_selection_condition_violation_reports_pair():
-    cs = cs_of([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [-1.0, 5.0, -1.0], [0.2, 0.2, 0.2])
+    cs = cs_of([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [-1.0, 5.0, -1.0], 0.2)
     with pytest.raises(SelectionConditionError) as err:
         lipschitz_selection(cs)
     assert set(err.value.pair) == {0, 2}
@@ -219,7 +217,7 @@ def test_selection_membership_property(scale, seed):
     n_c = int(rng.integers(1, 4))
     a = random_unit_rows(rng, n_c)
     b = rng.uniform(-1.0, 2.0, size=n_c) * scale
-    c = np.full(n_c, float(rng.uniform(0.0, 0.6)))
+    c = float(rng.uniform(0.0, 0.6))
     # Enforce the pairwise offset condition by lifting all but the minimum.
     scaled = b / (1.0 + np.sign(b) * c)
     order = np.argsort(scaled)
@@ -228,7 +226,7 @@ def test_selection_membership_property(scale, seed):
         # minimum: positive offsets scale by (1 + c).
         lift = -scaled[order[0]]
         for idx in order[1:]:
-            b[idx] = lift * (1.0 + c[idx]) + abs(b[idx])
+            b[idx] = lift * (1.0 + c) + abs(b[idx])
     cs = cs_of(a, b, c)
     sel = lipschitz_selection(cs)
     assert norm_constrained_membership(cs.a, cs.b, cs.c, sel, tol=1e-9)
@@ -254,6 +252,17 @@ def test_rate_condition_audit_reports_margin():
 
 def test_row_normalization_validated():
     with pytest.raises(ValueError):
-        ConstraintSet(np.array([[2.0, 0.0]]), np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        ConstraintSet(np.array([[1.0, 0.0]]), np.array([1.0]), np.array([1.5]))
+        ConstraintSet(np.array([[2.0, 0.0]]), np.array([1.0]), 0.0)
+
+
+@pytest.mark.parametrize("c", [-0.1, 1.0, 1.5, math.nan, np.array([0.2]), np.full(2, 0.2),
+                               np.array(0.2), [0.2], "0.2", None])
+def test_norm_coefficient_must_be_one_number_in_unit_interval(c):
+    with pytest.raises(ValueError, match="norm coefficient"):
+        ConstraintSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]), c)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, np.float64(0.25), np.float32(0.25), 0])
+def test_norm_coefficient_is_kept_as_a_float(c):
+    cs = ConstraintSet(np.array([[1.0, 0.0]]), np.array([1.0]), c)
+    assert type(cs.c) is float and cs.c == float(c)

@@ -6,6 +6,7 @@ import pytest
 from safecascade.errors import InfeasibleError
 from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 
+from helpers import assert_same_bits
 from oracles import INFEASIBLE, project_by_face_enumeration
 
 
@@ -160,3 +161,39 @@ def test_infeasible_is_reported():
     poly = Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
     with pytest.raises(InfeasibleError):
         solve_projection_qp([0.0, 0.0], poly)
+
+
+def test_single_polygon_projection_equals_a_batch_of_one_bit_for_bit():
+    # A single problem settles a feasible u0 or its edge on 1-D arrays and
+    # runs the vertex stage as a batch of one. Each stage gives the bits of
+    # the batch of one; a NaN offset gives its NaN or raises, and an empty
+    # set raises, where the batch of one is NaN.
+    rng = np.random.default_rng(1018)
+    a = rng.normal(size=(7, 2))
+    polygon = PolygonRows(np.vstack([a, -a[0]]))
+    vertex_calls = []
+    vertices = polygon.vertices
+    polygon.vertices = lambda b: vertex_calls.append(b.shape) or vertices(b)
+    stages = {"pass": 0, "edge": 0, "vertex": 0, "nan": 0, "empty": 0}
+    for k in range(2000):
+        b = rng.normal(size=2) @ polygon.a_t + np.abs(rng.normal(size=8))
+        if k % 9 == 0:
+            b = rng.normal(size=8)                       # often an empty set
+        if k % 50 == 0:
+            b[rng.integers(8)] = np.nan
+        u0 = rng.normal(scale=2.0, size=2)
+        want = polygon.project(u0[None], b[None])[0]
+        vertex_calls.clear()
+        try:
+            got = polygon.project(u0, b)
+        except InfeasibleError:
+            assert np.isnan(want).all()
+            stages["nan" if np.isnan(b).any() else "empty"] += 1
+            continue
+        assert_same_bits(got, want)
+        assert not np.shares_memory(got, u0)
+        if np.isnan(b).any():
+            stages["nan"] += 1
+        else:
+            stages["vertex" if vertex_calls else "pass" if np.array_equal(got, u0) else "edge"] += 1
+    assert min(stages.values()) >= 10, stages

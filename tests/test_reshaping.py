@@ -35,9 +35,8 @@ GAP_DISCS = [CertificateSpec(Disc([0.0, 1.0], 0.99)), CertificateSpec(Disc([0.0,
 NOMINAL = np.array([1.0, 0.0])
 
 
-def cs_of(a, b, c=None):
+def cs_of(a, b, c=0.0):
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    c = np.zeros(a.shape[0]) if c is None else np.asarray(c, dtype=float)
     return ConstraintSet(a, np.asarray(b, dtype=float), c)
 
 
@@ -362,7 +361,7 @@ def test_sandwich_containment_with_norm_coefficients():
         n_c = int(rng.integers(1, 4))
         rows = rng.normal(size=(n_c, 2))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        c = rng.uniform(0.0, 0.5, size=n_c)
+        c = float(rng.uniform(0.0, 0.5, size=n_c).max())    # n_c draws keep the stream
         b = rng.uniform(-0.8, 1.5, size=n_c)
         # Keep at most one negative offset and make the pairwise condition
         # hold so a selection exists.
@@ -371,7 +370,7 @@ def test_sandwich_containment_with_norm_coefficients():
         if n_c >= 2 and scaled[order[0]] + scaled[order[1]] < 0:
             lift = -scaled[order[0]]
             for idx in order[1:]:
-                b[idx] = lift * (1.0 + c[idx]) + abs(b[idx])
+                b[idx] = lift * (1.0 + c) + abs(b[idx])
         cs = cs_of(rows, b, c)
         try:
             sel = lipschitz_selection(cs)
@@ -381,7 +380,7 @@ def test_sandwich_containment_with_norm_coefficients():
             poly = Polyhedron(basis.a_l, reshape_b_l(sel, cs, basis, k_phi))
             assert np.all(poly.a @ sel <= poly.b + 1e-9)
             pts = sample_polytope_2d(poly, 300, rng)
-            lhs = pts @ cs.a.T + np.linalg.norm(pts, axis=1, keepdims=True) * cs.c[None, :]
+            lhs = pts @ cs.a.T + np.linalg.norm(pts, axis=1, keepdims=True) * cs.c
             assert np.all(lhs <= cs.b[None, :] + 1e-9)
             checked += 1
     assert checked >= 80
@@ -427,7 +426,7 @@ def _dyadic_sets(shape, n_c, n_u, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=shape + (n_c, n_u))
     a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    c = np.linspace(0.0, 0.1, n_c)
+    c = float(np.linspace(0.0, 0.1, n_c)[-1])      # the largest of n_c per-row values
     selection = rng.choice([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0], size=shape + (n_u,))
     b = ((a @ selection[..., None])[..., 0] + c * np.linalg.norm(selection, axis=-1)[..., None]
          + rng.uniform(0.0, 1.0, size=shape + (n_c,)))
