@@ -16,7 +16,7 @@ apart from two exemptions that state their reasons
 from .cascade import (
     CascadeController,
     CascadeGains,
-    build_cascade_controller,
+    SafetyLaw,
     estimate_lipschitz,
     gain_ledger,
     k_selection_audit,

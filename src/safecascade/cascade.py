@@ -1,15 +1,14 @@
 """Recursive cascade controller: safety filter outer loop plus closed-form
 tracking laws, with the gain bookkeeping needed to audit a design.
 
-The outer virtual control x2* comes from the reshaped safety filter; each
-inner level tracks the previous virtual control with
-rho_i(e) = -(g^T e / |g^T e|) * (g_lower/(g_lower - delta)) * K_i |e|,
-which for integrator chains is plain proportional feedback -K_i e. The
+The controller is data: the outer safety law (SafetyLaw) plus its gains.
+The outer virtual control x2* comes from the reshaped safety filter of a
+constant nominal input; each inner level tracks the previous virtual
+control with rho_i(e) = -(e / |e|) * (g_lower/(g_lower - delta)) * K_i |e|,
+which for integrator chains is plain proportional feedback -K_i e. Without
+safety constraints the cascade is standard constructive control. The
 ledger utilities compute the Lipschitz products that appear in the
 gain-selection inequality and the small-gain contraction checks.
-
-The outer law (SafetyLaw) keeps its input matrix as a 2-D float array and
-builds its basis's pair-vertex table once, so no step rebuilds either.
 """
 from __future__ import annotations
 
@@ -187,110 +186,63 @@ def small_gain_audit(gains: CascadeGains) -> SmallGainReport:
     )
 
 
-def tracking_law(
-    x_tilde: np.ndarray,
-    g_i: np.ndarray,
-    bounds: PlantBounds,
-    kappa_slope: float,
-) -> np.ndarray:
-    """Closed-form minimum-norm tracking input for one cascade level.
+def tracking_law(x_tilde: np.ndarray, bounds: PlantBounds, kappa_slope: float) -> np.ndarray:
+    """Closed-form minimum-norm tracking input for one planar cascade level.
 
-    rho(e) = -(g^T e / |g^T e|) * (g_lower / (g_lower - delta)) * K |e| for
-    e != 0, and zero at the origin. The result meets its generating
-    norm-augmented row with equality for e = x_tilde, a float (n,) array;
-    g_i is a float (n, p) array.
+    rho(e) = -(e / |e|) * (g_lower / (g_lower - delta)) * K |e| for e != 0,
+    and zero at the origin; for an integrator chain that is plain
+    proportional feedback. The result meets its generating norm-augmented
+    row with equality for e = x_tilde, a float (2,) array.
     """
-    gte = g_i.T @ x_tilde
-    nrm = math.sqrt(gte.dot(gte))      # np.linalg.norm's own formula for a vector
+    nrm = math.sqrt(x_tilde.dot(x_tilde))      # np.linalg.norm's own formula for a vector
     if nrm <= 1e-15:
-        return np.zeros(g_i.shape[1])
+        return np.zeros(2)
     scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
-    norm_e = math.sqrt(x_tilde.dot(x_tilde))
-    # The vector formula -(gte / nrm) * scale * K * |e| on floats, in its order.
-    return np.array([-(g / nrm) * scale * kappa_slope * norm_e for g in gte.tolist()])
+    # The vector formula -(e / |e|) * scale * K * |e| on floats, in its order:
+    # the shorter -scale * K * e rounds differently.
+    return np.array([-(e / nrm) * scale * kappa_slope * nrm for e in x_tilde.tolist()])
 
 
 @dataclass(frozen=True)
 class ControllerEval:
-    """One controller evaluation: input, virtual controls, tracking errors.
-
-    h and v are the outer law's certificate clearances and values at x_1,
-    one entry per certificate, as the law computed them; both are None when
-    rho1 is a plain callable rather than a SafetyLaw.
-    """
+    """One controller evaluation: input, virtual controls, and the outer
+    law's certificate clearances h and values v at x_1, one entry per
+    certificate, as the law computed them."""
 
     u: np.ndarray
     x_stars: tuple[np.ndarray, ...]    # x2*, ..., x_{m+1}* (= u)
-    x_tildes: tuple[np.ndarray, ...]   # x_i - x_i* for i = 2..m
-    h: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-
-@dataclass
-class CascadeController:
-    """Composable cascade law u = rho_m(x_m - rho_{m-1}(... rho_1(x_1)))."""
-
-    rho1: Callable[[np.ndarray], np.ndarray]
-    tracking_laws: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    gains: CascadeGains | None = None
-
-    @property
-    def m(self) -> int:
-        return 1 + len(self.tracking_laws)
-
-    @property
-    def certificates(self) -> tuple[CertificateSpec, ...] | None:
-        """The outer law's certificates; None when rho1 is a plain callable."""
-        return self.rho1.certs if isinstance(self.rho1, SafetyLaw) else None
-
-    def evaluate(self, blocks: Sequence[np.ndarray]) -> ControllerEval:
-        """Evaluate on the state blocks [x_1, ..., x_m]."""
-        if len(blocks) != self.m:
-            raise ValueError(f"expected {self.m} state blocks, got {len(blocks)}")
-        x1 = np.asarray(blocks[0], dtype=float)
-        if isinstance(self.rho1, SafetyLaw):
-            x_star, h, v = self.rho1.evaluate(x1)
-        else:
-            x_star, h, v = self.rho1(x1), None, None
-        stars = [np.asarray(x_star, dtype=float)]
-        tildes = []
-        for i, law in enumerate(self.tracking_laws):
-            tilde = np.asarray(blocks[i + 1], dtype=float) - stars[-1]
-            tildes.append(tilde)
-            stars.append(np.asarray(law(tilde), dtype=float))
-        return ControllerEval(u=stars[-1], x_stars=tuple(stars), x_tildes=tuple(tildes), h=h, v=v)
-
-    def __call__(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return self.evaluate(blocks).u
+    h: np.ndarray
+    v: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class SafetyLaw:
-    """Outer-loop law: reshaped projection of the nominal input.
+    """Outer-loop law: reshaped projection of the constant nominal input.
 
     Calling the law maps one state (2,) to one input (2,), or N states
-    (N, 2) to (N, 2) inputs through the same array code. nominal receives
-    the same array and may return a single (2,) input, which is broadcast.
-    A state where the law is undefined (on a segment spine, a gradient
-    vanishing through g, a failed selection condition) raises the package
-    error for a single state and gives a NaN row in a batch. With no
-    certificates the law is the nominal itself.
+    (N, 2) to (N, 2) inputs through the same array code. A state where the
+    law is undefined (on a segment spine, at a disc center, a failed
+    selection condition) raises the package error for a single state and
+    gives a NaN row in a batch. With no certificates the law is the nominal
+    itself.
 
-    The law keeps g as a 2-D float array, and its basis's pair-vertex
-    table is built with the law, so no step rebuilds either. A step calls
+    nominal is kept as a read-only (2,) array, and the basis's pair-vertex
+    table is built with the law, so no step rebuilds it. A step calls
     build_constraint_set and reshaped_filter through this module's names.
     """
 
     certs: tuple[CertificateSpec, ...]
-    nominal: Callable[[np.ndarray], np.ndarray]
+    nominal: np.ndarray
     basis: PositiveBasis | None
     bounds: PlantBounds
     rates: RateSpec
     k_phi: float
-    g: np.ndarray      # input matrix of the outer level; certificates live in the plane
 
     def __post_init__(self):
-        object.__setattr__(self, "g", np.atleast_2d(np.asarray(self.g, dtype=float)))
+        nominal = np.array(self.nominal, dtype=float)
+        nominal.flags.writeable = False
+        object.__setattr__(self, "certs", tuple(self.certs))
+        object.__setattr__(self, "nominal", nominal)
         if self.basis is not None and self.basis.polygon is not None:
             _ = self.basis.polygon.pairs      # builds and keeps the pair-vertex table
 
@@ -298,59 +250,48 @@ class SafetyLaw:
         """The input at x1, with each certificate's clearance h and value V
         there, as the constraint set evaluated them (shape (..., n_certs))."""
         x1 = np.asarray(x1, dtype=float)
-        nom = np.asarray(self.nominal(x1), dtype=float)
-        if nom.shape != x1.shape:
-            nom = np.broadcast_to(nom, x1.shape)
         if not self.certs:
             empty = np.zeros(x1.shape[:-1] + (0,))
-            return nom, empty, empty
-        cs = build_constraint_set(x1, self.certs, self.g, self.bounds, self.rates)
-        return reshaped_filter(nom, cs, self.basis, self.k_phi), cs.h, cs.v
+            return np.broadcast_to(self.nominal, x1.shape), empty, empty
+        cs = build_constraint_set(x1, self.certs, self.bounds, self.rates)
+        # The projection broadcasts the one nominal against a batch's rows.
+        return reshaped_filter(self.nominal, cs, self.basis, self.k_phi), cs.h, cs.v
 
     def __call__(self, x1: np.ndarray) -> np.ndarray:
         return self.evaluate(x1)[0]
 
 
-def safety_virtual_law(
-    certs: Sequence[CertificateSpec],
-    nominal: Callable[[np.ndarray], np.ndarray],
-    basis: PositiveBasis,
-    bounds: PlantBounds,
-    rates: RateSpec,
-    k_phi: float = 0.0,
-) -> SafetyLaw:
-    """The outer safety law over certs, with the planar identity as g."""
-    return SafetyLaw(tuple(certs), nominal, basis, bounds, rates, k_phi, np.eye(2))
-
-
-def build_cascade_controller(
-    certs: Sequence[CertificateSpec],
-    nominal: Callable[[np.ndarray], np.ndarray],
-    basis: PositiveBasis,
-    gains: CascadeGains,
-    bounds: PlantBounds | None = None,
-    rates: RateSpec | None = None,
-    k_phi: float = 0.0,
-) -> CascadeController:
-    """Assemble the full controller for an integrator-chain plant.
-
-    Audits are advisory and never block construction: deliberately failing
-    parameter sets are legitimate simulation subjects. g_i is the planar
-    identity at every level, matching the integrator chain, and is built
-    once here. Each tracking law calls tracking_law through this module's
-    name, which the benchmark's trace hooks rebind.
+@dataclass
+class CascadeController:
+    """Cascade law u = rho_m(x_m - rho_{m-1}(... rho_1(x_1))): the outer
+    safety law rho1, then one tracking level per slope K_i of gains (none
+    when gains is None). Audits are advisory and never block construction:
+    deliberately failing gain sets are legitimate simulation subjects.
     """
-    if bounds is None:
-        bounds = PlantBounds(g_lower=1.0, delta_upper=0.0)
-    if rates is None:
-        rates = RateSpec(base_slope=1.0)
-    rho1 = safety_virtual_law(certs, nominal, basis, bounds, rates, k_phi=k_phi)
-    g_i = np.eye(2)
-    laws = []
-    for level in range(2, gains.m + 1):
-        slope = gains.tracking_slope(level)
-        laws.append(lambda e, s=slope, b=bounds: tracking_law(e, g_i, b, s))
-    return CascadeController(rho1=rho1, tracking_laws=tuple(laws), gains=gains)
+
+    rho1: SafetyLaw
+    gains: CascadeGains | None
+
+    @property
+    def m(self) -> int:
+        return 1 if self.gains is None else self.gains.m
+
+    def evaluate(self, blocks: Sequence[np.ndarray]) -> ControllerEval:
+        """Evaluate on the state blocks [x_1, ..., x_m]. Each level calls
+        tracking_law through this module's name, which the benchmark's
+        trace hooks rebind."""
+        if len(blocks) != self.m:
+            raise ValueError(f"expected {self.m} state blocks, got {len(blocks)}")
+        x_star, h, v = self.rho1.evaluate(blocks[0])
+        stars = [x_star]
+        slopes = () if self.gains is None else self.gains.tracking_slopes
+        for block, slope in zip(blocks[1:], slopes):
+            tilde = np.asarray(block, dtype=float) - stars[-1]
+            stars.append(tracking_law(tilde, self.rho1.bounds, slope))
+        return ControllerEval(u=stars[-1], x_stars=tuple(stars), h=h, v=v)
+
+    def __call__(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        return self.evaluate(blocks).u
 
 
 def estimate_lipschitz(

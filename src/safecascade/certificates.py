@@ -122,8 +122,8 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     clearance is the distance to it minus the safe distance, and the
     gradient is the unit vector from it to x. On the spine (within
     SPINE_TOL) that direction is undefined: a single point raises
-    ZeroGradientError, and in an array of points such a point evaluates to
-    NaN.
+    ZeroGradientError, and in an array of points such a point keeps its
+    clearance and value while its gradient is NaN.
     """
     seg = cert.geometry
     if not isinstance(seg, Segment):
@@ -141,8 +141,8 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
         t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
         delta = rel - np.multiply.outer(t, base)
     dist = np.hypot(delta[..., 0], delta[..., 1])
-    dist = _undefined_where(dist <= SPINE_TOL, x, ZeroGradientError, "query point on segment spine", dist)
-    return CertificateEval.from_clearance(dist - cert.safe_distance, delta / dist[..., None])
+    nrm = _undefined_where(dist <= SPINE_TOL, x, ZeroGradientError, "query point on segment spine", dist)
+    return CertificateEval.from_clearance(dist - cert.safe_distance, delta / nrm[..., None])
 
 
 def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
@@ -204,8 +204,8 @@ def disjointness_audit(
 ) -> DisjointnessReport:
     """Sample the box for points inside two unsafe sets at once.
 
-    Also tracks the smallest clearance-gradient magnitude seen over the
-    sampled unsafe points, which is the robustness floor the decay-rate
+    Also tracks the smallest finite clearance-gradient magnitude seen over
+    the sampled unsafe points, which is the robustness floor the decay-rate
     guarantee leans on. Report-only; never raises for violations.
     """
     if samples < MIN_AUDIT_SAMPLES:
@@ -219,11 +219,11 @@ def disjointness_audit(
     above = np.zeros((samples, len(certs)), dtype=bool)
     min_grad = math.inf
     for j, cert in enumerate(certs):
-        ev = certificate_value(cert, pts)      # NaN on a spine: never above
+        ev = certificate_value(cert, pts)
         hit = ev.v >= cert.level
         above[:, j] = hit
-        if hit.any():
-            min_grad = min(min_grad, float(np.hypot(*ev.grad_h[hit].T).min()))
+        # fmin skips the NaN gradient of a spine point, whose V is finite.
+        min_grad = float(np.fmin.reduce(np.hypot(*ev.grad_h[hit].T), initial=min_grad))
     joint = np.count_nonzero(above, axis=1) >= 2
     first = pts[np.argmax(joint)].copy() if joint.any() else None
     joint, superlevel = int(joint.sum()), int(above.sum())

@@ -311,8 +311,7 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
         gain_rows, small_gain, basis_summary = _scenario_audits(scenario)
         traj = run_closed_loop(
             scenario.plant, scenario.controller, scenario.x0,
-            scenario.horizon, scenario.dt,
-            certs=scenario.certificates, workspace=scenario.workspace,
+            scenario.horizon, scenario.dt, workspace=scenario.workspace,
         )
         mets = trajectory_metrics(traj, scenario.certificates)
     except SafecascadeError as exc:

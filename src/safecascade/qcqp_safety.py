@@ -2,11 +2,12 @@
 
 The feasible input set at state x is {u : A u + c * |u| <= b} with one row
 per certificate: the row direction is the normalized certificate gradient
-pushed through the input matrix, the offset is the decay-rate value at the
-current certificate level, and the norm coefficient c = delta_upper/g_lower
-absorbs input-matrix uncertainty. The module also provides the Lipschitz
-selection, a closed-form point of the set used as the reshaping anchor, and
-the sampled audit of the decay-rate condition above the threshold.
+(the outer level drives the plane directly), the offset is the decay-rate
+value at the current certificate level, and the norm coefficient
+c = delta_upper/g_lower absorbs the input-gain uncertainty. The module also
+provides the Lipschitz selection, a closed-form point of the set used as
+the reshaping anchor, and the sampled audit of the decay-rate condition
+above the threshold.
 
 The selection also returns the slack it verified (selection_with_slack),
 so the reshaping does not evaluate the set at it a second time.
@@ -20,11 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .certificates import CertificateSpec, Segment, eval_disc, eval_segment
-from .errors import SelectionConditionError, ZeroGradientError
+from .errors import SelectionConditionError
 from .qp_solver import DEFAULT_TOL
-
-# A clearance gradient vanishes through g where |dh/dx @ g| <= GRAD_TOL |dh/dx|.
-GRAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,26 +147,19 @@ class RateSpec:
 def build_constraint_set(
     x: np.ndarray,
     certs: Sequence[CertificateSpec],
-    g: np.ndarray,
     bounds: PlantBounds,
     rates: RateSpec,
 ) -> ConstraintSet:
     """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
 
-    Row j is the unit vector along dV_j/dx @ g, which is -dh_j/dx @ g
-    normalised (V = exp(-h) only scales it), the offset is
-    -alpha_j(V_j - level_j), and the one norm coefficient is
-    delta_upper / g_lower. The set keeps each certificate's h and V, so a
-    caller that needs them evaluates nothing again. A clearance gradient
-    that vanishes through g (|dh/dx @ g| <= GRAD_TOL |dh/dx|) breaks the
-    nonzero-gradient standing assumption: a single state raises
-    ZeroGradientError, a batch gives NaN rows there, as it does where a
-    certificate is undefined.
+    Row j is the unit vector along dV_j/dx, which is -dh_j/dx normalised
+    (V = exp(-h) only scales it), the offset is -alpha_j(V_j - level_j),
+    and the one norm coefficient is delta_upper / g_lower. The set keeps
+    each certificate's h and V, so a caller that needs them evaluates
+    nothing again. Where a certificate's gradient is undefined (a segment
+    spine, a disc center) a single state raises and a batch row is NaN.
     """
     x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if g.ndim < 2:
-        g = np.atleast_2d(g)
     grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
     h = np.empty(x.shape[:-1] + (len(certs),))
     v = np.empty(h.shape)
@@ -178,16 +169,9 @@ def build_constraint_set(
         grad_h[..., j, :] = ev.grad_h
         h[..., j] = ev.h
         v[..., j] = ev.v
-    direction = grad_h @ g
-    nrm2 = np.add.reduce(direction * direction, axis=-1)
-    vanished = nrm2 <= (GRAD_TOL * np.hypot(grad_h[..., 0], grad_h[..., 1])) ** 2
-    if vanished.any():
-        if x.ndim == 1:
-            raise ZeroGradientError(
-                f"certificate {int(np.argmax(vanished))}: gradient vanishes through g")
-        nrm2 = np.where(vanished, np.nan, nrm2)
+    nrm2 = np.add.reduce(grad_h * grad_h, axis=-1)
     offset = v - np.array([cert.level for cert in certs])
-    return ConstraintSet(direction / -np.sqrt(nrm2)[..., None], -rates.rate(offset),
+    return ConstraintSet(grad_h / -np.sqrt(nrm2)[..., None], -rates.rate(offset),
                          bounds.norm_coefficient, h=h, v=v)
 
 

@@ -194,12 +194,12 @@ class PolygonRows:
         it is whenever it is feasible. Otherwise the answer is the nearest
         feasible vertex over all row pairs (redundant rows break any
         adjacency shortcut); only batch rows that no edge resolves reach
-        this stage. Feasibility is checked to within DEFAULT_TOL. Where no
-        candidate is feasible a single problem raises InfeasibleError and a
-        batch row is NaN, as it is where u0 or b is NaN. A single problem, u0
-        (2,) and b (n,), settles its feasible u0 or edge on the 1-D arrays and
-        runs as a batch of one only when it needs the vertex stage or has a
-        NaN.
+        this stage. Feasibility is checked to within DEFAULT_TOL. Where u0
+        or b is NaN the result is NaN, for a single problem as for a batch
+        row; where no candidate is feasible a single problem raises
+        InfeasibleError and a batch row is NaN. A single problem, u0 (2,)
+        and b (n,), settles its feasible u0 or edge on the 1-D arrays and
+        runs as a batch of one only when it needs the vertex stage.
         """
         a, a_t = self.a, self.a_t
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
@@ -213,6 +213,8 @@ class PolygonRows:
             edge = u0 - viol[far] / self.nrm_sq[far] * a[far]
             if (edge @ a_t <= b + DEFAULT_TOL).all():
                 return edge
+            if np.isnan(viol).any():
+                return np.full(2, np.nan)      # as a batch row: no problem to solve
             u0, b = u0[None], b[None]
         else:
             batch = u0.shape[:-1]

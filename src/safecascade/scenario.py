@@ -62,11 +62,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cascade import (CascadeController, CascadeGains, SafetyLaw, build_cascade_controller,
-                      estimate_lipschitz, safety_virtual_law)
-# eval_segment masks a plain-callable law and stays importable here: the
-# benchmark's trace hooks (benchmarks/workloads.py) rebind scenario.eval_segment.
-from .certificates import (
+from .cascade import CascadeController, CascadeGains, SafetyLaw, estimate_lipschitz
+# eval_segment is unused here but stays importable: the benchmark's trace
+# hooks (benchmarks/workloads.py) rebind scenario.eval_segment.
+from .certificates import (  # noqa: F401
     MIN_AUDIT_SAMPLES,
     CertificateSpec,
     Disc,
@@ -348,7 +347,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     if cfg["nominal.preset"] == "zero":
         nominal = np.zeros(2)
     elif cfg["nominal.value"] is not None:
-        nominal = np.asarray(cfg["nominal.value"], dtype=float)
+        nominal = cfg["nominal.value"]
     else:
         raise ConfigError("need nominal.value or nominal.preset")
 
@@ -366,13 +365,13 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 
     x_lo, x_hi, y_lo, y_hi = cfg["sim.workspace_m"]
     workspace = ((x_lo, x_hi), (y_lo, y_hi))
-    k_phi = cfg["reshape.k_phi"]
-    nominal_fn = lambda x: nominal
-    law = safety_virtual_law(certs, nominal_fn, basis, bounds, rate, k_phi=k_phi)
+    # One law serves the k1 estimate and the controller.
+    law = SafetyLaw(certs, nominal, basis, bounds, rate, cfg["reshape.k_phi"])
     k1_estimated = levels > 1 and cfg["cascade.k1"] == "estimate"
+    gains = None
     if levels > 1:
         if k1_estimated:
-            k1 = estimate_safety_law_lipschitz(law, certs, workspace, grid=cfg["cascade.k1_grid"])
+            k1 = estimate_safety_law_lipschitz(law, workspace, grid=cfg["cascade.k1_grid"])
         else:
             k1 = float(cfg["cascade.k1"])
         gains = CascadeGains(
@@ -383,11 +382,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             gamma_12_slope=cfg["cascade.gamma_12_slope"],
             gamma_x2v_slope=cfg["cascade.gamma_x2v_slope"],
         )
-        controller = build_cascade_controller(
-            certs, nominal_fn, basis, gains, bounds=bounds, rates=rate, k_phi=k_phi)
-    else:
-        gains = None
-        controller = CascadeController(rho1=law, tracking_laws=(), gains=None)
 
     return Scenario(
         config=cfg,
@@ -397,7 +391,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         bounds=bounds,
         rate=rate,
         gains=gains,
-        controller=controller,
+        controller=CascadeController(law, gains),
         x0=plant.initial_state(np.asarray(cfg["sim.x1_0_m"], dtype=float)),
         dt=cfg["sim.dt_s"],
         horizon=cfg["sim.horizon_s"],
@@ -408,29 +402,25 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
-def estimate_safety_law_lipschitz(law, certs, workspace, grid: int) -> float:
+def estimate_safety_law_lipschitz(law: SafetyLaw, workspace, grid: int) -> float:
     """Grid Lipschitz lower bound of the outer safety law over the workspace.
 
     The law is evaluated on blocks of whole grid rows (estimate_lipschitz).
     States inside an inflated segment obstacle, and states where the law is
     undefined (NaN rows, or the whole block when the law raises a package
     error), are masked out; only adjacent safe-region points contribute
-    slopes. A SafetyLaw over these certificates masks with the clearances
-    its own evaluation computed, so each certificate is evaluated once per
-    state; any other law is masked by evaluating the segments. Any other
+    slopes. The mask reads the clearances the law's own evaluation
+    computed, so each certificate is evaluated once per state. Any other
     exception is a fault and propagates.
     """
-    own = isinstance(law, SafetyLaw) and list(map(id, law.certs)) == list(map(id, certs))
-
     def masked(x):
         try:
-            values, h, _ = law.evaluate(x) if own else (law(x), None, None)
+            values, h, _ = law.evaluate(x)
         except SafecascadeError:
             return np.full(x.shape, math.nan)
         values = np.array(values, dtype=float)
-        for j, cert in enumerate(certs):
+        for j, cert in enumerate(law.certs):
             if isinstance(cert.geometry, Segment):
-                clearance = h[..., j] if own else eval_segment(cert, x).h
-                values[clearance < 0] = math.nan
+                values[h[..., j] < 0] = math.nan
         return values
     return estimate_lipschitz(masked, workspace, grid=grid)

@@ -22,12 +22,12 @@ stability region at millisecond steps, while the exact flow is stable for
 every step size and reproduces the continuous-time behavior the design
 analysis is about.
 
-The recorded certificate margins come from the controller whenever the run's
-certificates are the controller's own (the same objects): the outer law
-evaluates every certificate at x_1 to build its constraint set and hands h
-and V back, so each certificate is evaluated once per step. The simulator
-evaluates them itself only for other certificates, and on a final row where
-the controller was not evaluated or raised.
+The recorded certificate margins are those of the outer law's
+certificates, as the law computed them: it evaluates every certificate at
+x_1 to build its constraint set and hands h and V back, so each
+certificate is evaluated once per step. The simulator evaluates them
+itself only on a final row where the controller was not evaluated or
+raised, as a batch of one, which keeps h and V finite on a segment spine.
 """
 from __future__ import annotations
 
@@ -294,9 +294,9 @@ def exact_cascade_step_matrices(tracking_slopes: Sequence[float], dt: float):
 class Trajectory:
     """Uniform-grid record of a closed-loop run.
 
-    margins_h[k, j] is the clearance of certificate j at step k, margins_v
-    the certificate value, both as the controller's outer law evaluated
-    them when the certificates are its own, else from certificate_value;
+    margins_h[k, j] is the clearance of the outer law's certificate j at
+    step k, margins_v its value, both as the law evaluated them (on a final
+    row without a controller value, from certificate_value);
     virtual_controls stacks x2*..x_{m+1}* per step.
     termination is "completed" or the reason the run stopped early. When
     the output block leaves the workspace the controller is not evaluated
@@ -323,7 +323,6 @@ def run_closed_loop(
     x0: np.ndarray,
     horizon: float,
     dt: float,
-    certs: Sequence[CertificateSpec] = (),
     workspace: tuple[tuple[float, float], tuple[float, float]] | None = None,
 ) -> Trajectory:
     """Simulate the closed loop on a uniform grid, recording margins
@@ -347,8 +346,7 @@ def run_closed_loop(
                          f"the controller has {m}")
 
     exact_step = None
-    if isinstance(plant, IntegratorChain) and controller.gains is not None \
-            and 1 + len(controller.gains.tracking_slopes) == m:
+    if isinstance(plant, IntegratorChain) and controller.gains is not None:
         e_mat, f_vec = exact_cascade_step_matrices(controller.gains.tracking_slopes, dt)
         f_col = f_vec[:, None]
 
@@ -356,6 +354,7 @@ def run_closed_loop(
             # Row i of s.reshape(m, d) is block x_{i+1}; column ax is one axis.
             return _check_finite((e_mat @ s.reshape(m, 2) + f_col * x2_star).ravel())
 
+    certs = controller.rho1.certs
     times = np.arange(n_steps + 1) * dt
     states = np.zeros((n_steps + 1, state.shape[0]))
     inputs = np.zeros((n_steps + 1, 2))
@@ -364,8 +363,6 @@ def run_closed_loop(
     margins_v = np.zeros((n_steps + 1, len(certs)))
     termination = "completed"
     recorded = 0
-    own = controller.certificates
-    reuse = own is not None and len(own) == len(certs) and all(a is b for a, b in zip(own, certs))
 
     for k in range(n_steps + 1):
         blocks = plant.blocks(state)
@@ -381,14 +378,14 @@ def run_closed_loop(
                 ev = controller.evaluate(blocks)
             except SafecascadeError as exc:
                 termination = f"controller_error: {type(exc).__name__}"
-        if reuse and ev is not None:
-            margins_h[k], margins_v[k] = ev.h, ev.v
-        else:
-            for j, cert in enumerate(certs):
-                cev = certificate_value(cert, x1)
-                margins_h[k, j], margins_v[k, j] = cev.h, cev.v
         if ev is None:
+            # A batch of one: h and V stay finite on a segment spine, where
+            # a single point raises.
+            for j, cert in enumerate(certs):
+                cev = certificate_value(cert, x1[None])
+                margins_h[k, j], margins_v[k, j] = cev.h[0], cev.v[0]
             break
+        margins_h[k], margins_v[k] = ev.h, ev.v
         inputs[k] = ev.u
         stars[k] = np.concatenate(ev.x_stars)
         if k == n_steps:

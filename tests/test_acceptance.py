@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from safecascade.cascade import CascadeController, CascadeGains, k_selection_audit, safety_virtual_law
+from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw, k_selection_audit
 from safecascade.certificates import CertificateSpec, Segment, exp_alpha_bar_for_level
 from safecascade.cli import (
     axis_slice_grid,
@@ -169,7 +169,7 @@ def test_criterion_3_reshaping_sandwich():
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis11 = make_positive_basis(2, 11)
     for x in ([-2.0, 1.0], [0.0, 1.2], [1.0, 1.1], [2.0, 2.6], [0.0, 0.45]):
-        cs = build_constraint_set(np.asarray(x), WALLS, np.eye(2), UNIT_BOUNDS, rate)
+        cs = build_constraint_set(np.asarray(x), WALLS, UNIT_BOUNDS, rate)
         sel = lipschitz_selection(cs)
         poly = Polyhedron(basis11.a_l, reshape_b_l(sel, cs, basis11, 2.0))
         assert np.all(poly.a @ sel <= poly.b + 1e-9)
@@ -343,14 +343,13 @@ def test_criterion_8_single_level_decay():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
-    law = safety_virtual_law(WALLS, lambda x: np.array([0.6, 1.0]), basis,
-                             UNIT_BOUNDS, rate, k_phi=2.0)
-    controller = CascadeController(rho1=law, tracking_laws=(), gains=None)
+    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, UNIT_BOUNDS, rate, k_phi=2.0)
+    controller = CascadeController(rho1=law, gains=None)
     plant = IntegratorChain(m=1)
     dt = 1e-3
     threshold = 1.4
     x0 = np.array([0.0, 0.51])   # inside the low wall's inflated band
-    traj = run_closed_loop(plant, controller, x0, horizon=2.0, dt=dt, certs=WALLS)
+    traj = run_closed_loop(plant, controller, x0, horizon=2.0, dt=dt)
     v = traj.margins_v[:, 1]
     assert v[0] > threshold
     below = np.flatnonzero(v < threshold)

@@ -5,6 +5,7 @@ modules import (``qcqp_safety.eval_segment``, ``sim.certificate_value``, ...).
 A refactor that drops or renames one of them breaks the traced benchmark
 run, so the hooks are installed and removed here, in the test suite.
 """
+import ast
 import sys
 from pathlib import Path
 
@@ -15,8 +16,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from tracing import Tracer  # noqa: E402
 from workloads import install_trace  # noqa: E402
 
+import safecascade  # noqa: E402
 from safecascade import cascade, cli, qcqp_safety, reshaping, scenario, sim  # noqa: E402
-from safecascade.cascade import CascadeGains, build_cascade_controller  # noqa: E402
+from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw  # noqa: E402
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level  # noqa: E402
 from safecascade.qcqp_safety import PlantBounds, RateSpec  # noqa: E402
 from safecascade.reshaping import make_positive_basis  # noqa: E402
@@ -34,8 +36,7 @@ def test_trace_hooks_install_record_and_restore():
     try:
         # The constraint set evaluates its certificates through the rebound
         # module names, so both geometries show up as certificate spans.
-        qcqp_safety.build_constraint_set(
-            x, [wall, disc], np.eye(2), PlantBounds(1.0), RateSpec(base_slope=1.0))
+        qcqp_safety.build_constraint_set(x, [wall, disc], PlantBounds(1.0), RateSpec(base_slope=1.0))
         sim.certificate_value(wall, x)
     finally:
         tracer.restore()
@@ -59,11 +60,9 @@ def test_traced_batched_law_and_single_evaluate():
     tracer = Tracer()
     install_trace(tracer)
     try:
-        controller = build_cascade_controller(
-            walls, lambda x: np.array([0.6, 1.0]), basis, gains,
-            bounds=PlantBounds(1.0), rates=rate, k_phi=2.0)
-        k1 = scenario.estimate_safety_law_lipschitz(
-            controller.rho1, walls, ((-3.0, 6.0), (-0.5, 12.0)), grid=5)
+        law = SafetyLaw(walls, np.array([0.6, 1.0]), basis, PlantBounds(1.0), rate, k_phi=2.0)
+        controller = CascadeController(law, gains)
+        k1 = scenario.estimate_safety_law_lipschitz(law, ((-3.0, 6.0), (-0.5, 12.0)), grid=5)
         ev = controller.evaluate([np.array([-2.0, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2)])
     finally:
         tracer.restore()
@@ -84,17 +83,16 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
-    controller = build_cascade_controller(
-        walls, lambda x: np.array([0.6, 1.0]), make_positive_basis(2, 11),
-        CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49), bounds=PlantBounds(1.0),
-        rates=RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
+    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(2, 11), PlantBounds(1.0),
+                    RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
+    controller = CascadeController(law, CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49))
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     tracer = Tracer()
     install_trace(tracer)
     try:
         traj = sim.run_closed_loop(sim.IntegratorChain(m=4), controller, x0, horizon=0.05,
-                                   dt=1e-3, certs=walls, workspace=((-3.0, 6.0), (-0.5, 12.0)))
+                                   dt=1e-3, workspace=((-3.0, 6.0), (-0.5, 12.0)))
     finally:
         tracer.restore()
     rows = traj.times.shape[0]
@@ -159,3 +157,42 @@ def test_traced_gap_examples_complete_and_restore_every_name(tmp_path):
         now = vars(owner)
         assert now.keys() == was.keys()
         assert all(now[attr] is value for attr, value in was.items()), owner
+
+
+def _hook_only_imports() -> list[tuple[str, str]]:
+    """(module, name) for each name that a ``# noqa: F401`` import in the
+    package brings into a module which never reads it."""
+    found = []
+    for path in sorted(Path(safecascade.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and \
+                    any("# noqa: F401" in line for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+                found += [(path.stem, alias.asname or alias.name) for alias in stmt.names
+                          if (alias.asname or alias.name) not in read]
+    return sorted(found)
+
+
+def test_hook_only_imports_are_names_the_trace_hooks_patch():
+    # A module keeps an import it never reads only so that install_trace can
+    # rebind that name on it. Once the hooks stop patching one, the failure
+    # names the import to delete.
+    imports = _hook_only_imports()
+    assert imports == [("cascade", "lipschitz_selection"), ("scenario", "eval_segment")]
+    owners = {"cascade": cascade, "scenario": scenario}
+    before = {(module, name): getattr(owners[module], name) for module, name in imports}
+    tracer = Tracer()
+    install_trace(tracer)
+    try:
+        unpatched = [f"{module}.{name}" for (module, name), original in before.items()
+                     if getattr(owners[module], name) is original]
+    finally:
+        tracer.restore()
+    assert not unpatched, "hook-only imports that install_trace no longer patches: " + \
+        ", ".join(unpatched)

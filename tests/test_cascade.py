@@ -1,4 +1,3 @@
-import math
 import re
 import warnings
 
@@ -13,14 +12,13 @@ from safecascade.cascade import (
     CascadeController,
     CascadeGains,
     SafetyLaw,
-    build_cascade_controller,
     estimate_lipschitz,
     gain_ledger,
     k_selection_audit,
     small_gain_audit,
     tracking_law,
 )
-from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
+from safecascade.certificates import CertificateSpec, Disc, Segment, eval_segment, exp_alpha_bar_for_level
 from safecascade.errors import (
     CoverageConditionError,
     SafecascadeError,
@@ -37,7 +35,6 @@ from safecascade.qcqp_safety import (
 from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
-from safecascade.cascade import safety_virtual_law
 
 from helpers import assert_same_bits, bundled_config
 from oracles import ledger_products
@@ -65,86 +62,74 @@ FROZEN_K1_GRID_ESTIMATE = 6.3408
 
 def test_tracking_law_identity_reduction():
     e = np.array([0.3, -1.2])
-    out = tracking_law(e, np.eye(2), UNIT_BOUNDS, 5.0)
+    out = tracking_law(e, UNIT_BOUNDS, 5.0)
     np.testing.assert_allclose(out, -5.0 * e, atol=1e-12)
 
 
 def test_tracking_law_zero_error():
-    np.testing.assert_array_equal(tracking_law(np.zeros(2), np.eye(2), UNIT_BOUNDS, 3.0),
-                                  np.zeros(2))
+    np.testing.assert_array_equal(tracking_law(np.zeros(2), UNIT_BOUNDS, 3.0), np.zeros(2))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    theta1=st.floats(0.0, 2.0 * math.pi),
-    theta2=st.floats(0.0, 2.0 * math.pi),
-    s1=st.floats(0.5, 3.0),
-    s2=st.floats(0.5, 3.0),
+    g_lower=st.floats(0.5, 3.0),
     delta_frac=st.floats(0.0, 0.8),
     slope=st.floats(0.1, 10.0),
     ex=st.floats(-3.0, 3.0),
     ey=st.floats(-3.0, 3.0),
 )
-def test_tracking_law_meets_row_with_equality(theta1, theta2, s1, s2, delta_frac, slope, ex, ey):
-    def rot(t):
-        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-
+def test_tracking_law_meets_row_with_equality(g_lower, delta_frac, slope, ex, ey):
     e = np.array([ex, ey])
     if np.linalg.norm(e) < 1e-6:
         e = np.array([1.0, 0.0])
-    g = rot(theta1) @ np.diag([s1, s2]) @ rot(theta2)   # singular values (s1, s2)
-    g_lower = min(s1, s2)
     bounds = PlantBounds(g_lower=g_lower, delta_upper=delta_frac * g_lower * 0.9)
-    u = tracking_law(e, g, bounds, slope)
-    gte = g.T @ e
-    direction = gte / np.linalg.norm(gte)
+    u = tracking_law(e, bounds, slope)
+    direction = e / np.linalg.norm(e)
     lhs = float(direction @ u) + bounds.norm_coefficient * float(np.linalg.norm(u))
     assert lhs == pytest.approx(-slope * float(np.linalg.norm(e)), rel=1e-9, abs=1e-9)
 
 
 def test_tracking_law_positive_homogeneity():
     e = np.array([0.4, 0.9])
-    base = tracking_law(e, np.eye(2), UNIT_BOUNDS, 2.0)
+    base = tracking_law(e, UNIT_BOUNDS, 2.0)
     for lam in (0.5, 3.0, 11.0):
-        np.testing.assert_allclose(
-            tracking_law(lam * e, np.eye(2), UNIT_BOUNDS, 2.0), lam * base, atol=1e-12)
+        np.testing.assert_allclose(tracking_law(lam * e, UNIT_BOUNDS, 2.0), lam * base, atol=1e-12)
 
 
 def test_tracking_law_norms_match_linalg_norm_bit_for_bit():
-    # The law's norms are sqrt(v . v), which is np.linalg.norm's formula for
-    # a vector, and it applies the vector formula entry by entry on floats:
-    # the vector formula written with np.linalg.norm gives the same bits,
-    # for a general g and for the cascade's identity at the stock gains.
+    # The law's norm is sqrt(e . e), which is np.linalg.norm's formula for a
+    # vector, and it applies the vector formula entry by entry on floats:
+    # the vector formula written with np.linalg.norm gives the same bits at
+    # the stock gains.
     bounds = PlantBounds(g_lower=1.0, delta_upper=0.2)
     rng = np.random.default_rng(11)
-    for g, slope in ((np.array([[1.0, 0.3], [-0.2, 0.9]]), 7.0),
-                     (np.eye(2), 8.0), (np.eye(2), 320.0), (np.eye(2), 4.0e5)):
+    for slope in (7.0, 8.0, 320.0, 4.0e5):
         for e in rng.normal(scale=10.0 ** rng.integers(-6, 6, size=(200, 1)), size=(200, 2)):
-            gte = g.T @ e
             scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
-            ref = -(gte / float(np.linalg.norm(gte))) * scale * slope * float(np.linalg.norm(e))
-            assert_same_bits(tracking_law(e, g, bounds, slope), ref)
+            nrm = float(np.linalg.norm(e))
+            assert_same_bits(tracking_law(e, bounds, slope), -(e / nrm) * scale * slope * nrm)
 
 
-def test_built_tracking_laws_equal_tracking_law_with_identity(monkeypatch):
-    # build_cascade_controller builds g_i once; each level's law must still
-    # be tracking_law(e, I, bounds, K_i), called through the cascade
-    # module's name (the benchmark's trace hooks rebind it).
+def test_controller_levels_call_tracking_law_per_slope(monkeypatch):
+    # Level i's input is tracking_law(x_i - x*_i, the law's bounds, K_i),
+    # called through the cascade module's name (the benchmark's trace hooks
+    # rebind it).
     bounds = PlantBounds(g_lower=1.0, delta_upper=0.2)
-    controller = build_cascade_controller(
-        WALLS, lambda x: np.array([0.6, 1.0]), make_positive_basis(2, 11), STOCK_GAINS,
-        bounds=bounds)
+    _, abar_inv = exp_alpha_bar_for_level(1.0)
+    rates = RateSpec(1.0, abar_inv, negative_ratio=bounds.gain_ratio)
+    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), bounds, rates, 2.0)
+    controller = CascadeController(law, STOCK_GAINS)
     rng = np.random.default_rng(5)
-    errors = rng.normal(size=(50, 2)) * 10.0 ** rng.integers(-8, 3, size=(50, 1))
-    for law, slope in zip(controller.tracking_laws, STOCK_GAINS.tracking_slopes):
-        for e in errors:
-            np.testing.assert_array_equal(law(e), tracking_law(e, np.eye(2), bounds, slope))
-        np.testing.assert_array_equal(law(np.zeros(2)), np.zeros(2))
+    blocks = [np.array([-2.0, 1.0]), *rng.normal(size=(3, 2))]
+    ev = controller.evaluate(blocks)
+    for i, slope in enumerate(STOCK_GAINS.tracking_slopes, start=1):
+        np.testing.assert_array_equal(ev.x_stars[i],
+                                      tracking_law(blocks[i] - ev.x_stars[i - 1], bounds, slope))
     seen = []
-    monkeypatch.setattr(cascade, "tracking_law", lambda e, g, b, k: seen.append(k) or np.zeros(2))
-    for law in controller.tracking_laws:
-        law(np.ones(2))
-    assert seen == list(STOCK_GAINS.tracking_slopes)
+    monkeypatch.setattr(cascade, "tracking_law",
+                        lambda e, b, k: seen.append((b, k)) or np.zeros(2))
+    controller.evaluate(blocks)
+    assert seen == [(bounds, k) for k in STOCK_GAINS.tracking_slopes]
 
 
 # ----------------------------------------------------------------- ledger
@@ -259,22 +244,20 @@ def test_small_gain_flags_tau_below_one():
 
 # -------------------------------------------------------------- controller
 
-def build_wall_controller(gains):
+def wall_law():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    basis = make_positive_basis(2, 11)
-    return build_cascade_controller(
-        WALLS, lambda x: np.array([0.6, 1.0]), basis, gains,
-        bounds=UNIT_BOUNDS, rates=rate, k_phi=2.0)
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), UNIT_BOUNDS, rate,
+                     k_phi=2.0)
+
+
+def build_wall_controller(gains):
+    return CascadeController(wall_law(), gains)
 
 
 def test_single_level_controller_is_the_filter():
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    basis = make_positive_basis(2, 11)
-    law = safety_virtual_law(WALLS, lambda x: np.array([0.6, 1.0]), basis,
-                             UNIT_BOUNDS, rate, k_phi=2.0)
-    controller = CascadeController(rho1=law, tracking_laws=())
+    law = wall_law()
+    controller = CascadeController(rho1=law, gains=None)
     x1 = np.array([-2.0, 1.0])
     np.testing.assert_allclose(controller([x1]), law(x1), atol=1e-12)
 
@@ -285,7 +268,6 @@ def test_full_controller_finite_at_start():
     ev = controller.evaluate(blocks)
     assert np.all(np.isfinite(ev.u))
     assert len(ev.x_stars) == 4
-    assert len(ev.x_tildes) == 3
 
 
 def test_controller_eval_carries_the_outer_laws_certificate_values():
@@ -293,14 +275,10 @@ def test_controller_eval_carries_the_outer_laws_certificate_values():
     controller = build_wall_controller(STOCK_GAINS)
     x1 = np.array([-2.0, 1.0])
     ev = controller.evaluate([x1, np.zeros(2), np.zeros(2), np.zeros(2)])
-    assert controller.certificates == tuple(WALLS)
+    assert controller.rho1.certs == tuple(WALLS)
     for j, cert in enumerate(WALLS):
         cev = certificate_value(cert, x1)
         assert (ev.h[j], ev.v[j]) == (cev.h, cev.v)
-    plain = CascadeController(rho1=lambda x: np.array([0.6, 1.0]), tracking_laws=())
-    assert plain.certificates is None
-    ev = plain.evaluate([x1])
-    assert ev.h is None and ev.v is None
 
 
 def test_zero_state_composition_sign_pattern():
@@ -354,12 +332,7 @@ def test_estimate_lipschitz_gap_blowup():
 
 
 def test_wall_law_lipschitz_regression():
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    basis = make_positive_basis(2, 11)
-    law = safety_virtual_law(WALLS, lambda x: np.array([0.6, 1.0]), basis,
-                             UNIT_BOUNDS, rate, k_phi=2.0)
-    est = estimate_safety_law_lipschitz(law, WALLS, ((-3.0, 6.0), (-0.5, 12.0)), grid=200)
+    est = estimate_safety_law_lipschitz(wall_law(), ((-3.0, 6.0), (-0.5, 12.0)), grid=200)
     assert est == pytest.approx(FROZEN_K1_GRID_ESTIMATE, rel=1e-3)
     # Same scale as the design value 3.49 used by the stock gain ledger.
     assert 0.5 <= est / 3.49 <= 2.0
@@ -412,13 +385,20 @@ def test_estimate_lipschitz_keeps_one_row_a_call_when_a_row_exceeds_the_budget(m
 
 
 def test_blocked_estimate_equals_the_row_by_row_estimate_on_the_safe_scenario(monkeypatch):
-    # The reference is the estimate as it was: one grid row a call, and a
-    # plain callable, so the segments are evaluated again for the mask.
+    # The reference is the estimate as it was: one grid row a call, with the
+    # segments evaluated again for the mask.
     built = build_scenario(load_scenario(bundled_config("vtol_safe")))     # k1 = 3.49, no estimate
-    law, certs, workspace = built.controller.rho1, built.certificates, built.workspace
-    blocked = estimate_safety_law_lipschitz(law, certs, workspace, grid=200)
+    law, workspace = built.controller.rho1, built.workspace
+    blocked = estimate_safety_law_lipschitz(law, workspace, grid=200)
+
+    def masked_by_segments(x):
+        values = np.array(law(x))
+        for cert in built.certificates:
+            values[eval_segment(cert, x).h < 0] = np.nan
+        return values
+
     monkeypatch.setattr(cascade, "ESTIMATE_BLOCK_STATES", 1)
-    rows = estimate_safety_law_lipschitz(lambda x: law(x), certs, workspace, grid=200)
+    rows = estimate_lipschitz(masked_by_segments, workspace, grid=200)
     assert blocked == rows
     assert blocked == pytest.approx(FROZEN_K1_GRID_ESTIMATE, rel=1e-3)
 
@@ -431,22 +411,19 @@ def _single_or_nan(law, x):
 
 
 def _outer_laws():
-    """Outer laws over walls, overlapping discs, an input matrix that hides
-    the vertical gradient, and uncertain bounds (c > 0) with the rate
-    steepened for them."""
+    """Outer laws over walls, overlapping discs, and uncertain bounds (c > 0)
+    with the rate steepened for them."""
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
-    nominal = lambda x: np.array([0.6, 1.0])
+    nominal = np.array([0.6, 1.0])
     discs = [CertificateSpec(Disc([0.0, 6.0], 1.0)), CertificateSpec(Disc([0.8, 6.0], 1.0))]
     uncertain = PlantBounds(g_lower=1.0, delta_upper=0.1)
     return {
-        "walls": safety_virtual_law(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0),
-        "discs": safety_virtual_law(discs, nominal, basis, UNIT_BOUNDS, rate, k_phi=1.0),
-        "hidden": SafetyLaw(tuple(WALLS), nominal, basis, UNIT_BOUNDS, rate, 2.0,
-                            np.array([[1.0, 0.0], [0.0, 0.0]])),
-        "uncertain": safety_virtual_law(
-            WALLS, nominal, basis, uncertain, RateSpec(1.0, abar_inv, negative_ratio=uncertain.gain_ratio), k_phi=2.0),
+        "walls": SafetyLaw(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0),
+        "discs": SafetyLaw(discs, nominal, basis, UNIT_BOUNDS, rate, k_phi=1.0),
+        "uncertain": SafetyLaw(WALLS, nominal, basis, uncertain,
+                               RateSpec(1.0, abar_inv, negative_ratio=uncertain.gain_ratio), k_phi=2.0),
     }
 
 
@@ -477,9 +454,8 @@ def test_batched_law_matches_single_state_law():
     # One array call over many states against one call per state: NaN rows
     # exactly where the single state raises a package error, and the same
     # inputs elsewhere. Covers the spine (exactly on it and 1e-6 m off it),
-    # the inflated bands, the far field, a disc center, an overlapping disc
-    # pair (selection-condition failures) and an input matrix that hides
-    # the vertical gradient.
+    # the inflated bands, the far field, a disc center and an overlapping
+    # disc pair (selection-condition failures).
     laws = _outer_laws()
     states = _outer_law_states(8675309)
     for name, law in laws.items():
@@ -493,8 +469,8 @@ def test_batched_law_matches_single_state_law():
         np.testing.assert_array_equal(np.isnan(batch).any(axis=1), undefined, err_msg=name)
         np.testing.assert_allclose(batch[~undefined], single[~undefined], rtol=0.0, atol=1e-12,
                                    err_msg=name)
-    # The far field passes the nominal through (the gradient test is
-    # relative to |grad h|, not absolute on grad V = -V grad h).
+    # The far field passes the nominal through (the rows are the unit
+    # gradient of h, whatever the scale of grad V = -V grad h).
     np.testing.assert_array_equal(laws["walls"](np.array([[0.0, 25.0], [0.0, 100.0]])),
                                   [[0.6, 1.0], [0.6, 1.0]])
 
@@ -502,8 +478,8 @@ def test_batched_law_matches_single_state_law():
 def _composed(law, x):
     """The law rebuilt from the public functions, which derive every
     constant the law keeps on each call."""
-    nominal = np.broadcast_to(np.asarray(law.nominal(x), dtype=float), np.shape(x))
-    cs = build_constraint_set(x, law.certs, law.g, law.bounds, law.rates)
+    nominal = np.broadcast_to(law.nominal, np.shape(x))
+    cs = build_constraint_set(x, law.certs, law.bounds, law.rates)
     b_l = reshape_b_l(lipschitz_selection(cs), cs, law.basis, law.k_phi)
     return PolygonRows(law.basis.a_l).project(nominal, b_l), cs.h, cs.v
 
@@ -517,7 +493,7 @@ def _assert_same_bits(got, want, msg):
 
 
 def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
-    # SafetyLaw keeps its g and its basis's polygon structure, and the
+    # SafetyLaw keeps its nominal and its basis's polygon structure, and the
     # filter hands the selection's slack to the reshaping;
     # build_constraint_set -> lipschitz_selection -> reshape_b_l ->
     # PolygonRows(a_l).project evaluates the set at the selection again and
@@ -530,9 +506,8 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
     states = _outer_law_states(20240607)
     laws = _outer_laws()
     walls = laws["uncertain"]
-    laws["narrow"] = safety_virtual_law(
-        WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.05), walls.bounds, walls.rates,
-        k_phi=2.0)
+    laws["narrow"] = SafetyLaw(WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.05),
+                               walls.bounds, walls.rates, k_phi=2.0)
     raised = set()
     for name, law in laws.items():
         for x in [*states[::3], states]:
@@ -555,15 +530,18 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
     assert ("narrow", CoverageConditionError) in raised
 
 
-def test_k1_estimate_masks_only_package_errors():
+def test_k1_estimate_masks_only_package_errors(monkeypatch):
     box = ((-3.0, 6.0), (-0.5, 12.0))
+    law = wall_law()
 
-    def undefined(x):
+    def undefined(*args):
         raise ZeroGradientError("law undefined here")
 
-    def broken(x):
+    def broken(*args):
         raise TypeError("a fault in the law")
 
-    assert estimate_safety_law_lipschitz(undefined, WALLS, box, grid=5) == 0.0
+    monkeypatch.setattr(cascade, "build_constraint_set", undefined)
+    assert estimate_safety_law_lipschitz(law, box, grid=5) == 0.0
+    monkeypatch.setattr(cascade, "build_constraint_set", broken)
     with pytest.raises(TypeError):
-        estimate_safety_law_lipschitz(broken, WALLS, box, grid=5)
+        estimate_safety_law_lipschitz(law, box, grid=5)

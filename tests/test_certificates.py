@@ -134,8 +134,8 @@ def test_spine_and_endpoint_raise_zero_gradient():
 def test_single_point_segment_equals_a_batch_of_one_bit_for_bit():
     # One point clamps its projection parameter t with floats, a batch with
     # ufuncs: before the segment (t < 0), beyond it (t > 1) and along it, a
-    # point gives its batch of one's bits. On the spine a point raises and
-    # its batch of one is NaN.
+    # point gives its batch of one's bits. On the spine a point raises,
+    # while its batch of one keeps h and V and only its gradient is NaN.
     rng = np.random.default_rng(1018)
     certs = [WALL_LOW, WALL_HIGH, CertificateSpec(Segment([0.0, 0.0], [0.0, 2.0]), safe_distance=0.3)]
     sides = {"before": 0, "beyond": 0, "along": 0}
@@ -152,7 +152,9 @@ def test_single_point_segment_equals_a_batch_of_one_bit_for_bit():
     on_spine = WALL_LOW.geometry.o1 + 0.3 * WALL_LOW.geometry.base
     with pytest.raises(ZeroGradientError):
         eval_segment(WALL_LOW, on_spine)
-    assert np.isnan(eval_segment(WALL_LOW, on_spine[None]).h).all()
+    batch = eval_segment(WALL_LOW, on_spine[None])
+    assert batch.h[0] == -WALL_LOW.safe_distance and batch.v[0] == math.exp(WALL_LOW.safe_distance)
+    assert np.isnan(batch.grad_h).all()
 
 
 def test_disc_boundary_bound_is_zero():

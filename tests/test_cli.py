@@ -384,6 +384,24 @@ def test_run_that_leaves_the_workspace_names_that_cause(tmp_path):
     np.testing.assert_array_equal(data[-1, [header.index("u_0"), header.index("u_1")]], [0.0, 0.0])
 
 
+def test_run_that_starts_on_a_segment_spine_ends_with_the_controller_error(tmp_path, capsys):
+    # The low wall's spine is y = 0.5: the outer law's gradient is undefined
+    # there, so the controller raises at the first step. The run ends with
+    # that cause and records the row's finite clearance, -0.35 m (the safe
+    # distance), with zero input.
+    cfg = tmp_path / "spine.cfg"
+    cfg.write_text(_with_key(bundled_config("vtol_safe").read_text(), "sim.x1_0_m", "0.0, 0.5"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--horizon", "0.01"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["trajectory"]["termination"] == "controller_error: ZeroGradientError"
+    assert doc["trajectory"]["min_clearance"] == -0.35
+    header, data = read_trajectory_csv(out / "trajectory.csv")
+    assert data.shape[0] == 1
+    np.testing.assert_array_equal(data[-1, [header.index("u_0"), header.index("u_1")]], [0.0, 0.0])
+
+
 def test_vtol_overflow_ends_the_run_without_a_warning(tmp_path, capsys):
     # At dt = 1e-5 the stock gains drive the held-snap VTOL to overflow in
     # the step after its eleventh row; the step reports a non-finite state

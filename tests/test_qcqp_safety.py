@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
-from safecascade.errors import SelectionConditionError, ZeroGradientError
+from safecascade.errors import SelectionConditionError
 from safecascade.qcqp_safety import (
     ConstraintSet,
     PlantBounds,
@@ -55,7 +55,7 @@ def draw_disjoint_disc_offsets(rng, n_c, rate: RateSpec):
 
 def test_single_disc_on_level_set():
     cert = CertificateSpec(Disc([1.0, 0.0], 1.0))
-    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], np.eye(2), UNIT_BOUNDS,
+    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], UNIT_BOUNDS,
                               RateSpec(base_slope=1.0))
     np.testing.assert_allclose(cs.a, [[1.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(cs.b, [0.0], atol=1e-12)
@@ -63,7 +63,7 @@ def test_single_disc_on_level_set():
 
 def test_zero_uncertainty_gives_zero_norm_coefficients():
     cert = CertificateSpec(Segment([-1.0, 0.0], [1.0, 0.0]), safe_distance=0.2)
-    cs = build_constraint_set(np.array([0.0, 1.0]), [cert], np.eye(2), UNIT_BOUNDS,
+    cs = build_constraint_set(np.array([0.0, 1.0]), [cert], UNIT_BOUNDS,
                               RateSpec(base_slope=2.0))
     assert cs.c == 0.0
 
@@ -75,7 +75,7 @@ def test_wall_scenario_offsets_are_slope_times_clearance():
     ]
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    cs = build_constraint_set(np.array([-2.0, 1.0]), certs, np.eye(2), UNIT_BOUNDS, rate)
+    cs = build_constraint_set(np.array([-2.0, 1.0]), certs, UNIT_BOUNDS, rate)
     # Clearances by the perpendicular-distance oracle: the low wall is the
     # line y = 0.5, the high wall passes 0.5581 away from the query point.
     assert cs.b[1] == pytest.approx(1.0 * 0.15, abs=1e-12)
@@ -84,18 +84,10 @@ def test_wall_scenario_offsets_are_slope_times_clearance():
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
-def test_gradient_through_g_can_vanish():
-    cert = CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)
-    g = np.array([[1.0, 0.0], [0.0, 0.0]])   # kills the vertical component
-    with pytest.raises(ZeroGradientError):
-        build_constraint_set(np.array([0.0, 1.5]), [cert], g, UNIT_BOUNDS,
-                             RateSpec(base_slope=1.0))
-
-
 def test_uncertain_bounds_fill_norm_coefficient():
     bounds = PlantBounds(g_lower=2.0, delta_upper=0.5)
     cert = CertificateSpec(Disc([0.0, 2.0], 1.0))
-    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], np.eye(2), bounds,
+    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], bounds,
                               RateSpec(1.0, negative_ratio=bounds.gain_ratio))
     np.testing.assert_allclose(cs.c, 0.25)
 

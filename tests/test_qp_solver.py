@@ -166,8 +166,8 @@ def test_infeasible_is_reported():
 def test_single_polygon_projection_equals_a_batch_of_one_bit_for_bit():
     # A single problem settles a feasible u0 or its edge on 1-D arrays and
     # runs the vertex stage as a batch of one. Each stage gives the bits of
-    # the batch of one; a NaN offset gives its NaN or raises, and an empty
-    # set raises, where the batch of one is NaN.
+    # the batch of one. A NaN in u0 or in an offset gives NaN, as the batch
+    # of one does, and an empty set raises where the batch of one is NaN.
     rng = np.random.default_rng(1018)
     a = rng.normal(size=(7, 2))
     polygon = PolygonRows(np.vstack([a, -a[0]]))
@@ -182,17 +182,20 @@ def test_single_polygon_projection_equals_a_batch_of_one_bit_for_bit():
         if k % 50 == 0:
             b[rng.integers(8)] = np.nan
         u0 = rng.normal(scale=2.0, size=2)
+        if k % 50 == 25:
+            u0[rng.integers(2)] = np.nan
         want = polygon.project(u0[None], b[None])[0]
         vertex_calls.clear()
         try:
             got = polygon.project(u0, b)
         except InfeasibleError:
-            assert np.isnan(want).all()
-            stages["nan" if np.isnan(b).any() else "empty"] += 1
+            assert np.isnan(want).all() and not np.isnan(b).any()
+            stages["empty"] += 1
             continue
         assert_same_bits(got, want)
         assert not np.shares_memory(got, u0)
-        if np.isnan(b).any():
+        if np.isnan(b).any() or np.isnan(u0).any():
+            assert np.isnan(got).all()
             stages["nan"] += 1
         else:
             stages["vertex" if vertex_calls else "pass" if np.array_equal(got, u0) else "edge"] += 1

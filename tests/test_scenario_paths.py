@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from safecascade.cascade import CascadeController, CascadeGains, gain_ledger
+from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw, gain_ledger
 from safecascade.certificates import CertificateSpec, Segment, exp_alpha_bar_for_level
 from safecascade.qcqp_safety import (
     PlantBounds,
@@ -11,7 +11,6 @@ from safecascade.qcqp_safety import (
     rate_condition_audit,
 )
 from safecascade.reshaping import make_positive_basis
-from safecascade.cascade import safety_virtual_law, build_cascade_controller
 from safecascade.scenario import build_scenario, parse_config_text
 from safecascade.sim import (
     VelocityLoop,
@@ -33,17 +32,16 @@ def outer_law():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
-    return safety_virtual_law(WALLS, lambda x: np.array([0.6, 1.0]), basis,
-                              UNIT_BOUNDS, rate, k_phi=2.0)
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, UNIT_BOUNDS, rate, k_phi=2.0)
 
 
 def test_velocity_loop_closed_loop_with_outer_law():
-    controller = CascadeController(rho1=outer_law(), tracking_laws=(), gains=None)
+    controller = CascadeController(rho1=outer_law(), gains=None)
     plant = VelocityLoop()
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     traj = run_closed_loop(plant, controller, x0, horizon=2.0, dt=1e-3,
-                           certs=WALLS, workspace=((-3.0, 6.0), (-0.5, 12.0)))
+                           workspace=((-3.0, 6.0), (-0.5, 12.0)))
     assert traj.termination == "completed"
     mets = trajectory_metrics(traj, WALLS)
     assert np.isfinite(mets.max_virtual_speed)
@@ -53,31 +51,24 @@ def test_velocity_loop_closed_loop_with_outer_law():
 def test_vtol_nonlinear_closed_loop_mild_gains():
     # The nonlinear plant integrates explicitly, so only mild gains are
     # usable at millisecond steps; this exercises the flat-block wiring.
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    basis = make_positive_basis(2, 11)
     gains = CascadeGains(tracking_slopes=(2.0, 4.0, 8.0), k1=3.49)
-    controller = build_cascade_controller(WALLS, lambda x: np.array([0.6, 1.0]),
-                                          basis, gains, bounds=UNIT_BOUNDS,
-                                          rates=rate, k_phi=2.0)
+    controller = CascadeController(outer_law(), gains)
     plant = VtolNonlinear(gravity=9.81)
     flat = np.zeros(8)
     flat[:2] = [-2.0, 1.0]
     x0 = plant.state_from_flat(flat)
     traj = run_closed_loop(plant, controller, x0, horizon=0.5, dt=1e-3,
-                           certs=WALLS, workspace=((-3.0, 6.0), (-0.5, 12.0)))
+                           workspace=((-3.0, 6.0), (-0.5, 12.0)))
     assert traj.termination == "completed"
     assert np.all(np.isfinite(traj.states))
 
 
 def test_vtol_thrust_singularity_flagged():
-    controller = CascadeController(rho1=lambda x: np.array([0.0, -5.0]),
-                                   tracking_laws=(), gains=None)
     # m = 1 on the VTOL is rejected; use the stepping flag directly through
-    # a 4-level controller with zero laws.
+    # a 4-level controller with no certificates.
     gains = CascadeGains(tracking_slopes=(1.0, 1.0, 1.0), k1=1.0)
-    controller = build_cascade_controller([], lambda x: np.array([0.0, -30.0]),
-                                          None, gains, bounds=UNIT_BOUNDS)
+    law = SafetyLaw((), np.array([0.0, -30.0]), None, UNIT_BOUNDS, RateSpec(base_slope=1.0), 0.0)
+    controller = CascadeController(law, gains)
     plant = VtolNonlinear(gravity=9.81)
     flat = np.zeros(8)
     flat[5] = -9.7    # accelerate downward: thrust must pass near zero

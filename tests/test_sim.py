@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from safecascade.cascade import CascadeController, CascadeGains, build_cascade_controller
+from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw
 from safecascade.certificates import CertificateSpec, Segment, certificate_value, exp_alpha_bar_for_level
 from safecascade.errors import NonFiniteStateError, ThrustSingularityError
 from safecascade.qcqp_safety import PlantBounds, RateSpec
@@ -27,19 +27,20 @@ WALLS = [
 ]
 
 
-def wall_controller(slopes):
+def wall_law():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    basis = make_positive_basis(2, 11)
-    gains = CascadeGains(tracking_slopes=slopes, k1=3.49)
-    return build_cascade_controller(WALLS, lambda x: np.array([0.6, 1.0]), basis, gains,
-                                    bounds=UNIT_BOUNDS, rates=rate, k_phi=2.0)
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), UNIT_BOUNDS, rate,
+                     k_phi=2.0)
+
+
+def wall_controller(slopes):
+    return CascadeController(wall_law(), CascadeGains(tracking_slopes=slopes, k1=3.49))
 
 
 def free_controller(slopes, nominal=(0.6, 1.0)):
-    gains = CascadeGains(tracking_slopes=slopes, k1=1.0)
-    return build_cascade_controller([], lambda x: np.asarray(nominal, dtype=float),
-                                    None, gains, bounds=UNIT_BOUNDS)
+    law = SafetyLaw((), nominal, None, UNIT_BOUNDS, RateSpec(base_slope=1.0), 0.0)
+    return CascadeController(law, CascadeGains(tracking_slopes=slopes, k1=1.0))
 
 
 # ---------------------------------------------------------------- steppers
@@ -265,7 +266,7 @@ def test_closed_loop_exact_step_matches_per_axis_reference():
     e_mat, f_vec = exact_cascade_step_matrices(slopes, 1e-3)
     x0 = np.random.default_rng(3).normal(scale=0.1, size=8)
     x0[:2] = [-2.0, 1.0]
-    traj = run_closed_loop(plant, controller, x0, horizon=0.005, dt=1e-3, certs=WALLS)
+    traj = run_closed_loop(plant, controller, x0, horizon=0.005, dt=1e-3)
     for k in range(traj.n_steps):
         state, x2_star = traj.states[k], traj.virtual_controls[k, :2]
         ref = np.empty(8)
@@ -364,8 +365,7 @@ def test_wall_scenario_safe_and_unsafe_dichotomy_short():
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     safe = run_closed_loop(plant, wall_controller((8.0, 320.0, 4.0e5)), x0,
-                           horizon=2.0, dt=1e-3, certs=WALLS,
-                           workspace=((-3.0, 6.0), (-0.5, 12.0)))
+                           horizon=2.0, dt=1e-3, workspace=((-3.0, 6.0), (-0.5, 12.0)))
     mets = trajectory_metrics(safe, WALLS)
     assert mets.min_clearance >= 0.0
     assert mets.termination == "completed"
@@ -386,7 +386,7 @@ def test_trajectory_grid_is_uniform_and_finite():
     plant = IntegratorChain(m=4)
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
-    traj = run_closed_loop(plant, controller, x0, horizon=0.25, dt=1e-3, certs=WALLS)
+    traj = run_closed_loop(plant, controller, x0, horizon=0.25, dt=1e-3)
     assert traj.times.shape[0] == 251
     np.testing.assert_allclose(np.diff(traj.times), 1e-3, atol=1e-15)
     assert np.all(np.isfinite(traj.states))
@@ -398,18 +398,11 @@ def test_single_integrator_decay_outside_threshold():
     # Relative-degree-one run from inside the inflated band: with zero
     # disturbances the certificate value must fall until it re-enters the
     # threshold sublevel set.
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    basis = make_positive_basis(2, 11)
-    gains = None
-    from safecascade.cascade import safety_virtual_law
-    law = safety_virtual_law(WALLS, lambda x: np.array([0.6, 1.0]), basis,
-                             UNIT_BOUNDS, rate, k_phi=2.0)
-    controller = CascadeController(rho1=law, tracking_laws=(), gains=gains)
+    controller = CascadeController(rho1=wall_law(), gains=None)
     plant = IntegratorChain(m=1)
     x0 = np.array([0.0, 0.51])            # 0.01 m above the low wall spine
     threshold = 1.4
-    traj = run_closed_loop(plant, controller, x0, horizon=2.0, dt=1e-3, certs=WALLS)
+    traj = run_closed_loop(plant, controller, x0, horizon=2.0, dt=1e-3)
     v_low = traj.margins_v[:, 1]
     assert v_low[0] > threshold
     below = np.flatnonzero(v_low < threshold)
@@ -434,22 +427,23 @@ def _counting_certificate_value(monkeypatch):
 
 
 def _assert_margins_are_certificate_values(traj, certs):
+    # A batch of one: a single point gives the same bits, but raises on a spine.
     for k, state in enumerate(traj.states):
         for j, cert in enumerate(certs):
-            ev = certificate_value(cert, state[:2])
-            assert traj.margins_h[k, j] == ev.h and traj.margins_v[k, j] == ev.v, (k, j)
+            ev = certificate_value(cert, state[None, :2])
+            assert traj.margins_h[k, j] == ev.h[0] and traj.margins_v[k, j] == ev.v[0], (k, j)
 
 
 def test_margins_reuse_the_controllers_certificate_values(monkeypatch):
-    # The run's certificates are the controller's own objects: margins come
-    # from the controller's evaluation, bit for bit what certificate_value
-    # gives at x_1, and the simulator evaluates nothing itself.
+    # The margins are those of the outer law's certificates, from the
+    # controller's evaluation, bit for bit what certificate_value gives at
+    # x_1, and the simulator evaluates nothing itself.
     calls = _counting_certificate_value(monkeypatch)
     plant = IntegratorChain(m=4)
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     controller = wall_controller((8.0, 320.0, 4.0e5))
-    traj = run_closed_loop(plant, controller, x0, horizon=0.2, dt=1e-3, certs=WALLS)
+    traj = run_closed_loop(plant, controller, x0, horizon=0.2, dt=1e-3)
     assert traj.termination == "completed" and traj.times.shape[0] == 201
     assert calls == []
     _assert_margins_are_certificate_values(traj, WALLS)
@@ -461,7 +455,7 @@ def test_margins_on_a_left_workspace_final_row(monkeypatch):
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
     traj = run_closed_loop(plant, wall_controller((8.0, 320.0, 4.0e5)), x0, horizon=2.0,
-                           dt=1e-3, certs=WALLS, workspace=((-3.0, 6.0), (-0.5, 1.02)))
+                           dt=1e-3, workspace=((-3.0, 6.0), (-0.5, 1.02)))
     assert traj.termination == "left_workspace"
     assert traj.states[-1][1] > 1.02 and traj.states.shape[0] > 2
     # Only the final row, where the controller was not evaluated.
@@ -471,39 +465,20 @@ def test_margins_on_a_left_workspace_final_row(monkeypatch):
 
 
 def test_margins_on_a_controller_error_final_row(monkeypatch):
-    from safecascade.errors import InfeasibleError
-
-    def nominal(x):
-        if x[1] > 1.02:
-            raise InfeasibleError("nominal undefined above 1.02 m")
-        return np.array([0.6, 1.0])
-
+    # A start on the low wall's spine: the outer law's gradient is undefined
+    # there, so the controller raises at the first step, and the simulator
+    # records that row's margins from a batch of one, finite on the spine.
     calls = _counting_certificate_value(monkeypatch)
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    controller = build_cascade_controller(
-        WALLS, nominal, make_positive_basis(2, 11), CascadeGains((8.0, 320.0, 4.0e5), k1=3.49),
-        bounds=UNIT_BOUNDS, rates=RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
     x0 = np.zeros(8)
-    x0[:2] = [-2.0, 1.0]
-    traj = run_closed_loop(IntegratorChain(m=4), controller, x0, horizon=2.0,
-                           dt=1e-3, certs=WALLS)
-    assert traj.termination == "controller_error: InfeasibleError"
+    x0[:2] = [0.0, 0.5]
+    traj = run_closed_loop(IntegratorChain(m=4), wall_controller((8.0, 320.0, 4.0e5)), x0,
+                           horizon=2.0, dt=1e-3)
+    assert traj.termination == "controller_error: ZeroGradientError"
+    assert traj.times.shape[0] == 1
     assert calls == list(WALLS)
+    np.testing.assert_array_equal(traj.inputs[-1], 0.0)
+    assert traj.margins_h[0, 1] == -0.35 and np.isfinite(traj.margins_h).all()
     _assert_margins_are_certificate_values(traj, WALLS)
-
-
-def test_margins_of_other_certificates_are_evaluated_by_the_simulator(monkeypatch):
-    # Equal geometry, different objects: the controller's values are not
-    # assumed to describe them, so every row evaluates every certificate.
-    calls = _counting_certificate_value(monkeypatch)
-    others = [CertificateSpec(c.geometry, safe_distance=0.5) for c in WALLS]
-    x0 = np.zeros(8)
-    x0[:2] = [-2.0, 1.0]
-    traj = run_closed_loop(IntegratorChain(m=4), wall_controller((8.0, 320.0, 4.0e5)),
-                           x0, horizon=0.05, dt=1e-3, certs=others)
-    assert len(calls) == traj.times.shape[0] * len(others)
-    # The controller's own clearances would be 0.15 m larger.
-    _assert_margins_are_certificate_values(traj, others)
 
 
 def test_closed_loop_builds_the_basis_pair_table_at_most_once(monkeypatch):
@@ -522,7 +497,7 @@ def test_closed_loop_builds_the_basis_pair_table_at_most_once(monkeypatch):
     x0 = np.zeros(8)
     x0[:2] = [1.25, 1.9]
     traj = run_closed_loop(IntegratorChain(m=4), controller, x0, horizon=0.05, dt=1e-3,
-                           certs=WALLS, workspace=((-3.0, 6.0), (-0.5, 12.0)))
+                           workspace=((-3.0, 6.0), (-0.5, 12.0)))
     assert traj.termination == "completed" and traj.times.shape[0] == 51
     assert len(vertex_stages) == 51
     assert built <= 1 and len(tables) == built
