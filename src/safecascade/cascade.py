@@ -219,12 +219,12 @@ class ControllerEval:
 class SafetyLaw:
     """Outer-loop law: reshaped projection of the constant nominal input.
 
-    Calling the law maps one state (2,) to one input (2,), or N states
-    (N, 2) to (N, 2) inputs through the same array code. A state where the
-    law is undefined (on a segment spine, at a disc center, a failed
-    selection condition) raises the package error for a single state and
-    gives a NaN row in a batch. With no certificates the law is the nominal
-    itself.
+    evaluate maps one state (2,) to one input (2,), or N states (N, 2) to
+    (N, 2) inputs; one state runs on floats with the batch code's values.
+    A state where the law is undefined (on a segment spine, at a disc
+    center, a failed selection condition) raises the package error for a
+    single state and gives a NaN row in a batch. With no certificates the
+    law is the nominal itself.
 
     nominal is kept as a read-only (2,) array, and the basis's pair-vertex
     table is built with the law, so no step rebuilds it. A step calls
@@ -257,9 +257,6 @@ class SafetyLaw:
         # The projection broadcasts the one nominal against a batch's rows.
         return reshaped_filter(self.nominal, cs, self.basis, self.k_phi), cs.h, cs.v
 
-    def __call__(self, x1: np.ndarray) -> np.ndarray:
-        return self.evaluate(x1)[0]
-
 
 @dataclass
 class CascadeController:
@@ -289,9 +286,6 @@ class CascadeController:
             tilde = np.asarray(block, dtype=float) - stars[-1]
             stars.append(tracking_law(tilde, self.rho1.bounds, slope))
         return ControllerEval(u=stars[-1], x_stars=tuple(stars), h=h, v=v)
-
-    def __call__(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return self.evaluate(blocks).u
 
 
 def estimate_lipschitz(

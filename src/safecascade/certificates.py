@@ -81,10 +81,11 @@ class CertificateSpec:
 
 @dataclass(frozen=True)
 class CertificateEval:
-    """Clearance h, its gradient, and the transformed pair (V, dV/dx).
+    """Clearance h, its gradient, and the value V = exp(-h), whose
+    gradient is -V grad_h.
 
-    Evaluated at one point, h and v are scalars and the gradients (2,)
-    vectors; at an (..., 2) array of points every field gains the same
+    Evaluated at one point, h and v are scalars and the gradient a (2,)
+    vector; at an (..., 2) array of points every field gains the same
     leading axes.
     """
 
@@ -96,11 +97,6 @@ class CertificateEval:
     def from_clearance(cls, h, grad_h: np.ndarray) -> "CertificateEval":
         """Apply the barrier transform V = exp(-h)."""
         return cls(h=h, grad_h=grad_h, v=np.exp(-h))
-
-    @property
-    def grad_v(self) -> np.ndarray:
-        """dV/dx = -V dh/dx."""
-        return -np.asarray(self.v)[..., None] * self.grad_h
 
 
 def _undefined_where(bad, x: np.ndarray, error: type, message: str, values: np.ndarray) -> np.ndarray:
@@ -134,12 +130,19 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
         raise DegenerateGeometryError("segment endpoints coincide")
     rel = x - seg.o1
     if x.ndim == 1:
-        # One point clamps a float; the same values as the ufuncs, -0.0 and NaN included.
-        t = float(rel @ base) / base_sq
-        delta = rel - (0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t) * base
-    else:
-        t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
-        delta = rel - np.multiply.outer(t, base)
+        # One point runs on floats, with the ufuncs' values, -0.0 and NaN
+        # included; the BLAS dot and np.hypot stay, as floats round otherwise.
+        t = float(rel.dot(base)) / base_sq
+        t = 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
+        (r0, r1), (b0, b1) = rel.tolist(), base.tolist()
+        d0, d1 = r0 - t * b0, r1 - t * b1
+        dist = float(np.hypot(d0, d1))
+        if dist <= SPINE_TOL:
+            raise ZeroGradientError("query point on segment spine")
+        grad_h = np.array([d0 / dist, d1 / dist])
+        return CertificateEval.from_clearance(dist - cert.safe_distance, grad_h)
+    t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
+    delta = rel - np.multiply.outer(t, base)
     dist = np.hypot(delta[..., 0], delta[..., 1])
     nrm = _undefined_where(dist <= SPINE_TOL, x, ZeroGradientError, "query point on segment spine", dist)
     return CertificateEval.from_clearance(dist - cert.safe_distance, delta / nrm[..., None])
@@ -169,12 +172,19 @@ def exp_alpha_bar_for_level(level: float):
     is log1p((V - v)/v). Far from the obstacle V drops below the resolution
     of V - v (V < eps v, about 36 units of clearance), the offset rounds to
     -v and the inverse would be -inf; it is clamped there to log(eps), which
-    only tightens the constraint. Both act elementwise on arrays.
+    only tightens the constraint. Both act elementwise on arrays, and the
+    inverse also on one float, clamped as np.maximum would (NaN included).
     """
     if level <= 0:
         raise ValueError("level must be positive")
     floor = -1.0 + np.finfo(float).eps
-    return (lambda s: level * np.expm1(s)), (lambda s: np.log1p(np.maximum(s / level, floor)))
+
+    def inverse(s):
+        s = s / level
+        if isinstance(s, float):
+            return np.log1p(s if s > floor or s != s else floor)
+        return np.log1p(np.maximum(s, floor))
+    return (lambda s: level * np.expm1(s)), inverse
 
 
 def certificate_value(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:

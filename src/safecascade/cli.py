@@ -279,11 +279,12 @@ def _scenario_audits(scenario: Scenario) -> tuple[list | None, dict | None, dict
             "safety_loop_contractive": sg.safety_loop_contractive,
         }
     basis_summary = None
-    if scenario.basis is not None:
-        report = scenario.basis.report
+    basis = scenario.controller.rho1.basis
+    if basis is not None:
+        report = basis.report
         basis_summary = {
-            "directions": scenario.basis.n_l,
-            "coverage_constant": scenario.basis.c_a,
+            "directions": basis.n_l,
+            "coverage_constant": basis.c_a,
             "max_unit_norm_deviation": report.max_unit_norm_deviation,
             "min_subset_sigma": report.min_subset_sigma,
             "coverage_failures": report.coverage_failures,
@@ -313,7 +314,8 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
             scenario.plant, scenario.controller, scenario.x0,
             scenario.horizon, scenario.dt, workspace=scenario.workspace,
         )
-        mets = trajectory_metrics(traj, scenario.certificates)
+        certs = scenario.controller.rho1.certs
+        mets = trajectory_metrics(traj, certs)
     except SafecascadeError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM
@@ -329,7 +331,7 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(out / cfg["output.csv"], traj)
-        write_scene_svg(out / cfg["output.svg"], traj, scenario.certificates, scenario.workspace)
+        write_scene_svg(out / cfg["output.svg"], traj, certs, scenario.workspace)
         write_metrics_json(out / cfg["output.metrics"], doc)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
@@ -374,8 +376,9 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
               f"unit-norm dev {basis['max_unit_norm_deviation']:.2e}, "
               f"min subset sigma {basis['min_subset_sigma']:.4f}, "
               f"coverage failures {basis['coverage_failures']}/{basis['samples']}")
-    if scenario.certificates:
-        rep = disjointness_audit(scenario.certificates, scenario.workspace,
+    law = scenario.controller.rho1
+    if law.certs:
+        rep = disjointness_audit(law.certs, scenario.workspace,
                                  samples=cfg["audit.samples"], seed=scenario.seed)
         grad_floor = "n/a" if math.isinf(rep.min_gradient_norm) else f"{rep.min_gradient_norm:.4f}"
         print(f"disjointness: {rep.joint_violations} joint-superlevel samples out of "
@@ -383,11 +386,11 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
         # V = exp(-h) is largest where h is least: h >= -safe distance for
         # a segment, h >= -R^2 for a disc.
         v_max = max(math.exp(c.geometry.radius ** 2 if isinstance(c.geometry, Disc) else c.safe_distance)
-                    for c in scenario.certificates)
+                    for c in law.certs)
         rc = rate_condition_audit(
-            scenario.rate, scenario.certificates[0].level, scenario.threshold,
+            law.rates, law.certs[0].level, scenario.threshold,
             cfg["cascade.theta"], cfg["cascade.gamma_12_slope"],
-            scenario.bounds, v_max=max(v_max, scenario.threshold * 1.01),
+            law.bounds, v_max=max(v_max, scenario.threshold * 1.01),
             grid=cfg["audit.grid"],
         )
         print(f"rate condition above threshold {rc.threshold:g}: "

@@ -57,8 +57,13 @@ class ConstraintSet:
         c = float(self.c)
         if not 0.0 <= c < 1.0:
             raise ValueError("the norm coefficient must lie in [0, 1)")
-        # NaN rows (states without a set) compare False and pass.
-        if (np.abs(np.sqrt(np.add.reduce(a * a, axis=-1)) - 1.0) > 1e-9).any():
+        # NaN rows (states without a set) compare False and pass. One
+        # state's planar rows are checked on floats, in the ufuncs' order.
+        if a.ndim == 2 and a.shape[1] == 2:
+            bad = any(abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9 for p, q in a.tolist())
+        else:
+            bad = (np.abs(np.sqrt(np.add.reduce(a * a, axis=-1)) - 1.0) > 1e-9).any()
+        if bad:
             raise ValueError("constraint rows must be unit vectors")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -79,6 +84,10 @@ class ConstraintSet:
     def violations(self, u: np.ndarray) -> np.ndarray:
         """a u + c |u| - b per row, for u of shape (..., n_u)."""
         u = np.asarray(u, dtype=float)
+        if u.ndim == 1 and self.b.ndim == 1:
+            # One state on floats; the BLAS product a u stays.
+            cn = self.c * math.sqrt(sum(p * p for p in u.tolist()))
+            return np.array([(p + cn) - q for p, q in zip(self.a.dot(u).tolist(), self.b.tolist())])
         au = (self.a @ u[..., None])[..., 0]
         return au + self.c * np.sqrt(np.add.reduce(u * u, axis=-1))[..., None] - self.b
 
@@ -120,9 +129,10 @@ class RateSpec:
     selection needs to land inside the set. A plain linear rate
     (negative_ratio = 1) has that property only when delta_upper = 0.
 
-    alpha_bar_inverse must act elementwise on arrays (numpy ufuncs, not
-    math functions or branches on one float): build_constraint_set passes
-    it every certificate's offsets at once, for one state as for a batch.
+    alpha_bar_inverse must act elementwise on arrays and on one float
+    with the same values (numpy ufuncs, not math functions, which round
+    differently): build_constraint_set passes it a batch's offsets as one
+    array and one state's offsets one float at a time.
     """
 
     base_slope: float
@@ -136,7 +146,10 @@ class RateSpec:
             raise ValueError("negative_ratio must be >= 1")
 
     def base(self, s):
-        """Base rate, elementwise on arrays."""
+        """Base rate, elementwise on arrays; on one float, np.where's pick
+        on floats."""
+        if isinstance(s, float):
+            return s * (self.base_slope if s >= 0.0 else self.base_slope * self.negative_ratio)
         return s * np.where(s >= 0.0, self.base_slope, self.base_slope * self.negative_ratio)
 
     def rate(self, offset):
@@ -158,8 +171,22 @@ def build_constraint_set(
     each certificate's h and V, so a caller that needs them evaluates
     nothing again. Where a certificate's gradient is undefined (a segment
     spine, a disc center) a single state raises and a batch row is NaN.
+    One state runs on floats, with the array code's values.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        # One state on floats; rates.rate keeps its ufuncs (np.log1p).
+        rows, h, v = [], [], []
+        for cert in certs:
+            ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
+            g = ev.grad_h.tolist()
+            nrm = -math.sqrt(sum(p * p for p in g))
+            rows += [p / nrm for p in g]
+            h.append(ev.h)
+            v.append(ev.v)
+        b = np.array([-rates.rate(vj - cert.level) for vj, cert in zip(v, certs)])
+        return ConstraintSet(np.array(rows).reshape(len(certs), x.shape[0]), b,
+                             bounds.norm_coefficient, h=np.array(h), v=np.array(v))
     grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
     h = np.empty(x.shape[:-1] + (len(certs),))
     v = np.empty(h.shape)
@@ -215,28 +242,46 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     a, b, c = cs.a, cs.b, cs.c
     if cs.n_rows == 0:
         return np.zeros(b.shape[:-1] + (cs.n_u,)), np.zeros(b.shape)
+    if b.ndim == 1:
+        return _one_selection_with_slack(cs)
     scaled = b / (1.0 + np.sign(b) * c)
     failed = False
     if cs.n_rows >= 2:
         # The two smallest; with two rows that is both (their sum commutes).
         two = scaled if cs.n_rows == 2 else np.partition(scaled, 1, axis=-1)[..., :2]
         failed = np.add.reduce(two, axis=-1) < -DEFAULT_TOL
-        if not cs.batched and failed:
-            lo, second = (int(k) for k in np.argsort(scaled, kind="stable")[:2])
-            raise SelectionConditionError(
-                f"offset condition fails for rows ({lo}, {second}): "
-                f"{scaled[lo]:.6g} + {scaled[second]:.6g} < 0",
-                pair=(lo, second),
-            )
     u = np.add.reduce((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a, axis=-2)
     viol = cs.violations(u)
-    worst = np.maximum.reduce(viol, axis=-1)
-    if not cs.batched:
-        if worst > DEFAULT_TOL:
-            raise SelectionConditionError(f"selection violates a row by {worst:.3e}", pair=None)
-        return u, -viol
-    undefined = (failed | ~(worst <= DEFAULT_TOL))[..., None]
+    undefined = (failed | ~(np.maximum.reduce(viol, axis=-1) <= DEFAULT_TOL))[..., None]
     return np.where(undefined, np.nan, u), np.where(undefined, np.nan, -viol)
+
+
+def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """selection_with_slack for one state's set, on floats with the batch
+    code's values (np.sign, np.minimum and the row sum in its order, -0.0
+    and NaN included); the set evaluates itself at the point once."""
+    b, c = cs.b.tolist(), cs.c
+    scaled = [q / (1.0 + c) if q > 0.0 else q / (1.0 - c) if q < 0.0 else q for q in b]
+    # The two smallest, NaN last: a NaN among them makes the sum NaN.
+    two = sorted(q for q in scaled if q == q)[:2]
+    if len(two) == 2 and two[0] + two[1] < -DEFAULT_TOL:
+        # Their rows as a stable argsort orders them.
+        lo, second = sorted(range(len(b)), key=lambda k: (scaled[k] != scaled[k], scaled[k]))[:2]
+        raise SelectionConditionError(
+            f"offset condition fails for rows ({lo}, {second}): "
+            f"{scaled[lo]:.6g} + {scaled[second]:.6g} < 0",
+            pair=(lo, second),
+        )
+    u = [0.0] * cs.n_u                  # np.add.reduce starts at 0.0: -0.0 sums to 0.0
+    for q, row in zip(b, cs.a.tolist()):
+        w = (q if q < 0.0 or q != q else 0.0) / (1.0 - c)
+        u = [s + w * p for s, p in zip(u, row)]
+    u = np.array(u)
+    viol = cs.violations(u)
+    viols = viol.tolist()               # np.maximum.reduce: NaN if any row is NaN
+    if not any(q != q for q in viols) and max(viols) > DEFAULT_TOL:
+        raise SelectionConditionError(f"selection violates a row by {max(viols):.3e}", pair=None)
+    return u, -viol
 
 
 @dataclass(frozen=True)

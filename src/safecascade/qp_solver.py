@@ -14,6 +14,7 @@ caller with a fixed matrix builds it once and projects through it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,9 +52,6 @@ class Polyhedron:
     @property
     def n_u(self) -> int:
         return self.a.shape[1]
-
-    def violations(self, u: np.ndarray) -> np.ndarray:
-        return self.a @ u - self.b
 
 
 @dataclass(frozen=True)
@@ -162,6 +160,9 @@ class PolygonRows:
         self.a, self.a_t = a, a.T
         self.nrm = np.hypot(a[:, 0], a[:, 1])
         self.nrm_sq = self.nrm ** 2
+        # The same values as floats, for a single problem.
+        self.rows, self.nrm_list = a.tolist(), self.nrm.tolist()
+        self.nrm_sq_list = self.nrm_sq.tolist()
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, ...]:
@@ -198,23 +199,29 @@ class PolygonRows:
         or b is NaN the result is NaN, for a single problem as for a batch
         row; where no candidate is feasible a single problem raises
         InfeasibleError and a batch row is NaN. A single problem, u0 (2,)
-        and b (n,), settles its feasible u0 or edge on the 1-D arrays and
-        runs as a batch of one only when it needs the vertex stage.
+        and b (n,), settles its feasible u0 or edge on floats, with the
+        batch code's values, and runs as a batch of one only when it needs
+        the vertex stage.
         """
         a, a_t = self.a, self.a_t
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
         single = u0.ndim == 1 and b.ndim == 1
         if single:
-            # The batch code's arithmetic on one row; a NaN fails every test.
-            viol = u0 @ a_t - b
-            if (viol <= DEFAULT_TOL).all():
-                return u0.copy()
-            far = (viol / self.nrm).argmax()
-            edge = u0 - viol[far] / self.nrm_sq[far] * a[far]
-            if (edge @ a_t <= b + DEFAULT_TOL).all():
-                return edge
-            if np.isnan(viol).any():
+            # The batch code's values on floats; the BLAS products u0 @ a_t
+            # and edge @ a_t stay. A NaN fails every test, and the batch
+            # code's farthest line (the first NaN) then gives NaN.
+            bs = b.tolist()
+            viol = [p - q for p, q in zip(u0.dot(a_t).tolist(), bs)]
+            if any(map(math.isnan, viol)):
                 return np.full(2, np.nan)      # as a batch row: no problem to solve
+            if max(viol) <= DEFAULT_TOL:
+                return u0.copy()
+            far = [q / n for q, n in zip(viol, self.nrm_list)]
+            far = far.index(max(far))          # the first largest, as argmax
+            step = viol[far] / self.nrm_sq_list[far]
+            edge = np.array([p - step * q for p, q in zip(u0.tolist(), self.rows[far])])
+            if all(p <= q + DEFAULT_TOL for p, q in zip(edge.dot(a_t).tolist(), bs)):
+                return edge
             u0, b = u0[None], b[None]
         else:
             batch = u0.shape[:-1]

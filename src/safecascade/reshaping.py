@@ -276,29 +276,44 @@ def reshape_b_l(
     selection = np.asarray(selection, dtype=float)
     if slack is None:
         slack = -cs.violations(selection)                       # (..., n_c)
+    if not cs.batched:
+        return _one_b_l(selection, slack.tolist(), cs, basis, k_phi)
     below = slack < -DEFAULT_TOL
     if below.any():
-        if not cs.batched:
-            raise SelectionNotFeasibleError("selection point violates the constraint set")
         slack = np.where(below.any(axis=-1)[..., None], np.nan, slack)
     cbar_a_val = cbar_a(cs.c, basis.c_a)
     a_t = basis.a_l.T
     scaled = np.maximum(slack, 0.0) / (1.0 + cs.c)              # clip tolerance dust
-    if cs.batched:
-        # Constraint rows lead, (n_c, ..., n_l), so the min runs along the
-        # first axis. numpy rounds a one-row product (vector path) unlike a
-        # matrix product: one state or one row keeps the per-state product.
-        n_c, n_u = cs.a.shape[-2:]
-        a = cs.a.reshape(-1, n_c, n_u)
-        if a.shape[0] > 1 and n_c > 1:
-            a = a.transpose(1, 0, 2)
-        dots = (a @ a_t).reshape((n_c,) + cs.b.shape[:-1] + (basis.n_l,))
-        scaled = np.moveaxis(scaled, -1, 0)
-    else:
-        dots = cs.a @ a_t                                       # (n_c, n_l)
+    # Constraint rows lead, (n_c, ..., n_l), so the min runs along the
+    # first axis. numpy rounds a one-row product (vector path) unlike a
+    # matrix product: one state or one row keeps the per-state product.
+    n_c, n_u = cs.a.shape[-2:]
+    a = cs.a.reshape(-1, n_c, n_u)
+    if a.shape[0] > 1 and n_c > 1:
+        a = a.transpose(1, 0, 2)
+    dots = (a @ a_t).reshape((n_c,) + cs.b.shape[:-1] + (basis.n_l,))
+    scaled = np.moveaxis(scaled, -1, 0)
     phi1 = np.maximum(dots, cbar_a_val) * scaled[..., None]
     phi2 = np.maximum(k_phi * (cbar_a_val - dots), 0.0)
     return selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
+
+
+def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: PositiveBasis,
+             k_phi: float) -> np.ndarray:
+    """reshape_b_l for one state's set, on floats with the batch code's
+    values (np.maximum, np.minimum, -0.0 and NaN included); the BLAS
+    products cs.a @ A_L^T and selection @ A_L^T stay."""
+    if any(q < -DEFAULT_TOL for q in slack):
+        raise SelectionNotFeasibleError("selection point violates the constraint set")
+    c, cb = cs.c, cbar_a(cs.c, basis.c_a)
+    a_t = basis.a_l.T
+    b_l = None
+    for q, dots in zip(slack, cs.a.dot(a_t).tolist()):
+        scaled = (q if q > 0.0 or q != q else 0.0) / (1.0 + c)      # clip tolerance dust
+        phi = [(d if d > cb or d != d else cb) * scaled
+               + (e if (e := k_phi * (cb - d)) > 0.0 or e != e else 0.0) for d in dots]
+        b_l = phi if b_l is None else [m if m < p or m != m else p for m, p in zip(b_l, phi)]
+    return np.array([p + m for p, m in zip(selection.dot(a_t).tolist(), b_l)])
 
 
 def reshaped_filter(

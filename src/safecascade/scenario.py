@@ -256,10 +256,6 @@ class Scenario:
 
     config: ScenarioConfig
     plant: PlantModel
-    certificates: list[CertificateSpec]
-    basis: PositiveBasis | None
-    bounds: PlantBounds
-    rate: RateSpec
     gains: CascadeGains | None
     controller: CascadeController
     x0: np.ndarray
@@ -386,10 +382,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     return Scenario(
         config=cfg,
         plant=plant,
-        certificates=certs,
-        basis=basis,
-        bounds=bounds,
-        rate=rate,
         gains=gains,
         controller=CascadeController(law, gains),
         x0=plant.initial_state(np.asarray(cfg["sim.x1_0_m"], dtype=float)),

@@ -312,10 +312,6 @@ class Trajectory:
     margins_v: np.ndarray
     termination: str
 
-    @property
-    def n_steps(self) -> int:
-        return self.times.shape[0] - 1
-
 
 def run_closed_loop(
     plant: PlantModel,

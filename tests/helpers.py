@@ -24,3 +24,39 @@ def assert_same_bits(got, want) -> None:
     assert got.shape == want.shape
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+class Raised(tuple):
+    """An exception as (type, message), for comparing two outcomes."""
+
+
+def outcome(fn):
+    """fn()'s result, or the exception it raised as Raised((type, message))."""
+    try:
+        return fn()
+    except Exception as exc:
+        return Raised((type(exc), str(exc)))
+
+
+def one_state_sets(seed: int, count: int):
+    """Seeded one-state sets (a, b, c) of 1-4 unit rows: offsets across
+    scales, some NaN, some a signed zero, and some with a second row
+    opposite a negative first one and its offset on the pair condition's
+    bound within a few tolerances, where the selection's checks decide."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = 1 + k % 4
+        c = (0.0, 0.1, 0.9)[k % 3]
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        a = np.column_stack([np.cos(angles), np.sin(angles)])
+        b = rng.normal(size=n) * 10.0 ** rng.integers(-10, 1)
+        if n >= 2 and k % 5 == 0:
+            a[1] = -a[0]
+            b[0] = -rng.uniform(0.1, 1.0)
+            b[1] = (-b[0] / (1.0 - c) - rng.uniform(0.0, 3e-9)) * (1.0 + c)
+            b[2:] = np.abs(b[2:]) + 10.0
+        if k % 11 == 0:
+            b[rng.integers(n)] = np.nan
+        if k % 13 == 0:
+            b[rng.integers(n)] = (0.0, -0.0)[k % 2]
+        yield a, b, c

@@ -172,3 +172,153 @@ def field_csv_text(xs, ys, norm_grid):
         for j, y in enumerate(ys):
             lines.append(f"{x:.9g},{y:.9g},{norm_grid[i, j]:.9g}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------- one-state outer law, on arrays
+#
+# The outer law's one-state arithmetic as numpy arrays, in the order the
+# package evaluated it before it ran one state on floats: the reference that
+# the float code must match bit for bit, raising the same exception types
+# with the same messages. The error classes are the package's, so the types
+# can be compared; the tolerances are its constants.
+
+def _errors():
+    from safecascade import errors
+    return errors
+
+
+TOL = 1e-9
+SPINE_TOL = 1e-9
+CENTER_TOL = 1e-12
+
+
+def one_state_certificate(cert, x):
+    """(h, grad_h, V) of a segment or disc certificate at one point x (2,)."""
+    err = _errors()
+    geo = cert.geometry
+    if hasattr(geo, "o1"):
+        base = geo.o2 - geo.o1
+        base_sq = float(base @ base)
+        if base_sq <= 1e-24:
+            raise err.DegenerateGeometryError("segment endpoints coincide")
+        rel = x - geo.o1
+        t = float(rel @ base) / base_sq
+        delta = rel - (0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t) * base
+        dist = np.hypot(delta[0], delta[1])
+        if dist <= SPINE_TOL:
+            raise err.ZeroGradientError("query point on segment spine")
+        h = dist - cert.safe_distance
+        return h, delta / dist[..., None], np.exp(-h)
+    delta = x - geo.center
+    r = np.hypot(delta[0], delta[1])
+    if r <= CENTER_TOL:
+        raise err.AtCenterError("query point at disc center")
+    grad_h = np.where(np.isnan(r)[..., None], np.nan, 2.0 * delta)
+    h = r * r - geo.radius ** 2
+    return h, grad_h, np.exp(-h)
+
+
+def one_state_set(x, certs, k_alpha, ratio, rate_level):
+    """Rows a (n, 2), offsets b (n,), clearances h and values V at x, for
+    the rate k_alpha * s (s >= 0; k_alpha * ratio * s below) of the inverse
+    envelope s = log1p(max(offset / rate_level, -1 + eps))."""
+    grad_h = np.empty((len(certs), 2))
+    h = np.empty(len(certs))
+    v = np.empty(len(certs))
+    for j, cert in enumerate(certs):
+        h[j], grad_h[j], v[j] = one_state_certificate(cert, x)
+    nrm2 = np.add.reduce(grad_h * grad_h, axis=-1)
+    offset = v - np.array([cert.level for cert in certs])
+    s = np.log1p(np.maximum(offset / rate_level, -1.0 + np.finfo(float).eps))
+    b = -(s * np.where(s >= 0.0, k_alpha, k_alpha * ratio))
+    a = grad_h / -np.sqrt(nrm2)[..., None]
+    if (np.abs(np.sqrt(np.add.reduce(a * a, axis=-1)) - 1.0) > 1e-9).any():
+        raise ValueError("constraint rows must be unit vectors")
+    return a, b, h, v
+
+
+def one_state_violations(a, b, c, u):
+    """a u + c |u| - b per row."""
+    return (a @ u[..., None])[..., 0] + c * np.sqrt(np.add.reduce(u * u, axis=-1))[..., None] - b
+
+
+def one_state_selection(a, b, c):
+    """The Lipschitz selection of {a u + c|u| <= b} and the slack there."""
+    err = _errors()
+    scaled = b / (1.0 + np.sign(b) * c)
+    if b.shape[0] >= 2:
+        two = scaled if b.shape[0] == 2 else np.partition(scaled, 1)[:2]
+        if np.add.reduce(two) < -TOL:
+            lo, second = (int(k) for k in np.argsort(scaled, kind="stable")[:2])
+            raise err.SelectionConditionError(
+                f"offset condition fails for rows ({lo}, {second}): "
+                f"{scaled[lo]:.6g} + {scaled[second]:.6g} < 0")
+    u = np.add.reduce((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a, axis=-2)
+    viol = one_state_violations(a, b, c, u)
+    worst = np.maximum.reduce(viol)
+    if worst > TOL:
+        raise err.SelectionConditionError(f"selection violates a row by {worst:.3e}")
+    return u, -viol
+
+
+def one_state_b_l(selection, slack, a, c, a_l, c_a, k_phi):
+    """Offsets b_l of the reshaped polygon {a_l u <= b_l}."""
+    err = _errors()
+    if (slack < -TOL).any():
+        raise err.SelectionNotFeasibleError("selection point violates the constraint set")
+    opening = math.acos(math.sqrt(1.0 - c * c))
+    if c_a <= math.cos(math.pi / 2.0 - opening):
+        raise err.CoverageConditionError(
+            f"coverage constant {c_a:.6g} too small for norm coefficient {c:.6g}")
+    cbar = math.cos(opening + math.acos(c_a))
+    a_t = a_l.T
+    dots = a @ a_t
+    phi1 = np.maximum(dots, cbar) * (np.maximum(slack, 0.0) / (1.0 + c))[..., None]
+    phi2 = np.maximum(k_phi * (cbar - dots), 0.0)
+    return selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
+
+
+def one_state_projection(u0, a_l, b):
+    """(point, stage) of the projection of u0 onto {a_l u <= b}: stage is
+    "inside", "edge", "nan" or "vertex"."""
+    a_t = a_l.T
+    nrm = np.hypot(a_l[:, 0], a_l[:, 1])
+    viol = u0 @ a_t - b
+    if (viol <= TOL).all():
+        return u0.copy(), "inside"
+    far = (viol / nrm).argmax()
+    edge = u0 - viol[far] / (nrm ** 2)[far] * a_l[far]
+    if (edge @ a_t <= b + TOL).all():
+        return edge, "edge"
+    if np.isnan(viol).any():
+        return np.full(2, np.nan), "nan"
+    # Then as a batch of one, whose matrix products may round otherwise.
+    u1, b1 = u0[None], b[None]
+    viol = u1 @ a_t - b1
+    if not (viol > TOL).any():
+        return u0.copy(), "inside"
+    far = (viol / nrm).argmax(axis=1)
+    edge = u1 - (viol[[0], far] / (nrm ** 2)[far])[:, None] * a_l[far]
+    if (edge @ a_t <= b1 + TOL).all():
+        return edge[0], "edge"
+    verts = []
+    for i, j in itertools.combinations(range(a_l.shape[0]), 2):
+        det = a_l[i, 0] * a_l[j, 1] - a_l[i, 1] * a_l[j, 0]
+        if abs(det) > 1e-12:
+            verts.append([(a_l[j, 1] * b[i] - a_l[i, 1] * b[j]) / det,
+                          (a_l[i, 0] * b[j] - a_l[j, 0] * b[i]) / det])
+    verts = np.array(verts)[None]
+    ok = (verts @ a_t <= b[None, None, :] + TOL).all(axis=2)[0]
+    if not ok.any():
+        raise _errors().InfeasibleError("no point satisfies every row: empty feasible set")
+    d2 = np.where(ok, ((verts[0] - u0) ** 2).sum(axis=1), np.inf)
+    return verts[0, d2.argmin()], "vertex"
+
+
+def one_state_law(x, certs, nominal, a_l, c_a, c, k_alpha, ratio, rate_level, k_phi):
+    """(u, h, V, projection stage) of the reshaped outer law at one state."""
+    a, b, h, v = one_state_set(x, certs, k_alpha, ratio, rate_level)
+    selection, slack = one_state_selection(a, b, c)
+    b_l = one_state_b_l(selection, slack, a, c, a_l, c_a, k_phi)
+    u, stage = one_state_projection(nominal, a_l, b_l)
+    return u, h, v, stage

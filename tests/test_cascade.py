@@ -36,8 +36,8 @@ from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
 
-from helpers import assert_same_bits, bundled_config
-from oracles import ledger_products
+from helpers import Raised, assert_same_bits, bundled_config, outcome
+from oracles import ledger_products, one_state_law
 
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 STOCK_GAINS = CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49)
@@ -259,7 +259,7 @@ def test_single_level_controller_is_the_filter():
     law = wall_law()
     controller = CascadeController(rho1=law, gains=None)
     x1 = np.array([-2.0, 1.0])
-    np.testing.assert_allclose(controller([x1]), law(x1), atol=1e-12)
+    np.testing.assert_allclose(controller.evaluate([x1]).u, law.evaluate(x1)[0], atol=1e-12)
 
 
 def test_full_controller_finite_at_start():
@@ -287,7 +287,7 @@ def test_zero_state_composition_sign_pattern():
     # u = K2 K3 K4 rho1(x1).
     controller = build_wall_controller(STOCK_GAINS)
     x1 = np.array([-2.0, 1.0])
-    rho1 = controller.rho1(x1)
+    rho1 = controller.rho1.evaluate(x1)[0]
     blocks = [x1, np.zeros(2), np.zeros(2), np.zeros(2)]
     ev = controller.evaluate(blocks)
     hand = rho1.copy()
@@ -304,8 +304,8 @@ def test_two_level_closed_form():
     for _ in range(20):
         x1 = np.array([-2.0, 1.0]) + rng.normal(scale=0.05, size=2)
         x2 = rng.normal(size=2)
-        expected = -6.0 * (x2 - controller.rho1(x1))
-        np.testing.assert_allclose(controller([x1, x2]), expected, atol=1e-12)
+        expected = -6.0 * (x2 - controller.rho1.evaluate(x1)[0])
+        np.testing.assert_allclose(controller.evaluate([x1, x2]).u, expected, atol=1e-12)
 
 
 # ---------------------------------------------------- Lipschitz estimation
@@ -392,8 +392,8 @@ def test_blocked_estimate_equals_the_row_by_row_estimate_on_the_safe_scenario(mo
     blocked = estimate_safety_law_lipschitz(law, workspace, grid=200)
 
     def masked_by_segments(x):
-        values = np.array(law(x))
-        for cert in built.certificates:
+        values = np.array(law.evaluate(x)[0])
+        for cert in law.certs:
             values[eval_segment(cert, x).h < 0] = np.nan
         return values
 
@@ -405,7 +405,7 @@ def test_blocked_estimate_equals_the_row_by_row_estimate_on_the_safe_scenario(mo
 
 def _single_or_nan(law, x):
     try:
-        return law(x)
+        return law.evaluate(x)[0]
     except SafecascadeError:
         return np.full(2, np.nan)
 
@@ -461,7 +461,7 @@ def test_batched_law_matches_single_state_law():
     for name, law in laws.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            batch = law(states)
+            batch = law.evaluate(states)[0]
             single = np.array([_single_or_nan(law, x) for x in states])
         assert batch.shape == states.shape
         undefined = np.isnan(single).any(axis=1)
@@ -471,7 +471,7 @@ def test_batched_law_matches_single_state_law():
                                    err_msg=name)
     # The far field passes the nominal through (the rows are the unit
     # gradient of h, whatever the scale of grad V = -V grad h).
-    np.testing.assert_array_equal(laws["walls"](np.array([[0.0, 25.0], [0.0, 100.0]])),
+    np.testing.assert_array_equal(laws["walls"].evaluate(np.array([[0.0, 25.0], [0.0, 100.0]]))[0],
                                   [[0.6, 1.0], [0.6, 1.0]])
 
 
@@ -492,6 +492,15 @@ def _assert_same_bits(got, want, msg):
     np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64), err_msg=msg)
 
 
+def _with_narrow(laws):
+    """laws plus "narrow": the uncertain law on a basis whose coverage
+    constant is below its norm coefficient, so every reshaping fails."""
+    walls = laws["uncertain"]
+    laws["narrow"] = SafetyLaw(WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.05),
+                               walls.bounds, walls.rates, k_phi=2.0)
+    return laws
+
+
 def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
     # SafetyLaw keeps its nominal and its basis's polygon structure, and the
     # filter hands the selection's slack to the reshaping;
@@ -504,10 +513,7 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
     # reshaping fails at every state, single or batched, after any failure
     # the set or the selection raises first.
     states = _outer_law_states(20240607)
-    laws = _outer_laws()
-    walls = laws["uncertain"]
-    laws["narrow"] = SafetyLaw(WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.05),
-                               walls.bounds, walls.rates, k_phi=2.0)
+    laws = _with_narrow(_outer_laws())
     raised = set()
     for name, law in laws.items():
         for x in [*states[::3], states]:
@@ -528,6 +534,37 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
                 _assert_same_bits(g, w, f"{name} at {x}")
     assert ("walls", ZeroGradientError) in raised and ("discs", SelectionConditionError) in raised
     assert ("narrow", CoverageConditionError) in raised
+
+
+def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
+    # One state runs on floats; oracles.one_state_law is the same law on
+    # numpy arrays, in the order the package computed it before. Same bits
+    # for u, h and V (NaN and the sign of zero included), and the same
+    # exception type and message wherever the reference raises. The laws'
+    # rates invert the envelope of level 1.
+    states = np.vstack([_outer_law_states(5551212), [[np.nan, 1.0], [0.0, np.nan]]])
+    seen = set()
+    for name, law in _with_narrow(_outer_laws()).items():
+        ref = (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, law.bounds.norm_coefficient,
+               law.rates.base_slope, law.rates.negative_ratio, 1.0, law.k_phi)
+        for x in states:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                want = outcome(lambda: one_state_law(x, *ref))
+                got = outcome(lambda: law.evaluate(x))
+            if isinstance(want, Raised):
+                assert got == want, (name, x)
+                seen.add((name, want[0].__name__, want[1].split(" ")[0]))
+                continue
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
+            seen.add((name, want[3], bool(np.isnan(want[0]).any())))
+    assert {("walls", "ZeroGradientError", "query"), ("discs", "AtCenterError", "query"),
+            ("discs", "SelectionConditionError", "offset"),
+            ("narrow", "CoverageConditionError", "coverage")} <= seen
+    for name in ("walls", "discs", "uncertain"):
+        assert {(name, stage, False) for stage in ("inside", "edge", "vertex")} <= seen, name
+        assert (name, "nan", True) in seen, name
 
 
 def test_k1_estimate_masks_only_package_errors(monkeypatch):

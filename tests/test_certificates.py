@@ -15,8 +15,8 @@ from safecascade.certificates import (
 from safecascade.errors import AtCenterError, DegenerateGeometryError, ZeroGradientError
 from safecascade.qcqp_safety import disc_constraint_set
 
-from helpers import assert_same_bits
-from oracles import segment_distance_by_sampling, signed_level_distance
+from helpers import Raised, assert_same_bits, outcome
+from oracles import one_state_certificate, segment_distance_by_sampling, signed_level_distance
 
 WALL_LOW = CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)
 WALL_HIGH = CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35)
@@ -35,7 +35,7 @@ def test_interior_branch_perpendicular_distance():
     assert ev.h == pytest.approx(0.15, abs=1e-12)
     np.testing.assert_allclose(ev.grad_h, [0.0, 1.0], atol=1e-12)
     assert ev.v == pytest.approx(math.exp(-0.15))
-    np.testing.assert_allclose(ev.grad_v, -math.exp(-0.15) * np.array([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(-ev.v * ev.grad_h, -math.exp(-0.15) * np.array([0.0, 1.0]), atol=1e-12)
 
 
 def test_endpoint_branch_is_point_distance():
@@ -233,5 +233,33 @@ def test_signed_distance_surrogate_matches_alpha_bar():
     value_fn = lambda x: eval_segment(cert, x).v
     for x in [np.array([0.0, 1.4]), np.array([0.3, 0.95]), np.array([-1.0, 0.78])]:
         ev = eval_segment(cert, x)
-        d = signed_level_distance(value_fn, x, 1.0, ev.grad_v)
+        d = signed_level_distance(value_fn, x, 1.0, -ev.v * ev.grad_h)
         assert abar(d) == pytest.approx(ev.v - 1.0, abs=1e-6)
+
+
+def test_one_point_segment_on_floats_equals_the_array_reference_bit_for_bit():
+    # One point runs on floats; oracles.one_state_certificate is the same
+    # arithmetic on numpy arrays. Same bits for h, the gradient and V (NaN
+    # and the sign of zero included), and the same spine error. Points lie
+    # past both ends, beside the spine, on it, and at NaN.
+    rng = np.random.default_rng(6174)
+    seen = set()
+    for k in range(400):
+        o1, o2 = rng.normal(scale=3.0, size=(2, 2))
+        cert = CertificateSpec(Segment(o1, o2), safe_distance=0.35)
+        t = rng.uniform(-0.5, 1.5)
+        normal = np.array([o1[1] - o2[1], o2[0] - o1[0]])
+        for off in (rng.normal(), 1e-10 * rng.normal(), 0.0):
+            x = o1 + t * (o2 - o1) + off * normal
+            if k % 50 == 0:
+                x[k % 2] = np.nan
+            want = outcome(lambda: one_state_certificate(cert, x))
+            got = outcome(lambda: eval_segment(cert, x))
+            if isinstance(want, Raised):
+                assert got == want
+                seen.add("spine")
+                continue
+            for g, w in zip((got.h, got.grad_h, got.v), want):
+                assert_same_bits(g, w)
+            seen.add("nan" if np.isnan(want[0]) else "end" if not 0.0 < t < 1.0 else "side")
+    assert seen == {"spine", "nan", "end", "side"}

@@ -15,9 +15,11 @@ from safecascade.qcqp_safety import (
     disc_constraint_set,
     lipschitz_selection,
     rate_condition_audit,
+    selection_with_slack,
 )
 
-from oracles import norm_constrained_membership
+from helpers import Raised, assert_same_bits, one_state_sets, outcome
+from oracles import norm_constrained_membership, one_state_selection
 
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 
@@ -245,6 +247,58 @@ def test_rate_condition_audit_reports_margin():
 def test_row_normalization_validated():
     with pytest.raises(ValueError):
         ConstraintSet(np.array([[2.0, 0.0]]), np.array([1.0]), 0.0)
+
+
+@pytest.mark.parametrize("rows", [(1, 2), (2, 2), (2, 3), (4, 2, 2)], ids=str)
+def test_unit_rows_are_checked_within_1e_9_for_one_state_and_a_batch(rows):
+    # One state's planar rows are checked on floats, the rest on arrays;
+    # the same bound either way, and a NaN row (no set) passes.
+    a = np.zeros(rows)
+    a[..., 0] = 1.0
+    b = np.ones(rows[:-1])
+    for off, ok in ((0.9e-9, True), (1.1e-9, False), (-1.1e-9, False), (math.nan, True)):
+        a.reshape(-1, rows[-1])[-1, 0] = 1.0 + off
+        if ok:
+            ConstraintSet(a, b, 0.0)
+        else:
+            with pytest.raises(ValueError, match="unit vectors"):
+                ConstraintSet(a, b, 0.0)
+
+
+def test_rate_of_one_float_equals_the_rate_of_an_array_bit_for_bit():
+    # One state's offsets go through RateSpec.rate one float at a time, a
+    # batch's as one array: the same bits, NaN and the sign of zero
+    # included, through the envelope inverse at several levels (its floor
+    # too) and through the identity.
+    rng = np.random.default_rng(99)
+    for level in (1.0, 0.37, 2.5, None):
+        inverse = (lambda s: s) if level is None else exp_alpha_bar_for_level(level)[1]
+        for slope, ratio in ((1.0, 1.0), (0.73, 1.2222222222222223), (3.1, 4.7)):
+            rate = RateSpec(slope, inverse, negative_ratio=ratio)
+            offsets = np.concatenate([rng.normal(size=300) * 10.0 ** rng.integers(-12, 2, size=300),
+                                      [0.0, -0.0, -1.0, -3.0, math.nan]])
+            assert_same_bits([rate.rate(o) for o in offsets.tolist()], rate.rate(offsets))
+
+
+def test_one_state_selection_on_floats_equals_the_array_reference_bit_for_bit():
+    # One state's selection runs on floats; oracles.one_state_selection is
+    # the same arithmetic on numpy arrays. Same bits for the point and the
+    # slack (NaN and the sign of zero included), and the same error and
+    # message for a failed pair condition and a violated row.
+    seen = set()
+    for a, b, c in one_state_sets(4242, 3000):
+        want = outcome(lambda: one_state_selection(a, b, c))
+        got = outcome(lambda: selection_with_slack(ConstraintSet(a, b, c)))
+        if isinstance(want, Raised):
+            assert got == want
+            seen.add(want[1].split(" ")[0])
+            continue
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        u = want[0]
+        seen.add((b.shape[0], "nan" if np.isnan(u).any() else "zero" if np.all(u == 0.0) else "point"))
+    assert {"offset", "selection"} <= seen
+    assert {(n, kind) for n in (1, 2, 3, 4) for kind in ("nan", "zero", "point")} <= seen
 
 
 @pytest.mark.parametrize("c", [-0.1, 1.0, 1.5, math.nan, np.array([0.2]), np.full(2, 0.2),

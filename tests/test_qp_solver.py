@@ -6,8 +6,8 @@ import pytest
 from safecascade.errors import InfeasibleError
 from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 
-from helpers import assert_same_bits
-from oracles import INFEASIBLE, project_by_face_enumeration
+from helpers import Raised, assert_same_bits, outcome
+from oracles import INFEASIBLE, one_state_projection, project_by_face_enumeration
 
 
 def empty_poly(n_u=2):
@@ -114,7 +114,7 @@ def test_projection_contract():
             continue
         for _ in range(200):
             v = rng.normal(scale=3.0, size=2)
-            if np.all(poly.violations(v) <= 0):
+            if np.all(poly.a @ v - poly.b <= 0):
                 lhs = float((v - sol.point) @ (u0 - sol.point))
                 assert lhs <= 1e-9 * (1.0 + np.linalg.norm(v))
 
@@ -127,7 +127,7 @@ def test_kkt_stationarity_and_feasibility():
             sol = solve_projection_qp(u0, poly)
         except InfeasibleError:
             continue
-        assert np.all(poly.violations(sol.point) <= 1e-9)
+        assert np.all(poly.a @ sol.point - poly.b <= 1e-9)
         assert np.all(sol.multipliers >= -1e-12)
         resid = (sol.point - u0) + sol.multipliers @ poly.a[sol.active_indices] \
             if sol.active_indices.size else sol.point - u0
@@ -199,4 +199,38 @@ def test_single_polygon_projection_equals_a_batch_of_one_bit_for_bit():
             stages["nan"] += 1
         else:
             stages["vertex" if vertex_calls else "pass" if np.array_equal(got, u0) else "edge"] += 1
+    assert min(stages.values()) >= 10, stages
+
+
+def test_single_polygon_projection_on_floats_equals_the_array_reference_bit_for_bit():
+    # A single problem settles a feasible u0 or its edge on floats;
+    # oracles.one_state_projection is the same stages on numpy arrays. Same
+    # bits at every stage, NaN and the sign of zero included, and the same
+    # error for an empty set.
+    rng = np.random.default_rng(2718)
+    a = rng.normal(size=(7, 2))
+    angles = 2.0 * np.pi * np.arange(1, 12) / 11
+    stages = {}
+    for rows in (np.vstack([a, -a[0]]), np.column_stack([np.cos(angles), np.sin(angles)])):
+        polygon = PolygonRows(rows)
+        for k in range(1500):
+            b = rng.normal(size=2) @ polygon.a_t + np.abs(rng.normal(size=rows.shape[0]))
+            if k % 9 == 0:
+                b = rng.normal(size=rows.shape[0])            # often an empty set
+            if k % 50 == 0:
+                b[rng.integers(rows.shape[0])] = np.nan
+            u0 = rng.normal(scale=2.0, size=2)
+            if k % 50 == 25:
+                u0[rng.integers(2)] = np.nan
+            if k % 7 == 0:
+                u0 = np.array([0.0, -0.0])
+            want = outcome(lambda: one_state_projection(u0, rows, b))
+            got = outcome(lambda: polygon.project(u0, b))
+            if isinstance(want, Raised):
+                assert got == want
+                stages["empty"] = stages.get("empty", 0) + 1
+                continue
+            assert_same_bits(got, want[0])
+            stages[want[1]] = stages.get(want[1], 0) + 1
+    assert set(stages) == {"inside", "edge", "vertex", "nan", "empty"}, stages
     assert min(stages.values()) >= 10, stages

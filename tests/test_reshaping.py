@@ -17,6 +17,7 @@ from safecascade.qcqp_safety import (
     build_constraint_set,
     disc_constraint_set,
     lipschitz_selection,
+    selection_with_slack,
 )
 from safecascade import reshaping
 from safecascade.qp_solver import Polyhedron, solve_projection_qp
@@ -30,6 +31,9 @@ from safecascade.reshaping import (
     sample_polytope_2d,
     validate_positive_basis,
 )
+
+from helpers import Raised, assert_same_bits, one_state_sets, outcome
+from oracles import one_state_b_l, one_state_violations
 
 GAP_DISCS = [CertificateSpec(Disc([0.0, 1.0], 0.99)), CertificateSpec(Disc([0.0, -1.0], 0.99))]
 NOMINAL = np.array([1.0, 0.0])
@@ -297,6 +301,38 @@ def test_single_state_filter_evaluates_its_set_once(monkeypatch):
         np.testing.assert_array_equal(calls[0], lipschitz_selection(cs))
         assert np.all(np.isfinite(out))
     assert np.any(calls[-1] != 0.0)
+
+
+def test_one_state_reshape_on_floats_equals_the_array_reference_bit_for_bit():
+    # One state's b_l runs on floats; oracles.one_state_b_l is the same
+    # arithmetic on numpy arrays. Same bits (NaN and the sign of zero
+    # included) and the same errors: a selection outside its set, given or
+    # drawn (slack computed), and a coverage constant too small for c.
+    rng = np.random.default_rng(31337)
+    basis = make_positive_basis(2, 11)
+    narrow = PositiveBasis(basis.a_l, 0.05)
+    seen = set()
+    for k, (a, b, c) in enumerate(one_state_sets(2024, 3000)):
+        cs = ConstraintSet(a, b, c)
+        on = (basis, narrow)[k % 10 == 0]
+        k_phi = (0.0, 0.7, 2.0)[k % 3]
+        found = outcome(lambda: selection_with_slack(cs))
+        if isinstance(found, Raised) or k % 2:
+            selection, slack = rng.normal(scale=0.1, size=2), None
+        else:
+            selection, slack = found
+        want = outcome(lambda: one_state_b_l(
+            selection, -one_state_violations(a, b, c, selection) if slack is None else slack,
+            a, c, on.a_l, on.c_a, k_phi))
+        got = outcome(lambda: reshape_b_l(selection, cs, on, k_phi, slack=slack))
+        if isinstance(want, Raised):
+            assert got == want
+            seen.add(want[0].__name__)
+            continue
+        assert_same_bits(got, want)
+        seen.add((slack is None, bool(np.isnan(want).any())))
+    assert {"SelectionNotFeasibleError", "CoverageConditionError"} <= seen
+    assert {(True, False), (False, False), (True, True), (False, True)} <= seen
 
 
 def test_supplied_slack_below_tolerance_is_rejected():

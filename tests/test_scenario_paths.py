@@ -104,7 +104,7 @@ def test_outer_law_passes_nominal_far_from_every_obstacle():
     from safecascade.scenario import load_scenario
     controller = build_scenario(load_scenario(bundled_config("vtol_safe"))).controller
     for x in ([0.0, 21.5], [0.0, 25.0], [0.0, 100.0]):
-        np.testing.assert_array_equal(controller.rho1(np.array(x)), [0.6, 1.0])
+        np.testing.assert_array_equal(controller.rho1.evaluate(np.array(x))[0], [0.6, 1.0])
 
 
 def test_scenario_rejects_wrong_gain_count():

@@ -267,7 +267,7 @@ def test_closed_loop_exact_step_matches_per_axis_reference():
     x0 = np.random.default_rng(3).normal(scale=0.1, size=8)
     x0[:2] = [-2.0, 1.0]
     traj = run_closed_loop(plant, controller, x0, horizon=0.005, dt=1e-3)
-    for k in range(traj.n_steps):
+    for k in range(traj.times.shape[0] - 1):
         state, x2_star = traj.states[k], traj.virtual_controls[k, :2]
         ref = np.empty(8)
         scale = np.empty(8)

@@ -1,0 +1,70 @@
+"""Compare every output of the package's commands in this tree and in OTHER_ROOT.
+
+Usage: python3 tools/compare_outputs.py OTHER_ROOT
+
+Each tree runs with its own PYTHONPATH=src: `run` on both bundled configs
+and on a vtol_nonlinear and a velocity_loop variant, `example1`,
+`example2`, and `audit` on both configs and at `cascade.k1 = estimate`.
+Prints "same" or "differs" per file and stdout, ignoring only
+metrics.json's runtime_s, and exits 1 on any difference.
+"""
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+VARIANTS = {  # name: (bundled config, {key: value})
+    "safe": ("vtol_safe", {}), "unsafe": ("vtol_unsafe", {}),
+    "estimate": ("vtol_safe", {"cascade.k1": "estimate"}),
+    "nonlinear": ("vtol_unsafe", {"plant.kind": "vtol_nonlinear"}),
+    "velocity": ("vtol_safe", {"plant.kind": "velocity_loop", "cascade.k_tracking": ""}),
+}
+COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
+               for n in ("safe", "unsafe", "nonlinear", "velocity")},
+            **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"] for n in ("safe", "unsafe", "estimate")},
+            "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
+
+
+def outputs(root: Path, work: Path) -> dict:
+    """{name: bytes} of every file and stdout the commands leave in work (made here)."""
+    work.mkdir()
+    for name, (config, keys) in VARIANTS.items():
+        text = (root / "src" / "safecascade" / "configs" / f"{config}.cfg").read_text()
+        for key, value in keys.items():
+            text = re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, count=1, flags=re.M)
+        (work / f"{name}.cfg").write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+    found = {}
+    for name, argv in COMMANDS.items():
+        proc = subprocess.run([sys.executable, "-m", "safecascade.cli", *argv], cwd=work, env=env,
+                              capture_output=True, check=False)
+        found[f"{name} stdout (exit {proc.returncode})"] = proc.stdout + proc.stderr
+    for path in sorted(p for p in work.rglob("*") if p.is_file() and p.suffix != ".cfg"):
+        data = path.read_bytes()
+        if path.name == "metrics.json":
+            doc = json.loads(data)
+            doc.pop("runtime_s", None)
+            data = json.dumps(doc, sort_keys=True).encode()
+        found[str(path.relative_to(work))] = data
+    return found
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        here, other = (outputs(root, Path(tmp) / sub) for root, sub in ((HERE, "a"), (Path(argv[0]), "b")))
+    differs = False
+    for key in sorted(here.keys() | other.keys()):
+        same = here.get(key) == other.get(key)
+        differs |= not same
+        print(f"{'same' if same else 'differs'}  {key}")
+    return int(differs)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
