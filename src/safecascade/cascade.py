@@ -22,6 +22,7 @@ from .certificates import CertificateSpec
 # lipschitz_selection is unused here but stays importable: the benchmark's
 # trace hooks (benchmarks/workloads.py) rebind cascade.lipschitz_selection.
 from .qcqp_safety import PlantBounds, RateSpec, build_constraint_set, lipschitz_selection  # noqa: F401
+from .qp_solver import sum_last_axis
 from .reshaping import PositiveBasis, reshaped_filter
 
 # States per call of estimate_lipschitz's map: whole grid rows up to this
@@ -314,7 +315,9 @@ def estimate_lipschitz(
     best = 0.0
     for axis, ticks in enumerate((xs, ys)):
         if ticks.shape[0] > 1:
-            slopes = np.linalg.norm(np.diff(values, axis=axis), axis=2) / (ticks[1] - ticks[0])
+            step = np.diff(values, axis=axis)
+            slopes = np.sqrt(sum_last_axis(step * step))       # np.linalg.norm(step, axis=2)
+            slopes /= ticks[1] - ticks[0]
             finite = slopes[np.isfinite(slopes)]
             if finite.size:
                 best = max(best, float(np.max(finite)))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import CertificateSpec, Segment, eval_disc, eval_segment
 from .errors import SelectionConditionError
-from .qp_solver import DEFAULT_TOL
+from .qp_solver import DEFAULT_TOL, sum_last_axis
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,9 @@ class ConstraintSet:
         if a.ndim == 2 and a.shape[1] == 2:
             bad = any(abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9 for p, q in a.tolist())
         else:
-            bad = (np.abs(np.sqrt(np.add.reduce(a * a, axis=-1)) - 1.0) > 1e-9).any()
+            dev = np.sqrt(sum_last_axis(a * a))
+            dev -= 1.0
+            bad = (np.abs(dev, out=dev) > 1e-9).any()
         if bad:
             raise ValueError("constraint rows must be unit vectors")
         object.__setattr__(self, "a", a)
@@ -88,8 +90,12 @@ class ConstraintSet:
             # One state on floats; the BLAS product a u stays.
             cn = self.c * math.sqrt(sum(p * p for p in u.tolist()))
             return np.array([(p + cn) - q for p, q in zip(self.a.dot(u).tolist(), self.b.tolist())])
-        au = (self.a @ u[..., None])[..., 0]
-        return au + self.c * np.sqrt(np.add.reduce(u * u, axis=-1))[..., None] - self.b
+        viol = (self.a @ u[..., None])[..., 0]
+        cn = np.sqrt(sum_last_axis(u * u))
+        cn *= self.c
+        viol += cn[..., None]
+        viol -= self.b
+        return viol
 
     def contains(self, u: np.ndarray):
         """Whether u meets every row within DEFAULT_TOL; one flag per batch row."""
@@ -196,10 +202,10 @@ def build_constraint_set(
         grad_h[..., j, :] = ev.grad_h
         h[..., j] = ev.h
         v[..., j] = ev.v
-    nrm2 = np.add.reduce(grad_h * grad_h, axis=-1)
+    nrm = np.sqrt(sum_last_axis(grad_h * grad_h))
+    grad_h /= np.negative(nrm, out=nrm)[..., None]           # the rows, in place
     offset = v - np.array([cert.level for cert in certs])
-    return ConstraintSet(grad_h / -np.sqrt(nrm2)[..., None], -rates.rate(offset),
-                         bounds.norm_coefficient, h=h, v=v)
+    return ConstraintSet(grad_h, -rates.rate(offset), bounds.norm_coefficient, h=h, v=v)
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
@@ -244,16 +250,28 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(b.shape[:-1] + (cs.n_u,)), np.zeros(b.shape)
     if b.ndim == 1:
         return _one_selection_with_slack(cs)
+    # Sums and maxima over the rows run one row at a time, in numpy's
+    # reduction order (sum_last_axis), so a batch keeps the reductions' bits.
     scaled = b / (1.0 + np.sign(b) * c)
     failed = False
     if cs.n_rows >= 2:
         # The two smallest; with two rows that is both (their sum commutes).
         two = scaled if cs.n_rows == 2 else np.partition(scaled, 1, axis=-1)[..., :2]
-        failed = np.add.reduce(two, axis=-1) < -DEFAULT_TOL
-    u = np.add.reduce((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a, axis=-2)
+        failed = sum_last_axis(two) < -DEFAULT_TOL
+    w = np.minimum(b, 0.0)
+    w /= 1.0 - c
+    u = np.zeros(b.shape[:-1] + (cs.n_u,))   # np.add.reduce starts at 0.0: -0.0 sums to 0.0
+    for j in range(cs.n_rows):
+        u += w[..., j, None] * a[..., j, :]
     viol = cs.violations(u)
-    undefined = (failed | ~(np.maximum.reduce(viol, axis=-1) <= DEFAULT_TOL))[..., None]
-    return np.where(undefined, np.nan, u), np.where(undefined, np.nan, -viol)
+    worst = viol[..., 0].copy()             # np.maximum.reduce, up to the sign of a zero
+    for j in range(1, cs.n_rows):
+        np.maximum(worst, viol[..., j], out=worst)
+    undefined = (failed | ~(worst <= DEFAULT_TOL))[..., None]
+    np.copyto(u, np.nan, where=undefined)
+    np.negative(viol, out=viol)
+    np.copyto(viol, np.nan, where=undefined)
+    return u, viol
 
 
 def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,19 @@ from .errors import InfeasibleError, MaxIterationsError
 DEFAULT_TOL = 1e-9
 
 
+def sum_last_axis(m: np.ndarray) -> np.ndarray:
+    """np.add.reduce(m, axis=-1) with its bits, one add per column rather
+    than a reduction loop per short row: numpy adds fewer than eight terms
+    in order from +0.0 (-0.0 terms sum to +0.0) and sums longer rows
+    pairwise, so those keep the reduction."""
+    if m.shape[-1] >= 8:
+        return np.add.reduce(m, axis=-1)
+    total = np.zeros(m.shape[:-1])
+    for k in range(m.shape[-1]):
+        total += m[..., k]
+    return total
+
+
 @dataclass(frozen=True)
 class Polyhedron:
     """Constraint system {u : a @ u <= b}. Rows need not be normalized."""
@@ -200,13 +213,12 @@ class PolygonRows:
         row; where no candidate is feasible a single problem raises
         InfeasibleError and a batch row is NaN. A single problem, u0 (2,)
         and b (n,), settles its feasible u0 or edge on floats, with the
-        batch code's values, and runs as a batch of one only when it needs
-        the vertex stage.
+        batch code's values, and goes straight to the vertex stage, as a
+        batch of one, when neither is the answer.
         """
         a, a_t = self.a, self.a_t
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
-        single = u0.ndim == 1 and b.ndim == 1
-        if single:
+        if u0.ndim == 1 and b.ndim == 1:
             # The batch code's values on floats; the BLAS products u0 @ a_t
             # and edge @ a_t stay. A NaN fails every test, and the batch
             # code's farthest line (the first NaN) then gives NaN.
@@ -222,39 +234,48 @@ class PolygonRows:
             edge = np.array([p - step * q for p, q in zip(u0.tolist(), self.rows[far])])
             if all(p <= q + DEFAULT_TOL for p, q in zip(edge.dot(a_t).tolist(), bs)):
                 return edge
-            u0, b = u0[None], b[None]
-        else:
-            batch = u0.shape[:-1]
-            if batch != b.shape[:-1]:
-                batch = np.broadcast_shapes(batch, b.shape[:-1])
-                u0 = np.broadcast_to(u0, batch + (2,))
-                b = np.broadcast_to(b, batch + (a.shape[0],))
-            u0 = u0.reshape(-1, 2)
-            b = b.reshape(-1, a.shape[0])
-        viol = u0 @ a_t - b
+            out, found = self._nearest_vertices(u0[None], b[None])
+            if not found[0]:
+                raise InfeasibleError("no point satisfies every row: empty feasible set")
+            return out[0]
+        batch = u0.shape[:-1]
+        if batch != b.shape[:-1]:
+            batch = np.broadcast_shapes(batch, b.shape[:-1])
+            u0 = np.broadcast_to(u0, batch + (2,))
+            b = np.broadcast_to(b, batch + (a.shape[0],))
+        u0 = u0.reshape(-1, 2)
+        b = b.reshape(-1, a.shape[0])
+        viol = u0 @ a_t
+        viol -= b
         over = viol > DEFAULT_TOL
         if over.any():
             # Edge stage: the projection onto the farthest violated line.
             far = (viol / self.nrm).argmax(axis=1)
-            edge = u0 - (viol[np.arange(far.size), far] / self.nrm_sq[far])[:, None] * a[far]
+            step = viol[np.arange(far.size), far] / self.nrm_sq.take(far)
+            edge = u0 - step[:, None] * a.take(far, axis=0)
             edge_ok = (edge @ a_t <= b + DEFAULT_TOL).all(axis=1)
             moved = over.any(axis=1)
             on_edge = moved & edge_ok
-            out = np.where(on_edge[:, None], edge, u0)
+            out = edge
+            np.copyto(out, u0, where=~on_edge[:, None])
             rest = np.flatnonzero(moved & ~on_edge)
             if rest.size:
-                # Vertex stage: the nearest feasible intersection of two rows.
-                verts = self.vertices(b[rest])
-                ok = (verts @ a_t <= b[rest][:, None, :] + DEFAULT_TOL).all(axis=2)
-                found = ok.any(axis=1)
-                if single and not found[0]:
-                    raise InfeasibleError("no point satisfies every row: empty feasible set")
-                out[rest] = np.nan
-                if found.any():
-                    d2 = np.where(ok, ((verts - u0[rest][:, None, :]) ** 2).sum(axis=2), np.inf)
-                    out[rest[found]] = verts[found, d2[found].argmin(axis=1)]
+                out[rest] = self._nearest_vertices(u0[rest], b[rest])[0]
         else:
             out = u0.copy()
         if np.isnan(viol).any():
             out = np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
-        return out[0] if single else out.reshape(batch + (2,))
+        return out.reshape(batch + (2,))
+
+    def _nearest_vertices(self, u0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex stage: for each problem of u0 (k, 2) and b (k, n), the
+        nearest feasible intersection of two rows, NaN where none is
+        feasible, and which problems had one."""
+        verts = self.vertices(b)
+        ok = (verts @ self.a_t <= b[:, None, :] + DEFAULT_TOL).all(axis=2)
+        found = ok.any(axis=1)
+        out = np.full(u0.shape, np.nan)
+        if found.any():
+            d2 = np.where(ok, sum_last_axis((verts - u0[:, None, :]) ** 2), np.inf)
+            out[found] = verts[found, d2[found].argmin(axis=1)]
+        return out, found

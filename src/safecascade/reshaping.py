@@ -283,19 +283,29 @@ def reshape_b_l(
         slack = np.where(below.any(axis=-1)[..., None], np.nan, slack)
     cbar_a_val = cbar_a(cs.c, basis.c_a)
     a_t = basis.a_l.T
-    scaled = np.maximum(slack, 0.0) / (1.0 + cs.c)              # clip tolerance dust
-    # Constraint rows lead, (n_c, ..., n_l), so the min runs along the
-    # first axis. numpy rounds a one-row product (vector path) unlike a
-    # matrix product: one state or one row keeps the per-state product.
+    scaled = np.maximum(slack, 0.0)                             # clip tolerance dust
+    scaled /= 1.0 + cs.c
+    # Constraint rows lead, (n_c, ..., n_l), so the min over them is a
+    # chain of elementwise minima. numpy rounds a one-row product (vector
+    # path) unlike a matrix product: one state or one row keeps the
+    # per-state product.
     n_c, n_u = cs.a.shape[-2:]
     a = cs.a.reshape(-1, n_c, n_u)
     if a.shape[0] > 1 and n_c > 1:
         a = a.transpose(1, 0, 2)
     dots = (a @ a_t).reshape((n_c,) + cs.b.shape[:-1] + (basis.n_l,))
     scaled = np.moveaxis(scaled, -1, 0)
-    phi1 = np.maximum(dots, cbar_a_val) * scaled[..., None]
-    phi2 = np.maximum(k_phi * (cbar_a_val - dots), 0.0)
-    return selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
+    # phi = max(dots, cbar_a) * scaled + max(k_phi * (cbar_a - dots), 0), in place.
+    phi = np.maximum(dots, cbar_a_val)
+    phi *= scaled[..., None]
+    np.subtract(cbar_a_val, dots, out=dots)
+    dots *= k_phi
+    phi += np.maximum(dots, 0.0, out=dots)
+    b_l = phi[0]
+    for row in phi[1:]:
+        np.minimum(b_l, row, out=b_l)
+    b_l += selection @ a_t
+    return b_l
 
 
 def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: PositiveBasis,

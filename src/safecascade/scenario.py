@@ -36,13 +36,15 @@ or not the chosen plant reads the key.
     cascade.gamma_12_slope    error-to-certificate gain slope
     cascade.gamma_x2v_slope   safety-law-by-certificate slope
     cascade.k1                outer-law Lipschitz constant, or "estimate"
-    cascade.k1_grid           grid points per axis for the estimate
+    cascade.k1_grid           grid points per axis for the estimate (at
+                              most MAX_K1_GRID)
     sim.dt_s                  step size (checked by check_time_grid, after any
                               command-line override)
     sim.horizon_s             duration (checked likewise)
     sim.x1_0_m                initial output block "x, y"
     sim.workspace_m           "xmin, xmax, ymin, ymax" termination box
-    audit.samples             disjointness audit sample count
+    audit.samples             disjointness audit sample count (at most
+                              MAX_AUDIT_SAMPLES)
     audit.grid                rate-condition audit grid
     output.csv                trajectory file name
     output.svg                scene plot file name
@@ -99,8 +101,9 @@ def _positive(default=None) -> Key:
     return Key(float, default, lambda v: 0.0 < v < math.inf, "finite and positive")
 
 
-def _count(default: int, least: int) -> Key:
-    return Key(int, default, lambda v: v >= least, f"at least {least}")
+def _count(default: int, least: int, most: float = math.inf) -> Key:
+    rule = f"at least {least}" if most == math.inf else f"{least} to {most}"
+    return Key(int, default, lambda v: least <= v <= most, rule)
 
 
 def _choice(default, *choices: str) -> Key:
@@ -127,6 +130,16 @@ def _k1_ok(text: str) -> bool:
         return False
 
 
+# The finest k1 grid per axis: the estimate holds all grid^2 states and
+# their values at once, about 90 bytes a state at its peak, so 2,000 per axis
+# is 4e6 states and about 350 MB.
+MAX_K1_GRID = 2000
+
+# The most disjointness-audit samples: the audit holds every sample point and
+# each certificate's values there at once, about 110 bytes a sample with two
+# certificates, so 10^6 samples take about 110 MB.
+MAX_AUDIT_SAMPLES = 10**6
+
 KEYS: dict[str, Key] = {
     "plant.kind": _choice("integrator_chain", "integrator_chain", "velocity_loop", "vtol_nonlinear"),
     "plant.levels": _count(4, 1),
@@ -152,7 +165,7 @@ KEYS: dict[str, Key] = {
     "cascade.gamma_x2v_slope": _positive(0.25),
     "cascade.k1": Key(str, "estimate", _k1_ok, "a finite positive number or 'estimate'"),
     # A grid of one point per axis has no slope to estimate.
-    "cascade.k1_grid": _count(200, 2),
+    "cascade.k1_grid": _count(200, 2, MAX_K1_GRID),
     "sim.dt_s": Key(float, 1e-3),
     "sim.horizon_s": Key(float, 10.0),
     "sim.x1_0_m": _pair((0.0, 0.0)),
@@ -162,7 +175,7 @@ KEYS: dict[str, Key] = {
         "finite 'xmin, xmax, ymin, ymax' with xmin < xmax and ymin < ymax"),
     # The audits' own minimum sample count, and both ends of the audited
     # interval of certificate values.
-    "audit.samples": _count(2000, MIN_AUDIT_SAMPLES),
+    "audit.samples": _count(2000, MIN_AUDIT_SAMPLES, MAX_AUDIT_SAMPLES),
     "audit.grid": _count(200, 2),
     "output.csv": _file_name("trajectory.csv"),
     "output.svg": _file_name("path.svg"),

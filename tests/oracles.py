@@ -229,16 +229,24 @@ def one_state_set(x, certs, k_alpha, ratio, rate_level):
         h[j], grad_h[j], v[j] = one_state_certificate(cert, x)
     nrm2 = np.add.reduce(grad_h * grad_h, axis=-1)
     offset = v - np.array([cert.level for cert in certs])
-    s = np.log1p(np.maximum(offset / rate_level, -1.0 + np.finfo(float).eps))
-    b = -(s * np.where(s >= 0.0, k_alpha, k_alpha * ratio))
     a = grad_h / -np.sqrt(nrm2)[..., None]
+    _check_unit_rows(a)
+    return a, _offsets(offset, k_alpha, ratio, rate_level), h, v
+
+
+def _offsets(offset, k_alpha, ratio, rate_level):
+    """-rate(offset) elementwise, for the rate of one_state_set."""
+    s = np.log1p(np.maximum(offset / rate_level, -1.0 + np.finfo(float).eps))
+    return -(s * np.where(s >= 0.0, k_alpha, k_alpha * ratio))
+
+
+def _check_unit_rows(a):
     if (np.abs(np.sqrt(np.add.reduce(a * a, axis=-1)) - 1.0) > 1e-9).any():
         raise ValueError("constraint rows must be unit vectors")
-    return a, b, h, v
 
 
-def one_state_violations(a, b, c, u):
-    """a u + c |u| - b per row."""
+def set_violations(a, b, c, u):
+    """a u + c |u| - b per row, for one set or a batch."""
     return (a @ u[..., None])[..., 0] + c * np.sqrt(np.add.reduce(u * u, axis=-1))[..., None] - b
 
 
@@ -254,7 +262,7 @@ def one_state_selection(a, b, c):
                 f"offset condition fails for rows ({lo}, {second}): "
                 f"{scaled[lo]:.6g} + {scaled[second]:.6g} < 0")
     u = np.add.reduce((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a, axis=-2)
-    viol = one_state_violations(a, b, c, u)
+    viol = set_violations(a, b, c, u)
     worst = np.maximum.reduce(viol)
     if worst > TOL:
         raise err.SelectionConditionError(f"selection violates a row by {worst:.3e}")
@@ -263,19 +271,23 @@ def one_state_selection(a, b, c):
 
 def one_state_b_l(selection, slack, a, c, a_l, c_a, k_phi):
     """Offsets b_l of the reshaped polygon {a_l u <= b_l}."""
-    err = _errors()
     if (slack < -TOL).any():
-        raise err.SelectionNotFeasibleError("selection point violates the constraint set")
-    opening = math.acos(math.sqrt(1.0 - c * c))
-    if c_a <= math.cos(math.pi / 2.0 - opening):
-        raise err.CoverageConditionError(
-            f"coverage constant {c_a:.6g} too small for norm coefficient {c:.6g}")
-    cbar = math.cos(opening + math.acos(c_a))
+        raise _errors().SelectionNotFeasibleError("selection point violates the constraint set")
+    cbar = _cbar(c, c_a)
     a_t = a_l.T
     dots = a @ a_t
     phi1 = np.maximum(dots, cbar) * (np.maximum(slack, 0.0) / (1.0 + c))[..., None]
     phi2 = np.maximum(k_phi * (cbar - dots), 0.0)
     return selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
+
+
+def _cbar(c, c_a):
+    """The effective coverage constant cos(acos(sqrt(1 - c^2)) + acos(c_a))."""
+    opening = math.acos(math.sqrt(1.0 - c * c))
+    if c_a <= math.cos(math.pi / 2.0 - opening):
+        raise _errors().CoverageConditionError(
+            f"coverage constant {c_a:.6g} too small for norm coefficient {c:.6g}")
+    return math.cos(opening + math.acos(c_a))
 
 
 def one_state_projection(u0, a_l, b):
@@ -322,3 +334,131 @@ def one_state_law(x, certs, nominal, a_l, c_a, c, k_alpha, ratio, rate_level, k_
     b_l = one_state_b_l(selection, slack, a, c, a_l, c_a, k_phi)
     u, stage = one_state_projection(nominal, a_l, b_l)
     return u, h, v, stage
+
+
+# ------------------------------------------------- batched outer law, on arrays
+#
+# The outer law's batch arithmetic as the package evaluated it before its
+# reductions over short axes became column sums and its elementwise steps
+# went in place: np.add.reduce, np.maximum.reduce and np.minimum.reduce over
+# the rows' axes, and every temporary a new array. The BLAS products are
+# the same. The batch code must match it bit for bit, NaN rows included.
+
+def batch_certificate(cert, x):
+    """(h, grad_h, V) of a certificate at points x (N, 2); the gradient is
+    NaN where it is undefined (a segment spine, a disc center)."""
+    geo = cert.geometry
+    if hasattr(geo, "o1"):
+        base = geo.o2 - geo.o1
+        rel = x - geo.o1
+        t = np.minimum(np.maximum(rel @ base / float(base @ base), 0.0), 1.0)
+        delta = rel - np.multiply.outer(t, base)
+        dist = np.hypot(delta[..., 0], delta[..., 1])
+        h = dist - cert.safe_distance
+        return h, delta / np.where(dist <= SPINE_TOL, np.nan, dist)[..., None], np.exp(-h)
+    delta = x - geo.center
+    r = np.hypot(delta[..., 0], delta[..., 1])
+    r = np.where(r <= CENTER_TOL, np.nan, r)
+    h = r * r - geo.radius ** 2
+    return h, np.where(np.isnan(r)[..., None], np.nan, 2.0 * delta), np.exp(-h)
+
+
+def batch_set(x, certs, k_alpha, ratio, rate_level):
+    """Rows a (N, n, 2), offsets b, clearances h and values V (N, n) at the
+    states x (N, 2), for the rate of one_state_set."""
+    grad_h = np.empty(x.shape[:-1] + (len(certs), 2))
+    h = np.empty(x.shape[:-1] + (len(certs),))
+    v = np.empty(h.shape)
+    for j, cert in enumerate(certs):
+        h[..., j], grad_h[..., j, :], v[..., j] = batch_certificate(cert, x)
+    nrm2 = np.add.reduce(grad_h * grad_h, axis=-1)
+    a = grad_h / -np.sqrt(nrm2)[..., None]
+    _check_unit_rows(a)
+    offset = v - np.array([cert.level for cert in certs])
+    return a, _offsets(offset, k_alpha, ratio, rate_level), h, v
+
+
+def batch_selection(a, b, c):
+    """The Lipschitz selection of a batch of sets {a u + c|u| <= b} and the
+    slack there, NaN rows where it is undefined."""
+    scaled = b / (1.0 + np.sign(b) * c)
+    failed = False
+    if b.shape[-1] >= 2:
+        two = scaled if b.shape[-1] == 2 else np.partition(scaled, 1, axis=-1)[..., :2]
+        failed = np.add.reduce(two, axis=-1) < -TOL
+    u = np.add.reduce((np.minimum(b, 0.0) / (1.0 - c))[..., None] * a, axis=-2)
+    viol = set_violations(a, b, c, u)
+    undefined = (failed | ~(np.maximum.reduce(viol, axis=-1) <= TOL))[..., None]
+    return np.where(undefined, np.nan, u), np.where(undefined, np.nan, -viol)
+
+
+def batch_b_l(selection, slack, a, c, a_l, c_a, k_phi):
+    """Offsets b_l (N, n_l) of the reshaped polygons of a batch of sets."""
+    below = slack < -TOL
+    if below.any():
+        slack = np.where(below.any(axis=-1)[..., None], np.nan, slack)
+    cbar = _cbar(c, c_a)
+    a_t = a_l.T
+    scaled = np.maximum(slack, 0.0) / (1.0 + c)
+    n_c, n_u = a.shape[-2:]
+    rows = a.reshape(-1, n_c, n_u)
+    if rows.shape[0] > 1 and n_c > 1:
+        rows = rows.transpose(1, 0, 2)
+    dots = (rows @ a_t).reshape((n_c,) + a.shape[:-2] + (a_l.shape[0],))
+    scaled = np.moveaxis(scaled, -1, 0)
+    phi1 = np.maximum(dots, cbar) * scaled[..., None]
+    phi2 = np.maximum(k_phi * (cbar - dots), 0.0)
+    return selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
+
+
+def batch_projection(u0, a_l, b):
+    """Projections of the rows of u0 (N, 2) onto {a_l u <= b} for the rows
+    of b (N, n); NaN where u0 or b is NaN or no candidate is feasible."""
+    a_t = a_l.T
+    nrm = np.hypot(a_l[:, 0], a_l[:, 1])
+    viol = u0 @ a_t - b
+    over = viol > TOL
+    out = u0.copy()
+    if over.any():
+        far = (viol / nrm).argmax(axis=1)
+        edge = u0 - (viol[np.arange(far.size), far] / (nrm ** 2)[far])[:, None] * a_l[far]
+        edge_ok = (edge @ a_t <= b + TOL).all(axis=1)
+        moved = over.any(axis=1)
+        out = np.where((moved & edge_ok)[:, None], edge, u0)
+        rest = np.flatnonzero(moved & ~edge_ok)
+        if rest.size:
+            i, j = np.triu_indices(a_l.shape[0], 1)
+            det = a_l[i, 0] * a_l[j, 1] - a_l[i, 1] * a_l[j, 0]
+            keep = np.abs(det) > 1e-12
+            i, j, det = i[keep], j[keep], det[keep]
+            b_i, b_j = b[rest][:, i], b[rest][:, j]
+            verts = np.stack([(a_l[j, 1] * b_i - a_l[i, 1] * b_j) / det,
+                              (a_l[i, 0] * b_j - a_l[j, 0] * b_i) / det], axis=-1)
+            ok = (verts @ a_t <= b[rest][:, None, :] + TOL).all(axis=2)
+            found = ok.any(axis=1)
+            out[rest] = np.nan
+            if found.any():
+                d2 = np.where(ok, ((verts - u0[rest][:, None, :]) ** 2).sum(axis=2), np.inf)
+                out[rest[found]] = verts[found, d2[found].argmin(axis=1)]
+    return np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
+
+
+def batch_law(x, certs, nominal, a_l, c_a, c, k_alpha, ratio, rate_level, k_phi):
+    """(u, h, V) of the reshaped outer law at the states x (N, 2)."""
+    a, b, h, v = batch_set(x, certs, k_alpha, ratio, rate_level)
+    selection, slack = batch_selection(a, b, c)
+    b_l = batch_b_l(selection, slack, a, c, a_l, c_a, k_phi)
+    return batch_projection(np.broadcast_to(nominal, x.shape), a_l, b_l), h, v
+
+
+def grid_lipschitz(values, xs, ys):
+    """Largest finite slope between axis-adjacent values (nx, ny, d) of a
+    map on the grid xs by ys, with np.linalg.norm."""
+    best = 0.0
+    for axis, ticks in enumerate((xs, ys)):
+        if ticks.shape[0] > 1:
+            slopes = np.linalg.norm(np.diff(values, axis=axis), axis=2) / (ticks[1] - ticks[0])
+            finite = slopes[np.isfinite(slopes)]
+            if finite.size:
+                best = max(best, float(np.max(finite)))
+    return best

@@ -37,7 +37,7 @@ from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
 
 from helpers import Raised, assert_same_bits, bundled_config, outcome
-from oracles import ledger_products, one_state_law
+from oracles import batch_law, batch_set, grid_lipschitz, ledger_products, one_state_law
 
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 STOCK_GAINS = CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49)
@@ -565,6 +565,59 @@ def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
     for name in ("walls", "discs", "uncertain"):
         assert {(name, stage, False) for stage in ("inside", "edge", "vertex")} <= seen, name
         assert (name, "nan", True) in seen, name
+
+
+def test_batched_law_equals_the_array_reference_bit_for_bit():
+    # A batch sums, and takes maxima and minima, over its short axes one
+    # column at a time and works in place; oracles.batch_law is the same law
+    # with numpy's reductions and a new array for every step. Same bits for
+    # the set (a, b, h, V) and for u, h and V, NaN rows included, over the
+    # spines, two discs, three certificates (the partition of the offsets)
+    # and c > 0; "narrow" fails its reshaping for the whole batch.
+    states = np.vstack([_outer_law_states(16180339), [[np.nan, 1.0], [0.0, np.nan]]])
+    laws = _with_narrow(_outer_laws())
+    walls = laws["walls"]
+    laws["three"] = SafetyLaw([*WALLS, CertificateSpec(Disc([0.8, 6.0], 1.0))], walls.nominal,
+                              walls.basis, walls.bounds, walls.rates, k_phi=2.0)
+    for name, law in laws.items():
+        rate = (law.rates.base_slope, law.rates.negative_ratio, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cs = build_constraint_set(states, law.certs, law.bounds, law.rates)
+            for got, want in zip((cs.a, cs.b, cs.h, cs.v), batch_set(states, law.certs, *rate)):
+                assert_same_bits(got, want)
+            want = outcome(lambda: batch_law(states, law.certs, law.nominal, law.basis.a_l, law.basis.c_a,
+                                             law.bounds.norm_coefficient, *rate, law.k_phi))
+            got = outcome(lambda: law.evaluate(states))
+        if name == "narrow":
+            assert isinstance(want, Raised) and want[0] is CoverageConditionError
+            assert got == want
+            continue
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        nan_rows = np.isnan(want[0]).any(axis=1)
+        assert nan_rows.any() and not nan_rows.all(), name
+
+
+def test_estimate_lipschitz_equals_the_norm_reference_bit_for_bit():
+    # The slopes' norm is a column sum; oracles.grid_lipschitz takes
+    # np.linalg.norm over the same values. The map has NaN cells, values of
+    # one, two and three components, and a grid of one row per axis.
+    def fn(x):
+        out = np.column_stack([np.sin(3.0 * x[:, 0]) * x[:, 1], np.exp(0.3 * x[:, 0]) - x[:, 1] ** 2,
+                               np.hypot(x[:, 0], x[:, 1] - 0.5)])
+        out[np.hypot(x[:, 0] - 0.4, x[:, 1] - 1.0) < 0.5] = np.nan
+        return out[:, :dims]
+
+    for dims, box, grid in [(1, ((-3.0, 6.0), (-0.5, 12.0)), 57), (2, ((-3.0, 6.0), (-0.5, 12.0)), 200),
+                            (3, ((-1.0, 2.0), (0.0, 3.0)), 64), (2, ((-1.0, 2.0), (1.0, 1.0)), 31)]:
+        (x_lo, x_hi), (y_lo, y_hi) = box
+        xs = np.linspace(x_lo, x_hi, grid)
+        ys = np.linspace(y_lo, y_hi, grid) if y_hi > y_lo else np.array([y_lo])
+        values = fn(np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)]))
+        want = grid_lipschitz(values.reshape(xs.size, ys.size, dims), xs, ys)
+        assert want > 0.0
+        assert estimate_lipschitz(fn, box, grid=grid) == want
 
 
 def test_k1_estimate_masks_only_package_errors(monkeypatch):

@@ -79,6 +79,19 @@ def test_out_of_range_value_is_rejected_on_its_line(key):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("key, most", [
+    ("cascade.k1_grid", scenario.MAX_K1_GRID),
+    ("audit.samples", scenario.MAX_AUDIT_SAMPLES),
+])
+def test_grid_and_sample_counts_stop_at_their_bound(key, most):
+    # The estimate allocates grid^2 states and the audit samples x 2 points
+    # before either runs, so a count past its bound ended in a MemoryError;
+    # parsing alone now rejects it, and nothing here builds or runs.
+    assert parse_config_text(f"{key} = {most}\n")[key] == most
+    with pytest.raises(ConfigError, match=rf"^line 1: {re.escape(key)} must be \d+ to {most}, got '{most + 1}'$"):
+        parse_config_text(f"{key} = {most + 1}\n")
+
+
 def test_key_reference_names_every_key():
     documented = set(re.findall(r"^    (\S+)", scenario.__doc__, re.M))
     assert documented == set(KEYS) | {f"obstacle.<n>.{sub}" for sub in OBSTACLE_KEYS}

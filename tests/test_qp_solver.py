@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from safecascade.errors import InfeasibleError
-from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
+from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp, sum_last_axis
 
 from helpers import Raised, assert_same_bits, outcome
-from oracles import INFEASIBLE, one_state_projection, project_by_face_enumeration
+from oracles import INFEASIBLE, batch_projection, one_state_projection, project_by_face_enumeration
 
 
 def empty_poly(n_u=2):
@@ -89,6 +89,37 @@ def test_polygon_projection_batch_matches_oracle_rowwise():
             np.testing.assert_allclose(got[k], expected, atol=1e-8)
             np.testing.assert_allclose(PolygonRows(a).project(u0[k], b[k]), got[k], rtol=0, atol=1e-12)
     assert 0 < empty < 100
+
+
+def test_projection_takes_the_farthest_line_not_the_largest_violation():
+    # Row 0 is three times a unit row: the largest raw violation (2.1
+    # against 1.0) on the nearer line (0.7 against 1.0 away). The answer is
+    # the edge on the farthest line, row 1's, and no vertex: a line chosen
+    # by raw violation alone fails its edge and ends at the vertex (1/6, 0).
+    polygon = PolygonRows(np.array([[1.8, 2.4], [0.0, 1.0]]))
+    b, u0 = np.array([0.3, 0.0]), np.array([0.0, 1.0])
+    np.testing.assert_allclose(project_by_face_enumeration(u0, polygon.a, b), [0.0, 0.0], atol=1e-15)
+    assert_same_bits(polygon.project(u0, b), [0.0, 0.0])
+    assert_same_bits(polygon.project(u0[None], b[None]), [[0.0, 0.0]])
+
+
+def test_sum_last_axis_equals_add_reduce_bit_for_bit():
+    # Column sums for fewer than eight columns, the reduction itself from
+    # eight on; entries across scales with signed zeros, NaN and infinities,
+    # and rows of -0.0 alone, which numpy sums to +0.0.
+    rng = np.random.default_rng(88)
+    for n in range(10):
+        m = rng.normal(size=(3, 500, n)) * 10.0 ** rng.integers(-8, 9, size=(3, 500, n))
+        pick = rng.random(m.shape)
+        m[pick < 0.1] = -0.0
+        m[(pick >= 0.1) & (pick < 0.15)] = 0.0
+        m[(pick >= 0.15) & (pick < 0.17)] = np.nan
+        m[(pick >= 0.17) & (pick < 0.18)] = np.inf
+        m[(pick >= 0.18) & (pick < 0.19)] = -np.inf
+        m[0, :5] = -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)      # inf - inf
+            assert_same_bits(sum_last_axis(m), np.add.reduce(m, axis=-1))
 
 
 def test_idempotence():
@@ -200,6 +231,29 @@ def test_single_polygon_projection_equals_a_batch_of_one_bit_for_bit():
         else:
             stages["vertex" if vertex_calls else "pass" if np.array_equal(got, u0) else "edge"] += 1
     assert min(stages.values()) >= 10, stages
+
+
+def test_batched_polygon_projection_equals_the_array_reference_bit_for_bit():
+    # A batch computes its violations and edges in place and gathers the
+    # farthest rows with take; oracles.batch_projection builds each step as
+    # a new array. Same bits over rows of any length and the unit 11-row
+    # basis, one u0 per problem or one for all, with NaN, empty sets and
+    # every stage.
+    rng = np.random.default_rng(5772)
+    a = rng.normal(size=(7, 2))
+    angles = 2.0 * np.pi * np.arange(1, 12) / 11
+    for rows in (np.vstack([a, -a[0]]), np.column_stack([np.cos(angles), np.sin(angles)])):
+        polygon = PolygonRows(rows)
+        b = rng.normal(size=(3000, 2)) @ polygon.a_t + np.abs(rng.normal(size=(3000, rows.shape[0])))
+        b[::9] = rng.normal(size=b[::9].shape)                  # often an empty set
+        b[::50, 1] = np.nan
+        u0 = rng.normal(scale=2.0, size=(3000, 2))
+        u0[25::50, 0] = np.nan
+        for x in (u0, np.array([0.6, 1.0])):
+            want = batch_projection(np.broadcast_to(x, u0.shape), rows, b)
+            assert_same_bits(polygon.project(x, b), want)
+            nan_rows = np.isnan(want).any(axis=1)
+            assert 100 < nan_rows.sum() < 1500
 
 
 def test_single_polygon_projection_on_floats_equals_the_array_reference_bit_for_bit():

@@ -33,7 +33,7 @@ from safecascade.reshaping import (
 )
 
 from helpers import Raised, assert_same_bits, one_state_sets, outcome
-from oracles import one_state_b_l, one_state_violations
+from oracles import batch_b_l, batch_selection, one_state_b_l, set_violations
 
 GAP_DISCS = [CertificateSpec(Disc([0.0, 1.0], 0.99)), CertificateSpec(Disc([0.0, -1.0], 0.99))]
 NOMINAL = np.array([1.0, 0.0])
@@ -322,7 +322,7 @@ def test_one_state_reshape_on_floats_equals_the_array_reference_bit_for_bit():
         else:
             selection, slack = found
         want = outcome(lambda: one_state_b_l(
-            selection, -one_state_violations(a, b, c, selection) if slack is None else slack,
+            selection, -set_violations(a, b, c, selection) if slack is None else slack,
             a, c, on.a_l, on.c_a, k_phi))
         got = outcome(lambda: reshape_b_l(selection, cs, on, k_phi, slack=slack))
         if isinstance(want, Raised):
@@ -333,6 +333,47 @@ def test_one_state_reshape_on_floats_equals_the_array_reference_bit_for_bit():
         seen.add((slack is None, bool(np.isnan(want).any())))
     assert {"SelectionNotFeasibleError", "CoverageConditionError"} <= seen
     assert {(True, False), (False, False), (True, True), (False, True)} <= seen
+
+
+def test_batched_selection_and_reshape_equal_the_array_reference_bit_for_bit():
+    # The hand-built sets of helpers.one_state_sets (1-4 unit rows, c in
+    # {0, 0.1, 0.9}, offsets across scales, NaN, signed zeros, and offset
+    # pairs on the selection condition's bound), one batch per row count and
+    # coefficient. The selection, its slack, the violations there and b_l
+    # equal oracles' numpy reductions bit for bit, b_l both from the
+    # selection's slack and from drawn points, whose slack is computed
+    # (some outside their set, some NaN in one row only); at c = 0.9 the
+    # 11-row basis fails the coverage condition for the whole batch.
+    rng = np.random.default_rng(4243)
+    basis = make_positive_basis(2, 11)
+    groups = {}
+    for a, b, c in one_state_sets(4242, 1200):
+        groups.setdefault((b.shape[0], c), []).append((a, b))
+    seen = set()
+    for k, ((n, c), sets) in enumerate(sorted(groups.items())):
+        a, b = np.stack([s[0] for s in sets]), np.stack([s[1] for s in sets])
+        cs = ConstraintSet(a, b, c)
+        k_phi = (0.0, 0.7, 2.0)[k % 3]
+        want = batch_selection(a, b, c)
+        got = selection_with_slack(cs)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        assert_same_bits(cs.violations(want[0]), set_violations(a, b, c, want[0]))
+        drawn = rng.normal(scale=0.1, size=(b.shape[0], 2))
+        for selection, slack in ((want[0], want[1]), (drawn, None)):
+            want_b_l = outcome(lambda: batch_b_l(
+                selection, -set_violations(a, b, c, selection) if slack is None else slack,
+                a, c, basis.a_l, basis.c_a, k_phi))
+            got_b_l = outcome(lambda: reshape_b_l(selection, cs, basis, k_phi, slack=slack))
+            if isinstance(want_b_l, Raised):
+                assert got_b_l == want_b_l
+                seen.add(want_b_l[0].__name__)
+                continue
+            assert_same_bits(got_b_l, want_b_l)
+            nan_rows = np.isnan(want_b_l).any(axis=-1)
+            assert nan_rows.any() and not nan_rows.all(), (n, c)
+            seen.add((n, c))
+    assert seen == {"CoverageConditionError"} | {(n, c) for n in (1, 2, 3, 4) for c in (0.0, 0.1)}
 
 
 def test_supplied_slack_below_tolerance_is_rejected():

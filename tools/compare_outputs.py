@@ -4,9 +4,12 @@ Usage: python3 tools/compare_outputs.py OTHER_ROOT
 
 Each tree runs with its own PYTHONPATH=src: `run` on both bundled configs
 and on a vtol_nonlinear and a velocity_loop variant, `example1`,
-`example2`, and `audit` on both configs and at `cascade.k1 = estimate`.
-Prints "same" or "differs" per file and stdout, ignoring only
-metrics.json's runtime_s, and exits 1 on any difference.
+`example2`, `audit` on both configs and at `cascade.k1 = estimate`, and a
+short `run` at `cascade.k1 = estimate` with the safe config's two walls and
+with a third obstacle, a disc (the gain rows of metrics.json carry k1 at
+full precision, where `audit` prints it with :g). Prints "same" or
+"differs" per file and stdout, ignoring only metrics.json's runtime_s, and
+exits 1 on any difference.
 """
 import json
 import os
@@ -17,14 +20,18 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-VARIANTS = {  # name: (bundled config, {key: value})
+VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is appended
     "safe": ("vtol_safe", {}), "unsafe": ("vtol_unsafe", {}),
     "estimate": ("vtol_safe", {"cascade.k1": "estimate"}),
+    "three": ("vtol_safe", {"cascade.k1": "estimate", "obstacle.3.kind": "disc",
+                            "obstacle.3.center_m": "3.5, 6.0", "obstacle.3.radius_m": "0.5"}),
     "nonlinear": ("vtol_unsafe", {"plant.kind": "vtol_nonlinear"}),
     "velocity": ("vtol_safe", {"plant.kind": "velocity_loop", "cascade.k_tracking": ""}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "nonlinear", "velocity")},
+            **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
+               for n in ("estimate", "three")},
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"] for n in ("safe", "unsafe", "estimate")},
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
@@ -35,7 +42,9 @@ def outputs(root: Path, work: Path) -> dict:
     for name, (config, keys) in VARIANTS.items():
         text = (root / "src" / "safecascade" / "configs" / f"{config}.cfg").read_text()
         for key, value in keys.items():
-            text = re.sub(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, count=1, flags=re.M)
+            text, hits = re.subn(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, count=1, flags=re.M)
+            if not hits:
+                text += f"\n{key} = {value}\n"
         (work / f"{name}.cfg").write_text(text)
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
     found = {}
