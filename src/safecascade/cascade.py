@@ -201,10 +201,11 @@ def tracking_law(x_tilde: np.ndarray, bounds: PlantBounds, kappa_slope: float) -
     scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
     # The vector formula -(e / |e|) * scale * K * |e| on floats, in its order:
     # the shorter -scale * K * e rounds differently.
-    return np.array([-(e / nrm) * scale * kappa_slope * nrm for e in x_tilde.tolist()])
+    e0, e1 = x_tilde.tolist()
+    return np.array([-(e0 / nrm) * scale * kappa_slope * nrm, -(e1 / nrm) * scale * kappa_slope * nrm])
 
 
-@dataclass(frozen=True)
+@dataclass
 class ControllerEval:
     """One controller evaluation: input, virtual controls, and the outer
     law's certificate clearances h and values v at x_1, one entry per
@@ -283,10 +284,11 @@ class CascadeController:
         x_star, h, v = self.rho1.evaluate(blocks[0])
         stars = [x_star]
         slopes = () if self.gains is None else self.gains.tracking_slopes
+        bounds = self.rho1.bounds
         for block, slope in zip(blocks[1:], slopes):
-            tilde = np.asarray(block, dtype=float) - stars[-1]
-            stars.append(tracking_law(tilde, self.rho1.bounds, slope))
-        return ControllerEval(u=stars[-1], x_stars=tuple(stars), h=h, v=v)
+            x_star = tracking_law(block - x_star, bounds, slope)
+            stars.append(x_star)
+        return ControllerEval(u=x_star, x_stars=tuple(stars), h=h, v=v)
 
 
 def estimate_lipschitz(

@@ -79,7 +79,7 @@ class CertificateSpec:
             raise ValueError("certificate level must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass
 class CertificateEval:
     """Clearance h, its gradient, and the value V = exp(-h), whose
     gradient is -V grad_h.
@@ -96,15 +96,11 @@ class CertificateEval:
     @classmethod
     def from_clearance(cls, h, grad_h: np.ndarray) -> "CertificateEval":
         """Apply the barrier transform V = exp(-h)."""
-        return cls(h=h, grad_h=grad_h, v=np.exp(-h))
+        return cls(h, grad_h, np.exp(-h))
 
 
-def _undefined_where(bad, x: np.ndarray, error: type, message: str, values: np.ndarray) -> np.ndarray:
-    """values with NaN where bad; a single point (x of shape (2,)) raises error."""
-    if x.ndim == 1:
-        if bad:
-            raise error(message)
-        return values
+def _undefined_where(bad: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values with NaN where bad (an array of points)."""
     if not bad.any():
         return values
     return np.where(bad, np.nan, values)
@@ -144,7 +140,7 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
     delta = rel - np.multiply.outer(t, base)
     dist = np.hypot(delta[..., 0], delta[..., 1])
-    nrm = _undefined_where(dist <= SPINE_TOL, x, ZeroGradientError, "query point on segment spine", dist)
+    nrm = _undefined_where(dist <= SPINE_TOL, dist)
     return CertificateEval.from_clearance(dist - cert.safe_distance, delta / nrm[..., None])
 
 
@@ -158,9 +154,18 @@ def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     if not isinstance(disc, Disc):
         raise TypeError("eval_disc needs a Disc certificate")
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        # One point on floats, as eval_segment's; np.hypot stays.
+        (x0, x1), (c0, c1) = x.tolist(), disc.center.tolist()
+        d0, d1 = x0 - c0, x1 - c1
+        r = float(np.hypot(d0, d1))
+        if r <= CENTER_TOL:
+            raise AtCenterError("query point at disc center")
+        grad_h = np.full(2, np.nan) if r != r else np.array([2.0 * d0, 2.0 * d1])
+        return CertificateEval.from_clearance(r * r - disc.radius**2, grad_h)
     delta = x - disc.center
     r = np.hypot(delta[..., 0], delta[..., 1])
-    r = _undefined_where(r <= CENTER_TOL, x, AtCenterError, "query point at disc center", r)
+    r = _undefined_where(r <= CENTER_TOL, r)
     grad_h = np.where(np.isnan(r)[..., None], np.nan, 2.0 * delta)
     return CertificateEval.from_clearance(r * r - disc.radius**2, grad_h)
 

@@ -429,14 +429,24 @@ def _checked(name: str, parse, ok, rule: str):
     return convert
 
 
+# The finest example field grid, grid^2 states: example2 holds about 370
+# bytes a state at its peak and example1 takes about 27 us a state, so 1,001
+# per axis (10^6 states) is about 370 MB and half a minute.
+MAX_FIELD_GRID = 1001
+
+# The most basis-check probes: with the largest basis (MAX_DIRECTIONS rows) a
+# probe takes about 0.9 kB and 32 us, so 10^5 probes are about 90 MB and 3 s.
+MAX_BASIS_SAMPLES = 10**5
+
 # numpy rejects negative seeds; the gap radius must leave a gap between the
 # discs; validate_positive_basis needs 100 probes.
 _seed = _checked("seed", int, lambda v: v >= 0, "nonnegative")
 _radius = _checked("radius", float, lambda v: 0.0 < v < 1.0, "finite, in (0, 1)")
-_grid = _checked("grid", int, lambda v: v >= 2, "at least 2")
+_grid = _checked("grid", int, lambda v: 2 <= v <= MAX_FIELD_GRID, f"2 to {MAX_FIELD_GRID}")
 _n_u = _checked("n-u", int, lambda v: v in (2, 3), "2 or 3")
 _n_l = _checked("n-l", int, lambda v: v <= MAX_DIRECTIONS, f"at most {MAX_DIRECTIONS}")
-_samples = _checked("samples", int, lambda v: v >= 100, "at least 100")
+_samples = _checked("samples", int, lambda v: 100 <= v <= MAX_BASIS_SAMPLES,
+                    f"100 to {MAX_BASIS_SAMPLES}")
 
 
 def main(argv=None) -> int:

@@ -60,7 +60,7 @@ class ConstraintSet:
         # NaN rows (states without a set) compare False and pass. One
         # state's planar rows are checked on floats, in the ufuncs' order.
         if a.ndim == 2 and a.shape[1] == 2:
-            bad = any(abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9 for p, q in a.tolist())
+            bad = any([abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9 for p, q in a.tolist()])
         else:
             dev = np.sqrt(sum_last_axis(a * a))
             dev -= 1.0
@@ -181,17 +181,17 @@ def build_constraint_set(
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        # One state on floats; rates.rate keeps its ufuncs (np.log1p).
-        rows, h, v = [], [], []
+        # One planar state on floats; rates.rate keeps its ufuncs (np.log1p).
+        rows, b, h, v = [], [], [], []
         for cert in certs:
             ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
-            g = ev.grad_h.tolist()
-            nrm = -math.sqrt(sum(p * p for p in g))
-            rows += [p / nrm for p in g]
+            g0, g1 = ev.grad_h.tolist()
+            nrm = -math.sqrt(g0 * g0 + g1 * g1)      # a sum from 0: squares are never -0.0
+            rows.append((g0 / nrm, g1 / nrm))
+            b.append(-rates.rate(ev.v - cert.level))
             h.append(ev.h)
             v.append(ev.v)
-        b = np.array([-rates.rate(vj - cert.level) for vj, cert in zip(v, certs)])
-        return ConstraintSet(np.array(rows).reshape(len(certs), x.shape[0]), b,
+        return ConstraintSet(np.array(rows) if rows else np.zeros((0, 2)), np.array(b),
                              bounds.norm_coefficient, h=np.array(h), v=np.array(v))
     grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
     h = np.empty(x.shape[:-1] + (len(certs),))
@@ -281,7 +281,7 @@ def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray
     b, c = cs.b.tolist(), cs.c
     scaled = [q / (1.0 + c) if q > 0.0 else q / (1.0 - c) if q < 0.0 else q for q in b]
     # The two smallest, NaN last: a NaN among them makes the sum NaN.
-    two = sorted(q for q in scaled if q == q)[:2]
+    two = sorted([q for q in scaled if q == q])[:2]
     if len(two) == 2 and two[0] + two[1] < -DEFAULT_TOL:
         # Their rows as a stable argsort orders them.
         lo, second = sorted(range(len(b)), key=lambda k: (scaled[k] != scaled[k], scaled[k]))[:2]

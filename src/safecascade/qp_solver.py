@@ -222,8 +222,7 @@ class PolygonRows:
             # The batch code's values on floats; the BLAS products u0 @ a_t
             # and edge @ a_t stay. A NaN fails every test, and the batch
             # code's farthest line (the first NaN) then gives NaN.
-            bs = b.tolist()
-            viol = [p - q for p, q in zip(u0.dot(a_t).tolist(), bs)]
+            viol = (u0.dot(a_t) - b).tolist()
             if any(map(math.isnan, viol)):
                 return np.full(2, np.nan)      # as a batch row: no problem to solve
             if max(viol) <= DEFAULT_TOL:
@@ -232,7 +231,7 @@ class PolygonRows:
             far = far.index(max(far))          # the first largest, as argmax
             step = viol[far] / self.nrm_sq_list[far]
             edge = np.array([p - step * q for p, q in zip(u0.tolist(), self.rows[far])])
-            if all(p <= q + DEFAULT_TOL for p, q in zip(edge.dot(a_t).tolist(), bs)):
+            if all([p <= q + DEFAULT_TOL for p, q in zip(edge.dot(a_t).tolist(), b.tolist())]):
                 return edge
             out, found = self._nearest_vertices(u0[None], b[None])
             if not found[0]:

@@ -313,7 +313,7 @@ def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: Posit
     """reshape_b_l for one state's set, on floats with the batch code's
     values (np.maximum, np.minimum, -0.0 and NaN included); the BLAS
     products cs.a @ A_L^T and selection @ A_L^T stay."""
-    if any(q < -DEFAULT_TOL for q in slack):
+    if any([q < -DEFAULT_TOL for q in slack]):
         raise SelectionNotFeasibleError("selection point violates the constraint set")
     c, cb = cs.c, cbar_a(cs.c, basis.c_a)
     a_t = basis.a_l.T
@@ -353,7 +353,7 @@ def reshaped_filter(
     # reads one state's selection.
     selection, slack = selection_with_slack(cs)
     b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
-    if basis.n_u == 2:
+    if basis.polygon is not None:                               # n_u = 2
         return basis.polygon.project(nominal, b_l)
     return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l)).point
 

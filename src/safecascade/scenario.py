@@ -45,7 +45,8 @@ or not the chosen plant reads the key.
     sim.workspace_m           "xmin, xmax, ymin, ymax" termination box
     audit.samples             disjointness audit sample count (at most
                               MAX_AUDIT_SAMPLES)
-    audit.grid                rate-condition audit grid
+    audit.grid                rate-condition audit grid (at most
+                              MAX_AUDIT_GRID)
     output.csv                trajectory file name
     output.svg                scene plot file name
     output.metrics            metrics file name
@@ -140,6 +141,11 @@ MAX_K1_GRID = 2000
 # certificates, so 10^6 samples take about 110 MB.
 MAX_AUDIT_SAMPLES = 10**6
 
+# The finest rate-condition audit grid: the audit evaluates the rate at one
+# grid point at a time in Python, about 2 us a point, so 10^6 points take
+# about 2 s (and their grid 8 MB).
+MAX_AUDIT_GRID = 10**6
+
 KEYS: dict[str, Key] = {
     "plant.kind": _choice("integrator_chain", "integrator_chain", "velocity_loop", "vtol_nonlinear"),
     "plant.levels": _count(4, 1),
@@ -176,7 +182,7 @@ KEYS: dict[str, Key] = {
     # The audits' own minimum sample count, and both ends of the audited
     # interval of certificate values.
     "audit.samples": _count(2000, MIN_AUDIT_SAMPLES, MAX_AUDIT_SAMPLES),
-    "audit.grid": _count(200, 2),
+    "audit.grid": _count(200, 2, MAX_AUDIT_GRID),
     "output.csv": _file_name("trajectory.csv"),
     "output.svg": _file_name("path.svg"),
     "output.metrics": _file_name("metrics.json"),

@@ -6,8 +6,9 @@ plant through it alone:
 
     levels              how many controller levels the plant takes
     state_dim           length of its state vector
-    blocks(state)       the planar blocks [x_1, ..., x_levels] the controller
-                        reads; the VTOL's are those of its flat chain state
+    blocks(state)       the planar blocks x_1, ..., x_levels the controller
+                        reads, as the rows of a (levels, 2) array; the
+                        VTOL's are those of its flat chain state
     step(state, u, dt)  one classical RK4 step with the input u held over
                         the step; NonFiniteStateError at the first
                         non-finite stage
@@ -47,7 +48,7 @@ IDENTIFIED_T4 = (4.1709, 113.3872)
 
 
 def _check_finite(state: np.ndarray) -> np.ndarray:
-    if not np.isfinite(state).all():
+    if not all(map(math.isfinite, state.tolist())):
         raise NonFiniteStateError("state became non-finite")
     return state
 
@@ -59,9 +60,10 @@ class _PlanarPlant:
     levels: int
     state_dim: int
 
-    def blocks(self, state: np.ndarray) -> list[np.ndarray]:
-        """The planar blocks [x_1, ..., x_levels] the controller reads."""
-        return [state[2 * i:2 * i + 2] for i in range(self.levels)]
+    def blocks(self, state: np.ndarray) -> np.ndarray:
+        """The planar blocks x_1, ..., x_levels the controller reads, as the
+        rows of a (levels, 2) view of the state."""
+        return state[:2 * self.levels].reshape(self.levels, 2)
 
     def initial_state(self, x1) -> np.ndarray:
         """At rest with output block x1."""
@@ -124,7 +126,7 @@ class VtolNonlinear(_PlanarPlant):
     levels: ClassVar[int] = 4
     state_dim: ClassVar[int] = 8
 
-    def blocks(self, state: np.ndarray) -> list[np.ndarray]:
+    def blocks(self, state: np.ndarray) -> np.ndarray:
         return super().blocks(self.flat_state(state))
 
     def initial_state(self, x1) -> np.ndarray:
@@ -348,13 +350,15 @@ def run_closed_loop(
 
         def exact_step(s, x2_star):
             # Row i of s.reshape(m, d) is block x_{i+1}; column ax is one axis.
-            return _check_finite((e_mat @ s.reshape(m, 2) + f_col * x2_star).ravel())
+            # ndarray.dot runs the BLAS product of @ at less cost per call.
+            return _check_finite((e_mat.dot(s.reshape(m, 2)) + f_col * x2_star).ravel())
 
     certs = controller.rho1.certs
     times = np.arange(n_steps + 1) * dt
     states = np.zeros((n_steps + 1, state.shape[0]))
     inputs = np.zeros((n_steps + 1, 2))
     stars = np.zeros((n_steps + 1, 2 * m))
+    star_blocks = stars.reshape(n_steps + 1, m, 2)      # row k's x2*, ..., x_{m+1}*
     margins_h = np.zeros((n_steps + 1, len(certs)))
     margins_v = np.zeros((n_steps + 1, len(certs)))
     termination = "completed"
@@ -366,8 +370,9 @@ def run_closed_loop(
         states[k] = state
         recorded = k + 1
         ev = None
-        if workspace is not None and not (workspace[0][0] <= x1[0] <= workspace[0][1]
-                                          and workspace[1][0] <= x1[1] <= workspace[1][1]):
+        px, py = x1.tolist()
+        if workspace is not None and not (workspace[0][0] <= px <= workspace[0][1]
+                                          and workspace[1][0] <= py <= workspace[1][1]):
             termination = "left_workspace"
         else:
             try:
@@ -383,7 +388,7 @@ def run_closed_loop(
             break
         margins_h[k], margins_v[k] = ev.h, ev.v
         inputs[k] = ev.u
-        stars[k] = np.concatenate(ev.x_stars)
+        star_blocks[k] = ev.x_stars
         if k == n_steps:
             break
         try:

@@ -42,7 +42,10 @@ def one_state_sets(seed: int, count: int):
     """Seeded one-state sets (a, b, c) of 1-4 unit rows: offsets across
     scales, some NaN, some a signed zero, and some with a second row
     opposite a negative first one and its offset on the pair condition's
-    bound within a few tolerances, where the selection's checks decide."""
+    bound within a few tolerances, where the selection's checks decide.
+    Some carry a NaN row with a positive offset, as a disc point far enough
+    out for its gradient to overflow gives, half of them with every offset
+    positive."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         n = 1 + k % 4
@@ -59,4 +62,9 @@ def one_state_sets(seed: int, count: int):
             b[rng.integers(n)] = np.nan
         if k % 13 == 0:
             b[rng.integers(n)] = (0.0, -0.0)[k % 2]
+        if k % 17 == 0:
+            a[-1] = np.nan
+            b[-1] = 1.0
+            if k % 2 == 0:
+                b = np.abs(b) + 1e-3
         yield a, b, c

@@ -336,6 +336,21 @@ def one_state_law(x, certs, nominal, a_l, c_a, c, k_alpha, ratio, rate_level, k_
     return u, h, v, stage
 
 
+def one_state_controller(blocks, law_args, scale, slopes):
+    """(x_stars, h, V) of the cascade at the blocks [x_1, ..., x_m]: the
+    reshaped outer law one_state_law(x_1, *law_args), then one tracking
+    level per slope K, in order, as the vector formula
+    -(e / |e|) * scale * K * |e| of e = x_i - x*_{i-1} with np.linalg.norm,
+    zero for |e| <= 1e-15."""
+    u, h, v, _ = one_state_law(blocks[0], *law_args)
+    stars = [u]
+    for block, slope in zip(blocks[1:], slopes):
+        e = np.asarray(block, dtype=float) - stars[-1]
+        nrm = np.linalg.norm(e)
+        stars.append(np.zeros(2) if nrm <= 1e-15 else -(e / nrm) * scale * slope * nrm)
+    return tuple(stars), h, v
+
+
 # ------------------------------------------------- batched outer law, on arrays
 #
 # The outer law's batch arithmetic as the package evaluated it before its

@@ -103,9 +103,12 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     assert names.count("cascade.tracking_law") == 3 * rows
     assert names.count("qcqp_safety.build_constraint_set") == rows
     assert names.count("reshaping.reshaped_filter") == rows
+    # The filter still reshapes through the traced name, once per step.
+    assert names.count("reshaping.reshape_b_l") == rows
     # The names the hooks rebind still exist.
     for owner, attr in ((sim, "certificate_value"), (cascade, "tracking_law"),
-                        (cascade, "build_constraint_set"), (cascade, "reshaped_filter")):
+                        (cascade, "build_constraint_set"), (cascade, "reshaped_filter"),
+                        (reshaping, "reshape_b_l")):
         assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
 
 

@@ -35,9 +35,10 @@ from safecascade.qcqp_safety import (
 from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
+from safecascade.sim import run_closed_loop
 
 from helpers import Raised, assert_same_bits, bundled_config, outcome
-from oracles import batch_law, batch_set, grid_lipschitz, ledger_products, one_state_law
+from oracles import batch_law, batch_set, grid_lipschitz, ledger_products, one_state_controller, one_state_law
 
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 STOCK_GAINS = CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49)
@@ -536,6 +537,13 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
     assert ("narrow", CoverageConditionError) in raised
 
 
+def _law_args(law):
+    """one_state_law's arguments after the state, for a law whose rate
+    inverts the envelope of level 1."""
+    return (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, law.bounds.norm_coefficient,
+            law.rates.base_slope, law.rates.negative_ratio, 1.0, law.k_phi)
+
+
 def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
     # One state runs on floats; oracles.one_state_law is the same law on
     # numpy arrays, in the order the package computed it before. Same bits
@@ -545,8 +553,7 @@ def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
     states = np.vstack([_outer_law_states(5551212), [[np.nan, 1.0], [0.0, np.nan]]])
     seen = set()
     for name, law in _with_narrow(_outer_laws()).items():
-        ref = (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, law.bounds.norm_coefficient,
-               law.rates.base_slope, law.rates.negative_ratio, 1.0, law.k_phi)
+        ref = _law_args(law)
         for x in states:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
@@ -565,6 +572,62 @@ def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
     for name in ("walls", "discs", "uncertain"):
         assert {(name, stage, False) for stage in ("inside", "edge", "vertex")} <= seen, name
         assert (name, "nan", True) in seen, name
+
+
+def _assert_same_step(controller, blocks):
+    """controller.evaluate(blocks) against oracles.one_state_controller:
+    the same bits for every virtual control, h and V, or the same error."""
+    law = controller.rho1
+    scale = law.bounds.g_lower / (law.bounds.g_lower - law.bounds.delta_upper)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = outcome(lambda: one_state_controller(blocks, _law_args(law), scale,
+                                                    controller.gains.tracking_slopes))
+        got = outcome(lambda: controller.evaluate(blocks))
+    if isinstance(want, Raised):
+        assert got == want
+        return want
+    assert len(got.x_stars) == len(want[0])
+    for g, w in zip((*got.x_stars, got.h, got.v), (*want[0], want[1], want[2])):
+        assert_same_bits(g, w)
+    assert got.u is got.x_stars[-1]
+    return want
+
+
+def test_controller_step_equals_the_vector_reference_bit_for_bit():
+    # Each tracking level runs on floats; oracles.one_state_controller is
+    # the outer law's array reference plus each level as the vector formula
+    # with np.linalg.norm. Same bits for x2*, ..., u, h and V at every 25th
+    # state of a vtol_unsafe run, and at the outer-law states with tracking
+    # errors that are zero, at most 1e-15, NaN or of order one.
+    scenario = build_scenario(load_scenario(bundled_config("vtol_unsafe")))
+    traj = run_closed_loop(scenario.plant, scenario.controller, scenario.x0, scenario.horizon,
+                           scenario.dt, workspace=scenario.workspace)
+    assert traj.termination == "completed"
+    for state in traj.states[::25]:
+        _assert_same_step(scenario.controller, scenario.plant.blocks(state))
+
+    rng = np.random.default_rng(31415)
+    errors = [lambda: np.zeros(2), lambda: rng.uniform(-5e-16, 5e-16, size=2),
+              lambda: np.array([np.nan, rng.normal()]), lambda: rng.normal(scale=2.0, size=2)]
+    seen = set()
+    for law in _outer_laws().values():
+        controller = CascadeController(law, STOCK_GAINS)
+        for k, x in enumerate(_outer_law_states(2718281)):
+            try:
+                star = law.evaluate(x)[0]
+            except SafecascadeError:
+                star = np.zeros(2)
+            # Each block is the previous virtual control plus an error of
+            # one kind, so the level's error is about that error.
+            blocks = [x]
+            for level, slope in enumerate(STOCK_GAINS.tracking_slopes):
+                blocks.append(star + errors[(k + level) % len(errors)]())
+                e = np.linalg.norm(blocks[-1] - star)
+                seen.add("nan" if np.isnan(e) else "zero" if e == 0.0 else "tiny" if e <= 1e-15 else "large")
+                star = tracking_law(blocks[-1] - star, law.bounds, slope)
+            seen.add(type(_assert_same_step(controller, blocks)).__name__)
+    assert seen == {"zero", "tiny", "nan", "large", "Raised", "tuple"}
 
 
 def test_batched_law_equals_the_array_reference_bit_for_bit():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -194,6 +195,9 @@ def test_audit_rejects_invalid_key_values(tmp_path, capsys, key, value):
     ["basis-check", "--n-u", "4"],
     ["basis-check", "--n-l", "103"],
     ["basis-check", "--samples", "50"],
+    ["example1", "--out", "OUT", "--grid", str(cli.MAX_FIELD_GRID + 1)],
+    ["example2", "--out", "OUT", "--grid", str(cli.MAX_FIELD_GRID + 1)],
+    ["basis-check", "--samples", str(cli.MAX_BASIS_SAMPLES + 1)],
 ])
 def test_cli_values_out_of_range_are_usage_errors(tmp_path, capsys, command):
     # A radius of 1 divided by zero, 0 left no gap, NaN wrote a NaN
@@ -204,6 +208,16 @@ def test_cli_values_out_of_range_are_usage_errors(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert f"{command[-2].lstrip('-')} must be" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("convert, most", [(cli._grid, cli.MAX_FIELD_GRID),
+                                           (cli._samples, cli.MAX_BASIS_SAMPLES)])
+def test_field_grid_and_basis_samples_stop_at_their_bound(convert, most):
+    # An example grid holds grid^2 states and basis-check its probes, so
+    # parsing alone decides: the bound passes, one more is a usage error.
+    assert convert(str(most)) == most
+    with pytest.raises(argparse.ArgumentTypeError, match=rf"must be \d+ to {most}, got '{most + 1}'$"):
+        convert(str(most + 1))
 
 
 @pytest.mark.parametrize("command", [

@@ -82,11 +82,13 @@ def test_out_of_range_value_is_rejected_on_its_line(key):
 @pytest.mark.parametrize("key, most", [
     ("cascade.k1_grid", scenario.MAX_K1_GRID),
     ("audit.samples", scenario.MAX_AUDIT_SAMPLES),
+    ("audit.grid", scenario.MAX_AUDIT_GRID),
 ])
 def test_grid_and_sample_counts_stop_at_their_bound(key, most):
     # The estimate allocates grid^2 states and the audit samples x 2 points
-    # before either runs, so a count past its bound ended in a MemoryError;
-    # parsing alone now rejects it, and nothing here builds or runs.
+    # before either runs, so a count past its bound ended in a MemoryError,
+    # and the rate-condition audit loops over its grid in Python; parsing
+    # alone now rejects such a count, and nothing here builds or runs.
     assert parse_config_text(f"{key} = {most}\n")[key] == most
     with pytest.raises(ConfigError, match=rf"^line 1: {re.escape(key)} must be \d+ to {most}, got '{most + 1}'$"):
         parse_config_text(f"{key} = {most + 1}\n")

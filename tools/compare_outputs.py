@@ -2,9 +2,10 @@
 
 Usage: python3 tools/compare_outputs.py OTHER_ROOT
 
-Each tree runs with its own PYTHONPATH=src: `run` on both bundled configs
-and on a vtol_nonlinear and a velocity_loop variant, `example1`,
-`example2`, `audit` on both configs and at `cascade.k1 = estimate`, and a
+Each tree runs with its own PYTHONPATH=src: `run` on both bundled configs,
+on both with the start shifted to (-1.9, 1.1) (inside the benchmark's
+seeded start range), and on a vtol_nonlinear and a velocity_loop variant,
+`example1`, `example2`, `audit` on both configs and at `cascade.k1 = estimate`, and a
 short `run` at `cascade.k1 = estimate` with the safe config's two walls and
 with a third obstacle, a disc (the gain rows of metrics.json carry k1 at
 full precision, where `audit` prints it with :g). Prints "same" or
@@ -22,6 +23,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is appended
     "safe": ("vtol_safe", {}), "unsafe": ("vtol_unsafe", {}),
+    "safe_shifted": ("vtol_safe", {"sim.x1_0_m": "-1.9, 1.1"}),
+    "unsafe_shifted": ("vtol_unsafe", {"sim.x1_0_m": "-1.9, 1.1"}),
     "estimate": ("vtol_safe", {"cascade.k1": "estimate"}),
     "three": ("vtol_safe", {"cascade.k1": "estimate", "obstacle.3.kind": "disc",
                             "obstacle.3.center_m": "3.5, 6.0", "obstacle.3.radius_m": "0.5"}),
@@ -29,7 +32,7 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "velocity": ("vtol_safe", {"plant.kind": "velocity_loop", "cascade.k_tracking": ""}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
-               for n in ("safe", "unsafe", "nonlinear", "velocity")},
+               for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
                for n in ("estimate", "three")},
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"] for n in ("safe", "unsafe", "estimate")},
