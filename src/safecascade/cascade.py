@@ -25,8 +25,9 @@ from .qcqp_safety import PlantBounds, RateSpec, build_constraint_set, lipschitz_
 from .qp_solver import sum_last_axis
 from .reshaping import PositiveBasis, reshaped_filter
 
-# States per call of estimate_lipschitz's map: whole grid rows up to this
-# many, where the batched outer law's per-state cost has levelled off.
+# States per call of a map over a grid (in_row_blocks): whole grid rows up
+# to this many, where the batched outer law's per-state cost has levelled
+# off and its memory stays small at any grid size.
 ESTIMATE_BLOCK_STATES = 2048
 
 
@@ -299,10 +300,8 @@ def estimate_lipschitz(
     """Grid lower bound on the Lipschitz constant of a planar map.
 
     fn maps an (n, 2) array of states to an (n, d) array of values. It is
-    called on blocks of whole grid rows, each row x holding the states
-    (x, y) for every grid y: as many rows as fit in ESTIMATE_BLOCK_STATES,
-    and one row when a row alone exceeds it. Every grid state is evaluated
-    once, rows in order. The result is the largest slope between
+    called on blocks of whole grid rows (in_row_blocks), each row x holding
+    the states (x, y) for every grid y. The result is the largest slope between
     axis-adjacent valid points; non-finite values mask a cell out, so maps
     defined on a subregion can be fed directly.
     """
@@ -311,9 +310,7 @@ def estimate_lipschitz(
     ys = np.linspace(y_lo, y_hi, grid) if y_hi > y_lo else np.array([y_lo])
     nx, ny = xs.shape[0], ys.shape[0]
     states = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
-    block = max(1, ESTIMATE_BLOCK_STATES // ny) * ny
-    values = np.concatenate([np.asarray(fn(states[lo:lo + block]), dtype=float)
-                             for lo in range(0, nx * ny, block)]).reshape(nx, ny, -1)
+    values = in_row_blocks(fn, states, ny).reshape(nx, ny, -1)
     best = 0.0
     for axis, ticks in enumerate((xs, ys)):
         if ticks.shape[0] > 1:
@@ -324,3 +321,13 @@ def estimate_lipschitz(
             if finite.size:
                 best = max(best, float(np.max(finite)))
     return best
+
+
+def in_row_blocks(fn: Callable[[np.ndarray], np.ndarray], states: np.ndarray, row: int) -> np.ndarray:
+    """fn's values on states (n, 2), whole grid rows of row states each,
+    concatenated in order. fn is called on blocks of as many rows as fit in
+    ESTIMATE_BLOCK_STATES, and on one row when a row alone exceeds it, so
+    every state is evaluated once and the batch temporaries stay bounded."""
+    block = max(1, ESTIMATE_BLOCK_STATES // row) * row
+    return np.concatenate([np.asarray(fn(states[lo:lo + block]), dtype=float)
+                           for lo in range(0, states.shape[0], block)])

@@ -20,6 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import AtCenterError, DegenerateGeometryError, ZeroGradientError
+from .qp_solver import states_first, states_last
 
 # How near a segment's spine or a disc's center the gradient is undefined.
 SPINE_TOL = 1e-9
@@ -124,8 +125,8 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     base, base_sq = seg.base, seg.base_sq
     if base_sq <= 1e-24:
         raise DegenerateGeometryError("segment endpoints coincide")
-    rel = x - seg.o1
     if x.ndim == 1:
+        rel = x - seg.o1
         # One point runs on floats, with the ufuncs' values, -0.0 and NaN
         # included; the BLAS dot and np.hypot stay, as floats round otherwise.
         t = float(rel.dot(base)) / base_sq
@@ -137,11 +138,13 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
             raise ZeroGradientError("query point on segment spine")
         grad_h = np.array([d0 / dist, d1 / dist])
         return CertificateEval.from_clearance(dist - cert.safe_distance, grad_h)
-    t = np.minimum(np.maximum(rel @ base / base_sq, 0.0), 1.0)
-    delta = rel - np.multiply.outer(t, base)
-    dist = np.hypot(delta[..., 0], delta[..., 1])
-    nrm = _undefined_where(dist <= SPINE_TOL, dist)
-    return CertificateEval.from_clearance(dist - cert.safe_distance, delta / nrm[..., None])
+    # Component rows (2, N), states last (qp_solver.states_last).
+    rel = np.subtract(states_last(x), seg.o1[:, None], order="C")
+    rel -= base[:, None] * np.minimum(np.maximum(base @ rel / base_sq, 0.0), 1.0)
+    dist = np.hypot(rel[0], rel[1])
+    rel /= _undefined_where(dist <= SPINE_TOL, dist)
+    h = (dist - cert.safe_distance).reshape(x.shape[:-1])
+    return CertificateEval.from_clearance(h, states_first(rel, x.shape[:-1]))
 
 
 def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
@@ -163,11 +166,12 @@ def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
             raise AtCenterError("query point at disc center")
         grad_h = np.full(2, np.nan) if r != r else np.array([2.0 * d0, 2.0 * d1])
         return CertificateEval.from_clearance(r * r - disc.radius**2, grad_h)
-    delta = x - disc.center
-    r = np.hypot(delta[..., 0], delta[..., 1])
+    delta = np.subtract(states_last(x), disc.center[:, None], order="C")     # (2, N)
+    r = np.hypot(delta[0], delta[1])
     r = _undefined_where(r <= CENTER_TOL, r)
-    grad_h = np.where(np.isnan(r)[..., None], np.nan, 2.0 * delta)
-    return CertificateEval.from_clearance(r * r - disc.radius**2, grad_h)
+    grad_h = np.where(np.isnan(r), np.nan, 2.0 * delta)
+    h = (r * r - disc.radius**2).reshape(x.shape[:-1])
+    return CertificateEval.from_clearance(h, states_first(grad_h, x.shape[:-1]))
 
 
 def exp_alpha_bar_for_level(level: float):

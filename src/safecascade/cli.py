@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import gain_ledger, k_selection_audit, small_gain_audit
+from .cascade import gain_ledger, in_row_blocks, k_selection_audit, small_gain_audit
 from .certificates import CertificateSpec, Disc, disjointness_audit
 from .errors import ConfigError, SafecascadeError
 from .output import (
@@ -158,9 +158,10 @@ def _slice_plot_svg(path: Path, xs, curves: dict[str, np.ndarray]) -> None:
 
 def _gap_sweep(out: Path, radius: float, field_grid: int, fields: dict):
     """What both gap examples sweep. Makes out, then for each field CSV name
-    and its solution function of (N, 2) states makes one call on the field
-    grid, written as that CSV, and one on the axis slice. Returns the slice
-    grid and each function's slice norms, or None when out cannot be made."""
+    and its solution function of (N, 2) states evaluates the field grid in
+    blocks of whole rows (cascade.in_row_blocks), written as that CSV, and
+    the axis slice in one call. Returns the slice grid and each function's
+    slice norms, or None when out cannot be made."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -175,7 +176,8 @@ def _gap_sweep(out: Path, radius: float, field_grid: int, fields: dict):
     on_axis = np.column_stack([grid, np.zeros_like(grid)])
     slices = []
     for name, solve in fields.items():
-        _field_csv(out / name, ticks, ticks, norms(solve(states)).reshape(field_grid, field_grid))
+        field = in_row_blocks(lambda x: norms(solve(x)), states, field_grid)
+        _field_csv(out / name, ticks, ticks, field.reshape(field_grid, field_grid))
         slices.append(norms(solve(on_axis)))
     return grid, slices
 
@@ -429,13 +431,14 @@ def _checked(name: str, parse, ok, rule: str):
     return convert
 
 
-# The finest example field grid, grid^2 states: example2 holds about 370
-# bytes a state at its peak and example1 takes about 27 us a state, so 1,001
-# per axis (10^6 states) is about 370 MB and half a minute.
+# The finest example field grid, grid^2 states: a sweep holds about 45 bytes
+# a state (the law runs in blocks of whole rows) and example1 takes about
+# 23 us a state, so 1,001 per axis (10^6 states) is about 45 MB and 25 s.
 MAX_FIELD_GRID = 1001
 
 # The most basis-check probes: with the largest basis (MAX_DIRECTIONS rows) a
-# probe takes about 0.9 kB and 32 us, so 10^5 probes are about 90 MB and 3 s.
+# probe takes about 30 us and, its chosen rows built per chunk, a few tens of
+# bytes, so 10^5 probes are about 3 s.
 MAX_BASIS_SAMPLES = 10**5
 
 # numpy rejects negative seeds; the gap radius must leave a gap between the

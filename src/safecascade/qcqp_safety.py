@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import CertificateSpec, Segment, eval_disc, eval_segment
 from .errors import SelectionConditionError
-from .qp_solver import DEFAULT_TOL, sum_last_axis
+from .qp_solver import DEFAULT_TOL, states_first, states_last, sum_last_axis
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class ConstraintSet:
         if a.ndim == 2 and a.shape[1] == 2:
             bad = any([abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9 for p, q in a.tolist()])
         else:
-            dev = np.sqrt(sum_last_axis(a * a))
+            dev = np.sqrt(sum_last_axis(np.square(states_last(a, 2)).transpose(0, 2, 1)))
             dev -= 1.0
             bad = (np.abs(dev, out=dev) > 1e-9).any()
         if bad:
@@ -90,7 +90,9 @@ class ConstraintSet:
             # One state on floats; the BLAS product a u stays.
             cn = self.c * math.sqrt(sum(p * p for p in u.tolist()))
             return np.array([(p + cn) - q for p, q in zip(self.a.dot(u).tolist(), self.b.tolist())])
-        viol = (self.a @ u[..., None])[..., 0]
+        # The per-state products a u on C-contiguous rows: numpy leaves BLAS
+        # for other strides, and its own loop rounds otherwise.
+        viol = (np.ascontiguousarray(self.a) @ u[..., None])[..., 0]
         cn = np.sqrt(sum_last_axis(u * u))
         cn *= self.c
         viol += cn[..., None]
@@ -193,19 +195,22 @@ def build_constraint_set(
             v.append(ev.v)
         return ConstraintSet(np.array(rows) if rows else np.zeros((0, 2)), np.array(b),
                              bounds.norm_coefficient, h=np.array(h), v=np.array(v))
-    grad_h = np.empty(x.shape[:-1] + (len(certs), x.shape[-1]))
-    h = np.empty(x.shape[:-1] + (len(certs),))
+    # Rows (n_c, 2, N), h and V (n_c, N), states last (qp_solver.states_last).
+    batch = x.shape[:-1]
+    rows = np.empty((len(certs), x.shape[-1], math.prod(batch)))
+    h = np.empty((len(certs), rows.shape[-1]))
     v = np.empty(h.shape)
     for j, cert in enumerate(certs):
         # Called through this module's names, which benchmark tracing rebinds.
         ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
-        grad_h[..., j, :] = ev.grad_h
-        h[..., j] = ev.h
-        v[..., j] = ev.v
-    nrm = np.sqrt(sum_last_axis(grad_h * grad_h))
-    grad_h /= np.negative(nrm, out=nrm)[..., None]           # the rows, in place
-    offset = v - np.array([cert.level for cert in certs])
-    return ConstraintSet(grad_h, -rates.rate(offset), bounds.norm_coefficient, h=h, v=v)
+        rows[j] = states_last(ev.grad_h)
+        h[j] = ev.h.reshape(-1)
+        v[j] = ev.v.reshape(-1)
+    nrm = np.sqrt(sum_last_axis(np.square(rows).transpose(0, 2, 1)))
+    rows /= np.negative(nrm, out=nrm)[:, None]              # the unit rows, in place
+    offset = v - np.array([[cert.level] for cert in certs])
+    return ConstraintSet(states_first(rows, batch), states_first(-rates.rate(offset), batch),
+                         bounds.norm_coefficient, h=states_first(h, batch), v=states_first(v, batch))
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
@@ -250,28 +255,31 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(b.shape[:-1] + (cs.n_u,)), np.zeros(b.shape)
     if b.ndim == 1:
         return _one_selection_with_slack(cs)
-    # Sums and maxima over the rows run one row at a time, in numpy's
-    # reduction order (sum_last_axis), so a batch keeps the reductions' bits.
+    # In the batch layout (qp_solver.states_last): sums and maxima over the
+    # rows run one row of states at a time, in numpy's reduction order
+    # (sum_last_axis), so a batch keeps the reductions' bits.
+    batch = b.shape[:-1]
+    rows, b = states_last(a, 2), states_last(b)                 # (n_c, n_u, N), (n_c, N)
     scaled = b / (1.0 + np.sign(b) * c)
     failed = False
     if cs.n_rows >= 2:
         # The two smallest; with two rows that is both (their sum commutes).
-        two = scaled if cs.n_rows == 2 else np.partition(scaled, 1, axis=-1)[..., :2]
-        failed = sum_last_axis(two) < -DEFAULT_TOL
+        two = scaled if cs.n_rows == 2 else np.partition(scaled, 1, axis=0)[:2]
+        failed = sum_last_axis(two.T) < -DEFAULT_TOL
     w = np.minimum(b, 0.0)
     w /= 1.0 - c
-    u = np.zeros(b.shape[:-1] + (cs.n_u,))   # np.add.reduce starts at 0.0: -0.0 sums to 0.0
+    u = np.zeros((cs.n_u, b.shape[1]))      # np.add.reduce starts at 0.0: -0.0 sums to 0.0
     for j in range(cs.n_rows):
-        u += w[..., j, None] * a[..., j, :]
-    viol = cs.violations(u)
-    worst = viol[..., 0].copy()             # np.maximum.reduce, up to the sign of a zero
+        u += w[j] * rows[j]
+    viol = states_last(cs.violations(states_first(u, batch)))
+    worst = viol[0].copy()                  # np.maximum.reduce, up to the sign of a zero
     for j in range(1, cs.n_rows):
-        np.maximum(worst, viol[..., j], out=worst)
-    undefined = (failed | ~(worst <= DEFAULT_TOL))[..., None]
+        np.maximum(worst, viol[j], out=worst)
+    undefined = failed | ~(worst <= DEFAULT_TOL)
     np.copyto(u, np.nan, where=undefined)
     np.negative(viol, out=viol)
     np.copyto(viol, np.nan, where=undefined)
-    return u, viol
+    return states_first(u, batch), states_first(viol, batch)
 
 
 def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:

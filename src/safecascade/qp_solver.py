@@ -27,16 +27,35 @@ DEFAULT_TOL = 1e-9
 
 
 def sum_last_axis(m: np.ndarray) -> np.ndarray:
-    """np.add.reduce(m, axis=-1) with its bits, one add per column rather
-    than a reduction loop per short row: numpy adds fewer than eight terms
-    in order from +0.0 (-0.0 terms sum to +0.0) and sums longer rows
-    pairwise, so those keep the reduction."""
+    """np.add.reduce(m, axis=-1) with the bits it gives a C-contiguous m,
+    one add per column rather than a reduction loop per short row: numpy
+    adds fewer than eight terms in order from +0.0 (-0.0 terms sum to +0.0)
+    and sums longer rows pairwise, so those keep the reduction, on a
+    C-contiguous copy (over a strided axis numpy may add in order)."""
     if m.shape[-1] >= 8:
-        return np.add.reduce(m, axis=-1)
+        return np.add.reduce(np.ascontiguousarray(m), axis=-1)
     total = np.zeros(m.shape[:-1])
     for k in range(m.shape[-1]):
         total += m[..., k]
     return total
+
+
+def states_last(m: np.ndarray, core: int = 1) -> np.ndarray:
+    """The batch code's layout of m (..., *core): (*core, N) over its N
+    states, on the last, contiguous memory axis, so that sums, maxima and
+    minima over a short core axis (components, certificates, basis rows)
+    run along contiguous stretches of states. The public (..., *core)
+    shapes are states_first views of such buffers; a view of m wherever its
+    memory allows, and always for such a view."""
+    k = m.ndim - core
+    n = math.prod(m.shape[:k])
+    return m.transpose((*range(k, m.ndim), *range(k))).reshape(m.shape[k:] + (n,))
+
+
+def states_first(buf: np.ndarray, batch: tuple) -> np.ndarray:
+    """The public shape (*batch, *core) of a batch buffer (*core, N), as a view."""
+    k = buf.ndim - 1
+    return buf.transpose((k, *range(k))).reshape(batch + buf.shape[:k])
 
 
 @dataclass(frozen=True)
@@ -193,10 +212,12 @@ class PolygonRows:
         b is (..., n); the result is (..., pairs, 2) by Cramer's rule.
         Feasibility is left to the caller.
         """
-        i, j, det, aj1, ai1, ai0, aj0 = self.pairs
-        b_i, b_j = b[..., i], b[..., j]
-        return np.stack([(aj1 * b_i - ai1 * b_j) / det,
-                         (ai0 * b_j - aj0 * b_i) / det], axis=-1)
+        i, j, *coef = self.pairs
+        det, aj1, ai1, ai0, aj0 = (p[:, None] for p in coef)
+        bt = states_last(b)
+        b_i, b_j = bt[i], bt[j]
+        verts = np.stack([(aj1 * b_i - ai1 * b_j) / det, (ai0 * b_j - aj0 * b_i) / det], axis=1)
+        return states_first(verts, b.shape[:-1])
 
     def project(self, u0: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact Euclidean projection of u0 onto {u : a u <= b} in 2-D.
@@ -233,48 +254,45 @@ class PolygonRows:
             edge = np.array([p - step * q for p, q in zip(u0.tolist(), self.rows[far])])
             if all([p <= q + DEFAULT_TOL for p, q in zip(edge.dot(a_t).tolist(), b.tolist())]):
                 return edge
-            out, found = self._nearest_vertices(u0[None], b[None])
+            out, found = self._nearest_vertices(u0[:, None], b[:, None])
             if not found[0]:
                 raise InfeasibleError("no point satisfies every row: empty feasible set")
-            return out[0]
+            return out[:, 0]
         batch = u0.shape[:-1]
         if batch != b.shape[:-1]:
             batch = np.broadcast_shapes(batch, b.shape[:-1])
             u0 = np.broadcast_to(u0, batch + (2,))
             b = np.broadcast_to(b, batch + (a.shape[0],))
-        u0 = u0.reshape(-1, 2)
-        b = b.reshape(-1, a.shape[0])
-        viol = u0 @ a_t
+        u0, b = states_last(u0), states_last(b)                 # (2, N), (n, N)
+        viol = a @ u0
         viol -= b
-        over = viol > DEFAULT_TOL
-        if over.any():
-            # Edge stage: the projection onto the farthest violated line.
-            far = (viol / self.nrm).argmax(axis=1)
-            step = viol[np.arange(far.size), far] / self.nrm_sq.take(far)
-            edge = u0 - step[:, None] * a.take(far, axis=0)
-            edge_ok = (edge @ a_t <= b + DEFAULT_TOL).all(axis=1)
-            moved = over.any(axis=1)
-            on_edge = moved & edge_ok
-            out = edge
-            np.copyto(out, u0, where=~on_edge[:, None])
-            rest = np.flatnonzero(moved & ~on_edge)
+        moved = (viol > DEFAULT_TOL).any(axis=0)
+        out = u0.copy()
+        if moved.any():
+            # Edge stage, on the moved states: the projection onto the
+            # farthest violated line.
+            idx = np.flatnonzero(moved)
+            v = viol[:, idx]
+            far = (v / self.nrm[:, None]).argmax(axis=0)
+            step = v[far, np.arange(idx.size)] / self.nrm_sq.take(far)
+            edge = u0[:, idx] - a_t[:, far] * step
+            edge_ok = (a @ edge <= b[:, idx] + DEFAULT_TOL).all(axis=0)
+            out[:, idx[edge_ok]] = edge[:, edge_ok]
+            rest = idx[~edge_ok]
             if rest.size:
-                out[rest] = self._nearest_vertices(u0[rest], b[rest])[0]
-        else:
-            out = u0.copy()
-        if np.isnan(viol).any():
-            out = np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
-        return out.reshape(batch + (2,))
+                out[:, rest] = self._nearest_vertices(u0[:, rest], b[:, rest])[0]
+        np.copyto(out, np.nan, where=np.isnan(viol).any(axis=0))
+        return states_first(out, batch)
 
     def _nearest_vertices(self, u0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The vertex stage: for each problem of u0 (k, 2) and b (k, n), the
-        nearest feasible intersection of two rows, NaN where none is
-        feasible, and which problems had one."""
-        verts = self.vertices(b)
-        ok = (verts @ self.a_t <= b[:, None, :] + DEFAULT_TOL).all(axis=2)
-        found = ok.any(axis=1)
+        """The vertex stage, in the batch layout: for each problem of u0
+        (2, k) and b (n, k), the nearest feasible intersection of two rows,
+        NaN where none is feasible, and which problems had one."""
+        verts = states_last(self.vertices(states_first(b, b.shape[1:])), 2)     # (pairs, 2, k)
+        ok = (self.a @ verts <= b + DEFAULT_TOL).all(axis=1)
+        found = ok.any(axis=0)
         out = np.full(u0.shape, np.nan)
         if found.any():
-            d2 = np.where(ok, sum_last_axis((verts - u0[:, None, :]) ** 2), np.inf)
-            out[found] = verts[found, d2[found].argmin(axis=1)]
+            d2 = np.where(ok, sum_last_axis((verts - u0).transpose(0, 2, 1) ** 2), np.inf)
+            out[:, found] = verts[d2[:, found].argmin(axis=0), :, found].T
         return out, found

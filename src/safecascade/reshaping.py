@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .qcqp_safety import ConstraintSet, selection_with_slack
-from .qp_solver import DEFAULT_TOL, Polyhedron, PolygonRows, solve_projection_qp
+from .qp_solver import DEFAULT_TOL, Polyhedron, PolygonRows, solve_projection_qp, states_first, states_last
 
 
 # The largest basis the configs and the command line accept: the plane's
@@ -209,12 +209,13 @@ def validate_positive_basis(basis: PositiveBasis, samples: int = 500) -> BasisRe
     max_dev = float(np.max(np.abs(np.linalg.norm(a_l, axis=1) - 1.0)))
     min_sigma, subsets, inv_t = basis.subsets
     probes = _unit_probes(basis.n_u, samples)
-    chosen = probes @ a_l.T >= basis.c_a - 1e-12
     covered = np.zeros(samples, dtype=bool)
     step = max(1, (1 << 20) // max(1, subsets.size))            # bounds the (probe, subset) mask
     for lo in range(0, samples, step):
-        p_idx, s_idx = np.nonzero(chosen[lo:lo + step, subsets].all(axis=-1))
-        coeffs = np.einsum("kij,kj->ki", inv_t[s_idx], probes[lo + p_idx])
+        chunk = probes[lo:lo + step]
+        chosen = chunk @ a_l.T >= basis.c_a - 1e-12
+        p_idx, s_idx = np.nonzero(chosen[:, subsets].all(axis=-1))
+        coeffs = np.einsum("kij,kj->ki", inv_t[s_idx], chunk[p_idx])
         covered[lo + p_idx[np.all(coeffs >= -1e-12, axis=1)]] = True
     failures = np.flatnonzero(~covered)
     return BasisReport(
@@ -278,34 +279,35 @@ def reshape_b_l(
         slack = -cs.violations(selection)                       # (..., n_c)
     if not cs.batched:
         return _one_b_l(selection, slack.tolist(), cs, basis, k_phi)
+    # The batch layout (qp_solver.states_last): phi is (n_c, n_l, N), so the
+    # min over the constraint rows is a chain of elementwise minima.
+    batch = cs.b.shape[:-1]
+    slack = states_last(slack)
     below = slack < -DEFAULT_TOL
     if below.any():
-        slack = np.where(below.any(axis=-1)[..., None], np.nan, slack)
+        slack = np.where(below.any(axis=0), np.nan, slack)
     cbar_a_val = cbar_a(cs.c, basis.c_a)
-    a_t = basis.a_l.T
+    a_l = basis.a_l
     scaled = np.maximum(slack, 0.0)                             # clip tolerance dust
     scaled /= 1.0 + cs.c
-    # Constraint rows lead, (n_c, ..., n_l), so the min over them is a
-    # chain of elementwise minima. numpy rounds a one-row product (vector
-    # path) unlike a matrix product: one state or one row keeps the
-    # per-state product.
     n_c, n_u = cs.a.shape[-2:]
-    a = cs.a.reshape(-1, n_c, n_u)
-    if a.shape[0] > 1 and n_c > 1:
-        a = a.transpose(1, 0, 2)
-    dots = (a @ a_t).reshape((n_c,) + cs.b.shape[:-1] + (basis.n_l,))
-    scaled = np.moveaxis(scaled, -1, 0)
+    if scaled.shape[1] > 1 and n_c > 1:
+        dots = a_l @ states_last(cs.a, 2)
+    else:
+        # numpy rounds a one-row product (vector path) unlike a matrix
+        # product: one state or one row keeps the per-state product.
+        dots = states_last(cs.a.reshape(-1, n_c, n_u) @ a_l.T, 2)
     # phi = max(dots, cbar_a) * scaled + max(k_phi * (cbar_a - dots), 0), in place.
     phi = np.maximum(dots, cbar_a_val)
-    phi *= scaled[..., None]
+    phi *= scaled[:, None]
     np.subtract(cbar_a_val, dots, out=dots)
     dots *= k_phi
     phi += np.maximum(dots, 0.0, out=dots)
     b_l = phi[0]
     for row in phi[1:]:
         np.minimum(b_l, row, out=b_l)
-    b_l += selection @ a_t
-    return b_l
+    b_l += a_l @ states_last(selection)
+    return states_first(b_l, batch)
 
 
 def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: PositiveBasis,

@@ -1,5 +1,6 @@
 """Small test helpers: the package's bundled configs, the trajectory CSV a
-run writes, and a bit-for-bit array comparison."""
+run writes, a bit-for-bit array comparison, and one array in several
+memory layouts."""
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +25,17 @@ def assert_same_bits(got, want) -> None:
     assert got.shape == want.shape
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+def layouts(m, core: int = 1):
+    """(name, array) for m (..., *core) in three memory layouts with m's
+    values: C order, Fortran order, and the transposed view of a C-order
+    (*core, ...) buffer, as the batch code hands out its results."""
+    m = np.asarray(m)
+    k = m.ndim - core
+    order = (*range(k, m.ndim), *range(k))
+    return [("C", np.ascontiguousarray(m)), ("F", np.asfortranarray(m)),
+            ("T", np.ascontiguousarray(m.transpose(order)).transpose(np.argsort(order)))]
 
 
 class Raised(tuple):

@@ -37,7 +37,7 @@ from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
 from safecascade.sim import run_closed_loop
 
-from helpers import Raised, assert_same_bits, bundled_config, outcome
+from helpers import Raised, assert_same_bits, bundled_config, layouts, outcome
 from oracles import batch_law, batch_set, grid_lipschitz, ledger_products, one_state_controller, one_state_law
 
 UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
@@ -632,34 +632,46 @@ def test_controller_step_equals_the_vector_reference_bit_for_bit():
 
 def test_batched_law_equals_the_array_reference_bit_for_bit():
     # A batch sums, and takes maxima and minima, over its short axes one
-    # column at a time and works in place; oracles.batch_law is the same law
-    # with numpy's reductions and a new array for every step. Same bits for
-    # the set (a, b, h, V) and for u, h and V, NaN rows included, over the
-    # spines, two discs, three certificates (the partition of the offsets)
-    # and c > 0; "narrow" fails its reshaping for the whole batch.
+    # row of states at a time and works in place; oracles.batch_law is the
+    # same law with numpy's reductions and a new array for every step. Same
+    # bits for the set (a, b, h, V) and for u, h and V, NaN rows included,
+    # over the spines, two discs, three certificates (the partition of the
+    # offsets), c > 0 and bases of 3, 11 and 21 rows, with the states in C
+    # order, Fortran order and a transposed view; "narrow" fails its
+    # reshaping for the whole batch.
     states = np.vstack([_outer_law_states(16180339), [[np.nan, 1.0], [0.0, np.nan]]])
     laws = _with_narrow(_outer_laws())
     walls = laws["walls"]
     laws["three"] = SafetyLaw([*WALLS, CertificateSpec(Disc([0.8, 6.0], 1.0))], walls.nominal,
                               walls.basis, walls.bounds, walls.rates, k_phi=2.0)
+    # Three rows at 120 degrees carry the constant -1/2, which fails the
+    # coverage condition; stated as 0.05, the reshaping runs on three rows.
+    for n_l, basis in ((3, PositiveBasis(make_positive_basis(2, 3).a_l, 0.05)),
+                       (21, make_positive_basis(2, 21))):
+        laws[f"{n_l} rows"] = SafetyLaw(WALLS, walls.nominal, basis, walls.bounds, walls.rates, k_phi=2.0)
     for name, law in laws.items():
         rate = (law.rates.base_slope, law.rates.negative_ratio, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cs = build_constraint_set(states, law.certs, law.bounds, law.rates)
-            for got, want in zip((cs.a, cs.b, cs.h, cs.v), batch_set(states, law.certs, *rate)):
-                assert_same_bits(got, want)
+            want_set = batch_set(states, law.certs, *rate)
             want = outcome(lambda: batch_law(states, law.certs, law.nominal, law.basis.a_l, law.basis.c_a,
                                              law.bounds.norm_coefficient, *rate, law.k_phi))
-            got = outcome(lambda: law.evaluate(states))
-        if name == "narrow":
-            assert isinstance(want, Raised) and want[0] is CoverageConditionError
-            assert got == want
-            continue
-        for g, w in zip(got, want):
-            assert_same_bits(g, w)
-        nan_rows = np.isnan(want[0]).any(axis=1)
-        assert nan_rows.any() and not nan_rows.all(), name
+        for layout, x in layouts(states):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                cs = build_constraint_set(x, law.certs, law.bounds, law.rates)
+                for got, ref in zip((cs.a, cs.b, cs.h, cs.v), want_set):
+                    assert_same_bits(got, ref)
+                got = outcome(lambda: law.evaluate(x))
+            if name == "narrow":
+                assert isinstance(want, Raised) and want[0] is CoverageConditionError
+                assert got == want
+                continue
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
+        if name != "narrow":
+            nan_rows = np.isnan(want[0]).any(axis=1)
+            assert nan_rows.any() and not nan_rows.all(), name
 
 
 def test_estimate_lipschitz_equals_the_norm_reference_bit_for_bit():

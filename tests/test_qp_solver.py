@@ -6,7 +6,7 @@ import pytest
 from safecascade.errors import InfeasibleError
 from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp, sum_last_axis
 
-from helpers import Raised, assert_same_bits, outcome
+from helpers import Raised, assert_same_bits, layouts, outcome
 from oracles import INFEASIBLE, batch_projection, one_state_projection, project_by_face_enumeration
 
 
@@ -238,7 +238,8 @@ def test_batched_polygon_projection_equals_the_array_reference_bit_for_bit():
     # farthest rows with take; oracles.batch_projection builds each step as
     # a new array. Same bits over rows of any length and the unit 11-row
     # basis, one u0 per problem or one for all, with NaN, empty sets and
-    # every stage.
+    # every stage, and u0 and b in C order, Fortran order and a transposed
+    # view.
     rng = np.random.default_rng(5772)
     a = rng.normal(size=(7, 2))
     angles = 2.0 * np.pi * np.arange(1, 12) / 11
@@ -251,7 +252,8 @@ def test_batched_polygon_projection_equals_the_array_reference_bit_for_bit():
         u0[25::50, 0] = np.nan
         for x in (u0, np.array([0.6, 1.0])):
             want = batch_projection(np.broadcast_to(x, u0.shape), rows, b)
-            assert_same_bits(polygon.project(x, b), want)
+            for (_, x_in), (_, b_in) in zip(layouts(x), layouts(b)):
+                assert_same_bits(polygon.project(x_in, b_in), want)
             nan_rows = np.isnan(want).any(axis=1)
             assert 100 < nan_rows.sum() < 1500
 

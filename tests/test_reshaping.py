@@ -32,7 +32,7 @@ from safecascade.reshaping import (
     validate_positive_basis,
 )
 
-from helpers import Raised, assert_same_bits, one_state_sets, outcome
+from helpers import Raised, assert_same_bits, layouts, one_state_sets, outcome
 from oracles import batch_b_l, batch_selection, one_state_b_l, set_violations
 
 GAP_DISCS = [CertificateSpec(Disc([0.0, 1.0], 0.99)), CertificateSpec(Disc([0.0, -1.0], 0.99))]
@@ -339,8 +339,9 @@ def test_batched_selection_and_reshape_equal_the_array_reference_bit_for_bit():
     # The hand-built sets of helpers.one_state_sets (1-4 unit rows, c in
     # {0, 0.1, 0.9}, offsets across scales, NaN, signed zeros, and offset
     # pairs on the selection condition's bound), one batch per row count and
-    # coefficient. The selection, its slack, the violations there and b_l
-    # equal oracles' numpy reductions bit for bit, b_l both from the
+    # coefficient, each in C order, Fortran order and a transposed view. The
+    # selection, its slack, the violations there and b_l equal oracles'
+    # numpy reductions on C-order arrays bit for bit, b_l both from the
     # selection's slack and from drawn points, whose slack is computed
     # (some outside their set, some NaN in one row only); at c = 0.9 the
     # 11-row basis fails the coverage condition for the whole batch.
@@ -352,27 +353,29 @@ def test_batched_selection_and_reshape_equal_the_array_reference_bit_for_bit():
     seen = set()
     for k, ((n, c), sets) in enumerate(sorted(groups.items())):
         a, b = np.stack([s[0] for s in sets]), np.stack([s[1] for s in sets])
-        cs = ConstraintSet(a, b, c)
         k_phi = (0.0, 0.7, 2.0)[k % 3]
         want = batch_selection(a, b, c)
-        got = selection_with_slack(cs)
-        for g, w in zip(got, want):
-            assert_same_bits(g, w)
-        assert_same_bits(cs.violations(want[0]), set_violations(a, b, c, want[0]))
         drawn = rng.normal(scale=0.1, size=(b.shape[0], 2))
-        for selection, slack in ((want[0], want[1]), (drawn, None)):
-            want_b_l = outcome(lambda: batch_b_l(
-                selection, -set_violations(a, b, c, selection) if slack is None else slack,
-                a, c, basis.a_l, basis.c_a, k_phi))
-            got_b_l = outcome(lambda: reshape_b_l(selection, cs, basis, k_phi, slack=slack))
-            if isinstance(want_b_l, Raised):
-                assert got_b_l == want_b_l
-                seen.add(want_b_l[0].__name__)
-                continue
-            assert_same_bits(got_b_l, want_b_l)
-            nan_rows = np.isnan(want_b_l).any(axis=-1)
-            assert nan_rows.any() and not nan_rows.all(), (n, c)
-            seen.add((n, c))
+        want_b_l = {key: outcome(lambda: batch_b_l(
+            selection, -set_violations(a, b, c, selection) if slack is None else slack,
+            a, c, basis.a_l, basis.c_a, k_phi)) for key, selection, slack in
+            (("selection", want[0], want[1]), ("drawn", drawn, None))}
+        for (_, a_in), (_, b_in), (_, u), (_, s), (_, d) in zip(
+                layouts(a, 2), layouts(b), layouts(want[0]), layouts(want[1]), layouts(drawn)):
+            cs = ConstraintSet(a_in, b_in, c)
+            for g, w in zip(selection_with_slack(cs), want):
+                assert_same_bits(g, w)
+            assert_same_bits(cs.violations(u), set_violations(a, b, c, want[0]))
+            for key, selection, slack in (("selection", u, s), ("drawn", d, None)):
+                got_b_l = outcome(lambda: reshape_b_l(selection, cs, basis, k_phi, slack=slack))
+                if isinstance(want_b_l[key], Raised):
+                    assert got_b_l == want_b_l[key]
+                    seen.add(want_b_l[key][0].__name__)
+                    continue
+                assert_same_bits(got_b_l, want_b_l[key])
+                nan_rows = np.isnan(want_b_l[key]).any(axis=-1)
+                assert nan_rows.any() and not nan_rows.all(), (n, c)
+                seen.add((n, c))
     assert seen == {"CoverageConditionError"} | {(n, c) for n in (1, 2, 3, 4) for c in (0.0, 0.1)}
 
 

@@ -6,11 +6,11 @@ Each tree runs with its own PYTHONPATH=src: `run` on both bundled configs,
 on both with the start shifted to (-1.9, 1.1) (inside the benchmark's
 seeded start range), and on a vtol_nonlinear and a velocity_loop variant,
 `example1`, `example2`, `audit` on both configs and at `cascade.k1 = estimate`, and a
-short `run` at `cascade.k1 = estimate` with the safe config's two walls and
-with a third obstacle, a disc (the gain rows of metrics.json carry k1 at
-full precision, where `audit` prints it with :g). Prints "same" or
-"differs" per file and stdout, ignoring only metrics.json's runtime_s, and
-exits 1 on any difference.
+short `run` at `cascade.k1 = estimate` with the safe config's two walls, with
+a third obstacle, a disc, and on a 21-row basis (the gain rows of
+metrics.json carry k1 at full precision, where `audit` prints it with :g).
+Prints "same" or "differs" per file and stdout, ignoring only
+metrics.json's runtime_s, and exits 1 on any difference.
 """
 import json
 import os
@@ -28,13 +28,14 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "estimate": ("vtol_safe", {"cascade.k1": "estimate"}),
     "three": ("vtol_safe", {"cascade.k1": "estimate", "obstacle.3.kind": "disc",
                             "obstacle.3.center_m": "3.5, 6.0", "obstacle.3.radius_m": "0.5"}),
+    "estimate_wide": ("vtol_safe", {"cascade.k1": "estimate", "reshape.directions": "21"}),
     "nonlinear": ("vtol_unsafe", {"plant.kind": "vtol_nonlinear"}),
     "velocity": ("vtol_safe", {"plant.kind": "velocity_loop", "cascade.k_tracking": ""}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
-               for n in ("estimate", "three")},
+               for n in ("estimate", "three", "estimate_wide")},
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"] for n in ("safe", "unsafe", "estimate")},
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
