@@ -9,7 +9,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -18,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import gain_ledger, in_row_blocks, k_selection_audit, small_gain_audit
-from .certificates import CertificateSpec, Disc, disjointness_audit
+from .cascade import gain_ledger, in_row_blocks
+from .certificates import CertificateSpec, Disc
 from .errors import ConfigError, SafecascadeError
 from .output import (
     metrics_document,
@@ -28,11 +27,11 @@ from .output import (
     write_scene_svg,
     write_trajectory_csv,
 )
-from .qcqp_safety import disc_constraint_set, lipschitz_selection, rate_condition_audit
+from .qcqp_safety import disc_constraint_set, lipschitz_selection
 from .qp_solver import Polyhedron, solve_projection_qp
 from .reshaping import (MAX_DIRECTIONS, make_positive_basis, reshape_b_l, reshaped_filter,
                         sample_polytope_2d, validate_positive_basis)
-from .scenario import Scenario, build_scenario, check_time_grid, load_scenario
+from .scenario import DesignReport, build_scenario, check_time_grid, load_scenario
 from .sim import run_closed_loop, trajectory_metrics
 
 EXIT_OK = 0
@@ -267,37 +266,10 @@ def cmd_example2(out_dir: str | Path, radius: float = 0.99, field_grid: int = 10
     return EXIT_OK
 
 
-def _scenario_audits(scenario: Scenario) -> tuple[list | None, dict | None, dict | None]:
-    gain_rows = None
-    small_gain = None
-    if scenario.gains is not None:
-        gain_rows = [dataclasses.asdict(lm) for lm in k_selection_audit(scenario.gains)]
-        sg = small_gain_audit(scenario.gains)
-        small_gain = {
-            "tau": sg.tau,
-            "tracking_slope": sg.tracking_slope,
-            "tracking_contractive": sg.tracking_contractive,
-            "safety_loop_slope": sg.safety_loop_slope,
-            "safety_loop_contractive": sg.safety_loop_contractive,
-        }
-    basis_summary = None
-    basis = scenario.controller.rho1.basis
-    if basis is not None:
-        report = basis.report
-        basis_summary = {
-            "directions": basis.n_l,
-            "coverage_constant": basis.c_a,
-            "max_unit_norm_deviation": report.max_unit_norm_deviation,
-            "min_subset_sigma": report.min_subset_sigma,
-            "coverage_failures": report.coverage_failures,
-            "samples": report.samples,
-        }
-    return gain_rows, small_gain, basis_summary
-
-
 def cmd_run(config_path: str | Path, out_dir: str | Path,
             dt: float | None = None, horizon: float | None = None) -> int:
-    """Audit + simulate a scenario and write trajectory.csv/path.svg/metrics.json."""
+    """Simulate a scenario and write trajectory.csv/path.svg/metrics.json, the
+    last with its design record's gain, small-gain and basis parts."""
     started = time.perf_counter()
     try:
         cfg = load_scenario(config_path)
@@ -311,24 +283,17 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        gain_rows, small_gain, basis_summary = _scenario_audits(scenario)
         traj = run_closed_loop(
             scenario.plant, scenario.controller, scenario.x0,
             scenario.horizon, scenario.dt, workspace=scenario.workspace,
         )
         certs = scenario.controller.rho1.certs
         mets = trajectory_metrics(traj, certs)
+        doc = metrics_document(cfg.source_hash, time.perf_counter() - started,
+                               DesignReport(scenario), mets)
     except SafecascadeError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM
-    doc = metrics_document(
-        scenario_hash=cfg.source_hash,
-        runtime_s=time.perf_counter() - started,
-        gain_audit=gain_rows,
-        small_gain=small_gain,
-        basis_validation=basis_summary,
-        metrics=mets,
-    )
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -344,7 +309,7 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
 
 
 def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
-    """Print the design audits for a scenario; always exits 0 once parsed."""
+    """Print a scenario's design record; always exits 0 once parsed."""
     try:
         cfg = load_scenario(config_path)
         scenario = build_scenario(cfg)
@@ -353,7 +318,8 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
         return EXIT_CONFIG
     if seed is not None:
         scenario.seed = seed
-    gain_rows, sg, basis = _scenario_audits(scenario)
+    design = DesignReport(scenario)
+    contractive = lambda holds: "contractive" if holds else "NOT contractive"
     if scenario.gains is not None:
         g = scenario.gains
         k1_source = "estimated" if scenario.k1_estimated else "configured"
@@ -363,38 +329,28 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
             row = "  ".join(f"kbar({p},{i})={kbar[p, i]:.6g}" for p in range(1, i + 1))
             print(f"  level {i}: {row}")
         print("gain-selection margins:")
-        for lvl in gain_rows:
-            note = "" if lvl["level"] > 2 else f"  (level 2 uses the {k1_source} outer constant)"
-            print(f"  level {lvl['level']}: K={lvl['k_tracking']:g} rhs={lvl['rhs_slope']:.6g} "
-                  f"margin={lvl['margin']:+.6g}{note}")
-        print(f"small gain: tracking slope {sg['tracking_slope']:.6g} "
-              f"({'contractive' if sg['tracking_contractive'] else 'NOT contractive'}), "
-              f"safety loop slope {sg['safety_loop_slope']:.6g} "
-              f"({'contractive' if sg['safety_loop_contractive'] else 'NOT contractive'})")
+        for lvl in design.gain_margins:
+            note = "" if lvl.level > 2 else f"  (level 2 uses the {k1_source} outer constant)"
+            print(f"  level {lvl.level}: K={lvl.k_tracking:g} rhs={lvl.rhs_slope:.6g} "
+                  f"margin={lvl.margin:+.6g}{note}")
+        sg = design.small_gain
+        print(f"small gain: tracking slope {sg.tracking_slope:.6g} "
+              f"({contractive(sg.tracking_contractive)}), safety loop slope "
+              f"{sg.safety_loop_slope:.6g} ({contractive(sg.safety_loop_contractive)})")
     else:
         print("no cascade gains configured (single-level law)")
-    if basis is not None:
-        print(f"basis: n_l={basis['directions']} c_a={basis['coverage_constant']:.6g} "
-              f"unit-norm dev {basis['max_unit_norm_deviation']:.2e}, "
-              f"min subset sigma {basis['min_subset_sigma']:.4f}, "
-              f"coverage failures {basis['coverage_failures']}/{basis['samples']}")
-    law = scenario.controller.rho1
-    if law.certs:
-        rep = disjointness_audit(law.certs, scenario.workspace,
-                                 samples=cfg["audit.samples"], seed=scenario.seed)
+    if design.basis is not None:
+        basis, rep = design.basis, design.basis.report
+        print(f"basis: n_l={basis.n_l} c_a={basis.c_a:.6g} "
+              f"unit-norm dev {rep.max_unit_norm_deviation:.2e}, "
+              f"min subset sigma {rep.min_subset_sigma:.4f}, "
+              f"coverage failures {rep.coverage_failures}/{rep.samples}")
+    rep = design.disjointness
+    if rep is not None:
         grad_floor = "n/a" if math.isinf(rep.min_gradient_norm) else f"{rep.min_gradient_norm:.4f}"
         print(f"disjointness: {rep.joint_violations} joint-superlevel samples out of "
               f"{rep.samples}; gradient floor {grad_floor}")
-        # V = exp(-h) is largest where h is least: h >= -safe distance for
-        # a segment, h >= -R^2 for a disc.
-        v_max = max(math.exp(c.geometry.radius ** 2 if isinstance(c.geometry, Disc) else c.safe_distance)
-                    for c in law.certs)
-        rc = rate_condition_audit(
-            law.rates, law.certs[0].level, scenario.threshold,
-            cfg["cascade.theta"], cfg["cascade.gamma_12_slope"],
-            law.bounds, v_max=max(v_max, scenario.threshold * 1.01),
-            grid=cfg["audit.grid"],
-        )
+        rc = design.rate_condition
         print(f"rate condition above threshold {rc.threshold:g}: "
               f"min margin {rc.min_margin:+.6g} at V={rc.argmin_v:.4g} "
               f"({'holds' if rc.holds else 'does NOT hold'})")

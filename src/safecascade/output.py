@@ -10,6 +10,7 @@ checked against it before writing.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .certificates import CertificateSpec, Disc, Segment
+from .scenario import DesignReport
 from .sim import Trajectory, TrajectoryMetrics
 
 NUM_FORMAT = "{:.9g}"
@@ -162,16 +164,12 @@ def _validate_node(value, schema: dict, path: str, problems: list[str]) -> None:
             _validate_node(item, schema["items"], f"{path}[{i}]", problems)
 
 
-def metrics_document(
-    scenario_hash: str,
-    runtime_s: float,
-    gain_audit: list | None,
-    small_gain: dict | None,
-    basis_validation: dict | None,
-    metrics: TrajectoryMetrics | None,
-) -> dict:
-    """Assemble the metrics JSON with explicit nulls for absent sections."""
-    trajectory = None
+def metrics_document(scenario_hash: str, runtime_s: float, design: DesignReport,
+                     metrics: TrajectoryMetrics | None) -> dict:
+    """Assemble the metrics JSON from a run's DesignReport (its gain,
+    small-gain and basis parts) and trajectory metrics, with explicit nulls
+    for absent sections."""
+    trajectory, basis = None, design.basis
     if metrics is not None:
         trajectory = {
             "min_clearance": metrics.min_clearance,
@@ -186,9 +184,11 @@ def metrics_document(
         "schema_version": 1,
         "scenario_hash": scenario_hash,
         "runtime_s": runtime_s,
-        "gain_audit": gain_audit,
-        "small_gain": small_gain,
-        "basis_validation": basis_validation,
+        "gain_audit": None if design.gain_margins is None else list(map(asdict, design.gain_margins)),
+        "small_gain": None if design.small_gain is None else asdict(design.small_gain),
+        "basis_validation": None if basis is None else {
+            "directions": basis.n_l, "coverage_constant": basis.c_a,
+            **{k: v for k, v in asdict(basis.report).items() if k != "first_failure"}},
         "trajectory": trajectory,
     }
 

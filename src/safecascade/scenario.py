@@ -1,6 +1,6 @@
-"""Scenario configuration: a flat dotted-key text format and the builders
-that turn a parsed config into certificates, basis, gains, controller and
-plant.
+"""Scenario configuration: a flat dotted-key text format, the builders that
+turn a parsed config into certificates, basis, gains, controller and plant,
+and DesignReport, the one record of every design check of a built scenario.
 
 Key reference (suffixes document units: _m meters, _s seconds, _mps2 m/s^2).
 Each key's parser, default and admissible range live in KEYS (obstacle keys
@@ -60,24 +60,28 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .cascade import CascadeController, CascadeGains, SafetyLaw, estimate_lipschitz
+from .cascade import (CascadeController, CascadeGains, LevelMargin, SafetyLaw, SmallGainReport,
+                      estimate_lipschitz, k_selection_audit, small_gain_audit)
 # eval_segment is unused here but stays importable: the benchmark's trace
 # hooks (benchmarks/workloads.py) rebind scenario.eval_segment.
 from .certificates import (  # noqa: F401
     MIN_AUDIT_SAMPLES,
     CertificateSpec,
+    DisjointnessReport,
     Disc,
     Segment,
+    disjointness_audit,
     eval_segment,
     exp_alpha_bar_for_level,
 )
 from .errors import ConfigError, DegenerateGeometryError, SafecascadeError
-from .qcqp_safety import PlantBounds, RateSpec
+from .qcqp_safety import PlantBounds, RateConditionReport, RateSpec, rate_condition_audit
 from .reshaping import MAX_DIRECTIONS, PositiveBasis, cbar_a, make_positive_basis
 from .sim import IDENTIFIED_T2, IDENTIFIED_T3, IDENTIFIED_T4, IntegratorChain, PlantModel, VelocityLoop, VtolNonlinear
 
@@ -146,6 +150,15 @@ MAX_AUDIT_SAMPLES = 10**6
 # about 2 s (and their grid 8 MB).
 MAX_AUDIT_GRID = 10**6
 
+# The deepest a state reaches into an obstacle, -h: a segment's safe distance,
+# a disc's R^2. V = exp(-h) is largest there and the rate audit runs up to that
+# V, so it must be finite with room for the products taken with it:
+# exp(700) is about 1e304.
+MAX_CLEARANCE_DEPTH = 700.0
+
+# The safety loop's small-gain slope is gamma_12^2 / tau: 1e150 squares to 1e300.
+MAX_GAMMA_12_SLOPE = 1e150
+
 KEYS: dict[str, Key] = {
     "plant.kind": _choice("integrator_chain", "integrator_chain", "velocity_loop", "vtol_nonlinear"),
     "plant.levels": _count(4, 1),
@@ -167,7 +180,8 @@ KEYS: dict[str, Key] = {
                               "finite positive numbers"),
     "cascade.tau": _positive(1.001),
     "cascade.theta": _positive(0.001),
-    "cascade.gamma_12_slope": _positive(4.0),
+    "cascade.gamma_12_slope": Key(float, 4.0, lambda v: 0.0 < v <= MAX_GAMMA_12_SLOPE,
+                                  f"positive, at most {MAX_GAMMA_12_SLOPE:g}"),
     "cascade.gamma_x2v_slope": _positive(0.25),
     "cascade.k1": Key(str, "estimate", _k1_ok, "a finite positive number or 'estimate'"),
     # A grid of one point per axis has no slope to estimate.
@@ -192,9 +206,11 @@ OBSTACLE_KEYS: dict[str, Key] = {
     "kind": _choice(None, "segment", "disc"),
     "p1_m": _pair(),
     "p2_m": _pair(),
-    "safe_distance_m": _positive(),
+    "safe_distance_m": Key(float, None, lambda v: 0.0 < v <= MAX_CLEARANCE_DEPTH,
+                           f"positive, at most {MAX_CLEARANCE_DEPTH:g}"),
     "center_m": _pair(),
-    "radius_m": _positive(),
+    "radius_m": Key(float, None, lambda v: 0.0 < v and v * v <= MAX_CLEARANCE_DEPTH,
+                    f"positive, its square at most {MAX_CLEARANCE_DEPTH:g}"),
 }
 _OBSTACLE_SHAPES = {
     "segment": {"p1_m", "p2_m", "safe_distance_m"},
@@ -435,3 +451,48 @@ def estimate_safety_law_lipschitz(law: SafetyLaw, workspace, grid: int) -> float
                 values[h[..., j] < 0] = math.nan
         return values
     return estimate_lipschitz(masked, workspace, grid=grid)
+
+
+@dataclass(frozen=True)
+class DesignReport:
+    """Every design check of one scenario, each part computed on first read
+    and kept. The gain-selection margins and the small-gain report are None
+    without cascade gains; the basis (its report is its validation) and the
+    disjointness and rate-condition audits are None without certificates.
+    `run` records the first three and never pays for the sampled audits."""
+
+    scenario: Scenario
+
+    @cached_property
+    def gain_margins(self) -> list[LevelMargin] | None:
+        return None if self.scenario.gains is None else k_selection_audit(self.scenario.gains)
+
+    @cached_property
+    def small_gain(self) -> SmallGainReport | None:
+        return None if self.scenario.gains is None else small_gain_audit(self.scenario.gains)
+
+    @property
+    def basis(self) -> PositiveBasis | None:
+        return self.scenario.controller.rho1.basis
+
+    @cached_property
+    def disjointness(self) -> DisjointnessReport | None:
+        s = self.scenario
+        certs = s.controller.rho1.certs
+        return disjointness_audit(certs, s.workspace, samples=s.config["audit.samples"],
+                                  seed=s.seed) if certs else None
+
+    @cached_property
+    def rate_condition(self) -> RateConditionReport | None:
+        s, law = self.scenario, self.scenario.controller.rho1
+        if not law.certs:
+            return None
+        # V = exp(-h) is largest where h is least: h >= -safe distance for
+        # a segment, h >= -R^2 for a disc (both bounded in OBSTACLE_KEYS).
+        v_max = max(math.exp(c.geometry.radius ** 2 if isinstance(c.geometry, Disc) else c.safe_distance)
+                    for c in law.certs)
+        return rate_condition_audit(
+            law.rates, law.certs[0].level, s.threshold,
+            s.config["cascade.theta"], s.config["cascade.gamma_12_slope"],
+            law.bounds, v_max=max(v_max, s.threshold * 1.01), grid=s.config["audit.grid"],
+        )

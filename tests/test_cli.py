@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safecascade
-from safecascade import cli, reshaping
+from safecascade import cli, reshaping, scenario
 from safecascade.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -302,6 +303,87 @@ def test_mutated_configs_run_to_a_documented_exit_code(text):
     assert "Traceback" not in err.getvalue()
 
 
+# The exit-code contract over the whole key table: each of these values in
+# place of each config key, and of each numeric command-line value.
+_HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "", "abc", "3",
+            "1.5", "1, 2", "1, 2, 3", "1, nan"]
+# A third obstacle, a disc, gives the disc keys an obstacle that reads them.
+_THIRD_DISC = "obstacle.3.kind = disc\nobstacle.3.center_m = 3.5, 6.0\nobstacle.3.radius_m = 0.5\n"
+
+
+def _exit_code(argv: list[str]):
+    """main's exit code for argv (a usage error's too), with RuntimeWarning
+    as an error; any exception, or a traceback printed, is returned as text."""
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+    return err.getvalue() if "Traceback" in err.getvalue() else code
+
+
+def test_every_key_and_flag_with_hostile_values_ends_in_a_documented_exit_code(tmp_path):
+    # Each config is vtol_safe.cfg with one key replaced: the obstacle keys
+    # on obstacle 1 (a segment), the disc keys on the third, a disc.
+    base = bundled_config("vtol_safe").read_text() + _THIRD_DISC
+    cfg, out, safe = str(tmp_path / "fuzz.cfg"), str(tmp_path / "out"), str(bundled_config("vtol_safe"))
+    keys = [*KEYS, *(f"obstacle.{3 if sub in ('center_m', 'radius_m') else 1}.{sub}"
+                     for sub in OBSTACLE_KEYS)]
+    bad = []
+    for key, value in itertools.product(keys, _HOSTILE):
+        Path(cfg).write_text(_with_key(base, key, value))
+        for argv in (["run", "--config", cfg, "--out", out, "--horizon", "0.02"],
+                     ["audit", "--config", cfg]):
+            code = _exit_code(argv)
+            if code not in (EXIT_OK, EXIT_CONFIG, EXIT_SIM):
+                bad.append((key, value, argv[0], code))
+    for value in _HOSTILE:
+        for argv in (["run", "--config", safe, "--out", out, f"--dt={value}", "--horizon", "0.02"],
+                     ["run", "--config", safe, "--out", out, "--dt", "0.01", f"--horizon={value}"],
+                     ["example1", "--out", out, f"--radius={value}", "--grid", "3"],
+                     ["example1", "--out", out, "--radius", "0.5", f"--grid={value}"],
+                     ["example2", "--out", out, f"--radius={value}", "--grid", "3"],
+                     ["example2", "--out", out, "--grid", "3", f"--seed={value}"],
+                     ["audit", "--config", safe, f"--seed={value}"],
+                     ["basis-check", f"--n-u={value}"],
+                     ["basis-check", f"--n-l={value}"],
+                     ["basis-check", f"--samples={value}"]):
+            code = _exit_code(argv)
+            if code not in (EXIT_OK, EXIT_CONFIG, EXIT_SIM):
+                bad.append((argv, code))
+    assert bad == []
+
+
+@pytest.mark.parametrize("key, value, code", [
+    # exp(27^2) overflowed in audit's upper end of V; 26.4^2 is below 700.
+    ("obstacle.3.radius_m", "27", EXIT_CONFIG),
+    ("obstacle.3.radius_m", "26.4", EXIT_OK),
+    # exp(710) overflowed, with a numpy warning, in the certificate values.
+    ("obstacle.1.safe_distance_m", "710", EXIT_CONFIG),
+    ("obstacle.1.safe_distance_m", "700", EXIT_OK),
+    # gamma_12^2 overflowed in the small-gain audit of run and of audit.
+    ("cascade.gamma_12_slope", "1e155", EXIT_CONFIG),
+    ("cascade.gamma_12_slope", "1e150", EXIT_OK),
+])
+def test_values_past_the_overflow_bounds_are_config_errors(tmp_path, capsys, key, value, code):
+    # The third obstacle, a disc, moved far outside the workspace.
+    text = _with_key(bundled_config("vtol_safe").read_text() + _THIRD_DISC,
+                     "obstacle.3.center_m", "40, 40")
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(_with_key(text, key, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["audit", "--config", str(cfg)]) == code
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--horizon", "0.02"]) == code
+    err = capsys.readouterr().err
+    assert ("config error" in err) == (code == EXIT_CONFIG) and "Traceback" not in err
+
+
 def test_time_grid_holds_at_most_max_steps():
     check_time_grid(1.0, float(MAX_STEPS))
     with pytest.raises(ConfigError, match="more than"):
@@ -452,6 +534,34 @@ def test_run_and_audit_validate_the_basis_once(tmp_path, monkeypatch):
     calls.clear()
     assert main(["audit", "--config", str(bundled_config("vtol_unsafe"))]) == EXIT_OK
     assert calls == [500]
+
+
+def test_run_records_its_checks_and_audit_computes_each_once(tmp_path, monkeypatch):
+    # run writes the gain, small-gain and basis parts of the design record
+    # and never computes the two sampled audits; audit prints every part,
+    # each computed once.
+    argv = ["run", "--config", str(bundled_config("vtol_safe")), "--horizon", "0.05", "--out"]
+    assert main(argv + [str(tmp_path / "plain")]) == EXIT_OK
+
+    def refused(*args, **kwargs):
+        raise AssertionError("run computed a check that metrics.json does not carry")
+
+    with monkeypatch.context() as patch:
+        for name in ("disjointness_audit", "rate_condition_audit"):
+            patch.setattr(scenario, name, refused)
+        assert main(argv + [str(tmp_path / "refused")]) == EXIT_OK
+    docs = [json.loads((tmp_path / sub / "metrics.json").read_text()) for sub in ("plain", "refused")]
+    for doc in docs:
+        del doc["runtime_s"]
+    assert docs[0] == docs[1] and docs[0]["basis_validation"] is not None
+    calls = []
+    for name in ("k_selection_audit", "small_gain_audit", "disjointness_audit", "rate_condition_audit"):
+        audit = getattr(scenario, name)
+        monkeypatch.setattr(scenario, name, lambda *a, _audit=audit, _name=name, **k:
+                            calls.append(_name) or _audit(*a, **k))
+    assert main(["audit", "--config", str(bundled_config("vtol_safe"))]) == EXIT_OK
+    assert sorted(calls) == ["disjointness_audit", "k_selection_audit", "rate_condition_audit",
+                             "small_gain_audit"]
 
 
 def test_basis_check_validates_the_basis_once(monkeypatch, capsys):
@@ -613,13 +723,13 @@ def test_audit_rate_condition_spans_the_reachable_certificate_values(tmp_path, m
     # V = exp(-h) is largest at the least clearance, -R^2 for a disc and
     # -safe distance for a segment, whatever the level.
     seen = []
-    audit = cli.rate_condition_audit
+    audit = scenario.rate_condition_audit
 
     def recorded(*args, **kwargs):
         seen.append(kwargs["v_max"])
         return audit(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "rate_condition_audit", recorded)
+    monkeypatch.setattr(scenario, "rate_condition_audit", recorded)
     cfg = tmp_path / "rate.cfg"
     cfg.write_text(text)
     assert cmd_audit(cfg) == EXIT_OK

@@ -5,10 +5,12 @@ Usage: python3 tools/compare_outputs.py OTHER_ROOT
 Each tree runs with its own PYTHONPATH=src: `run` on both bundled configs,
 on both with the start shifted to (-1.9, 1.1) (inside the benchmark's
 seeded start range), and on a vtol_nonlinear and a velocity_loop variant,
-`example1`, `example2`, `audit` on both configs and at `cascade.k1 = estimate`, and a
-short `run` at `cascade.k1 = estimate` with the safe config's two walls, with
-a third obstacle, a disc, and on a 21-row basis (the gain rows of
-metrics.json carry k1 at full precision, where `audit` prints it with :g).
+`example1`, `example2`, a short `run` at `cascade.k1 = estimate` with the
+safe config's two walls, with a third obstacle, a disc, and on a 21-row basis
+(the gain rows of metrics.json carry k1 at full precision, where `audit`
+prints it with :g), and `audit` on both configs and on every variant but the
+shifted starts, so each branch of the design record is printed: the disc's
+exp(R^2) upper end of V, a 21-row basis, and no cascade gains (velocity).
 Prints "same" or "differs" per file and stdout, ignoring only
 metrics.json's runtime_s, and exits 1 on any difference.
 """
@@ -36,7 +38,8 @@ COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
                for n in ("estimate", "three", "estimate_wide")},
-            **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"] for n in ("safe", "unsafe", "estimate")},
+            **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
+               for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "nonlinear", "velocity")},
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
 
