@@ -18,7 +18,6 @@ from .cascade import (
     CascadeGains,
     SafetyLaw,
     estimate_lipschitz,
-    gain_ledger,
     k_selection_audit,
     small_gain_audit,
     tracking_law,

@@ -1,5 +1,5 @@
 """Recursive cascade controller: safety filter outer loop plus closed-form
-tracking laws, with the gain bookkeeping needed to audit a design.
+tracking laws, with the gain arithmetic needed to audit a design.
 
 The controller is data: the outer safety law (SafetyLaw) plus its gains.
 The outer virtual control x2* comes from the reshaped safety filter of a
@@ -7,8 +7,8 @@ constant nominal input; each inner level tracks the previous virtual
 control with rho_i(e) = -(e / |e|) * (g_lower/(g_lower - delta)) * K_i |e|,
 which for integrator chains is plain proportional feedback -K_i e. Without
 safety constraints the cascade is standard constructive control. The
-ledger utilities compute the Lipschitz products that appear in the
-gain-selection inequality and the small-gain contraction checks.
+gains' Lipschitz products (CascadeGains.kbar) feed the gain-selection
+inequality, and the small-gain audit checks contraction.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ ESTIMATE_BLOCK_STATES = 2048
 
 @dataclass(frozen=True)
 class CascadeGains:
-    """Gain ledger for an m-level cascade over an integrator chain.
+    """Gains of an m-level cascade over an integrator chain.
 
     tracking_slopes are K_2..K_m (1/s each); k1 is the estimated Lipschitz
     constant of the outer safety law; tau > 1 and theta > 0 are the
@@ -68,62 +68,19 @@ class CascadeGains:
         return self.tracking_slopes[level - 2]
 
     def lipschitz_entry(self, level: int) -> float:
-        """Ledger entry k_level: the estimated k1 at level 1, else 2 K_level."""
+        """Lipschitz entry k_level: the estimated k1 at level 1, else 2 K_level."""
         if level == 1:
             return self.k1
         return 2.0 * self.tracking_slope(level)
 
     def kbar(self, p: int, i: int) -> float:
-        """Product of ledger entries k_p ... k_i; zero when p > i."""
+        """Product of Lipschitz entries k_p ... k_i; zero when p > i."""
         if p > i:
             return 0.0
         prod = 1.0
         for j in range(p, i + 1):
             prod *= self.lipschitz_entry(j)
         return prod
-
-
-@dataclass(frozen=True)
-class LevelGains:
-    """Interconnection slopes feeding one tracking level of the ledger."""
-
-    level: int
-    alpha_rho0_slope: float
-    alpha_cert_slope: float
-    alpha_mid_slopes: tuple[float, ...]
-    alpha_self_slope: float
-
-
-@dataclass(frozen=True)
-class GainLedger:
-    levels: tuple[LevelGains, ...]
-    kbar_table: dict
-
-
-def gain_ledger(gains: CascadeGains) -> GainLedger:
-    """Slope table of the interconnection gains for an integrator chain.
-
-    For level i: the nominal-input channel has slope kbar(1, i-1); the
-    certificate channel is that slope through gamma_x2v; the middle channels
-    j = 2..i-1 have slope kbar(j, i-1) K_j + kbar(j-1, i-1); and the
-    self channel has slope k_{i-1}. Empty products are zero.
-    """
-    levels = []
-    for i in range(2, gains.m + 1):
-        mids = tuple(
-            gains.kbar(j, i - 1) * gains.tracking_slope(j) + gains.kbar(j - 1, i - 1)
-            for j in range(2, i)
-        )
-        levels.append(LevelGains(
-            level=i,
-            alpha_rho0_slope=gains.kbar(1, i - 1),
-            alpha_cert_slope=gains.kbar(1, i - 1) * gains.gamma_x2v_slope,
-            alpha_mid_slopes=mids,
-            alpha_self_slope=gains.lipschitz_entry(i - 1),
-        ))
-    kbar_table = {(p, i): gains.kbar(p, i)
-                  for i in range(1, gains.m + 1) for p in range(1, i + 1)}
-    return GainLedger(levels=tuple(levels), kbar_table=kbar_table)
 
 
 @dataclass(frozen=True)
@@ -139,21 +96,26 @@ class LevelMargin:
 def k_selection_audit(gains: CascadeGains) -> list[LevelMargin]:
     """Margins K_i - RHS of the integrator-chain gain-selection inequality.
 
-    RHS slope at level i, from the gain_ledger slopes:
-    theta + tau + tau * alpha_rho0 + alpha_cert * tau / gamma_12
-    + tau * sum(alpha_mid) + alpha_self.
+    With kbar(p, q) = k_p ... k_q, the RHS slope at level i is
+    theta + tau plus four channels: the nominal input, tau * kbar(1, i-1);
+    the certificate, kbar(1, i-1) * gamma_x2v * tau / gamma_12; the middle
+    levels, tau * sum over j = 2..i-1 of kbar(j, i-1) K_j + kbar(j-1, i-1);
+    and self, k_{i-1}. So it reads only k1 and K_2 ... K_{i-1}.
     The self term at level 2 uses the estimated k1 (no K_1 exists); its
     margin is reported without any pass expectation. Never raises: negative
     margins are data, and deliberately unsafe gain sets are simulated too.
     """
     out = []
     tau = gains.tau
-    for lvl in gain_ledger(gains).levels:
-        rhs = (gains.theta + tau + tau * lvl.alpha_rho0_slope
-               + lvl.alpha_cert_slope * tau / gains.gamma_12_slope
-               + tau * sum(lvl.alpha_mid_slopes) + lvl.alpha_self_slope)
-        k_i = gains.tracking_slope(lvl.level)
-        out.append(LevelMargin(level=lvl.level, k_tracking=k_i, rhs_slope=rhs, margin=k_i - rhs))
+    for i in range(2, gains.m + 1):
+        nominal = gains.kbar(1, i - 1)
+        middle = sum(gains.kbar(j, i - 1) * gains.tracking_slope(j) + gains.kbar(j - 1, i - 1)
+                     for j in range(2, i))
+        rhs = (gains.theta + tau + tau * nominal
+               + nominal * gains.gamma_x2v_slope * tau / gains.gamma_12_slope
+               + tau * middle + gains.lipschitz_entry(i - 1))
+        k_i = gains.tracking_slope(i)
+        out.append(LevelMargin(level=i, k_tracking=k_i, rhs_slope=rhs, margin=k_i - rhs))
     return out
 
 

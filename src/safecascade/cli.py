@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import gain_ledger, in_row_blocks
+from .cascade import in_row_blocks
 from .certificates import CertificateSpec, Disc
 from .errors import ConfigError, SafecascadeError
 from .output import (
@@ -324,9 +324,8 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
         g = scenario.gains
         k1_source = "estimated" if scenario.k1_estimated else "configured"
         print(f"gain ledger (k1 = {g.k1:g}{' estimated' if scenario.k1_estimated else ''}):")
-        kbar = gain_ledger(g).kbar_table
         for i in range(1, g.m + 1):
-            row = "  ".join(f"kbar({p},{i})={kbar[p, i]:.6g}" for p in range(1, i + 1))
+            row = "  ".join(f"kbar({p},{i})={g.kbar(p, i):.6g}" for p in range(1, i + 1))
             print(f"  level {i}: {row}")
         print("gain-selection margins:")
         for lvl in design.gain_margins:

@@ -332,21 +332,19 @@ def rate_condition_audit(
     grid: int = 200,
 ) -> RateConditionReport:
     """Check alpha_j((c-v)/c * V) >= theta V + (1 + d/g) V/gw over sampled V
-    in [threshold, v_max]. Report-only."""
+    in [threshold, v_max], every grid point in one array expression. The
+    report names the first least margin; np.argmin takes a NaN margin before
+    any number, so a NaN reads as not holding. Report-only."""
     if threshold <= level:
         raise ValueError("threshold must exceed the certificate level")
     vs = np.linspace(threshold, max(v_max, threshold), grid)
     frac = (threshold - level) / threshold
-    min_margin, argmin_v = math.inf, threshold
-    for v in vs:
-        lhs = rate.rate(frac * v)
-        margin = lhs - (theta * v + (1.0 + bounds.norm_coefficient) * (v / gamma_w_slope))
-        if margin < min_margin:
-            min_margin, argmin_v = margin, float(v)
+    margins = rate.rate(frac * vs) - (theta * vs + (1.0 + bounds.norm_coefficient) * (vs / gamma_w_slope))
+    k = int(np.argmin(margins))
     return RateConditionReport(
         threshold=threshold,
         v_max=v_max,
-        min_margin=min_margin,
-        argmin_v=argmin_v,
-        holds=bool(min_margin >= 0.0),
+        min_margin=float(margins[k]),
+        argmin_v=float(vs[k]),
+        holds=bool(margins[k] >= 0.0),
     )

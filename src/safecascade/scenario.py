@@ -102,8 +102,13 @@ def _numbers(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def _positive(default=None) -> Key:
-    return Key(float, default, lambda v: 0.0 < v < math.inf, "finite and positive")
+def _positive(default=None, most: float = math.inf) -> Key:
+    rule = "finite and positive" if most == math.inf else f"positive, at most {most:g}"
+    return Key(float, default, lambda v: 0.0 < v < math.inf and v <= most, rule)
+
+
+def _between(default: float, least: float, most: float) -> Key:
+    return Key(float, default, lambda v: least <= v <= most, f"{least:g} to {most:g}")
 
 
 def _count(default: int, least: int, most: float = math.inf) -> Key:
@@ -145,9 +150,9 @@ MAX_K1_GRID = 2000
 # certificates, so 10^6 samples take about 110 MB.
 MAX_AUDIT_SAMPLES = 10**6
 
-# The finest rate-condition audit grid: the audit evaluates the rate at one
-# grid point at a time in Python, about 2 us a point, so 10^6 points take
-# about 2 s (and their grid 8 MB).
+# The finest rate-condition audit grid: the audit evaluates every grid point
+# in one array expression, whose arrays peak at about 40 bytes a point, so
+# 10^6 points take about 40 MB (and 0.05 s).
 MAX_AUDIT_GRID = 10**6
 
 # The deepest a state reaches into an obstacle, -h: a segment's safe distance,
@@ -159,6 +164,20 @@ MAX_CLEARANCE_DEPTH = 700.0
 # The safety loop's small-gain slope is gamma_12^2 / tau: 1e150 squares to 1e300.
 MAX_GAMMA_12_SLOPE = 1e150
 
+# The rate audit runs V up to exp(MAX_CLEARANCE_DEPTH) or 1.01 thresholds,
+# both at most 1.02e304, and a constraint offset takes the rate at such a V.
+# Each bound keeps one product with that V finite:
+# - certificate.level >= 1e-3: V / level <= 1.02e307 (alpha_bar's inverse);
+# - certificate.threshold <= 1e300: 1.01 thresholds stay below 1.02e304;
+# - rate.k_alpha <= 1e300: k_alpha * log1p(V / level) <= 7.1e302;
+# - cascade.theta <= 1e4 with cascade.gamma_12_slope >= 1e-3:
+#   theta V + 2 V / gamma_12 <= 1.23e308.
+MIN_CERTIFICATE_LEVEL = 1e-3
+MAX_CERTIFICATE_THRESHOLD = 1e300
+MAX_RATE_SLOPE = 1e300
+MAX_THETA = 1e4
+MIN_GAMMA_12_SLOPE = 1e-3
+
 KEYS: dict[str, Key] = {
     "plant.kind": _choice("integrator_chain", "integrator_chain", "velocity_loop", "vtol_nonlinear"),
     "plant.levels": _count(4, 1),
@@ -167,9 +186,10 @@ KEYS: dict[str, Key] = {
     "plant.t2": _pair(IDENTIFIED_T2, positive=True),
     "plant.t3": _pair(IDENTIFIED_T3, positive=True),
     "plant.t4": _pair(IDENTIFIED_T4, positive=True),
-    "certificate.level": _positive(1.0),
-    "certificate.threshold": _positive(1.4),
-    "rate.k_alpha": _positive(1.0),
+    # The level lies below the threshold.
+    "certificate.level": _between(1.0, MIN_CERTIFICATE_LEVEL, MAX_CERTIFICATE_THRESHOLD),
+    "certificate.threshold": _positive(1.4, MAX_CERTIFICATE_THRESHOLD),
+    "rate.k_alpha": _positive(1.0, MAX_RATE_SLOPE),
     "nominal.value": _pair(),
     "nominal.preset": _choice(None, "zero"),
     "reshape.directions": Key(int, 11, lambda v: v % 2 == 1 and 3 <= v <= MAX_DIRECTIONS,
@@ -179,9 +199,8 @@ KEYS: dict[str, Key] = {
     "cascade.k_tracking": Key(_numbers, (), lambda v: all(0.0 < k < math.inf for k in v),
                               "finite positive numbers"),
     "cascade.tau": _positive(1.001),
-    "cascade.theta": _positive(0.001),
-    "cascade.gamma_12_slope": Key(float, 4.0, lambda v: 0.0 < v <= MAX_GAMMA_12_SLOPE,
-                                  f"positive, at most {MAX_GAMMA_12_SLOPE:g}"),
+    "cascade.theta": _positive(0.001, MAX_THETA),
+    "cascade.gamma_12_slope": _between(4.0, MIN_GAMMA_12_SLOPE, MAX_GAMMA_12_SLOPE),
     "cascade.gamma_x2v_slope": _positive(0.25),
     "cascade.k1": Key(str, "estimate", _k1_ok, "a finite positive number or 'estimate'"),
     # A grid of one point per axis has no slope to estimate.
@@ -206,8 +225,7 @@ OBSTACLE_KEYS: dict[str, Key] = {
     "kind": _choice(None, "segment", "disc"),
     "p1_m": _pair(),
     "p2_m": _pair(),
-    "safe_distance_m": Key(float, None, lambda v: 0.0 < v <= MAX_CLEARANCE_DEPTH,
-                           f"positive, at most {MAX_CLEARANCE_DEPTH:g}"),
+    "safe_distance_m": _positive(None, MAX_CLEARANCE_DEPTH),
     "center_m": _pair(),
     "radius_m": Key(float, None, lambda v: 0.0 < v and v * v <= MAX_CLEARANCE_DEPTH,
                     f"positive, its square at most {MAX_CLEARANCE_DEPTH:g}"),
@@ -297,7 +315,6 @@ class Scenario:
     dt: float
     horizon: float
     workspace: tuple[tuple[float, float], tuple[float, float]]
-    threshold: float
     seed: int
     k1_estimated: bool
 
@@ -423,7 +440,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         dt=cfg["sim.dt_s"],
         horizon=cfg["sim.horizon_s"],
         workspace=workspace,
-        threshold=threshold,
         seed=cfg["seed"],
         k1_estimated=k1_estimated,
     )
@@ -487,12 +503,13 @@ class DesignReport:
         s, law = self.scenario, self.scenario.controller.rho1
         if not law.certs:
             return None
+        threshold = s.config["certificate.threshold"]
         # V = exp(-h) is largest where h is least: h >= -safe distance for
         # a segment, h >= -R^2 for a disc (both bounded in OBSTACLE_KEYS).
         v_max = max(math.exp(c.geometry.radius ** 2 if isinstance(c.geometry, Disc) else c.safe_distance)
                     for c in law.certs)
         return rate_condition_audit(
-            law.rates, law.certs[0].level, s.threshold,
+            law.rates, law.certs[0].level, threshold,
             s.config["cascade.theta"], s.config["cascade.gamma_12_slope"],
-            law.bounds, v_max=max(v_max, s.threshold * 1.01), grid=s.config["audit.grid"],
+            law.bounds, v_max=max(v_max, threshold * 1.01), grid=s.config["audit.grid"],
         )

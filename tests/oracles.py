@@ -3,7 +3,7 @@
 Everything here is deliberately brute force and shares no code with the
 package: face enumeration for projections, polar scans for the quadratic
 feasible sets, dense sampling for distances, and plain-loop arithmetic for
-the gain ledger.
+the gain products and the rate-condition audit.
 """
 import itertools
 import math
@@ -137,6 +137,23 @@ def ledger_products(k_tracking, k1):
                     prod *= lip[j]
                 kbar[(p, i)] = prod
     return kbar
+
+
+def rate_condition_by_loop(rate, level, threshold, theta, gamma_w_slope, norm_coefficient,
+                           v_max, grid):
+    """The rate-condition audit one grid point at a time: (least margin, its V)
+    for the first strict minimum over the grid. A NaN margin never compares
+    below another, so the loop skips it, and a grid of NaN margins gives
+    (inf, threshold)."""
+    vs = np.linspace(threshold, max(v_max, threshold), grid)
+    frac = (threshold - level) / threshold
+    min_margin, argmin_v = math.inf, threshold
+    for v in vs:
+        lhs = rate.rate(frac * v)
+        margin = lhs - (theta * v + (1.0 + norm_coefficient) * (v / gamma_w_slope))
+        if margin < min_margin:
+            min_margin, argmin_v = margin, float(v)
+    return min_margin, argmin_v
 
 
 def _fmt9(value):

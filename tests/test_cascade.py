@@ -13,7 +13,6 @@ from safecascade.cascade import (
     CascadeGains,
     SafetyLaw,
     estimate_lipschitz,
-    gain_ledger,
     k_selection_audit,
     small_gain_audit,
     tracking_law,
@@ -139,23 +138,15 @@ def test_ledger_stock_values():
     gains = CascadeGains(tracking_slopes=(8.0, 320.0), k1=3.49)
     assert gains.kbar(2, 2) == pytest.approx(16.0)
     assert gains.kbar(1, 2) == pytest.approx(55.84)
-    kbar = ledger_products({2: 8.0, 3: 320.0}, 3.49)
-    ledger = gain_ledger(gains)
-    for key, value in ledger.kbar_table.items():
-        assert value == pytest.approx(kbar[key], rel=1e-12)
+    for (p, i), value in ledger_products({2: 8.0, 3: 320.0}, 3.49).items():
+        assert gains.kbar(p, i) == pytest.approx(value, rel=1e-12)
 
 
 def test_ledger_empty_product_conventions():
     gains = CascadeGains(tracking_slopes=(8.0,), k1=2.0)
     assert gains.kbar(3, 2) == 0.0
     assert gains.kbar(2, 1) == 0.0
-    ledger = gain_ledger(gains)
-    assert len(ledger.levels) == 1
-    lvl = ledger.levels[0]
-    assert lvl.level == 2
-    assert lvl.alpha_mid_slopes == ()
-    assert lvl.alpha_rho0_slope == pytest.approx(2.0)    # kbar(1,1) = k1
-    assert lvl.alpha_self_slope == pytest.approx(2.0)    # k_{i-1} at i=2 is k1
+    assert gains.kbar(1, 1) == 2.0      # the level-2 channels read k1 alone
 
 
 def test_ledger_doubling_scan():

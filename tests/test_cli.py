@@ -384,6 +384,56 @@ def test_values_past_the_overflow_bounds_are_config_errors(tmp_path, capsys, key
     assert ("config error" in err) == (code == EXIT_CONFIG) and "Traceback" not in err
 
 
+def _largest_radius() -> float:
+    """The largest disc radius_m the parser accepts."""
+    ok = OBSTACLE_KEYS["radius_m"].ok
+    radius = math.sqrt(scenario.MAX_CLEARANCE_DEPTH)
+    while ok(math.nextafter(radius, math.inf)):
+        radius = math.nextafter(radius, math.inf)
+    while not ok(radius):
+        radius = math.nextafter(radius, 0.0)
+    return radius
+
+
+_EVERY_BOUND = {"rate.k_alpha": "1e300", "cascade.theta": "1e4", "cascade.gamma_12_slope": "1e-3",
+                "certificate.level": "1e-3"}
+
+
+@pytest.mark.parametrize("keys, code", [
+    # Each key in range alone, but theta V overflowed in the rate audit.
+    ({"cascade.theta": "1e300", "obstacle.1.safe_distance_m": "20"}, EXIT_CONFIG),
+    # V / gamma_12 overflowed in the rate audit.
+    ({"cascade.gamma_12_slope": "1e-300", "obstacle.1.safe_distance_m": "700"}, EXIT_CONFIG),
+    # alpha_bar's inverse, V / level, overflowed in the audit and in a run's offsets.
+    ({"certificate.level": "1e-300", "obstacle.1.safe_distance_m": "700"}, EXIT_CONFIG),
+    # k_alpha * log1p(V / level) overflowed in the audit and in a run's offsets.
+    ({"rate.k_alpha": "1e307", "cascade.theta": "1e300", "obstacle.1.safe_distance_m": "700"},
+     EXIT_CONFIG),
+    # theta V overflowed at V = 1.01 thresholds.
+    ({"certificate.threshold": "1e306", "cascade.theta": "1e4"}, EXIT_CONFIG),
+    # Every bound at once keeps each product finite: at the deepest segment,
+    # at the highest threshold, and in the largest disc, which holds the start.
+    ({**_EVERY_BOUND, "obstacle.1.safe_distance_m": "700"}, EXIT_OK),
+    ({**_EVERY_BOUND, "certificate.threshold": "1e300"}, EXIT_OK),
+    ({**_EVERY_BOUND, "obstacle.3.kind": "disc", "obstacle.3.center_m": "0, 2",
+      "obstacle.3.radius_m": repr(_largest_radius())}, EXIT_OK),
+], ids=["theta", "gamma_12", "level", "k_alpha", "threshold", "deepest_segment", "highest_threshold",
+        "largest_disc"])
+def test_keys_in_range_together_keep_the_rate_products_finite(tmp_path, capsys, keys, code):
+    text = bundled_config("vtol_safe").read_text()
+    for key, value in keys.items():
+        text = _with_key(text, key, value)
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["audit", "--config", str(cfg)]) == code
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--horizon", "0.02"]) == code
+    err = capsys.readouterr().err
+    assert ("config error" in err) == (code == EXIT_CONFIG) and "Traceback" not in err
+
+
 def test_time_grid_holds_at_most_max_steps():
     check_time_grid(1.0, float(MAX_STEPS))
     with pytest.raises(ConfigError, match="more than"):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw, gain_ledger
+from safecascade import scenario
+from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw
 from safecascade.certificates import CertificateSpec, Segment, exp_alpha_bar_for_level
 from safecascade.qcqp_safety import (
     PlantBounds,
@@ -11,7 +12,7 @@ from safecascade.qcqp_safety import (
     rate_condition_audit,
 )
 from safecascade.reshaping import make_positive_basis
-from safecascade.scenario import build_scenario, parse_config_text
+from safecascade.scenario import DesignReport, build_scenario, parse_config_text
 from safecascade.sim import (
     VelocityLoop,
     VtolNonlinear,
@@ -19,7 +20,8 @@ from safecascade.sim import (
     trajectory_metrics,
 )
 
-from helpers import bundled_config
+from helpers import assert_same_bits, bundled_config
+from oracles import rate_condition_by_loop
 
 WALLS = [
     CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
@@ -135,26 +137,71 @@ def test_rate_condition_with_drift_envelopes():
         assert report.holds is holds
 
 
-def test_gain_ledger_slope_table_matches_hand_loops():
-    gains = CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49,
-                         gamma_x2v_slope=0.25)
-    ledger = gain_ledger(gains)
-    by_level = {lvl.level: lvl for lvl in ledger.levels}
-    lip = {1: 3.49, 2: 16.0, 3: 640.0, 4: 8.0e5}
+def _matches_the_loop(rate, level, threshold, theta, gamma_w_slope, bounds, v_max, grid):
+    """The audit's report, after checking its least margin and that margin's
+    V bit for bit against the per-point loop."""
+    report = rate_condition_audit(rate, level, threshold, theta, gamma_w_slope, bounds,
+                                  v_max=v_max, grid=grid)
+    want = rate_condition_by_loop(rate, level, threshold, theta, gamma_w_slope,
+                                  bounds.norm_coefficient, v_max, grid)
+    assert_same_bits([report.min_margin, report.argmin_v], want)
+    assert report.holds is bool(want[0] >= 0.0)
+    return report
 
-    def kbar(p, i):
-        if p > i:
-            return 0.0
-        out = 1.0
-        for j in range(p, i + 1):
-            out *= lip[j]
-        return out
 
-    for i in (2, 3, 4):
-        lvl = by_level[i]
-        assert lvl.alpha_rho0_slope == pytest.approx(kbar(1, i - 1), rel=1e-12)
-        assert lvl.alpha_cert_slope == pytest.approx(kbar(1, i - 1) * 0.25, rel=1e-12)
-        assert lvl.alpha_self_slope == pytest.approx(lip[i - 1], rel=1e-12)
-        bigk = {2: 8.0, 3: 320.0, 4: 4.0e5}
-        mids = tuple(kbar(j, i - 1) * bigk[j] + kbar(j - 1, i - 1) for j in range(2, i))
-        assert lvl.alpha_mid_slopes == pytest.approx(mids, rel=1e-12)
+# The constants derived level by level for vtol_safe.cfg (ROADMAP item 2),
+# on a fine audit grid: the rate condition holds there.
+DERIVED_SET = {"cascade.k_tracking": "20.14, 1827, 1.503e7", "cascade.gamma_12_slope": "0.99",
+               "rate.k_alpha": "5", "cascade.k1": "estimate", "audit.grid": "100000"}
+
+
+@pytest.mark.parametrize("name, keys, holds", [
+    ("vtol_safe", {}, False),
+    ("vtol_unsafe", {}, False),
+    ("vtol_safe", DERIVED_SET, True),
+], ids=["safe", "unsafe", "derived"])
+def test_rate_condition_audit_of_a_config_matches_the_per_point_loop(monkeypatch, name, keys, holds):
+    seen = []
+    audit = scenario.rate_condition_audit
+    monkeypatch.setattr(scenario, "rate_condition_audit",
+                        lambda *args, **kwargs: seen.append((args, kwargs)) or audit(*args, **kwargs))
+    lines = [line for line in bundled_config(name).read_text().splitlines()
+             if line.split("=")[0].strip() not in keys]
+    text = "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
+    report = DesignReport(build_scenario(parse_config_text(text))).rate_condition
+    (args, kwargs), = seen
+    assert _matches_the_loop(*args, **kwargs) == report
+    assert report.holds is holds
+
+
+@pytest.mark.parametrize("grid", [2, 3, 200, 10**4])
+def test_rate_condition_audit_of_seeded_draws_matches_the_per_point_loop(grid):
+    # Draws of (k_alpha, theta, gamma_12, level, threshold) across scales,
+    # with and without a drift envelope; both verdicts occur.
+    rng = np.random.default_rng(grid)
+    verdicts = set()
+    for _ in range(40):
+        k_alpha, theta, gamma_w, level = 10.0 ** rng.uniform([-1, -4, -1, -3], [2, 0, 1, 1])
+        threshold = level * (1.0 + 10.0 ** rng.uniform(-2, 1))
+        bounds = PlantBounds(g_lower=1.0, delta_upper=float(rng.choice([0.0, 0.3])))
+        _, abar_inv = exp_alpha_bar_for_level(level)
+        rate = RateSpec(base_slope=k_alpha, alpha_bar_inverse=abar_inv, negative_ratio=bounds.gain_ratio)
+        v_max = threshold * 10.0 ** rng.uniform(0.0, 3.0)
+        verdicts.add(_matches_the_loop(rate, level, threshold, theta, gamma_w, bounds, v_max, grid).holds)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("inverse, first_nan_v", [
+    (lambda s: s * np.nan, 2.0),
+    # NaN where the offset frac V reaches 2, that is from V = 4 up.
+    (lambda s: np.where(s >= 2.0, np.nan, s), 4.0),
+], ids=["all_nan", "nan_from_4"])
+def test_rate_condition_audit_reads_a_nan_margin_as_not_holding(inverse, first_nan_v):
+    # Without the NaN the margin is 1.5 V - (1e-3 V + V / 0.8) > 0, which
+    # holds; the per-point loop skipped NaN margins and read "holds".
+    rate = RateSpec(base_slope=3.0, alpha_bar_inverse=inverse)
+    report = rate_condition_audit(rate, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
+                                  bounds=UNIT_BOUNDS, v_max=6.0)
+    vs = np.linspace(2.0, 6.0, 200)
+    assert math.isnan(report.min_margin) and not report.holds
+    assert report.argmin_v == float(vs[vs >= first_nan_v][0])

@@ -10,7 +10,9 @@ safe config's two walls, with a third obstacle, a disc, and on a 21-row basis
 (the gain rows of metrics.json carry k1 at full precision, where `audit`
 prints it with :g), and `audit` on both configs and on every variant but the
 shifted starts, so each branch of the design record is printed: the disc's
-exp(R^2) upper end of V, a 21-row basis, and no cascade gains (velocity).
+exp(R^2) upper end of V, a 21-row basis, no cascade gains (velocity), and
+every margin positive with the rate condition holding, on a 10^5-point rate
+grid (derived: the constants ROADMAP item 2 derives for the safe config).
 Prints "same" or "differs" per file and stdout, ignoring only
 metrics.json's runtime_s, and exits 1 on any difference.
 """
@@ -33,13 +35,16 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "estimate_wide": ("vtol_safe", {"cascade.k1": "estimate", "reshape.directions": "21"}),
     "nonlinear": ("vtol_unsafe", {"plant.kind": "vtol_nonlinear"}),
     "velocity": ("vtol_safe", {"plant.kind": "velocity_loop", "cascade.k_tracking": ""}),
+    "derived": ("vtol_safe", {"cascade.k_tracking": "20.14, 1827, 1.503e7", "cascade.gamma_12_slope": "0.99",
+                              "rate.k_alpha": "5", "cascade.k1": "estimate", "audit.grid": "100000"}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
                for n in ("estimate", "three", "estimate_wide")},
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
-               for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "nonlinear", "velocity")},
+               for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "nonlinear", "velocity",
+                         "derived")},
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
 
