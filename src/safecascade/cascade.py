@@ -4,8 +4,9 @@ tracking laws, with the gain arithmetic needed to audit a design.
 The controller is data: the outer safety law (SafetyLaw) plus its gains.
 The outer virtual control x2* comes from the reshaped safety filter of a
 constant nominal input; each inner level tracks the previous virtual
-control with rho_i(e) = -(e / |e|) * (g_lower/(g_lower - delta)) * K_i |e|,
-which for integrator chains is plain proportional feedback -K_i e. Without
+control with rho_i(e) = -(e / |e|) * K_i |e| / (1 - c) for the norm
+coefficient c, which for integrator chains (c = 0) is plain proportional
+feedback -K_i e. Without
 safety constraints the cascade is standard constructive control. The
 gains' Lipschitz products (CascadeGains.kbar) feed the gain-selection
 inequality, and the small-gain audit checks contraction.
@@ -21,7 +22,7 @@ import numpy as np
 from .certificates import CertificateSpec
 # lipschitz_selection is unused here but stays importable: the benchmark's
 # trace hooks (benchmarks/workloads.py) rebind cascade.lipschitz_selection.
-from .qcqp_safety import PlantBounds, RateSpec, build_constraint_set, lipschitz_selection  # noqa: F401
+from .qcqp_safety import ConstraintSet, RateSpec, build_constraint_set, lipschitz_selection  # noqa: F401
 from .qp_solver import sum_last_axis
 from .reshaping import PositiveBasis, reshaped_filter
 
@@ -150,18 +151,19 @@ def small_gain_audit(gains: CascadeGains) -> SmallGainReport:
     )
 
 
-def tracking_law(x_tilde: np.ndarray, bounds: PlantBounds, kappa_slope: float) -> np.ndarray:
+def tracking_law(x_tilde: np.ndarray, c: float, kappa_slope: float) -> np.ndarray:
     """Closed-form minimum-norm tracking input for one planar cascade level.
 
-    rho(e) = -(e / |e|) * (g_lower / (g_lower - delta)) * K |e| for e != 0,
-    and zero at the origin; for an integrator chain that is plain
+    rho(e) = -(e / |e|) * (1 / (1 - c)) * K |e| for e != 0, with c the norm
+    coefficient, and zero at the origin; at c = 0 that is plain
     proportional feedback. The result meets its generating norm-augmented
-    row with equality for e = x_tilde, a float (2,) array.
+    row e/|e| . u + c |u| <= -K |e| with equality for e = x_tilde, a float
+    (2,) array.
     """
     nrm = math.sqrt(x_tilde.dot(x_tilde))      # np.linalg.norm's own formula for a vector
     if nrm <= 1e-15:
         return np.zeros(2)
-    scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
+    scale = 1.0 / (1.0 - c)
     # The vector formula -(e / |e|) * scale * K * |e| on floats, in its order:
     # the shorter -scale * K * e rounds differently.
     e0, e1 = x_tilde.tolist()
@@ -191,6 +193,8 @@ class SafetyLaw:
     single state and gives a NaN row in a batch. With no certificates the
     law is the nominal itself.
 
+    c is the norm coefficient of the law's rows and tracking levels; a value
+    outside [0, 1) raises ValueError when the law is built.
     nominal is kept as a read-only (2,) array, and the basis's pair-vertex
     table is built with the law, so no step rebuilds it. A step calls
     build_constraint_set and reshaped_filter through this module's names.
@@ -199,7 +203,7 @@ class SafetyLaw:
     certs: tuple[CertificateSpec, ...]
     nominal: np.ndarray
     basis: PositiveBasis | None
-    bounds: PlantBounds
+    c: float
     rates: RateSpec
     k_phi: float
 
@@ -208,6 +212,8 @@ class SafetyLaw:
         nominal.flags.writeable = False
         object.__setattr__(self, "certs", tuple(self.certs))
         object.__setattr__(self, "nominal", nominal)
+        # The constraint set's check of c: a law without certificates builds none.
+        object.__setattr__(self, "c", ConstraintSet(np.zeros((0, 2)), np.zeros(0), self.c).c)
         if self.basis is not None and self.basis.polygon is not None:
             _ = self.basis.polygon.pairs      # builds and keeps the pair-vertex table
 
@@ -218,7 +224,7 @@ class SafetyLaw:
         if not self.certs:
             empty = np.zeros(x1.shape[:-1] + (0,))
             return np.broadcast_to(self.nominal, x1.shape), empty, empty
-        cs = build_constraint_set(x1, self.certs, self.bounds, self.rates)
+        cs = build_constraint_set(x1, self.certs, self.c, self.rates)
         # The projection broadcasts the one nominal against a batch's rows.
         return reshaped_filter(self.nominal, cs, self.basis, self.k_phi), cs.h, cs.v
 
@@ -247,9 +253,9 @@ class CascadeController:
         x_star, h, v = self.rho1.evaluate(blocks[0])
         stars = [x_star]
         slopes = () if self.gains is None else self.gains.tracking_slopes
-        bounds = self.rho1.bounds
+        c = self.rho1.c
         for block, slope in zip(blocks[1:], slopes):
-            x_star = tracking_law(block - x_star, bounds, slope)
+            x_star = tracking_law(block - x_star, c, slope)
             stars.append(x_star)
         return ControllerEval(u=x_star, x_stars=tuple(stars), h=h, v=v)
 

@@ -320,16 +320,14 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
         scenario.seed = seed
     design = DesignReport(scenario)
     contractive = lambda holds: "contractive" if holds else "NOT contractive"
-    if scenario.gains is not None:
-        g = scenario.gains
-        k1_source = "estimated" if scenario.k1_estimated else "configured"
-        print(f"gain ledger (k1 = {g.k1:g}{' estimated' if scenario.k1_estimated else ''}):")
-        for i in range(1, g.m + 1):
-            row = "  ".join(f"kbar({p},{i})={g.kbar(p, i):.6g}" for p in range(1, i + 1))
-            print(f"  level {i}: {row}")
+    if design.k1 is not None:
+        print(f"gain ledger (k1 = {design.k1:g}{' estimated' if design.k1_source == 'estimated' else ''}):")
+        for i, row in enumerate(design.kbar_table, start=1):
+            cells = "  ".join(f"kbar({p},{i})={kbar:.6g}" for p, kbar in enumerate(row, start=1))
+            print(f"  level {i}: {cells}")
         print("gain-selection margins:")
         for lvl in design.gain_margins:
-            note = "" if lvl.level > 2 else f"  (level 2 uses the {k1_source} outer constant)"
+            note = "" if lvl.level > 2 else f"  (level 2 uses the {design.k1_source} outer constant)"
             print(f"  level {lvl.level}: K={lvl.k_tracking:g} rhs={lvl.rhs_slope:.6g} "
                   f"margin={lvl.margin:+.6g}{note}")
         sg = design.small_gain

@@ -3,8 +3,8 @@
 The feasible input set at state x is {u : A u + c * |u| <= b} with one row
 per certificate: the row direction is the normalized certificate gradient
 (the outer level drives the plane directly), the offset is the decay-rate
-value at the current certificate level, and the norm coefficient
-c = delta_upper/g_lower absorbs the input-gain uncertainty. The module also
+value at the current certificate level, and the norm coefficient c in
+[0, 1) absorbs the input-gain uncertainty. The module also
 provides the Lipschitz selection, a closed-form point of the set used as
 the reshaping anchor, and the sampled audit of the decay-rate condition
 above the threshold.
@@ -33,8 +33,8 @@ class ConstraintSet:
     One state's set has a of shape (n_rows, n_u) and b of shape (n_rows,);
     a batch of states adds leading axes to both: (..., n_rows, n_u) and
     (..., n_rows). Every row of every state shares the one norm coefficient
-    c, a float in [0, 1): the plant's delta_upper / g_lower, or 0.0 for the
-    disc rows. A batch row whose state has no set carries NaN. A set built
+    c, a float in [0, 1): the input-gain uncertainty, or 0.0 for the disc
+    rows. A batch row whose state has no set carries NaN. A set built
     from certificates also carries each certificate's clearance h and value
     V at the state, shaped like b; otherwise both are None.
     """
@@ -105,37 +105,15 @@ class ConstraintSet:
 
 
 @dataclass(frozen=True)
-class PlantBounds:
-    """Envelope constants of the plant: the input-gain floor and the cap on
-    its uncertainty."""
-
-    g_lower: float
-    delta_upper: float = 0.0
-
-    def __post_init__(self):
-        if not (self.g_lower > self.delta_upper >= 0.0):
-            raise ValueError("need g_lower > delta_upper >= 0")
-
-    @property
-    def norm_coefficient(self) -> float:
-        return self.delta_upper / self.g_lower
-
-    @property
-    def gain_ratio(self) -> float:
-        """(g_lower + delta_upper) / (g_lower - delta_upper), >= 1."""
-        return (self.g_lower + self.delta_upper) / (self.g_lower - self.delta_upper)
-
-
-@dataclass(frozen=True)
 class RateSpec:
     """Decay-rate family alpha_j = base o alpha_bar_inverse_j.
 
     The base rate has slope base_slope on s >= 0. On s < 0 it is steepened
-    by negative_ratio; choosing negative_ratio >= (g_lower + delta_upper) /
-    (g_lower - delta_upper) makes the base satisfy
+    by negative_ratio; choosing negative_ratio >= (1 + c) / (1 - c) for the
+    norm coefficient c makes the base satisfy
     base(s) + ratio * base(-s) <= 0 for s <= 0, which is what the Lipschitz
     selection needs to land inside the set. A plain linear rate
-    (negative_ratio = 1) has that property only when delta_upper = 0.
+    (negative_ratio = 1) has that property only when c = 0.
 
     alpha_bar_inverse must act elementwise on arrays and on one float
     with the same values (numpy ufuncs, not math functions, which round
@@ -168,14 +146,14 @@ class RateSpec:
 def build_constraint_set(
     x: np.ndarray,
     certs: Sequence[CertificateSpec],
-    bounds: PlantBounds,
+    c: float,
     rates: RateSpec,
 ) -> ConstraintSet:
     """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
 
     Row j is the unit vector along dV_j/dx, which is -dh_j/dx normalised
     (V = exp(-h) only scales it), the offset is -alpha_j(V_j - level_j),
-    and the one norm coefficient is delta_upper / g_lower. The set keeps
+    and every row carries the one norm coefficient c. The set keeps
     each certificate's h and V, so a caller that needs them evaluates
     nothing again. Where a certificate's gradient is undefined (a segment
     spine, a disc center) a single state raises and a batch row is NaN.
@@ -194,7 +172,7 @@ def build_constraint_set(
             h.append(ev.h)
             v.append(ev.v)
         return ConstraintSet(np.array(rows) if rows else np.zeros((0, 2)), np.array(b),
-                             bounds.norm_coefficient, h=np.array(h), v=np.array(v))
+                             c, h=np.array(h), v=np.array(v))
     # Rows (n_c, 2, N), h and V (n_c, N), states last (qp_solver.states_last).
     batch = x.shape[:-1]
     rows = np.empty((len(certs), x.shape[-1], math.prod(batch)))
@@ -210,7 +188,7 @@ def build_constraint_set(
     rows /= np.negative(nrm, out=nrm)[:, None]              # the unit rows, in place
     offset = v - np.array([[cert.level] for cert in certs])
     return ConstraintSet(states_first(rows, batch), states_first(-rates.rate(offset), batch),
-                         bounds.norm_coefficient, h=states_first(h, batch), v=states_first(v, batch))
+                         c, h=states_first(h, batch), v=states_first(v, batch))
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
@@ -327,19 +305,20 @@ def rate_condition_audit(
     threshold: float,
     theta: float,
     gamma_w_slope: float,
-    bounds: PlantBounds,
+    c: float,
     v_max: float,
     grid: int = 200,
 ) -> RateConditionReport:
-    """Check alpha_j((c-v)/c * V) >= theta V + (1 + d/g) V/gw over sampled V
-    in [threshold, v_max], every grid point in one array expression. The
-    report names the first least margin; np.argmin takes a NaN margin before
-    any number, so a NaN reads as not holding. Report-only."""
+    """Check alpha_j((t-v)/t * V) >= theta V + (1 + c) V/gw over sampled V
+    in [t, v_max], t the threshold and c the norm coefficient, every grid
+    point in one array expression. The report names the first least margin;
+    np.argmin takes a NaN margin before any number, so a NaN reads as not
+    holding. Report-only."""
     if threshold <= level:
         raise ValueError("threshold must exceed the certificate level")
     vs = np.linspace(threshold, max(v_max, threshold), grid)
     frac = (threshold - level) / threshold
-    margins = rate.rate(frac * vs) - (theta * vs + (1.0 + bounds.norm_coefficient) * (vs / gamma_w_slope))
+    margins = rate.rate(frac * vs) - (theta * vs + (1.0 + c) * (vs / gamma_w_slope))
     k = int(np.argmin(margins))
     return RateConditionReport(
         threshold=threshold,

@@ -9,7 +9,6 @@ or not the chosen plant reads the key.
 
     plant.kind                integrator_chain | velocity_loop | vtol_nonlinear
     plant.levels              integrator_chain length m
-    plant.block_dim           states per block (the outer law is planar)
     plant.gravity_mps2        vtol_nonlinear gravity
     plant.t2                  velocity_loop diagonal pair of level 2
     plant.t3                  velocity_loop diagonal pair of level 3
@@ -21,15 +20,11 @@ or not the chosen plant reads the key.
     obstacle.<n>.center_m     disc center "x, y"
     obstacle.<n>.radius_m     disc radius
     certificate.level         superlevel threshold v
-    certificate.threshold     decay threshold c > v
+    certificate.threshold     decay threshold above the level v
     rate.k_alpha              decay-rate slope
-    nominal.value             constant nominal input "x, y"
-    nominal.preset            zero (alternative to nominal.value)
+    nominal.value             constant nominal input "x, y" (required)
     reshape.directions        positive-basis count n_l
     reshape.k_phi             expansion weight
-    reshape.c_a               coverage-constant override (otherwise
-                              cos(2*pi/n_l); must pass the coverage condition
-                              cbar_a checks)
     cascade.k_tracking        "K_2, ..., K_m" (empty for m = 1)
     cascade.tau               small-gain constant
     cascade.theta             decay constant
@@ -81,7 +76,7 @@ from .certificates import (  # noqa: F401
     exp_alpha_bar_for_level,
 )
 from .errors import ConfigError, DegenerateGeometryError, SafecascadeError
-from .qcqp_safety import PlantBounds, RateConditionReport, RateSpec, rate_condition_audit
+from .qcqp_safety import RateConditionReport, RateSpec, rate_condition_audit
 from .reshaping import MAX_DIRECTIONS, PositiveBasis, cbar_a, make_positive_basis
 from .sim import IDENTIFIED_T2, IDENTIFIED_T3, IDENTIFIED_T4, IntegratorChain, PlantModel, VelocityLoop, VtolNonlinear
 
@@ -181,7 +176,6 @@ MIN_GAMMA_12_SLOPE = 1e-3
 KEYS: dict[str, Key] = {
     "plant.kind": _choice("integrator_chain", "integrator_chain", "velocity_loop", "vtol_nonlinear"),
     "plant.levels": _count(4, 1),
-    "plant.block_dim": Key(int, 2, lambda v: v == 2, "2 (the outer law is planar)"),
     "plant.gravity_mps2": _positive(9.81),
     "plant.t2": _pair(IDENTIFIED_T2, positive=True),
     "plant.t3": _pair(IDENTIFIED_T3, positive=True),
@@ -191,11 +185,9 @@ KEYS: dict[str, Key] = {
     "certificate.threshold": _positive(1.4, MAX_CERTIFICATE_THRESHOLD),
     "rate.k_alpha": _positive(1.0, MAX_RATE_SLOPE),
     "nominal.value": _pair(),
-    "nominal.preset": _choice(None, "zero"),
     "reshape.directions": Key(int, 11, lambda v: v % 2 == 1 and 3 <= v <= MAX_DIRECTIONS,
                               f"odd, 3 to {MAX_DIRECTIONS}"),
     "reshape.k_phi": Key(float, 2.0, lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
-    "reshape.c_a": Key(float, None, lambda v: -1.0 < v < 1.0, "in (-1, 1)"),
     "cascade.k_tracking": Key(_numbers, (), lambda v: all(0.0 < k < math.inf for k in v),
                               "finite positive numbers"),
     "cascade.tau": _positive(1.001),
@@ -386,35 +378,30 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     if threshold <= level:
         raise ConfigError(f"certificate.threshold must be above certificate.level {level}, "
                           f"got {threshold}")
-    bounds = PlantBounds(g_lower=1.0, delta_upper=0.0)
+    # The norm coefficient: the bundled plants' input gain is exact.
+    c = 0.0
     _, abar_inv = exp_alpha_bar_for_level(level)
     # The Lipschitz selection needs this negative-side steepening (RateSpec).
     rate = RateSpec(base_slope=cfg["rate.k_alpha"], alpha_bar_inverse=abar_inv,
-                    negative_ratio=bounds.gain_ratio)
-
-    if cfg["nominal.preset"] == "zero":
-        nominal = np.zeros(2)
-    elif cfg["nominal.value"] is not None:
-        nominal = cfg["nominal.value"]
-    else:
-        raise ConfigError("need nominal.value or nominal.preset")
+                    negative_ratio=(1.0 + c) / (1.0 - c))
+    nominal = cfg["nominal.value"]
+    if nominal is None:
+        raise ConfigError("need nominal.value")
 
     basis = None
     if certs:
         try:
             basis = make_positive_basis(2, cfg["reshape.directions"])
-            if cfg["reshape.c_a"] is not None:
-                basis = PositiveBasis(basis.a_l, cfg["reshape.c_a"])
-            # The coverage condition every reshaping checks; a constant that
+            # The coverage condition every reshaping checks; a basis that
             # fails it would stop every run at its first step.
-            cbar_a(bounds.norm_coefficient, basis.c_a)
+            cbar_a(c, basis.c_a)
         except SafecascadeError as exc:
             raise ConfigError(f"reshape: {exc}") from exc
 
     x_lo, x_hi, y_lo, y_hi = cfg["sim.workspace_m"]
     workspace = ((x_lo, x_hi), (y_lo, y_hi))
     # One law serves the k1 estimate and the controller.
-    law = SafetyLaw(certs, nominal, basis, bounds, rate, cfg["reshape.k_phi"])
+    law = SafetyLaw(certs, nominal, basis, c, rate, cfg["reshape.k_phi"])
     k1_estimated = levels > 1 and cfg["cascade.k1"] == "estimate"
     gains = None
     if levels > 1:
@@ -472,12 +459,31 @@ def estimate_safety_law_lipschitz(law: SafetyLaw, workspace, grid: int) -> float
 @dataclass(frozen=True)
 class DesignReport:
     """Every design check of one scenario, each part computed on first read
-    and kept. The gain-selection margins and the small-gain report are None
-    without cascade gains; the basis (its report is its validation) and the
-    disjointness and rate-condition audits are None without certificates.
-    `run` records the first three and never pays for the sampled audits."""
+    and kept. k1, its source, the kbar table, the gain-selection margins and
+    the small-gain report are None without cascade gains; the basis (its
+    report is its validation) and the disjointness and rate-condition audits
+    are None without certificates. `run` records the margins, the small-gain
+    report and the basis, and never pays for the sampled audits."""
 
     scenario: Scenario
+
+    @property
+    def k1(self) -> float | None:
+        return None if self.scenario.gains is None else self.scenario.gains.k1
+
+    @property
+    def k1_source(self) -> str | None:
+        """Where k1 came from: "estimated" (cascade.k1 = estimate) or "configured"."""
+        if self.scenario.gains is None:
+            return None
+        return "estimated" if self.scenario.k1_estimated else "configured"
+
+    @cached_property
+    def kbar_table(self) -> list[tuple[float, ...]] | None:
+        """Row i - 1 holds kbar(1, i), ..., kbar(i, i) for each level i."""
+        g = self.scenario.gains
+        return None if g is None else [tuple(g.kbar(p, i) for p in range(1, i + 1))
+                                       for i in range(1, g.m + 1)]
 
     @cached_property
     def gain_margins(self) -> list[LevelMargin] | None:
@@ -511,5 +517,5 @@ class DesignReport:
         return rate_condition_audit(
             law.rates, law.certs[0].level, threshold,
             s.config["cascade.theta"], s.config["cascade.gamma_12_slope"],
-            law.bounds, v_max=max(v_max, threshold * 1.01), grid=s.config["audit.grid"],
+            law.c, v_max=max(v_max, threshold * 1.01), grid=s.config["audit.grid"],
         )

@@ -139,8 +139,7 @@ def ledger_products(k_tracking, k1):
     return kbar
 
 
-def rate_condition_by_loop(rate, level, threshold, theta, gamma_w_slope, norm_coefficient,
-                           v_max, grid):
+def rate_condition_by_loop(rate, level, threshold, theta, gamma_w_slope, c, v_max, grid):
     """The rate-condition audit one grid point at a time: (least margin, its V)
     for the first strict minimum over the grid. A NaN margin never compares
     below another, so the loop skips it, and a grid of NaN margins gives
@@ -150,7 +149,7 @@ def rate_condition_by_loop(rate, level, threshold, theta, gamma_w_slope, norm_co
     min_margin, argmin_v = math.inf, threshold
     for v in vs:
         lhs = rate.rate(frac * v)
-        margin = lhs - (theta * v + (1.0 + norm_coefficient) * (v / gamma_w_slope))
+        margin = lhs - (theta * v + (1.0 + c) * (v / gamma_w_slope))
         if margin < min_margin:
             min_margin, argmin_v = margin, float(v)
     return min_margin, argmin_v

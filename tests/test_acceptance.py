@@ -25,7 +25,6 @@ from safecascade.cli import (
 from safecascade.errors import InfeasibleError
 from safecascade.qcqp_safety import (
     ConstraintSet,
-    PlantBounds,
     RateSpec,
     build_constraint_set,
     disc_constraint_set,
@@ -42,7 +41,6 @@ WALLS = [
     CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
     CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35),
 ]
-UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 
 # Criterion 4 frozen slope bounds for the reshaped axis slice, measured once
 # at the stock grids and stable under refinement.
@@ -169,7 +167,7 @@ def test_criterion_3_reshaping_sandwich():
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis11 = make_positive_basis(2, 11)
     for x in ([-2.0, 1.0], [0.0, 1.2], [1.0, 1.1], [2.0, 2.6], [0.0, 0.45]):
-        cs = build_constraint_set(np.asarray(x), WALLS, UNIT_BOUNDS, rate)
+        cs = build_constraint_set(np.asarray(x), WALLS, 0.0, rate)
         sel = lipschitz_selection(cs)
         poly = Polyhedron(basis11.a_l, reshape_b_l(sel, cs, basis11, 2.0))
         assert np.all(poly.a @ sel <= poly.b + 1e-9)
@@ -343,7 +341,7 @@ def test_criterion_8_single_level_decay():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
-    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, UNIT_BOUNDS, rate, k_phi=2.0)
+    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 0.0, rate, k_phi=2.0)
     controller = CascadeController(rho1=law, gains=None)
     plant = IntegratorChain(m=1)
     dt = 1e-3

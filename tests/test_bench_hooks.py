@@ -20,7 +20,7 @@ import safecascade  # noqa: E402
 from safecascade import cascade, cli, qcqp_safety, reshaping, scenario, sim  # noqa: E402
 from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw  # noqa: E402
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level  # noqa: E402
-from safecascade.qcqp_safety import PlantBounds, RateSpec  # noqa: E402
+from safecascade.qcqp_safety import RateSpec  # noqa: E402
 from safecascade.reshaping import make_positive_basis  # noqa: E402
 
 from helpers import bundled_config  # noqa: E402
@@ -36,7 +36,7 @@ def test_trace_hooks_install_record_and_restore():
     try:
         # The constraint set evaluates its certificates through the rebound
         # module names, so both geometries show up as certificate spans.
-        qcqp_safety.build_constraint_set(x, [wall, disc], PlantBounds(1.0), RateSpec(base_slope=1.0))
+        qcqp_safety.build_constraint_set(x, [wall, disc], 0.0, RateSpec(base_slope=1.0))
         sim.certificate_value(wall, x)
     finally:
         tracer.restore()
@@ -60,7 +60,7 @@ def test_traced_batched_law_and_single_evaluate():
     tracer = Tracer()
     install_trace(tracer)
     try:
-        law = SafetyLaw(walls, np.array([0.6, 1.0]), basis, PlantBounds(1.0), rate, k_phi=2.0)
+        law = SafetyLaw(walls, np.array([0.6, 1.0]), basis, 0.0, rate, k_phi=2.0)
         controller = CascadeController(law, gains)
         k1 = scenario.estimate_safety_law_lipschitz(law, ((-3.0, 6.0), (-0.5, 12.0)), grid=5)
         ev = controller.evaluate([np.array([-2.0, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2)])
@@ -83,7 +83,7 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
-    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(2, 11), PlantBounds(1.0),
+    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0,
                     RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
     controller = CascadeController(law, CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49))
     x0 = np.zeros(8)

@@ -25,7 +25,6 @@ from safecascade.errors import (
     ZeroGradientError,
 )
 from safecascade.qcqp_safety import (
-    PlantBounds,
     RateSpec,
     build_constraint_set,
     disc_constraint_set,
@@ -39,7 +38,6 @@ from safecascade.sim import run_closed_loop
 from helpers import Raised, assert_same_bits, bundled_config, layouts, outcome
 from oracles import batch_law, batch_set, grid_lipschitz, ledger_products, one_state_controller, one_state_law
 
-UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 STOCK_GAINS = CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49)
 FLAT_GAINS = CascadeGains(tracking_slopes=(8.0, 8.0, 8.0), k1=3.49)
 
@@ -62,38 +60,36 @@ FROZEN_K1_GRID_ESTIMATE = 6.3408
 
 def test_tracking_law_identity_reduction():
     e = np.array([0.3, -1.2])
-    out = tracking_law(e, UNIT_BOUNDS, 5.0)
+    out = tracking_law(e, 0.0, 5.0)
     np.testing.assert_allclose(out, -5.0 * e, atol=1e-12)
 
 
 def test_tracking_law_zero_error():
-    np.testing.assert_array_equal(tracking_law(np.zeros(2), UNIT_BOUNDS, 3.0), np.zeros(2))
+    np.testing.assert_array_equal(tracking_law(np.zeros(2), 0.0, 3.0), np.zeros(2))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    g_lower=st.floats(0.5, 3.0),
-    delta_frac=st.floats(0.0, 0.8),
+    c=st.floats(0.0, 0.72),
     slope=st.floats(0.1, 10.0),
     ex=st.floats(-3.0, 3.0),
     ey=st.floats(-3.0, 3.0),
 )
-def test_tracking_law_meets_row_with_equality(g_lower, delta_frac, slope, ex, ey):
+def test_tracking_law_meets_row_with_equality(c, slope, ex, ey):
     e = np.array([ex, ey])
     if np.linalg.norm(e) < 1e-6:
         e = np.array([1.0, 0.0])
-    bounds = PlantBounds(g_lower=g_lower, delta_upper=delta_frac * g_lower * 0.9)
-    u = tracking_law(e, bounds, slope)
+    u = tracking_law(e, c, slope)
     direction = e / np.linalg.norm(e)
-    lhs = float(direction @ u) + bounds.norm_coefficient * float(np.linalg.norm(u))
+    lhs = float(direction @ u) + c * float(np.linalg.norm(u))
     assert lhs == pytest.approx(-slope * float(np.linalg.norm(e)), rel=1e-9, abs=1e-9)
 
 
 def test_tracking_law_positive_homogeneity():
     e = np.array([0.4, 0.9])
-    base = tracking_law(e, UNIT_BOUNDS, 2.0)
+    base = tracking_law(e, 0.0, 2.0)
     for lam in (0.5, 3.0, 11.0):
-        np.testing.assert_allclose(tracking_law(lam * e, UNIT_BOUNDS, 2.0), lam * base, atol=1e-12)
+        np.testing.assert_allclose(tracking_law(lam * e, 0.0, 2.0), lam * base, atol=1e-12)
 
 
 def test_tracking_law_norms_match_linalg_norm_bit_for_bit():
@@ -101,35 +97,35 @@ def test_tracking_law_norms_match_linalg_norm_bit_for_bit():
     # vector, and it applies the vector formula entry by entry on floats:
     # the vector formula written with np.linalg.norm gives the same bits at
     # the stock gains.
-    bounds = PlantBounds(g_lower=1.0, delta_upper=0.2)
+    c = 0.2
     rng = np.random.default_rng(11)
     for slope in (7.0, 8.0, 320.0, 4.0e5):
         for e in rng.normal(scale=10.0 ** rng.integers(-6, 6, size=(200, 1)), size=(200, 2)):
-            scale = bounds.g_lower / (bounds.g_lower - bounds.delta_upper)
+            scale = 1.0 / (1.0 - c)
             nrm = float(np.linalg.norm(e))
-            assert_same_bits(tracking_law(e, bounds, slope), -(e / nrm) * scale * slope * nrm)
+            assert_same_bits(tracking_law(e, c, slope), -(e / nrm) * scale * slope * nrm)
 
 
 def test_controller_levels_call_tracking_law_per_slope(monkeypatch):
-    # Level i's input is tracking_law(x_i - x*_i, the law's bounds, K_i),
+    # Level i's input is tracking_law(x_i - x*_i, the law's c, K_i),
     # called through the cascade module's name (the benchmark's trace hooks
     # rebind it).
-    bounds = PlantBounds(g_lower=1.0, delta_upper=0.2)
+    c = 0.2
     _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rates = RateSpec(1.0, abar_inv, negative_ratio=bounds.gain_ratio)
-    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), bounds, rates, 2.0)
+    rates = RateSpec(1.0, abar_inv, negative_ratio=(1.0 + c) / (1.0 - c))
+    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), c, rates, 2.0)
     controller = CascadeController(law, STOCK_GAINS)
     rng = np.random.default_rng(5)
     blocks = [np.array([-2.0, 1.0]), *rng.normal(size=(3, 2))]
     ev = controller.evaluate(blocks)
     for i, slope in enumerate(STOCK_GAINS.tracking_slopes, start=1):
         np.testing.assert_array_equal(ev.x_stars[i],
-                                      tracking_law(blocks[i] - ev.x_stars[i - 1], bounds, slope))
+                                      tracking_law(blocks[i] - ev.x_stars[i - 1], c, slope))
     seen = []
     monkeypatch.setattr(cascade, "tracking_law",
                         lambda e, b, k: seen.append((b, k)) or np.zeros(2))
     controller.evaluate(blocks)
-    assert seen == [(bounds, k) for k in STOCK_GAINS.tracking_slopes]
+    assert seen == [(c, k) for k in STOCK_GAINS.tracking_slopes]
 
 
 # ----------------------------------------------------------------- ledger
@@ -239,7 +235,7 @@ def test_small_gain_flags_tau_below_one():
 def wall_law():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), UNIT_BOUNDS, rate,
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, rate,
                      k_phi=2.0)
 
 
@@ -403,19 +399,19 @@ def _single_or_nan(law, x):
 
 
 def _outer_laws():
-    """Outer laws over walls, overlapping discs, and uncertain bounds (c > 0)
-    with the rate steepened for them."""
+    """Outer laws over walls, overlapping discs, and an uncertain input gain
+    (c > 0) with the rate steepened for it."""
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
     nominal = np.array([0.6, 1.0])
     discs = [CertificateSpec(Disc([0.0, 6.0], 1.0)), CertificateSpec(Disc([0.8, 6.0], 1.0))]
-    uncertain = PlantBounds(g_lower=1.0, delta_upper=0.1)
+    c = 0.1
     return {
-        "walls": SafetyLaw(WALLS, nominal, basis, UNIT_BOUNDS, rate, k_phi=2.0),
-        "discs": SafetyLaw(discs, nominal, basis, UNIT_BOUNDS, rate, k_phi=1.0),
-        "uncertain": SafetyLaw(WALLS, nominal, basis, uncertain,
-                               RateSpec(1.0, abar_inv, negative_ratio=uncertain.gain_ratio), k_phi=2.0),
+        "walls": SafetyLaw(WALLS, nominal, basis, 0.0, rate, k_phi=2.0),
+        "discs": SafetyLaw(discs, nominal, basis, 0.0, rate, k_phi=1.0),
+        "uncertain": SafetyLaw(WALLS, nominal, basis, c,
+                               RateSpec(1.0, abar_inv, negative_ratio=(1.0 + c) / (1.0 - c)), k_phi=2.0),
     }
 
 
@@ -471,7 +467,7 @@ def _composed(law, x):
     """The law rebuilt from the public functions, which derive every
     constant the law keeps on each call."""
     nominal = np.broadcast_to(law.nominal, np.shape(x))
-    cs = build_constraint_set(x, law.certs, law.bounds, law.rates)
+    cs = build_constraint_set(x, law.certs, law.c, law.rates)
     b_l = reshape_b_l(lipschitz_selection(cs), cs, law.basis, law.k_phi)
     return PolygonRows(law.basis.a_l).project(nominal, b_l), cs.h, cs.v
 
@@ -489,7 +485,7 @@ def _with_narrow(laws):
     constant is below its norm coefficient, so every reshaping fails."""
     walls = laws["uncertain"]
     laws["narrow"] = SafetyLaw(WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.05),
-                               walls.bounds, walls.rates, k_phi=2.0)
+                               walls.c, walls.rates, k_phi=2.0)
     return laws
 
 
@@ -531,7 +527,7 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
 def _law_args(law):
     """one_state_law's arguments after the state, for a law whose rate
     inverts the envelope of level 1."""
-    return (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, law.bounds.norm_coefficient,
+    return (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, law.c,
             law.rates.base_slope, law.rates.negative_ratio, 1.0, law.k_phi)
 
 
@@ -569,7 +565,7 @@ def _assert_same_step(controller, blocks):
     """controller.evaluate(blocks) against oracles.one_state_controller:
     the same bits for every virtual control, h and V, or the same error."""
     law = controller.rho1
-    scale = law.bounds.g_lower / (law.bounds.g_lower - law.bounds.delta_upper)
+    scale = 1.0 / (1.0 - law.c)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         want = outcome(lambda: one_state_controller(blocks, _law_args(law), scale,
@@ -616,7 +612,7 @@ def test_controller_step_equals_the_vector_reference_bit_for_bit():
                 blocks.append(star + errors[(k + level) % len(errors)]())
                 e = np.linalg.norm(blocks[-1] - star)
                 seen.add("nan" if np.isnan(e) else "zero" if e == 0.0 else "tiny" if e <= 1e-15 else "large")
-                star = tracking_law(blocks[-1] - star, law.bounds, slope)
+                star = tracking_law(blocks[-1] - star, law.c, slope)
             seen.add(type(_assert_same_step(controller, blocks)).__name__)
     assert seen == {"zero", "tiny", "nan", "large", "Raised", "tuple"}
 
@@ -634,23 +630,23 @@ def test_batched_law_equals_the_array_reference_bit_for_bit():
     laws = _with_narrow(_outer_laws())
     walls = laws["walls"]
     laws["three"] = SafetyLaw([*WALLS, CertificateSpec(Disc([0.8, 6.0], 1.0))], walls.nominal,
-                              walls.basis, walls.bounds, walls.rates, k_phi=2.0)
+                              walls.basis, walls.c, walls.rates, k_phi=2.0)
     # Three rows at 120 degrees carry the constant -1/2, which fails the
     # coverage condition; stated as 0.05, the reshaping runs on three rows.
     for n_l, basis in ((3, PositiveBasis(make_positive_basis(2, 3).a_l, 0.05)),
                        (21, make_positive_basis(2, 21))):
-        laws[f"{n_l} rows"] = SafetyLaw(WALLS, walls.nominal, basis, walls.bounds, walls.rates, k_phi=2.0)
+        laws[f"{n_l} rows"] = SafetyLaw(WALLS, walls.nominal, basis, walls.c, walls.rates, k_phi=2.0)
     for name, law in laws.items():
         rate = (law.rates.base_slope, law.rates.negative_ratio, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             want_set = batch_set(states, law.certs, *rate)
             want = outcome(lambda: batch_law(states, law.certs, law.nominal, law.basis.a_l, law.basis.c_a,
-                                             law.bounds.norm_coefficient, *rate, law.k_phi))
+                                             law.c, *rate, law.k_phi))
         for layout, x in layouts(states):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                cs = build_constraint_set(x, law.certs, law.bounds, law.rates)
+                cs = build_constraint_set(x, law.certs, law.c, law.rates)
                 for got, ref in zip((cs.a, cs.b, cs.h, cs.v), want_set):
                     assert_same_bits(got, ref)
                 got = outcome(lambda: law.evaluate(x))

@@ -34,8 +34,8 @@ from safecascade.cli import (
 )
 from safecascade.errors import ConfigError
 from safecascade.output import validate_metrics
-from safecascade.scenario import (KEYS, MAX_STEPS, OBSTACLE_KEYS, build_scenario, check_time_grid,
-                                  load_scenario, parse_config_text)
+from safecascade.scenario import (KEYS, MAX_STEPS, OBSTACLE_KEYS, DesignReport, build_scenario,
+                                  check_time_grid, load_scenario, parse_config_text)
 
 from helpers import bundled_config, read_trajectory_csv
 
@@ -81,11 +81,11 @@ def test_malformed_lines_rejected(tmp_path, capsys):
     # Obstacle keys: a repeated key and a non-numeric vector name their line
     # and make the run exit with the config code.
     stock = bundled_config("vtol_safe").read_text()
-    n_lines = len(stock.splitlines())
+    lines = stock.splitlines()
     cases = {
-        "duplicate": (stock + "obstacle.1.safe_distance_m = 0.5\n", n_lines + 1),
-        "non_numeric": (stock.replace("obstacle.2.p1_m = -2.5, 0.5",
-                                      "obstacle.2.p1_m = -2.5, abc"), 14),
+        "duplicate": (stock + "obstacle.1.safe_distance_m = 0.5\n", len(lines) + 1),
+        "non_numeric": (stock.replace("obstacle.2.p1_m = -2.5, 0.5", "obstacle.2.p1_m = -2.5, abc"),
+                        lines.index("obstacle.2.p1_m = -2.5, 0.5") + 1),
     }
     for name, (text, lineno) in cases.items():
         with pytest.raises(ConfigError, match=f"line {lineno}:"):
@@ -752,6 +752,11 @@ def test_audit_level_2_note_names_the_k1_source(tmp_path, capsys, name, k1, sour
     assert cmd_audit(cfg) == EXIT_OK
     level_2 = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  level 2: K=")]
     assert len(level_2) == 1 and level_2[0].endswith(f"(level 2 uses the {source} outer constant)")
+    # The design record carries what audit prints.
+    design = DesignReport(build_scenario(load_scenario(cfg)))
+    gains = design.scenario.gains
+    assert design.k1_source == source and design.k1 == gains.k1
+    assert design.kbar_table == [tuple(gains.kbar(p, i) for p in range(1, i + 1)) for i in range(1, 5)]
 
 
 _ONE_DISC = (

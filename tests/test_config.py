@@ -5,9 +5,10 @@ import re
 import pytest
 
 from safecascade import scenario
-from safecascade.cli import EXIT_OK, main
+from safecascade.cli import EXIT_CONFIG, EXIT_OK, main
 from safecascade.errors import ConfigError
-from safecascade.scenario import KEYS, OBSTACLE_KEYS, parse_config_text
+from safecascade.reshaping import MAX_DIRECTIONS
+from safecascade.scenario import KEYS, OBSTACLE_KEYS, build_scenario, parse_config_text
 
 from helpers import bundled_config
 
@@ -21,7 +22,6 @@ def _entries():
 _OUT_OF_RANGE = {
     "plant.kind": "rocket",
     "plant.levels": "0",
-    "plant.block_dim": "3",
     "plant.gravity_mps2": "inf",
     "plant.t2": "0.2928",
     "plant.t3": "1, 2, 3",
@@ -30,10 +30,8 @@ _OUT_OF_RANGE = {
     "certificate.threshold": "nan",
     "rate.k_alpha": "-1",
     "nominal.value": "0.6, inf",
-    "nominal.preset": "one",
     "reshape.directions": "103",
     "reshape.k_phi": "-0.5",
-    "reshape.c_a": "-1",
     "cascade.k_tracking": "8, 0, 8",
     "cascade.tau": "0",
     "cascade.theta": "-1e-3",
@@ -92,6 +90,35 @@ def test_grid_and_sample_counts_stop_at_their_bound(key, most):
     assert parse_config_text(f"{key} = {most}\n")[key] == most
     with pytest.raises(ConfigError, match=rf"^line 1: {re.escape(key)} must be \d+ to {most}, got '{most + 1}'$"):
         parse_config_text(f"{key} = {most + 1}\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("reshape.c_a", "0.99"),
+    ("nominal.preset", "zero"),
+    ("plant.block_dim", "2"),
+])
+def test_a_derived_constant_is_not_a_key(tmp_path, capsys, key, value):
+    # reshape.c_a = 0.99 on vtol_safe.cfg ran and audited with exit 0, on a
+    # basis that failed 500 of 500 coverage probes: the coverage constant
+    # follows from reshape.directions. nominal.preset = zero said
+    # nominal.value = 0, 0, and plant.block_dim had the one value 2.
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(bundled_config("vtol_safe").read_text() + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    for argv in (["run", "--config", str(cfg), "--out", str(out), "--horizon", "0.01"],
+                 ["audit", "--config", str(cfg)]):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"unknown key {key!r}" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_every_direction_count_gives_a_basis_that_covers():
+    text = bundled_config("vtol_safe").read_text()
+    for n_l in range(5, MAX_DIRECTIONS + 1, 2):
+        text = re.sub(r"^reshape\.directions = \d+$", f"reshape.directions = {n_l}", text, flags=re.M)
+        basis = build_scenario(parse_config_text(text)).controller.rho1.basis
+        assert basis.n_l == n_l and basis.report.coverage_failures == 0, n_l
 
 
 def test_key_reference_names_every_key():

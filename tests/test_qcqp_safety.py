@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safecascade.cascade import SafetyLaw
 from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
 from safecascade.errors import SelectionConditionError
 from safecascade.qcqp_safety import (
     ConstraintSet,
-    PlantBounds,
     RateSpec,
     build_constraint_set,
     disc_constraint_set,
@@ -20,8 +20,6 @@ from safecascade.qcqp_safety import (
 
 from helpers import Raised, assert_same_bits, one_state_sets, outcome
 from oracles import norm_constrained_membership, one_state_selection
-
-UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 
 
 def cs_of(a, b, c=0.0):
@@ -57,7 +55,7 @@ def draw_disjoint_disc_offsets(rng, n_c, rate: RateSpec):
 
 def test_single_disc_on_level_set():
     cert = CertificateSpec(Disc([1.0, 0.0], 1.0))
-    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], UNIT_BOUNDS,
+    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], 0.0,
                               RateSpec(base_slope=1.0))
     np.testing.assert_allclose(cs.a, [[1.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(cs.b, [0.0], atol=1e-12)
@@ -65,7 +63,7 @@ def test_single_disc_on_level_set():
 
 def test_zero_uncertainty_gives_zero_norm_coefficients():
     cert = CertificateSpec(Segment([-1.0, 0.0], [1.0, 0.0]), safe_distance=0.2)
-    cs = build_constraint_set(np.array([0.0, 1.0]), [cert], UNIT_BOUNDS,
+    cs = build_constraint_set(np.array([0.0, 1.0]), [cert], 0.0,
                               RateSpec(base_slope=2.0))
     assert cs.c == 0.0
 
@@ -77,7 +75,7 @@ def test_wall_scenario_offsets_are_slope_times_clearance():
     ]
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    cs = build_constraint_set(np.array([-2.0, 1.0]), certs, UNIT_BOUNDS, rate)
+    cs = build_constraint_set(np.array([-2.0, 1.0]), certs, 0.0, rate)
     # Clearances by the perpendicular-distance oracle: the low wall is the
     # line y = 0.5, the high wall passes 0.5581 away from the query point.
     assert cs.b[1] == pytest.approx(1.0 * 0.15, abs=1e-12)
@@ -87,11 +85,11 @@ def test_wall_scenario_offsets_are_slope_times_clearance():
 
 
 def test_uncertain_bounds_fill_norm_coefficient():
-    bounds = PlantBounds(g_lower=2.0, delta_upper=0.5)
+    c = 0.25
     cert = CertificateSpec(Disc([0.0, 2.0], 1.0))
-    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], bounds,
-                              RateSpec(1.0, negative_ratio=bounds.gain_ratio))
-    np.testing.assert_allclose(cs.c, 0.25)
+    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], c,
+                              RateSpec(1.0, negative_ratio=(1.0 + c) / (1.0 - c)))
+    assert cs.c == 0.25
 
 
 # ---------------------------------------------------------------- witness
@@ -114,11 +112,10 @@ def test_witness_monte_carlo_disjoint_configurations():
     rng = np.random.default_rng(1234)
     for _ in range(2000):
         n_c = int(rng.integers(2, 4))
-        delta_ratio = float(rng.uniform(0.0, 0.8))
-        bounds = PlantBounds(g_lower=1.0, delta_upper=delta_ratio)
-        rate = RateSpec(float(rng.uniform(0.3, 3.0)), negative_ratio=bounds.gain_ratio)
+        c = float(rng.uniform(0.0, 0.8))
+        rate = RateSpec(float(rng.uniform(0.3, 3.0)), negative_ratio=(1.0 + c) / (1.0 - c))
         b = draw_disjoint_disc_offsets(rng, n_c, rate)
-        cs = cs_of(random_unit_rows(rng, n_c), b, delta_ratio)
+        cs = cs_of(random_unit_rows(rng, n_c), b, c)
         w = lipschitz_selection(cs)
         assert norm_constrained_membership(cs.a, cs.b, cs.c, w, tol=1e-9)
 
@@ -149,13 +146,13 @@ def test_witness_infeasible_without_rate_steepening():
 def test_base_rate_negative_side_condition():
     # The selection needs base(s) + ratio * base(-s) <= 0 for every s <= 0.
     s = np.linspace(-10.0, 0.0, 200)
-    worst = lambda rate, bounds: np.max(rate.base(s) + bounds.gain_ratio * rate.base(-s))
-    bounds = PlantBounds(g_lower=1.0, delta_upper=0.4)
+    ratio = lambda c: (1.0 + c) / (1.0 - c)
+    worst = lambda rate, c: np.max(rate.base(s) + ratio(c) * rate.base(-s))
     plain = RateSpec(base_slope=1.0)
-    steep = RateSpec(1.0, negative_ratio=bounds.gain_ratio)
-    assert worst(plain, UNIT_BOUNDS) <= 1e-12        # delta = 0: fine
-    assert worst(plain, bounds) > 0.0                # delta > 0: fails
-    assert worst(steep, bounds) <= 1e-12             # steepened: fine
+    steep = RateSpec(1.0, negative_ratio=ratio(0.4))
+    assert worst(plain, 0.0) <= 1e-12                # c = 0: fine
+    assert worst(plain, 0.4) > 0.0                   # c > 0: fails
+    assert worst(steep, 0.4) <= 1e-12                # steepened: fine
 
 
 # -------------------------------------------------------------- selection
@@ -232,7 +229,7 @@ def test_rate_condition_audit_reports_margin():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     report = rate_condition_audit(rate, level=1.0, threshold=1.4, theta=1e-3,
-                                  gamma_w_slope=4.0, bounds=UNIT_BOUNDS,
+                                  gamma_w_slope=4.0, c=0.0,
                                   v_max=math.exp(0.35))
     # The logarithmic rate loses to the linear budget on this band by a
     # small, stable amount.
@@ -240,7 +237,7 @@ def test_rate_condition_audit_reports_margin():
     assert report.min_margin == pytest.approx(-0.0158, abs=2e-3)
     linear_rate = RateSpec(base_slope=1.0)
     report2 = rate_condition_audit(linear_rate, level=1.0, threshold=1.4, theta=1e-3,
-                                   gamma_w_slope=4.0, bounds=UNIT_BOUNDS, v_max=4.0)
+                                   gamma_w_slope=4.0, c=0.0, v_max=4.0)
     assert report2.holds
 
 
@@ -304,11 +301,17 @@ def test_one_state_selection_on_floats_equals_the_array_reference_bit_for_bit():
 @pytest.mark.parametrize("c", [-0.1, 1.0, 1.5, math.nan, np.array([0.2]), np.full(2, 0.2),
                                np.array(0.2), [0.2], "0.2", None])
 def test_norm_coefficient_must_be_one_number_in_unit_interval(c):
+    # A law checks its c when built: one without certificates builds no set,
+    # and c = 1 would end in a ZeroDivisionError in its tracking levels.
     with pytest.raises(ValueError, match="norm coefficient"):
         ConstraintSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]), c)
+    with pytest.raises(ValueError, match="norm coefficient"):
+        SafetyLaw((), np.zeros(2), None, c, RateSpec(base_slope=1.0), 0.0)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, np.float64(0.25), np.float32(0.25), 0])
 def test_norm_coefficient_is_kept_as_a_float(c):
     cs = ConstraintSet(np.array([[1.0, 0.0]]), np.array([1.0]), c)
     assert type(cs.c) is float and cs.c == float(c)
+    law = SafetyLaw((), np.zeros(2), None, c, RateSpec(base_slope=1.0), 0.0)
+    assert type(law.c) is float and law.c == float(c)

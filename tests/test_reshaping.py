@@ -12,7 +12,6 @@ from safecascade.errors import (
 )
 from safecascade.qcqp_safety import (
     ConstraintSet,
-    PlantBounds,
     RateSpec,
     build_constraint_set,
     disc_constraint_set,
@@ -294,7 +293,7 @@ def test_single_state_filter_evaluates_its_set_once(monkeypatch):
     monkeypatch.setattr(ConstraintSet, "violations",
                         lambda self, u: calls.append(u) or violations(self, u))
     for x in ([-2.0, 1.0], [0.0, 0.75]):
-        cs = build_constraint_set(np.array(x), walls, PlantBounds(1.0), rate)
+        cs = build_constraint_set(np.array(x), walls, 0.0, rate)
         calls.clear()
         out = reshaped_filter(np.array([0.6, 1.0]), cs, basis, 2.0)
         assert len(calls) == 1, x

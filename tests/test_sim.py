@@ -7,7 +7,7 @@ import pytest
 from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw
 from safecascade.certificates import CertificateSpec, Segment, certificate_value, exp_alpha_bar_for_level
 from safecascade.errors import NonFiniteStateError, ThrustSingularityError
-from safecascade.qcqp_safety import PlantBounds, RateSpec
+from safecascade.qcqp_safety import RateSpec
 from safecascade.qp_solver import PolygonRows
 from safecascade.reshaping import make_positive_basis
 from safecascade.sim import (
@@ -20,7 +20,6 @@ from safecascade.sim import (
     trajectory_metrics,
 )
 
-UNIT_BOUNDS = PlantBounds(g_lower=1.0, delta_upper=0.0)
 WALLS = [
     CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
     CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35),
@@ -30,7 +29,7 @@ WALLS = [
 def wall_law():
     _, abar_inv = exp_alpha_bar_for_level(1.0)
     rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), UNIT_BOUNDS, rate,
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, rate,
                      k_phi=2.0)
 
 
@@ -39,7 +38,7 @@ def wall_controller(slopes):
 
 
 def free_controller(slopes, nominal=(0.6, 1.0)):
-    law = SafetyLaw((), nominal, None, UNIT_BOUNDS, RateSpec(base_slope=1.0), 0.0)
+    law = SafetyLaw((), nominal, None, 0.0, RateSpec(base_slope=1.0), 0.0)
     return CascadeController(law, CascadeGains(tracking_slopes=slopes, k1=1.0))
 
 

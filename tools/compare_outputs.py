@@ -8,11 +8,13 @@ seeded start range), and on a vtol_nonlinear and a velocity_loop variant,
 `example1`, `example2`, a short `run` at `cascade.k1 = estimate` with the
 safe config's two walls, with a third obstacle, a disc, and on a 21-row basis
 (the gain rows of metrics.json carry k1 at full precision, where `audit`
-prints it with :g), and `audit` on both configs and on every variant but the
-shifted starts, so each branch of the design record is printed: the disc's
-exp(R^2) upper end of V, a 21-row basis, no cascade gains (velocity), and
-every margin positive with the rate condition holding, on a 10^5-point rate
-grid (derived: the constants ROADMAP item 2 derives for the safe config).
+prints it with :g), a short `run` of the safe config with a zero nominal
+input (`nominal.value = 0, 0`), and `audit` on both configs and on every
+variant but the shifted starts, so each branch of the design record is
+printed: the disc's exp(R^2) upper end of V, a 21-row basis, no cascade
+gains (velocity), and every margin positive with the rate condition
+holding, on a 10^5-point rate grid (derived: the constants ROADMAP item 2
+derives for the safe config).
 Prints "same" or "differs" per file and stdout, ignoring only
 metrics.json's runtime_s, and exits 1 on any difference.
 """
@@ -37,14 +39,15 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "velocity": ("vtol_safe", {"plant.kind": "velocity_loop", "cascade.k_tracking": ""}),
     "derived": ("vtol_safe", {"cascade.k_tracking": "20.14, 1827, 1.503e7", "cascade.gamma_12_slope": "0.99",
                               "rate.k_alpha": "5", "cascade.k1": "estimate", "audit.grid": "100000"}),
+    "zero_nominal": ("vtol_safe", {"nominal.value": "0, 0"}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
-               for n in ("estimate", "three", "estimate_wide")},
+               for n in ("estimate", "three", "estimate_wide", "zero_nominal")},
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
                for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "nonlinear", "velocity",
-                         "derived")},
+                         "derived", "zero_nominal")},
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
 
