@@ -32,7 +32,6 @@ from .certificates import (
 )
 from .qcqp_safety import (
     ConstraintSet,
-    RateSpec,
     build_constraint_set,
     disc_constraint_set,
     lipschitz_selection,

@@ -3,12 +3,13 @@ tracking laws, with the gain arithmetic needed to audit a design.
 
 The controller is data: the outer safety law (SafetyLaw) plus its gains.
 The outer virtual control x2* comes from the reshaped safety filter of a
-constant nominal input; each inner level tracks the previous virtual
-control with rho_i(e) = -(e / |e|) * K_i |e| / (1 - c) for the norm
-coefficient c, which for integrator chains (c = 0) is plain proportional
-feedback -K_i e. Without
-safety constraints the cascade is standard constructive control. The
-gains' Lipschitz products (CascadeGains.kbar) feed the gain-selection
+constant nominal input, whose rows decay with slope k_alpha through each
+certificate's own envelope (qcqp_safety.decay_rate). Each inner level
+tracks the previous virtual control with
+rho_i(e) = -(e / |e|) * K_i |e| / (1 - c) for the norm coefficient c,
+which for integrator chains (c = 0) is plain proportional feedback -K_i e.
+Without safety constraints the cascade is standard constructive control.
+The gains' Lipschitz products (CascadeGains.kbar) feed the gain-selection
 inequality, and the small-gain audit checks contraction.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .certificates import CertificateSpec
 # lipschitz_selection is unused here but stays importable: the benchmark's
 # trace hooks (benchmarks/workloads.py) rebind cascade.lipschitz_selection.
-from .qcqp_safety import ConstraintSet, RateSpec, build_constraint_set, lipschitz_selection  # noqa: F401
+from .qcqp_safety import ConstraintSet, build_constraint_set, lipschitz_selection  # noqa: F401
 from .qp_solver import sum_last_axis
 from .reshaping import PositiveBasis, reshaped_filter
 
@@ -193,8 +194,10 @@ class SafetyLaw:
     single state and gives a NaN row in a batch. With no certificates the
     law is the nominal itself.
 
-    c is the norm coefficient of the law's rows and tracking levels; a value
-    outside [0, 1) raises ValueError when the law is built.
+    c is the norm coefficient of the law's rows and tracking levels, and
+    k_alpha the slope of its decay rate (qcqp_safety.decay_rate); a c
+    outside [0, 1) or a k_alpha that is not finite and positive raises
+    ValueError when the law is built.
     nominal is kept as a read-only (2,) array, and the basis's pair-vertex
     table is built with the law, so no step rebuilds it. A step calls
     build_constraint_set and reshaped_filter through this module's names.
@@ -204,7 +207,7 @@ class SafetyLaw:
     nominal: np.ndarray
     basis: PositiveBasis | None
     c: float
-    rates: RateSpec
+    k_alpha: float
     k_phi: float
 
     def __post_init__(self):
@@ -214,6 +217,8 @@ class SafetyLaw:
         object.__setattr__(self, "nominal", nominal)
         # The constraint set's check of c: a law without certificates builds none.
         object.__setattr__(self, "c", ConstraintSet(np.zeros((0, 2)), np.zeros(0), self.c).c)
+        if not 0.0 < self.k_alpha < math.inf:
+            raise ValueError(f"k_alpha must be finite and positive, got {self.k_alpha}")
         if self.basis is not None and self.basis.polygon is not None:
             _ = self.basis.polygon.pairs      # builds and keeps the pair-vertex table
 
@@ -224,7 +229,7 @@ class SafetyLaw:
         if not self.certs:
             empty = np.zeros(x1.shape[:-1] + (0,))
             return np.broadcast_to(self.nominal, x1.shape), empty, empty
-        cs = build_constraint_set(x1, self.certs, self.c, self.rates)
+        cs = build_constraint_set(x1, self.certs, self.c, self.k_alpha)
         # The projection broadcasts the one nominal against a batch's rows.
         return reshaped_filter(self.nominal, cs, self.basis, self.k_phi), cs.h, cs.v
 

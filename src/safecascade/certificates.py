@@ -9,6 +9,11 @@ use the quadratic clearance |x - o|^2 - R^2 that single-integrator
 gap-crossing scenarios are built on. Both geometries evaluate to one
 CertificateEval, at one point or an array of points. disjointness_audit
 samples a box for points inside two unsafe sets at once.
+
+The one form also fixes the envelope: at level v, V - v = v (e^s - 1) at
+signed distance s from {V = v}, so a certificate's level alone gives the
+inverse log1p((V - v)/v) that its decay rate applies
+(qcqp_safety.decay_rate).
 """
 from __future__ import annotations
 
@@ -172,28 +177,6 @@ def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     grad_h = np.where(np.isnan(r), np.nan, 2.0 * delta)
     h = (r * r - disc.radius**2).reshape(x.shape[:-1])
     return CertificateEval.from_clearance(h, states_first(grad_h, x.shape[:-1]))
-
-
-def exp_alpha_bar_for_level(level: float):
-    """Envelope pair for exp(-h) certificates at an arbitrary level v.
-
-    V - v = v * (e^s - 1) at signed distance s from {V = v}, so the inverse
-    is log1p((V - v)/v). Far from the obstacle V drops below the resolution
-    of V - v (V < eps v, about 36 units of clearance), the offset rounds to
-    -v and the inverse would be -inf; it is clamped there to log(eps), which
-    only tightens the constraint. Both act elementwise on arrays, and the
-    inverse also on one float, clamped as np.maximum would (NaN included).
-    """
-    if level <= 0:
-        raise ValueError("level must be positive")
-    floor = -1.0 + np.finfo(float).eps
-
-    def inverse(s):
-        s = s / level
-        if isinstance(s, float):
-            return np.log1p(s if s > floor or s != s else floor)
-        return np.log1p(np.maximum(s, floor))
-    return (lambda s: level * np.expm1(s)), inverse
 
 
 def certificate_value(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:

@@ -2,12 +2,13 @@
 
 The feasible input set at state x is {u : A u + c * |u| <= b} with one row
 per certificate: the row direction is the normalized certificate gradient
-(the outer level drives the plane directly), the offset is the decay-rate
-value at the current certificate level, and the norm coefficient c in
-[0, 1) absorbs the input-gain uncertainty. The module also
-provides the Lipschitz selection, a closed-form point of the set used as
-the reshaping anchor, and the sampled audit of the decay-rate condition
-above the threshold.
+(the outer level drives the plane directly), the offset is the decay rate
+at the certificate's value (decay_rate: slope k_alpha through the envelope
+of the certificate's own level, steepened below zero as c requires), and
+the norm coefficient c in [0, 1) absorbs the input-gain uncertainty. The
+module also provides the Lipschitz selection, a closed-form point of the
+set used as the reshaping anchor, and the sampled audit of the decay-rate
+condition above the threshold.
 
 The selection also returns the slack it verified (selection_with_slack),
 so the reshaping does not evaluate the set at it a second time.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,56 +105,46 @@ class ConstraintSet:
         return (self.violations(u) <= DEFAULT_TOL).all(axis=-1)
 
 
-@dataclass(frozen=True)
-class RateSpec:
-    """Decay-rate family alpha_j = base o alpha_bar_inverse_j.
+# Far from an obstacle V drops below the resolution of V - level (V < eps
+# level, about 36 units of clearance): the offset rounds to -level and the
+# envelope inverse would be -inf. decay_rate clamps it at log(eps) there,
+# which only tightens the constraint.
+ENVELOPE_FLOOR = -1.0 + np.finfo(float).eps
 
-    The base rate has slope base_slope on s >= 0. On s < 0 it is steepened
-    by negative_ratio; choosing negative_ratio >= (1 + c) / (1 - c) for the
-    norm coefficient c makes the base satisfy
-    base(s) + ratio * base(-s) <= 0 for s <= 0, which is what the Lipschitz
-    selection needs to land inside the set. A plain linear rate
-    (negative_ratio = 1) has that property only when c = 0.
 
-    alpha_bar_inverse must act elementwise on arrays and on one float
-    with the same values (numpy ufuncs, not math functions, which round
-    differently): build_constraint_set passes it a batch's offsets as one
-    array and one state's offsets one float at a time.
+def decay_rate(offset, level, k_alpha: float, c: float):
+    """The decay rate alpha_j = base o alpha_bar_j^-1 at a certificate's
+    offset V - level, on one float or elementwise on an array, with the same
+    bits either way (numpy ufuncs on both, not math functions, which round
+    differently). level may be an array that broadcasts against offset.
+
+    Every certificate is V = exp(-h), so at its level v the envelope inverse
+    is log1p((V - v)/v): V - v = v (e^s - 1) at signed distance s from
+    {V = v}. The base rate is k_alpha s for s >= 0 and is steepened by
+    (1 + c)/(1 - c) below zero, for the norm coefficient c, so that
+    base(s) + (1 + c)/(1 - c) base(-s) <= 0 for s <= 0, which is what the
+    Lipschitz selection needs to land inside the set.
     """
-
-    base_slope: float
-    alpha_bar_inverse: Callable[[np.ndarray], np.ndarray] = lambda s: s
-    negative_ratio: float = 1.0
-
-    def __post_init__(self):
-        if self.base_slope <= 0:
-            raise ValueError("base_slope must be positive")
-        if self.negative_ratio < 1.0:
-            raise ValueError("negative_ratio must be >= 1")
-
-    def base(self, s):
-        """Base rate, elementwise on arrays; on one float, np.where's pick
-        on floats."""
-        if isinstance(s, float):
-            return s * (self.base_slope if s >= 0.0 else self.base_slope * self.negative_ratio)
-        return s * np.where(s >= 0.0, self.base_slope, self.base_slope * self.negative_ratio)
-
-    def rate(self, offset):
-        """alpha_j applied to the certificate offset V - level, elementwise."""
-        return self.base(self.alpha_bar_inverse(offset))
+    s = offset / level
+    if isinstance(s, float):
+        s = np.log1p(s if s > ENVELOPE_FLOOR or s != s else ENVELOPE_FLOOR)
+        return s * (k_alpha if s >= 0.0 else k_alpha * ((1.0 + c) / (1.0 - c)))
+    s = np.log1p(np.maximum(s, ENVELOPE_FLOOR))
+    return s * np.where(s >= 0.0, k_alpha, k_alpha * ((1.0 + c) / (1.0 - c)))
 
 
 def build_constraint_set(
     x: np.ndarray,
     certs: Sequence[CertificateSpec],
     c: float,
-    rates: RateSpec,
+    k_alpha: float,
 ) -> ConstraintSet:
     """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
 
     Row j is the unit vector along dV_j/dx, which is -dh_j/dx normalised
-    (V = exp(-h) only scales it), the offset is -alpha_j(V_j - level_j),
-    and every row carries the one norm coefficient c. The set keeps
+    (V = exp(-h) only scales it), the offset is -alpha_j(V_j - level_j)
+    with the decay rate of certificate j's own level (decay_rate), and
+    every row carries the one norm coefficient c. The set keeps
     each certificate's h and V, so a caller that needs them evaluates
     nothing again. Where a certificate's gradient is undefined (a segment
     spine, a disc center) a single state raises and a batch row is NaN.
@@ -161,14 +152,14 @@ def build_constraint_set(
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        # One planar state on floats; rates.rate keeps its ufuncs (np.log1p).
+        # One planar state on floats; decay_rate keeps its ufuncs (np.log1p).
         rows, b, h, v = [], [], [], []
         for cert in certs:
             ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
             g0, g1 = ev.grad_h.tolist()
             nrm = -math.sqrt(g0 * g0 + g1 * g1)      # a sum from 0: squares are never -0.0
             rows.append((g0 / nrm, g1 / nrm))
-            b.append(-rates.rate(ev.v - cert.level))
+            b.append(-decay_rate(ev.v - cert.level, cert.level, k_alpha, c))
             h.append(ev.h)
             v.append(ev.v)
         return ConstraintSet(np.array(rows) if rows else np.zeros((0, 2)), np.array(b),
@@ -186,8 +177,9 @@ def build_constraint_set(
         v[j] = ev.v.reshape(-1)
     nrm = np.sqrt(sum_last_axis(np.square(rows).transpose(0, 2, 1)))
     rows /= np.negative(nrm, out=nrm)[:, None]              # the unit rows, in place
-    offset = v - np.array([[cert.level] for cert in certs])
-    return ConstraintSet(states_first(rows, batch), states_first(-rates.rate(offset), batch),
+    levels = np.array([[cert.level] for cert in certs])         # a column, one per row
+    b = -decay_rate(v - levels, levels, k_alpha, c)
+    return ConstraintSet(states_first(rows, batch), states_first(b, batch),
                          c, h=states_first(h, batch), v=states_first(v, batch))
 
 
@@ -216,10 +208,10 @@ def lipschitz_selection(cs: ConstraintSet) -> np.ndarray:
     when all offsets are nonnegative, else the negative row's direction
     times b/(1 - c), summed over negative rows (a second one can only lie
     within DEFAULT_TOL of zero). The point is verified against every row; a
-    violation means the certificates are not disjoint or the rate lacks the
-    negative-side steepening. For a single state both failures raise
-    SelectionConditionError; a batch gives NaN rows there and where the set
-    itself is NaN.
+    violation means the certificates are not disjoint, or that offsets set
+    by hand lack decay_rate's negative-side steepening. For a single state
+    both failures raise SelectionConditionError; a batch gives NaN rows
+    there and where the set itself is NaN.
     """
     return selection_with_slack(cs)[0]
 
@@ -300,7 +292,7 @@ class RateConditionReport:
 
 
 def rate_condition_audit(
-    rate: RateSpec,
+    k_alpha: float,
     level: float,
     threshold: float,
     theta: float,
@@ -310,15 +302,16 @@ def rate_condition_audit(
     grid: int = 200,
 ) -> RateConditionReport:
     """Check alpha_j((t-v)/t * V) >= theta V + (1 + c) V/gw over sampled V
-    in [t, v_max], t the threshold and c the norm coefficient, every grid
-    point in one array expression. The report names the first least margin;
+    in [t, v_max], with alpha_j the decay rate of slope k_alpha at the
+    level v, t the threshold and c the norm coefficient, every grid point
+    in one array expression. The report names the first least margin;
     np.argmin takes a NaN margin before any number, so a NaN reads as not
     holding. Report-only."""
     if threshold <= level:
         raise ValueError("threshold must exceed the certificate level")
     vs = np.linspace(threshold, max(v_max, threshold), grid)
     frac = (threshold - level) / threshold
-    margins = rate.rate(frac * vs) - (theta * vs + (1.0 + c) * (vs / gamma_w_slope))
+    margins = decay_rate(frac * vs, level, k_alpha, c) - (theta * vs + (1.0 + c) * (vs / gamma_w_slope))
     k = int(np.argmin(margins))
     return RateConditionReport(
         threshold=threshold,

@@ -73,10 +73,9 @@ from .certificates import (  # noqa: F401
     Segment,
     disjointness_audit,
     eval_segment,
-    exp_alpha_bar_for_level,
 )
 from .errors import ConfigError, DegenerateGeometryError, SafecascadeError
-from .qcqp_safety import RateConditionReport, RateSpec, rate_condition_audit
+from .qcqp_safety import RateConditionReport, rate_condition_audit
 from .reshaping import MAX_DIRECTIONS, PositiveBasis, cbar_a, make_positive_basis
 from .sim import IDENTIFIED_T2, IDENTIFIED_T3, IDENTIFIED_T4, IntegratorChain, PlantModel, VelocityLoop, VtolNonlinear
 
@@ -162,7 +161,7 @@ MAX_GAMMA_12_SLOPE = 1e150
 # The rate audit runs V up to exp(MAX_CLEARANCE_DEPTH) or 1.01 thresholds,
 # both at most 1.02e304, and a constraint offset takes the rate at such a V.
 # Each bound keeps one product with that V finite:
-# - certificate.level >= 1e-3: V / level <= 1.02e307 (alpha_bar's inverse);
+# - certificate.level >= 1e-3: V / level <= 1.02e307 (the envelope inverse);
 # - certificate.threshold <= 1e300: 1.01 thresholds stay below 1.02e304;
 # - rate.k_alpha <= 1e300: k_alpha * log1p(V / level) <= 7.1e302;
 # - cascade.theta <= 1e4 with cascade.gamma_12_slope >= 1e-3:
@@ -185,8 +184,10 @@ KEYS: dict[str, Key] = {
     "certificate.threshold": _positive(1.4, MAX_CERTIFICATE_THRESHOLD),
     "rate.k_alpha": _positive(1.0, MAX_RATE_SLOPE),
     "nominal.value": _pair(),
-    "reshape.directions": Key(int, 11, lambda v: v % 2 == 1 and 3 <= v <= MAX_DIRECTIONS,
-                              f"odd, 3 to {MAX_DIRECTIONS}"),
+    # Three rows at 120 degrees carry the coverage constant -1/2, which the
+    # reshaping cannot use; regular polygons have cos(2 pi / n) > 0 from 5.
+    "reshape.directions": Key(int, 11, lambda v: v % 2 == 1 and 5 <= v <= MAX_DIRECTIONS,
+                              f"odd, 5 to {MAX_DIRECTIONS}"),
     "reshape.k_phi": Key(float, 2.0, lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
     "cascade.k_tracking": Key(_numbers, (), lambda v: all(0.0 < k < math.inf for k in v),
                               "finite positive numbers"),
@@ -380,10 +381,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                           f"got {threshold}")
     # The norm coefficient: the bundled plants' input gain is exact.
     c = 0.0
-    _, abar_inv = exp_alpha_bar_for_level(level)
-    # The Lipschitz selection needs this negative-side steepening (RateSpec).
-    rate = RateSpec(base_slope=cfg["rate.k_alpha"], alpha_bar_inverse=abar_inv,
-                    negative_ratio=(1.0 + c) / (1.0 - c))
     nominal = cfg["nominal.value"]
     if nominal is None:
         raise ConfigError("need nominal.value")
@@ -401,7 +398,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     x_lo, x_hi, y_lo, y_hi = cfg["sim.workspace_m"]
     workspace = ((x_lo, x_hi), (y_lo, y_hi))
     # One law serves the k1 estimate and the controller.
-    law = SafetyLaw(certs, nominal, basis, c, rate, cfg["reshape.k_phi"])
+    law = SafetyLaw(certs, nominal, basis, c, cfg["rate.k_alpha"], cfg["reshape.k_phi"])
     k1_estimated = levels > 1 and cfg["cascade.k1"] == "estimate"
     gains = None
     if levels > 1:
@@ -515,7 +512,7 @@ class DesignReport:
         v_max = max(math.exp(c.geometry.radius ** 2 if isinstance(c.geometry, Disc) else c.safe_distance)
                     for c in law.certs)
         return rate_condition_audit(
-            law.rates, law.certs[0].level, threshold,
+            law.k_alpha, law.certs[0].level, threshold,
             s.config["cascade.theta"], s.config["cascade.gamma_12_slope"],
             law.c, v_max=max(v_max, threshold * 1.01), grid=s.config["audit.grid"],
         )

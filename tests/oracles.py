@@ -88,7 +88,7 @@ def signed_level_distance(value_fn, x, level, direction, span=5.0, iters=80):
 
     Walks along +-direction with bisection; sign is positive when
     value_fn(x) exceeds the level. Test-time helper for checking that the
-    certificate envelope alpha_bar maps distances to certificate offsets.
+    certificate envelope's inverse maps certificate offsets to distances.
     """
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -139,16 +139,16 @@ def ledger_products(k_tracking, k1):
     return kbar
 
 
-def rate_condition_by_loop(rate, level, threshold, theta, gamma_w_slope, c, v_max, grid):
+def rate_condition_by_loop(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max, grid):
     """The rate-condition audit one grid point at a time: (least margin, its V)
-    for the first strict minimum over the grid. A NaN margin never compares
-    below another, so the loop skips it, and a grid of NaN margins gives
-    (inf, threshold)."""
+    for the first strict minimum over the grid, with the rate of
+    one_state_set at the level. A NaN margin never compares below another,
+    so the loop skips it, and a grid of NaN margins gives (inf, threshold)."""
     vs = np.linspace(threshold, max(v_max, threshold), grid)
     frac = (threshold - level) / threshold
     min_margin, argmin_v = math.inf, threshold
     for v in vs:
-        lhs = rate.rate(frac * v)
+        lhs = -_offsets(frac * v, level, k_alpha, c)
         margin = lhs - (theta * v + (1.0 + c) * (v / gamma_w_slope))
         if margin < min_margin:
             min_margin, argmin_v = margin, float(v)
@@ -234,26 +234,27 @@ def one_state_certificate(cert, x):
     return h, grad_h, np.exp(-h)
 
 
-def one_state_set(x, certs, k_alpha, ratio, rate_level):
+def one_state_set(x, certs, k_alpha, c):
     """Rows a (n, 2), offsets b (n,), clearances h and values V at x, for
-    the rate k_alpha * s (s >= 0; k_alpha * ratio * s below) of the inverse
-    envelope s = log1p(max(offset / rate_level, -1 + eps))."""
+    the rate k_alpha * s (s >= 0; k_alpha * (1 + c)/(1 - c) * s below) of
+    each certificate's inverse envelope s = log1p(max(offset / level,
+    -1 + eps)), offset = V - level."""
     grad_h = np.empty((len(certs), 2))
     h = np.empty(len(certs))
     v = np.empty(len(certs))
     for j, cert in enumerate(certs):
         h[j], grad_h[j], v[j] = one_state_certificate(cert, x)
     nrm2 = np.add.reduce(grad_h * grad_h, axis=-1)
-    offset = v - np.array([cert.level for cert in certs])
+    levels = np.array([cert.level for cert in certs])
     a = grad_h / -np.sqrt(nrm2)[..., None]
     _check_unit_rows(a)
-    return a, _offsets(offset, k_alpha, ratio, rate_level), h, v
+    return a, _offsets(v - levels, levels, k_alpha, c), h, v
 
 
-def _offsets(offset, k_alpha, ratio, rate_level):
+def _offsets(offset, level, k_alpha, c):
     """-rate(offset) elementwise, for the rate of one_state_set."""
-    s = np.log1p(np.maximum(offset / rate_level, -1.0 + np.finfo(float).eps))
-    return -(s * np.where(s >= 0.0, k_alpha, k_alpha * ratio))
+    s = np.log1p(np.maximum(offset / level, -1.0 + np.finfo(float).eps))
+    return -(s * np.where(s >= 0.0, k_alpha, k_alpha * ((1.0 + c) / (1.0 - c))))
 
 
 def _check_unit_rows(a):
@@ -343,9 +344,9 @@ def one_state_projection(u0, a_l, b):
     return verts[0, d2.argmin()], "vertex"
 
 
-def one_state_law(x, certs, nominal, a_l, c_a, c, k_alpha, ratio, rate_level, k_phi):
+def one_state_law(x, certs, nominal, a_l, c_a, c, k_alpha, k_phi):
     """(u, h, V, projection stage) of the reshaped outer law at one state."""
-    a, b, h, v = one_state_set(x, certs, k_alpha, ratio, rate_level)
+    a, b, h, v = one_state_set(x, certs, k_alpha, c)
     selection, slack = one_state_selection(a, b, c)
     b_l = one_state_b_l(selection, slack, a, c, a_l, c_a, k_phi)
     u, stage = one_state_projection(nominal, a_l, b_l)
@@ -394,7 +395,7 @@ def batch_certificate(cert, x):
     return h, np.where(np.isnan(r)[..., None], np.nan, 2.0 * delta), np.exp(-h)
 
 
-def batch_set(x, certs, k_alpha, ratio, rate_level):
+def batch_set(x, certs, k_alpha, c):
     """Rows a (N, n, 2), offsets b, clearances h and values V (N, n) at the
     states x (N, 2), for the rate of one_state_set."""
     grad_h = np.empty(x.shape[:-1] + (len(certs), 2))
@@ -405,8 +406,8 @@ def batch_set(x, certs, k_alpha, ratio, rate_level):
     nrm2 = np.add.reduce(grad_h * grad_h, axis=-1)
     a = grad_h / -np.sqrt(nrm2)[..., None]
     _check_unit_rows(a)
-    offset = v - np.array([cert.level for cert in certs])
-    return a, _offsets(offset, k_alpha, ratio, rate_level), h, v
+    levels = np.array([cert.level for cert in certs])
+    return a, _offsets(v - levels, levels, k_alpha, c), h, v
 
 
 def batch_selection(a, b, c):
@@ -474,9 +475,9 @@ def batch_projection(u0, a_l, b):
     return np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
 
 
-def batch_law(x, certs, nominal, a_l, c_a, c, k_alpha, ratio, rate_level, k_phi):
+def batch_law(x, certs, nominal, a_l, c_a, c, k_alpha, k_phi):
     """(u, h, V) of the reshaped outer law at the states x (N, 2)."""
-    a, b, h, v = batch_set(x, certs, k_alpha, ratio, rate_level)
+    a, b, h, v = batch_set(x, certs, k_alpha, c)
     selection, slack = batch_selection(a, b, c)
     b_l = batch_b_l(selection, slack, a, c, a_l, c_a, k_phi)
     return batch_projection(np.broadcast_to(nominal, x.shape), a_l, b_l), h, v

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw, k_selection_audit
-from safecascade.certificates import CertificateSpec, Segment, exp_alpha_bar_for_level
+from safecascade.certificates import CertificateSpec, Segment
 from safecascade.cli import (
     axis_slice_grid,
     cmd_run,
@@ -25,7 +25,6 @@ from safecascade.cli import (
 from safecascade.errors import InfeasibleError
 from safecascade.qcqp_safety import (
     ConstraintSet,
-    RateSpec,
     build_constraint_set,
     disc_constraint_set,
     lipschitz_selection,
@@ -163,11 +162,9 @@ def test_criterion_3_reshaping_sandwich():
             sets_checked += 1
     # Wall scenario with the stock basis and expansion weight; (0.0, 0.45)
     # lies inside the low wall's inflated band (selection nonzero).
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis11 = make_positive_basis(2, 11)
     for x in ([-2.0, 1.0], [0.0, 1.2], [1.0, 1.1], [2.0, 2.6], [0.0, 0.45]):
-        cs = build_constraint_set(np.asarray(x), WALLS, 0.0, rate)
+        cs = build_constraint_set(np.asarray(x), WALLS, 0.0, 1.0)
         sel = lipschitz_selection(cs)
         poly = Polyhedron(basis11.a_l, reshape_b_l(sel, cs, basis11, 2.0))
         assert np.all(poly.a @ sel <= poly.b + 1e-9)
@@ -338,10 +335,8 @@ def test_criterion_7_numerical_hygiene(tmp_path):
 
 
 def test_criterion_8_single_level_decay():
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
-    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 0.0, rate, k_phi=2.0)
+    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 0.0, 1.0, k_phi=2.0)
     controller = CascadeController(rho1=law, gains=None)
     plant = IntegratorChain(m=1)
     dt = 1e-3

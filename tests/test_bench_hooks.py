@@ -19,8 +19,7 @@ from workloads import install_trace  # noqa: E402
 import safecascade  # noqa: E402
 from safecascade import cascade, cli, qcqp_safety, reshaping, scenario, sim  # noqa: E402
 from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw  # noqa: E402
-from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level  # noqa: E402
-from safecascade.qcqp_safety import RateSpec  # noqa: E402
+from safecascade.certificates import CertificateSpec, Disc, Segment  # noqa: E402
 from safecascade.reshaping import make_positive_basis  # noqa: E402
 
 from helpers import bundled_config  # noqa: E402
@@ -36,7 +35,7 @@ def test_trace_hooks_install_record_and_restore():
     try:
         # The constraint set evaluates its certificates through the rebound
         # module names, so both geometries show up as certificate spans.
-        qcqp_safety.build_constraint_set(x, [wall, disc], 0.0, RateSpec(base_slope=1.0))
+        qcqp_safety.build_constraint_set(x, [wall, disc], 0.0, 1.0)
         sim.certificate_value(wall, x)
     finally:
         tracer.restore()
@@ -51,8 +50,6 @@ def test_traced_batched_law_and_single_evaluate():
     # names the law calls (cascade.build_constraint_set, ...) or must not
     # see a batch (the selection counter reads one state's selection). A
     # traced 5 x 5 estimate and one traced controller step must run.
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
@@ -60,7 +57,7 @@ def test_traced_batched_law_and_single_evaluate():
     tracer = Tracer()
     install_trace(tracer)
     try:
-        law = SafetyLaw(walls, np.array([0.6, 1.0]), basis, 0.0, rate, k_phi=2.0)
+        law = SafetyLaw(walls, np.array([0.6, 1.0]), basis, 0.0, 1.0, k_phi=2.0)
         controller = CascadeController(law, gains)
         k1 = scenario.estimate_safety_law_lipschitz(law, ((-3.0, 6.0), (-0.5, 12.0)), grid=5)
         ev = controller.evaluate([np.array([-2.0, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2)])
@@ -80,11 +77,9 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     # certificate and step. The law keeps its constants but still builds
     # its set and filters through the traced names, once per step, even
     # though the controller was built before the hooks were installed.
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
-    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0,
-                    RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv), k_phi=2.0)
+    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, 1.0, k_phi=2.0)
     controller = CascadeController(law, CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49))
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]

@@ -17,7 +17,7 @@ from safecascade.cascade import (
     small_gain_audit,
     tracking_law,
 )
-from safecascade.certificates import CertificateSpec, Disc, Segment, eval_segment, exp_alpha_bar_for_level
+from safecascade.certificates import CertificateSpec, Disc, Segment, eval_segment
 from safecascade.errors import (
     CoverageConditionError,
     SafecascadeError,
@@ -25,7 +25,6 @@ from safecascade.errors import (
     ZeroGradientError,
 )
 from safecascade.qcqp_safety import (
-    RateSpec,
     build_constraint_set,
     disc_constraint_set,
     lipschitz_selection,
@@ -111,9 +110,7 @@ def test_controller_levels_call_tracking_law_per_slope(monkeypatch):
     # called through the cascade module's name (the benchmark's trace hooks
     # rebind it).
     c = 0.2
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rates = RateSpec(1.0, abar_inv, negative_ratio=(1.0 + c) / (1.0 - c))
-    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), c, rates, 2.0)
+    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), c, 1.0, 2.0)
     controller = CascadeController(law, STOCK_GAINS)
     rng = np.random.default_rng(5)
     blocks = [np.array([-2.0, 1.0]), *rng.normal(size=(3, 2))]
@@ -233,9 +230,7 @@ def test_small_gain_flags_tau_below_one():
 # -------------------------------------------------------------- controller
 
 def wall_law():
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, rate,
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, 1.0,
                      k_phi=2.0)
 
 
@@ -399,19 +394,19 @@ def _single_or_nan(law, x):
 
 
 def _outer_laws():
-    """Outer laws over walls, overlapping discs, and an uncertain input gain
-    (c > 0) with the rate steepened for it."""
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
+    """Outer laws over walls, overlapping discs, an uncertain input gain
+    (c > 0), whose rate is steepened for it, and walls at levels 1 and 2
+    with the slope 1.5, each row through its own level's envelope."""
     basis = make_positive_basis(2, 11)
     nominal = np.array([0.6, 1.0])
     discs = [CertificateSpec(Disc([0.0, 6.0], 1.0)), CertificateSpec(Disc([0.8, 6.0], 1.0))]
     c = 0.1
     return {
-        "walls": SafetyLaw(WALLS, nominal, basis, 0.0, rate, k_phi=2.0),
-        "discs": SafetyLaw(discs, nominal, basis, 0.0, rate, k_phi=1.0),
-        "uncertain": SafetyLaw(WALLS, nominal, basis, c,
-                               RateSpec(1.0, abar_inv, negative_ratio=(1.0 + c) / (1.0 - c)), k_phi=2.0),
+        "walls": SafetyLaw(WALLS, nominal, basis, 0.0, 1.0, k_phi=2.0),
+        "discs": SafetyLaw(discs, nominal, basis, 0.0, 1.0, k_phi=1.0),
+        "uncertain": SafetyLaw(WALLS, nominal, basis, c, 1.0, k_phi=2.0),
+        "levels": SafetyLaw([WALLS[0], CertificateSpec(WALLS[1].geometry, 0.35, level=2.0)],
+                            nominal, basis, 0.0, 1.5, k_phi=2.0),
     }
 
 
@@ -467,7 +462,7 @@ def _composed(law, x):
     """The law rebuilt from the public functions, which derive every
     constant the law keeps on each call."""
     nominal = np.broadcast_to(law.nominal, np.shape(x))
-    cs = build_constraint_set(x, law.certs, law.c, law.rates)
+    cs = build_constraint_set(x, law.certs, law.c, law.k_alpha)
     b_l = reshape_b_l(lipschitz_selection(cs), cs, law.basis, law.k_phi)
     return PolygonRows(law.basis.a_l).project(nominal, b_l), cs.h, cs.v
 
@@ -485,7 +480,7 @@ def _with_narrow(laws):
     constant is below its norm coefficient, so every reshaping fails."""
     walls = laws["uncertain"]
     laws["narrow"] = SafetyLaw(WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.05),
-                               walls.c, walls.rates, k_phi=2.0)
+                               walls.c, walls.k_alpha, k_phi=2.0)
     return laws
 
 
@@ -525,18 +520,15 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
 
 
 def _law_args(law):
-    """one_state_law's arguments after the state, for a law whose rate
-    inverts the envelope of level 1."""
-    return (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, law.c,
-            law.rates.base_slope, law.rates.negative_ratio, 1.0, law.k_phi)
+    """one_state_law's arguments after the state."""
+    return (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, law.c, law.k_alpha, law.k_phi)
 
 
 def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
     # One state runs on floats; oracles.one_state_law is the same law on
     # numpy arrays, in the order the package computed it before. Same bits
     # for u, h and V (NaN and the sign of zero included), and the same
-    # exception type and message wherever the reference raises. The laws'
-    # rates invert the envelope of level 1.
+    # exception type and message wherever the reference raises.
     states = np.vstack([_outer_law_states(5551212), [[np.nan, 1.0], [0.0, np.nan]]])
     seen = set()
     for name, law in _with_narrow(_outer_laws()).items():
@@ -556,7 +548,7 @@ def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
     assert {("walls", "ZeroGradientError", "query"), ("discs", "AtCenterError", "query"),
             ("discs", "SelectionConditionError", "offset"),
             ("narrow", "CoverageConditionError", "coverage")} <= seen
-    for name in ("walls", "discs", "uncertain"):
+    for name in ("walls", "discs", "uncertain", "levels"):
         assert {(name, stage, False) for stage in ("inside", "edge", "vertex")} <= seen, name
         assert (name, "nan", True) in seen, name
 
@@ -630,23 +622,22 @@ def test_batched_law_equals_the_array_reference_bit_for_bit():
     laws = _with_narrow(_outer_laws())
     walls = laws["walls"]
     laws["three"] = SafetyLaw([*WALLS, CertificateSpec(Disc([0.8, 6.0], 1.0))], walls.nominal,
-                              walls.basis, walls.c, walls.rates, k_phi=2.0)
+                              walls.basis, walls.c, walls.k_alpha, k_phi=2.0)
     # Three rows at 120 degrees carry the constant -1/2, which fails the
     # coverage condition; stated as 0.05, the reshaping runs on three rows.
     for n_l, basis in ((3, PositiveBasis(make_positive_basis(2, 3).a_l, 0.05)),
                        (21, make_positive_basis(2, 21))):
-        laws[f"{n_l} rows"] = SafetyLaw(WALLS, walls.nominal, basis, walls.c, walls.rates, k_phi=2.0)
+        laws[f"{n_l} rows"] = SafetyLaw(WALLS, walls.nominal, basis, walls.c, walls.k_alpha, k_phi=2.0)
     for name, law in laws.items():
-        rate = (law.rates.base_slope, law.rates.negative_ratio, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            want_set = batch_set(states, law.certs, *rate)
+            want_set = batch_set(states, law.certs, law.k_alpha, law.c)
             want = outcome(lambda: batch_law(states, law.certs, law.nominal, law.basis.a_l, law.basis.c_a,
-                                             law.c, *rate, law.k_phi))
+                                             law.c, law.k_alpha, law.k_phi))
         for layout, x in layouts(states):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                cs = build_constraint_set(x, law.certs, law.c, law.rates)
+                cs = build_constraint_set(x, law.certs, law.c, law.k_alpha)
                 for got, ref in zip((cs.a, cs.b, cs.h, cs.v), want_set):
                     assert_same_bits(got, ref)
                 got = outcome(lambda: law.evaluate(x))

@@ -10,10 +10,9 @@ from safecascade.certificates import (
     disjointness_audit,
     eval_disc,
     eval_segment,
-    exp_alpha_bar_for_level,
 )
 from safecascade.errors import AtCenterError, DegenerateGeometryError, ZeroGradientError
-from safecascade.qcqp_safety import disc_constraint_set
+from safecascade.qcqp_safety import decay_rate, disc_constraint_set
 
 from helpers import Raised, assert_same_bits, outcome
 from oracles import one_state_certificate, segment_distance_by_sampling, signed_level_distance
@@ -179,19 +178,30 @@ def test_disc_center_rejected():
         eval_disc(cert, np.array([0.5, -0.5]))
 
 
+def envelope_inverse(offset, level):
+    """The decay rate of slope 1 at c = 0: log1p(offset / level), clamped."""
+    return decay_rate(offset, level, 1.0, 0.0)
+
+
 def test_alpha_bar_exponential_values():
-    abar, abar_inv = exp_alpha_bar_for_level(1.0)
-    assert abar(0.0) == 0.0
-    assert abar_inv(0.0) == 0.0
-    assert abar(1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
+    # At level 1 the inverse is zero on the level set and one at V = e. Far
+    # out, V - 1 rounds to -1 and the inverse is clamped at log(eps).
+    assert envelope_inverse(0.0, 1.0) == 0.0
+    assert envelope_inverse(math.e - 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert envelope_inverse(-1.0, 1.0) == pytest.approx(math.log(np.finfo(float).eps), abs=1e-12)
     for s in np.linspace(-0.9, 5.0, 113):
-        assert abar_inv(abar(s)) == pytest.approx(s, abs=1e-12)
+        assert envelope_inverse(math.expm1(s), 1.0) == pytest.approx(s, abs=1e-12)
 
 
 def test_alpha_bar_general_level_roundtrip():
-    abar, abar_inv = exp_alpha_bar_for_level(2.5)
-    for s in np.linspace(-0.5, 3.0, 50):
-        assert abar_inv(abar(s)) == pytest.approx(s, abs=1e-12)
+    # For V = exp(-h) at level v, log1p((V - v)/v) is the signed distance
+    # from {V = v}, positive inside: a wall at safe distance 1.5 reaches
+    # V = v at distance 1.5 - log v from its spine.
+    for level in (0.5, 1.0, 2.5):
+        cert = CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=1.5, level=level)
+        for d in np.linspace(0.05, 4.0, 50):
+            ev = eval_segment(cert, np.array([0.3, 0.5 + d]))
+            assert envelope_inverse(ev.v - level, level) == pytest.approx(1.5 - math.log(level) - d, abs=1e-12)
 
 
 def test_disjointness_audit_clean_for_wall_pair():
@@ -226,15 +236,15 @@ def test_level_set_consistency_for_unit_level():
 
 
 def test_signed_distance_surrogate_matches_alpha_bar():
-    # alpha_bar(D) = V - level for the exponential transform on segments,
-    # with D the signed distance to {V = level} measured by bisection.
-    abar, _ = exp_alpha_bar_for_level(1.0)
+    # The envelope inverse of V - level is D for the exponential transform
+    # on segments, with D the signed distance to {V = level} measured by
+    # bisection.
     cert = WALL_LOW
     value_fn = lambda x: eval_segment(cert, x).v
     for x in [np.array([0.0, 1.4]), np.array([0.3, 0.95]), np.array([-1.0, 0.78])]:
         ev = eval_segment(cert, x)
         d = signed_level_distance(value_fn, x, 1.0, -ev.v * ev.grad_h)
-        assert abar(d) == pytest.approx(ev.v - 1.0, abs=1e-6)
+        assert envelope_inverse(ev.v - 1.0, 1.0) == pytest.approx(d, abs=1e-6)
 
 
 def test_one_point_segment_on_floats_equals_the_array_reference_bit_for_bit():

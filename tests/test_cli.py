@@ -128,6 +128,24 @@ def test_run_boundaries_exit_config(tmp_path, capsys, key, value, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("obstacles", [True, False], ids=["obstacles", "no_obstacles"])
+def test_three_directions_are_refused_when_parsed_by_run_and_audit(tmp_path, capsys, obstacles):
+    # Three rows carry the coverage constant -1/2: with an obstacle the
+    # scenario failed to build ("coverage constant -0.5 too small"), and
+    # without one `run` went on with exit 0. Both commands now stop at the
+    # config's line, naming the key, and write nothing.
+    text = bundled_config("vtol_safe").read_text()
+    if not obstacles:
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("obstacle.")) + "\n"
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(_with_key(_with_key(text, "sim.horizon_s", "0.01"), "reshape.directions", "3"))
+    for argv in (["run", "--config", str(cfg), "--out", str(tmp_path / "out")], ["audit", "--config", str(cfg)]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "reshape.directions must be odd, 5 to 101, got '3'" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("key, value", [
     ("plant.block_dim", "0"),
     ("plant.block_dim", "3"),

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safecascade.cascade import SafetyLaw
-from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
+from safecascade.certificates import CertificateSpec, Disc, Segment
 from safecascade.errors import SelectionConditionError
 from safecascade.qcqp_safety import (
     ConstraintSet,
-    RateSpec,
     build_constraint_set,
+    decay_rate,
     disc_constraint_set,
     lipschitz_selection,
     rate_condition_audit,
@@ -32,8 +32,9 @@ def random_unit_rows(rng, n, dim=2):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def draw_disjoint_disc_offsets(rng, n_c, rate: RateSpec):
-    """Offsets b from signed distances to pairwise-disjoint disc unsafe sets.
+def draw_disjoint_disc_offsets(rng, n_c, k_alpha, c):
+    """Offsets b from signed distances to pairwise-disjoint disc unsafe sets,
+    through the decay rate at level 1 of the value exp(distance).
 
     Distances satisfy the disjointness inequality max + min <= 0 for every
     pair by construction, which is all the selection guarantee needs.
@@ -41,30 +42,28 @@ def draw_disjoint_disc_offsets(rng, n_c, rate: RateSpec):
     centers = []
     radii = []
     while len(centers) < n_c:
-        c = rng.uniform(-4.0, 4.0, size=2)
+        o = rng.uniform(-4.0, 4.0, size=2)
         r = rng.uniform(0.2, 1.2)
-        if all(np.linalg.norm(c - c2) > r + r2 + 0.05 for c2, r2 in zip(centers, radii)):
-            centers.append(c)
+        if all(np.linalg.norm(o - o2) > r + r2 + 0.05 for o2, r2 in zip(centers, radii)):
+            centers.append(o)
             radii.append(r)
     x = rng.uniform(-4.0, 4.0, size=2)
-    signed = np.array([r - np.linalg.norm(x - c) for c, r in zip(centers, radii)])
-    return np.array([-rate.base(float(s)) for s in signed])
+    signed = np.array([r - np.linalg.norm(x - o) for o, r in zip(centers, radii)])
+    return np.array([-decay_rate(math.expm1(s), 1.0, k_alpha, c) for s in signed])
 
 
 # ------------------------------------------------------------ construction
 
 def test_single_disc_on_level_set():
     cert = CertificateSpec(Disc([1.0, 0.0], 1.0))
-    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], 0.0,
-                              RateSpec(base_slope=1.0))
+    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], 0.0, 1.0)
     np.testing.assert_allclose(cs.a, [[1.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(cs.b, [0.0], atol=1e-12)
 
 
 def test_zero_uncertainty_gives_zero_norm_coefficients():
     cert = CertificateSpec(Segment([-1.0, 0.0], [1.0, 0.0]), safe_distance=0.2)
-    cs = build_constraint_set(np.array([0.0, 1.0]), [cert], 0.0,
-                              RateSpec(base_slope=2.0))
+    cs = build_constraint_set(np.array([0.0, 1.0]), [cert], 0.0, 2.0)
     assert cs.c == 0.0
 
 
@@ -73,9 +72,7 @@ def test_wall_scenario_offsets_are_slope_times_clearance():
         CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
         CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35),
     ]
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    cs = build_constraint_set(np.array([-2.0, 1.0]), certs, 0.0, rate)
+    cs = build_constraint_set(np.array([-2.0, 1.0]), certs, 0.0, 1.0)
     # Clearances by the perpendicular-distance oracle: the low wall is the
     # line y = 0.5, the high wall passes 0.5581 away from the query point.
     assert cs.b[1] == pytest.approx(1.0 * 0.15, abs=1e-12)
@@ -87,9 +84,29 @@ def test_wall_scenario_offsets_are_slope_times_clearance():
 def test_uncertain_bounds_fill_norm_coefficient():
     c = 0.25
     cert = CertificateSpec(Disc([0.0, 2.0], 1.0))
-    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], c,
-                              RateSpec(1.0, negative_ratio=(1.0 + c) / (1.0 - c)))
+    cs = build_constraint_set(np.array([0.0, 0.0]), [cert], c, 1.0)
     assert cs.c == 0.25
+
+
+def test_each_row_decays_through_its_own_certificates_level():
+    # vtol_safe's walls at levels 1 (high) and 2 (low). Row j's offset is
+    # -k_alpha log1p((V_j - v_j)/v_j), its own level's envelope, on the
+    # float path and on the batch path alike. Beside the low wall, at
+    # (0, 1), V = exp(-0.15): the level-2 envelope gives 0.8431, where the
+    # level-1 envelope of the offset V - 2 < -1 clamps at log(eps) (36.04).
+    certs = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35, level=1.0),
+             CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35, level=2.0)]
+    k_alpha = 1.5
+    xs, ys = np.meshgrid(np.linspace(-3.0, 6.0, 13), np.linspace(-0.5, 12.0, 17))
+    states = np.vstack([[[0.0, 1.0]], np.column_stack([xs.ravel(), ys.ravel()])])
+    batch = build_constraint_set(states, certs, 0.0, k_alpha)
+    levels = np.array([1.0, 2.0])
+    assert_same_bits(batch.b, -k_alpha * np.log1p((batch.v - levels) / levels))
+    for k, x in enumerate(states):
+        one = build_constraint_set(x, certs, 0.0, k_alpha)
+        for got, want in zip((one.a, one.b, one.h, one.v), (batch.a, batch.b, batch.h, batch.v)):
+            assert_same_bits(got, want[k])
+    assert batch.b[0, 1] == pytest.approx(k_alpha * 0.8431, abs=1e-4)
 
 
 # ---------------------------------------------------------------- witness
@@ -113,8 +130,7 @@ def test_witness_monte_carlo_disjoint_configurations():
     for _ in range(2000):
         n_c = int(rng.integers(2, 4))
         c = float(rng.uniform(0.0, 0.8))
-        rate = RateSpec(float(rng.uniform(0.3, 3.0)), negative_ratio=(1.0 + c) / (1.0 - c))
-        b = draw_disjoint_disc_offsets(rng, n_c, rate)
+        b = draw_disjoint_disc_offsets(rng, n_c, float(rng.uniform(0.3, 3.0)), c)
         cs = cs_of(random_unit_rows(rng, n_c), b, c)
         w = lipschitz_selection(cs)
         assert norm_constrained_membership(cs.a, cs.b, cs.c, w, tol=1e-9)
@@ -144,15 +160,20 @@ def test_witness_infeasible_without_rate_steepening():
 
 
 def test_base_rate_negative_side_condition():
-    # The selection needs base(s) + ratio * base(-s) <= 0 for every s <= 0.
-    s = np.linspace(-10.0, 0.0, 200)
-    ratio = lambda c: (1.0 + c) / (1.0 - c)
-    worst = lambda rate, c: np.max(rate.base(s) + ratio(c) * rate.base(-s))
-    plain = RateSpec(base_slope=1.0)
-    steep = RateSpec(1.0, negative_ratio=ratio(0.4))
-    assert worst(plain, 0.0) <= 1e-12                # c = 0: fine
-    assert worst(plain, 0.4) > 0.0                   # c > 0: fails
-    assert worst(steep, 0.4) <= 1e-12                # steepened: fine
+    # The selection needs base(s) + ratio * base(-s) <= 0 for every s <= 0,
+    # ratio = (1 + c)/(1 - c). The decay rate meets it for every c: offsets
+    # at signed distance -s and +s from {V = v}, v (e^-s - 1) and
+    # v (e^s - 1), give rates whose sum with that ratio is at most rounding.
+    # (Further out, v (e^-s - 1) nears -v and log1p of it loses digits.)
+    s = np.linspace(0.0, 3.0, 200)
+    for level in (1.0, 0.9, 2.0):
+        for k_alpha in (1.0, 5.0):
+            for c in (0.0, 0.4, 0.9):
+                ratio = (1.0 + c) / (1.0 - c)
+                outside = decay_rate(level * np.expm1(-s), level, k_alpha, c)
+                inside = decay_rate(level * np.expm1(s), level, k_alpha, c)
+                assert np.max(outside + ratio * inside) <= 1e-12, (level, k_alpha, c)
+                np.testing.assert_allclose(inside, k_alpha * s, rtol=1e-12, atol=1e-12)
 
 
 # -------------------------------------------------------------- selection
@@ -226,19 +247,13 @@ def test_selection_membership_property(scale, seed):
 # --------------------------------------------------------- rate condition
 
 def test_rate_condition_audit_reports_margin():
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    report = rate_condition_audit(rate, level=1.0, threshold=1.4, theta=1e-3,
+    report = rate_condition_audit(1.0, level=1.0, threshold=1.4, theta=1e-3,
                                   gamma_w_slope=4.0, c=0.0,
                                   v_max=math.exp(0.35))
     # The logarithmic rate loses to the linear budget on this band by a
     # small, stable amount.
     assert not report.holds
     assert report.min_margin == pytest.approx(-0.0158, abs=2e-3)
-    linear_rate = RateSpec(base_slope=1.0)
-    report2 = rate_condition_audit(linear_rate, level=1.0, threshold=1.4, theta=1e-3,
-                                   gamma_w_slope=4.0, c=0.0, v_max=4.0)
-    assert report2.holds
 
 
 def test_row_normalization_validated():
@@ -263,18 +278,19 @@ def test_unit_rows_are_checked_within_1e_9_for_one_state_and_a_batch(rows):
 
 
 def test_rate_of_one_float_equals_the_rate_of_an_array_bit_for_bit():
-    # One state's offsets go through RateSpec.rate one float at a time, a
-    # batch's as one array: the same bits, NaN and the sign of zero
-    # included, through the envelope inverse at several levels (its floor
-    # too) and through the identity.
+    # One state's offsets go through decay_rate one float at a time, a
+    # batch's as one array with a column of levels: the same bits, NaN and
+    # the sign of zero included, through the envelope inverse at several
+    # levels (its floor too) and norm coefficients.
     rng = np.random.default_rng(99)
-    for level in (1.0, 0.37, 2.5, None):
-        inverse = (lambda s: s) if level is None else exp_alpha_bar_for_level(level)[1]
-        for slope, ratio in ((1.0, 1.0), (0.73, 1.2222222222222223), (3.1, 4.7)):
-            rate = RateSpec(slope, inverse, negative_ratio=ratio)
+    for level in (1.0, 0.37, 2.5):
+        for k_alpha, c in ((1.0, 0.0), (0.73, 0.1), (3.1, 0.65)):
             offsets = np.concatenate([rng.normal(size=300) * 10.0 ** rng.integers(-12, 2, size=300),
                                       [0.0, -0.0, -1.0, -3.0, math.nan]])
-            assert_same_bits([rate.rate(o) for o in offsets.tolist()], rate.rate(offsets))
+            want = decay_rate(offsets, level, k_alpha, c)
+            assert_same_bits([decay_rate(o, level, k_alpha, c) for o in offsets.tolist()], want)
+            assert_same_bits(decay_rate(offsets[:, None], np.full((offsets.size, 1), level), k_alpha, c)[:, 0],
+                             want)
 
 
 def test_one_state_selection_on_floats_equals_the_array_reference_bit_for_bit():
@@ -306,12 +322,18 @@ def test_norm_coefficient_must_be_one_number_in_unit_interval(c):
     with pytest.raises(ValueError, match="norm coefficient"):
         ConstraintSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]), c)
     with pytest.raises(ValueError, match="norm coefficient"):
-        SafetyLaw((), np.zeros(2), None, c, RateSpec(base_slope=1.0), 0.0)
+        SafetyLaw((), np.zeros(2), None, c, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, np.float64(0.25), np.float32(0.25), 0])
 def test_norm_coefficient_is_kept_as_a_float(c):
     cs = ConstraintSet(np.array([[1.0, 0.0]]), np.array([1.0]), c)
     assert type(cs.c) is float and cs.c == float(c)
-    law = SafetyLaw((), np.zeros(2), None, c, RateSpec(base_slope=1.0), 0.0)
+    law = SafetyLaw((), np.zeros(2), None, c, 1.0, 0.0)
     assert type(law.c) is float and law.c == float(c)
+
+
+@pytest.mark.parametrize("k_alpha", [0.0, -1.0, math.inf, math.nan])
+def test_safety_law_refuses_a_decay_slope_that_is_not_finite_and_positive(k_alpha):
+    with pytest.raises(ValueError, match="k_alpha"):
+        SafetyLaw((), np.zeros(2), None, 0.0, k_alpha, 0.0)

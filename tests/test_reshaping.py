@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from safecascade.certificates import CertificateSpec, Disc, Segment, exp_alpha_bar_for_level
+from safecascade.certificates import CertificateSpec, Disc, Segment
 from safecascade.errors import (
     BadCountError,
     CoverageConditionError,
@@ -12,7 +12,6 @@ from safecascade.errors import (
 )
 from safecascade.qcqp_safety import (
     ConstraintSet,
-    RateSpec,
     build_constraint_set,
     disc_constraint_set,
     lipschitz_selection,
@@ -285,15 +284,13 @@ def test_single_state_filter_evaluates_its_set_once(monkeypatch):
     # band, where one offset is negative).
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
     calls = []
     violations = ConstraintSet.violations
     monkeypatch.setattr(ConstraintSet, "violations",
                         lambda self, u: calls.append(u) or violations(self, u))
     for x in ([-2.0, 1.0], [0.0, 0.75]):
-        cs = build_constraint_set(np.array(x), walls, 0.0, rate)
+        cs = build_constraint_set(np.array(x), walls, 0.0, 1.0)
         calls.clear()
         out = reshaped_filter(np.array([0.6, 1.0]), cs, basis, 2.0)
         assert len(calls) == 1, x

@@ -5,11 +5,8 @@ import pytest
 
 from safecascade import scenario
 from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw
-from safecascade.certificates import CertificateSpec, Segment, exp_alpha_bar_for_level
-from safecascade.qcqp_safety import (
-    RateSpec,
-    rate_condition_audit,
-)
+from safecascade.certificates import CertificateSpec, Segment
+from safecascade.qcqp_safety import rate_condition_audit
 from safecascade.reshaping import make_positive_basis
 from safecascade.scenario import DesignReport, build_scenario, parse_config_text
 from safecascade.sim import (
@@ -29,10 +26,8 @@ WALLS = [
 
 
 def outer_law():
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
     basis = make_positive_basis(2, 11)
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 0.0, rate, k_phi=2.0)
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 0.0, 1.0, k_phi=2.0)
 
 
 def test_velocity_loop_closed_loop_with_outer_law():
@@ -67,7 +62,7 @@ def test_vtol_thrust_singularity_flagged():
     # m = 1 on the VTOL is rejected; use the stepping flag directly through
     # a 4-level controller with no certificates.
     gains = CascadeGains(tracking_slopes=(1.0, 1.0, 1.0), k1=1.0)
-    law = SafetyLaw((), np.array([0.0, -30.0]), None, 0.0, RateSpec(base_slope=1.0), 0.0)
+    law = SafetyLaw((), np.array([0.0, -30.0]), None, 0.0, 1.0, 0.0)
     controller = CascadeController(law, gains)
     plant = VtolNonlinear(gravity=9.81)
     flat = np.zeros(8)
@@ -121,26 +116,25 @@ def test_scenario_rejects_wrong_gain_count():
 
 def test_rate_condition_with_drift_envelopes():
     # margin(V) = rate(frac V) - (theta V + (1 + c) V / gamma_w) with
-    # frac = (2 - 1)/2, so lhs = 3 V/2. The drift envelope (1 + c) V/0.8 is
-    # 1.25 V at c = 0, where the condition holds, and 1.75 V at c = 0.4,
-    # where it fails: the (1 + c) factor decides it.
-    rate = RateSpec(base_slope=3.0)
+    # frac = (2 - 1)/2, so lhs = 6 log1p(V/2) at level 1. The drift envelope
+    # (1 + c) V/0.8 is 1.25 V at c = 0, where the condition holds, and
+    # 1.75 V at c = 0.4, where it fails: the (1 + c) factor decides it.
     vs = np.linspace(2.0, 6.0, 200)
     for c, holds in ((0.0, True), (0.4, False)):
-        report = rate_condition_audit(rate, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
+        report = rate_condition_audit(6.0, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
                                       c=c, v_max=6.0)
-        margins = 1.5 * vs - (1e-3 * vs + (1.0 + c) * vs / 0.8)
+        margins = 6.0 * np.log1p(0.5 * vs) - (1e-3 * vs + (1.0 + c) * vs / 0.8)
         assert report.min_margin == pytest.approx(float(np.min(margins)), abs=1e-9)
         assert report.argmin_v == float(vs[np.argmin(margins)])
         assert report.holds is holds
 
 
-def _matches_the_loop(rate, level, threshold, theta, gamma_w_slope, c, v_max, grid):
+def _matches_the_loop(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max, grid):
     """The audit's report, after checking its least margin and that margin's
     V bit for bit against the per-point loop."""
-    report = rate_condition_audit(rate, level, threshold, theta, gamma_w_slope, c,
+    report = rate_condition_audit(k_alpha, level, threshold, theta, gamma_w_slope, c,
                                   v_max=v_max, grid=grid)
-    want = rate_condition_by_loop(rate, level, threshold, theta, gamma_w_slope, c, v_max, grid)
+    want = rate_condition_by_loop(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max, grid)
     assert_same_bits([report.min_margin, report.argmin_v], want)
     assert report.holds is bool(want[0] >= 0.0)
     return report
@@ -181,24 +175,18 @@ def test_rate_condition_audit_of_seeded_draws_matches_the_per_point_loop(grid):
         k_alpha, theta, gamma_w, level = 10.0 ** rng.uniform([-1, -4, -1, -3], [2, 0, 1, 1])
         threshold = level * (1.0 + 10.0 ** rng.uniform(-2, 1))
         c = float(rng.choice([0.0, 0.3]))
-        _, abar_inv = exp_alpha_bar_for_level(level)
-        rate = RateSpec(base_slope=k_alpha, alpha_bar_inverse=abar_inv, negative_ratio=(1.0 + c) / (1.0 - c))
         v_max = threshold * 10.0 ** rng.uniform(0.0, 3.0)
-        verdicts.add(_matches_the_loop(rate, level, threshold, theta, gamma_w, c, v_max, grid).holds)
+        verdicts.add(_matches_the_loop(k_alpha, level, threshold, theta, gamma_w, c, v_max, grid).holds)
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("inverse, first_nan_v", [
-    (lambda s: s * np.nan, 2.0),
-    # NaN where the offset frac V reaches 2, that is from V = 4 up.
-    (lambda s: np.where(s >= 2.0, np.nan, s), 4.0),
-], ids=["all_nan", "nan_from_4"])
-def test_rate_condition_audit_reads_a_nan_margin_as_not_holding(inverse, first_nan_v):
-    # Without the NaN the margin is 1.5 V - (1e-3 V + V / 0.8) > 0, which
-    # holds; the per-point loop skipped NaN margins and read "holds".
-    rate = RateSpec(base_slope=3.0, alpha_bar_inverse=inverse)
-    report = rate_condition_audit(rate, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
+def test_rate_condition_audit_reads_a_nan_margin_as_not_holding():
+    # A NaN slope makes every margin NaN; at slope 6 the margin
+    # 6 log1p(V/2) - (1e-3 V + V / 0.8) > 0 holds. The per-point loop
+    # skipped NaN margins and read "holds".
+    report = rate_condition_audit(math.nan, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
                                   c=0.0, v_max=6.0)
-    vs = np.linspace(2.0, 6.0, 200)
     assert math.isnan(report.min_margin) and not report.holds
-    assert report.argmin_v == float(vs[vs >= first_nan_v][0])
+    assert report.argmin_v == 2.0
+    assert rate_condition_audit(6.0, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
+                                c=0.0, v_max=6.0).holds

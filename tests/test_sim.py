@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from safecascade.cascade import CascadeController, CascadeGains, SafetyLaw
-from safecascade.certificates import CertificateSpec, Segment, certificate_value, exp_alpha_bar_for_level
+from safecascade.certificates import CertificateSpec, Segment, certificate_value
 from safecascade.errors import NonFiniteStateError, ThrustSingularityError
-from safecascade.qcqp_safety import RateSpec
 from safecascade.qp_solver import PolygonRows
 from safecascade.reshaping import make_positive_basis
 from safecascade.sim import (
@@ -27,9 +26,7 @@ WALLS = [
 
 
 def wall_law():
-    _, abar_inv = exp_alpha_bar_for_level(1.0)
-    rate = RateSpec(base_slope=1.0, alpha_bar_inverse=abar_inv)
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, rate,
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, 1.0,
                      k_phi=2.0)
 
 
@@ -38,7 +35,7 @@ def wall_controller(slopes):
 
 
 def free_controller(slopes, nominal=(0.6, 1.0)):
-    law = SafetyLaw((), nominal, None, 0.0, RateSpec(base_slope=1.0), 0.0)
+    law = SafetyLaw((), nominal, None, 0.0, 1.0, 0.0)
     return CascadeController(law, CascadeGains(tracking_slopes=slopes, k1=1.0))
 
 

@@ -6,12 +6,14 @@ Each tree runs with its own PYTHONPATH=src: `run` on both bundled configs,
 on both with the start shifted to (-1.9, 1.1) (inside the benchmark's
 seeded start range), and on a vtol_nonlinear and a velocity_loop variant,
 `example1`, `example2`, a short `run` at `cascade.k1 = estimate` with the
-safe config's two walls, with a third obstacle, a disc, and on a 21-row basis
-(the gain rows of metrics.json carry k1 at full precision, where `audit`
-prints it with :g), a short `run` of the safe config with a zero nominal
-input (`nominal.value = 0, 0`), and `audit` on both configs and on every
-variant but the shifted starts, so each branch of the design record is
-printed: the disc's exp(R^2) upper end of V, a 21-row basis, no cascade
+safe config's two walls, with a third obstacle, a disc, on a 21-row basis,
+and at `certificate.level = 0.9` with `certificate.threshold = 1.3` (the
+gain rows of metrics.json carry k1 at full precision, where `audit` prints
+it with :g; the level variant's k1 covers a non-unit level on the batch
+path, its run the float path), a short `run` of the safe config with a zero
+nominal input (`nominal.value = 0, 0`), and `audit` on both configs and on
+every variant but the shifted starts, so each branch of the design record
+is printed: the disc's exp(R^2) upper end of V, a 21-row basis, no cascade
 gains (velocity), and every margin positive with the rate condition
 holding, on a 10^5-point rate grid (derived: the constants ROADMAP item 2
 derives for the safe config).
@@ -35,6 +37,7 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "three": ("vtol_safe", {"cascade.k1": "estimate", "obstacle.3.kind": "disc",
                             "obstacle.3.center_m": "3.5, 6.0", "obstacle.3.radius_m": "0.5"}),
     "estimate_wide": ("vtol_safe", {"cascade.k1": "estimate", "reshape.directions": "21"}),
+    "level": ("vtol_safe", {"certificate.level": "0.9", "certificate.threshold": "1.3", "cascade.k1": "estimate"}),
     "nonlinear": ("vtol_unsafe", {"plant.kind": "vtol_nonlinear"}),
     "velocity": ("vtol_safe", {"plant.kind": "velocity_loop", "cascade.k_tracking": ""}),
     "derived": ("vtol_safe", {"cascade.k_tracking": "20.14, 1827, 1.503e7", "cascade.gamma_12_slope": "0.99",
@@ -44,10 +47,10 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
-               for n in ("estimate", "three", "estimate_wide", "zero_nominal")},
+               for n in ("estimate", "three", "estimate_wide", "level", "zero_nominal")},
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
-               for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "nonlinear", "velocity",
-                         "derived", "zero_nominal")},
+               for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "level", "nonlinear",
+                         "velocity", "derived", "zero_nominal")},
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
 
