@@ -29,8 +29,11 @@ from .reshaping import PositiveBasis, reshaped_filter
 
 # States per call of a map over a grid (in_row_blocks): whole grid rows up
 # to this many, where the batched outer law's per-state cost has levelled
-# off and its memory stays small at any grid size.
-ESTIMATE_BLOCK_STATES = 2048
+# off and its memory stays small at any grid size. The law runs its
+# selection, reshaping and projection only on the states near a constraint
+# (about a third of a block beside a wall), so a block must be large enough
+# to carry those stages' fixed cost per call.
+ESTIMATE_BLOCK_STATES = 4096
 
 
 @dataclass(frozen=True)

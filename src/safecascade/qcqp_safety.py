@@ -100,6 +100,14 @@ class ConstraintSet:
         viol -= self.b
         return viol
 
+    def take(self, idx: np.ndarray) -> ConstraintSet:
+        """The states idx (flat indices over the batch) of a batched set, as
+        a set batched over (idx.size,), through the constructor's checks;
+        without h and V."""
+        rows, b = states_last(self.a, 2), states_last(self.b)
+        return ConstraintSet(states_first(rows.take(idx, axis=-1), idx.shape),
+                             states_first(b.take(idx, axis=-1), idx.shape), self.c)
+
     def contains(self, u: np.ndarray):
         """Whether u meets every row within DEFAULT_TOL; one flag per batch row."""
         return (self.violations(u) <= DEFAULT_TOL).all(axis=-1)
@@ -241,7 +249,13 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     u = np.zeros((cs.n_u, b.shape[1]))      # np.add.reduce starts at 0.0: -0.0 sums to 0.0
     for j in range(cs.n_rows):
         u += w[j] * rows[j]
-    viol = states_last(cs.violations(states_first(u, batch)))
+    # Where u is exactly 0 (its rows then finite) a u is +-0 and c|u| is 0,
+    # so a u + c|u| - b has the bits of 0.0 - b; the products a u run only
+    # on the other states.
+    viol = np.subtract(0.0, b)
+    moved = np.flatnonzero((u != 0.0).any(axis=0))
+    if moved.size:
+        viol[:, moved] = cs.take(moved).violations(states_first(u.take(moved, axis=-1), moved.shape)).T
     worst = viol[0].copy()                  # np.maximum.reduce, up to the sign of a zero
     for j in range(1, cs.n_rows):
         np.maximum(worst, viol[j], out=worst)

@@ -40,6 +40,28 @@ def sum_last_axis(m: np.ndarray) -> np.ndarray:
     return total
 
 
+# numpy's vector product (gemv), which it takes for one vector or column,
+# rounds otherwise than its matrix product (gemm), and a strided operand
+# may too at some sizes. So one vector runs as one row of a two-row matrix
+# product and a batch on C-contiguous columns, one column as two equal
+# ones, every operand C-contiguous. The BLAS may still pick its kernel by
+# size, so the tests check the bits at basis sizes up to 101 for batches
+# of one, two and thousands of states.
+
+def row_product(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m for one vector v and a C-contiguous m, as one row of a two-row
+    matrix product."""
+    return np.array((v, v)).dot(m)[0]
+
+
+def columns_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m for columns m (..., k, N) as a matrix product on C-contiguous
+    columns, one column as two equal ones."""
+    if m.shape[-1] == 1:
+        return (a @ np.repeat(m, 2, axis=-1))[..., :1]
+    return a @ np.ascontiguousarray(m)
+
+
 def states_last(m: np.ndarray, core: int = 1) -> np.ndarray:
     """The batch code's layout of m (..., *core): (*core, N) over its N
     states, on the last, contiguous memory axis, so that sums, maxima and
@@ -180,7 +202,8 @@ def solve_projection_qp(u0: np.ndarray, poly: Polyhedron) -> QpSolution:
 
 class PolygonRows:
     """A shared 2-D row matrix a (n, 2) with nonzero rows, and its fixed
-    structure: the transpose and the row norms and their squares, built
+    structure: the C-contiguous transpose (row_product's operand) and the
+    row norms and their squares, built
     with it, and the table of independent row pairs i < j (determinant
     above 1e-12) with the entries Cramer's rule reads, built on first use
     and kept. vertices and project then do only the per-problem work; a
@@ -189,7 +212,7 @@ class PolygonRows:
 
     def __init__(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
-        self.a, self.a_t = a, a.T
+        self.a, self.a_t = a, np.ascontiguousarray(a.T)
         self.nrm = np.hypot(a[:, 0], a[:, 1])
         self.nrm_sq = self.nrm ** 2
         # The same values as floats, for a single problem.
@@ -241,9 +264,10 @@ class PolygonRows:
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
         if u0.ndim == 1 and b.ndim == 1:
             # The batch code's values on floats; the BLAS products u0 @ a_t
-            # and edge @ a_t stay. A NaN fails every test, and the batch
-            # code's farthest line (the first NaN) then gives NaN.
-            viol = (u0.dot(a_t) - b).tolist()
+            # and edge @ a_t stay, as a batch's matrix product rounds them
+            # (row_product). A NaN fails every test, and the batch code's
+            # farthest line (the first NaN) then gives NaN.
+            viol = (row_product(u0, a_t) - b).tolist()
             if any(map(math.isnan, viol)):
                 return np.full(2, np.nan)      # as a batch row: no problem to solve
             if max(viol) <= DEFAULT_TOL:
@@ -252,7 +276,7 @@ class PolygonRows:
             far = far.index(max(far))          # the first largest, as argmax
             step = viol[far] / self.nrm_sq_list[far]
             edge = np.array([p - step * q for p, q in zip(u0.tolist(), self.rows[far])])
-            if all([p <= q + DEFAULT_TOL for p, q in zip(edge.dot(a_t).tolist(), b.tolist())]):
+            if all([p <= q + DEFAULT_TOL for p, q in zip(row_product(edge, a_t).tolist(), b.tolist())]):
                 return edge
             out, found = self._nearest_vertices(u0[:, None], b[:, None])
             if not found[0]:
@@ -264,7 +288,7 @@ class PolygonRows:
             u0 = np.broadcast_to(u0, batch + (2,))
             b = np.broadcast_to(b, batch + (a.shape[0],))
         u0, b = states_last(u0), states_last(b)                 # (2, N), (n, N)
-        viol = a @ u0
+        viol = columns_product(a, u0)
         viol -= b
         moved = (viol > DEFAULT_TOL).any(axis=0)
         out = u0.copy()
@@ -276,7 +300,7 @@ class PolygonRows:
             far = (v / self.nrm[:, None]).argmax(axis=0)
             step = v[far, np.arange(idx.size)] / self.nrm_sq.take(far)
             edge = u0[:, idx] - a_t[:, far] * step
-            edge_ok = (a @ edge <= b[:, idx] + DEFAULT_TOL).all(axis=0)
+            edge_ok = (columns_product(a, edge) <= b[:, idx] + DEFAULT_TOL).all(axis=0)
             out[:, idx[edge_ok]] = edge[:, edge_ok]
             rest = idx[~edge_ok]
             if rest.size:
@@ -289,7 +313,7 @@ class PolygonRows:
         (2, k) and b (n, k), the nearest feasible intersection of two rows,
         NaN where none is feasible, and which problems had one."""
         verts = states_last(self.vertices(states_first(b, b.shape[1:])), 2)     # (pairs, 2, k)
-        ok = (self.a @ verts <= b + DEFAULT_TOL).all(axis=1)
+        ok = (columns_product(self.a, verts) <= b + DEFAULT_TOL).all(axis=1)
         found = ok.any(axis=0)
         out = np.full(u0.shape, np.nan)
         if found.any():

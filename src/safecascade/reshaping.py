@@ -29,7 +29,8 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .qcqp_safety import ConstraintSet, selection_with_slack
-from .qp_solver import DEFAULT_TOL, Polyhedron, PolygonRows, solve_projection_qp, states_first, states_last
+from .qp_solver import (DEFAULT_TOL, Polyhedron, PolygonRows, columns_product, row_product, solve_projection_qp,
+                        states_first, states_last)
 
 
 # The largest basis the configs and the command line accept: the plane's
@@ -107,6 +108,11 @@ class PositiveBasis:
     @property
     def n_u(self) -> int:
         return self.a_l.shape[1]
+
+    @functools.cached_property
+    def a_l_t(self) -> np.ndarray:
+        """A_L^T, C-contiguous: one state's operand (row_product)."""
+        return np.ascontiguousarray(self.a_l.T)
 
 
 def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
@@ -292,7 +298,7 @@ def reshape_b_l(
     scaled /= 1.0 + cs.c
     n_c, n_u = cs.a.shape[-2:]
     if scaled.shape[1] > 1 and n_c > 1:
-        dots = a_l @ states_last(cs.a, 2)
+        dots = columns_product(a_l, states_last(cs.a, 2))
     else:
         # numpy rounds a one-row product (vector path) unlike a matrix
         # product: one state or one row keeps the per-state product.
@@ -306,7 +312,7 @@ def reshape_b_l(
     b_l = phi[0]
     for row in phi[1:]:
         np.minimum(b_l, row, out=b_l)
-    b_l += a_l @ states_last(selection)
+    b_l += columns_product(a_l, states_last(selection))
     return states_first(b_l, batch)
 
 
@@ -314,7 +320,10 @@ def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: Posit
              k_phi: float) -> np.ndarray:
     """reshape_b_l for one state's set, on floats with the batch code's
     values (np.maximum, np.minimum, -0.0 and NaN included); the BLAS
-    products cs.a @ A_L^T and selection @ A_L^T stay."""
+    products cs.a @ A_L^T and selection @ A_L^T stay, the latter as a
+    batch's matrix product rounds it (row_product). An exactly zero
+    selection skips it: every b_l entry is >= +0.0 or NaN, so adding the
+    product's +-0 changes no bit."""
     if any([q < -DEFAULT_TOL for q in slack]):
         raise SelectionNotFeasibleError("selection point violates the constraint set")
     c, cb = cs.c, cbar_a(cs.c, basis.c_a)
@@ -325,7 +334,9 @@ def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: Posit
         phi = [(d if d > cb or d != d else cb) * scaled
                + (e if (e := k_phi * (cb - d)) > 0.0 or e != e else 0.0) for d in dots]
         b_l = phi if b_l is None else [m if m < p or m != m else p for m, p in zip(b_l, phi)]
-    return np.array([p + m for p, m in zip(selection.dot(a_t).tolist(), b_l)])
+    if not any(selection.tolist()):                                # NaN is true
+        return np.array(b_l)
+    return np.array([p + m for p, m in zip(row_product(selection, basis.a_l_t).tolist(), b_l)])
 
 
 def reshaped_filter(
@@ -334,7 +345,7 @@ def reshaped_filter(
     basis: PositiveBasis,
     k_phi: float,
 ) -> np.ndarray:
-    """Project the nominal input onto the reshaped set.
+    """Project the nominal input (n_u,) onto the reshaped set.
 
     The result never exceeds |selection| + |nominal| in norm and is a
     Lipschitz function of the constraint data. With no constraint rows the
@@ -342,22 +353,64 @@ def reshaped_filter(
     Lipschitz selection of cs, and the slack it verified is handed to
     reshape_b_l rather than evaluated again. For n_u = 2 the projection is
     the exact polygon projection on the basis's kept structure and works on
-    batches: nominal (2,) or (..., 2) against a set batched over (...); a
-    state without a result (no set, no selection) raises for a single state
-    and gives a NaN row in a batch. n_u = 3 projects one state with the
-    dual active-set QP.
+    a set batched over (...), where only the active states (_active_states)
+    run the selection, the reshaping and the projection and the others get
+    the nominal, the bits those stages give them; a state without a result
+    (no set, no selection) raises for a single state and gives a NaN row in
+    a batch. n_u = 3 projects one state with the dual active-set QP.
     """
     nominal = np.asarray(nominal, dtype=float)
+    if nominal.shape != (cs.n_u,):
+        raise ValueError(f"the nominal must be one input of shape ({cs.n_u},)")
     if cs.n_rows == 0:
         return np.array(np.broadcast_to(nominal, cs.b.shape[:-1] + (cs.n_u,)))
+    planar_batch = cs.batched and basis.polygon is not None
+    if planar_batch:
+        if k_phi < 0:
+            raise ValueError("k_phi must be nonnegative")
+        batch, active = cs.b.shape[:-1], _active_states(nominal, cs, basis)
+        out = np.empty((2, math.prod(batch)))
+        out[0], out[1] = nominal.tolist()
+        if not active.size:
+            return states_first(out, batch)
+        cs = cs.take(active)
     # Not through lipschitz_selection: the benchmark's selection counter
     # wraps cascade.lipschitz_selection and cli.lipschitz_selection and
     # reads one state's selection.
     selection, slack = selection_with_slack(cs)
     b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
-    if basis.polygon is not None:                               # n_u = 2
-        return basis.polygon.project(nominal, b_l)
-    return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l)).point
+    if basis.polygon is None:                                   # n_u = 3
+        return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l)).point
+    u = basis.polygon.project(nominal, b_l)
+    if not planar_batch:
+        return u
+    out[:, active] = states_last(u)
+    return states_first(out, batch)
+
+
+def _active_states(nominal: np.ndarray, cs: ConstraintSet, basis: PositiveBasis) -> np.ndarray:
+    """The flat indices of the states of a batched planar set at which the
+    filter of the nominal u0 (2,) may not return u0.
+
+    Every other state has finite rows and
+    t = cbar_a * (min_j b_j / (1 + c)) > max_l (A_L u0)_l + 4 eps |u0|_1.
+    The right side is >= 0 (a basis row meets u0 at an acute angle), so
+    every b_j > 0: the selection is exactly 0 and its slack is b. Rounding
+    is monotone and each phi_jl = max(dots, cbar_a) * (b_j/(1 + c)) + (a
+    term >= 0) rounds as t does with larger operands, so b_l >= t (A_L 0
+    adds a zero). The projection's own A_L u0 rounds within 2 eps |u0|_1 of
+    this one for unit rows, so no row is violated and it returns u0. A NaN
+    b fails the test; a spine point has a finite b but a NaN row.
+    """
+    rows, b = states_last(cs.a, 2), states_last(cs.b)          # (n_c, 2, N), (n_c, N)
+    low = np.minimum.reduce(b, axis=0)
+    low /= 1.0 + cs.c
+    low *= cbar_a(cs.c, basis.c_a)
+    u0 = nominal.tolist()
+    reach = float(np.max(basis.a_l.dot(nominal))) + 4.0 * math.ulp(1.0) * (abs(u0[0]) + abs(u0[1]))
+    active = ~(low > reach)
+    active |= np.isnan(rows).any(axis=(0, 1))
+    return np.flatnonzero(active)
 
 
 def polytope_vertices_2d(poly: Polyhedron) -> np.ndarray:

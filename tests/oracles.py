@@ -286,6 +286,13 @@ def one_state_selection(a, b, c):
     return u, -viol
 
 
+def _as_batch_row(v, m):
+    """v @ m as a row of a matrix product over two equal rows: numpy's
+    vector product, which it takes for one row, rounds otherwise, and a
+    state must round as it does in a batch."""
+    return (np.stack([v, v]) @ m)[0]
+
+
 def one_state_b_l(selection, slack, a, c, a_l, c_a, k_phi):
     """Offsets b_l of the reshaped polygon {a_l u <= b_l}."""
     if (slack < -TOL).any():
@@ -295,7 +302,7 @@ def one_state_b_l(selection, slack, a, c, a_l, c_a, k_phi):
     dots = a @ a_t
     phi1 = np.maximum(dots, cbar) * (np.maximum(slack, 0.0) / (1.0 + c))[..., None]
     phi2 = np.maximum(k_phi * (cbar - dots), 0.0)
-    return selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
+    return _as_batch_row(selection, a_t) + np.minimum.reduce(phi1 + phi2, axis=0)
 
 
 def _cbar(c, c_a):
@@ -312,24 +319,15 @@ def one_state_projection(u0, a_l, b):
     "inside", "edge", "nan" or "vertex"."""
     a_t = a_l.T
     nrm = np.hypot(a_l[:, 0], a_l[:, 1])
-    viol = u0 @ a_t - b
+    viol = _as_batch_row(u0, a_t) - b
     if (viol <= TOL).all():
         return u0.copy(), "inside"
     far = (viol / nrm).argmax()
     edge = u0 - viol[far] / (nrm ** 2)[far] * a_l[far]
-    if (edge @ a_t <= b + TOL).all():
+    if (_as_batch_row(edge, a_t) <= b + TOL).all():
         return edge, "edge"
     if np.isnan(viol).any():
         return np.full(2, np.nan), "nan"
-    # Then as a batch of one, whose matrix products may round otherwise.
-    u1, b1 = u0[None], b[None]
-    viol = u1 @ a_t - b1
-    if not (viol > TOL).any():
-        return u0.copy(), "inside"
-    far = (viol / nrm).argmax(axis=1)
-    edge = u1 - (viol[[0], far] / (nrm ** 2)[far])[:, None] * a_l[far]
-    if (edge @ a_t <= b1 + TOL).all():
-        return edge[0], "edge"
     verts = []
     for i, j in itertools.combinations(range(a_l.shape[0]), 2):
         det = a_l[i, 0] * a_l[j, 1] - a_l[i, 1] * a_l[j, 0]
@@ -373,8 +371,11 @@ def one_state_controller(blocks, law_args, scale, slopes):
 # The outer law's batch arithmetic as the package evaluated it before its
 # reductions over short axes became column sums and its elementwise steps
 # went in place: np.add.reduce, np.maximum.reduce and np.minimum.reduce over
-# the rows' axes, and every temporary a new array. The BLAS products are
-# the same. The batch code must match it bit for bit, NaN rows included.
+# the rows' axes, and every temporary a new array, and before the filter
+# skipped the states far from every constraint: batch_filter runs the
+# selection, the reshaping and the projection at every state. The BLAS
+# products are the same, a batch of one's as one row of a matrix product.
+# The batch code must match it bit for bit, NaN rows included.
 
 def batch_certificate(cert, x):
     """(h, grad_h, V) of a certificate at points x (N, 2); the gradient is
@@ -440,7 +441,12 @@ def batch_b_l(selection, slack, a, c, a_l, c_a, k_phi):
     scaled = np.moveaxis(scaled, -1, 0)
     phi1 = np.maximum(dots, cbar) * scaled[..., None]
     phi2 = np.maximum(k_phi * (cbar - dots), 0.0)
-    return selection @ a_t + np.minimum.reduce(phi1 + phi2, axis=0)
+    return _batch_rows(selection, a_t) + np.minimum.reduce(phi1 + phi2, axis=0)
+
+
+def _batch_rows(m, a_t):
+    """m @ a_t for the rows of m (N, 2), a batch of one as one row of two."""
+    return m @ a_t if m.shape[0] > 1 else _as_batch_row(m[0], a_t)[None]
 
 
 def batch_projection(u0, a_l, b):
@@ -448,13 +454,13 @@ def batch_projection(u0, a_l, b):
     of b (N, n); NaN where u0 or b is NaN or no candidate is feasible."""
     a_t = a_l.T
     nrm = np.hypot(a_l[:, 0], a_l[:, 1])
-    viol = u0 @ a_t - b
+    viol = _batch_rows(u0, a_t) - b
     over = viol > TOL
     out = u0.copy()
     if over.any():
         far = (viol / nrm).argmax(axis=1)
         edge = u0 - (viol[np.arange(far.size), far] / (nrm ** 2)[far])[:, None] * a_l[far]
-        edge_ok = (edge @ a_t <= b + TOL).all(axis=1)
+        edge_ok = (_batch_rows(edge, a_t) <= b + TOL).all(axis=1)
         moved = over.any(axis=1)
         out = np.where((moved & edge_ok)[:, None], edge, u0)
         rest = np.flatnonzero(moved & ~edge_ok)
@@ -475,12 +481,18 @@ def batch_projection(u0, a_l, b):
     return np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
 
 
+def batch_filter(nominal, a, b, c, a_l, c_a, k_phi):
+    """The reshaped filter of one nominal (2,) on a batch of sets (N, n):
+    the selection, the reshaping and the projection at every state."""
+    selection, slack = batch_selection(a, b, c)
+    b_l = batch_b_l(selection, slack, a, c, a_l, c_a, k_phi)
+    return batch_projection(np.broadcast_to(nominal, b.shape[:-1] + (2,)), a_l, b_l)
+
+
 def batch_law(x, certs, nominal, a_l, c_a, c, k_alpha, k_phi):
     """(u, h, V) of the reshaped outer law at the states x (N, 2)."""
     a, b, h, v = batch_set(x, certs, k_alpha, c)
-    selection, slack = batch_selection(a, b, c)
-    b_l = batch_b_l(selection, slack, a, c, a_l, c_a, k_phi)
-    return batch_projection(np.broadcast_to(nominal, x.shape), a_l, b_l), h, v
+    return batch_filter(nominal, a, b, c, a_l, c_a, k_phi), h, v
 
 
 def grid_lipschitz(values, xs, ys):

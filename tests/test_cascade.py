@@ -346,13 +346,13 @@ def _assert_whole_rows_in_order(calls, grid):
 
 @pytest.mark.parametrize("grid, shapes", [
     (17, [(289, 2)]),
-    (200, [(2000, 2)] * 20),
-    (130, [(1950, 2)] * 8 + [(1300, 2)]),      # 15 rows a block; 130 = 8 * 15 + 10
+    (200, [(4000, 2)] * 10),
+    (130, [(4030, 2)] * 4 + [(780, 2)]),       # 31 rows a block; 130 = 4 * 31 + 6
 ], ids=["grid17", "grid200", "grid130_uneven"])
 def test_estimate_lipschitz_calls_fn_on_blocks_of_whole_grid_rows(grid, shapes):
     # Every grid state once, rows whole and in order, at most
     # ESTIMATE_BLOCK_STATES states a call.
-    assert ESTIMATE_BLOCK_STATES == 2048
+    assert ESTIMATE_BLOCK_STATES == 4096
     est, calls = _grid_calls(grid)
     assert [states.shape for states in calls] == shapes
     _assert_whole_rows_in_order(calls, grid)
@@ -393,11 +393,12 @@ def _single_or_nan(law, x):
         return np.full(2, np.nan)
 
 
-def _outer_laws():
+def _outer_laws(n_l=11):
     """Outer laws over walls, overlapping discs, an uncertain input gain
     (c > 0), whose rate is steepened for it, and walls at levels 1 and 2
-    with the slope 1.5, each row through its own level's envelope."""
-    basis = make_positive_basis(2, 11)
+    with the slope 1.5, each row through its own level's envelope, on a
+    basis of n_l directions."""
+    basis = make_positive_basis(2, n_l)
     nominal = np.array([0.6, 1.0])
     discs = [CertificateSpec(Disc([0.0, 6.0], 1.0)), CertificateSpec(Disc([0.8, 6.0], 1.0))]
     c = 0.1
@@ -456,6 +457,27 @@ def test_batched_law_matches_single_state_law():
     # gradient of h, whatever the scale of grad V = -V grad h).
     np.testing.assert_array_equal(laws["walls"].evaluate(np.array([[0.0, 25.0], [0.0, 100.0]]))[0],
                                   [[0.6, 1.0], [0.6, 1.0]])
+
+
+@pytest.mark.parametrize("n_l", [5, 11, 21, 33, 51, 101])
+def test_one_state_and_batches_of_every_width_give_the_same_bits(n_l):
+    # Every product of the law rounds as a batch's matrix product does, so
+    # one state, batches of one and of two, one batch of every state and one
+    # of seven copies (wider than a k1 block) give the same bits: on seeded
+    # states with nothing exact in binary (the nominal neither), more than
+    # ten of them with a nonzero selection, and NaN rows exactly where one
+    # state raises; on basis sizes spread over the admitted 5 to 101.
+    states = _outer_law_states(4711)[::3]
+    for name, law in _outer_laws(n_l).items():
+        single = np.array([_single_or_nan(law, x) for x in states])
+        whole = law.evaluate(states)[0]
+        wide = law.evaluate(np.tile(states, (7, 1)))[0]
+        ones = np.concatenate([law.evaluate(x[None])[0] for x in states])
+        twos = np.concatenate([law.evaluate(states[k:k + 2])[0] for k in range(0, states.shape[0], 2)])
+        for got, want in ((whole, single), (wide, np.tile(single, (7, 1))), (ones, single), (twos, single)):
+            _assert_same_bits(got, want, f"{name} at n_l = {n_l}")
+        selection = lipschitz_selection(build_constraint_set(states, law.certs, law.c, law.k_alpha))
+        assert ((selection != 0.0) & np.isfinite(selection)).any(axis=1).sum() > 10, name
 
 
 def _composed(law, x):

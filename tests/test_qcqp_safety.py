@@ -19,7 +19,7 @@ from safecascade.qcqp_safety import (
 )
 
 from helpers import Raised, assert_same_bits, one_state_sets, outcome
-from oracles import norm_constrained_membership, one_state_selection
+from oracles import batch_selection, norm_constrained_membership, one_state_selection, set_violations
 
 
 def cs_of(a, b, c=0.0):
@@ -181,6 +181,33 @@ def test_base_rate_negative_side_condition():
 def test_selection_zero_case():
     cs = cs_of(random_unit_rows(np.random.default_rng(3), 3), [0.1, 0.0, 2.0])
     np.testing.assert_array_equal(lipschitz_selection(cs), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("c", [0.0, 0.4])
+def test_zero_selection_rows_skip_the_product_with_its_bits(monkeypatch, c):
+    # Where every offset is >= 0 the batch's selection is exactly 0 and its
+    # slack has the bits of -(a u + c|u| - b) at u = 0, b = +-0.0 included
+    # (a u is -0.0 on a row with a negative entry); the product a u runs
+    # only on the states with a nonzero selection (every seventh one here,
+    # a negative offset beside large ones).
+    rng = np.random.default_rng(77)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(70, 3))
+    a = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    b = np.abs(rng.normal(size=(70, 3)))
+    b[::5, 0], b[1::5, 1] = 0.0, -0.0
+    b[2::7, :2] += 5.0
+    b[2::7, 2] = -rng.uniform(0.1, 1.0, size=10)
+    calls = []
+    violations = ConstraintSet.violations
+    monkeypatch.setattr(ConstraintSet, "violations",
+                        lambda self, u: calls.append(u.shape[0]) or violations(self, u))
+    selection, slack = selection_with_slack(ConstraintSet(a, b, c))
+    for got, want in zip((selection, slack), batch_selection(a, b, c)):
+        assert_same_bits(got, want)
+    zero = (selection == 0.0).all(axis=1)
+    assert zero.sum() == 60 and np.isfinite(selection[~zero]).all()
+    assert_same_bits(slack[zero], -set_violations(a[zero], b[zero], c, np.zeros((60, 2))))
+    assert calls == [10]
 
 
 def test_selection_single_negative_row():

@@ -18,7 +18,7 @@ from safecascade.qcqp_safety import (
     selection_with_slack,
 )
 from safecascade import reshaping
-from safecascade.qp_solver import Polyhedron, solve_projection_qp
+from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 from safecascade.reshaping import (
     PositiveBasis,
     cbar_a,
@@ -31,7 +31,7 @@ from safecascade.reshaping import (
 )
 
 from helpers import Raised, assert_same_bits, layouts, one_state_sets, outcome
-from oracles import batch_b_l, batch_selection, one_state_b_l, set_violations
+from oracles import batch_b_l, batch_filter, batch_selection, one_state_b_l, set_violations
 
 GAP_DISCS = [CertificateSpec(Disc([0.0, 1.0], 0.99)), CertificateSpec(Disc([0.0, -1.0], 0.99))]
 NOMINAL = np.array([1.0, 0.0])
@@ -489,21 +489,16 @@ def test_polytope_sampler_respects_constraints():
     assert np.all(poly.a @ pts.T <= poly.b[:, None] + 1e-9)
 
 
-def _dyadic_sets(shape, n_c, n_u, seed):
-    """Constraint sets batched over shape, each with a feasible selection.
-
-    The selection entries are zero or signed powers of two, so each product
-    with a basis entry is exact and numpy's vector product (one state) and
-    matrix product (a batch) round selection @ A_L^T alike; with other
-    selections the two may differ in the last bit, whatever the reshaping
-    does. The filter's nominal is dyadic for the same reason: the
-    projection takes nominal @ A_L^T.
-    """
+def _seeded_sets(shape, n_c, n_u, seed):
+    """Constraint sets batched over shape, each with a feasible selection:
+    seeded normal entries, a tenth of the selections exactly zero. One
+    state and a batch round every product alike, so no entry needs to be
+    exact in binary."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=shape + (n_c, n_u))
     a /= np.linalg.norm(a, axis=-1, keepdims=True)
     c = float(np.linspace(0.0, 0.1, n_c)[-1])      # the largest of n_c per-row values
-    selection = rng.choice([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0], size=shape + (n_u,))
+    selection = rng.normal(size=shape + (n_u,)) * (rng.uniform(size=shape + (1,)) > 0.1)
     b = ((a @ selection[..., None])[..., 0] + c * np.linalg.norm(selection, axis=-1)[..., None]
          + rng.uniform(0.0, 1.0, size=shape + (n_c,)))
     return a, b, c, selection
@@ -531,13 +526,14 @@ BATCH_CASES = {
     "nan rows": ((40,), 2, 2),
     "one row": ((40,), 1, 2),
     "one state": ((1,), 3, 2),
+    "two states": ((2,), 3, 2),
     "n_u = 3": ((40,), 3, 3),
 }
 
 
 def _batch_case(name):
     shape, n_c, n_u = BATCH_CASES[name]
-    a, b, c, selection = _dyadic_sets(shape, n_c, n_u, seed=list(BATCH_CASES).index(name))
+    a, b, c, selection = _seeded_sets(shape, n_c, n_u, seed=list(BATCH_CASES).index(name))
     if name == "nan rows":
         a[[3, 17]] = np.nan           # states without a set
         b[[3, 17]] = np.nan
@@ -554,7 +550,100 @@ def test_reshape_of_a_batch_equals_the_per_state_reshapes_bit_for_bit(name):
 @pytest.mark.parametrize("name", [n for n, (_, _, n_u) in BATCH_CASES.items() if n_u == 2])
 def test_filter_of_a_batch_equals_the_per_state_filters_bit_for_bit(name):
     basis, a, b, c, selection = _batch_case(name)
-    nominal = np.array([0.5, 1.0])
+    nominal = np.array([0.6, 1.0])
     # Anchored at the given selections: reshape, then project onto the basis.
     _assert_batch_equals_states(
         lambda s, cs: basis.polygon.project(nominal, reshape_b_l(s, cs, basis, 2.0)), a, b, c, selection)
+
+
+# ------------------------------------------ the batched filter's inactive states
+
+SKIP_CERTS = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
+              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), 0.35, level=2.0),
+              CertificateSpec(Disc([2.0, 3.0], 0.5))]
+SKIP_NOMINAL = np.array([0.6, 1.0])
+
+
+def _straddling_states():
+    """A grid from inside the walls' and the disc's bands out to where every
+    state is inactive, then seven points on each spine and the disc centre."""
+    xs, ys = np.meshgrid(np.linspace(-3.0, 3.0, 25), np.linspace(-1.0, 6.0, 29))
+    t = np.linspace(0.0, 1.0, 7)[:, None]
+    spines = [cert.geometry.o1 + t * cert.geometry.base for cert in SKIP_CERTS[:2]]
+    return np.vstack([np.column_stack([xs.ravel(), ys.ravel()]), *spines, [[2.0, 3.0]]])
+
+
+def _inactive(cs, basis, nominal):
+    """The filter's test: finite rows, and cbar_a (min_j b_j / (1 + c))
+    above max_l (A_L u0)_l + 4 eps |u0|_1."""
+    low = cbar_a(cs.c, basis.c_a) * (cs.b.min(axis=-1) / (1.0 + cs.c))
+    reach = np.max(basis.a_l @ nominal) + 4.0 * np.finfo(float).eps * np.abs(nominal).sum()
+    return (low > reach) & ~np.isnan(cs.a).any(axis=(-2, -1))
+
+
+def _filter_calls(monkeypatch):
+    """The offsets b of every set reshape_b_l gets and of every polygon
+    PolygonRows.project gets, as the filter makes those calls."""
+    seen = {"reshape": [], "project": []}
+    reshape, project = reshaping.reshape_b_l, PolygonRows.project
+    monkeypatch.setattr(reshaping, "reshape_b_l",
+                        lambda s, cs, *args, **kw: seen["reshape"].append(cs.b) or reshape(s, cs, *args, **kw))
+    monkeypatch.setattr(PolygonRows, "project",
+                        lambda self, u0, b: seen["project"].append(b) or project(self, u0, b))
+    return seen
+
+
+@pytest.mark.parametrize("k_phi", [0.0, 2.0])
+@pytest.mark.parametrize("c", [0.0, 0.4])
+@pytest.mark.parametrize("n_l", [5, 11, 21])
+def test_batched_filter_skips_inactive_states_with_the_full_pipelines_bits(monkeypatch, n_l, c, k_phi):
+    # The filter on a batch gives every state the bits of the full pipeline
+    # (oracles.batch_filter): on a grid straddling the inactive-state
+    # threshold, on the spines and at the disc centre (NaN rows), and at
+    # six far states whose first row is NaN beside a large offset, as a
+    # spine point keeps a finite b, in both components or in the second
+    # alone: those would pass the offsets' test and stay on the full path. Only the active states reach reshape_b_l and
+    # the projection, in order. At n_l = 5 and c = 0.4 the coverage
+    # condition fails, for the whole batch.
+    basis = make_positive_basis(2, n_l)
+    cs = build_constraint_set(_straddling_states(), SKIP_CERTS, c, 1.0)
+    want = outcome(lambda: batch_filter(SKIP_NOMINAL, cs.a, cs.b, c, basis.a_l, basis.c_a, k_phi))
+    if isinstance(want, Raised):
+        assert outcome(lambda: reshaped_filter(SKIP_NOMINAL, cs, basis, k_phi)) == want
+        assert want[0] is CoverageConditionError and (n_l, c) == (5, 0.4)
+        return
+    a, b = cs.a.copy(), cs.b.copy()
+    far = np.flatnonzero(_inactive(cs, basis, SKIP_NOMINAL))[-6:]
+    a[far[:3], 0], a[far[3:], 0, 1], b[far, 0] = np.nan, np.nan, 30.0
+    cs = ConstraintSet(a, b, c)
+    want = batch_filter(SKIP_NOMINAL, a, b, c, basis.a_l, basis.c_a, k_phi)
+    seen = _filter_calls(monkeypatch)
+    got = reshaped_filter(SKIP_NOMINAL, cs, basis, k_phi)
+    assert_same_bits(got, want)
+    inactive = _inactive(cs, basis, SKIP_NOMINAL)
+    assert 0 < inactive.sum() < inactive.size - 50
+    assert far.size == 6 and not inactive[far].any() and np.isnan(want[far]).all()
+    assert np.isnan(want[-15:]).any(axis=1).sum() >= 8     # the spine points of the first wall, the disc centre
+    assert_same_bits(np.concatenate(seen["reshape"]), b[~inactive])
+    assert [p.shape[0] for p in seen["project"]] == [(~inactive).sum()]
+    np.testing.assert_array_equal(got[inactive], np.broadcast_to(SKIP_NOMINAL, got[inactive].shape))
+
+
+@pytest.mark.parametrize("block", ["far", "near"])
+def test_batched_filter_on_blocks_with_every_state_inactive_or_none(monkeypatch, block):
+    # Far from every obstacle no state reaches the selection, the
+    # reshaping or the projection, and every state gets the nominal; across
+    # the lower wall's band every state is active and runs them all. The
+    # bits equal the full pipeline's either way.
+    basis = make_positive_basis(2, 11)
+    x = np.linspace(-2.0, 2.0, 40)
+    y = np.full(40, 12.0) if block == "far" else 0.5 + np.linspace(-0.3, 0.3, 40)
+    cs = build_constraint_set(np.column_stack([x, y]), SKIP_CERTS, 0.0, 1.0)
+    seen = _filter_calls(monkeypatch)
+    got = reshaped_filter(SKIP_NOMINAL, cs, basis, 2.0)
+    assert_same_bits(got, batch_filter(SKIP_NOMINAL, cs.a, cs.b, 0.0, basis.a_l, basis.c_a, 2.0))
+    if block == "far":
+        assert seen == {"reshape": [], "project": []}
+        np.testing.assert_array_equal(got, np.broadcast_to(SKIP_NOMINAL, got.shape))
+    else:
+        assert [r.shape[0] for r in seen["reshape"]] == [40] and [p.shape[0] for p in seen["project"]] == [40]

@@ -16,7 +16,10 @@ every variant but the shifted starts, so each branch of the design record
 is printed: the disc's exp(R^2) upper end of V, a 21-row basis, no cascade
 gains (velocity), and every margin positive with the rate condition
 holding, on a 10^5-point rate grid (derived: the constants ROADMAP item 2
-derives for the safe config).
+derives for the safe config). Two more variants at `cascade.k1 = estimate`
+move the batched filter's inactive-state threshold: `reshape.k_phi = 0`
+(kphi0) and a larger nominal `2.0, 3.0` (far_nominal), for which fewer
+grid states are inactive.
 Prints "same" or "differs" per file and stdout, ignoring only
 metrics.json's runtime_s, and exits 1 on any difference.
 """
@@ -43,14 +46,16 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "derived": ("vtol_safe", {"cascade.k_tracking": "20.14, 1827, 1.503e7", "cascade.gamma_12_slope": "0.99",
                               "rate.k_alpha": "5", "cascade.k1": "estimate", "audit.grid": "100000"}),
     "zero_nominal": ("vtol_safe", {"nominal.value": "0, 0"}),
+    "kphi0": ("vtol_safe", {"reshape.k_phi": "0", "cascade.k1": "estimate"}),
+    "far_nominal": ("vtol_safe", {"nominal.value": "2.0, 3.0", "cascade.k1": "estimate"}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
-               for n in ("estimate", "three", "estimate_wide", "level", "zero_nominal")},
+               for n in ("estimate", "three", "estimate_wide", "level", "zero_nominal", "kphi0", "far_nominal")},
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
                for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "level", "nonlinear",
-                         "velocity", "derived", "zero_nominal")},
+                         "velocity", "derived", "zero_nominal", "kphi0", "far_nominal")},
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
 
