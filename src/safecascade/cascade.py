@@ -15,7 +15,7 @@ inequality, and the small-gain audit checks contraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .certificates import CertificateSpec
 # lipschitz_selection is unused here but stays importable: the benchmark's
 # trace hooks (benchmarks/workloads.py) rebind cascade.lipschitz_selection.
 from .qcqp_safety import ConstraintSet, build_constraint_set, lipschitz_selection  # noqa: F401
-from .qp_solver import sum_last_axis
+from .qp_solver import row_product, sum_last_axis
 from .reshaping import PositiveBasis, reshaped_filter
 
 # States per call of a map over a grid (in_row_blocks): whole grid rows up
@@ -201,8 +201,9 @@ class SafetyLaw:
     k_alpha the slope of its decay rate (qcqp_safety.decay_rate); a c
     outside [0, 1) or a k_alpha that is not finite and positive raises
     ValueError when the law is built.
-    nominal is kept as a read-only (2,) array, and the basis's pair-vertex
-    table is built with the law, so no step rebuilds it. A step calls
+    nominal is kept as a read-only (2,) array, and so is nominal_dots,
+    A_L nominal as row_product gives it; the basis's pair-vertex table is
+    built with the law, so no step rebuilds it. A step calls
     build_constraint_set and reshaped_filter through this module's names.
     """
 
@@ -212,6 +213,7 @@ class SafetyLaw:
     c: float
     k_alpha: float
     k_phi: float
+    nominal_dots: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         nominal = np.array(self.nominal, dtype=float)
@@ -224,6 +226,9 @@ class SafetyLaw:
             raise ValueError(f"k_alpha must be finite and positive, got {self.k_alpha}")
         if self.basis is not None and self.basis.polygon is not None:
             _ = self.basis.polygon.pairs      # builds and keeps the pair-vertex table
+            dots = row_product(nominal, self.basis.polygon.a_t)
+            dots.flags.writeable = False
+            object.__setattr__(self, "nominal_dots", dots)
 
     def evaluate(self, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The input at x1, with each certificate's clearance h and value V
@@ -234,7 +239,8 @@ class SafetyLaw:
             return np.broadcast_to(self.nominal, x1.shape), empty, empty
         cs = build_constraint_set(x1, self.certs, self.c, self.k_alpha)
         # The projection broadcasts the one nominal against a batch's rows.
-        return reshaped_filter(self.nominal, cs, self.basis, self.k_phi), cs.h, cs.v
+        return (reshaped_filter(self.nominal, cs, self.basis, self.k_phi,
+                                nominal_dots=self.nominal_dots), cs.h, cs.v)
 
 
 @dataclass

@@ -53,6 +53,11 @@ class Segment:
         """Squared spine length."""
         return float(self.base @ self.base)
 
+    @cached_property
+    def floats(self) -> tuple[float, float, float, float]:
+        """o1 and the spine o2 - o1 as floats, for one point."""
+        return (*self.o1.tolist(), *self.base.tolist())
+
 
 @dataclass(frozen=True)
 class Disc:
@@ -131,12 +136,12 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     if base_sq <= 1e-24:
         raise DegenerateGeometryError("segment endpoints coincide")
     if x.ndim == 1:
-        rel = x - seg.o1
         # One point runs on floats, with the ufuncs' values, -0.0 and NaN
         # included; the BLAS dot and np.hypot stay, as floats round otherwise.
-        t = float(rel.dot(base)) / base_sq
+        (x0, x1), (o0, o1, b0, b1) = x.tolist(), seg.floats
+        r0, r1 = x0 - o0, x1 - o1
+        t = float(np.array((r0, r1)).dot(base)) / base_sq
         t = 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
-        (r0, r1), (b0, b1) = rel.tolist(), base.tolist()
         d0, d1 = r0 - t * b0, r1 - t * b1
         dist = float(np.hypot(d0, d1))
         if dist <= SPINE_TOL:

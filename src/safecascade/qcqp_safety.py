@@ -26,6 +26,16 @@ from .errors import SelectionConditionError
 from .qp_solver import DEFAULT_TOL, states_first, states_last, sum_last_axis
 
 
+def _norm_coefficient(c) -> float:
+    """c as a float, checked to be one real number in [0, 1)."""
+    if not isinstance(c, (float, int, np.floating, np.integer)):
+        raise ValueError("the norm coefficient must be one real number")
+    c = float(c)
+    if not 0.0 <= c < 1.0:
+        raise ValueError("the norm coefficient must lie in [0, 1)")
+    return c
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Rows (a, b) and the norm coefficient c of the system
@@ -53,24 +63,32 @@ class ConstraintSet:
         b = np.asarray(self.b, dtype=float)
         if a.shape[:-1] != b.shape:
             raise ValueError("row count mismatch between a and b")
-        if not isinstance(self.c, (float, int, np.floating, np.integer)):
-            raise ValueError("the norm coefficient must be one real number")
-        c = float(self.c)
-        if not 0.0 <= c < 1.0:
-            raise ValueError("the norm coefficient must lie in [0, 1)")
-        # NaN rows (states without a set) compare False and pass. One
-        # state's planar rows are checked on floats, in the ufuncs' order.
-        if a.ndim == 2 and a.shape[1] == 2:
-            bad = any([abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9 for p, q in a.tolist()])
-        else:
-            dev = np.sqrt(sum_last_axis(np.square(states_last(a, 2)).transpose(0, 2, 1)))
-            dev -= 1.0
-            bad = (np.abs(dev, out=dev) > 1e-9).any()
-        if bad:
+        c = _norm_coefficient(self.c)
+        # NaN rows (states without a set) compare False and pass.
+        dev = np.sqrt(sum_last_axis(np.square(states_last(a, 2)).transpose(0, 2, 1)))
+        dev -= 1.0
+        if (np.abs(dev, out=dev) > 1e-9).any():
             raise ValueError("constraint rows must be unit vectors")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+
+    @classmethod
+    def planar(cls, rows: list, b: list, c: float, h: list, v: list) -> ConstraintSet:
+        """One planar state's set from floats: its rows as pairs, their
+        offsets, and each certificate's h and V. The constructor's checks
+        run on the floats, in the ufuncs' order, and the set is made
+        without the constructor, whose checks would read the arrays back."""
+        if len(rows) != len(b):
+            raise ValueError("row count mismatch between a and b")
+        c = _norm_coefficient(c)
+        for p, q in rows:
+            if abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9:
+                raise ValueError("constraint rows must be unit vectors")
+        cs = object.__new__(cls)
+        vars(cs).update(a=np.array(rows) if rows else np.zeros((0, 2)), b=np.array(b), c=c,
+                        h=np.array(h), v=np.array(v))
+        return cs
 
     @property
     def n_rows(self) -> int:
@@ -117,7 +135,7 @@ class ConstraintSet:
 # level, about 36 units of clearance): the offset rounds to -level and the
 # envelope inverse would be -inf. decay_rate clamps it at log(eps) there,
 # which only tightens the constraint.
-ENVELOPE_FLOOR = -1.0 + np.finfo(float).eps
+ENVELOPE_FLOOR = -1.0 + float(np.finfo(float).eps)
 
 
 def decay_rate(offset, level, k_alpha: float, c: float):
@@ -135,7 +153,7 @@ def decay_rate(offset, level, k_alpha: float, c: float):
     """
     s = offset / level
     if isinstance(s, float):
-        s = np.log1p(s if s > ENVELOPE_FLOOR or s != s else ENVELOPE_FLOOR)
+        s = float(np.log1p(s if s > ENVELOPE_FLOOR or s != s else ENVELOPE_FLOOR))
         return s * (k_alpha if s >= 0.0 else k_alpha * ((1.0 + c) / (1.0 - c)))
     s = np.log1p(np.maximum(s, ENVELOPE_FLOOR))
     return s * np.where(s >= 0.0, k_alpha, k_alpha * ((1.0 + c) / (1.0 - c)))
@@ -167,11 +185,11 @@ def build_constraint_set(
             g0, g1 = ev.grad_h.tolist()
             nrm = -math.sqrt(g0 * g0 + g1 * g1)      # a sum from 0: squares are never -0.0
             rows.append((g0 / nrm, g1 / nrm))
-            b.append(-decay_rate(ev.v - cert.level, cert.level, k_alpha, c))
+            value = float(ev.v)
+            b.append(-decay_rate(value - cert.level, cert.level, k_alpha, c))
             h.append(ev.h)
-            v.append(ev.v)
-        return ConstraintSet(np.array(rows) if rows else np.zeros((0, 2)), np.array(b),
-                             c, h=np.array(h), v=np.array(v))
+            v.append(value)
+        return ConstraintSet.planar(rows, b, c, h, v)
     # Rows (n_c, 2, N), h and V (n_c, N), states last (qp_solver.states_last).
     batch = x.shape[:-1]
     rows = np.empty((len(certs), x.shape[-1], math.prod(batch)))
@@ -227,7 +245,8 @@ def lipschitz_selection(cs: ConstraintSet) -> np.ndarray:
 def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """lipschitz_selection and the slack b - a u - c|u| of every row at it,
     shape (..., n_rows), from the one evaluation of the set that verifies
-    the point; NaN rows where the selection is undefined."""
+    the point (none at a zero point, where a u + c|u| - b is 0.0 - b); NaN
+    rows where the selection is undefined."""
     a, b, c = cs.a, cs.b, cs.c
     if cs.n_rows == 0:
         return np.zeros(b.shape[:-1] + (cs.n_u,)), np.zeros(b.shape)
@@ -269,7 +288,8 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
 def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """selection_with_slack for one state's set, on floats with the batch
     code's values (np.sign, np.minimum and the row sum in its order, -0.0
-    and NaN included); the set evaluates itself at the point once."""
+    and NaN included); the set evaluates itself at a nonzero point once,
+    and not at all at a zero one."""
     b, c = cs.b.tolist(), cs.c
     scaled = [q / (1.0 + c) if q > 0.0 else q / (1.0 - c) if q < 0.0 else q for q in b]
     # The two smallest, NaN last: a NaN among them makes the sum NaN.
@@ -286,12 +306,13 @@ def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray
     for q, row in zip(b, cs.a.tolist()):
         w = (q if q < 0.0 or q != q else 0.0) / (1.0 - c)
         u = [s + w * p for s, p in zip(u, row)]
-    u = np.array(u)
-    viol = cs.violations(u)
-    viols = viol.tolist()               # np.maximum.reduce: NaN if any row is NaN
-    if not any(q != q for q in viols) and max(viols) > DEFAULT_TOL:
+    selection = np.array(u)
+    # As in a batch, a zero u (its rows then finite) has the violations 0.0 - b.
+    viols = cs.violations(selection).tolist() if any(u) else [0.0 - q for q in b]
+    # np.maximum.reduce: NaN if any row is NaN.
+    if not any([q != q for q in viols]) and max(viols) > DEFAULT_TOL:
         raise SelectionConditionError(f"selection violates a row by {max(viols):.3e}", pair=None)
-    return u, -viol
+    return selection, np.array([-q for q in viols])
 
 
 @dataclass(frozen=True)

@@ -257,31 +257,13 @@ class PolygonRows:
         row; where no candidate is feasible a single problem raises
         InfeasibleError and a batch row is NaN. A single problem, u0 (2,)
         and b (n,), settles its feasible u0 or edge on floats, with the
-        batch code's values, and goes straight to the vertex stage, as a
-        batch of one, when neither is the answer.
+        batch code's values (project_one), and goes straight to the vertex
+        stage, as a batch of one, when neither is the answer.
         """
         a, a_t = self.a, self.a_t
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
         if u0.ndim == 1 and b.ndim == 1:
-            # The batch code's values on floats; the BLAS products u0 @ a_t
-            # and edge @ a_t stay, as a batch's matrix product rounds them
-            # (row_product). A NaN fails every test, and the batch code's
-            # farthest line (the first NaN) then gives NaN.
-            viol = (row_product(u0, a_t) - b).tolist()
-            if any(map(math.isnan, viol)):
-                return np.full(2, np.nan)      # as a batch row: no problem to solve
-            if max(viol) <= DEFAULT_TOL:
-                return u0.copy()
-            far = [q / n for q, n in zip(viol, self.nrm_list)]
-            far = far.index(max(far))          # the first largest, as argmax
-            step = viol[far] / self.nrm_sq_list[far]
-            edge = np.array([p - step * q for p, q in zip(u0.tolist(), self.rows[far])])
-            if all([p <= q + DEFAULT_TOL for p, q in zip(row_product(edge, a_t).tolist(), b.tolist())]):
-                return edge
-            out, found = self._nearest_vertices(u0[:, None], b[:, None])
-            if not found[0]:
-                raise InfeasibleError("no point satisfies every row: empty feasible set")
-            return out[:, 0]
+            return self.project_one(u0, b)
         batch = u0.shape[:-1]
         if batch != b.shape[:-1]:
             batch = np.broadcast_shapes(batch, b.shape[:-1])
@@ -307,6 +289,31 @@ class PolygonRows:
                 out[:, rest] = self._nearest_vertices(u0[:, rest], b[:, rest])[0]
         np.copyto(out, np.nan, where=np.isnan(viol).any(axis=0))
         return states_first(out, batch)
+
+    def project_one(self, u0: np.ndarray, b: np.ndarray, *,
+                    dots: np.ndarray | None = None) -> np.ndarray:
+        """project for one problem, u0 (2,) and b (n,) float arrays, on
+        floats with the batch code's values. The BLAS products u0 @ a_t
+        and edge @ a_t stay, as a batch's matrix product rounds them
+        (row_product). dots, when given, must be row_product(u0, self.a_t),
+        which a caller with a fixed u0 may keep; it is not checked. A NaN
+        fails every test, and the batch code's farthest line (the first
+        NaN) then gives NaN."""
+        viol = ((row_product(u0, self.a_t) if dots is None else dots) - b).tolist()
+        if any(map(math.isnan, viol)):
+            return np.full(2, np.nan)      # as a batch row: no problem to solve
+        if max(viol) <= DEFAULT_TOL:
+            return u0.copy()
+        far = [q / n for q, n in zip(viol, self.nrm_list)]
+        far = far.index(max(far))          # the first largest, as argmax
+        step = viol[far] / self.nrm_sq_list[far]
+        edge = np.array([p - step * q for p, q in zip(u0.tolist(), self.rows[far])])
+        if all([p <= q + DEFAULT_TOL for p, q in zip(row_product(edge, self.a_t).tolist(), b.tolist())]):
+            return edge
+        out, found = self._nearest_vertices(u0[:, None], b[:, None])
+        if not found[0]:
+            raise InfeasibleError("no point satisfies every row: empty feasible set")
+        return out[:, 0]
 
     def _nearest_vertices(self, u0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The vertex stage, in the batch layout: for each problem of u0

@@ -344,6 +344,8 @@ def reshaped_filter(
     cs: ConstraintSet,
     basis: PositiveBasis,
     k_phi: float,
+    *,
+    nominal_dots: np.ndarray | None = None,
 ) -> np.ndarray:
     """Project the nominal input (n_u,) onto the reshaped set.
 
@@ -358,6 +360,9 @@ def reshaped_filter(
     the nominal, the bits those stages give them; a state without a result
     (no set, no selection) raises for a single state and gives a NaN row in
     a batch. n_u = 3 projects one state with the dual active-set QP.
+    nominal_dots, when given, must be row_product(nominal, basis.polygon.a_t),
+    A_L nominal, which a SafetyLaw keeps; one planar state's projection
+    reads it in place of the product.
     """
     nominal = np.asarray(nominal, dtype=float)
     if nominal.shape != (cs.n_u,):
@@ -379,12 +384,12 @@ def reshaped_filter(
     # reads one state's selection.
     selection, slack = selection_with_slack(cs)
     b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
-    if basis.polygon is None:                                   # n_u = 3
+    polygon = basis.polygon
+    if polygon is None:                                         # n_u = 3
         return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l)).point
-    u = basis.polygon.project(nominal, b_l)
     if not planar_batch:
-        return u
-    out[:, active] = states_last(u)
+        return polygon.project_one(nominal, b_l, dots=nominal_dots)
+    out[:, active] = states_last(polygon.project(nominal, b_l))
     return states_first(out, batch)
 
 

@@ -22,7 +22,8 @@ or not the chosen plant reads the key.
     certificate.level         superlevel threshold v
     certificate.threshold     decay threshold above the level v
     rate.k_alpha              decay-rate slope
-    nominal.value             constant nominal input "x, y" (required)
+    nominal.value             constant nominal input "x, y" (required; each
+                              at most MAX_NOMINAL in magnitude)
     reshape.directions        positive-basis count n_l
     reshape.k_phi             expansion weight
     cascade.k_tracking        "K_2, ..., K_m" (empty for m = 1)
@@ -114,10 +115,11 @@ def _choice(default, *choices: str) -> Key:
     return Key(str, default, lambda v: v in choices, " | ".join(choices))
 
 
-def _pair(default=None, positive=False) -> Key:
+def _pair(default=None, positive=False, most: float = math.inf) -> Key:
     low = 0.0 if positive else -math.inf
-    return Key(_numbers, default, lambda v: len(v) == 2 and all(low < x < math.inf for x in v),
-               "two finite positive numbers" if positive else "two finite numbers")
+    rule = "two finite positive numbers" if positive else "two finite numbers"
+    return Key(_numbers, default, lambda v: len(v) == 2 and all(low < x < math.inf and abs(x) <= most for x in v),
+               rule if most == math.inf else f"{rule} of magnitude at most {most:g}")
 
 
 def _file_name(default: str) -> Key:
@@ -172,6 +174,12 @@ MAX_RATE_SLOPE = 1e300
 MAX_THETA = 1e4
 MIN_GAMMA_12_SLOPE = 1e-3
 
+# The largest nominal component: the projection's edge point u0 - step * a,
+# with step about |u0|, carries a rounding error of about eps |u0|, below
+# its 1e-9 tolerance up to 1e6. At 1e16 a run on vtol_unsafe.cfg came to
+# 0.011 m of a wall rather than 0.15 m, with no error.
+MAX_NOMINAL = 1e6
+
 KEYS: dict[str, Key] = {
     "plant.kind": _choice("integrator_chain", "integrator_chain", "velocity_loop", "vtol_nonlinear"),
     "plant.levels": _count(4, 1),
@@ -183,7 +191,7 @@ KEYS: dict[str, Key] = {
     "certificate.level": _between(1.0, MIN_CERTIFICATE_LEVEL, MAX_CERTIFICATE_THRESHOLD),
     "certificate.threshold": _positive(1.4, MAX_CERTIFICATE_THRESHOLD),
     "rate.k_alpha": _positive(1.0, MAX_RATE_SLOPE),
-    "nominal.value": _pair(),
+    "nominal.value": _pair(most=MAX_NOMINAL),
     # Three rows at 120 degrees carry the coverage constant -1/2, which the
     # reshaping cannot use; regular polygons have cos(2 pi / n) > 0 from 5.
     "reshape.directions": Key(int, 11, lambda v: v % 2 == 1 and 5 <= v <= MAX_DIRECTIONS,

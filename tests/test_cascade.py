@@ -29,7 +29,7 @@ from safecascade.qcqp_safety import (
     disc_constraint_set,
     lipschitz_selection,
 )
-from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
+from safecascade.qp_solver import PolygonRows, Polyhedron, row_product, solve_projection_qp
 from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
 from safecascade.sim import run_closed_loop
@@ -539,6 +539,33 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
                 _assert_same_bits(g, w, f"{name} at {x}")
     assert ("walls", ZeroGradientError) in raised and ("discs", SelectionConditionError) in raised
     assert ("narrow", CoverageConditionError) in raised
+
+
+def test_laws_sharing_one_basis_keep_their_own_nominal_products():
+    # A basis holds no per-law state: two laws on one basis, with different
+    # nominals, each keep A_L u0 read-only with row_product's bits, and each
+    # projects its own nominal, as the same law on a basis of its own does,
+    # whichever law ran last. Evaluating leaves each nominal read-only.
+    basis = make_positive_basis(2, 11)
+    nominals = (np.array([0.6, 1.0]), np.array([-1.7, 0.3]))
+    shared = [SafetyLaw(WALLS, u0, basis, 0.0, 1.0, k_phi=2.0) for u0 in nominals]
+    alone = [SafetyLaw(WALLS, u0, make_positive_basis(2, 11), 0.0, 1.0, k_phi=2.0) for u0 in nominals]
+    for law, u0 in zip(shared, nominals):
+        assert_same_bits(law.nominal_dots, row_product(u0, basis.polygon.a_t))
+        assert not law.nominal_dots.flags.writeable
+    moved = set()
+    for x in [*_outer_law_states(1123)[::7], np.array([0.0, 25.0])]:
+        for law, own, u0 in [*zip(shared, alone, nominals), (shared[0], alone[0], nominals[0])]:
+            got, want = outcome(lambda: law.evaluate(x)[0]), outcome(lambda: own.evaluate(x)[0])
+            if isinstance(want, Raised):
+                assert got == want
+                continue
+            assert_same_bits(got, want)
+            moved.add((u0.tobytes(), bool(np.any(got != u0))))
+    assert moved == {(u0.tobytes(), flag) for u0 in nominals for flag in (False, True)}
+    for law, u0 in zip(shared, nominals):
+        assert not law.nominal.flags.writeable
+        assert_same_bits(law.nominal, u0)
 
 
 def _law_args(law):

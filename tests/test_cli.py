@@ -402,6 +402,24 @@ def test_values_past_the_overflow_bounds_are_config_errors(tmp_path, capsys, key
     assert ("config error" in err) == (code == EXIT_CONFIG) and "Traceback" not in err
 
 
+def test_nominal_past_its_bound_is_a_config_error(tmp_path, capsys):
+    # At 1e16 the projection's edge stage cancelled to units: a 2-s run on
+    # vtol_unsafe.cfg came to 0.011 m of a wall instead of 0.15 m, with exit 0.
+    text = bundled_config("vtol_unsafe").read_text()
+    for value, code in (("1e16, 1e16", EXIT_CONFIG), (f"{scenario.MAX_NOMINAL!r}, 1e6", EXIT_OK)):
+        cfg = tmp_path / "nominal.cfg"
+        cfg.write_text(_with_key(text, "nominal.value", value))
+        out = tmp_path / value.replace(", ", "_")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--horizon", "2"]) == code
+    err = capsys.readouterr().err
+    assert "nominal.value must be two finite numbers of magnitude at most 1e+06" in err
+    assert not (tmp_path / "1e16_1e16").exists()
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["trajectory"]["min_clearance"] == pytest.approx(0.15, abs=1e-12)
+
+
 def _largest_radius() -> float:
     """The largest disc radius_m the parser accepts."""
     ok = OBSTACLE_KEYS["radius_m"].ok

@@ -290,18 +290,23 @@ def test_row_normalization_validated():
 
 @pytest.mark.parametrize("rows", [(1, 2), (2, 2), (2, 3), (4, 2, 2)], ids=str)
 def test_unit_rows_are_checked_within_1e_9_for_one_state_and_a_batch(rows):
-    # One state's planar rows are checked on floats, the rest on arrays;
-    # the same bound either way, and a NaN row (no set) passes.
+    # The constructor checks rows on arrays, and ConstraintSet.planar one
+    # planar state's rows on floats; the same bound either way, and a NaN
+    # row (no set) passes.
     a = np.zeros(rows)
     a[..., 0] = 1.0
     b = np.ones(rows[:-1])
+    builds = [lambda: ConstraintSet(a, b, 0.0)]
+    if len(rows) == 2 and rows[1] == 2:
+        builds.append(lambda: ConstraintSet.planar(a.tolist(), b.tolist(), 0.0, b.tolist(), b.tolist()))
     for off, ok in ((0.9e-9, True), (1.1e-9, False), (-1.1e-9, False), (math.nan, True)):
         a.reshape(-1, rows[-1])[-1, 0] = 1.0 + off
-        if ok:
-            ConstraintSet(a, b, 0.0)
-        else:
-            with pytest.raises(ValueError, match="unit vectors"):
-                ConstraintSet(a, b, 0.0)
+        for build in builds:
+            if ok:
+                build()
+            else:
+                with pytest.raises(ValueError, match="unit vectors"):
+                    build()
 
 
 def test_rate_of_one_float_equals_the_rate_of_an_array_bit_for_bit():
@@ -349,13 +354,21 @@ def test_norm_coefficient_must_be_one_number_in_unit_interval(c):
     with pytest.raises(ValueError, match="norm coefficient"):
         ConstraintSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]), c)
     with pytest.raises(ValueError, match="norm coefficient"):
+        ConstraintSet.planar([(1.0, 0.0), (0.0, 1.0)], [1.0, 1.0], c, [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="norm coefficient"):
         SafetyLaw((), np.zeros(2), None, c, 1.0, 0.0)
+
+
+def test_one_planar_state_set_from_floats_checks_its_row_count():
+    with pytest.raises(ValueError, match="row count mismatch"):
+        ConstraintSet.planar([(1.0, 0.0)], [1.0, 1.0], 0.0, [0.0], [1.0])
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, np.float64(0.25), np.float32(0.25), 0])
 def test_norm_coefficient_is_kept_as_a_float(c):
-    cs = ConstraintSet(np.array([[1.0, 0.0]]), np.array([1.0]), c)
-    assert type(cs.c) is float and cs.c == float(c)
+    for cs in (ConstraintSet(np.array([[1.0, 0.0]]), np.array([1.0]), c),
+               ConstraintSet.planar([(1.0, 0.0)], [1.0], c, [0.0], [1.0])):
+        assert type(cs.c) is float and cs.c == float(c)
     law = SafetyLaw((), np.zeros(2), None, c, 1.0, 0.0)
     assert type(law.c) is float and law.c == float(c)
 

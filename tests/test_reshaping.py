@@ -245,6 +245,13 @@ def test_reshape_rejects_infeasible_selection():
         reshape_b_l(np.zeros(2), cs, basis, k_phi=0.0)
 
 
+def test_reshape_takes_a_list_selection():
+    basis = make_positive_basis(2, 5)
+    cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+    np.testing.assert_array_equal(reshape_b_l([0.5, 0.25], cs, basis, 1.0),
+                                  reshape_b_l(np.array([0.5, 0.25]), cs, basis, 1.0))
+
+
 def sandwich_check(cs, basis, k_phi, rng, samples=400):
     selection = lipschitz_selection(cs)
     poly = Polyhedron(basis.a_l, reshape_b_l(selection, cs, basis, k_phi))
@@ -278,10 +285,10 @@ def test_filter_returns_nominal_when_feasible():
 
 
 def test_single_state_filter_evaluates_its_set_once(monkeypatch):
-    # The selection's own check evaluates the set at the selection; the
-    # reshaping takes that slack instead of evaluating it again. Covers a
-    # zero selection and a nonzero one (a state inside the lower wall's
-    # band, where one offset is negative).
+    # The selection's own check evaluates the set at a nonzero selection
+    # (a state inside the lower wall's band, where one offset is negative),
+    # and the reshaping takes that slack instead of evaluating it again. A
+    # zero selection's slack is -(0.0 - b), so its set is not evaluated.
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
     basis = make_positive_basis(2, 11)
@@ -289,14 +296,16 @@ def test_single_state_filter_evaluates_its_set_once(monkeypatch):
     violations = ConstraintSet.violations
     monkeypatch.setattr(ConstraintSet, "violations",
                         lambda self, u: calls.append(u) or violations(self, u))
-    for x in ([-2.0, 1.0], [0.0, 0.75]):
+    for x, evaluations in (([-2.0, 1.0], 0), ([0.0, 0.75], 1)):
         cs = build_constraint_set(np.array(x), walls, 0.0, 1.0)
+        selection = lipschitz_selection(cs)
         calls.clear()
         out = reshaped_filter(np.array([0.6, 1.0]), cs, basis, 2.0)
-        assert len(calls) == 1, x
-        np.testing.assert_array_equal(calls[0], lipschitz_selection(cs))
+        assert len(calls) == evaluations, x
+        assert np.any(selection != 0.0) == bool(evaluations), x
+        for u in calls:
+            np.testing.assert_array_equal(u, selection)
         assert np.all(np.isfinite(out))
-    assert np.any(calls[-1] != 0.0)
 
 
 def test_one_state_reshape_on_floats_equals_the_array_reference_bit_for_bit():

@@ -19,7 +19,9 @@ holding, on a 10^5-point rate grid (derived: the constants ROADMAP item 2
 derives for the safe config). Two more variants at `cascade.k1 = estimate`
 move the batched filter's inactive-state threshold: `reshape.k_phi = 0`
 (kphi0) and a larger nominal `2.0, 3.0` (far_nominal), for which fewer
-grid states are inactive.
+grid states are inactive. A 1-s `run` of the unsafe config at that nominal
+(unsafe_far_nominal), where every step projects, puts the law's kept
+A_L u0 and the one-state path under a nominal other than the stock one.
 Prints "same" or "differs" per file and stdout, ignoring only
 metrics.json's runtime_s, and exits 1 on any difference.
 """
@@ -48,11 +50,14 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "zero_nominal": ("vtol_safe", {"nominal.value": "0, 0"}),
     "kphi0": ("vtol_safe", {"reshape.k_phi": "0", "cascade.k1": "estimate"}),
     "far_nominal": ("vtol_safe", {"nominal.value": "2.0, 3.0", "cascade.k1": "estimate"}),
+    "unsafe_far_nominal": ("vtol_unsafe", {"nominal.value": "2.0, 3.0"}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
                for n in ("estimate", "three", "estimate_wide", "level", "zero_nominal", "kphi0", "far_nominal")},
+            "run_unsafe_far_nominal": ["run", "--config", "unsafe_far_nominal.cfg", "--out", "run_unsafe_far_nominal",
+                                       "--horizon", "1"],
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
                for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "level", "nonlinear",
                          "velocity", "derived", "zero_nominal", "kphi0", "far_nominal")},
