@@ -8,7 +8,7 @@ point onto the segment), so {V >= 1} is exactly {h <= 0}. Disc obstacles
 use the quadratic clearance |x - o|^2 - R^2 that single-integrator
 gap-crossing scenarios are built on. Both geometries evaluate to one
 CertificateEval, at one point or an array of points. disjointness_audit
-samples a box for points inside two unsafe sets at once.
+checks from distances that no two unsafe sets meet anywhere in the plane.
 
 The one form also fixes the envelope: at level v, V - v = v (e^s - 1) at
 signed distance s from {V = v}, so a certificate's level alone gives the
@@ -17,6 +17,7 @@ inverse log1p((V - v)/v) that its decay rate applies
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -191,53 +192,59 @@ def certificate_value(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
 
 @dataclass(frozen=True)
 class DisjointnessReport:
-    """Sampling audit of pairwise-disjoint unsafe sets and the gradient floor."""
+    """Exact audit of the unsafe sets {V >= level} over the whole plane: the
+    first least gap between two and their 1-based pair (inf and None with
+    fewer than two), whether it is positive, and the gradient floor."""
 
-    samples: int
-    joint_violations: int
-    first_violation: np.ndarray | None
+    min_gap: float
+    pair: tuple[int, int] | None
+    holds: bool
     min_gradient_norm: float
-    superlevel_samples: int
 
 
-MIN_AUDIT_SAMPLES = 1000     # fewer samples make disjointness_audit's report meaningless
+def _superlevel_radius(cert: CertificateSpec) -> float:
+    """Radius of {V >= level} = {h <= -log(level)} about a segment's spine or
+    a disc's center; -inf for an empty set, an infinite gap from any other."""
+    segment = isinstance(cert.geometry, Segment)
+    depth = (cert.safe_distance if segment else cert.geometry.radius**2) - math.log(cert.level)
+    return -math.inf if depth < 0.0 else depth if segment else math.sqrt(depth)
 
 
-def disjointness_audit(
-    certs: list[CertificateSpec],
-    domain_box: tuple[tuple[float, float], tuple[float, float]],
-    samples: int = 2000,
-    seed: int = 0,
-) -> DisjointnessReport:
-    """Sample the box for points inside two unsafe sets at once.
+def _to_spine(cert: CertificateSpec, points: np.ndarray) -> float:
+    """Least distance from points (n, 2) to a segment's spine, from eval_segment's clearance."""
+    return float(np.min(eval_segment(cert, points).h)) + cert.safe_distance
 
-    Also tracks the smallest finite clearance-gradient magnitude seen over
-    the sampled unsafe points, which is the robustness floor the decay-rate
-    guarantee leans on. Report-only; never raises for violations.
-    """
-    if samples < MIN_AUDIT_SAMPLES:
-        raise ValueError(f"use at least {MIN_AUDIT_SAMPLES} samples for a meaningful audit")
-    rng = np.random.default_rng(seed)
-    (x_lo, x_hi), (y_lo, y_hi) = domain_box
-    pts = np.column_stack([
-        rng.uniform(x_lo, x_hi, size=samples),
-        rng.uniform(y_lo, y_hi, size=samples),
-    ])
-    above = np.zeros((samples, len(certs)), dtype=bool)
-    min_grad = math.inf
-    for j, cert in enumerate(certs):
-        ev = certificate_value(cert, pts)
-        hit = ev.v >= cert.level
-        above[:, j] = hit
-        # fmin skips the NaN gradient of a spine point, whose V is finite.
-        min_grad = float(np.fmin.reduce(np.hypot(*ev.grad_h[hit].T), initial=min_grad))
-    joint = np.count_nonzero(above, axis=1) >= 2
-    first = pts[np.argmax(joint)].copy() if joint.any() else None
-    joint, superlevel = int(joint.sum()), int(above.sum())
-    return DisjointnessReport(
-        samples=samples,
-        joint_violations=joint,
-        first_violation=first,
-        min_gradient_norm=min_grad,
-        superlevel_samples=superlevel,
-    )
+
+def _spine_distance(a: CertificateSpec, b: CertificateSpec) -> float:
+    """Distance between two spines, a segment or a disc's center: 0 for
+    segments that cross (each one's endpoints strictly on either side of the
+    other's line), else the least distance from an endpoint to the other."""
+    if isinstance(a.geometry, Disc) and isinstance(b.geometry, Disc):
+        return float(np.hypot(*(a.geometry.center - b.geometry.center)))
+    if isinstance(a.geometry, Disc):
+        a, b = b, a
+    if isinstance(b.geometry, Disc):
+        return _to_spine(a, b.geometry.center[None])
+    s, t = a.geometry, b.geometry
+    cross = lambda p, q: p[0] * q[1] - p[1] * q[0]      # np.cross of 2-vectors is deprecated
+    if (cross(s.base, t.o1 - s.o1) * cross(s.base, t.o2 - s.o1) < 0.0
+            and cross(t.base, s.o1 - t.o1) * cross(t.base, s.o2 - t.o1) < 0.0):
+        return 0.0
+    return min(_to_spine(a, np.stack([t.o1, t.o2])), _to_spine(b, np.stack([s.o1, s.o2])))
+
+
+def disjointness_audit(certs: list[CertificateSpec]) -> DisjointnessReport:
+    """Whether the unsafe sets are pairwise disjoint anywhere in the plane:
+    each is a capsule about a segment's spine or a disc about its center,
+    so two lie the distance between their spines less both radii apart.
+    The sets are closed, so a gap of 0 overlaps, and so does a NaN gap,
+    which np.argmin takes first. The least |grad h| over the nonempty sets
+    (inf if none) is 1 off a segment's spine and 0 at a disc's center."""
+    radii = [_superlevel_radius(cert) for cert in certs]
+    pairs = list(itertools.combinations(range(len(certs)), 2))
+    gaps = [_spine_distance(certs[i], certs[j]) - radii[i] - radii[j] for i, j in pairs] or [math.inf]
+    k = int(np.argmin(gaps))
+    pair = (pairs[k][0] + 1, pairs[k][1] + 1) if pairs else None
+    floor = min((1.0 if isinstance(cert.geometry, Segment) else 0.0
+                 for cert, radius in zip(certs, radii) if radius >= 0.0), default=math.inf)
+    return DisjointnessReport(min_gap=gaps[k], pair=pair, holds=gaps[k] > 0.0, min_gradient_norm=floor)

@@ -308,7 +308,7 @@ def cmd_run(config_path: str | Path, out_dir: str | Path,
     return EXIT_OK
 
 
-def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
+def cmd_audit(config_path: str | Path) -> int:
     """Print a scenario's design record; always exits 0 once parsed."""
     try:
         cfg = load_scenario(config_path)
@@ -316,8 +316,6 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if seed is not None:
-        scenario.seed = seed
     design = DesignReport(scenario)
     contractive = lambda holds: "contractive" if holds else "NOT contractive"
     if design.k1 is not None:
@@ -344,9 +342,9 @@ def cmd_audit(config_path: str | Path, seed: int | None = None) -> int:
               f"coverage failures {rep.coverage_failures}/{rep.samples}")
     rep = design.disjointness
     if rep is not None:
-        grad_floor = "n/a" if math.isinf(rep.min_gradient_norm) else f"{rep.min_gradient_norm:.4f}"
-        print(f"disjointness: {rep.joint_violations} joint-superlevel samples out of "
-              f"{rep.samples}; gradient floor {grad_floor}")
+        pair = "" if rep.pair is None else " between obstacles {} and {}".format(*rep.pair)
+        print(f"disjointness over the plane: least gap {rep.min_gap:+.6g}{pair} "
+              f"({'disjoint' if rep.holds else 'NOT disjoint'}); gradient floor {rep.min_gradient_norm:.4f}")
         rc = design.rate_condition
         print(f"rate condition above threshold {rc.threshold:g}: "
               f"min margin {rc.min_margin:+.6g} at V={rc.argmin_v:.4g} "
@@ -429,7 +427,6 @@ def main(argv=None) -> int:
 
     p_audit = sub.add_parser("audit", help="print design audits for a config")
     p_audit.add_argument("--config", required=True)
-    p_audit.add_argument("--seed", type=_seed, default=None)
 
     p_basis = sub.add_parser("basis-check", help="construct and validate a positive basis")
     p_basis.add_argument("--n-u", type=_n_u, default=2)
@@ -444,7 +441,7 @@ def main(argv=None) -> int:
     if args.command == "example2":
         return cmd_example2(args.out, radius=args.radius, field_grid=args.grid, seed=args.seed)
     if args.command == "audit":
-        return cmd_audit(args.config, seed=args.seed)
+        return cmd_audit(args.config)
     if args.command == "basis-check":
         return cmd_basis_check(args.n_u, args.n_l, samples=args.samples)
     parser.error(f"unknown command {args.command!r}")

@@ -7,7 +7,7 @@ at the certificate's value (decay_rate: slope k_alpha through the envelope
 of the certificate's own level, steepened below zero as c requires), and
 the norm coefficient c in [0, 1) absorbs the input-gain uncertainty. The
 module also provides the Lipschitz selection, a closed-form point of the
-set used as the reshaping anchor, and the sampled audit of the decay-rate
+set used as the reshaping anchor, and the audit of the decay-rate
 condition above the threshold.
 
 The selection also returns the slack it verified (selection_with_slack),
@@ -317,7 +317,7 @@ def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class RateConditionReport:
-    """Sampling audit of the threshold decay condition for one certificate."""
+    """Audit of the threshold decay condition for one certificate."""
 
     threshold: float
     v_max: float
@@ -334,17 +334,15 @@ def rate_condition_audit(
     gamma_w_slope: float,
     c: float,
     v_max: float,
-    grid: int = 200,
 ) -> RateConditionReport:
-    """Check alpha_j((t-v)/t * V) >= theta V + (1 + c) V/gw over sampled V
-    in [t, v_max], with alpha_j the decay rate of slope k_alpha at the
-    level v, t the threshold and c the norm coefficient, every grid point
-    in one array expression. The report names the first least margin;
-    np.argmin takes a NaN margin before any number, so a NaN reads as not
-    holding. Report-only."""
+    """Check alpha_j((t-v)/t * V) >= theta V + (1 + c) V/gw for V in
+    [t, v_max] (alpha_j the decay rate of slope k_alpha at the level v, t the
+    threshold, c the norm coefficient) at its two endpoints: the rate's log1p
+    is concave in V and the drift linear, so the margin is least at one. The
+    report names the first; np.argmin takes a NaN first, which fails."""
     if threshold <= level:
         raise ValueError("threshold must exceed the certificate level")
-    vs = np.linspace(threshold, max(v_max, threshold), grid)
+    vs = np.array([threshold, max(v_max, threshold)])
     frac = (threshold - level) / threshold
     margins = decay_rate(frac * vs, level, k_alpha, c) - (theta * vs + (1.0 + c) * (vs / gamma_w_slope))
     k = int(np.argmin(margins))

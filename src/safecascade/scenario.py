@@ -39,14 +39,9 @@ or not the chosen plant reads the key.
     sim.horizon_s             duration (checked likewise)
     sim.x1_0_m                initial output block "x, y"
     sim.workspace_m           "xmin, xmax, ymin, ymax" termination box
-    audit.samples             disjointness audit sample count (at most
-                              MAX_AUDIT_SAMPLES)
-    audit.grid                rate-condition audit grid (at most
-                              MAX_AUDIT_GRID)
     output.csv                trajectory file name
     output.svg                scene plot file name
     output.metrics            metrics file name
-    seed                      sampling seed
 
 Unknown keys are rejected. Lines are "key = value"; '#' starts a comment.
 """
@@ -67,7 +62,6 @@ from .cascade import (CascadeController, CascadeGains, LevelMargin, SafetyLaw, S
 # eval_segment is unused here but stays importable: the benchmark's trace
 # hooks (benchmarks/workloads.py) rebind scenario.eval_segment.
 from .certificates import (  # noqa: F401
-    MIN_AUDIT_SAMPLES,
     CertificateSpec,
     DisjointnessReport,
     Disc,
@@ -141,16 +135,6 @@ def _k1_ok(text: str) -> bool:
 # is 4e6 states and about 350 MB.
 MAX_K1_GRID = 2000
 
-# The most disjointness-audit samples: the audit holds every sample point and
-# each certificate's values there at once, about 110 bytes a sample with two
-# certificates, so 10^6 samples take about 110 MB.
-MAX_AUDIT_SAMPLES = 10**6
-
-# The finest rate-condition audit grid: the audit evaluates every grid point
-# in one array expression, whose arrays peak at about 40 bytes a point, so
-# 10^6 points take about 40 MB (and 0.05 s).
-MAX_AUDIT_GRID = 10**6
-
 # The deepest a state reaches into an obstacle, -h: a segment's safe distance,
 # a disc's R^2. V = exp(-h) is largest there and the rate audit runs up to that
 # V, so it must be finite with room for the products taken with it:
@@ -213,14 +197,9 @@ KEYS: dict[str, Key] = {
         _numbers, (-5.0, 5.0, -5.0, 5.0),
         lambda b: len(b) == 4 and all(map(math.isfinite, b)) and b[0] < b[1] and b[2] < b[3],
         "finite 'xmin, xmax, ymin, ymax' with xmin < xmax and ymin < ymax"),
-    # The audits' own minimum sample count, and both ends of the audited
-    # interval of certificate values.
-    "audit.samples": _count(2000, MIN_AUDIT_SAMPLES, MAX_AUDIT_SAMPLES),
-    "audit.grid": _count(200, 2, MAX_AUDIT_GRID),
     "output.csv": _file_name("trajectory.csv"),
     "output.svg": _file_name("path.svg"),
     "output.metrics": _file_name("metrics.json"),
-    "seed": _count(0, 0),
 }
 OBSTACLE_KEYS: dict[str, Key] = {
     "kind": _choice(None, "segment", "disc"),
@@ -316,7 +295,6 @@ class Scenario:
     dt: float
     horizon: float
     workspace: tuple[tuple[float, float], tuple[float, float]]
-    seed: int
     k1_estimated: bool
 
 
@@ -432,7 +410,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         dt=cfg["sim.dt_s"],
         horizon=cfg["sim.horizon_s"],
         workspace=workspace,
-        seed=cfg["seed"],
         k1_estimated=k1_estimated,
     )
 
@@ -468,7 +445,7 @@ class DesignReport:
     the small-gain report are None without cascade gains; the basis (its
     report is its validation) and the disjointness and rate-condition audits
     are None without certificates. `run` records the margins, the small-gain
-    report and the basis, and never pays for the sampled audits."""
+    report and the basis, and never computes the two audits of the sets."""
 
     scenario: Scenario
 
@@ -504,10 +481,8 @@ class DesignReport:
 
     @cached_property
     def disjointness(self) -> DisjointnessReport | None:
-        s = self.scenario
-        certs = s.controller.rho1.certs
-        return disjointness_audit(certs, s.workspace, samples=s.config["audit.samples"],
-                                  seed=s.seed) if certs else None
+        certs = self.scenario.controller.rho1.certs
+        return disjointness_audit(certs) if certs else None
 
     @cached_property
     def rate_condition(self) -> RateConditionReport | None:
@@ -519,8 +494,5 @@ class DesignReport:
         # a segment, h >= -R^2 for a disc (both bounded in OBSTACLE_KEYS).
         v_max = max(math.exp(c.geometry.radius ** 2 if isinstance(c.geometry, Disc) else c.safe_distance)
                     for c in law.certs)
-        return rate_condition_audit(
-            law.k_alpha, law.certs[0].level, threshold,
-            s.config["cascade.theta"], s.config["cascade.gamma_12_slope"],
-            law.c, v_max=max(v_max, threshold * 1.01), grid=s.config["audit.grid"],
-        )
+        return rate_condition_audit(law.k_alpha, law.certs[0].level, threshold, s.config["cascade.theta"],
+                                    s.config["cascade.gamma_12_slope"], law.c, v_max=max(v_max, threshold * 1.01))

@@ -83,6 +83,18 @@ def segment_distance_by_sampling(p, o1, o2, samples=100_000):
     return float(np.min(np.linalg.norm(pts - p[None, :], axis=1)))
 
 
+def spine_distance_by_sampling(a, b, samples=1000):
+    """min |p - q| over p on spine a and q on spine b, each a segment (its
+    two endpoints) or a point (one), by dense sampling of both: at most the
+    half spacings of the two samplings above the exact distance."""
+    def points(ends):
+        ends = np.asarray(ends, dtype=float)
+        ts = np.linspace(0.0, 1.0, samples if len(ends) == 2 else 1)
+        return ends[0] + ts[:, None] * (ends[-1] - ends[0])
+    diff = points(a)[:, None, :] - points(b)[None, :, :]
+    return float(np.sqrt(np.min(np.sum(diff * diff, axis=-1))))
+
+
 def signed_level_distance(value_fn, x, level, direction, span=5.0, iters=80):
     """Signed distance from x to the level set {value_fn = level}.
 

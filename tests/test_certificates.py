@@ -5,6 +5,7 @@ import pytest
 
 from safecascade.certificates import (
     CertificateSpec,
+    DisjointnessReport,
     Disc,
     Segment,
     disjointness_audit,
@@ -15,7 +16,8 @@ from safecascade.errors import AtCenterError, DegenerateGeometryError, ZeroGradi
 from safecascade.qcqp_safety import decay_rate, disc_constraint_set
 
 from helpers import Raised, assert_same_bits, outcome
-from oracles import one_state_certificate, segment_distance_by_sampling, signed_level_distance
+from oracles import (one_state_certificate, segment_distance_by_sampling, signed_level_distance,
+                     spine_distance_by_sampling)
 
 WALL_LOW = CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)
 WALL_HIGH = CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35)
@@ -205,12 +207,13 @@ def test_alpha_bar_general_level_roundtrip():
 
 
 def test_disjointness_audit_clean_for_wall_pair():
-    report = disjointness_audit([WALL_HIGH, WALL_LOW], ((-3.0, 3.0), (-0.5, 3.0)),
-                                samples=3000, seed=1)
-    assert report.joint_violations == 0
+    # The spines are 1.0 apart at x = -2.5 (each wall's left endpoint is
+    # 1.0 from the other), and the capsules 0.35 thick: a gap of 0.3.
+    report = disjointness_audit([WALL_HIGH, WALL_LOW])
+    assert report.min_gap == pytest.approx(0.3, abs=1e-12)
+    assert report.pair == (1, 2) and report.holds
     # Unit clearance gradients: the robustness floor is one.
-    assert report.min_gradient_norm == pytest.approx(1.0, abs=1e-12)
-    assert report.superlevel_samples > 0
+    assert report.min_gradient_norm == 1.0
 
 
 def test_disjointness_audit_flags_overlapping_discs():
@@ -218,10 +221,108 @@ def test_disjointness_audit_flags_overlapping_discs():
         CertificateSpec(Disc([0.0, 0.0], 1.0)),
         CertificateSpec(Disc([0.5, 0.0], 1.0)),
     ]
-    report = disjointness_audit(overlapping, ((-2.0, 2.0), (-2.0, 2.0)),
-                                samples=3000, seed=2)
-    assert report.joint_violations > 0
-    assert report.first_violation is not None
+    report = disjointness_audit(overlapping)
+    assert report.min_gap == -1.5 and report.pair == (1, 2) and not report.holds
+    # A disc's set holds its center, where |grad h| = 2 |x - o| is 0.
+    assert report.min_gradient_norm == 0.0
+
+
+def test_disjointness_audit_flags_crossing_spines_with_far_endpoints():
+    # Every endpoint lies at least 3.5 from the other spine, so only the
+    # crossing test sees the overlap.
+    for ends in (([-5.0, 0.0], [5.0, 0.0]), ([-5.0, -5.0], [5.0, 5.0])):
+        crossing = [CertificateSpec(Segment(*ends), safe_distance=0.01),
+                    CertificateSpec(Segment([0.0, -5.0], [0.0, 5.0]), safe_distance=0.01)]
+        report = disjointness_audit(crossing)
+        assert report.min_gap == pytest.approx(-0.02, abs=1e-15) and not report.holds
+
+
+def test_disjointness_audit_counts_touching_sets_as_overlapping():
+    # The sets are closed: capsules whose gap is exactly 0 share a line.
+    touching = [CertificateSpec(Segment([0.0, 0.0], [1.0, 0.0]), safe_distance=0.5),
+                CertificateSpec(Segment([0.0, 1.0], [1.0, 1.0]), safe_distance=0.5)]
+    report = disjointness_audit(touching)
+    assert report.min_gap == 0.0 and not report.holds
+    # A T: one spine ends on the other, where the gradient is undefined.
+    tee = [CertificateSpec(Segment([0.0, 0.0], [0.0, 5.0]), safe_distance=0.5),
+           CertificateSpec(Segment([-5.0, 0.0], [5.0, 0.0]), safe_distance=0.5)]
+    assert disjointness_audit(tee).min_gap == -1.0
+
+
+def test_disjointness_audit_of_a_disc_and_a_segment():
+    # The center (0, 2) lies 1.5 from the wall's spine y = 0.5, less the
+    # wall's 0.35 and the disc's 1.0; at level 0.5 the disc's set has the
+    # squared radius 1 + log 2 and the wall's capsule the radius 0.35 + log 2.
+    disc = CertificateSpec(Disc([0.0, 2.0], 1.0))
+    report = disjointness_audit([WALL_LOW, disc])
+    assert report.min_gap == pytest.approx(0.15, abs=1e-12) and report.holds
+    assert report.min_gradient_norm == 0.0
+    wider = [CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35, level=0.5),
+             CertificateSpec(Disc([0.0, 2.0], 1.0), level=0.5)]
+    report = disjointness_audit(wider)
+    want = 1.5 - (0.35 + math.log(2.0)) - math.sqrt(1.0 + math.log(2.0))
+    assert report.min_gap == pytest.approx(want, abs=1e-12) and not report.holds
+
+
+def test_disjointness_audit_of_an_empty_set():
+    # A level above e^{safe distance} leaves {V >= level} empty, and an
+    # empty set overlaps nothing, not even a spine that crosses its own.
+    empty = CertificateSpec(Segment([-1.0, 0.0], [1.0, 0.0]), safe_distance=0.35, level=1.5)
+    crossing = CertificateSpec(Segment([0.0, -1.0], [0.0, 1.0]), safe_distance=0.35)
+    report = disjointness_audit([empty, crossing])
+    assert report.min_gap == math.inf and report.pair == (1, 2) and report.holds
+    assert report.min_gradient_norm == 1.0
+    assert disjointness_audit([empty]) == disjointness_audit([]) == DisjointnessReport(
+        min_gap=math.inf, pair=None, holds=True, min_gradient_norm=math.inf)
+
+
+def test_disjointness_audit_reads_a_nan_gap_as_overlapping():
+    # A NaN level makes its radius NaN; np.argmin takes that gap first.
+    spines = [CertificateSpec(Segment([0.0, 0.0], [1.0, 0.0]), safe_distance=0.1),
+              CertificateSpec(Segment([0.0, 5.0], [1.0, 5.0]), safe_distance=0.1),
+              CertificateSpec(Segment([0.0, 9.0], [1.0, 9.0]), safe_distance=0.1, level=math.nan)]
+    report = disjointness_audit(spines)
+    assert math.isnan(report.min_gap) and report.pair == (1, 3) and not report.holds
+
+
+def _superlevel_radius(geometry, size, level):
+    """Radius of {V >= level}: size - log(level) for a segment of safe
+    distance size, the root of size^2 - log(level) for a disc of radius
+    size; None when the set is empty."""
+    depth = (size if isinstance(geometry, Segment) else size * size) - math.log(level)
+    return None if depth < 0.0 else depth if isinstance(geometry, Segment) else math.sqrt(depth)
+
+
+def test_disjointness_audit_of_seeded_draws_matches_dense_spine_sampling():
+    # Two segments, or a segment and a disc, placed at random in a 4 x 4 box
+    # at levels around 1. The exact gap lies below the gap of 1,000 sampled
+    # points per spine by at most their half spacings, and the verdicts
+    # agree wherever the sampled gap clears zero by more than that.
+    rng = np.random.default_rng(13)
+    verdicts = set()
+    for _ in range(100):
+        ends = rng.uniform(-2.0, 2.0, size=(4, 2))
+        sizes = rng.uniform(0.05, 1.0, size=2)
+        level = float(rng.choice([0.5, 1.0, 1.2]))
+        disc = rng.random() < 0.3
+        first = Segment(ends[0], ends[1])
+        second = Disc(ends[2], sizes[1]) if disc else Segment(ends[2], ends[3])
+        report = disjointness_audit([
+            CertificateSpec(first, safe_distance=sizes[0], level=level),
+            CertificateSpec(second, level=level) if disc else
+            CertificateSpec(second, safe_distance=sizes[1], level=level)])
+        radii = [_superlevel_radius(first, sizes[0], level), _superlevel_radius(second, sizes[1], level)]
+        if None in radii:
+            assert report.min_gap == math.inf and report.holds
+            continue
+        spine_b = ends[2:3] if disc else ends[2:4]
+        sampled = spine_distance_by_sampling(ends[:2], spine_b) - sum(radii)
+        resolution = sum(float(np.hypot(*(s[-1] - s[0]))) for s in (ends[:2], spine_b)) / (2 * 999)
+        assert sampled - resolution - 1e-12 <= report.min_gap <= sampled + 1e-12
+        if abs(sampled) > resolution:
+            assert report.holds is (sampled > 0.0)
+        verdicts.add(report.holds)
+    assert verdicts == {True, False}
 
 
 def test_level_set_consistency_for_unit_level():

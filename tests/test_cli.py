@@ -195,7 +195,9 @@ def test_run_rejects_invalid_key_values(tmp_path, capsys, key, value):
 ])
 def test_audit_rejects_invalid_key_values(tmp_path, capsys, key, value):
     # audit.samples = 0 ended in a traceback, audit.grid = 0 printed a pass
-    # resting on no sample, and a one-point k1 grid estimated k1 = 0.
+    # resting on no sample (both keys went with the sampling, and a config
+    # that sets one is refused as an unknown key), and a one-point k1 grid
+    # estimated k1 = 0.
     text = _with_key(bundled_config("vtol_safe").read_text(), "cascade.k1", "estimate")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(_with_key(text, key, value))
@@ -240,13 +242,13 @@ def test_field_grid_and_basis_samples_stop_at_their_bound(convert, most):
 
 
 @pytest.mark.parametrize("command", [
-    ["audit", "--config", "CFG"],
     ["example2", "--out", "OUT", "--grid", "3"],
+    ["example2", "--out", "OUT", "--radius", "0.5"],
 ])
 def test_negative_seed_override_is_a_usage_error(tmp_path, capsys, command):
-    # numpy rejects negative seeds; audit and example2 ended in a traceback.
-    argv = [str(bundled_config("vtol_safe")) if a == "CFG" else str(tmp_path / "out") if a == "OUT"
-            else a for a in command]
+    # numpy rejects negative seeds; example2 ended in a traceback. Parsing
+    # refuses the seed, so the default 101-point sweep never starts.
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in command]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "-1"])
     assert exc.value.code == EXIT_CONFIG
@@ -366,7 +368,6 @@ def test_every_key_and_flag_with_hostile_values_ends_in_a_documented_exit_code(t
                      ["example1", "--out", out, "--radius", "0.5", f"--grid={value}"],
                      ["example2", "--out", out, f"--radius={value}", "--grid", "3"],
                      ["example2", "--out", out, "--grid", "3", f"--seed={value}"],
-                     ["audit", "--config", safe, f"--seed={value}"],
                      ["basis-check", f"--n-u={value}"],
                      ["basis-check", f"--n-l={value}"],
                      ["basis-check", f"--samples={value}"]):
@@ -624,8 +625,8 @@ def test_run_and_audit_validate_the_basis_once(tmp_path, monkeypatch):
 
 def test_run_records_its_checks_and_audit_computes_each_once(tmp_path, monkeypatch):
     # run writes the gain, small-gain and basis parts of the design record
-    # and never computes the two sampled audits; audit prints every part,
-    # each computed once.
+    # and never computes the disjointness and rate-condition audits; audit
+    # prints every part, each computed once.
     argv = ["run", "--config", str(bundled_config("vtol_safe")), "--horizon", "0.05", "--out"]
     assert main(argv + [str(tmp_path / "plain")]) == EXIT_OK
 
@@ -768,10 +769,12 @@ def test_audit_command_prints_margins(capsys):
     assert "margin=+59.5848" in text
     assert "margin=+28319.5" in text
     assert "level 2" in text
-    assert "disjointness: 0 joint-superlevel samples" in text
+    assert ("disjointness over the plane: least gap +0.3 between obstacles 1 and 2 (disjoint); "
+            "gradient floor 1.0000\n") in text
     assert cmd_audit(bundled_config("vtol_unsafe")) == EXIT_OK
     text = capsys.readouterr().out
     assert "margin=-252.415" in text
+    assert "least gap +0.3 between obstacles 1 and 2 (disjoint)" in text
 
 
 @pytest.mark.parametrize("name, k1, source", [
@@ -828,7 +831,7 @@ def test_audit_rate_condition_spans_the_reachable_certificate_values(tmp_path, m
 
 
 def test_run_takes_no_seed(tmp_path, capsys):
-    # The sampling seed is read by audit and example2 only.
+    # The sampling seed is read by example2 only.
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(bundled_config("vtol_safe")), "--out", str(tmp_path / "out"),
               "--seed", "3"])
@@ -852,9 +855,50 @@ def test_audit_flags_overlapping_obstacles(tmp_path, capsys):
         "sim.workspace_m = -2.0, 2.0, -2.0, 2.0\n"
     )
     assert cmd_audit(cfg) == EXIT_OK
-    text = capsys.readouterr().out
-    joint = int(text.split("disjointness: ")[1].split(" ")[0])
-    assert joint > 0
+    # The centers lie 0.5 apart, less both radii; a disc's set holds its
+    # center, where the gradient is 0.
+    assert ("disjointness over the plane: least gap -1.5 between obstacles 1 and 2 (NOT disjoint); "
+            "gradient floor 0.0000\n") in capsys.readouterr().out
+
+
+def test_audit_takes_no_seed(capsys):
+    # Both audits are exact: nothing in audit samples.
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--config", str(bundled_config("vtol_safe")), "--seed", "3"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("safe_distance, gap, verdict", [
+    ("0.49", "+0.02", "disjoint"),
+    ("0.505", "-0.01", "NOT disjoint"),
+    ("0.52", "-0.04", "NOT disjoint"),
+    ("0.55", "-0.1", "NOT disjoint"),
+])
+def test_audit_measures_the_gap_between_the_walls(tmp_path, capsys, safe_distance, gap, verdict):
+    # The spines are 1.0 apart at x = -2.5. At 0.505 the capsules overlap
+    # by 0.01 m; the sampled audit read 0 joint samples out of 2,000 there,
+    # and a run then ended inside a wall.
+    text = bundled_config("vtol_safe").read_text().replace("safe_distance_m = 0.35",
+                                                           f"safe_distance_m = {safe_distance}")
+    cfg = tmp_path / "walls.cfg"
+    cfg.write_text(text)
+    assert cmd_audit(cfg) == EXIT_OK
+    assert (f"disjointness over the plane: least gap {gap} between obstacles 1 and 2 ({verdict}); "
+            "gradient floor 1.0000\n") in capsys.readouterr().out
+
+
+def test_audit_of_a_level_that_empties_every_set(tmp_path, capsys):
+    # Above e^{0.35} = 1.419 no point of either wall reaches the level: the
+    # empty sets overlap nothing, and there is no gradient to bound.
+    text = _with_key(_with_key(bundled_config("vtol_safe").read_text(), "certificate.level", "1.5"),
+                     "certificate.threshold", "2")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(text)
+    assert cmd_audit(cfg) == EXIT_OK
+    assert ("disjointness over the plane: least gap +inf between obstacles 1 and 2 (disjoint); "
+            "gradient floor inf\n") in capsys.readouterr().out
 
 
 def test_example1_outputs(tmp_path):

@@ -42,12 +42,9 @@ _OUT_OF_RANGE = {
     "cascade.k1_grid": "1",
     "sim.x1_0_m": "1, 2, 3",
     "sim.workspace_m": "-3, 6, 12, -0.5",
-    "audit.samples": "999",
-    "audit.grid": "1",
     "output.csv": "../trajectory.csv",
     "output.svg": "",
     "output.metrics": "out/metrics.json",
-    "seed": "-1",
     "obstacle.1.kind": "box",
     "obstacle.1.p1_m": "1",
     "obstacle.1.p2_m": "nan, 0",
@@ -82,14 +79,11 @@ def test_out_of_range_value_is_rejected_on_its_line(key):
 
 @pytest.mark.parametrize("key, most", [
     ("cascade.k1_grid", scenario.MAX_K1_GRID),
-    ("audit.samples", scenario.MAX_AUDIT_SAMPLES),
-    ("audit.grid", scenario.MAX_AUDIT_GRID),
 ])
 def test_grid_and_sample_counts_stop_at_their_bound(key, most):
-    # The estimate allocates grid^2 states and the audit samples x 2 points
-    # before either runs, so a count past its bound ended in a MemoryError,
-    # and the rate-condition audit loops over its grid in Python; parsing
-    # alone now rejects such a count, and nothing here builds or runs.
+    # The estimate allocates grid^2 states before it runs, so a count past
+    # its bound ended in a MemoryError; parsing alone now rejects such a
+    # count, and nothing here builds or runs.
     assert parse_config_text(f"{key} = {most}\n")[key] == most
     with pytest.raises(ConfigError, match=rf"^line 1: {re.escape(key)} must be \d+ to {most}, got '{most + 1}'$"):
         parse_config_text(f"{key} = {most + 1}\n")
@@ -99,12 +93,17 @@ def test_grid_and_sample_counts_stop_at_their_bound(key, most):
     ("reshape.c_a", "0.99"),
     ("nominal.preset", "zero"),
     ("plant.block_dim", "2"),
+    ("audit.samples", "2000"),
+    ("audit.grid", "200"),
+    ("seed", "0"),
 ])
 def test_a_derived_constant_is_not_a_key(tmp_path, capsys, key, value):
     # reshape.c_a = 0.99 on vtol_safe.cfg ran and audited with exit 0, on a
     # basis that failed 500 of 500 coverage probes: the coverage constant
     # follows from reshape.directions. nominal.preset = zero said
-    # nominal.value = 0, 0, and plant.block_dim had the one value 2.
+    # nominal.value = 0, 0, and plant.block_dim had the one value 2. The
+    # audits' sample count, grid and seed went with the sampling: both
+    # audits are exact.
     cfg = tmp_path / "removed.cfg"
     cfg.write_text(bundled_config("vtol_safe").read_text() + f"{key} = {value}\n")
     out = tmp_path / "out"

@@ -130,20 +130,23 @@ def test_rate_condition_with_drift_envelopes():
 
 
 def _matches_the_loop(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max, grid):
-    """The audit's report, after checking its least margin and that margin's
-    V bit for bit against the per-point loop."""
-    report = rate_condition_audit(k_alpha, level, threshold, theta, gamma_w_slope, c,
-                                  v_max=v_max, grid=grid)
+    """The audit's report, after checking it against the per-point loop on
+    a grid over [threshold, v_max]: the endpoints' least margin is at most
+    the grid's (equal, bit for bit, on the two-point grid, which is the two
+    endpoints), and the verdicts agree."""
+    report = rate_condition_audit(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max=v_max)
     want = rate_condition_by_loop(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max, grid)
-    assert_same_bits([report.min_margin, report.argmin_v], want)
+    if grid == 2:
+        assert_same_bits([report.min_margin, report.argmin_v], want)
+    assert report.min_margin <= want[0] + 1e-14 * abs(want[0])
     assert report.holds is bool(want[0] >= 0.0)
     return report
 
 
-# The constants derived level by level for vtol_safe.cfg (ROADMAP item 2),
-# on a fine audit grid: the rate condition holds there.
+# The constants derived level by level for vtol_safe.cfg (ROADMAP item 2):
+# the rate condition holds there.
 DERIVED_SET = {"cascade.k_tracking": "20.14, 1827, 1.503e7", "cascade.gamma_12_slope": "0.99",
-               "rate.k_alpha": "5", "cascade.k1": "estimate", "audit.grid": "100000"}
+               "rate.k_alpha": "5", "cascade.k1": "estimate"}
 
 
 @pytest.mark.parametrize("name, keys, holds", [
@@ -161,14 +164,15 @@ def test_rate_condition_audit_of_a_config_matches_the_per_point_loop(monkeypatch
     text = "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
     report = DesignReport(build_scenario(parse_config_text(text))).rate_condition
     (args, kwargs), = seen
-    assert _matches_the_loop(*args, **kwargs) == report
+    assert _matches_the_loop(*args, **kwargs, grid=10**5) == report
     assert report.holds is holds
 
 
 @pytest.mark.parametrize("grid", [2, 3, 200, 10**4])
 def test_rate_condition_audit_of_seeded_draws_matches_the_per_point_loop(grid):
     # Draws of (k_alpha, theta, gamma_12, level, threshold) across scales,
-    # with and without a drift envelope; both verdicts occur.
+    # with and without a drift envelope, checked against the loop on a grid
+    # of each size; both verdicts occur.
     rng = np.random.default_rng(grid)
     verdicts = set()
     for _ in range(40):

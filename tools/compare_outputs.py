@@ -14,9 +14,10 @@ path, its run the float path), a short `run` of the safe config with a zero
 nominal input (`nominal.value = 0, 0`), and `audit` on both configs and on
 every variant but the shifted starts, so each branch of the design record
 is printed: the disc's exp(R^2) upper end of V, a 21-row basis, no cascade
-gains (velocity), and every margin positive with the rate condition
-holding, on a 10^5-point rate grid (derived: the constants ROADMAP item 2
-derives for the safe config). Two more variants at `cascade.k1 = estimate`
+gains (velocity), every margin positive with the rate condition holding
+(derived: the constants ROADMAP item 2 derives for the safe config), and
+walls whose capsules overlap by 0.01 m (overlap: both safe distances at
+0.505, which the disjointness audit fails). Two more variants at `cascade.k1 = estimate`
 move the batched filter's inactive-state threshold: `reshape.k_phi = 0`
 (kphi0) and a larger nominal `2.0, 3.0` (far_nominal), for which fewer
 grid states are inactive. A 1-s `run` of the unsafe config at that nominal
@@ -46,7 +47,8 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "nonlinear": ("vtol_unsafe", {"plant.kind": "vtol_nonlinear"}),
     "velocity": ("vtol_safe", {"plant.kind": "velocity_loop", "cascade.k_tracking": ""}),
     "derived": ("vtol_safe", {"cascade.k_tracking": "20.14, 1827, 1.503e7", "cascade.gamma_12_slope": "0.99",
-                              "rate.k_alpha": "5", "cascade.k1": "estimate", "audit.grid": "100000"}),
+                              "rate.k_alpha": "5", "cascade.k1": "estimate"}),
+    "overlap": ("vtol_safe", {"obstacle.1.safe_distance_m": "0.505", "obstacle.2.safe_distance_m": "0.505"}),
     "zero_nominal": ("vtol_safe", {"nominal.value": "0, 0"}),
     "kphi0": ("vtol_safe", {"reshape.k_phi": "0", "cascade.k1": "estimate"}),
     "far_nominal": ("vtol_safe", {"nominal.value": "2.0, 3.0", "cascade.k1": "estimate"}),
@@ -60,7 +62,7 @@ COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                                        "--horizon", "1"],
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
                for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "level", "nonlinear",
-                         "velocity", "derived", "zero_nominal", "kphi0", "far_nominal")},
+                         "velocity", "derived", "overlap", "zero_nominal", "kphi0", "far_nominal")},
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
 
