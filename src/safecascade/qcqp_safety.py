@@ -85,9 +85,15 @@ class ConstraintSet:
         for p, q in rows:
             if abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9:
                 raise ValueError("constraint rows must be unit vectors")
+        return cls._from_checked(np.array(rows) if rows else np.zeros((0, 2)), np.array(b), c,
+                                 np.array(h), np.array(v))
+
+    @classmethod
+    def _from_checked(cls, a: np.ndarray, b: np.ndarray, c: float, h=None, v=None) -> ConstraintSet:
+        """The set of float arrays whose rows and c already passed the
+        constructor's checks, made without it."""
         cs = object.__new__(cls)
-        vars(cs).update(a=np.array(rows) if rows else np.zeros((0, 2)), b=np.array(b), c=c,
-                        h=np.array(h), v=np.array(v))
+        vars(cs).update(a=a, b=b, c=c, h=h, v=v)
         return cs
 
     @property
@@ -120,11 +126,22 @@ class ConstraintSet:
 
     def take(self, idx: np.ndarray) -> ConstraintSet:
         """The states idx (flat indices over the batch) of a batched set, as
-        a set batched over (idx.size,), through the constructor's checks;
-        without h and V."""
+        a set batched over (idx.size,), of rows already checked; without h
+        and V."""
         rows, b = states_last(self.a, 2), states_last(self.b)
-        return ConstraintSet(states_first(rows.take(idx, axis=-1), idx.shape),
-                             states_first(b.take(idx, axis=-1), idx.shape), self.c)
+        return ConstraintSet._from_checked(states_first(rows.take(idx, axis=-1), idx.shape),
+                                           states_first(b.take(idx, axis=-1), idx.shape), self.c)
+
+    def lifted(self, states: np.ndarray) -> ConstraintSet:
+        """The batched set with every offset of the flagged states at +inf,
+        which every u meets (states: one flag a state, flat over the batch);
+        the same rows, already checked, without h and V. With no state
+        flagged, the set itself."""
+        if not states.any():
+            return self
+        b = states_last(self.b).copy()
+        np.copyto(b, np.inf, where=states)
+        return ConstraintSet._from_checked(self.a, states_first(b, self.b.shape[:-1]), self.c)
 
     def contains(self, u: np.ndarray):
         """Whether u meets every row within DEFAULT_TOL; one flag per batch row."""

@@ -242,7 +242,7 @@ class PolygonRows:
         verts = np.stack([(aj1 * b_i - ai1 * b_j) / det, (ai0 * b_j - aj0 * b_i) / det], axis=1)
         return states_first(verts, b.shape[:-1])
 
-    def project(self, u0: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def project(self, u0: np.ndarray, b: np.ndarray, *, dots: np.ndarray | None = None) -> np.ndarray:
         """Exact Euclidean projection of u0 onto {u : a u <= b} in 2-D.
 
         u0 is (..., 2) and b is (..., n), broadcast together. In the plane
@@ -258,20 +258,26 @@ class PolygonRows:
         InfeasibleError and a batch row is NaN. A single problem, u0 (2,)
         and b (n,), settles its feasible u0 or edge on floats, with the
         batch code's values (project_one), and goes straight to the vertex
-        stage, as a batch of one, when neither is the answer.
+        stage, as a batch of one, when neither is the answer. dots, when
+        given, must be row_product(u0, self.a_t) for one u0 (2,), as
+        project_one reads it; it is not checked, and the batch reads it in
+        place of the product a u0, whose columns it matches bit for bit.
         """
         a, a_t = self.a, self.a_t
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
         if u0.ndim == 1 and b.ndim == 1:
-            return self.project_one(u0, b)
+            return self.project_one(u0, b, dots=dots)
         batch = u0.shape[:-1]
         if batch != b.shape[:-1]:
             batch = np.broadcast_shapes(batch, b.shape[:-1])
             u0 = np.broadcast_to(u0, batch + (2,))
             b = np.broadcast_to(b, batch + (a.shape[0],))
         u0, b = states_last(u0), states_last(b)                 # (2, N), (n, N)
-        viol = columns_product(a, u0)
-        viol -= b
+        if dots is None:
+            viol = columns_product(a, u0)
+            viol -= b
+        else:
+            viol = np.subtract(dots[:, None], b)
         moved = (viol > DEFAULT_TOL).any(axis=0)
         out = u0.copy()
         if moved.any():

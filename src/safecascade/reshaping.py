@@ -361,8 +361,8 @@ def reshaped_filter(
     (no set, no selection) raises for a single state and gives a NaN row in
     a batch. n_u = 3 projects one state with the dual active-set QP.
     nominal_dots, when given, must be row_product(nominal, basis.polygon.a_t),
-    A_L nominal, which a SafetyLaw keeps; one planar state's projection
-    reads it in place of the product.
+    A_L nominal, which a SafetyLaw keeps; the planar projection reads it in
+    place of the product, for one state as for a batch.
     """
     nominal = np.asarray(nominal, dtype=float)
     if nominal.shape != (cs.n_u,):
@@ -389,7 +389,7 @@ def reshaped_filter(
         return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l)).point
     if not planar_batch:
         return polygon.project_one(nominal, b_l, dots=nominal_dots)
-    out[:, active] = states_last(polygon.project(nominal, b_l))
+    out[:, active] = states_last(polygon.project(nominal, b_l, dots=nominal_dots))
     return states_first(out, batch)
 
 
@@ -405,7 +405,9 @@ def _active_states(nominal: np.ndarray, cs: ConstraintSet, basis: PositiveBasis)
     term >= 0) rounds as t does with larger operands, so b_l >= t (A_L 0
     adds a zero). The projection's own A_L u0 rounds within 2 eps |u0|_1 of
     this one for unit rows, so no row is violated and it returns u0. A NaN
-    b fails the test; a spine point has a finite b but a NaN row.
+    b fails the test; a spine point has a finite b but a NaN row. A state
+    whose finite rows all have b = +inf, which every u meets, passes it:
+    cbar_a > 0, so t = +inf.
     """
     rows, b = states_last(cs.a, 2), states_last(cs.b)          # (n_c, 2, N), (n_c, N)
     low = np.minimum.reduce(b, axis=0)

@@ -57,6 +57,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import cascade
 from .cascade import (CascadeController, CascadeGains, LevelMargin, SafetyLaw, SmallGainReport,
                       estimate_lipschitz, k_selection_audit, small_gain_audit)
 # eval_segment is unused here but stays importable: the benchmark's trace
@@ -71,6 +72,7 @@ from .certificates import (  # noqa: F401
 )
 from .errors import ConfigError, DegenerateGeometryError, SafecascadeError
 from .qcqp_safety import RateConditionReport, rate_condition_audit
+from .qp_solver import states_last
 from .reshaping import MAX_DIRECTIONS, PositiveBasis, cbar_a, make_positive_basis
 from .sim import IDENTIFIED_T2, IDENTIFIED_T3, IDENTIFIED_T4, IntegratorChain, PlantModel, VelocityLoop, VtolNonlinear
 
@@ -417,23 +419,32 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 def estimate_safety_law_lipschitz(law: SafetyLaw, workspace, grid: int) -> float:
     """Grid Lipschitz lower bound of the outer safety law over the workspace.
 
-    The law is evaluated on blocks of whole grid rows (estimate_lipschitz).
-    States inside an inflated segment obstacle, and states where the law is
-    undefined (NaN rows, or the whole block when the law raises a package
-    error), are masked out; only adjacent safe-region points contribute
-    slopes. The mask reads the clearances the law's own evaluation
-    computed, so each certificate is evaluated once per state. Any other
-    exception is a fault and propagates.
+    The law runs on blocks of whole grid rows (estimate_lipschitz), and only
+    adjacent states where it is defined, outside every inflated segment
+    (h >= 0), contribute slopes. Each block builds its constraint set once,
+    so each certificate is evaluated once per state, and reads the mask from
+    that set's h: the filter gets the set with the masked states' offsets
+    at +inf, which its inactive-state test passes through, and those states
+    are then NaN. Every other state gets the law's bits (NaN where the law is
+    undefined, and over the whole block when a stage raises a package error);
+    both stages are called through cascade's names, and a law without
+    certificates is its evaluate. Any other exception propagates.
     """
+    segments = [j for j, cert in enumerate(law.certs) if isinstance(cert.geometry, Segment)]
+
     def masked(x):
         try:
-            values, h, _ = law.evaluate(x)
+            if not law.certs:
+                return law.evaluate(x)[0]
+            cs = cascade.build_constraint_set(x, law.certs, law.c, law.k_alpha)
+            h, inside = states_last(cs.h), np.zeros(x.shape[0], dtype=bool)
+            for j in segments:
+                inside |= h[j] < 0
+            values = cascade.reshaped_filter(law.nominal, cs.lifted(inside), law.basis, law.k_phi,
+                                             nominal_dots=law.nominal_dots)
         except SafecascadeError:
             return np.full(x.shape, math.nan)
-        values = np.array(values, dtype=float)
-        for j, cert in enumerate(law.certs):
-            if isinstance(cert.geometry, Segment):
-                values[h[..., j] < 0] = math.nan
+        values[inside] = math.nan
         return values
     return estimate_lipschitz(masked, workspace, grid=grid)
 

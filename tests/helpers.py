@@ -1,10 +1,13 @@
 """Small test helpers: the package's bundled configs, the trajectory CSV a
-run writes, a bit-for-bit array comparison, and one array in several
-memory layouts."""
+run writes, a bit-for-bit array comparison, one array in several memory
+layouts, and a spy on the filter's reshaping and projection."""
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+from safecascade import reshaping
+from safecascade.qp_solver import PolygonRows
 
 
 def bundled_config(name: str) -> Path:
@@ -25,6 +28,18 @@ def assert_same_bits(got, want) -> None:
     assert got.shape == want.shape
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+def filter_calls(monkeypatch):
+    """The offsets b of every set reshape_b_l gets and of every polygon
+    PolygonRows.project gets, as the filter makes those calls."""
+    seen = {"reshape": [], "project": []}
+    reshape, project = reshaping.reshape_b_l, PolygonRows.project
+    monkeypatch.setattr(reshaping, "reshape_b_l",
+                        lambda s, cs, *args, **kw: seen["reshape"].append(cs.b) or reshape(s, cs, *args, **kw))
+    monkeypatch.setattr(PolygonRows, "project",
+                        lambda self, u0, b, **kw: seen["project"].append(b) or project(self, u0, b, **kw))
+    return seen
 
 
 def layouts(m, core: int = 1):

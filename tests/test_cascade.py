@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safecascade import cascade
+from safecascade import cascade, reshaping, scenario
 from safecascade.cascade import (
     ESTIMATE_BLOCK_STATES,
     CascadeController,
     CascadeGains,
     SafetyLaw,
     estimate_lipschitz,
+    in_row_blocks,
     k_selection_audit,
     small_gain_audit,
     tracking_law,
@@ -31,10 +32,10 @@ from safecascade.qcqp_safety import (
 )
 from safecascade.qp_solver import PolygonRows, Polyhedron, row_product, solve_projection_qp
 from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
-from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario
+from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario, parse_config_text
 from safecascade.sim import run_closed_loop
 
-from helpers import Raised, assert_same_bits, bundled_config, layouts, outcome
+from helpers import Raised, assert_same_bits, bundled_config, filter_calls, layouts, outcome
 from oracles import batch_law, batch_set, grid_lipschitz, ledger_products, one_state_controller, one_state_law
 
 STOCK_GAINS = CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49)
@@ -737,3 +738,144 @@ def test_k1_estimate_masks_only_package_errors(monkeypatch):
     monkeypatch.setattr(cascade, "build_constraint_set", broken)
     with pytest.raises(TypeError):
         estimate_safety_law_lipschitz(law, box, grid=5)
+
+
+# ------------------------------------------------- the masked k1 estimate
+
+def _evaluate_then_mask(law):
+    """The estimate's map as the law's evaluate and a mask after it: NaN
+    inside an inflated segment (h < 0) and over a block where the law
+    raises a package error."""
+    def fn(x):
+        try:
+            values, h, _ = law.evaluate(x)
+        except SafecascadeError:
+            return np.full(x.shape, np.nan)
+        values = np.array(values, dtype=float)
+        for j, cert in enumerate(law.certs):
+            if isinstance(cert.geometry, Segment):
+                values[h[..., j] < 0] = np.nan
+        return values
+    return fn
+
+
+# A third wall whose capsule covers x in [3.6, 5.4] over the whole
+# workspace height: every state of the stock grid's block 8 (grid x
+# indices 160 to 179, x from 4.24 to 5.10) lies inside it.
+THIRD_WALL = {"obstacle.3.kind": "segment", "obstacle.3.p1_m": "4.5, -0.5", "obstacle.3.p2_m": "4.5, 12",
+              "obstacle.3.safe_distance_m": "0.9"}
+
+ESTIMATE_VARIANTS = {
+    "stock": ("vtol_safe", {}),
+    "overlap": ("vtol_safe", {"obstacle.1.safe_distance_m": "0.505", "obstacle.2.safe_distance_m": "0.505"}),
+    "walls_1.5m": ("vtol_safe", {"obstacle.1.safe_distance_m": "1.5", "obstacle.2.safe_distance_m": "1.5"}),
+    "disc": ("vtol_safe", {"obstacle.3.kind": "disc", "obstacle.3.center_m": "3.5, 6.0",
+                           "obstacle.3.radius_m": "0.5"}),
+    "level_0.9": ("vtol_safe", {"certificate.level": "0.9", "certificate.threshold": "1.3"}),
+    "level_1.2": ("vtol_safe", {"certificate.level": "1.2"}),
+    "kphi0": ("vtol_safe", {"reshape.k_phi": "0"}),
+    "far_nominal": ("vtol_safe", {"nominal.value": "2.0, 3.0"}),
+    "rows21": ("vtol_safe", {"reshape.directions": "21"}),
+    "unsafe": ("vtol_unsafe", {}),
+    "third_wall": ("vtol_safe", THIRD_WALL),
+}
+
+
+def _variant(name):
+    """The outer law and workspace of an ESTIMATE_VARIANTS entry."""
+    config, keys = ESTIMATE_VARIANTS[name]
+    text = bundled_config(config).read_text()
+    for key, value in keys.items():
+        text, hits = re.subn(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, count=1, flags=re.M)
+        if not hits:
+            text += f"\n{key} = {value}\n"
+    built = build_scenario(parse_config_text(text))
+    return built.controller.rho1, built.workspace
+
+
+def _grid_states(box, grid):
+    (x_lo, x_hi), (y_lo, y_hi) = box
+    xs, ys = np.linspace(x_lo, x_hi, grid), np.linspace(y_lo, y_hi, grid)
+    return np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
+
+
+def _estimate_and_map(monkeypatch, law, box, grid):
+    """The estimate and the map it hands estimate_lipschitz."""
+    seen = []
+    monkeypatch.setattr(scenario, "estimate_lipschitz",
+                        lambda fn, box, grid: seen.append(fn) or estimate_lipschitz(fn, box, grid=grid))
+    k1 = estimate_safety_law_lipschitz(law, box, grid=grid)
+    return k1, seen[0]
+
+
+@pytest.mark.parametrize("name", list(ESTIMATE_VARIANTS))
+def test_masked_estimate_equals_evaluate_then_mask_bit_for_bit(monkeypatch, name):
+    # Every state of the stock grid, block by block, gets the bits of the
+    # law's evaluate masked after it, and so does the estimate; the third
+    # wall masks all of block 8, and the overlapping walls give NaN rows.
+    law, workspace = _variant(name)
+    k1, fn = _estimate_and_map(monkeypatch, law, workspace, 200)
+    states = _grid_states(workspace, 200)
+    got, want = in_row_blocks(fn, states, 200), in_row_blocks(_evaluate_then_mask(law), states, 200)
+    assert_same_bits(got, want)
+    assert k1 == estimate_lipschitz(_evaluate_then_mask(law), workspace, grid=200)
+    if name == "stock":
+        assert k1 == 6.340757056043879
+        assert np.isnan(got).any(axis=1).sum() == 2485
+    if name == "third_wall":
+        assert np.isnan(got[8 * 4000:9 * 4000]).all()
+
+
+def test_no_masked_state_reaches_the_reshaping_or_the_projection(monkeypatch):
+    # The masked states' offsets are +inf, which the inactive-state test
+    # passes through, so exactly the active states outside every capsule
+    # reach reshape_b_l and the projection.
+    law, workspace = _variant("stock")
+    want = 0
+    for block in np.split(_grid_states(workspace, 200), 10):
+        cs = build_constraint_set(block, law.certs, law.c, law.k_alpha)
+        active = reshaping._active_states(law.nominal, cs, law.basis)
+        want += int((cs.h[active] >= 0).all(axis=1).sum())
+    seen = filter_calls(monkeypatch)
+    estimate_safety_law_lipschitz(law, workspace, grid=200)
+    reshaped, projected = np.concatenate(seen["reshape"]), np.concatenate(seen["project"])
+    assert reshaped.shape[0] == projected.shape[0] == want > 0
+    assert np.isfinite(reshaped).all() and np.isfinite(projected).all()
+
+
+def test_a_wholly_masked_block_reshapes_nothing(monkeypatch):
+    # Every state lies within 0.5 m of the third wall's spine, inside its
+    # 0.9 m capsule: the set is built, and nothing is reshaped or projected.
+    law, _ = _variant("third_wall")
+    built = []
+    build = cascade.build_constraint_set
+    monkeypatch.setattr(cascade, "build_constraint_set", lambda x, *args: built.append(x.shape) or build(x, *args))
+    seen = filter_calls(monkeypatch)
+    k1, fn = _estimate_and_map(monkeypatch, law, ((4.0, 4.4), (0.0, 11.0)), 20)
+    assert k1 == 0.0 and built == [(400, 2)]
+    assert seen == {"reshape": [], "project": []}
+    assert np.isnan(fn(_grid_states(((4.0, 4.4), (0.0, 11.0)), 20))).all()
+
+
+def test_a_spine_state_inside_its_capsule_stays_nan(monkeypatch):
+    # The grid's middle column lies on the third wall's spine: those five
+    # states keep their NaN rows beside the +inf offsets, reach the stages
+    # and come out NaN, with no warning; every other state is masked before.
+    law, _ = _variant("third_wall")
+    box = ((4.0, 5.0), (0.0, 11.0))
+    seen = filter_calls(monkeypatch)
+    k1, fn = _estimate_and_map(monkeypatch, law, box, 5)
+    assert k1 == 0.0
+    assert [b.shape[0] for b in seen["reshape"]] == [5] and [b.shape[0] for b in seen["project"]] == [5]
+    assert np.isposinf(seen["reshape"][0]).all()
+    states = _grid_states(box, 5)
+    assert_same_bits(fn(states), _evaluate_then_mask(law)(states))
+    assert np.isnan(fn(states)).all()
+
+
+def test_a_law_without_certificates_estimates_zero(monkeypatch):
+    law = SafetyLaw([], np.array([0.6, 1.0]), None, 0.0, 1.0, k_phi=2.0)
+    k1, fn = _estimate_and_map(monkeypatch, law, ((-3.0, 6.0), (-0.5, 12.0)), 20)
+    assert k1 == 0.0
+    states = _grid_states(((-3.0, 6.0), (-0.5, 12.0)), 20)
+    np.testing.assert_array_equal(fn(states), np.broadcast_to([0.6, 1.0], states.shape))

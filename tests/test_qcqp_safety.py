@@ -309,6 +309,39 @@ def test_unit_rows_are_checked_within_1e_9_for_one_state_and_a_batch(rows):
                     build()
 
 
+def test_a_take_and_a_lifted_set_keep_the_parents_bits_and_skip_its_check(monkeypatch):
+    # The parent's rows passed the constructor's unit-row check once: a
+    # take (flat indices) and a lifted set (offsets of the masked states at
+    # +inf; with none masked, the set itself) keep its bits without running
+    # the check again, while a set built from outside arrays still runs it
+    # and refuses non-unit rows.
+    rng = np.random.default_rng(4242)
+    x = rng.uniform([-3.0, -0.5], [6.0, 12.0], size=(6, 7, 2))
+    walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
+             CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
+    cs = build_constraint_set(x, walls, 0.2, 1.0)
+    rows, b = cs.a.reshape(-1, 2, 2), cs.b.reshape(-1, 2)
+    checks = []
+    post_init = ConstraintSet.__post_init__
+    monkeypatch.setattr(ConstraintSet, "__post_init__", lambda self: checks.append(1) or post_init(self))
+    idx = np.array([40, 3, 3, 17])
+    taken = cs.take(idx)
+    assert_same_bits(taken.a, rows[idx])
+    assert_same_bits(taken.b, b[idx])
+    mask = rng.uniform(size=42) < 0.5
+    lifted = cs.lifted(mask)
+    assert lifted.a is cs.a and lifted.b.shape == cs.b.shape == (6, 7, 2)
+    assert np.isposinf(lifted.b.reshape(-1, 2)[mask]).all()
+    assert_same_bits(lifted.b.reshape(-1, 2)[~mask], b[~mask])
+    for derived in (taken, lifted):
+        assert derived.c == 0.2 and derived.h is None and derived.v is None
+    assert cs.lifted(np.zeros(42, dtype=bool)) is cs
+    assert checks == []
+    with pytest.raises(ValueError, match="unit vectors"):
+        ConstraintSet(rows[idx] * 1.1, b[idx], 0.2)
+    assert checks == [1]
+
+
 def test_rate_of_one_float_equals_the_rate_of_an_array_bit_for_bit():
     # One state's offsets go through decay_rate one float at a time, a
     # batch's as one array with a column of levels: the same bits, NaN and

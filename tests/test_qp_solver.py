@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from safecascade.errors import InfeasibleError
-from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp, sum_last_axis
+from safecascade.qp_solver import (PolygonRows, Polyhedron, columns_product, row_product, solve_projection_qp,
+                                   states_last, sum_last_axis)
 
 from helpers import Raised, assert_same_bits, layouts, outcome
 from oracles import INFEASIBLE, batch_projection, one_state_projection, project_by_face_enumeration
@@ -290,3 +291,26 @@ def test_single_polygon_projection_on_floats_equals_the_array_reference_bit_for_
             stages[want[1]] = stages.get(want[1], 0) + 1
     assert set(stages) == {"inside", "edge", "vertex", "nan", "empty"}, stages
     assert min(stages.values()) >= 10, stages
+
+
+@pytest.mark.parametrize("n", [5, 11, 21, 51, 101])
+def test_a_kept_row_product_is_every_column_of_the_batch_product_bit_for_bit(n):
+    # A batch of one u0 reads A_L u0 as row_product gives it for one state
+    # (dots) in place of its own product a U over the broadcast columns;
+    # the two agree bit for bit at every basis size and batch width, and so
+    # does the projection with and without dots, NaN rows included.
+    rng = np.random.default_rng(n)
+    angles = 2.0 * np.pi * np.arange(1, n + 1) / n
+    polygon = PolygonRows(np.column_stack([np.cos(angles), np.sin(angles)]))
+    for width in (1, 2, 3, 7, 64, 257, 1000, 4000):
+        for scale in (1e-3, 1.0, 1e3):
+            u0 = rng.normal(scale=scale, size=2)
+            dots = row_product(u0, polygon.a_t)
+            columns = columns_product(polygon.a, states_last(np.broadcast_to(u0, (width, 2))))
+            assert columns.shape == (n, width)
+            assert_same_bits(columns, np.repeat(dots[:, None], width, axis=1))
+    # The vertex stage holds C(n, 2) vertices a state: 64 states keep it small.
+    b = rng.normal(size=(64, 2)) @ polygon.a_t + np.abs(rng.normal(size=(64, n)))
+    b[::5] = rng.normal(size=b[::5].shape)
+    b[1::7, 0] = np.nan
+    assert_same_bits(polygon.project(u0, b, dots=dots), polygon.project(u0, b))

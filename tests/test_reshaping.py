@@ -30,7 +30,7 @@ from safecascade.reshaping import (
     validate_positive_basis,
 )
 
-from helpers import Raised, assert_same_bits, layouts, one_state_sets, outcome
+from helpers import Raised, assert_same_bits, filter_calls, layouts, one_state_sets, outcome
 from oracles import batch_b_l, batch_filter, batch_selection, one_state_b_l, set_violations
 
 GAP_DISCS = [CertificateSpec(Disc([0.0, 1.0], 0.99)), CertificateSpec(Disc([0.0, -1.0], 0.99))]
@@ -590,18 +590,6 @@ def _inactive(cs, basis, nominal):
     return (low > reach) & ~np.isnan(cs.a).any(axis=(-2, -1))
 
 
-def _filter_calls(monkeypatch):
-    """The offsets b of every set reshape_b_l gets and of every polygon
-    PolygonRows.project gets, as the filter makes those calls."""
-    seen = {"reshape": [], "project": []}
-    reshape, project = reshaping.reshape_b_l, PolygonRows.project
-    monkeypatch.setattr(reshaping, "reshape_b_l",
-                        lambda s, cs, *args, **kw: seen["reshape"].append(cs.b) or reshape(s, cs, *args, **kw))
-    monkeypatch.setattr(PolygonRows, "project",
-                        lambda self, u0, b: seen["project"].append(b) or project(self, u0, b))
-    return seen
-
-
 @pytest.mark.parametrize("k_phi", [0.0, 2.0])
 @pytest.mark.parametrize("c", [0.0, 0.4])
 @pytest.mark.parametrize("n_l", [5, 11, 21])
@@ -626,7 +614,7 @@ def test_batched_filter_skips_inactive_states_with_the_full_pipelines_bits(monke
     a[far[:3], 0], a[far[3:], 0, 1], b[far, 0] = np.nan, np.nan, 30.0
     cs = ConstraintSet(a, b, c)
     want = batch_filter(SKIP_NOMINAL, a, b, c, basis.a_l, basis.c_a, k_phi)
-    seen = _filter_calls(monkeypatch)
+    seen = filter_calls(monkeypatch)
     got = reshaped_filter(SKIP_NOMINAL, cs, basis, k_phi)
     assert_same_bits(got, want)
     inactive = _inactive(cs, basis, SKIP_NOMINAL)
@@ -648,7 +636,7 @@ def test_batched_filter_on_blocks_with_every_state_inactive_or_none(monkeypatch,
     x = np.linspace(-2.0, 2.0, 40)
     y = np.full(40, 12.0) if block == "far" else 0.5 + np.linspace(-0.3, 0.3, 40)
     cs = build_constraint_set(np.column_stack([x, y]), SKIP_CERTS, 0.0, 1.0)
-    seen = _filter_calls(monkeypatch)
+    seen = filter_calls(monkeypatch)
     got = reshaped_filter(SKIP_NOMINAL, cs, basis, 2.0)
     assert_same_bits(got, batch_filter(SKIP_NOMINAL, cs.a, cs.b, 0.0, basis.a_l, basis.c_a, 2.0))
     if block == "far":

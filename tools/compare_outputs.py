@@ -23,6 +23,11 @@ move the batched filter's inactive-state threshold: `reshape.k_phi = 0`
 grid states are inactive. A 1-s `run` of the unsafe config at that nominal
 (unsafe_far_nominal), where every step projects, puts the law's kept
 A_L u0 and the one-state path under a nominal other than the stock one.
+Two short runs at `cascade.k1 = estimate` put the estimate's mask under
+load: the overlapping walls (overlap_estimate), whose grid has NaN rows
+beside masked states, and a third wall from (4.5, -0.5) to (4.5, 12) at
+safe distance 0.9 (third_wall), which masks every state of the 200-point
+grid's block 8.
 Prints "same" or "differs" per file and stdout, ignoring only
 metrics.json's runtime_s, and exits 1 on any difference.
 """
@@ -53,11 +58,17 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "kphi0": ("vtol_safe", {"reshape.k_phi": "0", "cascade.k1": "estimate"}),
     "far_nominal": ("vtol_safe", {"nominal.value": "2.0, 3.0", "cascade.k1": "estimate"}),
     "unsafe_far_nominal": ("vtol_unsafe", {"nominal.value": "2.0, 3.0"}),
+    "overlap_estimate": ("vtol_safe", {"obstacle.1.safe_distance_m": "0.505", "obstacle.2.safe_distance_m": "0.505",
+                                       "cascade.k1": "estimate"}),
+    "third_wall": ("vtol_safe", {"cascade.k1": "estimate", "obstacle.3.kind": "segment",
+                                 "obstacle.3.p1_m": "4.5, -0.5", "obstacle.3.p2_m": "4.5, 12",
+                                 "obstacle.3.safe_distance_m": "0.9"}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
-               for n in ("estimate", "three", "estimate_wide", "level", "zero_nominal", "kphi0", "far_nominal")},
+               for n in ("estimate", "three", "estimate_wide", "level", "zero_nominal", "kphi0", "far_nominal",
+                         "overlap_estimate", "third_wall")},
             "run_unsafe_far_nominal": ["run", "--config", "unsafe_far_nominal.cfg", "--out", "run_unsafe_far_nominal",
                                        "--horizon", "1"],
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
