@@ -224,7 +224,7 @@ class SafetyLaw:
         object.__setattr__(self, "c", ConstraintSet(np.zeros((0, 2)), np.zeros(0), self.c).c)
         if not 0.0 < self.k_alpha < math.inf:
             raise ValueError(f"k_alpha must be finite and positive, got {self.k_alpha}")
-        if self.basis is not None and self.basis.polygon is not None:
+        if self.basis is not None:
             _ = self.basis.polygon.pairs      # builds and keeps the pair-vertex table
             dots = row_product(nominal, self.basis.polygon.a_t)
             dots.flags.writeable = False

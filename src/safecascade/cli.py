@@ -219,7 +219,7 @@ def cmd_example2(out_dir: str | Path, radius: float = 0.99, field_grid: int = 10
     axis slice against the closed form, slopes, and containment spot checks."""
     out = Path(out_dir)
     discs = gap_discs(radius)
-    basis = make_positive_basis(2, EXAMPLE2_DIRECTIONS)
+    basis = make_positive_basis(EXAMPLE2_DIRECTIONS)
     swept = _gap_sweep(out, radius, field_grid, {
         "field.csv": lambda x: gap_reshaped_solution(discs, basis, 0.0, x),
         "field_kphi1.csv": lambda x: gap_reshaped_solution(discs, basis, 1.0, x),
@@ -352,16 +352,16 @@ def cmd_audit(config_path: str | Path) -> int:
     return EXIT_OK
 
 
-def cmd_basis_check(n_u: int, n_l: int, samples: int = 500) -> int:
-    """Construct and validate a positive basis; print the report."""
+def cmd_basis_check(n_l: int, samples: int = 500) -> int:
+    """Construct and validate a positive basis of the plane; print the report."""
     try:
-        basis = make_positive_basis(n_u, n_l)
+        basis = make_positive_basis(n_l)
     except SafecascadeError as exc:
         print(f"basis construction failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # make_positive_basis has already validated at the default 500 probes.
     rep = basis.report if samples == 500 else validate_positive_basis(basis, samples=samples)
-    print(f"basis n_u={n_u} n_l={n_l}: c_a={basis.c_a:.6g}")
+    print(f"basis n_u=2 n_l={n_l}: c_a={basis.c_a:.6g}")
     print(f"  max unit-norm deviation {rep.max_unit_norm_deviation:.2e}")
     print(f"  min subset singular value {rep.min_subset_sigma:.6f}")
     print(f"  coverage failures {rep.coverage_failures}/{rep.samples}")
@@ -397,7 +397,6 @@ MAX_BASIS_SAMPLES = 10**5
 _seed = _checked("seed", int, lambda v: v >= 0, "nonnegative")
 _radius = _checked("radius", float, lambda v: 0.0 < v < 1.0, "finite, in (0, 1)")
 _grid = _checked("grid", int, lambda v: 2 <= v <= MAX_FIELD_GRID, f"2 to {MAX_FIELD_GRID}")
-_n_u = _checked("n-u", int, lambda v: v in (2, 3), "2 or 3")
 _n_l = _checked("n-l", int, lambda v: v <= MAX_DIRECTIONS, f"at most {MAX_DIRECTIONS}")
 _samples = _checked("samples", int, lambda v: 100 <= v <= MAX_BASIS_SAMPLES,
                     f"100 to {MAX_BASIS_SAMPLES}")
@@ -429,7 +428,6 @@ def main(argv=None) -> int:
     p_audit.add_argument("--config", required=True)
 
     p_basis = sub.add_parser("basis-check", help="construct and validate a positive basis")
-    p_basis.add_argument("--n-u", type=_n_u, default=2)
     p_basis.add_argument("--n-l", type=_n_l, default=11)
     p_basis.add_argument("--samples", type=_samples, default=500)
 
@@ -443,7 +441,7 @@ def main(argv=None) -> int:
     if args.command == "audit":
         return cmd_audit(args.config)
     if args.command == "basis-check":
-        return cmd_basis_check(args.n_u, args.n_l, samples=args.samples)
+        return cmd_basis_check(args.n_l, samples=args.samples)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -32,10 +32,6 @@ class SelectionConditionError(SafecascadeError):
         self.pair = pair
 
 
-class UnsupportedDimensionError(SafecascadeError):
-    """Positive-basis construction only covers 2- and 3-dimensional inputs."""
-
-
 class BadCountError(SafecascadeError):
     """Direction count is incompatible with the requested basis."""
 

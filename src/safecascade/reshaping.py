@@ -7,11 +7,11 @@ Lipschitz regularity, so projecting a nominal input onto it produces a
 control law with a constructive Lipschitz constant, which the raw
 norm-augmented projection does not have.
 
-A PositiveBasis is fixed (its rows are read-only), so in the plane it
-keeps its rows' polygon structure (row norms, pair-vertex table) for every
-projection. cbar_a is cached per (c_bar, c_a), and reshaped_filter hands
-the selection's verified slack to reshape_b_l instead of evaluating the
-set at it a second time.
+The package is planar: a PositiveBasis is a fixed (read-only) set of rows
+(n_l, 2), which keeps its polygon structure (row norms, pair-vertex table)
+for every exact polygon projection. cbar_a is cached per (c_bar, c_a), and
+reshaped_filter hands the selection's verified slack to reshape_b_l instead
+of evaluating the set at it a second time.
 """
 from __future__ import annotations
 
@@ -22,15 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadCountError,
-    CoverageConditionError,
-    SelectionNotFeasibleError,
-    UnsupportedDimensionError,
-)
+from .errors import BadCountError, CoverageConditionError, SelectionNotFeasibleError
 from .qcqp_safety import ConstraintSet, selection_with_slack
-from .qp_solver import (DEFAULT_TOL, Polyhedron, PolygonRows, columns_product, row_product, solve_projection_qp,
-                        states_first, states_last)
+# solve_projection_qp is unused here but stays importable: the benchmark's
+# trace hooks (benchmarks/workloads.py) rebind reshaping.solve_projection_qp.
+from .qp_solver import (DEFAULT_TOL, Polyhedron, PolygonRows, columns_product, row_product,  # noqa: F401
+                        solve_projection_qp, states_first, states_last)
 
 
 # The largest basis the configs and the command line accept: the plane's
@@ -38,22 +35,18 @@ from .qp_solver import (DEFAULT_TOL, Polyhedron, PolygonRows, columns_product, r
 # C(n_l, 2) vertices per state.
 MAX_DIRECTIONS = 101
 
-# A basis with an n_u-subset of rows this close to singular is refused.
+# A basis with a pair of rows this close to singular is refused.
 MIN_SUBSET_SIGMA = 1e-8
-
-# Probe directions of the sampled worst case that seeds a 3-D coverage constant.
-COVERAGE_PROBES = 2000
 
 
 def subset_stack(a_l: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """What coverage tests of the rows a_l at any c_a share, from one batched
-    SVD over all n_u-subsets: the smallest singular value over all subsets,
-    and the row indices (S, n_u) and inverse transposes (S, n_u, n_u) of the
-    S nonsingular subsets (a subset's coefficients for a probe are
+    """What coverage tests of the rows a_l (n_l, 2) at any c_a share, from
+    one batched SVD over all row pairs: the smallest singular value over all
+    pairs, and the row indices (S, 2) and inverse transposes (S, 2, 2) of
+    the S nonsingular pairs (a pair's coefficients for a probe are
     inv_t @ probe)."""
-    n_l, n_u = a_l.shape
-    subsets = np.array(list(itertools.combinations(range(n_l), n_u)), dtype=np.intp).reshape(-1, n_u)
-    stack = a_l[subsets]                                        # (S, n_u, n_u): each subset's rows
+    subsets = np.array(list(itertools.combinations(range(a_l.shape[0]), 2)), dtype=np.intp).reshape(-1, 2)
+    stack = a_l[subsets]                                        # (S, 2, 2): each pair's rows
     sigma = np.linalg.svd(stack, compute_uv=False)[:, -1]
     nonsingular = sigma > 1e-12
     return (float(sigma.min(initial=math.inf)), subsets[nonsingular],
@@ -62,25 +55,27 @@ def subset_stack(a_l: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PositiveBasis:
-    """Unit row directions positively spanning the input space.
+    """Unit row directions (n_l, 2) positively spanning the plane.
 
     c_a is the coverage constant: every unit vector is a nonnegative
     combination of the rows whose inner product with it is at least c_a.
-    The basis is fixed: a_l is a read-only copy of the rows, and the basis
-    keeps their subset stack (built here unless given, and then it must be
-    the stack of these rows), for n_u = 2 their polygon structure
-    (PolygonRows: row norms, and the pair-vertex table once a projection or
-    a SafetyLaw first needs it), which every projection would otherwise
-    rebuild, and its 500-probe validation report once first read.
+    Rows of any other shape are refused. The basis is fixed: a_l is a
+    read-only copy of the rows, and the basis keeps their subset stack,
+    their polygon structure (PolygonRows: row norms, and the pair-vertex
+    table once a projection or a SafetyLaw first needs it), which every
+    projection would otherwise rebuild, and its 500-probe validation report
+    once first read.
     """
 
     a_l: np.ndarray
     c_a: float
-    subsets: tuple | None = field(default=None, repr=False, compare=False)
-    polygon: PolygonRows | None = field(init=False, repr=False, compare=False)
+    subsets: tuple = field(init=False, repr=False, compare=False)
+    polygon: PolygonRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a_l = np.array(self.a_l, dtype=float, ndmin=2)
+        if a_l.ndim != 2 or a_l.shape[1] != 2:
+            raise ValueError(f"basis rows must have shape (n_l, 2), got {a_l.shape}")
         norms = np.linalg.norm(a_l, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("basis rows must be unit vectors")
@@ -91,9 +86,8 @@ class PositiveBasis:
             raise ValueError("coverage constant must lie in (-1, 1)")
         a_l.flags.writeable = False     # the kept polygon structure reads these rows
         object.__setattr__(self, "a_l", a_l)
-        if self.subsets is None:
-            object.__setattr__(self, "subsets", subset_stack(a_l))
-        object.__setattr__(self, "polygon", PolygonRows(a_l) if a_l.shape[1] == 2 else None)
+        object.__setattr__(self, "subsets", subset_stack(a_l))
+        object.__setattr__(self, "polygon", PolygonRows(a_l))
 
     @property
     def n_l(self) -> int:
@@ -105,85 +99,29 @@ class PositiveBasis:
         and kept: the basis cannot change."""
         return validate_positive_basis(self)
 
-    @property
-    def n_u(self) -> int:
-        return self.a_l.shape[1]
 
-    @functools.cached_property
-    def a_l_t(self) -> np.ndarray:
-        """A_L^T, C-contiguous: one state's operand (row_product)."""
-        return np.ascontiguousarray(self.a_l.T)
-
-
-def make_positive_basis(n_u: int, n_l: int) -> PositiveBasis:
-    """Deterministic positive basis for 2- or 3-dimensional inputs.
-
-    n_u = 2: regular polygon directions at angles 2*pi*i/n_l with coverage
-    cos(2*pi/n_l); n_l must be odd and > 2 so no two rows are collinear.
-    n_u = 3: Fibonacci-sphere directions with the coverage constant taken
-    from a sampled worst case, shrunk by 2 % until the 500 validation
-    probes are covered, and then verified. Rows with a singular n_u-subset
-    fail whatever the constant, so they are refused before the search.
+def make_positive_basis(n_l: int) -> PositiveBasis:
+    """Deterministic positive basis of the plane: regular polygon directions
+    at angles 2*pi*i/n_l with coverage cos(2*pi/n_l), verified at 500
+    probes; n_l must be odd and > 2 so no two rows are collinear.
     """
-    if n_u == 2:
-        if n_l <= n_u:
-            raise BadCountError("need more directions than dimensions")
-        if n_l % 2 == 0:
-            raise BadCountError("even polygon counts create collinear row pairs")
-        idx = np.arange(1, n_l + 1)
-        rows = np.column_stack([np.cos(2.0 * np.pi * idx / n_l),
-                                np.sin(2.0 * np.pi * idx / n_l)])
-        basis = PositiveBasis(rows, float(np.cos(2.0 * np.pi / n_l)))
-    elif n_u == 3:
-        if n_l <= n_u:
-            raise BadCountError("need more directions than dimensions")
-        rows = _fibonacci_sphere(n_l)
-        c_a = _sampled_coverage_constant(rows)
-        # Only the chosen rows depend on c_a, so one subset stack serves
-        # every candidate constant.
-        stack = subset_stack(rows)
-        if stack[0] <= MIN_SUBSET_SIGMA:
-            raise CoverageConditionError(
-                f"basis rows failed validation: min subset sigma {stack[0]:.3g} <= {MIN_SUBSET_SIGMA:g}")
-        basis = None
-        while c_a > 1e-3:
-            candidate = PositiveBasis(rows, c_a, subsets=stack)
-            if candidate.report.coverage_failures == 0:
-                basis = candidate
-                break
-            c_a *= 0.98
-        if basis is None:
-            raise CoverageConditionError("no workable coverage constant found")
-    else:
-        raise UnsupportedDimensionError(f"positive bases implemented for n_u in (2, 3), got {n_u}")
+    if n_l <= 2:
+        raise BadCountError("need more directions than dimensions")
+    if n_l % 2 == 0:
+        raise BadCountError("even polygon counts create collinear row pairs")
+    idx = np.arange(1, n_l + 1)
+    rows = np.column_stack([np.cos(2.0 * np.pi * idx / n_l),
+                            np.sin(2.0 * np.pi * idx / n_l)])
+    basis = PositiveBasis(rows, float(np.cos(2.0 * np.pi / n_l)))
     report = basis.report
     if report.coverage_failures or report.min_subset_sigma <= MIN_SUBSET_SIGMA:
         raise CoverageConditionError(f"constructed basis failed validation: {report}")
     return basis
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    i = np.arange(count) + 0.5
-    phi = 2.0 * np.pi * i / golden
-    cos_theta = 1.0 - 2.0 * i / count
-    sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, 1.0))
-    return np.column_stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta])
-
-
-def _sampled_coverage_constant(rows: np.ndarray) -> float:
-    """Largest threshold that keeps >= n_u candidate rows for every probe."""
-    n_u = rows.shape[1]
-    dirs = _fibonacci_sphere(COVERAGE_PROBES)
-    kth_best = np.sort(dirs @ rows.T, axis=1)[:, -n_u]
-    return float(np.min(kth_best)) * (1.0 - 1e-9)
-
-
-def _unit_probes(n_u: int, samples: int) -> np.ndarray:
-    if n_u == 2:
-        angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False) + 0.1234
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    return _fibonacci_sphere(samples)
+def _unit_probes(samples: int) -> np.ndarray:
+    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False) + 0.1234
+    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 @dataclass(frozen=True)
@@ -204,9 +142,9 @@ def validate_positive_basis(basis: PositiveBasis, samples: int = 500) -> BasisRe
     basis's subset stack. Coverage is sampled, and for each probe direction
     the rows within the coverage cone must positively span it. That is
     decided exactly by Caratheodory's theorem for conic hulls: the probe
-    lies in the cone of the chosen rows iff some n_u linearly independent
+    lies in the cone of the chosen rows iff some two linearly independent
     chosen rows give it nonnegative coefficients, so the probes are solved
-    against the inverses of the nonsingular subsets whose rows are all
+    against the inverses of the nonsingular pairs whose rows are both
     chosen. Report-only.
     """
     if samples < 100:
@@ -214,7 +152,7 @@ def validate_positive_basis(basis: PositiveBasis, samples: int = 500) -> BasisRe
     a_l = basis.a_l
     max_dev = float(np.max(np.abs(np.linalg.norm(a_l, axis=1) - 1.0)))
     min_sigma, subsets, inv_t = basis.subsets
-    probes = _unit_probes(basis.n_u, samples)
+    probes = _unit_probes(samples)
     covered = np.zeros(samples, dtype=bool)
     step = max(1, (1 << 20) // max(1, subsets.size))            # bounds the (probe, subset) mask
     for lo in range(0, samples, step):
@@ -336,7 +274,7 @@ def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: Posit
         b_l = phi if b_l is None else [m if m < p or m != m else p for m, p in zip(b_l, phi)]
     if not any(selection.tolist()):                                # NaN is true
         return np.array(b_l)
-    return np.array([p + m for p, m in zip(row_product(selection, basis.a_l_t).tolist(), b_l)])
+    return np.array([p + m for p, m in zip(row_product(selection, basis.polygon.a_t).tolist(), b_l)])
 
 
 def reshaped_filter(
@@ -347,30 +285,30 @@ def reshaped_filter(
     *,
     nominal_dots: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Project the nominal input (n_u,) onto the reshaped set.
+    """Project the nominal input (2,) onto the reshaped set.
 
     The result never exceeds |selection| + |nominal| in norm and is a
     Lipschitz function of the constraint data. With no constraint rows the
     nominal passes through unchanged. The reshaping is anchored at the
     Lipschitz selection of cs, and the slack it verified is handed to
-    reshape_b_l rather than evaluated again. For n_u = 2 the projection is
-    the exact polygon projection on the basis's kept structure and works on
-    a set batched over (...), where only the active states (_active_states)
-    run the selection, the reshaping and the projection and the others get
-    the nominal, the bits those stages give them; a state without a result
-    (no set, no selection) raises for a single state and gives a NaN row in
-    a batch. n_u = 3 projects one state with the dual active-set QP.
-    nominal_dots, when given, must be row_product(nominal, basis.polygon.a_t),
-    A_L nominal, which a SafetyLaw keeps; the planar projection reads it in
-    place of the product, for one state as for a batch.
+    reshape_b_l rather than evaluated again. The projection is the exact
+    polygon projection on the basis's kept structure (project_one for one
+    state, project for a set batched over (...)); in a batch only the
+    active states (_active_states) run the selection, the reshaping and the
+    projection and the others get the nominal, the bits those stages give
+    them. A state without a result (no set, no selection) raises for a
+    single state and gives a NaN row in a batch. nominal_dots, when given,
+    must be row_product(nominal, basis.polygon.a_t), A_L nominal, which a
+    SafetyLaw keeps; the projection reads it in place of the product, for
+    one state as for a batch.
     """
     nominal = np.asarray(nominal, dtype=float)
     if nominal.shape != (cs.n_u,):
         raise ValueError(f"the nominal must be one input of shape ({cs.n_u},)")
     if cs.n_rows == 0:
         return np.array(np.broadcast_to(nominal, cs.b.shape[:-1] + (cs.n_u,)))
-    planar_batch = cs.batched and basis.polygon is not None
-    if planar_batch:
+    batched = cs.batched
+    if batched:
         if k_phi < 0:
             raise ValueError("k_phi must be nonnegative")
         batch, active = cs.b.shape[:-1], _active_states(nominal, cs, basis)
@@ -384,12 +322,9 @@ def reshaped_filter(
     # reads one state's selection.
     selection, slack = selection_with_slack(cs)
     b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
-    polygon = basis.polygon
-    if polygon is None:                                         # n_u = 3
-        return solve_projection_qp(nominal, Polyhedron(basis.a_l, b_l)).point
-    if not planar_batch:
-        return polygon.project_one(nominal, b_l, dots=nominal_dots)
-    out[:, active] = states_last(polygon.project(nominal, b_l, dots=nominal_dots))
+    if not batched:
+        return basis.polygon.project_one(nominal, b_l, dots=nominal_dots)
+    out[:, active] = states_last(basis.polygon.project(nominal, b_l, dots=nominal_dots))
     return states_first(out, batch)
 
 

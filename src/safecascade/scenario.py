@@ -376,7 +376,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     basis = None
     if certs:
         try:
-            basis = make_positive_basis(2, cfg["reshape.directions"])
+            basis = make_positive_basis(cfg["reshape.directions"])
             # The coverage condition every reshaping checks; a basis that
             # fails it would stop every run at its first step.
             cbar_a(c, basis.c_a)

@@ -148,7 +148,7 @@ def test_criterion_3_reshaping_sandwich():
     sets_checked = 0
     # Gap scenario at several states and both expansion weights.
     discs = gap_discs(0.99)
-    basis5 = make_positive_basis(2, 5)
+    basis5 = make_positive_basis(5)
     # The state (0.0, 0.1) sits inside the upper disc's unsafe set with a
     # nonzero selection anchor; the rest are safe-region states.
     for x_state in ((-1.6, 0.0), (-1.0, 0.0), (-0.4, 0.0), (0.8, 0.0), (0.0, 0.1)):
@@ -162,7 +162,7 @@ def test_criterion_3_reshaping_sandwich():
             sets_checked += 1
     # Wall scenario with the stock basis and expansion weight; (0.0, 0.45)
     # lies inside the low wall's inflated band (selection nonzero).
-    basis11 = make_positive_basis(2, 11)
+    basis11 = make_positive_basis(11)
     for x in ([-2.0, 1.0], [0.0, 1.2], [1.0, 1.1], [2.0, 2.6], [0.0, 0.45]):
         cs = build_constraint_set(np.asarray(x), WALLS, 0.0, 1.0)
         sel = lipschitz_selection(cs)
@@ -179,7 +179,7 @@ def test_criterion_4_gap_slopes_and_closed_form():
     started = time.perf_counter()
     radius = 0.99
     discs = gap_discs(radius)
-    basis = make_positive_basis(2, 5)
+    basis = make_positive_basis(5)
 
     # Exact-arithmetic supremum of the raw axis slope: radius / (1 - radius).
     sup = Fraction(99, 100) / (1 - Fraction(99, 100))
@@ -335,7 +335,7 @@ def test_criterion_7_numerical_hygiene(tmp_path):
 
 
 def test_criterion_8_single_level_decay():
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     law = SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 0.0, 1.0, k_phi=2.0)
     controller = CascadeController(rho1=law, gains=None)
     plant = IntegratorChain(m=1)

@@ -50,7 +50,7 @@ def test_traced_batched_law_and_single_evaluate():
     # names the law calls (cascade.build_constraint_set, ...) or must not
     # see a batch (the selection counter reads one state's selection). A
     # traced 5 x 5 estimate and one traced controller step must run.
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
     gains = CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49)
@@ -79,7 +79,7 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     # though the controller was built before the hooks were installed.
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
-    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, 1.0, k_phi=2.0)
+    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(11), 0.0, 1.0, k_phi=2.0)
     controller = CascadeController(law, CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49))
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]
@@ -182,8 +182,9 @@ def test_hook_only_imports_are_names_the_trace_hooks_patch():
     # rebind that name on it. Once the hooks stop patching one, the failure
     # names the import to delete.
     imports = _hook_only_imports()
-    assert imports == [("cascade", "lipschitz_selection"), ("scenario", "eval_segment")]
-    owners = {"cascade": cascade, "scenario": scenario}
+    assert imports == [("cascade", "lipschitz_selection"), ("reshaping", "solve_projection_qp"),
+                       ("scenario", "eval_segment")]
+    owners = {"cascade": cascade, "reshaping": reshaping, "scenario": scenario}
     before = {(module, name): getattr(owners[module], name) for module, name in imports}
     tracer = Tracer()
     install_trace(tracer)

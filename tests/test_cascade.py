@@ -111,7 +111,7 @@ def test_controller_levels_call_tracking_law_per_slope(monkeypatch):
     # called through the cascade module's name (the benchmark's trace hooks
     # rebind it).
     c = 0.2
-    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), c, 1.0, 2.0)
+    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), c, 1.0, 2.0)
     controller = CascadeController(law, STOCK_GAINS)
     rng = np.random.default_rng(5)
     blocks = [np.array([-2.0, 1.0]), *rng.normal(size=(3, 2))]
@@ -231,7 +231,7 @@ def test_small_gain_flags_tau_below_one():
 # -------------------------------------------------------------- controller
 
 def wall_law():
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, 1.0,
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), 0.0, 1.0,
                      k_phi=2.0)
 
 
@@ -399,7 +399,7 @@ def _outer_laws(n_l=11):
     (c > 0), whose rate is steepened for it, and walls at levels 1 and 2
     with the slope 1.5, each row through its own level's envelope, on a
     basis of n_l directions."""
-    basis = make_positive_basis(2, n_l)
+    basis = make_positive_basis(n_l)
     nominal = np.array([0.6, 1.0])
     discs = [CertificateSpec(Disc([0.0, 6.0], 1.0)), CertificateSpec(Disc([0.8, 6.0], 1.0))]
     c = 0.1
@@ -547,10 +547,10 @@ def test_laws_sharing_one_basis_keep_their_own_nominal_products():
     # nominals, each keep A_L u0 read-only with row_product's bits, and each
     # projects its own nominal, as the same law on a basis of its own does,
     # whichever law ran last. Evaluating leaves each nominal read-only.
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     nominals = (np.array([0.6, 1.0]), np.array([-1.7, 0.3]))
     shared = [SafetyLaw(WALLS, u0, basis, 0.0, 1.0, k_phi=2.0) for u0 in nominals]
-    alone = [SafetyLaw(WALLS, u0, make_positive_basis(2, 11), 0.0, 1.0, k_phi=2.0) for u0 in nominals]
+    alone = [SafetyLaw(WALLS, u0, make_positive_basis(11), 0.0, 1.0, k_phi=2.0) for u0 in nominals]
     for law, u0 in zip(shared, nominals):
         assert_same_bits(law.nominal_dots, row_product(u0, basis.polygon.a_t))
         assert not law.nominal_dots.flags.writeable
@@ -675,8 +675,8 @@ def test_batched_law_equals_the_array_reference_bit_for_bit():
                               walls.basis, walls.c, walls.k_alpha, k_phi=2.0)
     # Three rows at 120 degrees carry the constant -1/2, which fails the
     # coverage condition; stated as 0.05, the reshaping runs on three rows.
-    for n_l, basis in ((3, PositiveBasis(make_positive_basis(2, 3).a_l, 0.05)),
-                       (21, make_positive_basis(2, 21))):
+    for n_l, basis in ((3, PositiveBasis(make_positive_basis(3).a_l, 0.05)),
+                       (21, make_positive_basis(21))):
         laws[f"{n_l} rows"] = SafetyLaw(WALLS, walls.nominal, basis, walls.c, walls.k_alpha, k_phi=2.0)
     for name, law in laws.items():
         with warnings.catch_warnings():

@@ -206,7 +206,7 @@ def test_audit_rejects_invalid_key_values(tmp_path, capsys, key, value):
     ["example2", "--out", "OUT", "--radius", "nan"],
     ["example2", "--out", "OUT", "--radius", "abc"],
     ["example1", "--out", "OUT", "--grid", "1"],
-    ["basis-check", "--n-u", "4"],
+    ["basis-check", "--n-l", "eleven"],
     ["basis-check", "--n-l", "103"],
     ["basis-check", "--samples", "50"],
     ["example1", "--out", "OUT", "--grid", str(cli.MAX_FIELD_GRID + 1)],
@@ -222,6 +222,18 @@ def test_cli_values_out_of_range_are_usage_errors(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert f"{command[-2].lstrip('-')} must be" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["basis-check", "--n-u", "2"], ["basis-check", "--n-u=2", "--n-l", "11"]])
+def test_basis_check_has_no_input_dimension_option(capsys, command):
+    # The package is planar, so basis-check builds only bases of the plane:
+    # --n-u is an unknown argument, argparse's usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("convert, most", [(cli._grid, cli.MAX_FIELD_GRID),
@@ -361,7 +373,6 @@ def test_every_key_and_flag_with_hostile_values_ends_in_a_documented_exit_code(t
                      ["example1", "--out", out, "--radius", "0.5", f"--grid={value}"],
                      ["example2", "--out", out, f"--radius={value}", "--grid", "3"],
                      ["example2", "--out", out, "--grid", "3", f"--seed={value}"],
-                     ["basis-check", f"--n-u={value}"],
                      ["basis-check", f"--n-l={value}"],
                      ["basis-check", f"--samples={value}"]):
             code = _exit_code(argv)
@@ -505,7 +516,7 @@ def test_gap_solutions_of_a_batch_equal_the_per_state_solutions():
     # states (disc centers, deep inside an obstacle) and the same values to
     # rounding (the batched reshaped law differs by at most a few ulp).
     discs = cli.gap_discs(0.99)
-    basis = reshaping.make_positive_basis(2, 5)
+    basis = reshaping.make_positive_basis(5)
     grid = cli.axis_slice_grid(0.99)[::10]
     states = np.vstack([np.random.default_rng(3).uniform(-2.5, 2.5, size=(300, 2)),
                         [[0.0, 1.0], [0.0, -1.0], [0.0, 0.5], [-0.3, 0.9]],
@@ -654,11 +665,11 @@ def test_basis_check_validates_the_basis_once(monkeypatch, capsys):
 
     monkeypatch.setattr(reshaping, "validate_positive_basis", counted)
     monkeypatch.setattr(cli, "validate_positive_basis", counted)
-    assert main(["basis-check", "--n-u", "2", "--n-l", "11"]) == EXIT_OK
+    assert main(["basis-check", "--n-l", "11"]) == EXIT_OK
     assert calls == [500]
     assert "coverage failures 0/500" in capsys.readouterr().out
     calls.clear()
-    assert main(["basis-check", "--n-u", "2", "--n-l", "11", "--samples", "200"]) == EXIT_OK
+    assert main(["basis-check", "--n-l", "11", "--samples", "200"]) == EXIT_OK
     assert calls == [500, 200]
     assert "coverage failures 0/200" in capsys.readouterr().out
 
@@ -681,7 +692,7 @@ _WITHOUT_SCIPY = textwrap.dedent("""
     codes = [
         main(["run", "--config", unsafe, "--out", out, "--horizon", "0.01"]),
         main(["audit", "--config", safe]),
-        main(["basis-check", "--n-u", "3", "--n-l", "14"]),
+        main(["basis-check", "--n-l", "101"]),
     ]
     print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """)
@@ -924,14 +935,11 @@ def test_example2_outputs(tmp_path):
 
 
 def test_basis_check_command(capsys):
-    assert cmd_basis_check(2, 11) == EXIT_OK
+    assert cmd_basis_check(11) == EXIT_OK
     text = capsys.readouterr().out
     assert "coverage failures 0/" in text
-    assert cmd_basis_check(2, 4) == EXIT_CONFIG
+    assert cmd_basis_check(4) == EXIT_CONFIG
     assert "failed" in capsys.readouterr().err
-    # A singular row triple fails the basis's validation.
-    assert cmd_basis_check(3, 51) == EXIT_CONFIG
-    assert "failed validation" in capsys.readouterr().err
 
 
 def test_main_dispatch(tmp_path):
@@ -940,7 +948,7 @@ def test_main_dispatch(tmp_path):
                  "--out", str(out), "--horizon", "0.05"])
     assert code == EXIT_OK
     assert (out / "metrics.json").exists()
-    assert main(["basis-check", "--n-u", "2", "--n-l", "5"]) == EXIT_OK
+    assert main(["basis-check", "--n-l", "5"]) == EXIT_OK
 
 
 def test_main_dt_override(tmp_path):

@@ -8,7 +8,6 @@ from safecascade.errors import (
     BadCountError,
     CoverageConditionError,
     SelectionNotFeasibleError,
-    UnsupportedDimensionError,
 )
 from safecascade.qcqp_safety import (
     ConstraintSet,
@@ -45,7 +44,7 @@ def cs_of(a, b, c=0.0):
 # -------------------------------------------------------------------- basis
 
 def test_pentagon_basis_rows_and_coverage_constant():
-    basis = make_positive_basis(2, 5)
+    basis = make_positive_basis(5)
     assert basis.c_a == pytest.approx(math.cos(2.0 * math.pi / 5.0))
     assert basis.c_a == pytest.approx(0.309017, abs=1e-6)
     for i, row in enumerate(basis.a_l, start=1):
@@ -54,13 +53,13 @@ def test_pentagon_basis_rows_and_coverage_constant():
 
 
 def test_eleven_direction_basis_constant():
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     assert basis.c_a == pytest.approx(math.cos(2.0 * math.pi / 11.0))
     assert basis.c_a == pytest.approx(0.841254, abs=1e-6)
 
 
 def test_minimal_three_direction_basis_passes():
-    basis = make_positive_basis(2, 3)
+    basis = make_positive_basis(3)
     report = validate_positive_basis(basis, samples=720)
     assert report.coverage_failures == 0
     assert report.min_subset_sigma > 1e-8
@@ -68,11 +67,12 @@ def test_minimal_three_direction_basis_passes():
 
 def test_basis_count_and_dimension_guards():
     with pytest.raises(BadCountError):
-        make_positive_basis(2, 4)       # even: collinear pairs
+        make_positive_basis(4)       # even: collinear pairs
     with pytest.raises(BadCountError):
-        make_positive_basis(2, 1)
-    with pytest.raises(UnsupportedDimensionError):
-        make_positive_basis(4, 9)
+        make_positive_basis(1)
+    # The package is planar: a basis of any other input dimension is refused.
+    with pytest.raises(ValueError, match=r"shape \(n_l, 2\)"):
+        PositiveBasis(np.eye(3), 0.5)
 
 
 def test_validation_flags_duplicated_row():
@@ -84,50 +84,11 @@ def test_validation_flags_duplicated_row():
 def test_validation_flags_oversized_coverage_constant():
     # A pentagon covers every direction at cos(2 pi / 5); raising the
     # constant past cos(pi / 5) starves directions between adjacent rows.
-    rows = make_positive_basis(2, 5).a_l
+    rows = make_positive_basis(5).a_l
     tight = PositiveBasis(rows, math.cos(math.pi / 5.0) + 0.02)
     report = validate_positive_basis(tight, samples=720)
     assert report.coverage_failures > 0
     assert report.first_failure is not None
-
-
-def test_three_dimensional_basis_constructs_and_validates():
-    basis = make_positive_basis(3, 14)
-    assert basis.n_u == 3
-    report = validate_positive_basis(basis, samples=500)
-    assert report.coverage_failures == 0
-    assert report.min_subset_sigma > 1e-8
-    assert 0.0 < basis.c_a < 1.0
-
-
-@pytest.mark.parametrize("n_l, c_a", [(10, 0.031397423138982576), (14, 0.27617328034031857),
-                                      (20, 0.48535341552379313)])
-def test_three_dimensional_basis_builds_its_subset_stack_once(monkeypatch, n_l, c_a):
-    # Only the chosen rows depend on the coverage constant, so the search
-    # that shrinks it (72 candidates for n_l = 10) shares one subset stack
-    # and finds the same constants.
-    builds = []
-    build = reshaping.subset_stack
-    monkeypatch.setattr(reshaping, "subset_stack", lambda a_l: builds.append(a_l.shape) or build(a_l))
-    basis = make_positive_basis(3, n_l)
-    assert builds == [(n_l, 3)]
-    assert basis.c_a == pytest.approx(c_a, rel=1e-12)
-    assert basis.report.coverage_failures == 0
-
-
-@pytest.mark.parametrize("n_l", [11, 13, 51])
-def test_singular_three_dimensional_rows_are_refused_before_the_search(monkeypatch, n_l):
-    # These Fibonacci-sphere row sets hold a (numerically) singular triple.
-    # Subset conditioning does not depend on the coverage constant, so no
-    # candidate's validation report is computed before the basis is refused.
-    reports = []
-    validate = reshaping.validate_positive_basis
-    monkeypatch.setattr(reshaping, "validate_positive_basis",
-                        lambda basis, **kw: reports.append(basis.c_a) or validate(basis, **kw))
-    refusal = rf"min subset sigma \S+ <= {reshaping.MIN_SUBSET_SIGMA:g}"
-    with pytest.raises(CoverageConditionError, match=refusal):
-        make_positive_basis(3, n_l)
-    assert reports == []
 
 
 def _nnls_coverage(basis, samples):
@@ -135,21 +96,18 @@ def _nnls_coverage(basis, samples):
     squares on the rows within each probe's coverage cone."""
     nnls = pytest.importorskip("scipy.optimize").nnls
     failures, first = 0, None
-    for probe in reshaping._unit_probes(basis.n_u, samples):
+    for probe in reshaping._unit_probes(samples):
         chosen = basis.a_l[basis.a_l @ probe >= basis.c_a - 1e-12]
-        if chosen.shape[0] < basis.n_u or nnls(chosen.T, probe)[1] > 1e-8:
+        if chosen.shape[0] < 2 or nnls(chosen.T, probe)[1] > 1e-8:
             failures += 1
             first = probe if first is None else first
     return failures, first
 
 
-_CROSS_CHECK_BASES = [(2, 3), (2, 5), (2, 11), (2, 21), (3, 10), (3, 14), (3, 20)]
-
-
 @pytest.mark.parametrize("oversized", [False, True])
-@pytest.mark.parametrize("n_u, n_l", _CROSS_CHECK_BASES)
-def test_cone_coverage_matches_nnls(n_u, n_l, oversized):
-    basis = make_positive_basis(n_u, n_l)
+@pytest.mark.parametrize("n_l", [3, 5, 11, 21], ids=lambda n_l: f"2-{n_l}")     # n_u = 2, then n_l
+def test_cone_coverage_matches_nnls(n_l, oversized):
+    basis = make_positive_basis(n_l)
     if oversized:
         basis = PositiveBasis(basis.a_l, basis.c_a + 0.25 * (1.0 - basis.c_a))
     report = validate_positive_basis(basis, samples=500)
@@ -218,7 +176,7 @@ def test_basis_rows_are_a_read_only_copy():
 # ------------------------------------------------------------------ reshape
 
 def test_reshape_single_constraint_hand_value():
-    basis = make_positive_basis(2, 5)
+    basis = make_positive_basis(5)
     cs = cs_of([[1.0, 0.0]], [1.0])
     b_l = reshape_b_l(np.zeros(2), cs, basis, k_phi=0.0)
     expected = np.maximum(basis.a_l @ np.array([1.0, 0.0]), basis.c_a)
@@ -226,7 +184,7 @@ def test_reshape_single_constraint_hand_value():
 
 
 def test_reshape_zero_slack_collapses_to_selection():
-    basis = make_positive_basis(2, 7)
+    basis = make_positive_basis(7)
     selection = np.array([0.3, -0.2])
     direction = selection / np.linalg.norm(selection)
     b = np.array([float(direction @ selection)])    # selection exactly tight
@@ -239,14 +197,14 @@ def test_reshape_zero_slack_collapses_to_selection():
 
 
 def test_reshape_rejects_infeasible_selection():
-    basis = make_positive_basis(2, 5)
+    basis = make_positive_basis(5)
     cs = cs_of([[1.0, 0.0]], [-1.0])
     with pytest.raises(SelectionNotFeasibleError):
         reshape_b_l(np.zeros(2), cs, basis, k_phi=0.0)
 
 
 def test_reshape_takes_a_list_selection():
-    basis = make_positive_basis(2, 5)
+    basis = make_positive_basis(5)
     cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     np.testing.assert_array_equal(reshape_b_l([0.5, 0.25], cs, basis, 1.0),
                                   reshape_b_l(np.array([0.5, 0.25]), cs, basis, 1.0))
@@ -266,7 +224,7 @@ def sandwich_check(cs, basis, k_phi, rng, samples=400):
 
 def test_sandwich_containment_gap_scenario():
     rng = np.random.default_rng(42)
-    basis = make_positive_basis(2, 5)
+    basis = make_positive_basis(5)
     for x1 in np.linspace(-1.8, 1.8, 13):
         for x2 in (0.0, 0.4, -0.3):
             x = np.array([x1, x2])
@@ -278,7 +236,7 @@ def test_sandwich_containment_gap_scenario():
 
 
 def test_filter_returns_nominal_when_feasible():
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     cs = cs_of([[0.0, 1.0]], [5.0])
     out = reshaped_filter(np.array([0.2, 0.1]), cs, basis, 2.0)
     np.testing.assert_allclose(out, [0.2, 0.1], atol=1e-9)
@@ -291,7 +249,7 @@ def test_single_state_filter_evaluates_its_set_once(monkeypatch):
     # zero selection's slack is -(0.0 - b), so its set is not evaluated.
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     calls = []
     violations = ConstraintSet.violations
     monkeypatch.setattr(ConstraintSet, "violations",
@@ -314,7 +272,7 @@ def test_one_state_reshape_on_floats_equals_the_array_reference_bit_for_bit():
     # included) and the same errors: a selection outside its set, given or
     # drawn (slack computed), and a coverage constant too small for c.
     rng = np.random.default_rng(31337)
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     narrow = PositiveBasis(basis.a_l, 0.05)
     seen = set()
     for k, (a, b, c) in enumerate(one_state_sets(2024, 3000)):
@@ -351,7 +309,7 @@ def test_batched_selection_and_reshape_equal_the_array_reference_bit_for_bit():
     # (some outside their set, some NaN in one row only); at c = 0.9 the
     # 11-row basis fails the coverage condition for the whole batch.
     rng = np.random.default_rng(4243)
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     groups = {}
     for a, b, c in one_state_sets(4242, 1200):
         groups.setdefault((b.shape[0], c), []).append((a, b))
@@ -387,7 +345,7 @@ def test_batched_selection_and_reshape_equal_the_array_reference_bit_for_bit():
 def test_supplied_slack_below_tolerance_is_rejected():
     # A supplied slack is checked like a computed one: a selection outside
     # the set raises for one state and gives a NaN row in a batch.
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     with pytest.raises(SelectionNotFeasibleError):
         reshape_b_l(np.zeros(2), cs, basis, 1.0, slack=np.array([1.0, -1e-3]))
@@ -401,7 +359,7 @@ def test_supplied_slack_below_tolerance_is_rejected():
 
 
 def test_filter_matches_gap_axis_closed_form():
-    basis = make_positive_basis(2, 5)
+    basis = make_positive_basis(5)
     radius = 0.99
     for x1 in np.linspace(-1.9, -0.05, 77):
         cs = disc_constraint_set(GAP_DISCS, np.array([x1, 0.0]))
@@ -424,7 +382,7 @@ def test_raw_gap_axis_closed_form_value():
 
 def test_filter_norm_bound():
     rng = np.random.default_rng(11)
-    basis = make_positive_basis(2, 7)
+    basis = make_positive_basis(7)
     for _ in range(200):
         x = rng.uniform(-2.2, 2.2, size=2)
         if min(np.linalg.norm(x - d.geometry.center) for d in GAP_DISCS) < 1.05:
@@ -440,7 +398,7 @@ def test_sandwich_containment_with_norm_coefficients():
     # Nonzero norm coefficients engage the effective coverage constant and
     # the per-column slack scaling; containment must still hold exactly.
     rng = np.random.default_rng(314)
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     checked = 0
     for _ in range(60):
         n_c = int(rng.integers(1, 4))
@@ -477,7 +435,7 @@ def test_reshaped_solution_against_polar_scan_oracle():
     # farther from the nominal than the true constrained minimizer found by
     # the coarse polar scan.
     from oracles import qcqp_polar_scan, norm_constrained_membership
-    basis = make_positive_basis(2, 5)
+    basis = make_positive_basis(5)
     for x1 in (-1.2, -0.6):
         cs = disc_constraint_set(GAP_DISCS, np.array([x1, 0.0]))
         out = reshaped_filter(NOMINAL, cs, basis, 0.0)
@@ -491,7 +449,7 @@ def test_reshaped_solution_against_polar_scan_oracle():
 
 def test_polytope_sampler_respects_constraints():
     rng = np.random.default_rng(3)
-    basis = make_positive_basis(2, 7)
+    basis = make_positive_basis(7)
     poly = Polyhedron(basis.a_l, np.full(7, 1.0))
     pts = sample_polytope_2d(poly, 500, rng)
     assert pts.shape == (500, 2)
@@ -536,7 +494,6 @@ BATCH_CASES = {
     "one row": ((40,), 1, 2),
     "one state": ((1,), 3, 2),
     "two states": ((2,), 3, 2),
-    "n_u = 3": ((40,), 3, 3),
 }
 
 
@@ -547,7 +504,7 @@ def _batch_case(name):
         a[[3, 17]] = np.nan           # states without a set
         b[[3, 17]] = np.nan
         b[[5, 29], 0] -= 10.0         # selections outside their set
-    return make_positive_basis(n_u, 11 if n_u == 2 else 14), a, b, c, selection
+    return make_positive_basis(11), a, b, c, selection
 
 
 @pytest.mark.parametrize("name", list(BATCH_CASES))
@@ -556,7 +513,7 @@ def test_reshape_of_a_batch_equals_the_per_state_reshapes_bit_for_bit(name):
     _assert_batch_equals_states(lambda s, cs: reshape_b_l(s, cs, basis, 2.0), a, b, c, selection)
 
 
-@pytest.mark.parametrize("name", [n for n, (_, _, n_u) in BATCH_CASES.items() if n_u == 2])
+@pytest.mark.parametrize("name", list(BATCH_CASES))
 def test_filter_of_a_batch_equals_the_per_state_filters_bit_for_bit(name):
     basis, a, b, c, selection = _batch_case(name)
     nominal = np.array([0.6, 1.0])
@@ -602,7 +559,7 @@ def test_batched_filter_skips_inactive_states_with_the_full_pipelines_bits(monke
     # alone: those would pass the offsets' test and stay on the full path. Only the active states reach reshape_b_l and
     # the projection, in order. At n_l = 5 and c = 0.4 the coverage
     # condition fails, for the whole batch.
-    basis = make_positive_basis(2, n_l)
+    basis = make_positive_basis(n_l)
     cs = build_constraint_set(_straddling_states(), SKIP_CERTS, c, 1.0)
     want = outcome(lambda: batch_filter(SKIP_NOMINAL, cs.a, cs.b, c, basis.a_l, basis.c_a, k_phi))
     if isinstance(want, Raised):
@@ -632,7 +589,7 @@ def test_batched_filter_on_blocks_with_every_state_inactive_or_none(monkeypatch,
     # reshaping or the projection, and every state gets the nominal; across
     # the lower wall's band every state is active and runs them all. The
     # bits equal the full pipeline's either way.
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     x = np.linspace(-2.0, 2.0, 40)
     y = np.full(40, 12.0) if block == "far" else 0.5 + np.linspace(-0.3, 0.3, 40)
     cs = build_constraint_set(np.column_stack([x, y]), SKIP_CERTS, 0.0, 1.0)

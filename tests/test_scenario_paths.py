@@ -26,7 +26,7 @@ WALLS = [
 
 
 def outer_law():
-    basis = make_positive_basis(2, 11)
+    basis = make_positive_basis(11)
     return SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 0.0, 1.0, k_phi=2.0)
 
 

@@ -26,7 +26,7 @@ WALLS = [
 
 
 def wall_law():
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(2, 11), 0.0, 1.0,
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), 0.0, 1.0,
                      k_phi=2.0)
 
 

@@ -27,7 +27,10 @@ Two short runs at `cascade.k1 = estimate` put the estimate's mask under
 load: the overlapping walls (overlap_estimate), whose grid has NaN rows
 beside masked states, and a third wall from (4.5, -0.5) to (4.5, 12) at
 safe distance 0.9 (third_wall), which masks every state of the 200-point
-grid's block 8.
+grid's block 8. `basis-check` builds the smallest (3 rows), a 5-row and
+the largest (101-row) basis, validates an 11-row basis at 200 probes, and
+refuses an even row count (4, exit 2); stdout, stderr and the exit code of
+each are compared.
 Prints "same" or "differs" per file and stdout, ignoring only
 metrics.json's runtime_s, and exits 1 on any difference.
 """
@@ -74,6 +77,8 @@ COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
                for n in ("safe", "unsafe", "estimate", "three", "estimate_wide", "level", "nonlinear",
                          "velocity", "derived", "overlap", "zero_nominal", "kphi0", "far_nominal")},
+            **{f"basis_check_{n}": ["basis-check", "--n-l", n] for n in ("3", "4", "5", "101")},
+            "basis_check_samples": ["basis-check", "--n-l", "11", "--samples", "200"],
             "example1": ["example1", "--out", "example1"], "example2": ["example2", "--out", "example2"]}
 
 
