@@ -3,9 +3,9 @@
 The package is planar: every input u has two components. The pieces,
 bottom to top: a dense projection QP solver with active-set reporting and
 the exact batched 2-D polygon projection (qp_solver); segment/disc safety
-certificates V = exp(-h) (certificates); norm-augmented safety constraints
-with a closed-form Lipschitz selection and the rate-condition audit
-(qcqp_safety); reshaping onto a positive basis of the plane that restores
+certificates V = exp(-h) (certificates); safety constraints for exact
+input gains with a closed-form Lipschitz selection and the rate-condition
+audit (qcqp_safety); reshaping onto a positive basis of the plane that restores
 Lipschitz regularity to the filtered control law (reshaping); the
 recursive cascade controller and its gain audits (cascade); closed-loop
 simulation (sim); and a config-driven CLI (cli). Every top-level
@@ -44,7 +44,6 @@ from .qp_solver import (
 )
 from .reshaping import (
     PositiveBasis,
-    cbar_a,
     make_positive_basis,
     reshape_b_l,
     reshaped_filter,

@@ -5,10 +5,10 @@ The controller is data: the outer safety law (SafetyLaw) plus its gains.
 The outer virtual control x2* comes from the reshaped safety filter of a
 constant nominal input, whose rows decay with slope k_alpha through each
 certificate's own envelope (qcqp_safety.decay_rate). Each inner level
-tracks the previous virtual control with
-rho_i(e) = -(e / |e|) * K_i |e| / (1 - c) for the norm coefficient c,
-which for integrator chains (c = 0) is plain proportional feedback -K_i e.
-Without safety constraints the cascade is standard constructive control.
+tracks the previous virtual control with the proportional feedback
+rho_i(e) = -(e / |e|) * K_i |e| = -K_i e (tracking_law keeps the first
+form's rounding). Without safety constraints the cascade is standard
+constructive control.
 The gains' Lipschitz products (CascadeGains.kbar) feed the gain-selection
 inequality, and the small-gain audit checks contraction.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from .certificates import CertificateSpec
 # lipschitz_selection is unused here but stays importable: the benchmark's
 # trace hooks (benchmarks/workloads.py) rebind cascade.lipschitz_selection.
-from .qcqp_safety import ConstraintSet, build_constraint_set, lipschitz_selection  # noqa: F401
+from .qcqp_safety import build_constraint_set, lipschitz_selection  # noqa: F401
 from .qp_solver import row_product, sum_last_axis
 from .reshaping import PositiveBasis, reshaped_filter
 
@@ -155,23 +155,20 @@ def small_gain_audit(gains: CascadeGains) -> SmallGainReport:
     )
 
 
-def tracking_law(x_tilde: np.ndarray, c: float, kappa_slope: float) -> np.ndarray:
+def tracking_law(x_tilde: np.ndarray, kappa_slope: float) -> np.ndarray:
     """Closed-form minimum-norm tracking input for one planar cascade level.
 
-    rho(e) = -(e / |e|) * (1 / (1 - c)) * K |e| for e != 0, with c the norm
-    coefficient, and zero at the origin; at c = 0 that is plain
-    proportional feedback. The result meets its generating norm-augmented
-    row e/|e| . u + c |u| <= -K |e| with equality for e = x_tilde, a float
-    (2,) array.
+    rho(e) = -(e / |e|) * K |e| for e != 0, and zero at the origin: plain
+    proportional feedback. The result meets its generating row
+    e/|e| . u <= -K |e| with equality for e = x_tilde, a float (2,) array.
     """
     nrm = math.sqrt(x_tilde.dot(x_tilde))      # np.linalg.norm's own formula for a vector
     if nrm <= 1e-15:
         return np.zeros(2)
-    scale = 1.0 / (1.0 - c)
-    # The vector formula -(e / |e|) * scale * K * |e| on floats, in its order:
-    # the shorter -scale * K * e rounds differently.
+    # The vector formula -(e / |e|) * K * |e| on floats, in its order: the
+    # shorter -K * e rounds differently.
     e0, e1 = x_tilde.tolist()
-    return np.array([-(e0 / nrm) * scale * kappa_slope * nrm, -(e1 / nrm) * scale * kappa_slope * nrm])
+    return np.array([-(e0 / nrm) * kappa_slope * nrm, -(e1 / nrm) * kappa_slope * nrm])
 
 
 @dataclass
@@ -197,10 +194,9 @@ class SafetyLaw:
     single state and gives a NaN row in a batch. With no certificates the
     law is the nominal itself.
 
-    c is the norm coefficient of the law's rows and tracking levels, and
-    k_alpha the slope of its decay rate (qcqp_safety.decay_rate); a c
-    outside [0, 1) or a k_alpha that is not finite and positive raises
-    ValueError when the law is built.
+    k_alpha is the slope of its decay rate (qcqp_safety.decay_rate); a
+    k_alpha that is not finite and positive raises ValueError when the law
+    is built.
     nominal is kept as a read-only (2,) array, and so is nominal_dots,
     A_L nominal as row_product gives it; the basis's pair-vertex table is
     built with the law, so no step rebuilds it. A step calls
@@ -210,7 +206,6 @@ class SafetyLaw:
     certs: tuple[CertificateSpec, ...]
     nominal: np.ndarray
     basis: PositiveBasis | None
-    c: float
     k_alpha: float
     k_phi: float
     nominal_dots: np.ndarray | None = field(init=False, default=None, repr=False)
@@ -220,8 +215,6 @@ class SafetyLaw:
         nominal.flags.writeable = False
         object.__setattr__(self, "certs", tuple(self.certs))
         object.__setattr__(self, "nominal", nominal)
-        # The constraint set's check of c: a law without certificates builds none.
-        object.__setattr__(self, "c", ConstraintSet(np.zeros((0, 2)), np.zeros(0), self.c).c)
         if not 0.0 < self.k_alpha < math.inf:
             raise ValueError(f"k_alpha must be finite and positive, got {self.k_alpha}")
         if self.basis is not None:
@@ -237,7 +230,7 @@ class SafetyLaw:
         if not self.certs:
             empty = np.zeros(x1.shape[:-1] + (0,))
             return np.broadcast_to(self.nominal, x1.shape), empty, empty
-        cs = build_constraint_set(x1, self.certs, self.c, self.k_alpha)
+        cs = build_constraint_set(x1, self.certs, self.k_alpha)
         # The projection broadcasts the one nominal against a batch's rows.
         return (reshaped_filter(self.nominal, cs, self.basis, self.k_phi,
                                 nominal_dots=self.nominal_dots), cs.h, cs.v)
@@ -267,9 +260,8 @@ class CascadeController:
         x_star, h, v = self.rho1.evaluate(blocks[0])
         stars = [x_star]
         slopes = () if self.gains is None else self.gains.tracking_slopes
-        c = self.rho1.c
         for block, slope in zip(blocks[1:], slopes):
-            x_star = tracking_law(block - x_star, c, slope)
+            x_star = tracking_law(block - x_star, slope)
             stars.append(x_star)
         return ControllerEval(u=x_star, x_stars=tuple(stars), h=h, v=v)
 

@@ -37,7 +37,8 @@ class BadCountError(SafecascadeError):
 
 
 class CoverageConditionError(SafecascadeError):
-    """Basis coverage constant too small for the requested uncertainty level."""
+    """A basis that does not cover as reshaping needs: a coverage constant
+    that is not positive, or a constructed basis that failed validation."""
 
 
 class SelectionNotFeasibleError(SafecascadeError):

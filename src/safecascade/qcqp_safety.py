@@ -1,14 +1,14 @@
-"""Norm-augmented safety constraints for relative-degree-one plants.
+"""Safety constraints for relative-degree-one plants with exact input gains.
 
-The feasible input set at state x is {u : A u + c * |u| <= b} with one row
-per certificate: the row direction is the normalized certificate gradient
-(the outer level drives the plane directly), the offset is the decay rate
+The feasible input set at state x is {u : A u <= b} with one row per
+certificate: the row direction is the normalized certificate gradient (the
+outer level drives the plane directly), and the offset is the decay rate
 at the certificate's value (decay_rate: slope k_alpha through the envelope
-of the certificate's own level, steepened below zero as c requires), and
-the norm coefficient c in [0, 1) absorbs the input-gain uncertainty. The
-module also provides the Lipschitz selection, a closed-form point of the
-set used as the reshaping anchor, and the audit of the decay-rate
-condition above the threshold.
+of the certificate's own level). The package treats exact input gains; the
+paper's norm term c|u| for an uncertain gain is not modelled. The module
+also provides the Lipschitz selection, a closed-form point of the set used
+as the reshaping anchor, and the audit of the decay-rate condition above
+the threshold.
 
 The selection also returns the slack it verified (selection_with_slack),
 so the reshaping does not evaluate the set at it a second time.
@@ -16,7 +16,7 @@ so the reshaping does not evaluate the set at it a second time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,33 +26,21 @@ from .errors import SelectionConditionError
 from .qp_solver import DEFAULT_TOL, states_first, states_last, sum_last_axis
 
 
-def _norm_coefficient(c) -> float:
-    """c as a float, checked to be one real number in [0, 1)."""
-    if not isinstance(c, (float, int, np.floating, np.integer)):
-        raise ValueError("the norm coefficient must be one real number")
-    c = float(c)
-    if not 0.0 <= c < 1.0:
-        raise ValueError("the norm coefficient must lie in [0, 1)")
-    return c
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Rows (a, b) and the norm coefficient c of the system
-    a @ u + c * |u| <= b with unit rows a.
+    """Rows (a, b) of the system a @ u <= b with unit planar rows a.
 
-    One state's set has a of shape (n_rows, n_u) and b of shape (n_rows,);
-    a batch of states adds leading axes to both: (..., n_rows, n_u) and
-    (..., n_rows). Every row of every state shares the one norm coefficient
-    c, a float in [0, 1): the input-gain uncertainty, or 0.0 for the disc
-    rows. A batch row whose state has no set carries NaN. A set built
-    from certificates also carries each certificate's clearance h and value
-    V at the state, shaped like b; otherwise both are None.
+    One state's set has a of shape (n_rows, 2) and b of shape (n_rows,); a
+    batch of states adds leading axes to both: (..., n_rows, 2) and
+    (..., n_rows). Rows of any other width are refused. A batch row whose
+    state has no set carries NaN. A set built from certificates also
+    carries each certificate's clearance h and value V at the state, shaped
+    like b (keyword-only); otherwise both are None.
     """
 
     a: np.ndarray
     b: np.ndarray
-    c: float
+    _: KW_ONLY
     h: np.ndarray | None = None
     v: np.ndarray | None = None
 
@@ -63,7 +51,9 @@ class ConstraintSet:
         b = np.asarray(self.b, dtype=float)
         if a.shape[:-1] != b.shape:
             raise ValueError("row count mismatch between a and b")
-        c = _norm_coefficient(self.c)
+        if a.shape[-1] != 2:
+            raise ValueError(f"constraint rows must have 2 columns (the package is planar), "
+                             f"got {a.shape[-1]}")
         # NaN rows (states without a set) compare False and pass.
         dev = np.sqrt(sum_last_axis(np.square(states_last(a, 2)).transpose(0, 2, 1)))
         dev -= 1.0
@@ -71,29 +61,27 @@ class ConstraintSet:
             raise ValueError("constraint rows must be unit vectors")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
 
     @classmethod
-    def planar(cls, rows: list, b: list, c: float, h: list, v: list) -> ConstraintSet:
+    def planar(cls, rows: list, b: list, h: list, v: list) -> ConstraintSet:
         """One planar state's set from floats: its rows as pairs, their
         offsets, and each certificate's h and V. The constructor's checks
         run on the floats, in the ufuncs' order, and the set is made
         without the constructor, whose checks would read the arrays back."""
         if len(rows) != len(b):
             raise ValueError("row count mismatch between a and b")
-        c = _norm_coefficient(c)
         for p, q in rows:
             if abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9:
                 raise ValueError("constraint rows must be unit vectors")
-        return cls._from_checked(np.array(rows) if rows else np.zeros((0, 2)), np.array(b), c,
+        return cls._from_checked(np.array(rows) if rows else np.zeros((0, 2)), np.array(b),
                                  np.array(h), np.array(v))
 
     @classmethod
-    def _from_checked(cls, a: np.ndarray, b: np.ndarray, c: float, h=None, v=None) -> ConstraintSet:
-        """The set of float arrays whose rows and c already passed the
+    def _from_checked(cls, a: np.ndarray, b: np.ndarray, h=None, v=None) -> ConstraintSet:
+        """The set of float arrays whose rows already passed the
         constructor's checks, made without it."""
         cs = object.__new__(cls)
-        vars(cs).update(a=a, b=b, c=c, h=h, v=v)
+        vars(cs).update(a=a, b=b, h=h, v=v)
         return cs
 
     @property
@@ -109,18 +97,13 @@ class ConstraintSet:
         return self.b.ndim > 1
 
     def violations(self, u: np.ndarray) -> np.ndarray:
-        """a u + c |u| - b per row, for u of shape (..., n_u)."""
+        """a u - b per row, for u of shape (..., n_u)."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 1 and self.b.ndim == 1:
-            # One state on floats; the BLAS product a u stays.
-            cn = self.c * math.sqrt(sum(p * p for p in u.tolist()))
-            return np.array([(p + cn) - q for p, q in zip(self.a.dot(u).tolist(), self.b.tolist())])
+            return self.a.dot(u) - self.b         # one state: its BLAS product a u
         # The per-state products a u on C-contiguous rows: numpy leaves BLAS
         # for other strides, and its own loop rounds otherwise.
         viol = (np.ascontiguousarray(self.a) @ u[..., None])[..., 0]
-        cn = np.sqrt(sum_last_axis(u * u))
-        cn *= self.c
-        viol += cn[..., None]
         viol -= self.b
         return viol
 
@@ -130,7 +113,7 @@ class ConstraintSet:
         and V."""
         rows, b = states_last(self.a, 2), states_last(self.b)
         return ConstraintSet._from_checked(states_first(rows.take(idx, axis=-1), idx.shape),
-                                           states_first(b.take(idx, axis=-1), idx.shape), self.c)
+                                           states_first(b.take(idx, axis=-1), idx.shape))
 
     def lifted(self, states: np.ndarray) -> ConstraintSet:
         """The batched set with every offset of the flagged states at +inf,
@@ -141,7 +124,7 @@ class ConstraintSet:
             return self
         b = states_last(self.b).copy()
         np.copyto(b, np.inf, where=states)
-        return ConstraintSet._from_checked(self.a, states_first(b, self.b.shape[:-1]), self.c)
+        return ConstraintSet._from_checked(self.a, states_first(b, self.b.shape[:-1]))
 
     def contains(self, u: np.ndarray):
         """Whether u meets every row within DEFAULT_TOL; one flag per batch row."""
@@ -155,40 +138,35 @@ class ConstraintSet:
 ENVELOPE_FLOOR = -1.0 + float(np.finfo(float).eps)
 
 
-def decay_rate(offset, level, k_alpha: float, c: float):
-    """The decay rate alpha_j = base o alpha_bar_j^-1 at a certificate's
+def decay_rate(offset, level, k_alpha: float):
+    """The decay rate alpha_j = k_alpha * alpha_bar_j^-1 at a certificate's
     offset V - level, on one float or elementwise on an array, with the same
     bits either way (numpy ufuncs on both, not math functions, which round
     differently). level may be an array that broadcasts against offset.
 
     Every certificate is V = exp(-h), so at its level v the envelope inverse
     is log1p((V - v)/v): V - v = v (e^s - 1) at signed distance s from
-    {V = v}. The base rate is k_alpha s for s >= 0 and is steepened by
-    (1 + c)/(1 - c) below zero, for the norm coefficient c, so that
-    base(s) + (1 + c)/(1 - c) base(-s) <= 0 for s <= 0, which is what the
-    Lipschitz selection needs to land inside the set.
+    {V = v}, and the rate is k_alpha s on both sides. It is odd in s, so
+    rate(s) + rate(-s) = 0, which is what the Lipschitz selection needs to
+    land inside the set.
     """
     s = offset / level
     if isinstance(s, float):
-        s = float(np.log1p(s if s > ENVELOPE_FLOOR or s != s else ENVELOPE_FLOOR))
-        return s * (k_alpha if s >= 0.0 else k_alpha * ((1.0 + c) / (1.0 - c)))
-    s = np.log1p(np.maximum(s, ENVELOPE_FLOOR))
-    return s * np.where(s >= 0.0, k_alpha, k_alpha * ((1.0 + c) / (1.0 - c)))
+        return float(np.log1p(s if s > ENVELOPE_FLOOR or s != s else ENVELOPE_FLOOR)) * k_alpha
+    return np.log1p(np.maximum(s, ENVELOPE_FLOOR)) * k_alpha
 
 
 def build_constraint_set(
     x: np.ndarray,
     certs: Sequence[CertificateSpec],
-    c: float,
     k_alpha: float,
 ) -> ConstraintSet:
     """Assemble the safety constraint set at x, one state (2,) or a batch (..., 2).
 
     Row j is the unit vector along dV_j/dx, which is -dh_j/dx normalised
     (V = exp(-h) only scales it), the offset is -alpha_j(V_j - level_j)
-    with the decay rate of certificate j's own level (decay_rate), and
-    every row carries the one norm coefficient c. The set keeps
-    each certificate's h and V, so a caller that needs them evaluates
+    with the decay rate of certificate j's own level (decay_rate). The set
+    keeps each certificate's h and V, so a caller that needs them evaluates
     nothing again. Where a certificate's gradient is undefined (a segment
     spine, a disc center) a single state raises and a batch row is NaN.
     One state runs on floats, with the array code's values.
@@ -203,10 +181,10 @@ def build_constraint_set(
             nrm = -math.sqrt(g0 * g0 + g1 * g1)      # a sum from 0: squares are never -0.0
             rows.append((g0 / nrm, g1 / nrm))
             value = float(ev.v)
-            b.append(-decay_rate(value - cert.level, cert.level, k_alpha, c))
+            b.append(-decay_rate(value - cert.level, cert.level, k_alpha))
             h.append(ev.h)
             v.append(value)
-        return ConstraintSet.planar(rows, b, c, h, v)
+        return ConstraintSet.planar(rows, b, h, v)
     # Rows (n_c, 2, N), h and V (n_c, N), states last (qp_solver.states_last).
     batch = x.shape[:-1]
     rows = np.empty((len(certs), x.shape[-1], math.prod(batch)))
@@ -221,17 +199,16 @@ def build_constraint_set(
     nrm = np.sqrt(sum_last_axis(np.square(rows).transpose(0, 2, 1)))
     rows /= np.negative(nrm, out=nrm)[:, None]              # the unit rows, in place
     levels = np.array([[cert.level] for cert in certs])         # a column, one per row
-    b = -decay_rate(v - levels, levels, k_alpha, c)
+    b = -decay_rate(v - levels, levels, k_alpha)
     return ConstraintSet(states_first(rows, batch), states_first(b, batch),
-                         c, h=states_first(h, batch), v=states_first(v, batch))
+                         h=states_first(h, batch), v=states_first(v, batch))
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
     """Quadratic-clearance rows for disc obstacles under velocity control.
 
     Row j is -grad h_j / |grad h_j| = -(x - o_j)/|x - o_j| with offset
-    h_j / |grad h_j| = h_j / (2 |x - o_j|) and zero norm coefficient; the
-    standard gap-crossing setup.
+    h_j / |grad h_j| = h_j / (2 |x - o_j|); the standard gap-crossing setup.
     """
     rows, offsets = [], []
     for cert in discs:
@@ -239,32 +216,31 @@ def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> Cons
         nrm = np.sqrt(np.sum(ev.grad_h * ev.grad_h, axis=-1))
         rows.append(-ev.grad_h / nrm[..., None])
         offsets.append(ev.h / nrm)
-    return ConstraintSet(np.stack(rows, axis=-2), np.stack(offsets, axis=-1), 0.0)
+    return ConstraintSet(np.stack(rows, axis=-2), np.stack(offsets, axis=-1))
 
 
 def lipschitz_selection(cs: ConstraintSet) -> np.ndarray:
     """Lipschitz anchor point of the constraint set, (n_u,) or (..., n_u).
 
-    With the set's one norm coefficient c, requires the pairwise offset
-    condition b_j/(1 + sgn(b_j) c) + b_k/(1 + sgn(b_k) c) >= 0 for j != k,
+    Requires the pairwise offset condition b_j + b_k >= 0 for j != k,
     which guarantees at most one offset below -DEFAULT_TOL. Returns zero
     when all offsets are nonnegative, else the negative row's direction
-    times b/(1 - c), summed over negative rows (a second one can only lie
-    within DEFAULT_TOL of zero). The point is verified against every row; a
+    times b, summed over negative rows (a second one can only lie within
+    DEFAULT_TOL of zero). The point is verified against every row; a
     violation means the certificates are not disjoint, or that offsets set
-    by hand lack decay_rate's negative-side steepening. For a single state
-    both failures raise SelectionConditionError; a batch gives NaN rows
-    there and where the set itself is NaN.
+    by hand do not meet the condition. For a single state both failures
+    raise SelectionConditionError; a batch gives NaN rows there and where
+    the set itself is NaN.
     """
     return selection_with_slack(cs)[0]
 
 
 def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
-    """lipschitz_selection and the slack b - a u - c|u| of every row at it,
-    shape (..., n_rows), from the one evaluation of the set that verifies
-    the point (none at a zero point, where a u + c|u| - b is 0.0 - b); NaN
-    rows where the selection is undefined."""
-    a, b, c = cs.a, cs.b, cs.c
+    """lipschitz_selection and the slack b - a u of every row at it, shape
+    (..., n_rows), from the one evaluation of the set that verifies the
+    point (none at a zero point, where a u - b is 0.0 - b); NaN rows where
+    the selection is undefined."""
+    a, b = cs.a, cs.b
     if cs.n_rows == 0:
         return np.zeros(b.shape[:-1] + (cs.n_u,)), np.zeros(b.shape)
     if b.ndim == 1:
@@ -274,20 +250,18 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     # (sum_last_axis), so a batch keeps the reductions' bits.
     batch = b.shape[:-1]
     rows, b = states_last(a, 2), states_last(b)                 # (n_c, n_u, N), (n_c, N)
-    scaled = b / (1.0 + np.sign(b) * c)
     failed = False
     if cs.n_rows >= 2:
         # The two smallest; with two rows that is both (their sum commutes).
-        two = scaled if cs.n_rows == 2 else np.partition(scaled, 1, axis=0)[:2]
+        two = b if cs.n_rows == 2 else np.partition(b, 1, axis=0)[:2]
         failed = sum_last_axis(two.T) < -DEFAULT_TOL
     w = np.minimum(b, 0.0)
-    w /= 1.0 - c
     u = np.zeros((cs.n_u, b.shape[1]))      # np.add.reduce starts at 0.0: -0.0 sums to 0.0
     for j in range(cs.n_rows):
         u += w[j] * rows[j]
-    # Where u is exactly 0 (its rows then finite) a u is +-0 and c|u| is 0,
-    # so a u + c|u| - b has the bits of 0.0 - b; the products a u run only
-    # on the other states.
+    # Where u is exactly 0 (its rows then finite) a u is +-0 and the
+    # violation is taken as 0.0 - b; the products a u run only on the
+    # other states.
     viol = np.subtract(0.0, b)
     moved = np.flatnonzero((u != 0.0).any(axis=0))
     if moved.size:
@@ -304,24 +278,23 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
 
 def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """selection_with_slack for one state's set, on floats with the batch
-    code's values (np.sign, np.minimum and the row sum in its order, -0.0
-    and NaN included); the set evaluates itself at a nonzero point once,
-    and not at all at a zero one."""
-    b, c = cs.b.tolist(), cs.c
-    scaled = [q / (1.0 + c) if q > 0.0 else q / (1.0 - c) if q < 0.0 else q for q in b]
+    code's values (np.minimum and the row sum in its order, -0.0 and NaN
+    included); the set evaluates itself at a nonzero point once, and not at
+    all at a zero one."""
+    b = cs.b.tolist()
     # The two smallest, NaN last: a NaN among them makes the sum NaN.
-    two = sorted([q for q in scaled if q == q])[:2]
+    two = sorted([q for q in b if q == q])[:2]
     if len(two) == 2 and two[0] + two[1] < -DEFAULT_TOL:
         # Their rows as a stable argsort orders them.
-        lo, second = sorted(range(len(b)), key=lambda k: (scaled[k] != scaled[k], scaled[k]))[:2]
+        lo, second = sorted(range(len(b)), key=lambda k: (b[k] != b[k], b[k]))[:2]
         raise SelectionConditionError(
             f"offset condition fails for rows ({lo}, {second}): "
-            f"{scaled[lo]:.6g} + {scaled[second]:.6g} < 0",
+            f"{b[lo]:.6g} + {b[second]:.6g} < 0",
             pair=(lo, second),
         )
     u = [0.0] * cs.n_u                  # np.add.reduce starts at 0.0: -0.0 sums to 0.0
     for q, row in zip(b, cs.a.tolist()):
-        w = (q if q < 0.0 or q != q else 0.0) / (1.0 - c)
+        w = q if q < 0.0 or q != q else 0.0
         u = [s + w * p for s, p in zip(u, row)]
     selection = np.array(u)
     # As in a batch, a zero u (its rows then finite) has the violations 0.0 - b.
@@ -349,19 +322,18 @@ def rate_condition_audit(
     threshold: float,
     theta: float,
     gamma_w_slope: float,
-    c: float,
     v_max: float,
 ) -> RateConditionReport:
-    """Check alpha_j((t-v)/t * V) >= theta V + (1 + c) V/gw for V in
-    [t, v_max] (alpha_j the decay rate of slope k_alpha at the level v, t the
-    threshold, c the norm coefficient) at its two endpoints: the rate's log1p
-    is concave in V and the drift linear, so the margin is least at one. The
-    report names the first; np.argmin takes a NaN first, which fails."""
+    """Check alpha_j((t-v)/t * V) >= theta V + V/gw for V in [t, v_max]
+    (alpha_j the decay rate of slope k_alpha at the level v, t the
+    threshold) at its two endpoints: the rate's log1p is concave in V and
+    the drift linear, so the margin is least at one. The report names the
+    first; np.argmin takes a NaN first, which fails."""
     if threshold <= level:
         raise ValueError("threshold must exceed the certificate level")
     vs = np.array([threshold, max(v_max, threshold)])
     frac = (threshold - level) / threshold
-    margins = decay_rate(frac * vs, level, k_alpha, c) - (theta * vs + (1.0 + c) * (vs / gamma_w_slope))
+    margins = decay_rate(frac * vs, level, k_alpha) - (theta * vs + vs / gamma_w_slope)
     k = int(np.argmin(margins))
     return RateConditionReport(
         threshold=threshold,

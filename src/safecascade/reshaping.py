@@ -1,17 +1,17 @@
 """Feasible-set reshaping onto a positive basis.
 
-Replaces the norm-augmented feasible set {a u + c|u| <= b} with an inner
-polyhedron {A_L u <= b_L} built on a positive basis A_L, anchored at a
-Lipschitz selection point. The polyhedral set inherits the selection's
-Lipschitz regularity, so projecting a nominal input onto it produces a
-control law with a constructive Lipschitz constant, which the raw
-norm-augmented projection does not have.
+Replaces the feasible set {a u <= b} with an inner polyhedron
+{A_L u <= b_L} built on a positive basis A_L, anchored at a Lipschitz
+selection point. The polyhedral set inherits the selection's Lipschitz
+regularity, so projecting a nominal input onto it produces a control law
+with a constructive Lipschitz constant, which the raw projection does not
+have.
 
 The package is planar: a PositiveBasis is a fixed (read-only) set of rows
 (n_l, 2), which keeps its polygon structure (row norms, pair-vertex table)
-for every exact polygon projection. cbar_a is cached per (c_bar, c_a), and
-reshaped_filter hands the selection's verified slack to reshape_b_l instead
-of evaluating the set at it a second time.
+for every exact polygon projection. Reshaping needs a positive coverage
+constant c_a, and reshaped_filter hands the selection's verified slack to
+reshape_b_l instead of evaluating the set at it a second time.
 """
 from __future__ import annotations
 
@@ -80,8 +80,8 @@ class PositiveBasis:
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("basis rows must be unit vectors")
         # The minimal plane basis (three rows at 120 degrees) carries the
-        # constant cos(2*pi/3) = -1/2; reshaping later insists on a positive
-        # constant through its own cone-width condition.
+        # constant cos(2*pi/3) = -1/2; reshaping later insists on c_a > 0
+        # (coverage_constant).
         if not (-1.0 < self.c_a < 1.0):
             raise ValueError("coverage constant must lie in (-1, 1)")
         a_l.flags.writeable = False     # the kept polygon structure reads these rows
@@ -171,24 +171,14 @@ def validate_positive_basis(basis: PositiveBasis, samples: int = 500) -> BasisRe
     )
 
 
-@functools.lru_cache(maxsize=64)
-def cbar_a(c_bar: float, c_a: float) -> float:
-    """Effective coverage constant after absorbing the norm coefficient.
-
-    Requires c_a > cos(pi/2 - acos(sqrt(1 - c_bar^2))), i.e. the coverage
-    cone must stay wider than the uncertainty cone; returns
-    cos(acos(sqrt(1 - c_bar^2)) + acos(c_a)). Results are cached, since a
-    law reshapes with the same pair at every step; a failed condition is
-    not cached and raises on every call.
-    """
-    if not (0.0 <= c_bar < 1.0):
-        raise ValueError("c_bar must lie in [0, 1)")
-    opening = math.acos(math.sqrt(1.0 - c_bar * c_bar))
-    if c_a <= math.cos(math.pi / 2.0 - opening):
+def coverage_constant(basis: PositiveBasis) -> float:
+    """The basis's coverage constant c_a, which reshaping needs positive
+    (reshape_b_l weighs each slack by max(A_L a^T, c_a));
+    CoverageConditionError otherwise."""
+    if not basis.c_a > 0.0:
         raise CoverageConditionError(
-            f"coverage constant {c_a:.6g} too small for norm coefficient {c_bar:.6g}"
-        )
-    return math.cos(opening + math.acos(c_a))
+            f"coverage constant {basis.c_a:.6g} must be positive for reshaping")
+    return basis.c_a
 
 
 def reshape_b_l(
@@ -202,17 +192,17 @@ def reshape_b_l(
     approximation of cs around a feasible selection point.
 
     b_l = A_L s + rowwise-min over constraints of (phi1 + phi2) with
-    phi1 = max(A_L a^T, cbar_a) * (b - a s - c|s|)/(1 + c)  (columnwise)
-    phi2 = max(k_phi (cbar_a - A_L a^T), 0),
-    where c is the set's norm coefficient and cbar_a = cbar_a(c, c_a).
+    phi1 = max(A_L a^T, c_a) * (b - a s)  (columnwise)
+    phi2 = max(k_phi (c_a - A_L a^T), 0),
+    where c_a > 0 is the basis's coverage constant (coverage_constant).
     Both terms are nonnegative, so the selection always remains inside, and
-    the expansion stays within the original norm-augmented set. A batched
-    set gives b_l of shape (..., n_l); a selection outside its set raises
+    the expansion stays within the original set. A batched set gives b_l of
+    shape (..., n_l); a selection outside its set raises
     SelectionNotFeasibleError for a single state and gives a NaN row in a
-    batch. slack, when given, must be b - a s - c|s| at the selection (NaN
-    rows where it is undefined), as selection_with_slack returns it, and
-    saves evaluating the set again; given or computed, it is checked
-    against -DEFAULT_TOL the same way.
+    batch. slack, when given, must be b - a s at the selection (NaN rows
+    where it is undefined), as selection_with_slack returns it, and saves
+    evaluating the set again; given or computed, it is checked against
+    -DEFAULT_TOL the same way.
     """
     if k_phi < 0:
         raise ValueError("k_phi must be nonnegative")
@@ -230,10 +220,9 @@ def reshape_b_l(
     below = slack < -DEFAULT_TOL
     if below.any():
         slack = np.where(below.any(axis=0), np.nan, slack)
-    cbar_a_val = cbar_a(cs.c, basis.c_a)
+    c_a = coverage_constant(basis)
     a_l = basis.a_l
     scaled = np.maximum(slack, 0.0)                             # clip tolerance dust
-    scaled /= 1.0 + cs.c
     n_c, n_u = cs.a.shape[-2:]
     if scaled.shape[1] > 1 and n_c > 1:
         dots = columns_product(a_l, states_last(cs.a, 2))
@@ -241,10 +230,10 @@ def reshape_b_l(
         # numpy rounds a one-row product (vector path) unlike a matrix
         # product: one state or one row keeps the per-state product.
         dots = states_last(cs.a.reshape(-1, n_c, n_u) @ a_l.T, 2)
-    # phi = max(dots, cbar_a) * scaled + max(k_phi * (cbar_a - dots), 0), in place.
-    phi = np.maximum(dots, cbar_a_val)
+    # phi = max(dots, c_a) * scaled + max(k_phi * (c_a - dots), 0), in place.
+    phi = np.maximum(dots, c_a)
     phi *= scaled[:, None]
-    np.subtract(cbar_a_val, dots, out=dots)
+    np.subtract(c_a, dots, out=dots)
     dots *= k_phi
     phi += np.maximum(dots, 0.0, out=dots)
     b_l = phi[0]
@@ -264,13 +253,13 @@ def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: Posit
     product's +-0 changes no bit."""
     if any([q < -DEFAULT_TOL for q in slack]):
         raise SelectionNotFeasibleError("selection point violates the constraint set")
-    c, cb = cs.c, cbar_a(cs.c, basis.c_a)
+    c_a = coverage_constant(basis)
     a_t = basis.a_l.T
     b_l = None
     for q, dots in zip(slack, cs.a.dot(a_t).tolist()):
-        scaled = (q if q > 0.0 or q != q else 0.0) / (1.0 + c)      # clip tolerance dust
-        phi = [(d if d > cb or d != d else cb) * scaled
-               + (e if (e := k_phi * (cb - d)) > 0.0 or e != e else 0.0) for d in dots]
+        scaled = q if q > 0.0 or q != q else 0.0                    # clip tolerance dust
+        phi = [(d if d > c_a or d != d else c_a) * scaled
+               + (e if (e := k_phi * (c_a - d)) > 0.0 or e != e else 0.0) for d in dots]
         b_l = phi if b_l is None else [m if m < p or m != m else p for m, p in zip(b_l, phi)]
     if not any(selection.tolist()):                                # NaN is true
         return np.array(b_l)
@@ -333,21 +322,23 @@ def _active_states(nominal: np.ndarray, cs: ConstraintSet, basis: PositiveBasis)
     filter of the nominal u0 (2,) may not return u0.
 
     Every other state has finite rows and
-    t = cbar_a * (min_j b_j / (1 + c)) > max_l (A_L u0)_l + 4 eps |u0|_1.
+    t = c_a * min_j b_j > max_l (A_L u0)_l + 4 eps |u0|_1.
     The right side is >= 0 (a basis row meets u0 at an acute angle), so
     every b_j > 0: the selection is exactly 0 and its slack is b. Rounding
-    is monotone and each phi_jl = max(dots, cbar_a) * (b_j/(1 + c)) + (a
-    term >= 0) rounds as t does with larger operands, so b_l >= t (A_L 0
-    adds a zero). The projection's own A_L u0 rounds within 2 eps |u0|_1 of
-    this one for unit rows, so no row is violated and it returns u0. A NaN
-    b fails the test; a spine point has a finite b but a NaN row. A state
+    is monotone and each phi_jl = max(dots, c_a) * b_j + (a term >= 0)
+    rounds as t does with larger operands, so b_l >= t (A_L 0 adds a
+    zero). The projection's own A_L u0 rounds within 2 eps |u0|_1 of this
+    one for unit rows, so no row is violated and it returns u0. A NaN b
+    fails the test; a spine point has a finite b but a NaN row. A state
     whose finite rows all have b = +inf, which every u meets, passes it:
-    cbar_a > 0, so t = +inf.
+    t = +inf. The test needs c_a > 0 (with c_a <= 0 and every b_j < 0, t
+    would pass it), so a basis without it raises CoverageConditionError
+    here, before any state gets the nominal.
     """
+    c_a = coverage_constant(basis)
     rows, b = states_last(cs.a, 2), states_last(cs.b)          # (n_c, 2, N), (n_c, N)
     low = np.minimum.reduce(b, axis=0)
-    low /= 1.0 + cs.c
-    low *= cbar_a(cs.c, basis.c_a)
+    low *= c_a
     u0 = nominal.tolist()
     reach = float(np.max(basis.a_l.dot(nominal))) + 4.0 * math.ulp(1.0) * (abs(u0[0]) + abs(u0[1]))
     active = ~(low > reach)

@@ -73,7 +73,7 @@ from .certificates import (  # noqa: F401
 from .errors import ConfigError, DegenerateGeometryError, SafecascadeError
 from .qcqp_safety import RateConditionReport, rate_condition_audit
 from .qp_solver import states_last
-from .reshaping import MAX_DIRECTIONS, PositiveBasis, cbar_a, make_positive_basis
+from .reshaping import MAX_DIRECTIONS, PositiveBasis, make_positive_basis
 from .sim import IDENTIFIED_T2, IDENTIFIED_T3, IDENTIFIED_T4, IntegratorChain, PlantModel, VelocityLoop, VtolNonlinear
 
 
@@ -367,26 +367,18 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     if threshold <= level:
         raise ConfigError(f"certificate.threshold must be above certificate.level {level}, "
                           f"got {threshold}")
-    # The norm coefficient: the bundled plants' input gain is exact.
-    c = 0.0
     nominal = cfg["nominal.value"]
     if nominal is None:
         raise ConfigError("need nominal.value")
 
-    basis = None
-    if certs:
-        try:
-            basis = make_positive_basis(cfg["reshape.directions"])
-            # The coverage condition every reshaping checks; a basis that
-            # fails it would stop every run at its first step.
-            cbar_a(c, basis.c_a)
-        except SafecascadeError as exc:
-            raise ConfigError(f"reshape: {exc}") from exc
+    # Every admitted direction count (odd, 5 to 101) builds a basis with
+    # c_a = cos(2 pi / n_l) > 0, the one condition reshaping checks.
+    basis = make_positive_basis(cfg["reshape.directions"]) if certs else None
 
     x_lo, x_hi, y_lo, y_hi = cfg["sim.workspace_m"]
     workspace = ((x_lo, x_hi), (y_lo, y_hi))
     # One law serves the k1 estimate and the controller.
-    law = SafetyLaw(certs, nominal, basis, c, cfg["rate.k_alpha"], cfg["reshape.k_phi"])
+    law = SafetyLaw(certs, nominal, basis, cfg["rate.k_alpha"], cfg["reshape.k_phi"])
     k1_estimated = levels > 1 and cfg["cascade.k1"] == "estimate"
     gains = None
     if levels > 1:
@@ -436,7 +428,7 @@ def estimate_safety_law_lipschitz(law: SafetyLaw, workspace, grid: int) -> float
         try:
             if not law.certs:
                 return law.evaluate(x)[0]
-            cs = cascade.build_constraint_set(x, law.certs, law.c, law.k_alpha)
+            cs = cascade.build_constraint_set(x, law.certs, law.k_alpha)
             h, inside = states_last(cs.h), np.zeros(x.shape[0], dtype=bool)
             for j in segments:
                 inside |= h[j] < 0
@@ -506,4 +498,4 @@ class DesignReport:
         v_max = max(math.exp(c.geometry.radius ** 2 if isinstance(c.geometry, Disc) else c.safe_distance)
                     for c in law.certs)
         return rate_condition_audit(law.k_alpha, law.certs[0].level, threshold, s.config["cascade.theta"],
-                                    s.config["cascade.gamma_12_slope"], law.c, v_max=max(v_max, threshold * 1.01))
+                                    s.config["cascade.gamma_12_slope"], v_max=max(v_max, threshold * 1.01))

@@ -66,25 +66,30 @@ def outcome(fn):
 
 
 def one_state_sets(seed: int, count: int):
-    """Seeded one-state sets (a, b, c) of 1-4 unit rows: offsets across
+    """Seeded one-state sets (a, b) of 1-4 unit rows: offsets across
     scales, some NaN, some a signed zero, and some with a second row
     opposite a negative first one and its offset on the pair condition's
     bound within a few tolerances, where the selection's checks decide.
-    Some carry a NaN row with a positive offset, as a disc point far enough
-    out for its gradient to overflow gives, half of them with every offset
-    positive."""
+    Some four-row sets have three rows opposite the first, each with an
+    offset of about -4e-10: every pair meets the condition within its
+    tolerance, but their sum, the selection, violates the first row by more
+    than it. Some carry a NaN row with a positive offset, as a disc point
+    far enough out for its gradient to overflow gives, half of them with
+    every offset positive."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         n = 1 + k % 4
-        c = (0.0, 0.1, 0.9)[k % 3]
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
         a = np.column_stack([np.cos(angles), np.sin(angles)])
         b = rng.normal(size=n) * 10.0 ** rng.integers(-10, 1)
         if n >= 2 and k % 5 == 0:
             a[1] = -a[0]
             b[0] = -rng.uniform(0.1, 1.0)
-            b[1] = (-b[0] / (1.0 - c) - rng.uniform(0.0, 3e-9)) * (1.0 + c)
+            b[1] = -b[0] - rng.uniform(0.0, 3e-9)
             b[2:] = np.abs(b[2:]) + 10.0
+        if n == 4 and k % 19 == 3:
+            a[1:] = -a[0]
+            b = np.array([-4.0e-10, -4.1e-10, -4.2e-10, -4.3e-10])
         if k % 11 == 0:
             b[rng.integers(n)] = np.nan
         if k % 13 == 0:
@@ -94,4 +99,4 @@ def one_state_sets(seed: int, count: int):
             b[-1] = 1.0
             if k % 2 == 0:
                 b = np.abs(b) + 1e-3
-        yield a, b, c
+        yield a, b

@@ -318,12 +318,15 @@ def one_state_b_l(selection, slack, a, c, a_l, c_a, k_phi):
 
 
 def _cbar(c, c_a):
-    """The effective coverage constant cos(acos(sqrt(1 - c^2)) + acos(c_a))."""
-    opening = math.acos(math.sqrt(1.0 - c * c))
-    if c_a <= math.cos(math.pi / 2.0 - opening):
-        raise _errors().CoverageConditionError(
-            f"coverage constant {c_a:.6g} too small for norm coefficient {c:.6g}")
-    return math.cos(opening + math.acos(c_a))
+    """The coverage constant the rows are weighed with, for exact input
+    gains (c = 0): c_a itself, which must be positive. The former effective
+    constant cos(acos(sqrt(1 - c^2)) + acos(c_a)) is cos(acos(c_a)) there,
+    which equals c_a at every basis make_positive_basis builds but rounds
+    off a stated one such as 0.05."""
+    assert c == 0.0, "the package treats exact input gains only"
+    if not c_a > 0.0:
+        raise _errors().CoverageConditionError(f"coverage constant {c_a:.6g} must be positive for reshaping")
+    return c_a
 
 
 def one_state_projection(u0, a_l, b):

@@ -35,7 +35,7 @@ def test_trace_hooks_install_record_and_restore():
     try:
         # The constraint set evaluates its certificates through the rebound
         # module names, so both geometries show up as certificate spans.
-        qcqp_safety.build_constraint_set(x, [wall, disc], 0.0, 1.0)
+        qcqp_safety.build_constraint_set(x, [wall, disc], 1.0)
         sim.certificate_value(wall, x)
     finally:
         tracer.restore()
@@ -57,7 +57,7 @@ def test_traced_batched_law_and_single_evaluate():
     tracer = Tracer()
     install_trace(tracer)
     try:
-        law = SafetyLaw(walls, np.array([0.6, 1.0]), basis, 0.0, 1.0, k_phi=2.0)
+        law = SafetyLaw(walls, np.array([0.6, 1.0]), basis, 1.0, k_phi=2.0)
         controller = CascadeController(law, gains)
         k1 = scenario.estimate_safety_law_lipschitz(law, ((-3.0, 6.0), (-0.5, 12.0)), grid=5)
         ev = controller.evaluate([np.array([-2.0, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2)])
@@ -79,7 +79,7 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
     # though the controller was built before the hooks were installed.
     walls = [CertificateSpec(Segment([-2.5, 1.5], [1.5, 2.0]), safe_distance=0.35),
              CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35)]
-    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(11), 0.0, 1.0, k_phi=2.0)
+    law = SafetyLaw(walls, np.array([0.6, 1.0]), make_positive_basis(11), 1.0, k_phi=2.0)
     controller = CascadeController(law, CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49))
     x0 = np.zeros(8)
     x0[:2] = [-2.0, 1.0]

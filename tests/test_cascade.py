@@ -60,36 +60,35 @@ FROZEN_K1_GRID_ESTIMATE = 6.3408
 
 def test_tracking_law_identity_reduction():
     e = np.array([0.3, -1.2])
-    out = tracking_law(e, 0.0, 5.0)
+    out = tracking_law(e, 5.0)
     np.testing.assert_allclose(out, -5.0 * e, atol=1e-12)
 
 
 def test_tracking_law_zero_error():
-    np.testing.assert_array_equal(tracking_law(np.zeros(2), 0.0, 3.0), np.zeros(2))
+    np.testing.assert_array_equal(tracking_law(np.zeros(2), 3.0), np.zeros(2))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    c=st.floats(0.0, 0.72),
     slope=st.floats(0.1, 10.0),
     ex=st.floats(-3.0, 3.0),
     ey=st.floats(-3.0, 3.0),
 )
-def test_tracking_law_meets_row_with_equality(c, slope, ex, ey):
+def test_tracking_law_meets_row_with_equality(slope, ex, ey):
     e = np.array([ex, ey])
     if np.linalg.norm(e) < 1e-6:
         e = np.array([1.0, 0.0])
-    u = tracking_law(e, c, slope)
+    u = tracking_law(e, slope)
     direction = e / np.linalg.norm(e)
-    lhs = float(direction @ u) + c * float(np.linalg.norm(u))
+    lhs = float(direction @ u)
     assert lhs == pytest.approx(-slope * float(np.linalg.norm(e)), rel=1e-9, abs=1e-9)
 
 
 def test_tracking_law_positive_homogeneity():
     e = np.array([0.4, 0.9])
-    base = tracking_law(e, 0.0, 2.0)
+    base = tracking_law(e, 2.0)
     for lam in (0.5, 3.0, 11.0):
-        np.testing.assert_allclose(tracking_law(lam * e, 0.0, 2.0), lam * base, atol=1e-12)
+        np.testing.assert_allclose(tracking_law(lam * e, 2.0), lam * base, atol=1e-12)
 
 
 def test_tracking_law_norms_match_linalg_norm_bit_for_bit():
@@ -97,33 +96,29 @@ def test_tracking_law_norms_match_linalg_norm_bit_for_bit():
     # vector, and it applies the vector formula entry by entry on floats:
     # the vector formula written with np.linalg.norm gives the same bits at
     # the stock gains.
-    c = 0.2
     rng = np.random.default_rng(11)
     for slope in (7.0, 8.0, 320.0, 4.0e5):
         for e in rng.normal(scale=10.0 ** rng.integers(-6, 6, size=(200, 1)), size=(200, 2)):
-            scale = 1.0 / (1.0 - c)
             nrm = float(np.linalg.norm(e))
-            assert_same_bits(tracking_law(e, c, slope), -(e / nrm) * scale * slope * nrm)
+            assert_same_bits(tracking_law(e, slope), -(e / nrm) * slope * nrm)
 
 
 def test_controller_levels_call_tracking_law_per_slope(monkeypatch):
-    # Level i's input is tracking_law(x_i - x*_i, the law's c, K_i),
-    # called through the cascade module's name (the benchmark's trace hooks
-    # rebind it).
-    c = 0.2
-    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), c, 1.0, 2.0)
+    # Level i's input is tracking_law(x_i - x*_i, K_i), called through the
+    # cascade module's name (the benchmark's trace hooks rebind it).
+    law = SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), 1.0, 2.0)
     controller = CascadeController(law, STOCK_GAINS)
     rng = np.random.default_rng(5)
     blocks = [np.array([-2.0, 1.0]), *rng.normal(size=(3, 2))]
     ev = controller.evaluate(blocks)
     for i, slope in enumerate(STOCK_GAINS.tracking_slopes, start=1):
         np.testing.assert_array_equal(ev.x_stars[i],
-                                      tracking_law(blocks[i] - ev.x_stars[i - 1], c, slope))
+                                      tracking_law(blocks[i] - ev.x_stars[i - 1], slope))
     seen = []
     monkeypatch.setattr(cascade, "tracking_law",
-                        lambda e, b, k: seen.append((b, k)) or np.zeros(2))
+                        lambda e, k: seen.append(k) or np.zeros(2))
     controller.evaluate(blocks)
-    assert seen == [(c, k) for k in STOCK_GAINS.tracking_slopes]
+    assert seen == list(STOCK_GAINS.tracking_slopes)
 
 
 # ----------------------------------------------------------------- ledger
@@ -231,8 +226,7 @@ def test_small_gain_flags_tau_below_one():
 # -------------------------------------------------------------- controller
 
 def wall_law():
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), 0.0, 1.0,
-                     k_phi=2.0)
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), 1.0, k_phi=2.0)
 
 
 def build_wall_controller(gains):
@@ -395,20 +389,17 @@ def _single_or_nan(law, x):
 
 
 def _outer_laws(n_l=11):
-    """Outer laws over walls, overlapping discs, an uncertain input gain
-    (c > 0), whose rate is steepened for it, and walls at levels 1 and 2
+    """Outer laws over walls, overlapping discs, and walls at levels 1 and 2
     with the slope 1.5, each row through its own level's envelope, on a
     basis of n_l directions."""
     basis = make_positive_basis(n_l)
     nominal = np.array([0.6, 1.0])
     discs = [CertificateSpec(Disc([0.0, 6.0], 1.0)), CertificateSpec(Disc([0.8, 6.0], 1.0))]
-    c = 0.1
     return {
-        "walls": SafetyLaw(WALLS, nominal, basis, 0.0, 1.0, k_phi=2.0),
-        "discs": SafetyLaw(discs, nominal, basis, 0.0, 1.0, k_phi=1.0),
-        "uncertain": SafetyLaw(WALLS, nominal, basis, c, 1.0, k_phi=2.0),
+        "walls": SafetyLaw(WALLS, nominal, basis, 1.0, k_phi=2.0),
+        "discs": SafetyLaw(discs, nominal, basis, 1.0, k_phi=1.0),
         "levels": SafetyLaw([WALLS[0], CertificateSpec(WALLS[1].geometry, 0.35, level=2.0)],
-                            nominal, basis, 0.0, 1.5, k_phi=2.0),
+                            nominal, basis, 1.5, k_phi=2.0),
     }
 
 
@@ -477,7 +468,7 @@ def test_one_state_and_batches_of_every_width_give_the_same_bits(n_l):
         twos = np.concatenate([law.evaluate(states[k:k + 2])[0] for k in range(0, states.shape[0], 2)])
         for got, want in ((whole, single), (wide, np.tile(single, (7, 1))), (ones, single), (twos, single)):
             _assert_same_bits(got, want, f"{name} at n_l = {n_l}")
-        selection = lipschitz_selection(build_constraint_set(states, law.certs, law.c, law.k_alpha))
+        selection = lipschitz_selection(build_constraint_set(states, law.certs, law.k_alpha))
         assert ((selection != 0.0) & np.isfinite(selection)).any(axis=1).sum() > 10, name
 
 
@@ -485,7 +476,7 @@ def _composed(law, x):
     """The law rebuilt from the public functions, which derive every
     constant the law keeps on each call."""
     nominal = np.broadcast_to(law.nominal, np.shape(x))
-    cs = build_constraint_set(x, law.certs, law.c, law.k_alpha)
+    cs = build_constraint_set(x, law.certs, law.k_alpha)
     b_l = reshape_b_l(lipschitz_selection(cs), cs, law.basis, law.k_phi)
     return PolygonRows(law.basis.a_l).project(nominal, b_l), cs.h, cs.v
 
@@ -499,11 +490,11 @@ def _assert_same_bits(got, want, msg):
 
 
 def _with_narrow(laws):
-    """laws plus "narrow": the uncertain law on a basis whose coverage
-    constant is below its norm coefficient, so every reshaping fails."""
-    walls = laws["uncertain"]
-    laws["narrow"] = SafetyLaw(WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.05),
-                               walls.c, walls.k_alpha, k_phi=2.0)
+    """laws plus "narrow": the walls law on a basis whose coverage constant
+    is zero, which reshaping refuses, so every reshaping fails."""
+    walls = laws["walls"]
+    laws["narrow"] = SafetyLaw(WALLS, walls.nominal, PositiveBasis(walls.basis.a_l, 0.0),
+                               walls.k_alpha, k_phi=2.0)
     return laws
 
 
@@ -515,8 +506,7 @@ def test_law_with_kept_constants_equals_the_public_composition_bit_for_bit():
     # rebuilds the polygon structure on every call. Both must give
     # the same bits, with the same exception for a single state and the
     # same NaN rows in a batch.
-    # "narrow" has a coverage constant below the norm coefficient, so its
-    # reshaping fails at every state, single or batched, after any failure
+    # "narrow" has a coverage constant of zero, so its reshaping fails at every state, single or batched, after any failure
     # the set or the selection raises first.
     states = _outer_law_states(20240607)
     laws = _with_narrow(_outer_laws())
@@ -549,8 +539,8 @@ def test_laws_sharing_one_basis_keep_their_own_nominal_products():
     # whichever law ran last. Evaluating leaves each nominal read-only.
     basis = make_positive_basis(11)
     nominals = (np.array([0.6, 1.0]), np.array([-1.7, 0.3]))
-    shared = [SafetyLaw(WALLS, u0, basis, 0.0, 1.0, k_phi=2.0) for u0 in nominals]
-    alone = [SafetyLaw(WALLS, u0, make_positive_basis(11), 0.0, 1.0, k_phi=2.0) for u0 in nominals]
+    shared = [SafetyLaw(WALLS, u0, basis, 1.0, k_phi=2.0) for u0 in nominals]
+    alone = [SafetyLaw(WALLS, u0, make_positive_basis(11), 1.0, k_phi=2.0) for u0 in nominals]
     for law, u0 in zip(shared, nominals):
         assert_same_bits(law.nominal_dots, row_product(u0, basis.polygon.a_t))
         assert not law.nominal_dots.flags.writeable
@@ -570,8 +560,8 @@ def test_laws_sharing_one_basis_keep_their_own_nominal_products():
 
 
 def _law_args(law):
-    """one_state_law's arguments after the state."""
-    return (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, law.c, law.k_alpha, law.k_phi)
+    """one_state_law's arguments after the state, at exact input gains (c = 0)."""
+    return (law.certs, law.nominal, law.basis.a_l, law.basis.c_a, 0.0, law.k_alpha, law.k_phi)
 
 
 def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
@@ -598,7 +588,7 @@ def test_one_state_law_on_floats_equals_the_array_reference_bit_for_bit():
     assert {("walls", "ZeroGradientError", "query"), ("discs", "AtCenterError", "query"),
             ("discs", "SelectionConditionError", "offset"),
             ("narrow", "CoverageConditionError", "coverage")} <= seen
-    for name in ("walls", "discs", "uncertain", "levels"):
+    for name in ("walls", "discs", "levels"):
         assert {(name, stage, False) for stage in ("inside", "edge", "vertex")} <= seen, name
         assert (name, "nan", True) in seen, name
 
@@ -607,10 +597,9 @@ def _assert_same_step(controller, blocks):
     """controller.evaluate(blocks) against oracles.one_state_controller:
     the same bits for every virtual control, h and V, or the same error."""
     law = controller.rho1
-    scale = 1.0 / (1.0 - law.c)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        want = outcome(lambda: one_state_controller(blocks, _law_args(law), scale,
+        want = outcome(lambda: one_state_controller(blocks, _law_args(law), 1.0,
                                                     controller.gains.tracking_slopes))
         got = outcome(lambda: controller.evaluate(blocks))
     if isinstance(want, Raised):
@@ -654,7 +643,7 @@ def test_controller_step_equals_the_vector_reference_bit_for_bit():
                 blocks.append(star + errors[(k + level) % len(errors)]())
                 e = np.linalg.norm(blocks[-1] - star)
                 seen.add("nan" if np.isnan(e) else "zero" if e == 0.0 else "tiny" if e <= 1e-15 else "large")
-                star = tracking_law(blocks[-1] - star, law.c, slope)
+                star = tracking_law(blocks[-1] - star, slope)
             seen.add(type(_assert_same_step(controller, blocks)).__name__)
     assert seen == {"zero", "tiny", "nan", "large", "Raised", "tuple"}
 
@@ -665,29 +654,29 @@ def test_batched_law_equals_the_array_reference_bit_for_bit():
     # same law with numpy's reductions and a new array for every step. Same
     # bits for the set (a, b, h, V) and for u, h and V, NaN rows included,
     # over the spines, two discs, three certificates (the partition of the
-    # offsets), c > 0 and bases of 3, 11 and 21 rows, with the states in C
+    # offsets) and bases of 3, 11 and 21 rows, with the states in C
     # order, Fortran order and a transposed view; "narrow" fails its
     # reshaping for the whole batch.
     states = np.vstack([_outer_law_states(16180339), [[np.nan, 1.0], [0.0, np.nan]]])
     laws = _with_narrow(_outer_laws())
     walls = laws["walls"]
     laws["three"] = SafetyLaw([*WALLS, CertificateSpec(Disc([0.8, 6.0], 1.0))], walls.nominal,
-                              walls.basis, walls.c, walls.k_alpha, k_phi=2.0)
+                              walls.basis, walls.k_alpha, k_phi=2.0)
     # Three rows at 120 degrees carry the constant -1/2, which fails the
     # coverage condition; stated as 0.05, the reshaping runs on three rows.
     for n_l, basis in ((3, PositiveBasis(make_positive_basis(3).a_l, 0.05)),
                        (21, make_positive_basis(21))):
-        laws[f"{n_l} rows"] = SafetyLaw(WALLS, walls.nominal, basis, walls.c, walls.k_alpha, k_phi=2.0)
+        laws[f"{n_l} rows"] = SafetyLaw(WALLS, walls.nominal, basis, walls.k_alpha, k_phi=2.0)
     for name, law in laws.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            want_set = batch_set(states, law.certs, law.k_alpha, law.c)
+            want_set = batch_set(states, law.certs, law.k_alpha, 0.0)
             want = outcome(lambda: batch_law(states, law.certs, law.nominal, law.basis.a_l, law.basis.c_a,
-                                             law.c, law.k_alpha, law.k_phi))
+                                             0.0, law.k_alpha, law.k_phi))
         for layout, x in layouts(states):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                cs = build_constraint_set(x, law.certs, law.c, law.k_alpha)
+                cs = build_constraint_set(x, law.certs, law.k_alpha)
                 for got, ref in zip((cs.a, cs.b, cs.h, cs.v), want_set):
                     assert_same_bits(got, ref)
                 got = outcome(lambda: law.evaluate(x))
@@ -833,7 +822,7 @@ def test_no_masked_state_reaches_the_reshaping_or_the_projection(monkeypatch):
     law, workspace = _variant("stock")
     want = 0
     for block in np.split(_grid_states(workspace, 200), 10):
-        cs = build_constraint_set(block, law.certs, law.c, law.k_alpha)
+        cs = build_constraint_set(block, law.certs, law.k_alpha)
         active = reshaping._active_states(law.nominal, cs, law.basis)
         want += int((cs.h[active] >= 0).all(axis=1).sum())
     seen = filter_calls(monkeypatch)
@@ -874,7 +863,7 @@ def test_a_spine_state_inside_its_capsule_stays_nan(monkeypatch):
 
 
 def test_a_law_without_certificates_estimates_zero(monkeypatch):
-    law = SafetyLaw([], np.array([0.6, 1.0]), None, 0.0, 1.0, k_phi=2.0)
+    law = SafetyLaw([], np.array([0.6, 1.0]), None, 1.0, k_phi=2.0)
     k1, fn = _estimate_and_map(monkeypatch, law, ((-3.0, 6.0), (-0.5, 12.0)), 20)
     assert k1 == 0.0
     states = _grid_states(((-3.0, 6.0), (-0.5, 12.0)), 20)

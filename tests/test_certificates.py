@@ -181,8 +181,8 @@ def test_disc_center_rejected():
 
 
 def envelope_inverse(offset, level):
-    """The decay rate of slope 1 at c = 0: log1p(offset / level), clamped."""
-    return decay_rate(offset, level, 1.0, 0.0)
+    """The decay rate of slope 1: log1p(offset / level), clamped."""
+    return decay_rate(offset, level, 1.0)
 
 
 def test_alpha_bar_exponential_values():

@@ -20,7 +20,6 @@ from safecascade import reshaping
 from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 from safecascade.reshaping import (
     PositiveBasis,
-    cbar_a,
     make_positive_basis,
     polytope_vertices_2d,
     reshape_b_l,
@@ -36,9 +35,9 @@ GAP_DISCS = [CertificateSpec(Disc([0.0, 1.0], 0.99)), CertificateSpec(Disc([0.0,
 NOMINAL = np.array([1.0, 0.0])
 
 
-def cs_of(a, b, c=0.0):
+def cs_of(a, b):
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    return ConstraintSet(a, np.asarray(b, dtype=float), c)
+    return ConstraintSet(a, np.asarray(b, dtype=float))
 
 
 # -------------------------------------------------------------------- basis
@@ -129,35 +128,32 @@ def test_cone_coverage_matches_nnls_on_a_duplicated_row():
     np.testing.assert_array_equal(report.first_failure, first)
 
 
-# ------------------------------------------------------------------- cbar_a
+# ------------------------------------------------------- the coverage condition
 
-def test_cbar_a_identity_at_zero_uncertainty():
-    assert cbar_a(0.0, 0.77) == pytest.approx(0.77, abs=1e-12)
-    c_a = math.cos(2.0 * math.pi / 11.0)
-    assert cbar_a(0.0, c_a) == pytest.approx(0.841254, abs=1e-6)
-
-
-def test_cbar_a_angle_addition_cross_check():
-    c_bar, c_a = 0.3, 0.95
-    direct = cbar_a(c_bar, c_a)
-    # cos(u + v) = cos u cos v - sin u sin v with u = asin(c_bar).
-    u = math.asin(c_bar)
-    v = math.acos(c_a)
-    expected = math.cos(u) * math.cos(v) - math.sin(u) * math.sin(v)
-    assert direct == pytest.approx(expected, abs=1e-12)
-    assert direct > 0.0
-
-
-def test_cbar_a_condition_guard():
-    with pytest.raises(CoverageConditionError):
-        cbar_a(0.5, 0.4)   # coverage cone narrower than the uncertainty cone
-    with pytest.raises(CoverageConditionError):
-        # The minimal three-direction basis has a negative constant and is
-        # therefore not usable for reshaping, only for spanning.
-        cbar_a(0.0, math.cos(2.0 * math.pi / 3.0))
-    # The cache keeps results only: a failed condition raises every time.
-    with pytest.raises(CoverageConditionError):
-        cbar_a(0.5, 0.4)
+@pytest.mark.parametrize("basis", [make_positive_basis(3), PositiveBasis(make_positive_basis(11).a_l, 0.0)],
+                         ids=["three", "zero"])
+def test_a_basis_without_positive_coverage_refuses_to_reshape(basis):
+    # Reshaping needs c_a > 0, which neither the minimal three-direction
+    # basis (c_a = -1/2) nor eleven rows stated at c_a = 0 has. Without it,
+    # reshape_b_l and the filter raise CoverageConditionError for one
+    # state, and so does the filter on a batch whose every state has a
+    # negative least offset, where c_a * min_j b_j > 0 would otherwise pass
+    # every state's inactive test and hand each the nominal: at c_a = -1/2
+    # that product is at least 0.05, above this nominal's reach 0.01.
+    message = f"coverage constant {basis.c_a:.6g} must be positive for reshaping"
+    nominal = np.array([0.01, 0.0])
+    cs = cs_of([[1.0, 0.0], [0.0, 1.0]], [-0.5, 2.0])
+    with pytest.raises(CoverageConditionError, match=message):
+        reshape_b_l(lipschitz_selection(cs), cs, basis, 1.0)
+    with pytest.raises(CoverageConditionError, match=message):
+        reshaped_filter(nominal, cs, basis, 1.0)
+    rows = np.broadcast_to([[1.0, 0.0], [0.0, 1.0]], (40, 2, 2))
+    batch = ConstraintSet(rows, np.column_stack([np.linspace(-0.9, -0.1, 40), np.full(40, 2.0)]))
+    with pytest.raises(CoverageConditionError, match=message):
+        reshaped_filter(nominal, batch, basis, 1.0)
+    # A basis keeps its constant whatever it is: basis-check prints the
+    # three-direction basis at -0.5.
+    assert basis.c_a <= 0.0
 
 
 def test_basis_rows_are_a_read_only_copy():
@@ -255,7 +251,7 @@ def test_single_state_filter_evaluates_its_set_once(monkeypatch):
     monkeypatch.setattr(ConstraintSet, "violations",
                         lambda self, u: calls.append(u) or violations(self, u))
     for x, evaluations in (([-2.0, 1.0], 0), ([0.0, 0.75], 1)):
-        cs = build_constraint_set(np.array(x), walls, 0.0, 1.0)
+        cs = build_constraint_set(np.array(x), walls, 1.0)
         selection = lipschitz_selection(cs)
         calls.clear()
         out = reshaped_filter(np.array([0.6, 1.0]), cs, basis, 2.0)
@@ -270,13 +266,13 @@ def test_one_state_reshape_on_floats_equals_the_array_reference_bit_for_bit():
     # One state's b_l runs on floats; oracles.one_state_b_l is the same
     # arithmetic on numpy arrays. Same bits (NaN and the sign of zero
     # included) and the same errors: a selection outside its set, given or
-    # drawn (slack computed), and a coverage constant too small for c.
+    # drawn (slack computed), and a coverage constant that is not positive.
     rng = np.random.default_rng(31337)
     basis = make_positive_basis(11)
-    narrow = PositiveBasis(basis.a_l, 0.05)
+    narrow = PositiveBasis(basis.a_l, 0.0)
     seen = set()
-    for k, (a, b, c) in enumerate(one_state_sets(2024, 3000)):
-        cs = ConstraintSet(a, b, c)
+    for k, (a, b) in enumerate(one_state_sets(2024, 3000)):
+        cs = ConstraintSet(a, b)
         on = (basis, narrow)[k % 10 == 0]
         k_phi = (0.0, 0.7, 2.0)[k % 3]
         found = outcome(lambda: selection_with_slack(cs))
@@ -285,8 +281,8 @@ def test_one_state_reshape_on_floats_equals_the_array_reference_bit_for_bit():
         else:
             selection, slack = found
         want = outcome(lambda: one_state_b_l(
-            selection, -set_violations(a, b, c, selection) if slack is None else slack,
-            a, c, on.a_l, on.c_a, k_phi))
+            selection, -set_violations(a, b, 0.0, selection) if slack is None else slack,
+            a, 0.0, on.a_l, on.c_a, k_phi))
         got = outcome(lambda: reshape_b_l(selection, cs, on, k_phi, slack=slack))
         if isinstance(want, Raised):
             assert got == want
@@ -299,47 +295,42 @@ def test_one_state_reshape_on_floats_equals_the_array_reference_bit_for_bit():
 
 
 def test_batched_selection_and_reshape_equal_the_array_reference_bit_for_bit():
-    # The hand-built sets of helpers.one_state_sets (1-4 unit rows, c in
-    # {0, 0.1, 0.9}, offsets across scales, NaN, signed zeros, and offset
-    # pairs on the selection condition's bound), one batch per row count and
-    # coefficient, each in C order, Fortran order and a transposed view. The
-    # selection, its slack, the violations there and b_l equal oracles'
-    # numpy reductions on C-order arrays bit for bit, b_l both from the
-    # selection's slack and from drawn points, whose slack is computed
-    # (some outside their set, some NaN in one row only); at c = 0.9 the
-    # 11-row basis fails the coverage condition for the whole batch.
+    # The hand-built sets of helpers.one_state_sets (1-4 unit rows, offsets
+    # across scales, NaN, signed zeros, and offset pairs on the selection
+    # condition's bound), one batch per row count, each in C order, Fortran
+    # order and a transposed view. The selection, its slack, the violations
+    # there and b_l equal oracles' numpy reductions on C-order arrays bit
+    # for bit, b_l both from the selection's slack and from drawn points,
+    # whose slack is computed (some outside their set, some NaN in one row
+    # only).
     rng = np.random.default_rng(4243)
     basis = make_positive_basis(11)
     groups = {}
-    for a, b, c in one_state_sets(4242, 1200):
-        groups.setdefault((b.shape[0], c), []).append((a, b))
+    for a, b in one_state_sets(4242, 1200):
+        groups.setdefault(b.shape[0], []).append((a, b))
     seen = set()
-    for k, ((n, c), sets) in enumerate(sorted(groups.items())):
+    for k, (n, sets) in enumerate(sorted(groups.items())):
         a, b = np.stack([s[0] for s in sets]), np.stack([s[1] for s in sets])
         k_phi = (0.0, 0.7, 2.0)[k % 3]
-        want = batch_selection(a, b, c)
+        want = batch_selection(a, b, 0.0)
         drawn = rng.normal(scale=0.1, size=(b.shape[0], 2))
-        want_b_l = {key: outcome(lambda: batch_b_l(
-            selection, -set_violations(a, b, c, selection) if slack is None else slack,
-            a, c, basis.a_l, basis.c_a, k_phi)) for key, selection, slack in
+        want_b_l = {key: batch_b_l(
+            selection, -set_violations(a, b, 0.0, selection) if slack is None else slack,
+            a, 0.0, basis.a_l, basis.c_a, k_phi) for key, selection, slack in
             (("selection", want[0], want[1]), ("drawn", drawn, None))}
         for (_, a_in), (_, b_in), (_, u), (_, s), (_, d) in zip(
                 layouts(a, 2), layouts(b), layouts(want[0]), layouts(want[1]), layouts(drawn)):
-            cs = ConstraintSet(a_in, b_in, c)
+            cs = ConstraintSet(a_in, b_in)
             for g, w in zip(selection_with_slack(cs), want):
                 assert_same_bits(g, w)
-            assert_same_bits(cs.violations(u), set_violations(a, b, c, want[0]))
+            assert_same_bits(cs.violations(u), set_violations(a, b, 0.0, want[0]))
             for key, selection, slack in (("selection", u, s), ("drawn", d, None)):
-                got_b_l = outcome(lambda: reshape_b_l(selection, cs, basis, k_phi, slack=slack))
-                if isinstance(want_b_l[key], Raised):
-                    assert got_b_l == want_b_l[key]
-                    seen.add(want_b_l[key][0].__name__)
-                    continue
+                got_b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
                 assert_same_bits(got_b_l, want_b_l[key])
                 nan_rows = np.isnan(want_b_l[key]).any(axis=-1)
-                assert nan_rows.any() and not nan_rows.all(), (n, c)
-                seen.add((n, c))
-    assert seen == {"CoverageConditionError"} | {(n, c) for n in (1, 2, 3, 4) for c in (0.0, 0.1)}
+                assert nan_rows.any() and not nan_rows.all(), n
+                seen.add(n)
+    assert seen == {1, 2, 3, 4}
 
 
 def test_supplied_slack_below_tolerance_is_rejected():
@@ -351,7 +342,7 @@ def test_supplied_slack_below_tolerance_is_rejected():
         reshape_b_l(np.zeros(2), cs, basis, 1.0, slack=np.array([1.0, -1e-3]))
     ok = reshape_b_l(np.zeros(2), cs, basis, 1.0, slack=np.array([1.0, 1.0]))
     np.testing.assert_array_equal(ok, reshape_b_l(np.zeros(2), cs, basis, 1.0))
-    batch = ConstraintSet(np.broadcast_to(cs.a, (2, 2, 2)), np.ones((2, 2)), cs.c)
+    batch = ConstraintSet(np.broadcast_to(cs.a, (2, 2, 2)), np.ones((2, 2)))
     out = reshape_b_l(np.zeros((2, 2)), batch, basis, 1.0,
                       slack=np.array([[1.0, 1.0], [1.0, -1e-3]]))
     np.testing.assert_array_equal(out[0], ok)
@@ -394,44 +385,9 @@ def test_filter_norm_bound():
         assert np.linalg.norm(out) <= np.linalg.norm(sel) + np.linalg.norm(nominal) + 1e-9
 
 
-def test_sandwich_containment_with_norm_coefficients():
-    # Nonzero norm coefficients engage the effective coverage constant and
-    # the per-column slack scaling; containment must still hold exactly.
-    rng = np.random.default_rng(314)
-    basis = make_positive_basis(11)
-    checked = 0
-    for _ in range(60):
-        n_c = int(rng.integers(1, 4))
-        rows = rng.normal(size=(n_c, 2))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        c = float(rng.uniform(0.0, 0.5, size=n_c).max())    # n_c draws keep the stream
-        b = rng.uniform(-0.8, 1.5, size=n_c)
-        # Keep at most one negative offset and make the pairwise condition
-        # hold so a selection exists.
-        scaled = b / (1.0 + np.sign(b) * c)
-        order = np.argsort(scaled)
-        if n_c >= 2 and scaled[order[0]] + scaled[order[1]] < 0:
-            lift = -scaled[order[0]]
-            for idx in order[1:]:
-                b[idx] = lift * (1.0 + c) + abs(b[idx])
-        cs = cs_of(rows, b, c)
-        try:
-            sel = lipschitz_selection(cs)
-        except Exception:
-            continue
-        for k_phi in (0.0, 2.0):
-            poly = Polyhedron(basis.a_l, reshape_b_l(sel, cs, basis, k_phi))
-            assert np.all(poly.a @ sel <= poly.b + 1e-9)
-            pts = sample_polytope_2d(poly, 300, rng)
-            lhs = pts @ cs.a.T + np.linalg.norm(pts, axis=1, keepdims=True) * cs.c
-            assert np.all(lhs <= cs.b[None, :] + 1e-9)
-            checked += 1
-    assert checked >= 80
-
-
 def test_reshaped_solution_against_polar_scan_oracle():
     # The polyhedral set is an inner approximation: its projection is
-    # feasible for the original norm-augmented system and can only sit
+    # feasible for the original system and can only sit
     # farther from the nominal than the true constrained minimizer found by
     # the coarse polar scan.
     from oracles import qcqp_polar_scan, norm_constrained_membership
@@ -439,8 +395,8 @@ def test_reshaped_solution_against_polar_scan_oracle():
     for x1 in (-1.2, -0.6):
         cs = disc_constraint_set(GAP_DISCS, np.array([x1, 0.0]))
         out = reshaped_filter(NOMINAL, cs, basis, 0.0)
-        assert norm_constrained_membership(cs.a, cs.b, cs.c, out, tol=1e-9)
-        best = qcqp_polar_scan(NOMINAL, cs.a, cs.b, cs.c,
+        assert norm_constrained_membership(cs.a, cs.b, 0.0, out, tol=1e-9)
+        best = qcqp_polar_scan(NOMINAL, cs.a, cs.b, 0.0,
                                radii=np.linspace(0.0, 2.0, 161), angles=180)
         assert best is not None
         slack = 0.05   # polar grid coarseness
@@ -464,20 +420,18 @@ def _seeded_sets(shape, n_c, n_u, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=shape + (n_c, n_u))
     a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    c = float(np.linspace(0.0, 0.1, n_c)[-1])      # the largest of n_c per-row values
     selection = rng.normal(size=shape + (n_u,)) * (rng.uniform(size=shape + (1,)) > 0.1)
-    b = ((a @ selection[..., None])[..., 0] + c * np.linalg.norm(selection, axis=-1)[..., None]
-         + rng.uniform(0.0, 1.0, size=shape + (n_c,)))
-    return a, b, c, selection
+    b = (a @ selection[..., None])[..., 0] + rng.uniform(0.0, 1.0, size=shape + (n_c,))
+    return a, b, selection
 
 
-def _assert_batch_equals_states(call, a, b, c, selection):
+def _assert_batch_equals_states(call, a, b, selection):
     """call(selection, cs) on the batch against each state's own call; a
     state whose call raises SelectionNotFeasibleError must be a NaN row."""
-    batch = call(selection, ConstraintSet(a, b, c))
+    batch = call(selection, ConstraintSet(a, b))
     for idx in np.ndindex(b.shape[:-1]):
         try:
-            want = call(selection[idx], ConstraintSet(a[idx], b[idx], c))
+            want = call(selection[idx], ConstraintSet(a[idx], b[idx]))
         except SelectionNotFeasibleError:
             want = np.full(batch.shape[-1], np.nan)
         got = batch[idx]
@@ -499,27 +453,27 @@ BATCH_CASES = {
 
 def _batch_case(name):
     shape, n_c, n_u = BATCH_CASES[name]
-    a, b, c, selection = _seeded_sets(shape, n_c, n_u, seed=list(BATCH_CASES).index(name))
+    a, b, selection = _seeded_sets(shape, n_c, n_u, seed=list(BATCH_CASES).index(name))
     if name == "nan rows":
         a[[3, 17]] = np.nan           # states without a set
         b[[3, 17]] = np.nan
         b[[5, 29], 0] -= 10.0         # selections outside their set
-    return make_positive_basis(11), a, b, c, selection
+    return make_positive_basis(11), a, b, selection
 
 
 @pytest.mark.parametrize("name", list(BATCH_CASES))
 def test_reshape_of_a_batch_equals_the_per_state_reshapes_bit_for_bit(name):
-    basis, a, b, c, selection = _batch_case(name)
-    _assert_batch_equals_states(lambda s, cs: reshape_b_l(s, cs, basis, 2.0), a, b, c, selection)
+    basis, a, b, selection = _batch_case(name)
+    _assert_batch_equals_states(lambda s, cs: reshape_b_l(s, cs, basis, 2.0), a, b, selection)
 
 
 @pytest.mark.parametrize("name", list(BATCH_CASES))
 def test_filter_of_a_batch_equals_the_per_state_filters_bit_for_bit(name):
-    basis, a, b, c, selection = _batch_case(name)
+    basis, a, b, selection = _batch_case(name)
     nominal = np.array([0.6, 1.0])
     # Anchored at the given selections: reshape, then project onto the basis.
     _assert_batch_equals_states(
-        lambda s, cs: basis.polygon.project(nominal, reshape_b_l(s, cs, basis, 2.0)), a, b, c, selection)
+        lambda s, cs: basis.polygon.project(nominal, reshape_b_l(s, cs, basis, 2.0)), a, b, selection)
 
 
 # ------------------------------------------ the batched filter's inactive states
@@ -540,37 +494,30 @@ def _straddling_states():
 
 
 def _inactive(cs, basis, nominal):
-    """The filter's test: finite rows, and cbar_a (min_j b_j / (1 + c))
-    above max_l (A_L u0)_l + 4 eps |u0|_1."""
-    low = cbar_a(cs.c, basis.c_a) * (cs.b.min(axis=-1) / (1.0 + cs.c))
+    """The filter's test: finite rows, and c_a min_j b_j above
+    max_l (A_L u0)_l + 4 eps |u0|_1."""
+    low = basis.c_a * cs.b.min(axis=-1)
     reach = np.max(basis.a_l @ nominal) + 4.0 * np.finfo(float).eps * np.abs(nominal).sum()
     return (low > reach) & ~np.isnan(cs.a).any(axis=(-2, -1))
 
 
 @pytest.mark.parametrize("k_phi", [0.0, 2.0])
-@pytest.mark.parametrize("c", [0.0, 0.4])
 @pytest.mark.parametrize("n_l", [5, 11, 21])
-def test_batched_filter_skips_inactive_states_with_the_full_pipelines_bits(monkeypatch, n_l, c, k_phi):
+def test_batched_filter_skips_inactive_states_with_the_full_pipelines_bits(monkeypatch, n_l, k_phi):
     # The filter on a batch gives every state the bits of the full pipeline
     # (oracles.batch_filter): on a grid straddling the inactive-state
     # threshold, on the spines and at the disc centre (NaN rows), and at
     # six far states whose first row is NaN beside a large offset, as a
     # spine point keeps a finite b, in both components or in the second
-    # alone: those would pass the offsets' test and stay on the full path. Only the active states reach reshape_b_l and
-    # the projection, in order. At n_l = 5 and c = 0.4 the coverage
-    # condition fails, for the whole batch.
+    # alone: those would pass the offsets' test and stay on the full path.
+    # Only the active states reach reshape_b_l and the projection, in order.
     basis = make_positive_basis(n_l)
-    cs = build_constraint_set(_straddling_states(), SKIP_CERTS, c, 1.0)
-    want = outcome(lambda: batch_filter(SKIP_NOMINAL, cs.a, cs.b, c, basis.a_l, basis.c_a, k_phi))
-    if isinstance(want, Raised):
-        assert outcome(lambda: reshaped_filter(SKIP_NOMINAL, cs, basis, k_phi)) == want
-        assert want[0] is CoverageConditionError and (n_l, c) == (5, 0.4)
-        return
+    cs = build_constraint_set(_straddling_states(), SKIP_CERTS, 1.0)
     a, b = cs.a.copy(), cs.b.copy()
     far = np.flatnonzero(_inactive(cs, basis, SKIP_NOMINAL))[-6:]
     a[far[:3], 0], a[far[3:], 0, 1], b[far, 0] = np.nan, np.nan, 30.0
-    cs = ConstraintSet(a, b, c)
-    want = batch_filter(SKIP_NOMINAL, a, b, c, basis.a_l, basis.c_a, k_phi)
+    cs = ConstraintSet(a, b)
+    want = batch_filter(SKIP_NOMINAL, a, b, 0.0, basis.a_l, basis.c_a, k_phi)
     seen = filter_calls(monkeypatch)
     got = reshaped_filter(SKIP_NOMINAL, cs, basis, k_phi)
     assert_same_bits(got, want)
@@ -592,7 +539,7 @@ def test_batched_filter_on_blocks_with_every_state_inactive_or_none(monkeypatch,
     basis = make_positive_basis(11)
     x = np.linspace(-2.0, 2.0, 40)
     y = np.full(40, 12.0) if block == "far" else 0.5 + np.linspace(-0.3, 0.3, 40)
-    cs = build_constraint_set(np.column_stack([x, y]), SKIP_CERTS, 0.0, 1.0)
+    cs = build_constraint_set(np.column_stack([x, y]), SKIP_CERTS, 1.0)
     seen = filter_calls(monkeypatch)
     got = reshaped_filter(SKIP_NOMINAL, cs, basis, 2.0)
     assert_same_bits(got, batch_filter(SKIP_NOMINAL, cs.a, cs.b, 0.0, basis.a_l, basis.c_a, 2.0))

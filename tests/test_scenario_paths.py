@@ -27,7 +27,7 @@ WALLS = [
 
 def outer_law():
     basis = make_positive_basis(11)
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 0.0, 1.0, k_phi=2.0)
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), basis, 1.0, k_phi=2.0)
 
 
 def test_velocity_loop_closed_loop_with_outer_law():
@@ -62,7 +62,7 @@ def test_vtol_thrust_singularity_flagged():
     # m = 1 on the VTOL is rejected; use the stepping flag directly through
     # a 4-level controller with no certificates.
     gains = CascadeGains(tracking_slopes=(1.0, 1.0, 1.0), k1=1.0)
-    law = SafetyLaw((), np.array([0.0, -30.0]), None, 0.0, 1.0, 0.0)
+    law = SafetyLaw((), np.array([0.0, -30.0]), None, 1.0, 0.0)
     controller = CascadeController(law, gains)
     plant = VtolNonlinear(gravity=9.81)
     flat = np.zeros(8)
@@ -115,27 +115,27 @@ def test_scenario_rejects_wrong_gain_count():
 
 
 def test_rate_condition_with_drift_envelopes():
-    # margin(V) = rate(frac V) - (theta V + (1 + c) V / gamma_w) with
+    # margin(V) = rate(frac V) - (theta V + V / gamma_w) with
     # frac = (2 - 1)/2, so lhs = 6 log1p(V/2) at level 1. The drift envelope
-    # (1 + c) V/0.8 is 1.25 V at c = 0, where the condition holds, and
-    # 1.75 V at c = 0.4, where it fails: the (1 + c) factor decides it.
+    # V/0.8 = 1.25 V keeps the condition holding; at gamma_w = 0.5 (2 V) it
+    # fails.
     vs = np.linspace(2.0, 6.0, 200)
-    for c, holds in ((0.0, True), (0.4, False)):
-        report = rate_condition_audit(6.0, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
-                                      c=c, v_max=6.0)
-        margins = 6.0 * np.log1p(0.5 * vs) - (1e-3 * vs + (1.0 + c) * vs / 0.8)
+    for gamma_w, holds in ((0.8, True), (0.5, False)):
+        report = rate_condition_audit(6.0, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=gamma_w,
+                                      v_max=6.0)
+        margins = 6.0 * np.log1p(0.5 * vs) - (1e-3 * vs + vs / gamma_w)
         assert report.min_margin == pytest.approx(float(np.min(margins)), abs=1e-9)
         assert report.argmin_v == float(vs[np.argmin(margins)])
         assert report.holds is holds
 
 
-def _matches_the_loop(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max, grid):
+def _matches_the_loop(k_alpha, level, threshold, theta, gamma_w_slope, v_max, grid):
     """The audit's report, after checking it against the per-point loop on
     a grid over [threshold, v_max]: the endpoints' least margin is at most
     the grid's (equal, bit for bit, on the two-point grid, which is the two
     endpoints), and the verdicts agree."""
-    report = rate_condition_audit(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max=v_max)
-    want = rate_condition_by_loop(k_alpha, level, threshold, theta, gamma_w_slope, c, v_max, grid)
+    report = rate_condition_audit(k_alpha, level, threshold, theta, gamma_w_slope, v_max=v_max)
+    want = rate_condition_by_loop(k_alpha, level, threshold, theta, gamma_w_slope, 0.0, v_max, grid)
     if grid == 2:
         assert_same_bits([report.min_margin, report.argmin_v], want)
     assert report.min_margin <= want[0] + 1e-14 * abs(want[0])
@@ -170,17 +170,16 @@ def test_rate_condition_audit_of_a_config_matches_the_per_point_loop(monkeypatch
 
 @pytest.mark.parametrize("grid", [2, 3, 200, 10**4])
 def test_rate_condition_audit_of_seeded_draws_matches_the_per_point_loop(grid):
-    # Draws of (k_alpha, theta, gamma_12, level, threshold) across scales,
-    # with and without a drift envelope, checked against the loop on a grid
-    # of each size; both verdicts occur.
+    # Draws of (k_alpha, theta, gamma_12, level, threshold, v_max) across
+    # scales, checked against the loop on a grid of each size; both
+    # verdicts occur.
     rng = np.random.default_rng(grid)
     verdicts = set()
     for _ in range(40):
         k_alpha, theta, gamma_w, level = 10.0 ** rng.uniform([-1, -4, -1, -3], [2, 0, 1, 1])
         threshold = level * (1.0 + 10.0 ** rng.uniform(-2, 1))
-        c = float(rng.choice([0.0, 0.3]))
         v_max = threshold * 10.0 ** rng.uniform(0.0, 3.0)
-        verdicts.add(_matches_the_loop(k_alpha, level, threshold, theta, gamma_w, c, v_max, grid).holds)
+        verdicts.add(_matches_the_loop(k_alpha, level, threshold, theta, gamma_w, v_max, grid).holds)
     assert verdicts == {True, False}
 
 
@@ -189,8 +188,8 @@ def test_rate_condition_audit_reads_a_nan_margin_as_not_holding():
     # 6 log1p(V/2) - (1e-3 V + V / 0.8) > 0 holds. The per-point loop
     # skipped NaN margins and read "holds".
     report = rate_condition_audit(math.nan, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
-                                  c=0.0, v_max=6.0)
+                                  v_max=6.0)
     assert math.isnan(report.min_margin) and not report.holds
     assert report.argmin_v == 2.0
     assert rate_condition_audit(6.0, level=1.0, threshold=2.0, theta=1e-3, gamma_w_slope=0.8,
-                                c=0.0, v_max=6.0).holds
+                                v_max=6.0).holds

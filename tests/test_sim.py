@@ -26,8 +26,7 @@ WALLS = [
 
 
 def wall_law():
-    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), 0.0, 1.0,
-                     k_phi=2.0)
+    return SafetyLaw(WALLS, np.array([0.6, 1.0]), make_positive_basis(11), 1.0, k_phi=2.0)
 
 
 def wall_controller(slopes):
@@ -35,7 +34,7 @@ def wall_controller(slopes):
 
 
 def free_controller(slopes, nominal=(0.6, 1.0)):
-    law = SafetyLaw((), nominal, None, 0.0, 1.0, 0.0)
+    law = SafetyLaw((), nominal, None, 1.0, 0.0)
     return CascadeController(law, CascadeGains(tracking_slopes=slopes, k1=1.0))
 
 
