@@ -198,8 +198,7 @@ class SafetyLaw:
     k_alpha that is not finite and positive raises ValueError when the law
     is built.
     nominal is kept as a read-only (2,) array, and so is nominal_dots,
-    A_L nominal as row_product gives it; the basis's pair-vertex table is
-    built with the law, so no step rebuilds it. A step calls
+    A_L nominal as row_product gives it. A step calls
     build_constraint_set and reshaped_filter through this module's names.
     """
 
@@ -218,7 +217,6 @@ class SafetyLaw:
         if not 0.0 < self.k_alpha < math.inf:
             raise ValueError(f"k_alpha must be finite and positive, got {self.k_alpha}")
         if self.basis is not None:
-            _ = self.basis.polygon.pairs      # builds and keeps the pair-vertex table
             dots = row_product(nominal, self.basis.polygon.a_t)
             dots.flags.writeable = False
             object.__setattr__(self, "nominal_dots", dots)

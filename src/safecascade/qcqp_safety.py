@@ -70,7 +70,11 @@ class ConstraintSet:
         without the constructor, whose checks would read the arrays back."""
         if len(rows) != len(b):
             raise ValueError("row count mismatch between a and b")
-        for p, q in rows:
+        for row in rows:
+            try:
+                p, q = row
+            except ValueError:             # a row that is not a pair
+                raise ValueError(f"constraint rows must have 2 columns (the package is planar), got {len(row)}")
             if abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9:
                 raise ValueError("constraint rows must be unit vectors")
         return cls._from_checked(np.array(rows) if rows else np.zeros((0, 2)), np.array(b),

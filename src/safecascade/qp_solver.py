@@ -6,17 +6,14 @@ the unconstrained optimum u0, repeatedly pick the lowest-index violated row,
 and drive its multiplier up while keeping previously added rows tight,
 dropping rows whose multiplier would go negative. Lowest-index selection on
 both the add and drop side keeps the iteration from cycling on degenerate
-instances. For two variables the projection also has an exact closed form
-over candidate points, which PolygonRows.project evaluates for a whole
-batch of problems sharing one row matrix. The PolygonRows keeps the
-matrix's fixed structure (transpose, row norms, pair-vertex table), so a
-caller with a fixed matrix builds it once and projects through it.
+instances. In the plane the projection has an exact closed form, which
+PolygonRows.project evaluates for a batch of problems sharing one row
+matrix, whose fixed structure the PolygonRows keeps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -201,14 +198,9 @@ def solve_projection_qp(u0: np.ndarray, poly: Polyhedron) -> QpSolution:
 
 
 class PolygonRows:
-    """A shared 2-D row matrix a (n, 2) with nonzero rows, and its fixed
-    structure: the C-contiguous transpose (row_product's operand) and the
-    row norms and their squares, built
-    with it, and the table of independent row pairs i < j (determinant
-    above 1e-12) with the entries Cramer's rule reads, built on first use
-    and kept. vertices and project then do only the per-problem work; a
-    PositiveBasis keeps its PolygonRows.
-    """
+    """A shared 2-D row matrix a (n, 2) with nonzero rows and its fixed
+    structure, built with it: the C-contiguous transpose (row_product's
+    operand), the row norms and their squares, and edge_ends' tables."""
 
     def __init__(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
@@ -218,29 +210,42 @@ class PolygonRows:
         # The same values as floats, for a single problem.
         self.rows, self.nrm_list = a.tolist(), self.nrm.tolist()
         self.nrm_sq_list = self.nrm_sq.tolist()
+        # edge_ends' tables: each end's candidates (C, 2, n), the rows that cut its line on its
+        # side, last to first, padded with row 0 (p, q NaN); by slot c 2n + e, Cramer's entries.
+        n, line = a.shape[0], np.arange(a.shape[0])
+        det = np.multiply.outer(a[:, 0], a[:, 1]) - np.multiply.outer(a[:, 1], a[:, 0])
+        side = np.concatenate([det > 1e-12, det < -1e-12])
+        cand = -np.sort(-np.where(side, line, -1), axis=1)[:, :max(side.sum(axis=1).max(initial=0), 1)]
+        cuts = (cand >= 0).T.reshape(cand.shape[1], 2, n)
+        self.cand = cand = np.maximum(cand, 0).T.reshape(cuts.shape)
+        size = np.where(cuts, np.abs(det[line, cand]), np.nan)
+        self.key_p, self.key_q = (self.nrm_sq / size)[..., None], ((a @ a.T)[line, cand] / size)[..., None]
+        i, j = self.pair = np.stack([np.minimum(line, cand), np.maximum(line, cand)])
+        self.cramer = np.stack([a[j, 1], a[i, 0], a[i, 1], a[j, 0], np.where(cuts, det[i, j], np.nan)])
+        self.slot_base = 2.0 * n * np.arange(cuts.shape[0]).reshape(-1, 1, 1, 1)   # c 2n, as a float
+        self.end_slot = np.arange(2 * n).reshape(2, n, 1)
 
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, ...]:
-        """(i, j, det, a[j, 1], a[i, 1], a[i, 0], a[j, 0]) over the pairs."""
-        a = self.a
-        i, j = np.triu_indices(a.shape[0], 1)
-        det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
-        keep = np.abs(det) > 1e-12
-        i, j, det = i[keep], j[keep], det[keep]
-        return i, j, det, a[j, 1], a[i, 1], a[i, 0], a[j, 0]
-
-    def vertices(self, b: np.ndarray) -> np.ndarray:
-        """Intersection points of every independent row pair of a u = b.
-
-        b is (..., n); the result is (..., pairs, 2) by Cramer's rule.
-        Feasibility is left to the caller.
-        """
-        i, j, *coef = self.pairs
-        det, aj1, ai1, ai0, aj0 = (p[:, None] for p in coef)
-        bt = states_last(b)
-        b_i, b_j = bt[i], bt[j]
-        verts = np.stack([(aj1 * b_i - ai1 * b_j) / det, (ai0 * b_j - aj0 * b_i) / det], axis=1)
-        return states_first(verts, b.shape[:-1])
+    def edge_ends(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both ends of each row line's edge for the problems b (n, k), in the
+        batch layout (2, 2n, k), and which meet every row to within DEFAULT_TOL
+        (2n, k). Row m cuts line l (a_l u = b_l) where det(l, m) = a_l x a_m
+        exceeds 1e-12 in size, from above (det > 0) or below, at s = (b_m
+        |a_l|^2 - b_l a_l . a_m) / det along a_l turned left. An end is the
+        lowest row of least key s |det| / det = p b_m - q b_l on its side, by
+        its pair's Cramer's rule (i < j); NaN where none cuts. Every vertex is an end."""
+        n, k = b.shape
+        key = b.take(self.cand, axis=0) * self.key_p - b * self.key_q    # (C, 2, n, k)
+        # The last candidate of least key, on whole slabs of states: an
+        # argmin over the candidates' axis would reorder the array.
+        np.equal(key, np.fmin.reduce(key, axis=0, initial=np.nan), out=key)
+        key *= self.slot_base
+        slot = np.maximum.reduce(key, axis=0, initial=0.0).astype(np.intp) + self.end_slot
+        del key
+        coef = self.cramer.reshape(5, -1).take(slot, axis=1)
+        b_ij = b.take(self.pair.reshape(2, -1).take(slot, axis=1) * k + np.arange(k))
+        ends = ((coef[:2] * b_ij - coef[2:4] * b_ij[::-1]) / coef[4]).reshape(2, 2 * n, k)
+        ok = columns_product(self.a, ends.reshape(2, -1)).reshape(n, 2 * n, k) <= (b + DEFAULT_TOL)[:, None]
+        return ends, ok.all(axis=0)
 
     def project(self, u0: np.ndarray, b: np.ndarray, *, dots: np.ndarray | None = None) -> np.ndarray:
         """Exact Euclidean projection of u0 onto {u : a u <= b} in 2-D.
@@ -249,19 +254,18 @@ class PolygonRows:
         the projection is piecewise affine. It is u0 when u0 is feasible.
         Otherwise it lies at least as far from u0 as every violated row's
         line, so only the farthest line's projection can be the answer, and
-        it is whenever it is feasible. Otherwise the answer is the nearest
-        feasible vertex over all row pairs (redundant rows break any
-        adjacency shortcut); only batch rows that no edge resolves reach
-        this stage. Feasibility is checked to within DEFAULT_TOL. Where u0
-        or b is NaN the result is NaN, for a single problem as for a batch
-        row; where no candidate is feasible a single problem raises
-        InfeasibleError and a batch row is NaN. A single problem, u0 (2,)
-        and b (n,), settles its feasible u0 or edge on floats, with the
-        batch code's values (project_one), and goes straight to the vertex
-        stage, as a batch of one, when neither is the answer. dots, when
-        given, must be row_product(u0, self.a_t) for one u0 (2,), as
-        project_one reads it; it is not checked, and the batch reads it in
-        place of the product a u0, whose columns it matches bit for bit.
+        it is whenever it is feasible. Otherwise it is the nearest feasible
+        vertex, which ends two rows' edges (edge_ends). Feasibility is
+        checked to within DEFAULT_TOL. Where u0 or b is NaN the result is
+        NaN, for a single problem as for a batch row; where no candidate is
+        feasible a single problem raises InfeasibleError and a batch row is
+        NaN. A single problem, u0 (2,) and b (n,), settles its feasible u0
+        or edge on floats, with the batch code's values (project_one), and
+        goes straight to the vertex stage, as a batch of one, when neither
+        is the answer. dots, when given, must be row_product(u0, self.a_t)
+        for one u0 (2,), as project_one reads it; it is not checked, and the
+        batch reads it in place of the product a u0, whose columns it
+        matches bit for bit.
         """
         a, a_t = self.a, self.a_t
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
@@ -302,9 +306,7 @@ class PolygonRows:
         floats with the batch code's values. The BLAS products u0 @ a_t
         and edge @ a_t stay, as a batch's matrix product rounds them
         (row_product). dots, when given, must be row_product(u0, self.a_t),
-        which a caller with a fixed u0 may keep; it is not checked. A NaN
-        fails every test, and the batch code's farthest line (the first
-        NaN) then gives NaN."""
+        which a caller with a fixed u0 may keep; it is not checked."""
         viol = ((row_product(u0, self.a_t) if dots is None else dots) - b).tolist()
         if any(map(math.isnan, viol)):
             return np.full(2, np.nan)      # as a batch row: no problem to solve
@@ -322,14 +324,10 @@ class PolygonRows:
         return out[:, 0]
 
     def _nearest_vertices(self, u0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The vertex stage, in the batch layout: for each problem of u0
-        (2, k) and b (n, k), the nearest feasible intersection of two rows,
-        NaN where none is feasible, and which problems had one."""
-        verts = states_last(self.vertices(states_first(b, b.shape[1:])), 2)     # (pairs, 2, k)
-        ok = (columns_product(self.a, verts) <= b + DEFAULT_TOL).all(axis=1)
+        """The vertex stage, in the batch layout: for u0 (2, k) and b (n, k),
+        each problem's nearest feasible edge end, or NaN, and which had one."""
+        ends, ok = self.edge_ends(b)
         found = ok.any(axis=0)
-        out = np.full(u0.shape, np.nan)
-        if found.any():
-            d2 = np.where(ok, sum_last_axis((verts - u0).transpose(0, 2, 1) ** 2), np.inf)
-            out[:, found] = verts[d2[:, found].argmin(axis=0), :, found].T
+        out = ends[:, np.where(ok, sum((ends - u0[:, None]) ** 2), np.inf).argmin(axis=0), np.arange(b.shape[1])]
+        out[:, ~found] = np.nan
         return out, found

@@ -8,7 +8,7 @@ with a constructive Lipschitz constant, which the raw projection does not
 have.
 
 The package is planar: a PositiveBasis is a fixed (read-only) set of rows
-(n_l, 2), which keeps its polygon structure (row norms, pair-vertex table)
+(n_l, 2), which keeps its polygon structure (row norms, edge-end tables)
 for every exact polygon projection. Reshaping needs a positive coverage
 constant c_a, and reshaped_filter hands the selection's verified slack to
 reshape_b_l instead of evaluating the set at it a second time.
@@ -31,8 +31,8 @@ from .qp_solver import (DEFAULT_TOL, Polyhedron, PolygonRows, columns_product, r
 
 
 # The largest basis the configs and the command line accept: the plane's
-# basis builds in milliseconds there, and a projection's vertex stage holds
-# C(n_l, 2) vertices per state.
+# basis builds in milliseconds there, and a projection's vertex stage takes
+# O(n_l^2) work and memory per state.
 MAX_DIRECTIONS = 101
 
 # A basis with a pair of rows this close to singular is refused.
@@ -61,10 +61,9 @@ class PositiveBasis:
     combination of the rows whose inner product with it is at least c_a.
     Rows of any other shape are refused. The basis is fixed: a_l is a
     read-only copy of the rows, and the basis keeps their subset stack,
-    their polygon structure (PolygonRows: row norms, and the pair-vertex
-    table once a projection or a SafetyLaw first needs it), which every
-    projection would otherwise rebuild, and its 500-probe validation report
-    once first read.
+    their polygon structure (PolygonRows: row norms and edge-end tables),
+    which every projection would otherwise rebuild, and its 500-probe
+    validation report once first read.
     """
 
     a_l: np.ndarray
@@ -347,11 +346,12 @@ def _active_states(nominal: np.ndarray, cs: ConstraintSet, basis: PositiveBasis)
 
 
 def polytope_vertices_2d(poly: Polyhedron) -> np.ndarray:
-    """Vertices of a bounded 2-D polyhedron by pairwise row intersection."""
+    """Vertices (m, 2) of a bounded 2-D polyhedron: the feasible ends of its
+    rows' edges, so a vertex may appear twice."""
     if poly.n_u != 2:
         raise ValueError("vertex enumeration implemented for 2-D only")
-    verts = PolygonRows(poly.a).vertices(poly.b)
-    return verts[np.all(verts @ poly.a.T <= poly.b + DEFAULT_TOL, axis=1)]
+    ends, ok = PolygonRows(poly.a).edge_ends(poly.b[:, None])
+    return ends[:, ok[:, 0], 0].T
 
 
 def sample_polytope_2d(poly: Polyhedron, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -343,18 +343,67 @@ def one_state_projection(u0, a_l, b):
         return edge, "edge"
     if np.isnan(viol).any():
         return np.full(2, np.nan), "nan"
-    verts = []
-    for i, j in itertools.combinations(range(a_l.shape[0]), 2):
-        det = a_l[i, 0] * a_l[j, 1] - a_l[i, 1] * a_l[j, 0]
-        if abs(det) > 1e-12:
-            verts.append([(a_l[j, 1] * b[i] - a_l[i, 1] * b[j]) / det,
-                          (a_l[i, 0] * b[j] - a_l[j, 0] * b[i]) / det])
-    verts = np.array(verts)[None]
-    ok = (verts @ a_t <= b[None, None, :] + TOL).all(axis=2)[0]
-    if not ok.any():
+    point, found = nearest_edge_end(u0[None], a_l, b[None])
+    if not found[0]:
         raise _errors().InfeasibleError("no point satisfies every row: empty feasible set")
-    d2 = np.where(ok, ((verts[0] - u0) ** 2).sum(axis=1), np.inf)
-    return verts[0, d2.argmin()], "vertex"
+    return point[0], "vertex"
+
+
+def _cramer(a_l, i, j, b_i, b_j):
+    """The intersection (..., 2) of rows i < j of a_l at offsets b_i, b_j."""
+    det = a_l[i, 0] * a_l[j, 1] - a_l[i, 1] * a_l[j, 0]
+    return np.stack([(a_l[j, 1] * b_i - a_l[i, 1] * b_j) / det,
+                     (a_l[i, 0] * b_j - a_l[j, 0] * b_i) / det], axis=-1)
+
+
+def _nearest_feasible(u0, a_l, b, points):
+    """The nearest of points (N, P, 2) to u0 (N, 2) that satisfies every row
+    of a_l u <= b (N, n) to within TOL, the first of equal distance, NaN
+    where none does, and which states had one."""
+    ok = (points @ a_l.T <= b[:, None, :] + TOL).all(axis=2)
+    found = ok.any(axis=1)
+    out = np.full(u0.shape, np.nan)
+    if found.any():
+        d2 = np.where(ok, ((points - u0[:, None, :]) ** 2).sum(axis=2), np.inf)
+        out[found] = points[found, d2[found].argmin(axis=1)]
+    return out, found
+
+
+def nearest_pair_vertex(u0, a_l, b):
+    """The vertex stage by every row pair i < j with a determinant above
+    1e-12 in size, for u0 (N, 2) and b (N, n): the nearest feasible pair
+    vertex, NaN where none is feasible, and which states had one."""
+    i, j = np.triu_indices(a_l.shape[0], 1)
+    det = a_l[i, 0] * a_l[j, 1] - a_l[i, 1] * a_l[j, 0]
+    keep = np.abs(det) > 1e-12
+    i, j = i[keep], j[keep]
+    return _nearest_feasible(u0, a_l, b, _cramer(a_l, i, j, b[:, i], b[:, j]))
+
+
+def nearest_edge_end(u0, a_l, b):
+    """The vertex stage by the ends of each row line's edge, for u0 (N, 2)
+    and b (N, n). Row m cuts line l where det(l, m) = a_l x a_m exceeds
+    1e-12 in size, bounding it from above (det > 0) or below (det < 0).
+    On each side the end is the cut of least key b_m p - b_l q, p =
+    |a_l|^2 / |det| and q = a_l . a_m / |det| (the lowest such row), by its
+    pair's Cramer's rule; a side that no row cuts has no end. The ends run
+    side by side, line by line."""
+    n = a_l.shape[0]
+    det = np.multiply.outer(a_l[:, 0], a_l[:, 1]) - np.multiply.outer(a_l[:, 1], a_l[:, 0])
+    nrm_sq = np.hypot(a_l[:, 0], a_l[:, 1]) ** 2
+    gram = a_l @ a_l.T
+    ends = np.full((b.shape[0], 2, n, 2), np.nan)
+    for s, side in enumerate((det > 1e-12, det < -1e-12)):
+        for l in range(n):
+            rows = np.flatnonzero(side[l])
+            if rows.size:
+                size = np.abs(det[l, rows])
+                key = b[:, rows] * (nrm_sq[l] / size) - b[:, [l]] * (gram[l, rows] / size)
+                m = rows[key.argmin(axis=1)]
+                i, j = np.minimum(l, m), np.maximum(l, m)
+                cols = np.arange(b.shape[0])
+                ends[:, s, l] = _cramer(a_l, i, j, b[cols, i], b[cols, j])
+    return _nearest_feasible(u0, a_l, b, ends.reshape(b.shape[0], 2 * n, 2))
 
 
 def one_state_law(x, certs, nominal, a_l, c_a, c, k_alpha, k_phi):
@@ -480,19 +529,7 @@ def batch_projection(u0, a_l, b):
         out = np.where((moved & edge_ok)[:, None], edge, u0)
         rest = np.flatnonzero(moved & ~edge_ok)
         if rest.size:
-            i, j = np.triu_indices(a_l.shape[0], 1)
-            det = a_l[i, 0] * a_l[j, 1] - a_l[i, 1] * a_l[j, 0]
-            keep = np.abs(det) > 1e-12
-            i, j, det = i[keep], j[keep], det[keep]
-            b_i, b_j = b[rest][:, i], b[rest][:, j]
-            verts = np.stack([(a_l[j, 1] * b_i - a_l[i, 1] * b_j) / det,
-                              (a_l[i, 0] * b_j - a_l[j, 0] * b_i) / det], axis=-1)
-            ok = (verts @ a_t <= b[rest][:, None, :] + TOL).all(axis=2)
-            found = ok.any(axis=1)
-            out[rest] = np.nan
-            if found.any():
-                d2 = np.where(ok, ((verts - u0[rest][:, None, :]) ** 2).sum(axis=2), np.inf)
-                out[rest[found]] = verts[found, d2[found].argmin(axis=1)]
+            out[rest] = nearest_edge_end(u0[rest], a_l, b[rest])[0]
     return np.where(np.isnan(viol).any(axis=1)[:, None], np.nan, out)
 
 

@@ -31,7 +31,7 @@ from safecascade.qcqp_safety import (
 )
 from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
 from safecascade.reshaping import make_positive_basis, reshape_b_l, sample_polytope_2d
-from safecascade.sim import IntegratorChain, run_closed_loop, trajectory_metrics
+from safecascade.sim import IntegratorChain, run_closed_loop
 
 from helpers import bundled_config
 from oracles import INFEASIBLE, project_by_face_enumeration

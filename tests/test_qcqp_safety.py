@@ -382,6 +382,14 @@ def test_one_planar_state_set_from_floats_checks_its_row_count():
         ConstraintSet.planar([(1.0, 0.0)], [1.0, 1.0], [0.0], [1.0])
 
 
+@pytest.mark.parametrize("rows", [[(1.0, 0.0, 0.0)], [(0.0, 1.0), (1.0,)]], ids=["wide", "narrow"])
+def test_one_planar_state_set_from_floats_refuses_rows_that_are_not_pairs(rows):
+    # As the constructor does, with the limit named, not Python's unpacking
+    # error.
+    with pytest.raises(ValueError, match=r"2 columns \(the package is planar\), got [13]$"):
+        ConstraintSet.planar(rows, [1.0] * len(rows), [0.0] * len(rows), [1.0] * len(rows))
+
+
 @pytest.mark.parametrize("k_alpha", [0.0, -1.0, math.inf, math.nan])
 def test_safety_law_refuses_a_decay_slope_that_is_not_finite_and_positive(k_alpha):
     with pytest.raises(ValueError, match="k_alpha"):

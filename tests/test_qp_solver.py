@@ -1,14 +1,16 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from safecascade.errors import InfeasibleError
-from safecascade.qp_solver import (PolygonRows, Polyhedron, columns_product, row_product, solve_projection_qp,
-                                   states_last, sum_last_axis)
+from safecascade.qp_solver import (DEFAULT_TOL, PolygonRows, Polyhedron, columns_product, row_product,
+                                   solve_projection_qp, states_last, sum_last_axis)
 
 from helpers import Raised, assert_same_bits, layouts, outcome
-from oracles import INFEASIBLE, batch_projection, one_state_projection, project_by_face_enumeration
+from oracles import (INFEASIBLE, batch_projection, nearest_pair_vertex, one_state_projection,
+                     project_by_face_enumeration)
 
 
 def empty_poly(n_u=2):
@@ -204,8 +206,8 @@ def test_single_polygon_projection_equals_a_batch_of_one_bit_for_bit():
     a = rng.normal(size=(7, 2))
     polygon = PolygonRows(np.vstack([a, -a[0]]))
     vertex_calls = []
-    vertices = polygon.vertices
-    polygon.vertices = lambda b: vertex_calls.append(b.shape) or vertices(b)
+    edge_ends = polygon.edge_ends
+    polygon.edge_ends = lambda b: vertex_calls.append(b.shape) or edge_ends(b)
     stages = {"pass": 0, "edge": 0, "vertex": 0, "nan": 0, "empty": 0}
     for k in range(2000):
         b = rng.normal(size=2) @ polygon.a_t + np.abs(rng.normal(size=8))
@@ -314,3 +316,63 @@ def test_a_kept_row_product_is_every_column_of_the_batch_product_bit_for_bit(n):
     b[::5] = rng.normal(size=b[::5].shape)
     b[1::7, 0] = np.nan
     assert_same_bits(polygon.project(u0, b, dots=dots), polygon.project(u0, b))
+
+
+def _regular_rows(n):
+    angles = 2.0 * np.pi * np.arange(1, n + 1) / n
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+@pytest.mark.parametrize("n", [5, 11, 101])
+def test_vertex_stage_finds_the_pair_vertex_references_point(n):
+    # The vertex stage takes the nearest feasible end of the rows' edges;
+    # oracles.nearest_pair_vertex is the stage as it was, the nearest
+    # feasible vertex over every row pair. On the regular n-row basis, with
+    # an antiparallel row added, and on its first two rows (an unbounded
+    # set), both find a point for the same problems: none for an empty set
+    # or a NaN offset. They give the same bits on generic polygons and agree
+    # to within DEFAULT_TOL on single points (b = A c), where many pairs name
+    # the one corner, each with its own rounding.
+    rng = np.random.default_rng(3100 + n)
+    basis = _regular_rows(n)
+    for rows in (basis, np.vstack([basis, -basis[0]]), basis[:2]):
+        k = 40
+        anchors = rng.normal(size=(k, 2))
+        b = anchors @ rows.T + np.abs(rng.normal(size=(k, rows.shape[0])))
+        point = np.arange(k) % 4 == 1
+        b[point] = anchors[point] @ rows.T
+        if rows.shape[0] > 2:
+            b[2::4] = anchors[2::4] @ rows.T - np.abs(rng.normal(size=b[2::4].shape)) - 0.1   # empty
+        b[3::8, rng.integers(rows.shape[0])] = np.nan
+        u0 = rng.normal(scale=3.0, size=(k, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, found = PolygonRows(rows)._nearest_vertices(u0.T.copy(), b.T.copy())
+            want, want_found = (np.concatenate(parts) for parts in zip(
+                *(nearest_pair_vertex(u0[s], rows, b[s]) for s in np.array_split(np.arange(k), 8))))
+        got = got.T
+        np.testing.assert_array_equal(found, want_found)
+        np.testing.assert_array_equal(np.isnan(got).any(axis=1), ~found)
+        assert_same_bits(got[~point], want[~point])
+        np.testing.assert_allclose(got[point], want[point], rtol=0, atol=DEFAULT_TOL)
+        assert found[point].all() and not found[3::8].any()
+        assert found[0::4].all() and found[0::4].size >= 10
+        if rows.shape[0] > 2:
+            assert not found[2::4].any()
+
+
+def test_vertex_stage_memory_is_quadratic_in_the_rows():
+    # One 200-state call at 101 rows holds (rows, rows, states) arrays, not
+    # one array per row pair and row: a tracemalloc peak of at most 64 MB.
+    rng = np.random.default_rng(101)
+    polygon = PolygonRows(_regular_rows(101))
+    b = rng.normal(size=(200, 2)) @ polygon.a_t + np.abs(rng.normal(size=(200, 101)))
+    u0 = rng.normal(scale=3.0, size=(2, 200))
+    tracemalloc.start()
+    try:
+        found = polygon._nearest_vertices(u0, b.T.copy())[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.all()
+    assert peak <= 64e6, peak

@@ -17,7 +17,7 @@ from safecascade.qcqp_safety import (
     selection_with_slack,
 )
 from safecascade import reshaping
-from safecascade.qp_solver import PolygonRows, Polyhedron, solve_projection_qp
+from safecascade.qp_solver import Polyhedron, solve_projection_qp
 from safecascade.reshaping import (
     PositiveBasis,
     make_positive_basis,

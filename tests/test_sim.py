@@ -476,23 +476,21 @@ def test_margins_on_a_controller_error_final_row(monkeypatch):
     _assert_margins_are_certificate_values(traj, WALLS)
 
 
-def test_closed_loop_builds_the_basis_pair_table_at_most_once(monkeypatch):
+def test_closed_loop_reaches_the_vertex_stage_every_step_and_builds_no_polygon(monkeypatch):
     # From (1.25, 1.9) toward the stock nominal every step reaches the
-    # projection's vertex stage, which intersects the basis rows pairwise.
-    # The basis keeps that pair table, built with the law: a 50-step loop
-    # builds it at most once in all and never during the loop.
-    tables, vertex_stages = [], []
-    triu_indices = np.triu_indices
-    monkeypatch.setattr(np, "triu_indices", lambda *a, **k: tables.append(a) or triu_indices(*a, **k))
-    vertices = PolygonRows.vertices
-    monkeypatch.setattr(PolygonRows, "vertices",
-                        lambda self, b: vertex_stages.append(b) or vertices(self, b))
+    # projection's vertex stage, which reads the tables the basis's
+    # PolygonRows built with the law: a 50-step loop builds no PolygonRows.
+    builds, vertex_stages = [], []
+    init, edge_ends = PolygonRows.__init__, PolygonRows.edge_ends
+    monkeypatch.setattr(PolygonRows, "__init__", lambda self, a: builds.append(a) or init(self, a))
+    monkeypatch.setattr(PolygonRows, "edge_ends",
+                        lambda self, b: vertex_stages.append(b) or edge_ends(self, b))
     controller = wall_controller((8.0, 320.0, 4.0e5))
-    built = len(tables)
+    assert len(builds) == 1
     x0 = np.zeros(8)
     x0[:2] = [1.25, 1.9]
     traj = run_closed_loop(IntegratorChain(m=4), controller, x0, horizon=0.05, dt=1e-3,
                            workspace=((-3.0, 6.0), (-0.5, 12.0)))
     assert traj.termination == "completed" and traj.times.shape[0] == 51
     assert len(vertex_stages) == 51
-    assert built <= 1 and len(tables) == built
+    assert len(builds) == 1

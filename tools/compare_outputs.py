@@ -30,10 +30,13 @@ safe distance 0.9 (third_wall), which masks every state of the 200-point
 grid's block 8. Two more short runs at `cascade.k1 = estimate` reshape on
 the two ends of the admitted `reshape.directions`, 5 and 101 rows
 (directions_5, directions_101), whose coverage constants c_a the
-reshaping reads directly. `basis-check` builds the smallest (3 rows), a
-5-row and the largest (101-row) basis, validates an 11-row basis at 200
-probes, and refuses an even row count (4, exit 2); stdout, stderr and the
-exit code of each are compared.
+reshaping reads directly. A short run at `cascade.k1 = estimate` on a
+51-row basis with `reshape.k_phi = 0` (directions_51_kphi0) sends about
+5,000 of its grid states through the projection's vertex stage.
+`basis-check` builds the smallest (3 rows), a 5-row and the largest
+(101-row) basis, validates an 11-row basis at 200 probes, and refuses an
+even row count (4, exit 2); stdout, stderr and the exit code of each are
+compared.
 Prints "same" or "differs" per file and stdout, ignoring only
 metrics.json's runtime_s, and exits 1 on any difference.
 """
@@ -71,12 +74,15 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
                                  "obstacle.3.safe_distance_m": "0.9"}),
     "directions_5": ("vtol_safe", {"reshape.directions": "5", "cascade.k1": "estimate"}),
     "directions_101": ("vtol_safe", {"reshape.directions": "101", "cascade.k1": "estimate"}),
+    "directions_51_kphi0": ("vtol_safe", {"cascade.k1": "estimate", "reshape.directions": "51",
+                                          "reshape.k_phi": "0"}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
                for n in ("estimate", "three", "estimate_wide", "level", "zero_nominal", "kphi0", "far_nominal",
-                         "overlap_estimate", "third_wall", "directions_5", "directions_101")},
+                         "overlap_estimate", "third_wall", "directions_5", "directions_101",
+                         "directions_51_kphi0")},
             "run_unsafe_far_nominal": ["run", "--config", "unsafe_far_nominal.cfg", "--out", "run_unsafe_far_nominal",
                                        "--horizon", "1"],
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
