@@ -198,7 +198,8 @@ class SafetyLaw:
     k_alpha that is not finite and positive raises ValueError when the law
     is built.
     nominal is kept as a read-only (2,) array, and so is nominal_dots,
-    A_L nominal as row_product gives it. A step calls
+    A_L nominal as row_product gives it, which one state's projection
+    reads as a list of floats kept beside it. A step calls
     build_constraint_set and reshaped_filter through this module's names.
     """
 
@@ -208,6 +209,7 @@ class SafetyLaw:
     k_alpha: float
     k_phi: float
     nominal_dots: np.ndarray | None = field(init=False, default=None, repr=False)
+    _dot_floats: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         nominal = np.array(self.nominal, dtype=float)
@@ -220,6 +222,7 @@ class SafetyLaw:
             dots = row_product(nominal, self.basis.polygon.a_t)
             dots.flags.writeable = False
             object.__setattr__(self, "nominal_dots", dots)
+            object.__setattr__(self, "_dot_floats", dots.tolist())
 
     def evaluate(self, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The input at x1, with each certificate's clearance h and value V
@@ -230,8 +233,8 @@ class SafetyLaw:
             return np.broadcast_to(self.nominal, x1.shape), empty, empty
         cs = build_constraint_set(x1, self.certs, self.k_alpha)
         # The projection broadcasts the one nominal against a batch's rows.
-        return (reshaped_filter(self.nominal, cs, self.basis, self.k_phi,
-                                nominal_dots=self.nominal_dots), cs.h, cs.v)
+        dots = self._dot_floats if x1.ndim == 1 else self.nominal_dots
+        return reshaped_filter(self.nominal, cs, self.basis, self.k_phi, nominal_dots=dots), cs.h, cs.v
 
 
 @dataclass
@@ -253,11 +256,11 @@ class CascadeController:
         """Evaluate on the state blocks [x_1, ..., x_m]. Each level calls
         tracking_law through this module's name, which the benchmark's
         trace hooks rebind."""
-        if len(blocks) != self.m:
+        slopes = () if self.gains is None else self.gains.tracking_slopes
+        if len(blocks) != 1 + len(slopes):
             raise ValueError(f"expected {self.m} state blocks, got {len(blocks)}")
         x_star, h, v = self.rho1.evaluate(blocks[0])
         stars = [x_star]
-        slopes = () if self.gains is None else self.gains.tracking_slopes
         for block, slope in zip(blocks[1:], slopes):
             x_star = tracking_law(block - x_star, slope)
             stars.append(x_star)

@@ -118,8 +118,29 @@ def _undefined_where(bad: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(bad, np.nan, values)
 
 
+def _hypot(p: float, q: float) -> float:
+    """np.hypot's value for two floats: the absolute value of a complex is
+    the C library's hypot, which numpy's calls too, at a fifth of the cost
+    of a numpy call. An overflow, which abs raises, is left to np.hypot."""
+    try:
+        return abs(complex(p, q))
+    except OverflowError:
+        return float(np.hypot(p, q))
+
+
+def _one_point(x) -> tuple | list | None:
+    """One point x as two floats, or None for an array of points (..., 2).
+    The constraint set hands its state over as a tuple of two floats,
+    which passes as it is; any other x is read as a float array."""
+    if type(x) is tuple and len(x) == 2 and type(x[0]) is float:
+        return x
+    x = np.asarray(x, dtype=float)
+    return x.tolist() if x.ndim == 1 else None
+
+
 def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
-    """Clearance and gradient for a segment certificate at x of shape (..., 2).
+    """Clearance and gradient for a segment certificate at x of shape (..., 2),
+    or at one point given as a tuple of two floats.
 
     The nearest segment point is the projection of x onto the spine line,
     clamped to the endpoints: t = clip((x - o1).b / |b|^2, 0, 1). The
@@ -132,24 +153,25 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     seg = cert.geometry
     if not isinstance(seg, Segment):
         raise TypeError("eval_segment needs a Segment certificate")
-    x = np.asarray(x, dtype=float)
+    point = _one_point(x)
     base, base_sq = seg.base, seg.base_sq
     if base_sq <= 1e-24:
         raise DegenerateGeometryError("segment endpoints coincide")
-    if x.ndim == 1:
+    if point is not None:
         # One point runs on floats, with the ufuncs' values, -0.0 and NaN
-        # included; the BLAS dot and np.hypot stay, as floats round otherwise.
-        (x0, x1), (o0, o1, b0, b1) = x.tolist(), seg.floats
+        # included; the BLAS dot stays, as floats round otherwise.
+        (x0, x1), (o0, o1, b0, b1) = point, seg.floats
         r0, r1 = x0 - o0, x1 - o1
-        t = float(np.array((r0, r1)).dot(base)) / base_sq
+        t = float(base.dot((r0, r1))) / base_sq
         t = 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
         d0, d1 = r0 - t * b0, r1 - t * b1
-        dist = float(np.hypot(d0, d1))
+        dist = _hypot(d0, d1)
         if dist <= SPINE_TOL:
             raise ZeroGradientError("query point on segment spine")
         grad_h = np.array([d0 / dist, d1 / dist])
         return CertificateEval.from_clearance(dist - cert.safe_distance, grad_h)
     # Component rows (2, N), states last (qp_solver.states_last).
+    x = np.asarray(x, dtype=float)
     rel = np.subtract(states_last(x), seg.o1[:, None], order="C")
     rel -= base[:, None] * np.minimum(np.maximum(base @ rel / base_sq, 0.0), 1.0)
     dist = np.hypot(rel[0], rel[1])
@@ -161,22 +183,24 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
 def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     """Quadratic clearance h(x) = |x - o|^2 - R^2 for a disc certificate.
 
-    x has shape (..., 2); at the center (within CENTER_TOL) a single point
-    raises AtCenterError and an array of points evaluates to NaN there.
+    x has shape (..., 2) or is one point as a tuple of two floats; at the
+    center (within CENTER_TOL) a single point raises AtCenterError and an
+    array of points evaluates to NaN there.
     """
     disc = cert.geometry
     if not isinstance(disc, Disc):
         raise TypeError("eval_disc needs a Disc certificate")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        # One point on floats, as eval_segment's; np.hypot stays.
-        (x0, x1), (c0, c1) = x.tolist(), disc.center.tolist()
+    point = _one_point(x)
+    if point is not None:
+        # One point on floats, as eval_segment's.
+        (x0, x1), (c0, c1) = point, disc.center.tolist()
         d0, d1 = x0 - c0, x1 - c1
-        r = float(np.hypot(d0, d1))
+        r = _hypot(d0, d1)
         if r <= CENTER_TOL:
             raise AtCenterError("query point at disc center")
         grad_h = np.full(2, np.nan) if r != r else np.array([2.0 * d0, 2.0 * d1])
         return CertificateEval.from_clearance(r * r - disc.radius**2, grad_h)
+    x = np.asarray(x, dtype=float)
     delta = np.subtract(states_last(x), disc.center[:, None], order="C")     # (2, N)
     r = np.hypot(delta[0], delta[1])
     r = _undefined_where(r <= CENTER_TOL, r)

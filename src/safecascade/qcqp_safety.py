@@ -35,7 +35,9 @@ class ConstraintSet:
     (..., n_rows). Rows of any other width are refused. A batch row whose
     state has no set carries NaN. A set built from certificates also
     carries each certificate's clearance h and value V at the state, shaped
-    like b (keyword-only); otherwise both are None.
+    like b (keyword-only); otherwise both are None. One state's set made
+    from floats (planar) keeps its rows and offsets as floats beside the
+    arrays, for the selection to read.
     """
 
     a: np.ndarray
@@ -43,6 +45,7 @@ class ConstraintSet:
     _: KW_ONLY
     h: np.ndarray | None = None
     v: np.ndarray | None = None
+    _floats = None                  # (rows, offsets) of a planar set, not a field
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -67,7 +70,8 @@ class ConstraintSet:
         """One planar state's set from floats: its rows as pairs, their
         offsets, and each certificate's h and V. The constructor's checks
         run on the floats, in the ufuncs' order, and the set is made
-        without the constructor, whose checks would read the arrays back."""
+        without the constructor, whose checks would read the arrays back;
+        it keeps the lists of rows and offsets it is given as its floats."""
         if len(rows) != len(b):
             raise ValueError("row count mismatch between a and b")
         for row in rows:
@@ -77,15 +81,17 @@ class ConstraintSet:
                 raise ValueError(f"constraint rows must have 2 columns (the package is planar), got {len(row)}")
             if abs(math.sqrt(p * p + q * q) - 1.0) > 1e-9:
                 raise ValueError("constraint rows must be unit vectors")
-        return cls._from_checked(np.array(rows) if rows else np.zeros((0, 2)), np.array(b),
-                                 np.array(h), np.array(v))
+        cs = object.__new__(cls)
+        vars(cs).update(a=np.array(rows) if rows else np.zeros((0, 2)), b=np.array(b), h=np.array(h),
+                        v=np.array(v), _floats=(rows, b))
+        return cs
 
     @classmethod
-    def _from_checked(cls, a: np.ndarray, b: np.ndarray, h=None, v=None) -> ConstraintSet:
+    def _from_checked(cls, a: np.ndarray, b: np.ndarray) -> ConstraintSet:
         """The set of float arrays whose rows already passed the
-        constructor's checks, made without it."""
+        constructor's checks, made without it; without h and V."""
         cs = object.__new__(cls)
-        vars(cs).update(a=a, b=b, h=h, v=v)
+        vars(cs).update(a=a, b=b, h=None, v=None)
         return cs
 
     @property
@@ -177,10 +183,12 @@ def build_constraint_set(
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        # One planar state on floats; decay_rate keeps its ufuncs (np.log1p).
+        # One planar state on floats, which the certificates take as a pair;
+        # decay_rate keeps its ufuncs (np.log1p).
+        point = tuple(x.tolist())
         rows, b, h, v = [], [], [], []
         for cert in certs:
-            ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
+            ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, point)
             g0, g1 = ev.grad_h.tolist()
             nrm = -math.sqrt(g0 * g0 + g1 * g1)      # a sum from 0: squares are never -0.0
             rows.append((g0 / nrm, g1 / nrm))
@@ -248,7 +256,8 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     if cs.n_rows == 0:
         return np.zeros(b.shape[:-1] + (cs.n_u,)), np.zeros(b.shape)
     if b.ndim == 1:
-        return _one_selection_with_slack(cs)
+        u, slack = _one_selection_with_slack(cs)
+        return np.array(u), np.array(slack)
     # In the batch layout (qp_solver.states_last): sums and maxima over the
     # rows run one row of states at a time, in numpy's reduction order
     # (sum_last_axis), so a batch keeps the reductions' bits.
@@ -280,15 +289,23 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     return states_first(u, batch), states_first(viol, batch)
 
 
-def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
-    """selection_with_slack for one state's set, on floats with the batch
-    code's values (np.minimum and the row sum in its order, -0.0 and NaN
-    included); the set evaluates itself at a nonzero point once, and not at
-    all at a zero one."""
-    b = cs.b.tolist()
-    # The two smallest, NaN last: a NaN among them makes the sum NaN.
-    two = sorted([q for q in b if q == q])[:2]
-    if len(two) == 2 and two[0] + two[1] < -DEFAULT_TOL:
+def _one_selection_with_slack(cs: ConstraintSet) -> tuple[list, list]:
+    """selection_with_slack for one state's set of at least one row, as
+    lists of floats, with the batch code's values (np.minimum and the row
+    sum in its order, -0.0 and NaN included); the set evaluates itself at a
+    nonzero point once, and not at all at a zero one. A planar set's kept
+    floats are read, any other's arrays once. Plain loops, as a few rows
+    would spend more on comprehensions than on their arithmetic."""
+    rows, b = cs._floats or (cs.a.tolist(), cs.b.tolist())
+    # The two smallest, NaN skipped (it compares False): with fewer than
+    # two, the sum is NaN or +inf and passes.
+    least = next_least = math.inf
+    for q in b:
+        if q < least:
+            least, next_least = q, least
+        elif q < next_least:
+            next_least = q
+    if least + next_least < -DEFAULT_TOL:
         # Their rows as a stable argsort orders them.
         lo, second = sorted(range(len(b)), key=lambda k: (b[k] != b[k], b[k]))[:2]
         raise SelectionConditionError(
@@ -296,17 +313,22 @@ def _one_selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray
             f"{b[lo]:.6g} + {b[second]:.6g} < 0",
             pair=(lo, second),
         )
-    u = [0.0] * cs.n_u                  # np.add.reduce starts at 0.0: -0.0 sums to 0.0
-    for q, row in zip(b, cs.a.tolist()):
+    u0 = u1 = 0.0                       # np.add.reduce starts at 0.0: -0.0 sums to 0.0
+    for q, (p0, p1) in zip(b, rows):
         w = q if q < 0.0 or q != q else 0.0
-        u = [s + w * p for s, p in zip(u, row)]
-    selection = np.array(u)
+        u0 += w * p0
+        u1 += w * p1
     # As in a batch, a zero u (its rows then finite) has the violations 0.0 - b.
-    viols = cs.violations(selection).tolist() if any(u) else [0.0 - q for q in b]
+    viols = cs.violations(np.array((u0, u1))).tolist() if u0 or u1 else [0.0 - q for q in b]
     # np.maximum.reduce: NaN if any row is NaN.
-    if not any([q != q for q in viols]) and max(viols) > DEFAULT_TOL:
-        raise SelectionConditionError(f"selection violates a row by {max(viols):.3e}", pair=None)
-    return selection, np.array([-q for q in viols])
+    worst, slack = -math.inf, []
+    for q in viols:
+        if q > worst or q != q:         # NaN, once met, stays
+            worst = q
+        slack.append(-q)
+    if worst > DEFAULT_TOL:
+        raise SelectionConditionError(f"selection violates a row by {worst:.3e}", pair=None)
+    return [u0, u1], slack
 
 
 @dataclass(frozen=True)

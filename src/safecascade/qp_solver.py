@@ -12,7 +12,9 @@ matrix, whose fixed structure the PolygonRows keeps.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,12 @@ from .errors import InfeasibleError, MaxIterationsError
 
 # The one feasibility tolerance of every projection and membership check.
 DEFAULT_TOL = 1e-9
+
+# Elements per block of states in PolygonRows.edge_ends: its largest
+# temporaries, the (C, 2, n, k) key and the (n, 2n, k) test, hold about
+# n^2 elements a state, so it works on as many states at once as keep them
+# under this (8 MB of floats each), and on one state when one alone exceeds it.
+EDGE_END_BLOCK_ELEMENTS = 1 << 20
 
 
 def sum_last_axis(m: np.ndarray) -> np.ndarray:
@@ -232,7 +240,20 @@ class PolygonRows:
         exceeds 1e-12 in size, from above (det > 0) or below, at s = (b_m
         |a_l|^2 - b_l a_l . a_m) / det along a_l turned left. An end is the
         lowest row of least key s |det| / det = p b_m - q b_l on its side, by
-        its pair's Cramer's rule (i < j); NaN where none cuts. Every vertex is an end."""
+        its pair's Cramer's rule (i < j); NaN where none cuts. Every vertex is an end.
+        The states run in blocks small enough to keep the key and the test
+        under EDGE_END_BLOCK_ELEMENTS elements each."""
+        n, k = b.shape
+        block = max(1, EDGE_END_BLOCK_ELEMENTS // max(self.cand.size, 2 * n * n))
+        if k <= block:
+            return self._edge_ends(b)
+        ends, ok = np.empty((2, 2 * n, k)), np.empty((2 * n, k), dtype=bool)
+        for lo in range(0, k, block):
+            ends[:, :, lo:lo + block], ok[:, lo:lo + block] = self._edge_ends(b[:, lo:lo + block])
+        return ends, ok
+
+    def _edge_ends(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """edge_ends on one block of states b (n, k)."""
         n, k = b.shape
         key = b.take(self.cand, axis=0) * self.key_p - b * self.key_q    # (C, 2, n, k)
         # The last candidate of least key, on whole slabs of states: an
@@ -305,18 +326,26 @@ class PolygonRows:
         """project for one problem, u0 (2,) and b (n,) float arrays, on
         floats with the batch code's values. The BLAS products u0 @ a_t
         and edge @ a_t stay, as a batch's matrix product rounds them
-        (row_product). dots, when given, must be row_product(u0, self.a_t),
-        which a caller with a fixed u0 may keep; it is not checked."""
-        viol = ((row_product(u0, self.a_t) if dots is None else dots) - b).tolist()
+        (row_product). dots, when given, must be row_product(u0, self.a_t)
+        or its list of floats, which a caller with a fixed u0 may keep; it
+        is not checked."""
+        # Elementwise steps run through map, which makes no comprehension frame.
+        bounds = b.tolist()
+        if dots is None:
+            dots = row_product(u0, self.a_t)
+        viol = list(map(operator.sub, dots if type(dots) is list else dots.tolist(), bounds))
         if any(map(math.isnan, viol)):
             return np.full(2, np.nan)      # as a batch row: no problem to solve
         if max(viol) <= DEFAULT_TOL:
             return u0.copy()
-        far = [q / n for q, n in zip(viol, self.nrm_list)]
+        far = list(map(operator.truediv, viol, self.nrm_list))
         far = far.index(max(far))          # the first largest, as argmax
         step = viol[far] / self.nrm_sq_list[far]
-        edge = np.array([p - step * q for p, q in zip(u0.tolist(), self.rows[far])])
-        if all([p <= q + DEFAULT_TOL for p, q in zip(row_product(edge, self.a_t).tolist(), b.tolist())]):
+        (p0, p1), (q0, q1) = u0.tolist(), self.rows[far]
+        edge = np.array((p0 - step * q0, p1 - step * q1))
+        # edge A^T <= b + DEFAULT_TOL in every row.
+        if all(map(operator.le, row_product(edge, self.a_t).tolist(),
+                   map(operator.add, bounds, itertools.repeat(DEFAULT_TOL)))):
             return edge
         out, found = self._nearest_vertices(u0[:, None], b[:, None])
         if not found[0]:

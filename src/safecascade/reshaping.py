@@ -18,12 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadCountError, CoverageConditionError, SelectionNotFeasibleError
-from .qcqp_safety import ConstraintSet, selection_with_slack
+from .qcqp_safety import ConstraintSet, _one_selection_with_slack, selection_with_slack
 # solve_projection_qp is unused here but stays importable: the benchmark's
 # trace hooks (benchmarks/workloads.py) rebind reshaping.solve_projection_qp.
 from .qp_solver import (DEFAULT_TOL, Polyhedron, PolygonRows, columns_product, row_product,  # noqa: F401
@@ -201,17 +202,24 @@ def reshape_b_l(
     batch. slack, when given, must be b - a s at the selection (NaN rows
     where it is undefined), as selection_with_slack returns it, and saves
     evaluating the set again; given or computed, it is checked against
-    -DEFAULT_TOL the same way.
+    -DEFAULT_TOL the same way. One state's selection and slack may also
+    come as lists of floats, as the filter hands them over.
     """
     if k_phi < 0:
         raise ValueError("k_phi must be nonnegative")
     if cs.n_rows == 0:
         raise ValueError("reshaping needs at least one constraint row")
+    if not cs.batched:
+        if type(selection) is not list:
+            selection = np.asarray(selection, dtype=float).tolist()
+        if slack is None:
+            slack = [-q for q in cs.violations(selection).tolist()]
+        elif type(slack) is not list:
+            slack = np.asarray(slack, dtype=float).tolist()
+        return np.array(_one_b_l(selection, slack, cs, basis, k_phi))
     selection = np.asarray(selection, dtype=float)
     if slack is None:
         slack = -cs.violations(selection)                       # (..., n_c)
-    if not cs.batched:
-        return _one_b_l(selection, slack.tolist(), cs, basis, k_phi)
     # The batch layout (qp_solver.states_last): phi is (n_c, n_l, N), so the
     # min over the constraint rows is a chain of elementwise minima.
     batch = cs.b.shape[:-1]
@@ -242,27 +250,30 @@ def reshape_b_l(
     return states_first(b_l, batch)
 
 
-def _one_b_l(selection: np.ndarray, slack: list, cs: ConstraintSet, basis: PositiveBasis,
-             k_phi: float) -> np.ndarray:
+def _one_b_l(selection: list, slack: list, cs: ConstraintSet, basis: PositiveBasis,
+             k_phi: float) -> list:
     """reshape_b_l for one state's set, on floats with the batch code's
     values (np.maximum, np.minimum, -0.0 and NaN included); the BLAS
     products cs.a @ A_L^T and selection @ A_L^T stay, the latter as a
     batch's matrix product rounds it (row_product). An exactly zero
     selection skips it: every b_l entry is >= +0.0 or NaN, so adding the
     product's +-0 changes no bit."""
-    if any([q < -DEFAULT_TOL for q in slack]):
-        raise SelectionNotFeasibleError("selection point violates the constraint set")
+    for q in slack:
+        if q < -DEFAULT_TOL:
+            raise SelectionNotFeasibleError("selection point violates the constraint set")
     c_a = coverage_constant(basis)
-    a_t = basis.a_l.T
-    b_l = None
-    for q, dots in zip(slack, cs.a.dot(a_t).tolist()):
+    # Each row's phi and the running minimum in one pass; from +inf, the
+    # first row's phi passes unchanged.
+    products = cs.a.dot(basis.a_l.T).tolist()
+    b_l = [math.inf] * len(products[0])
+    for q, dots in zip(slack, products):
         scaled = q if q > 0.0 or q != q else 0.0                    # clip tolerance dust
-        phi = [(d if d > c_a or d != d else c_a) * scaled
-               + (e if (e := k_phi * (c_a - d)) > 0.0 or e != e else 0.0) for d in dots]
-        b_l = phi if b_l is None else [m if m < p or m != m else p for m, p in zip(b_l, phi)]
-    if not any(selection.tolist()):                                # NaN is true
-        return np.array(b_l)
-    return np.array([p + m for p, m in zip(row_product(selection, basis.polygon.a_t).tolist(), b_l)])
+        b_l = [m if m < (p := (d if d > c_a or d != d else c_a) * scaled
+                         + (e if (e := k_phi * (c_a - d)) > 0.0 or e != e else 0.0)) or m != m else p
+               for m, d in zip(b_l, dots)]
+    if not any(selection):                                          # NaN is true
+        return b_l
+    return list(map(operator.add, row_product(selection, basis.polygon.a_t).tolist(), b_l))
 
 
 def reshaped_filter(
@@ -288,30 +299,31 @@ def reshaped_filter(
     single state and gives a NaN row in a batch. nominal_dots, when given,
     must be row_product(nominal, basis.polygon.a_t), A_L nominal, which a
     SafetyLaw keeps; the projection reads it in place of the product, for
-    one state as for a batch.
+    one state as for a batch, and one state's may be its list of floats.
+    One state's selection and slack go to reshape_b_l as lists of floats.
     """
     nominal = np.asarray(nominal, dtype=float)
     if nominal.shape != (cs.n_u,):
         raise ValueError(f"the nominal must be one input of shape ({cs.n_u},)")
     if cs.n_rows == 0:
         return np.array(np.broadcast_to(nominal, cs.b.shape[:-1] + (cs.n_u,)))
-    batched = cs.batched
-    if batched:
-        if k_phi < 0:
-            raise ValueError("k_phi must be nonnegative")
-        batch, active = cs.b.shape[:-1], _active_states(nominal, cs, basis)
-        out = np.empty((2, math.prod(batch)))
-        out[0], out[1] = nominal.tolist()
-        if not active.size:
-            return states_first(out, batch)
-        cs = cs.take(active)
     # Not through lipschitz_selection: the benchmark's selection counter
     # wraps cascade.lipschitz_selection and cli.lipschitz_selection and
     # reads one state's selection.
+    if not cs.batched:
+        selection, slack = _one_selection_with_slack(cs)
+        b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
+        return basis.polygon.project_one(nominal, b_l, dots=nominal_dots)
+    if k_phi < 0:
+        raise ValueError("k_phi must be nonnegative")
+    batch, active = cs.b.shape[:-1], _active_states(nominal, cs, basis)
+    out = np.empty((2, math.prod(batch)))
+    out[0], out[1] = nominal.tolist()
+    if not active.size:
+        return states_first(out, batch)
+    cs = cs.take(active)
     selection, slack = selection_with_slack(cs)
     b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
-    if not batched:
-        return basis.polygon.project_one(nominal, b_l, dots=nominal_dots)
     out[:, active] = states_last(basis.polygon.project(nominal, b_l, dots=nominal_dots))
     return states_first(out, batch)
 

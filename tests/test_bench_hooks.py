@@ -107,6 +107,33 @@ def test_traced_closed_loop_evaluates_each_certificate_once_per_step():
         assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
 
 
+def test_traced_closed_loop_with_a_disc_evaluates_each_certificate_once_per_step():
+    # A wall and a disc: the constraint set hands each certificate the
+    # state as floats through the traced module names, so a 50-step run
+    # shows one certificate span per certificate and step, eval_disc among
+    # them, and one set, filter and reshaping per step.
+    certs = [CertificateSpec(Segment([-2.5, 0.5], [2.5, 0.5]), safe_distance=0.35),
+             CertificateSpec(Disc([0.8, 6.0], 1.0))]
+    law = SafetyLaw(certs, np.array([0.6, 1.0]), make_positive_basis(11), 1.0, k_phi=2.0)
+    controller = CascadeController(law, CascadeGains(tracking_slopes=(8.0, 320.0, 4.0e5), k1=3.49))
+    x0 = np.zeros(8)
+    x0[:2] = [-2.0, 1.0]
+    tracer = Tracer()
+    install_trace(tracer)
+    try:
+        traj = sim.run_closed_loop(sim.IntegratorChain(m=4), controller, x0, horizon=0.05,
+                                   dt=1e-3, workspace=((-3.0, 6.0), (-0.5, 12.0)))
+    finally:
+        tracer.restore()
+    rows = traj.times.shape[0]
+    names = [tracer.names[i] for i in tracer.arrays()["name_id"]]
+    assert traj.termination == "completed" and rows == 51
+    assert sum(name.startswith("certificates.") for name in names) == rows * len(certs)
+    assert names.count("certificates.eval_segment") == names.count("certificates.eval_disc") == rows
+    for name in ("qcqp_safety.build_constraint_set", "reshaping.reshaped_filter", "reshaping.reshape_b_l"):
+        assert names.count(name) == rows, name
+
+
 def test_output_hooks_receive_the_written_file_as_argument_0(tmp_path, monkeypatch):
     # The trace hooks count output bytes with Path(args[0]).stat() after each
     # writer that cli calls through its own names returns: every writer must

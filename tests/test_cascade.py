@@ -18,7 +18,7 @@ from safecascade.cascade import (
     small_gain_audit,
     tracking_law,
 )
-from safecascade.certificates import CertificateSpec, Disc, Segment, eval_segment
+from safecascade.certificates import CertificateSpec, Disc, Segment, eval_disc, eval_segment
 from safecascade.errors import (
     CoverageConditionError,
     SafecascadeError,
@@ -29,9 +29,10 @@ from safecascade.qcqp_safety import (
     build_constraint_set,
     disc_constraint_set,
     lipschitz_selection,
+    selection_with_slack,
 )
 from safecascade.qp_solver import PolygonRows, Polyhedron, row_product, solve_projection_qp
-from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l
+from safecascade.reshaping import PositiveBasis, make_positive_basis, reshape_b_l, reshaped_filter
 from safecascade.scenario import build_scenario, estimate_safety_law_lipschitz, load_scenario, parse_config_text
 from safecascade.sim import run_closed_loop
 
@@ -646,6 +647,57 @@ def test_controller_step_equals_the_vector_reference_bit_for_bit():
                 star = tracking_law(blocks[-1] - star, slope)
             seen.add(type(_assert_same_step(controller, blocks)).__name__)
     assert seen == {"zero", "tiny", "nan", "large", "Raised", "tuple"}
+
+
+def _assert_float_array(value, shape):
+    assert type(value) is np.ndarray and value.dtype == np.float64, type(value)
+    assert value.shape == shape
+
+
+def test_one_state_public_results_are_float_arrays():
+    # One state's values cross the layers as floats, but each public
+    # function still returns the arrays it documents: a certificate's
+    # gradient, the set's a, b, h and V, the selection and its slack, b_l,
+    # the filtered input and every virtual control. A certificate given the
+    # state as the pair of floats the set hands over evaluates as at the
+    # array, and reshape_b_l takes the filter's float lists as it takes
+    # arrays. The states cover a zero and a nonzero selection, and a
+    # nominal passed through and projected.
+    wall, disc = WALLS[1], CertificateSpec(Disc([0.8, 6.0], 1.0))
+    basis = make_positive_basis(11)
+    law = SafetyLaw([wall, disc], np.array([0.6, 1.0]), basis, 1.0, k_phi=2.0)
+    controller = CascadeController(law, STOCK_GAINS)
+    kinds = set()
+    for x in ([-2.0, 1.0], [0.0, 0.75], [0.8, 4.6], [0.0, 25.0]):
+        x = np.array(x)
+        for cert, evaluate in ((wall, eval_segment), (disc, eval_disc)):
+            ev, pair = evaluate(cert, x), evaluate(cert, tuple(x.tolist()))
+            _assert_float_array(ev.grad_h, (2,))
+            assert_same_bits(pair.grad_h, ev.grad_h)
+            assert (pair.h, pair.v) == (ev.h, ev.v)
+        cs = build_constraint_set(x, law.certs, law.k_alpha)
+        _assert_float_array(cs.a, (2, 2))
+        for values in (cs.b, cs.h, cs.v):
+            _assert_float_array(values, (2,))
+        selection, slack = selection_with_slack(cs)
+        _assert_float_array(selection, (2,))
+        _assert_float_array(slack, (2,))
+        b_l = reshape_b_l(selection, cs, basis, law.k_phi, slack=slack)
+        _assert_float_array(b_l, (11,))
+        assert_same_bits(reshape_b_l(selection.tolist(), cs, basis, law.k_phi, slack=slack.tolist()), b_l)
+        assert_same_bits(reshape_b_l(selection, cs, basis, law.k_phi), b_l)
+        u = reshaped_filter(law.nominal, cs, basis, law.k_phi)
+        _assert_float_array(u, (2,))
+        ev = controller.evaluate([x, np.zeros(2), np.zeros(2), np.zeros(2)])
+        assert type(ev.x_stars) is tuple and len(ev.x_stars) == 4
+        for star in ev.x_stars:
+            _assert_float_array(star, (2,))
+        assert ev.u is ev.x_stars[-1]
+        assert_same_bits(ev.x_stars[0], u)
+        _assert_float_array(ev.h, (2,))
+        _assert_float_array(ev.v, (2,))
+        kinds.add((bool(np.any(selection != 0.0)), bool(np.any(u != law.nominal))))
+    assert {chosen for chosen, _ in kinds} == {moved for _, moved in kinds} == {False, True}, kinds
 
 
 def test_batched_law_equals_the_array_reference_bit_for_bit():

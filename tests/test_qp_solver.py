@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from safecascade import qp_solver
 from safecascade.errors import InfeasibleError
 from safecascade.qp_solver import (DEFAULT_TOL, PolygonRows, Polyhedron, columns_product, row_product,
                                    solve_projection_qp, states_last, sum_last_axis)
@@ -376,3 +377,30 @@ def test_vertex_stage_memory_is_quadratic_in_the_rows():
         tracemalloc.stop()
     assert found.all()
     assert peak <= 64e6, peak
+
+
+def test_vertex_stage_runs_in_blocks_of_bounded_memory(monkeypatch):
+    # edge_ends takes its states in blocks whose largest temporaries hold
+    # at most EDGE_END_BLOCK_ELEMENTS: blocks of 7 states give the ends and
+    # flags of one pass over all 100 (the last block short), and a
+    # 1,000-state call at 101 rows peaks at most 32 MB by tracemalloc (one
+    # pass over every state takes about 200 MB).
+    rng = np.random.default_rng(7)
+    polygon = PolygonRows(_regular_rows(11))
+    b = (rng.normal(size=(100, 2)) @ polygon.a_t + rng.normal(size=(100, 11))).T.copy()
+    b[3, ::9] = np.nan
+    whole = polygon._edge_ends(b)
+    monkeypatch.setattr(qp_solver, "EDGE_END_BLOCK_ELEMENTS", 7 * 2 * 11 * 11)
+    for got, want in zip(polygon.edge_ends(b), whole):
+        assert_same_bits(got, want)
+    monkeypatch.undo()
+    polygon = PolygonRows(_regular_rows(101))
+    b = (rng.normal(size=(1000, 2)) @ polygon.a_t + np.abs(rng.normal(size=(1000, 101)))).T.copy()
+    tracemalloc.start()
+    try:
+        ok = polygon.edge_ends(b)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.any(axis=0).all()
+    assert peak <= 32e6, peak
