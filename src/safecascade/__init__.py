@@ -47,7 +47,6 @@ from .reshaping import (
     make_positive_basis,
     reshape_b_l,
     reshaped_filter,
-    validate_positive_basis,
 )
 from .sim import (
     IntegratorChain,

@@ -96,7 +96,7 @@ class CertificateEval:
     """Clearance h, its gradient, and the value V = exp(-h), whose
     gradient is -V grad_h.
 
-    Evaluated at one point, h and v are scalars and the gradient a (2,)
+    Evaluated at one point, h and v are floats and the gradient a (2,)
     vector; at an (..., 2) array of points every field gains the same
     leading axes.
     """
@@ -107,8 +107,10 @@ class CertificateEval:
 
     @classmethod
     def from_clearance(cls, h, grad_h: np.ndarray) -> "CertificateEval":
-        """Apply the barrier transform V = exp(-h)."""
-        return cls(h, grad_h, np.exp(-h))
+        """Apply the barrier transform V = exp(-h); one point's V is a
+        float, from numpy's exp, whose bits math.exp need not give."""
+        v = np.exp(-h)
+        return cls(h, grad_h, v if isinstance(v, np.ndarray) else float(v))
 
 
 def _undefined_where(bad: np.ndarray, values: np.ndarray) -> np.ndarray:

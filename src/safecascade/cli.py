@@ -29,8 +29,7 @@ from .output import (
 )
 from .qcqp_safety import disc_constraint_set, lipschitz_selection
 from .qp_solver import Polyhedron, solve_projection_qp
-from .reshaping import (MAX_DIRECTIONS, make_positive_basis, reshape_b_l, reshaped_filter,
-                        sample_polytope_2d, validate_positive_basis)
+from .reshaping import MAX_DIRECTIONS, make_positive_basis, reshape_b_l, reshaped_filter, sample_polytope_2d
 from .scenario import DesignReport, build_scenario, check_time_grid, load_scenario
 from .sim import run_closed_loop, trajectory_metrics
 
@@ -339,7 +338,7 @@ def cmd_audit(config_path: str | Path) -> int:
         print(f"basis: n_l={basis.n_l} c_a={basis.c_a:.6g} "
               f"unit-norm dev {rep.max_unit_norm_deviation:.2e}, "
               f"min subset sigma {rep.min_subset_sigma:.4f}, "
-              f"coverage failures {rep.coverage_failures}/{rep.samples}")
+              f"uncovered gaps {rep.uncovered_gaps}/{basis.n_l}")
     rep = design.disjointness
     if rep is not None:
         pair = "" if rep.pair is None else " between obstacles {} and {}".format(*rep.pair)
@@ -352,19 +351,18 @@ def cmd_audit(config_path: str | Path) -> int:
     return EXIT_OK
 
 
-def cmd_basis_check(n_l: int, samples: int = 500) -> int:
+def cmd_basis_check(n_l: int) -> int:
     """Construct and validate a positive basis of the plane; print the report."""
     try:
         basis = make_positive_basis(n_l)
     except SafecascadeError as exc:
         print(f"basis construction failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # make_positive_basis has already validated at the default 500 probes.
-    rep = basis.report if samples == 500 else validate_positive_basis(basis, samples=samples)
+    rep = basis.report
     print(f"basis n_u=2 n_l={n_l}: c_a={basis.c_a:.6g}")
     print(f"  max unit-norm deviation {rep.max_unit_norm_deviation:.2e}")
     print(f"  min subset singular value {rep.min_subset_sigma:.6f}")
-    print(f"  coverage failures {rep.coverage_failures}/{rep.samples}")
+    print(f"  uncovered gaps {rep.uncovered_gaps}/{n_l}")
     return EXIT_OK
 
 
@@ -387,19 +385,12 @@ def _checked(name: str, parse, ok, rule: str):
 # 23 us a state, so 1,001 per axis (10^6 states) is about 45 MB and 25 s.
 MAX_FIELD_GRID = 1001
 
-# The most basis-check probes: with the largest basis (MAX_DIRECTIONS rows) a
-# probe takes about 30 us and, its chosen rows built per chunk, a few tens of
-# bytes, so 10^5 probes are about 3 s.
-MAX_BASIS_SAMPLES = 10**5
-
 # numpy rejects negative seeds; the gap radius must leave a gap between the
-# discs; validate_positive_basis needs 100 probes.
+# discs.
 _seed = _checked("seed", int, lambda v: v >= 0, "nonnegative")
 _radius = _checked("radius", float, lambda v: 0.0 < v < 1.0, "finite, in (0, 1)")
 _grid = _checked("grid", int, lambda v: 2 <= v <= MAX_FIELD_GRID, f"2 to {MAX_FIELD_GRID}")
 _n_l = _checked("n-l", int, lambda v: v <= MAX_DIRECTIONS, f"at most {MAX_DIRECTIONS}")
-_samples = _checked("samples", int, lambda v: 100 <= v <= MAX_BASIS_SAMPLES,
-                    f"100 to {MAX_BASIS_SAMPLES}")
 
 
 def main(argv=None) -> int:
@@ -429,7 +420,6 @@ def main(argv=None) -> int:
 
     p_basis = sub.add_parser("basis-check", help="construct and validate a positive basis")
     p_basis.add_argument("--n-l", type=_n_l, default=11)
-    p_basis.add_argument("--samples", type=_samples, default=500)
 
     args = parser.parse_args(argv)
     if args.command == "run":
@@ -441,7 +431,7 @@ def main(argv=None) -> int:
     if args.command == "audit":
         return cmd_audit(args.config)
     if args.command == "basis-check":
-        return cmd_basis_check(args.n_l, samples=args.samples)
+        return cmd_basis_check(args.n_l)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

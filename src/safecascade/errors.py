@@ -38,7 +38,7 @@ class BadCountError(SafecascadeError):
 
 class CoverageConditionError(SafecascadeError):
     """A basis that does not cover as reshaping needs: a coverage constant
-    that is not positive, or a constructed basis that failed validation."""
+    that is not positive."""
 
 
 class SelectionNotFeasibleError(SafecascadeError):

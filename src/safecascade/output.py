@@ -4,8 +4,9 @@ All numeric formatting is fixed at nine significant digits so identical runs
 produce byte-identical files. The CSV writers stream: they format and write
 CSV_BLOCK_ROWS rows at a time, so their memory does not grow with the file,
 and the bytes written do not depend on the block size. The metrics document
-follows the bundled versioned schema (schemas/metrics-v1.json) and is
-checked against it before writing.
+follows the bundled schema of version SCHEMA_VERSION
+(schemas/metrics-v{SCHEMA_VERSION}.json) and is checked against it before
+writing.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .sim import Trajectory, TrajectoryMetrics
 NUM_FORMAT = "{:.9g}"
 CSV_BLOCK_ROWS = 1024
 SCENE_STRIDE = 10       # the scene plots every SCENE_STRIDE-th state, and the last
+SCHEMA_VERSION = 2      # metrics.json's schema_version and its schema file
 
 
 def _fmt(value: float) -> str:
@@ -123,7 +125,7 @@ def validate_metrics(doc: dict) -> list[str]:
     Supports the subset the schema uses: object/number/integer/string/
     boolean/array types, required keys, nullable, items, and closed objects.
     """
-    with resources.files("safecascade.schemas").joinpath("metrics-v1.json").open() as handle:
+    with resources.files("safecascade.schemas").joinpath(f"metrics-v{SCHEMA_VERSION}.json").open() as handle:
         schema = json.load(handle)
     problems: list[str] = []
     _validate_node(doc, schema, "$", problems)
@@ -181,14 +183,14 @@ def metrics_document(scenario_hash: str, runtime_s: float, design: DesignReport,
             "termination": metrics.termination,
         }
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "scenario_hash": scenario_hash,
         "runtime_s": runtime_s,
         "gain_audit": None if design.gain_margins is None else list(map(asdict, design.gain_margins)),
         "small_gain": None if design.small_gain is None else asdict(design.small_gain),
         "basis_validation": None if basis is None else {
             "directions": basis.n_l, "coverage_constant": basis.c_a,
-            **{k: v for k, v in asdict(basis.report).items() if k != "first_failure"}},
+            **asdict(basis.report)},
         "trajectory": trajectory,
     }
 

@@ -192,10 +192,9 @@ def build_constraint_set(
             g0, g1 = ev.grad_h.tolist()
             nrm = -math.sqrt(g0 * g0 + g1 * g1)      # a sum from 0: squares are never -0.0
             rows.append((g0 / nrm, g1 / nrm))
-            value = float(ev.v)
-            b.append(-decay_rate(value - cert.level, cert.level, k_alpha))
+            b.append(-decay_rate(ev.v - cert.level, cert.level, k_alpha))
             h.append(ev.h)
-            v.append(value)
+            v.append(ev.v)
         return ConstraintSet.planar(rows, b, h, v)
     # Rows (n_c, 2, N), h and V (n_c, N), states last (qp_solver.states_last).
     batch = x.shape[:-1]

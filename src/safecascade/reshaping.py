@@ -16,7 +16,6 @@ reshape_b_l instead of evaluating the set at it a second time.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -36,22 +35,21 @@ from .qp_solver import (DEFAULT_TOL, Polyhedron, PolygonRows, columns_product, r
 # O(n_l^2) work and memory per state.
 MAX_DIRECTIONS = 101
 
-# A basis with a pair of rows this close to singular is refused.
-MIN_SUBSET_SIGMA = 1e-8
+# Two gaps that differ by this much (radians) or less are equal in the
+# coverage rule: a regular polygon's computed gap exceeds arccos of its own
+# constant by about 1e-15.
+GAP_TOL = 1e-12
 
 
-def subset_stack(a_l: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """What coverage tests of the rows a_l (n_l, 2) at any c_a share, from
-    one batched SVD over all row pairs: the smallest singular value over all
-    pairs, and the row indices (S, 2) and inverse transposes (S, 2, 2) of
-    the S nonsingular pairs (a pair's coefficients for a probe are
-    inv_t @ probe)."""
-    subsets = np.array(list(itertools.combinations(range(a_l.shape[0]), 2)), dtype=np.intp).reshape(-1, 2)
-    stack = a_l[subsets]                                        # (S, 2, 2): each pair's rows
-    sigma = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    nonsingular = sigma > 1e-12
-    return (float(sigma.min(initial=math.inf)), subsets[nonsingular],
-            np.linalg.inv(stack[nonsingular].transpose(0, 2, 1)))
+@dataclass(frozen=True)
+class BasisReport:
+    """Exact validation summary: the largest deviation of a row norm from 1,
+    the smallest singular value over all row pairs, and the number of
+    angular gaps between adjacent rows that leave directions uncovered."""
+
+    max_unit_norm_deviation: float
+    min_subset_sigma: float
+    uncovered_gaps: int
 
 
 @dataclass(frozen=True)
@@ -61,15 +59,13 @@ class PositiveBasis:
     c_a is the coverage constant: every unit vector is a nonnegative
     combination of the rows whose inner product with it is at least c_a.
     Rows of any other shape are refused. The basis is fixed: a_l is a
-    read-only copy of the rows, and the basis keeps their subset stack,
-    their polygon structure (PolygonRows: row norms and edge-end tables),
-    which every projection would otherwise rebuild, and its 500-probe
-    validation report once first read.
+    read-only copy of the rows, and the basis keeps their polygon structure
+    (PolygonRows: row norms and edge-end tables), which every projection
+    would otherwise rebuild, and its validation report once first read.
     """
 
     a_l: np.ndarray
     c_a: float
-    subsets: tuple = field(init=False, repr=False, compare=False)
     polygon: PolygonRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,7 +82,6 @@ class PositiveBasis:
             raise ValueError("coverage constant must lie in (-1, 1)")
         a_l.flags.writeable = False     # the kept polygon structure reads these rows
         object.__setattr__(self, "a_l", a_l)
-        object.__setattr__(self, "subsets", subset_stack(a_l))
         object.__setattr__(self, "polygon", PolygonRows(a_l))
 
     @property
@@ -95,15 +90,33 @@ class PositiveBasis:
 
     @functools.cached_property
     def report(self) -> BasisReport:
-        """validate_positive_basis at 500 probes, computed on first use
-        and kept: the basis cannot change."""
-        return validate_positive_basis(self)
+        """The exact report, computed on first use and kept: the basis
+        cannot change.
+
+        In the plane a direction is covered iff it lies in the cone of two
+        rows within arccos(c_a) of it, one on each side and less than pi
+        apart. So c_a covers iff every gap between adjacent rows (sorted by
+        angle, the wrap-around gap included) is at most arccos(c_a), to
+        GAP_TOL, and the report counts the other gaps. A gap of pi or more
+        is always among them: c_a > -1 keeps arccos(c_a) below
+        pi - 1e-8. The pair sigma comes from one batched SVD over all row
+        pairs.
+        """
+        a_l = self.a_l
+        angles = np.sort(np.arctan2(a_l[:, 1], a_l[:, 0]))
+        gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
+        pairs = a_l[np.column_stack(np.triu_indices(self.n_l, 1))]     # (S, 2, 2)
+        return BasisReport(
+            max_unit_norm_deviation=float(np.max(np.abs(np.linalg.norm(a_l, axis=1) - 1.0))),
+            min_subset_sigma=float(np.linalg.svd(pairs, compute_uv=False)[:, -1].min(initial=math.inf)),
+            uncovered_gaps=int(np.count_nonzero(gaps > math.acos(self.c_a) + GAP_TOL)),
+        )
 
 
 def make_positive_basis(n_l: int) -> PositiveBasis:
     """Deterministic positive basis of the plane: regular polygon directions
-    at angles 2*pi*i/n_l with coverage cos(2*pi/n_l), verified at 500
-    probes; n_l must be odd and > 2 so no two rows are collinear.
+    at angles 2*pi*i/n_l with coverage cos(2*pi/n_l), which every gap of
+    2*pi/n_l meets; n_l must be odd and > 2 so no two rows are collinear.
     """
     if n_l <= 2:
         raise BadCountError("need more directions than dimensions")
@@ -112,63 +125,7 @@ def make_positive_basis(n_l: int) -> PositiveBasis:
     idx = np.arange(1, n_l + 1)
     rows = np.column_stack([np.cos(2.0 * np.pi * idx / n_l),
                             np.sin(2.0 * np.pi * idx / n_l)])
-    basis = PositiveBasis(rows, float(np.cos(2.0 * np.pi / n_l)))
-    report = basis.report
-    if report.coverage_failures or report.min_subset_sigma <= MIN_SUBSET_SIGMA:
-        raise CoverageConditionError(f"constructed basis failed validation: {report}")
-    return basis
-
-
-def _unit_probes(samples: int) -> np.ndarray:
-    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False) + 0.1234
-    return np.column_stack([np.cos(angles), np.sin(angles)])
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    """Validation summary: unit norms, subset conditioning, coverage."""
-
-    samples: int
-    max_unit_norm_deviation: float
-    min_subset_sigma: float
-    coverage_failures: int
-    first_failure: np.ndarray | None
-
-
-def validate_positive_basis(basis: PositiveBasis, samples: int = 500) -> BasisReport:
-    """Check the three positive-basis properties by direct computation.
-
-    Unit rows and subset conditioning are exact, the latter from the
-    basis's subset stack. Coverage is sampled, and for each probe direction
-    the rows within the coverage cone must positively span it. That is
-    decided exactly by Caratheodory's theorem for conic hulls: the probe
-    lies in the cone of the chosen rows iff some two linearly independent
-    chosen rows give it nonnegative coefficients, so the probes are solved
-    against the inverses of the nonsingular pairs whose rows are both
-    chosen. Report-only.
-    """
-    if samples < 100:
-        raise ValueError("use at least 100 probe directions")
-    a_l = basis.a_l
-    max_dev = float(np.max(np.abs(np.linalg.norm(a_l, axis=1) - 1.0)))
-    min_sigma, subsets, inv_t = basis.subsets
-    probes = _unit_probes(samples)
-    covered = np.zeros(samples, dtype=bool)
-    step = max(1, (1 << 20) // max(1, subsets.size))            # bounds the (probe, subset) mask
-    for lo in range(0, samples, step):
-        chunk = probes[lo:lo + step]
-        chosen = chunk @ a_l.T >= basis.c_a - 1e-12
-        p_idx, s_idx = np.nonzero(chosen[:, subsets].all(axis=-1))
-        coeffs = np.einsum("kij,kj->ki", inv_t[s_idx], chunk[p_idx])
-        covered[lo + p_idx[np.all(coeffs >= -1e-12, axis=1)]] = True
-    failures = np.flatnonzero(~covered)
-    return BasisReport(
-        samples=samples,
-        max_unit_norm_deviation=max_dev,
-        min_subset_sigma=min_sigma,
-        coverage_failures=int(failures.size),
-        first_failure=probes[failures[0]].copy() if failures.size else None,
-    )
+    return PositiveBasis(rows, float(np.cos(2.0 * np.pi / n_l)))
 
 
 def coverage_constant(basis: PositiveBasis) -> float:

@@ -660,9 +660,9 @@ def test_one_state_public_results_are_float_arrays():
     # gradient, the set's a, b, h and V, the selection and its slack, b_l,
     # the filtered input and every virtual control. A certificate given the
     # state as the pair of floats the set hands over evaluates as at the
-    # array, and reshape_b_l takes the filter's float lists as it takes
-    # arrays. The states cover a zero and a nonzero selection, and a
-    # nominal passed through and projected.
+    # array, with one point's h and V floats, and reshape_b_l takes the
+    # filter's float lists as it takes arrays. The states cover a zero and
+    # a nonzero selection, and a nominal passed through and projected.
     wall, disc = WALLS[1], CertificateSpec(Disc([0.8, 6.0], 1.0))
     basis = make_positive_basis(11)
     law = SafetyLaw([wall, disc], np.array([0.6, 1.0]), basis, 1.0, k_phi=2.0)
@@ -675,6 +675,7 @@ def test_one_state_public_results_are_float_arrays():
             _assert_float_array(ev.grad_h, (2,))
             assert_same_bits(pair.grad_h, ev.grad_h)
             assert (pair.h, pair.v) == (ev.h, ev.v)
+            assert type(ev.v) is float and type(pair.v) is float
         cs = build_constraint_set(x, law.certs, law.k_alpha)
         _assert_float_array(cs.a, (2, 2))
         for values in (cs.b, cs.h, cs.v):

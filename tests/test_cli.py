@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -33,7 +34,7 @@ from safecascade.cli import (
     main,
 )
 from safecascade.errors import ConfigError
-from safecascade.output import validate_metrics
+from safecascade.output import SCHEMA_VERSION, validate_metrics
 from safecascade.scenario import (KEYS, MAX_STEPS, OBSTACLE_KEYS, DesignReport, build_scenario,
                                   check_time_grid, load_scenario, parse_config_text)
 
@@ -208,14 +209,12 @@ def test_audit_rejects_invalid_key_values(tmp_path, capsys, key, value):
     ["example1", "--out", "OUT", "--grid", "1"],
     ["basis-check", "--n-l", "eleven"],
     ["basis-check", "--n-l", "103"],
-    ["basis-check", "--samples", "50"],
     ["example1", "--out", "OUT", "--grid", str(cli.MAX_FIELD_GRID + 1)],
     ["example2", "--out", "OUT", "--grid", str(cli.MAX_FIELD_GRID + 1)],
-    ["basis-check", "--samples", str(cli.MAX_BASIS_SAMPLES + 1)],
 ])
 def test_cli_values_out_of_range_are_usage_errors(tmp_path, capsys, command):
-    # A radius of 1 divided by zero, 0 left no gap, NaN wrote a NaN
-    # report, and 50 samples ended in a traceback.
+    # A radius of 1 divided by zero, 0 left no gap, and NaN wrote a NaN
+    # report.
     with pytest.raises(SystemExit) as exc:
         main([str(tmp_path / "out") if a == "OUT" else a for a in command])
     assert exc.value.code == EXIT_CONFIG
@@ -236,14 +235,13 @@ def test_basis_check_has_no_input_dimension_option(capsys, command):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("convert, most", [(cli._grid, cli.MAX_FIELD_GRID),
-                                           (cli._samples, cli.MAX_BASIS_SAMPLES)])
-def test_field_grid_and_basis_samples_stop_at_their_bound(convert, most):
-    # An example grid holds grid^2 states and basis-check its probes, so
-    # parsing alone decides: the bound passes, one more is a usage error.
-    assert convert(str(most)) == most
+def test_field_grid_stops_at_its_bound():
+    # An example grid holds grid^2 states, so parsing alone decides: the
+    # bound passes, one more is a usage error.
+    most = cli.MAX_FIELD_GRID
+    assert cli._grid(str(most)) == most
     with pytest.raises(argparse.ArgumentTypeError, match=rf"must be \d+ to {most}, got '{most + 1}'$"):
-        convert(str(most + 1))
+        cli._grid(str(most + 1))
 
 
 @pytest.mark.parametrize("command", [
@@ -373,8 +371,7 @@ def test_every_key_and_flag_with_hostile_values_ends_in_a_documented_exit_code(t
                      ["example1", "--out", out, "--radius", "0.5", f"--grid={value}"],
                      ["example2", "--out", out, f"--radius={value}", "--grid", "3"],
                      ["example2", "--out", out, "--grid", "3", f"--seed={value}"],
-                     ["basis-check", f"--n-l={value}"],
-                     ["basis-check", f"--samples={value}"]):
+                     ["basis-check", f"--n-l={value}"]):
             code = _exit_code(argv)
             if code not in (EXIT_OK, EXIT_CONFIG, EXIT_SIM):
                 bad.append((argv, code))
@@ -607,24 +604,30 @@ def test_vtol_overflow_ends_the_run_without_a_warning(tmp_path, capsys):
     assert data.shape[0] == 11
 
 
+def _counted_reports(monkeypatch) -> list:
+    """The row counts of the bases whose report is computed from here on."""
+    calls, compute = [], reshaping.PositiveBasis.report.func
+
+    def counted(basis):
+        calls.append(basis.n_l)
+        return compute(basis)
+
+    report = functools.cached_property(counted)
+    report.__set_name__(reshaping.PositiveBasis, "report")
+    monkeypatch.setattr(reshaping.PositiveBasis, "report", report)
+    return calls
+
+
 def test_run_and_audit_validate_the_basis_once(tmp_path, monkeypatch):
-    calls = []
-    validate = reshaping.validate_positive_basis
-
-    def counted(basis, samples=500):
-        calls.append(samples)
-        return validate(basis, samples)
-
-    monkeypatch.setattr(reshaping, "validate_positive_basis", counted)
-    monkeypatch.setattr(cli, "validate_positive_basis", counted)
+    calls = _counted_reports(monkeypatch)
     out = tmp_path / "out"
     assert main(["run", "--config", str(bundled_config("vtol_unsafe")), "--out", str(out),
                  "--horizon", "0.01"]) == EXIT_OK
-    assert calls == [500]
-    assert json.loads((out / "metrics.json").read_text())["basis_validation"]["samples"] == 500
+    assert calls == [11]
+    assert json.loads((out / "metrics.json").read_text())["basis_validation"]["uncovered_gaps"] == 0
     calls.clear()
     assert main(["audit", "--config", str(bundled_config("vtol_unsafe"))]) == EXIT_OK
-    assert calls == [500]
+    assert calls == [11]
 
 
 def test_run_records_its_checks_and_audit_computes_each_once(tmp_path, monkeypatch):
@@ -656,22 +659,17 @@ def test_run_records_its_checks_and_audit_computes_each_once(tmp_path, monkeypat
 
 
 def test_basis_check_validates_the_basis_once(monkeypatch, capsys):
-    calls = []
-    validate = reshaping.validate_positive_basis
-
-    def counted(basis, samples=500):
-        calls.append(samples)
-        return validate(basis, samples)
-
-    monkeypatch.setattr(reshaping, "validate_positive_basis", counted)
-    monkeypatch.setattr(cli, "validate_positive_basis", counted)
+    calls = _counted_reports(monkeypatch)
     assert main(["basis-check", "--n-l", "11"]) == EXIT_OK
-    assert calls == [500]
-    assert "coverage failures 0/500" in capsys.readouterr().out
-    calls.clear()
-    assert main(["basis-check", "--n-l", "11", "--samples", "200"]) == EXIT_OK
-    assert calls == [500, 200]
-    assert "coverage failures 0/200" in capsys.readouterr().out
+    assert calls == [11]
+    assert "uncovered gaps 0/11" in capsys.readouterr().out
+    # The report is exact, so there is no probe count to choose.
+    with pytest.raises(SystemExit) as exc:
+        main(["basis-check", "--n-l", "11", "--samples", "200"])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --samples 200" in captured.err and captured.out == ""
+    assert calls == [11]
 
 
 _WITHOUT_SCIPY = textwrap.dedent("""
@@ -740,7 +738,7 @@ def test_run_produces_valid_outputs(tmp_path):
     assert "polyline" in svg
     doc = json.loads((out / "metrics.json").read_text())
     assert validate_metrics(doc) == []
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["scenario_hash"].startswith("sha256:")
     assert doc["trajectory"]["termination"] in ("completed", "left_workspace")
     margins = [row["margin"] for row in doc["gain_audit"]]
@@ -937,7 +935,7 @@ def test_example2_outputs(tmp_path):
 def test_basis_check_command(capsys):
     assert cmd_basis_check(11) == EXIT_OK
     text = capsys.readouterr().out
-    assert "coverage failures 0/" in text
+    assert "uncovered gaps 0/11" in text
     assert cmd_basis_check(4) == EXIT_CONFIG
     assert "failed" in capsys.readouterr().err
 

@@ -120,7 +120,7 @@ def test_every_direction_count_gives_a_basis_that_covers():
     for n_l in range(5, MAX_DIRECTIONS + 1, 2):
         text = re.sub(r"^reshape\.directions = \d+$", f"reshape.directions = {n_l}", text, flags=re.M)
         basis = build_scenario(parse_config_text(text)).controller.rho1.basis
-        assert basis.n_l == n_l and basis.report.coverage_failures == 0, n_l
+        assert basis.n_l == n_l and basis.report.uncovered_gaps == 0, n_l
 
 
 def test_key_reference_names_every_key():

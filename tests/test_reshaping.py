@@ -16,16 +16,15 @@ from safecascade.qcqp_safety import (
     lipschitz_selection,
     selection_with_slack,
 )
-from safecascade import reshaping
 from safecascade.qp_solver import Polyhedron, solve_projection_qp
 from safecascade.reshaping import (
+    MAX_DIRECTIONS,
     PositiveBasis,
     make_positive_basis,
     polytope_vertices_2d,
     reshape_b_l,
     reshaped_filter,
     sample_polytope_2d,
-    validate_positive_basis,
 )
 
 from helpers import Raised, assert_same_bits, filter_calls, layouts, one_state_sets, outcome
@@ -58,9 +57,8 @@ def test_eleven_direction_basis_constant():
 
 
 def test_minimal_three_direction_basis_passes():
-    basis = make_positive_basis(3)
-    report = validate_positive_basis(basis, samples=720)
-    assert report.coverage_failures == 0
+    report = make_positive_basis(3).report
+    assert report.uncovered_gaps == 0
     assert report.min_subset_sigma > 1e-8
 
 
@@ -74,58 +72,81 @@ def test_basis_count_and_dimension_guards():
         PositiveBasis(np.eye(3), 0.5)
 
 
+DUPLICATED = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.7071067811865476, -0.7071067811865476]])
+
+
 def test_validation_flags_duplicated_row():
-    rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.7071067811865476, -0.7071067811865476]])
-    report = validate_positive_basis(PositiveBasis(rows, 0.3), samples=200)
-    assert report.min_subset_sigma <= 1e-8
+    assert PositiveBasis(DUPLICATED, 0.3).report.min_subset_sigma <= 1e-8
 
 
 def test_validation_flags_oversized_coverage_constant():
     # A pentagon covers every direction at cos(2 pi / 5); raising the
-    # constant past cos(pi / 5) starves directions between adjacent rows.
+    # constant past cos(pi / 5) starves directions between adjacent rows,
+    # in each of the five gaps.
     rows = make_positive_basis(5).a_l
     tight = PositiveBasis(rows, math.cos(math.pi / 5.0) + 0.02)
-    report = validate_positive_basis(tight, samples=720)
-    assert report.coverage_failures > 0
-    assert report.first_failure is not None
+    assert tight.report.uncovered_gaps == 5
 
 
-def _nnls_coverage(basis, samples):
-    """Coverage failures and the first failing probe by nonnegative least
-    squares on the rows within each probe's coverage cone."""
+def _unit_probes(samples):
+    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False) + 0.1234
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _nnls_coverage_failures(basis, samples):
+    """Probe directions that the rows within their coverage cone do not
+    positively span, by nonnegative least squares."""
     nnls = pytest.importorskip("scipy.optimize").nnls
-    failures, first = 0, None
-    for probe in reshaping._unit_probes(samples):
+    failures = 0
+    for probe in _unit_probes(samples):
         chosen = basis.a_l[basis.a_l @ probe >= basis.c_a - 1e-12]
         if chosen.shape[0] < 2 or nnls(chosen.T, probe)[1] > 1e-8:
             failures += 1
-            first = probe if first is None else first
-    return failures, first
+    return failures
 
 
 @pytest.mark.parametrize("oversized", [False, True])
 @pytest.mark.parametrize("n_l", [3, 5, 11, 21], ids=lambda n_l: f"2-{n_l}")     # n_u = 2, then n_l
 def test_cone_coverage_matches_nnls(n_l, oversized):
+    # The exact gap count is nonzero iff some probe direction fails.
     basis = make_positive_basis(n_l)
     if oversized:
         basis = PositiveBasis(basis.a_l, basis.c_a + 0.25 * (1.0 - basis.c_a))
-    report = validate_positive_basis(basis, samples=500)
-    failures, first = _nnls_coverage(basis, 500)
-    assert report.coverage_failures == failures
-    assert (failures > 0) == oversized
-    if oversized:
-        np.testing.assert_array_equal(report.first_failure, first)
-    else:
-        assert report.first_failure is None
+    failures = _nnls_coverage_failures(basis, 500)
+    assert (basis.report.uncovered_gaps > 0) == (failures > 0) == oversized
 
 
 def test_cone_coverage_matches_nnls_on_a_duplicated_row():
-    rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.7071067811865476, -0.7071067811865476]])
-    basis = PositiveBasis(rows, 0.3)
-    report = validate_positive_basis(basis, samples=200)
-    failures, first = _nnls_coverage(basis, 200)
-    assert report.coverage_failures == failures > 0
-    np.testing.assert_array_equal(report.first_failure, first)
+    basis = PositiveBasis(DUPLICATED, 0.3)
+    assert basis.report.uncovered_gaps > 0 and _nnls_coverage_failures(basis, 200) > 0
+
+
+def test_rows_in_a_half_plane_leave_its_open_side_uncovered():
+    # A gap of pi is uncovered at every constant, even the loosest one
+    # above -1: no two rows around it are less than pi apart.
+    loosest = float(np.nextafter(-1.0, 0.0))
+    half = PositiveBasis([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], loosest)
+    assert half.report.uncovered_gaps == 1 and _nnls_coverage_failures(half, 200) > 0
+    assert PositiveBasis([[1.0, 0.0]], loosest).report.uncovered_gaps == 1
+
+
+@pytest.mark.parametrize("n_l", [3, 5, 11, 51, 101])
+def test_coverage_is_exact_at_the_polygon_constant(n_l):
+    # A regular polygon covers at exactly cos(2 pi / n_l), the cosine of
+    # its gap; any larger constant leaves all n_l gaps uncovered. Probes
+    # miss the arcs this leaves: at 11 rows and +1e-9, none of 2,000 fail.
+    basis = make_positive_basis(n_l)
+    assert basis.report.uncovered_gaps == 0
+    assert PositiveBasis(basis.a_l, basis.c_a + 1e-9).report.uncovered_gaps == n_l
+
+
+def test_pair_sigma_is_the_closed_form():
+    # Two unit rows at angle phi have singular values sqrt(1 +- cos phi); in
+    # an odd polygon the pair nearest antiparallel, at pi - pi / n_l, is
+    # the worst conditioned.
+    for n_l in range(3, MAX_DIRECTIONS + 1, 2):
+        sigma = make_positive_basis(n_l).report.min_subset_sigma
+        assert sigma == pytest.approx(math.sqrt(1.0 - math.cos(math.pi / n_l)), abs=1e-12), n_l
 
 
 # ------------------------------------------------------- the coverage condition
