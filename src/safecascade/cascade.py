@@ -28,12 +28,15 @@ from .qp_solver import row_product, sum_last_axis
 from .reshaping import PositiveBasis, reshaped_filter
 
 # States per call of a map over a grid (in_row_blocks): whole grid rows up
-# to this many, where the batched outer law's per-state cost has levelled
-# off and its memory stays small at any grid size. The law runs its
-# selection, reshaping and projection only on the states near a constraint
-# (about a third of a block beside a wall), so a block must be large enough
-# to carry those stages' fixed cost per call.
-ESTIMATE_BLOCK_STATES = 4096
+# to this many. The law runs its selection, reshaping and projection only
+# on the states near a constraint (about a third of a block beside a wall),
+# so a block must carry those stages' fixed cost per call, but the stock
+# estimate slows again once a block's arrays outgrow the cache: relative
+# to 4,096 states a call it took 1.21, 0.92, 0.90, 0.90, 1.03 and 0.99 at
+# 2,000, 6,000, 8,192, 10,240, 12,000 and 16,384 (one process, 15
+# interleaved rounds, shared 2-core host). The k1 estimate bounds its
+# memory on large bases itself (scenario.ESTIMATE_PART_ELEMENTS).
+ESTIMATE_BLOCK_STATES = 8192
 
 
 @dataclass(frozen=True)

@@ -108,9 +108,12 @@ class CertificateEval:
     @classmethod
     def from_clearance(cls, h, grad_h: np.ndarray) -> "CertificateEval":
         """Apply the barrier transform V = exp(-h); one point's V is a
-        float, from numpy's exp, whose bits math.exp need not give."""
-        v = np.exp(-h)
-        return cls(h, grad_h, v if isinstance(v, np.ndarray) else float(v))
+        float, from numpy's exp, whose bits math.exp need not give. An
+        array's V is computed in one new array."""
+        if isinstance(h, np.ndarray):
+            v = np.negative(h)
+            return cls(h, grad_h, np.exp(v, out=v))
+        return cls(h, grad_h, float(np.exp(-h)))
 
 
 def _undefined_where(bad: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -174,12 +177,15 @@ def eval_segment(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
         return CertificateEval.from_clearance(dist - cert.safe_distance, grad_h)
     # Component rows (2, N), states last (qp_solver.states_last).
     x = np.asarray(x, dtype=float)
+    # Elementwise steps run in place (the same bits, fewer new arrays).
     rel = np.subtract(states_last(x), seg.o1[:, None], order="C")
-    rel -= base[:, None] * np.minimum(np.maximum(base @ rel / base_sq, 0.0), 1.0)
+    t = base @ rel
+    t /= base_sq
+    rel -= base[:, None] * np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
     dist = np.hypot(rel[0], rel[1])
     rel /= _undefined_where(dist <= SPINE_TOL, dist)
-    h = (dist - cert.safe_distance).reshape(x.shape[:-1])
-    return CertificateEval.from_clearance(h, states_first(rel, x.shape[:-1]))
+    dist -= cert.safe_distance                                  # now h
+    return CertificateEval.from_clearance(dist.reshape(x.shape[:-1]), states_first(rel, x.shape[:-1]))
 
 
 def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
@@ -206,9 +212,11 @@ def eval_disc(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:
     delta = np.subtract(states_last(x), disc.center[:, None], order="C")     # (2, N)
     r = np.hypot(delta[0], delta[1])
     r = _undefined_where(r <= CENTER_TOL, r)
-    grad_h = np.where(np.isnan(r), np.nan, 2.0 * delta)
-    h = (r * r - disc.radius**2).reshape(x.shape[:-1])
-    return CertificateEval.from_clearance(h, states_first(grad_h, x.shape[:-1]))
+    delta *= 2.0
+    grad_h = np.where(np.isnan(r), np.nan, delta)
+    h = r * r
+    h -= disc.radius**2
+    return CertificateEval.from_clearance(h.reshape(x.shape[:-1]), states_first(grad_h, x.shape[:-1]))
 
 
 def certificate_value(cert: CertificateSpec, x: np.ndarray) -> CertificateEval:

@@ -37,7 +37,9 @@ class ConstraintSet:
     carries each certificate's clearance h and value V at the state, shaped
     like b (keyword-only); otherwise both are None. One state's set made
     from floats (planar) keeps its rows and offsets as floats beside the
-    arrays, for the selection to read.
+    arrays, for the selection to read, and a batched set made by the batch
+    code keeps the buffers its a and b view, in the batch layout
+    (batch_layout).
     """
 
     a: np.ndarray
@@ -46,6 +48,7 @@ class ConstraintSet:
     h: np.ndarray | None = None
     v: np.ndarray | None = None
     _floats = None                  # (rows, offsets) of a planar set, not a field
+    _last = None                    # (rows, offsets) buffers of a batched set, not a field
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -87,12 +90,20 @@ class ConstraintSet:
         return cs
 
     @classmethod
-    def _from_checked(cls, a: np.ndarray, b: np.ndarray) -> ConstraintSet:
-        """The set of float arrays whose rows already passed the
-        constructor's checks, made without it; without h and V."""
+    def _from_checked(cls, a: np.ndarray, b: np.ndarray, last: tuple, *,
+                      h: np.ndarray | None = None, v: np.ndarray | None = None) -> ConstraintSet:
+        """The batched set of float arrays whose rows are unit or NaN by
+        construction, made without the constructor's checks; last is the
+        pair of batch-layout buffers that a and b view, which it keeps."""
         cs = object.__new__(cls)
-        vars(cs).update(a=a, b=b, h=None, v=None)
+        vars(cs).update(a=a, b=b, h=h, v=v, _last=last)
         return cs
+
+    def batch_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """A batched set's rows (n_rows, 2, N) and offsets (n_rows, N) in the
+        batch layout (qp_solver.states_last): the buffers it keeps, else
+        views of a and b."""
+        return self._last or (states_last(self.a, 2), states_last(self.b))
 
     @property
     def n_rows(self) -> int:
@@ -121,9 +132,9 @@ class ConstraintSet:
         """The states idx (flat indices over the batch) of a batched set, as
         a set batched over (idx.size,), of rows already checked; without h
         and V."""
-        rows, b = states_last(self.a, 2), states_last(self.b)
-        return ConstraintSet._from_checked(states_first(rows.take(idx, axis=-1), idx.shape),
-                                           states_first(b.take(idx, axis=-1), idx.shape))
+        rows, b = self.batch_layout()
+        rows, b = rows.take(idx, axis=-1), b.take(idx, axis=-1)
+        return ConstraintSet._from_checked(states_first(rows, idx.shape), states_first(b, idx.shape), (rows, b))
 
     def lifted(self, states: np.ndarray) -> ConstraintSet:
         """The batched set with every offset of the flagged states at +inf,
@@ -132,9 +143,10 @@ class ConstraintSet:
         flagged, the set itself."""
         if not states.any():
             return self
-        b = states_last(self.b).copy()
+        rows, b = self.batch_layout()
+        b = b.copy()
         np.copyto(b, np.inf, where=states)
-        return ConstraintSet._from_checked(self.a, states_first(b, self.b.shape[:-1]))
+        return ConstraintSet._from_checked(self.a, states_first(b, self.b.shape[:-1]), (rows, b))
 
     def contains(self, u: np.ndarray):
         """Whether u meets every row within DEFAULT_TOL; one flag per batch row."""
@@ -163,7 +175,9 @@ def decay_rate(offset, level, k_alpha: float):
     s = offset / level
     if isinstance(s, float):
         return float(np.log1p(s if s > ENVELOPE_FLOOR or s != s else ENVELOPE_FLOOR)) * k_alpha
-    return np.log1p(np.maximum(s, ENVELOPE_FLOOR)) * k_alpha
+    np.log1p(np.maximum(s, ENVELOPE_FLOOR, out=s), out=s)     # in place on the new quotient
+    s *= k_alpha
+    return s
 
 
 def build_constraint_set(
@@ -198,21 +212,39 @@ def build_constraint_set(
         return ConstraintSet.planar(rows, b, h, v)
     # Rows (n_c, 2, N), h and V (n_c, N), states last (qp_solver.states_last).
     batch = x.shape[:-1]
-    rows = np.empty((len(certs), x.shape[-1], math.prod(batch)))
+    rows = np.empty((len(certs), 2, x.size // 2))
     h = np.empty((len(certs), rows.shape[-1]))
     v = np.empty(h.shape)
+    discs = False
     for j, cert in enumerate(certs):
         # Called through this module's names, which benchmark tracing rebinds.
-        ev = (eval_segment if isinstance(cert.geometry, Segment) else eval_disc)(cert, x)
+        if isinstance(cert.geometry, Segment):
+            ev = eval_segment(cert, x)
+        else:
+            ev, discs = eval_disc(cert, x), True
         rows[j] = states_last(ev.grad_h)
         h[j] = ev.h.reshape(-1)
         v[j] = ev.v.reshape(-1)
-    nrm = np.sqrt(sum_last_axis(np.square(rows).transpose(0, 2, 1)))
-    rows /= np.negative(nrm, out=nrm)[:, None]              # the unit rows, in place
+    # |grad h| as sum_last_axis adds the two squares (from +0.0, which
+    # changes no square's bits), negated; in place, as are the offsets.
+    sq = np.square(rows)
+    nrm = sq[:, 0]
+    nrm += sq[:, 1]
+    np.negative(np.sqrt(nrm, out=nrm), out=nrm)
+    rows /= nrm[:, None]                                        # the unit rows, in place
     levels = np.array([[cert.level] for cert in certs])         # a column, one per row
-    b = -decay_rate(v - levels, levels, k_alpha)
-    return ConstraintSet(states_first(rows, batch), states_first(b, batch),
-                         h=states_first(h, batch), v=states_first(v, batch))
+    b_last = decay_rate(v - levels, levels, k_alpha)
+    np.negative(b_last, out=b_last)
+    a, b = states_first(rows, batch), states_first(b_last, batch)
+    h, v = states_first(h, batch), states_first(v, batch)
+    if discs and np.isinf(nrm).any():
+        # A disc's gradient 2 (x - o) some 1e154 from its center has
+        # squares that overflow, and its row would be zero: the
+        # constructor's check refuses it. A segment's is a unit vector.
+        return ConstraintSet(a, b, h=h, v=v)
+    # Every other row is a vector over its own finite norm, within a few
+    # ulps of unit length, or NaN: the check cannot fail, so it is skipped.
+    return ConstraintSet._from_checked(a, b, (rows, b_last), h=h, v=v)
 
 
 def disc_constraint_set(discs: Sequence[CertificateSpec], x: np.ndarray) -> ConstraintSet:
@@ -251,7 +283,7 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     (..., n_rows), from the one evaluation of the set that verifies the
     point (none at a zero point, where a u - b is 0.0 - b); NaN rows where
     the selection is undefined."""
-    a, b = cs.a, cs.b
+    b = cs.b
     if cs.n_rows == 0:
         return np.zeros(b.shape[:-1] + (cs.n_u,)), np.zeros(b.shape)
     if b.ndim == 1:
@@ -261,25 +293,27 @@ def selection_with_slack(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     # rows run one row of states at a time, in numpy's reduction order
     # (sum_last_axis), so a batch keeps the reductions' bits.
     batch = b.shape[:-1]
-    rows, b = states_last(a, 2), states_last(b)                 # (n_c, n_u, N), (n_c, N)
+    rows, b = cs.batch_layout()                                 # (n_c, 2, N), (n_c, N)
+    n_c = b.shape[0]
     failed = False
-    if cs.n_rows >= 2:
-        # The two smallest; with two rows that is both (their sum commutes).
-        two = b if cs.n_rows == 2 else np.partition(b, 1, axis=0)[:2]
-        failed = sum_last_axis(two.T) < -DEFAULT_TOL
+    if n_c >= 2:
+        # The two smallest; with two rows that is both. Only the sign of
+        # their sum is read, which its start from +0.0 cannot change.
+        two = b if n_c == 2 else np.partition(b, 1, axis=0)
+        failed = two[0] + two[1] < -DEFAULT_TOL
     w = np.minimum(b, 0.0)
-    u = np.zeros((cs.n_u, b.shape[1]))      # np.add.reduce starts at 0.0: -0.0 sums to 0.0
-    for j in range(cs.n_rows):
+    u = np.zeros((2, b.shape[1]))           # np.add.reduce starts at 0.0: -0.0 sums to 0.0
+    for j in range(n_c):
         u += w[j] * rows[j]
     # Where u is exactly 0 (its rows then finite) a u is +-0 and the
     # violation is taken as 0.0 - b; the products a u run only on the
     # other states.
     viol = np.subtract(0.0, b)
-    moved = np.flatnonzero((u != 0.0).any(axis=0))
+    moved = (u != 0.0).any(axis=0).nonzero()[0]
     if moved.size:
         viol[:, moved] = cs.take(moved).violations(states_first(u.take(moved, axis=-1), moved.shape)).T
     worst = viol[0].copy()                  # np.maximum.reduce, up to the sign of a zero
-    for j in range(1, cs.n_rows):
+    for j in range(1, n_c):
         np.maximum(worst, viol[j], out=worst)
     undefined = failed | ~(worst <= DEFAULT_TOL)
     np.copyto(u, np.nan, where=undefined)

@@ -75,6 +75,8 @@ def states_last(m: np.ndarray, core: int = 1) -> np.ndarray:
     shapes are states_first views of such buffers; a view of m wherever its
     memory allows, and always for such a view."""
     k = m.ndim - core
+    if k == 1:                                  # one batch axis: the transpose is the layout
+        return m.T if core == 1 else m.transpose((*range(1, m.ndim), 0))
     n = math.prod(m.shape[:k])
     return m.transpose((*range(k, m.ndim), *range(k))).reshape(m.shape[k:] + (n,))
 
@@ -82,6 +84,8 @@ def states_last(m: np.ndarray, core: int = 1) -> np.ndarray:
 def states_first(buf: np.ndarray, batch: tuple) -> np.ndarray:
     """The public shape (*batch, *core) of a batch buffer (*core, N), as a view."""
     k = buf.ndim - 1
+    if len(batch) == 1:
+        return buf.T if k == 1 else buf.transpose((k, *range(k)))
     return buf.transpose((k, *range(k))).reshape(batch + buf.shape[:k])
 
 
@@ -219,7 +223,8 @@ class PolygonRows:
         self.rows, self.nrm_list = a.tolist(), self.nrm.tolist()
         self.nrm_sq_list = self.nrm_sq.tolist()
         # edge_ends' tables: each end's candidates (C, 2, n), the rows that cut its line on its
-        # side, last to first, padded with row 0 (p, q NaN); by slot c 2n + e, Cramer's entries.
+        # side, last to first, padded with row 0 (p, q NaN); by slot c 2n + e, Cramer's entries
+        # (5, 2nC) and the pair's rows (2, 2nC).
         n, line = a.shape[0], np.arange(a.shape[0])
         det = np.multiply.outer(a[:, 0], a[:, 1]) - np.multiply.outer(a[:, 1], a[:, 0])
         side = np.concatenate([det > 1e-12, det < -1e-12])
@@ -228,8 +233,10 @@ class PolygonRows:
         self.cand = cand = np.maximum(cand, 0).T.reshape(cuts.shape)
         size = np.where(cuts, np.abs(det[line, cand]), np.nan)
         self.key_p, self.key_q = (self.nrm_sq / size)[..., None], ((a @ a.T)[line, cand] / size)[..., None]
-        i, j = self.pair = np.stack([np.minimum(line, cand), np.maximum(line, cand)])
-        self.cramer = np.stack([a[j, 1], a[i, 0], a[i, 1], a[j, 0], np.where(cuts, det[i, j], np.nan)])
+        i, j = np.minimum(line, cand), np.maximum(line, cand)
+        self.pair = np.stack([i, j]).reshape(2, -1)
+        self.cramer = np.stack([a[j, 1], a[i, 0], a[i, 1], a[j, 0], np.where(cuts, det[i, j], np.nan)]).reshape(5, -1)
+        self.state_elements = max(cand.size, 2 * n * n)      # the largest temporary's, per state
         self.slot_base = 2.0 * n * np.arange(cuts.shape[0]).reshape(-1, 1, 1, 1)   # c 2n, as a float
         self.end_slot = np.arange(2 * n).reshape(2, n, 1)
 
@@ -244,7 +251,7 @@ class PolygonRows:
         The states run in blocks small enough to keep the key and the test
         under EDGE_END_BLOCK_ELEMENTS elements each."""
         n, k = b.shape
-        block = max(1, EDGE_END_BLOCK_ELEMENTS // max(self.cand.size, 2 * n * n))
+        block = max(1, EDGE_END_BLOCK_ELEMENTS // self.state_elements)
         if k <= block:
             return self._edge_ends(b)
         ends, ok = np.empty((2, 2 * n, k)), np.empty((2 * n, k), dtype=bool)
@@ -255,16 +262,21 @@ class PolygonRows:
     def _edge_ends(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """edge_ends on one block of states b (n, k)."""
         n, k = b.shape
-        key = b.take(self.cand, axis=0) * self.key_p - b * self.key_q    # (C, 2, n, k)
+        key = b.take(self.cand, axis=0)                                   # (C, 2, n, k)
+        key *= self.key_p
+        key -= b * self.key_q
         # The last candidate of least key, on whole slabs of states: an
         # argmin over the candidates' axis would reorder the array.
-        np.equal(key, np.fmin.reduce(key, axis=0, initial=np.nan), out=key)
+        np.equal(key, np.fmin.reduce(key, axis=0), out=key)
         key *= self.slot_base
-        slot = np.maximum.reduce(key, axis=0, initial=0.0).astype(np.intp) + self.end_slot
+        slot = np.maximum.reduce(key, axis=0).astype(np.intp) + self.end_slot
         del key
-        coef = self.cramer.reshape(5, -1).take(slot, axis=1)
-        b_ij = b.take(self.pair.reshape(2, -1).take(slot, axis=1) * k + np.arange(k))
-        ends = ((coef[:2] * b_ij - coef[2:4] * b_ij[::-1]) / coef[4]).reshape(2, 2 * n, k)
+        coef = self.cramer.take(slot, axis=1)
+        b_ij = b[self.pair.take(slot, axis=1), np.arange(k)]
+        ends = coef[:2] * b_ij
+        ends -= coef[2:4] * b_ij[::-1]
+        ends /= coef[4]
+        ends = ends.reshape(2, 2 * n, k)
         ok = columns_product(self.a, ends.reshape(2, -1)).reshape(n, 2 * n, k) <= (b + DEFAULT_TOL)[:, None]
         return ends, ok.all(axis=0)
 
@@ -292,32 +304,42 @@ class PolygonRows:
         u0, b = np.asarray(u0, dtype=float), np.asarray(b, dtype=float)
         if u0.ndim == 1 and b.ndim == 1:
             return self.project_one(u0, b, dots=dots)
-        batch = u0.shape[:-1]
-        if batch != b.shape[:-1]:
-            batch = np.broadcast_shapes(batch, b.shape[:-1])
-            u0 = np.broadcast_to(u0, batch + (2,))
-            b = np.broadcast_to(b, batch + (a.shape[0],))
-        u0, b = states_last(u0), states_last(b)                 # (2, N), (n, N)
+        if u0.ndim == 1:
+            # One u0 for every problem: its column fills the result.
+            batch, b = b.shape[:-1], states_last(b)             # (n, N)
+            out = np.empty((2, b.shape[1]))
+            out[0], out[1] = u0.tolist()
+        else:
+            batch = u0.shape[:-1]
+            if batch != b.shape[:-1]:
+                batch = np.broadcast_shapes(batch, b.shape[:-1])
+                u0 = np.broadcast_to(u0, batch + (2,))
+                b = np.broadcast_to(b, batch + (a.shape[0],))
+            out, b = states_last(u0).copy(), states_last(b)      # (2, N) in C order, (n, N)
+        # out holds u0 until a stage writes a state's result.
         if dots is None:
-            viol = columns_product(a, u0)
+            viol = columns_product(a, out)
             viol -= b
         else:
             viol = np.subtract(dots[:, None], b)
-        moved = (viol > DEFAULT_TOL).any(axis=0)
-        out = u0.copy()
-        if moved.any():
+        idx = (viol > DEFAULT_TOL).any(axis=0).nonzero()[0]
+        if idx.size:
             # Edge stage, on the moved states: the projection onto the
-            # farthest violated line.
-            idx = np.flatnonzero(moved)
-            v = viol[:, idx]
-            far = (v / self.nrm[:, None]).argmax(axis=0)
-            step = v[far, np.arange(idx.size)] / self.nrm_sq.take(far)
-            edge = u0[:, idx] - a_t[:, far] * step
-            edge_ok = (columns_product(a, edge) <= b[:, idx] + DEFAULT_TOL).all(axis=0)
+            # farthest violated line, in place on new arrays (the same bits).
+            v, start = viol[:, idx], out[:, idx]
+            v /= self.nrm[:, None]
+            far = v.argmax(axis=0)
+            step = viol[far, idx] / self.nrm_sq.take(far)
+            edge = a_t[:, far]
+            edge *= step
+            np.subtract(start, edge, out=edge)
+            bound = b[:, idx]
+            bound += DEFAULT_TOL
+            edge_ok = (columns_product(a, edge) <= bound).all(axis=0)
             out[:, idx[edge_ok]] = edge[:, edge_ok]
-            rest = idx[~edge_ok]
-            if rest.size:
-                out[:, rest] = self._nearest_vertices(u0[:, rest], b[:, rest])[0]
+            if not edge_ok.all():
+                rest = ~edge_ok
+                out[:, idx[rest]] = self._nearest_vertices(start[:, rest], b[:, idx[rest]])[0]
         np.copyto(out, np.nan, where=np.isnan(viol).any(axis=0))
         return states_first(out, batch)
 
@@ -357,6 +379,10 @@ class PolygonRows:
         each problem's nearest feasible edge end, or NaN, and which had one."""
         ends, ok = self.edge_ends(b)
         found = ok.any(axis=0)
-        out = ends[:, np.where(ok, sum((ends - u0[:, None]) ** 2), np.inf).argmin(axis=0), np.arange(b.shape[1])]
-        out[:, ~found] = np.nan
+        d2 = ends - u0[:, None]
+        d2 *= d2
+        d2 = d2[0] + d2[1]                  # as sum() over the components: squares are never -0.0
+        out = ends[:, np.where(ok, d2, np.inf).argmin(axis=0), np.arange(b.shape[1])]
+        if not found.all():
+            out[:, ~found] = np.nan
         return out, found

@@ -187,13 +187,13 @@ def reshape_b_l(
     c_a = coverage_constant(basis)
     a_l = basis.a_l
     scaled = np.maximum(slack, 0.0)                             # clip tolerance dust
-    n_c, n_u = cs.a.shape[-2:]
-    if scaled.shape[1] > 1 and n_c > 1:
-        dots = columns_product(a_l, states_last(cs.a, 2))
+    n_c, n_states = scaled.shape
+    if n_states > 1 and n_c > 1:
+        dots = columns_product(a_l, cs.batch_layout()[0])
     else:
         # numpy rounds a one-row product (vector path) unlike a matrix
         # product: one state or one row keeps the per-state product.
-        dots = states_last(cs.a.reshape(-1, n_c, n_u) @ a_l.T, 2)
+        dots = states_last(cs.a.reshape(-1, n_c, 2) @ a_l.T, 2)
     # phi = max(dots, c_a) * scaled + max(k_phi * (c_a - dots), 0), in place.
     phi = np.maximum(dots, c_a)
     phi *= scaled[:, None]
@@ -203,7 +203,11 @@ def reshape_b_l(
     b_l = phi[0]
     for row in phi[1:]:
         np.minimum(b_l, row, out=b_l)
-    b_l += columns_product(a_l, states_last(selection))
+    # As for one state (_one_b_l), a selection that is zero at every state
+    # skips its product: each b_l entry is >= +0.0 or NaN.
+    selection = states_last(selection)
+    if selection.any():
+        b_l += columns_product(a_l, selection)
     return states_first(b_l, batch)
 
 
@@ -273,21 +277,22 @@ def reshaped_filter(
         return basis.polygon.project_one(nominal, b_l, dots=nominal_dots)
     if k_phi < 0:
         raise ValueError("k_phi must be nonnegative")
-    batch, active = cs.b.shape[:-1], _active_states(nominal, cs, basis)
+    batch, active = cs.b.shape[:-1], _active_states(nominal, cs, basis, nominal_dots)
     out = np.empty((2, math.prod(batch)))
     out[0], out[1] = nominal.tolist()
-    if not active.size:
-        return states_first(out, batch)
-    cs = cs.take(active)
-    selection, slack = selection_with_slack(cs)
-    b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
-    out[:, active] = states_last(basis.polygon.project(nominal, b_l, dots=nominal_dots))
+    if active.size:
+        cs = cs.take(active)
+        selection, slack = selection_with_slack(cs)
+        b_l = reshape_b_l(selection, cs, basis, k_phi, slack=slack)
+        out[:, active] = states_last(basis.polygon.project(nominal, b_l, dots=nominal_dots))
     return states_first(out, batch)
 
 
-def _active_states(nominal: np.ndarray, cs: ConstraintSet, basis: PositiveBasis) -> np.ndarray:
+def _active_states(nominal: np.ndarray, cs: ConstraintSet, basis: PositiveBasis,
+                   dots: np.ndarray | None = None) -> np.ndarray:
     """The flat indices of the states of a batched planar set at which the
-    filter of the nominal u0 (2,) may not return u0.
+    filter of the nominal u0 (2,) may not return u0; dots, when given, must
+    be A_L u0 as row_product gives it, the products the projection reads.
 
     Every other state has finite rows and
     t = c_a * min_j b_j > max_l (A_L u0)_l + 4 eps |u0|_1.
@@ -295,23 +300,25 @@ def _active_states(nominal: np.ndarray, cs: ConstraintSet, basis: PositiveBasis)
     every b_j > 0: the selection is exactly 0 and its slack is b. Rounding
     is monotone and each phi_jl = max(dots, c_a) * b_j + (a term >= 0)
     rounds as t does with larger operands, so b_l >= t (A_L 0 adds a
-    zero). The projection's own A_L u0 rounds within 2 eps |u0|_1 of this
-    one for unit rows, so no row is violated and it returns u0. A NaN b
-    fails the test; a spine point has a finite b but a NaN row. A state
-    whose finite rows all have b = +inf, which every u meets, passes it:
-    t = +inf. The test needs c_a > 0 (with c_a <= 0 and every b_j < 0, t
-    would pass it), so a basis without it raises CoverageConditionError
-    here, before any state gets the nominal.
+    zero). The projection compares these same products A_L u0 with b_l
+    (the margin is more than it needs), so no row is violated and it
+    returns u0. A NaN b fails the test; a spine point has a finite b but a
+    NaN row. A state whose finite rows all have b = +inf, which every u
+    meets, passes it: t = +inf. The test needs c_a > 0 (with c_a <= 0 and
+    every b_j < 0, t would pass it), so a basis without it raises
+    CoverageConditionError here, before any state gets the nominal.
     """
     c_a = coverage_constant(basis)
-    rows, b = states_last(cs.a, 2), states_last(cs.b)          # (n_c, 2, N), (n_c, N)
+    if dots is None:
+        dots = row_product(nominal, basis.polygon.a_t)
+    rows, b = cs.batch_layout()                                 # (n_c, 2, N), (n_c, N)
     low = np.minimum.reduce(b, axis=0)
     low *= c_a
     u0 = nominal.tolist()
-    reach = float(np.max(basis.a_l.dot(nominal))) + 4.0 * math.ulp(1.0) * (abs(u0[0]) + abs(u0[1]))
+    reach = float(dots.max()) + 4.0 * math.ulp(1.0) * (abs(u0[0]) + abs(u0[1]))
     active = ~(low > reach)
     active |= np.isnan(rows).any(axis=(0, 1))
-    return np.flatnonzero(active)
+    return active.nonzero()[0]
 
 
 def polytope_vertices_2d(poly: Polyhedron) -> np.ndarray:

@@ -408,12 +408,21 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
+# (State, basis row) pairs in one part of a block of the k1 estimate: the
+# reshaping and the projection hold a few float arrays of states times basis
+# rows, so a block runs in parts of at most this many over the rows, and
+# its memory does not grow with the basis: one part of a stock block on 11
+# rows, parts of 1,297 states on 101.
+ESTIMATE_PART_ELEMENTS = 1 << 17
+
+
 def estimate_safety_law_lipschitz(law: SafetyLaw, workspace, grid: int) -> float:
     """Grid Lipschitz lower bound of the outer safety law over the workspace.
 
-    The law runs on blocks of whole grid rows (estimate_lipschitz), and only
+    The law runs on blocks of whole grid rows (estimate_lipschitz), each in
+    parts of at most ESTIMATE_PART_ELEMENTS // n_l states, and only
     adjacent states where it is defined, outside every inflated segment
-    (h >= 0), contribute slopes. Each block builds its constraint set once,
+    (h >= 0), contribute slopes. Each part builds its constraint set once,
     so each certificate is evaluated once per state, and reads the mask from
     that set's h: the filter gets the set with the masked states' offsets
     at +inf, which its inactive-state test passes through, and those states
@@ -424,20 +433,25 @@ def estimate_safety_law_lipschitz(law: SafetyLaw, workspace, grid: int) -> float
     """
     segments = [j for j, cert in enumerate(law.certs) if isinstance(cert.geometry, Segment)]
 
+    def masked_part(x):
+        cs = cascade.build_constraint_set(x, law.certs, law.k_alpha)
+        h, inside = states_last(cs.h), np.zeros(x.shape[0], dtype=bool)
+        for j in segments:
+            inside |= h[j] < 0
+        values = cascade.reshaped_filter(law.nominal, cs.lifted(inside), law.basis, law.k_phi,
+                                         nominal_dots=law.nominal_dots)
+        values[inside] = math.nan
+        return values
+
     def masked(x):
         try:
             if not law.certs:
                 return law.evaluate(x)[0]
-            cs = cascade.build_constraint_set(x, law.certs, law.k_alpha)
-            h, inside = states_last(cs.h), np.zeros(x.shape[0], dtype=bool)
-            for j in segments:
-                inside |= h[j] < 0
-            values = cascade.reshaped_filter(law.nominal, cs.lifted(inside), law.basis, law.k_phi,
-                                             nominal_dots=law.nominal_dots)
+            part = max(1, ESTIMATE_PART_ELEMENTS // law.basis.n_l)
+            parts = [masked_part(x[lo:lo + part]) for lo in range(0, x.shape[0], part)]
         except SafecascadeError:
             return np.full(x.shape, math.nan)
-        values[inside] = math.nan
-        return values
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
     return estimate_lipschitz(masked, workspace, grid=grid)
 
 

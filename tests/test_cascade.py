@@ -342,13 +342,13 @@ def _assert_whole_rows_in_order(calls, grid):
 
 @pytest.mark.parametrize("grid, shapes", [
     (17, [(289, 2)]),
-    (200, [(4000, 2)] * 10),
-    (130, [(4030, 2)] * 4 + [(780, 2)]),       # 31 rows a block; 130 = 4 * 31 + 6
+    (200, [(8000, 2)] * 5),
+    (130, [(8190, 2)] * 2 + [(520, 2)]),       # 63 rows a block; 130 = 2 * 63 + 4
 ], ids=["grid17", "grid200", "grid130_uneven"])
 def test_estimate_lipschitz_calls_fn_on_blocks_of_whole_grid_rows(grid, shapes):
     # Every grid state once, rows whole and in order, at most
     # ESTIMATE_BLOCK_STATES states a call.
-    assert ESTIMATE_BLOCK_STATES == 4096
+    assert ESTIMATE_BLOCK_STATES == 8192
     est, calls = _grid_calls(grid)
     assert [states.shape for states in calls] == shapes
     _assert_whole_rows_in_order(calls, grid)
@@ -802,8 +802,8 @@ def _evaluate_then_mask(law):
 
 
 # A third wall whose capsule covers x in [3.6, 5.4] over the whole
-# workspace height: every state of the stock grid's block 8 (grid x
-# indices 160 to 179, x from 4.24 to 5.10) lies inside it.
+# workspace height: every state of the stock grid's rows 160 to 179 (x
+# from 4.24 to 5.10) lies inside it.
 THIRD_WALL = {"obstacle.3.kind": "segment", "obstacle.3.p1_m": "4.5, -0.5", "obstacle.3.p2_m": "4.5, 12",
               "obstacle.3.safe_distance_m": "0.9"}
 
@@ -854,7 +854,8 @@ def _estimate_and_map(monkeypatch, law, box, grid):
 def test_masked_estimate_equals_evaluate_then_mask_bit_for_bit(monkeypatch, name):
     # Every state of the stock grid, block by block, gets the bits of the
     # law's evaluate masked after it, and so does the estimate; the third
-    # wall masks all of block 8, and the overlapping walls give NaN rows.
+    # wall masks all of grid rows 160 to 179, and the overlapping walls
+    # give NaN rows.
     law, workspace = _variant(name)
     k1, fn = _estimate_and_map(monkeypatch, law, workspace, 200)
     states = _grid_states(workspace, 200)
@@ -897,6 +898,60 @@ def test_a_wholly_masked_block_reshapes_nothing(monkeypatch):
     assert k1 == 0.0 and built == [(400, 2)]
     assert seen == {"reshape": [], "project": []}
     assert np.isnan(fn(_grid_states(((4.0, 4.4), (0.0, 11.0)), 20))).all()
+
+
+def test_a_block_runs_in_parts_of_bounded_state_rows_with_one_passs_bits(monkeypatch):
+    # A block of the estimate runs in parts of at most
+    # ESTIMATE_PART_ELEMENTS // n_l states, in order, each built once, with
+    # the bits of one pass over the block; a package error in any part
+    # masks the whole block. Here 11 rows and a budget of 11 * 70 give parts
+    # of 70 over the 400 states of a 20-point grid.
+    law, workspace = _variant("stock")
+    states = _grid_states(workspace, 20)
+    k1_whole, fn = _estimate_and_map(monkeypatch, law, workspace, 20)
+    whole = fn(states)
+    monkeypatch.setattr(scenario, "ESTIMATE_PART_ELEMENTS", 11 * 70)
+    built = []
+    build = cascade.build_constraint_set
+    monkeypatch.setattr(cascade, "build_constraint_set", lambda x, *args: built.append(x.shape) or build(x, *args))
+    k1, fn = _estimate_and_map(monkeypatch, law, workspace, 20)
+    assert k1 == k1_whole > 0.0
+    assert built == [(70, 2)] * 5 + [(50, 2)]
+    assert_same_bits(fn(states), whole)
+    assert np.isfinite(whole).any() and np.isnan(whole).any()
+
+    def fails_on_the_last_part(x, *args):
+        if x.shape[0] < 70:
+            raise ZeroGradientError("law undefined here")
+        return build(x, *args)
+    monkeypatch.setattr(cascade, "build_constraint_set", fails_on_the_last_part)
+    assert np.isnan(fn(states)).all()
+
+
+def test_a_101_row_block_keeps_its_memory_in_parts():
+    # On the largest basis the filter's arrays of states times rows stay
+    # within a part: one 8,000-state block of finding 3's config (k_phi = 0,
+    # 101 rows) peaks at about 14 MB by tracemalloc, against 25 MB in one
+    # pass (the vertex stage's own blocks hold about 8 MB each).
+    import tracemalloc
+    text = bundled_config("vtol_safe").read_text()
+    text = re.sub(r"^reshape\.directions\s*=.*$", "reshape.directions = 101", text, flags=re.M)
+    text = re.sub(r"^reshape\.k_phi\s*=.*$", "reshape.k_phi = 0", text, flags=re.M)
+    law = build_scenario(parse_config_text(text)).controller.rho1
+    assert law.basis.n_l == 101 and law.k_phi == 0.0
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "estimate_lipschitz", lambda fn, box, grid: seen.append(fn) or 0.0)
+        estimate_safety_law_lipschitz(law, ((-3.0, 6.0), (-0.5, 12.0)), grid=200)
+    block = _grid_states(((-3.0, 6.0), (-0.5, 12.0)), 200)[8000:16000]
+    tracemalloc.start()
+    try:
+        values = seen[0](block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).any()
+    assert peak <= 20e6, peak
 
 
 def test_a_spine_state_inside_its_capsule_stays_nan(monkeypatch):

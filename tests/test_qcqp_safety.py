@@ -276,6 +276,68 @@ def test_unit_rows_are_checked_within_1e_9_for_one_state_and_a_batch(rows):
                     build()
 
 
+def test_a_batch_whose_squares_overflow_is_refused_as_one_state_is():
+    # Some 1e154 m from a disc's center the squares of its gradient
+    # overflow and its row would be zero: the batch then runs the
+    # constructor's check, which refuses it as one state's build does.
+    # An infinite state's row is NaN, which passes.
+    disc = [CertificateSpec(Disc([0.0, 0.0], 1.0))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for far in ([1e160, 0.0], [1e160, -1e160]):
+            for x in (np.array(far), np.array([far, [2.0, 0.0]])):
+                with pytest.raises(ValueError, match="unit vectors"):
+                    build_constraint_set(x, disc, 1.0)
+        cs = build_constraint_set(np.array([[np.inf, 0.0], [2.0, 0.0]]), disc, 1.0)
+    assert_same_bits(cs.a, [[[np.nan, -0.0]], [[-1.0, -0.0]]])
+
+
+coordinates = st.floats(-20.0, 20.0)
+
+
+@st.composite
+def states_about_a_wall_and_a_disc(draw):
+    """A wall and a disc certificate at level 1 or 2, and states about each:
+    far away (up to 1e6 m), on the capsule edge, within 1e-6 of the spine
+    or center, and on it."""
+    o1 = np.array([draw(coordinates), draw(coordinates)])
+    spine = np.array([draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))])
+    if np.hypot(*spine) < 1e-3:
+        spine = np.array([1.0, 0.5])
+    center, radius = np.array([draw(coordinates), draw(coordinates)]), draw(st.floats(0.05, 5.0))
+    safe = draw(st.floats(0.05, 2.0))
+    certs = [CertificateSpec(Segment(o1, o1 + spine), safe_distance=safe, level=draw(st.sampled_from([1.0, 2.0]))),
+             CertificateSpec(Disc(center, radius), level=draw(st.sampled_from([1.0, 2.0])))]
+    normal = np.array([-spine[1], spine[0]]) / np.hypot(*spine)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    ray = np.array([math.cos(angle), math.sin(angle)])
+    on_spine = o1 + draw(st.floats(0.0, 1.0)) * spine
+    near = draw(st.floats(-1e-6, 1e-6))
+    states = [o1 + draw(st.floats(-1e6, 1e6)) * ray, center + draw(st.floats(-1e6, 1e6)) * ray,
+              on_spine + safe * normal, center + radius * ray,
+              on_spine + near * normal, center + near * ray,
+              on_spine, o1, o1 + spine, center]
+    return certs, np.array(states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(states_about_a_wall_and_a_disc(), st.sampled_from([0.5, 1.0, 3.0]))
+def test_a_batch_builds_unit_or_nan_rows_that_the_checked_constructor_accepts(drawn, k_alpha):
+    # The batch build skips the constructor's unit-row check: each row is
+    # its gradient over its own norm, or NaN. Far away, on a capsule edge,
+    # within 1e-6 of a spine or center and on it, every row is within 1e-9
+    # of unit length or NaN, and the checked constructor accepts the set and
+    # keeps its arrays bit for bit.
+    certs, states = drawn
+    cs = build_constraint_set(states, certs, k_alpha)
+    rows = cs.a.reshape(-1, 2)
+    defined = ~np.isnan(rows).any(axis=1)
+    assert (np.abs(np.hypot(rows[defined, 0], rows[defined, 1]) - 1.0) <= 1e-9).all()
+    checked = ConstraintSet(cs.a, cs.b, h=cs.h, v=cs.v)
+    for got, want in ((checked.a, cs.a), (checked.b, cs.b), (checked.h, cs.h), (checked.v, cs.v)):
+        assert got.shape == want.shape
+        assert_same_bits(got, want)
+
+
 @pytest.mark.parametrize("rows", [(2, 3), (4, 2, 3), (1, 1)], ids=str)
 def test_rows_wider_or_narrower_than_the_plane_are_refused(rows):
     # The package is planar: a set whose rows are not pairs is refused when

@@ -27,7 +27,11 @@ Two short runs at `cascade.k1 = estimate` put the estimate's mask under
 load: the overlapping walls (overlap_estimate), whose grid has NaN rows
 beside masked states, and a third wall from (4.5, -0.5) to (4.5, 12) at
 safe distance 0.9 (third_wall), which masks every state of the 200-point
-grid's block 8. Two more short runs at `cascade.k1 = estimate` reshape on
+grid's rows 160 to 179. A short run at `cascade.k1 = estimate` with
+`cascade.k1_grid = 130` (estimate_grid130) ends the grid in an uneven
+block (two of 63 rows and one of 4 at 8,192 states a block; four of 31
+and one of 6 at 4,096), so a change of the block size is compared by
+bytes. Two more short runs at `cascade.k1 = estimate` reshape on
 the two ends of the admitted `reshape.directions`, 5 and 101 rows
 (directions_5, directions_101), whose coverage constants c_a the
 reshaping reads directly. A short run at `cascade.k1 = estimate` on a
@@ -75,13 +79,14 @@ VARIANTS = {  # name: (bundled config, {key: value}); a key the config lacks is 
     "directions_101": ("vtol_safe", {"reshape.directions": "101", "cascade.k1": "estimate"}),
     "directions_51_kphi0": ("vtol_safe", {"cascade.k1": "estimate", "reshape.directions": "51",
                                           "reshape.k_phi": "0"}),
+    "estimate_grid130": ("vtol_safe", {"cascade.k1": "estimate", "cascade.k1_grid": "130"}),
 }
 COMMANDS = {**{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}"]
                for n in ("safe", "unsafe", "safe_shifted", "unsafe_shifted", "nonlinear", "velocity")},
             **{f"run_{n}": ["run", "--config", f"{n}.cfg", "--out", f"run_{n}", "--horizon", "0.05"]
                for n in ("estimate", "three", "estimate_wide", "level", "zero_nominal", "kphi0", "far_nominal",
                          "overlap_estimate", "third_wall", "directions_5", "directions_101",
-                         "directions_51_kphi0")},
+                         "directions_51_kphi0", "estimate_grid130")},
             "run_unsafe_far_nominal": ["run", "--config", "unsafe_far_nominal.cfg", "--out", "run_unsafe_far_nominal",
                                        "--horizon", "1"],
             **{f"audit_{n}": ["audit", "--config", f"{n}.cfg"]
